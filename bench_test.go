@@ -148,8 +148,9 @@ func BenchmarkTable1(b *testing.B) {
 	runFASTOD(b, ds, seqOpts())
 }
 
-// BenchmarkAblation measures the individual optimizations called out in
-// DESIGN.md: key pruning, node pruning and the sorted-scan swap check.
+// BenchmarkAblation measures the individual optimizations of Section 4 of
+// the paper: key pruning (Lemmas 12–13), node pruning (Lemma 11) and the
+// sorted-scan swap check.
 func BenchmarkAblation(b *testing.B) {
 	ds := figureDataset("flight", 1000, 10)
 	b.Run("baseline", func(b *testing.B) { runFASTOD(b, ds, seqOpts()) })

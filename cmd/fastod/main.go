@@ -40,7 +40,7 @@ func main() {
 		input     = flag.String("input", "", "path to a CSV file with a header row (required)")
 		algorithm = flag.String("algorithm", "fastod", "algorithm to run: fastod, tane, approx, bidir, conditional or order")
 		maxLevel  = flag.Int("max-level", 0, "stop after this lattice level (0 = unlimited)")
-		workers   = flag.Int("workers", 0, "worker goroutines per lattice level (0 = all CPUs, 1 = sequential)")
+		workers   = flag.Int("workers", 0, "lattice worker goroutines (0 = all CPUs, 1 = sequential)")
 		scheduler = flag.String("scheduler", "", "lattice node scheduler: dag (default) or barrier; the output is identical")
 		timeout   = flag.Duration("timeout", 0, "interrupt the run after this wall-clock budget (0 = none; ORDER defaults to 30s)")
 		maxNodes  = flag.Int("max-nodes", 0, "interrupt the run after visiting this many lattice nodes (0 = none; ORDER defaults to 2000000)")

@@ -3,7 +3,7 @@
 // (scalability in attributes), Figure 6 (impact of pruning) and Figure 7
 // (per-lattice-level behaviour). It prints the same series the paper plots —
 // running time per algorithm plus "#ODs (#FDs + #OCDs)" — so the shapes can
-// be compared directly; EXPERIMENTS.md records such a comparison.
+// be compared with the paper's figures directly.
 //
 // Usage:
 //
@@ -31,7 +31,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "use the reduced-scale configuration")
 		input    = flag.String("input", "", "CSV file for -fig single")
 		seed     = flag.Int64("seed", 2017, "random seed for dataset generation")
-		workers  = flag.Int("workers", 1, "FASTOD/TANE worker goroutines per lattice level (1 = sequential, matching the paper's single-threaded runs; 0 = all CPUs)")
+		workers  = flag.Int("workers", 1, "FASTOD/TANE lattice worker goroutines (1 = sequential, matching the paper's single-threaded runs; 0 = all CPUs)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget per FASTOD/TANE run; interrupted runs are reported as partial *budget rows (0 = none)")
 		maxNodes = flag.Int("max-nodes", 0, "lattice-node budget per FASTOD/TANE run (0 = none)")
 	)

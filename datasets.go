@@ -11,7 +11,7 @@ import (
 // tests and benchmarks. The paper evaluates on four datasets (flight,
 // ncvoter, hepatitis, dbtesma) that cannot be redistributed; the generators
 // below produce stand-ins with the same schema sizes and dependency
-// structure. See DESIGN.md, "Substitutions", for the rationale.
+// structure.
 
 // EmployeesExample returns Table 1 of the paper: the employee salary/tax
 // relation used as the running example (6 tuples, 9 attributes).

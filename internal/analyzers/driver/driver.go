@@ -428,15 +428,7 @@ func (ld *loader) analysisUnits(dir string, tests bool) ([]*unit, error) {
 		}
 		units = append(units, u)
 		if tests && len(extTest) > 0 {
-			// The external foo_test package must see the test-augmented
-			// variant of foo (the export_test.go convention).
-			imp := importerFunc(func(p string) (*types.Package, error) {
-				if p == path {
-					return u.pkg, nil
-				}
-				return ld.Import(p)
-			})
-			tu, err := ld.check(path+"_test", extTest, imp)
+			tu, err := ld.check(path+"_test", extTest, ld.testVariantImporter(path, u.pkg))
 			if err != nil {
 				return nil, err
 			}
@@ -444,6 +436,58 @@ func (ld *loader) analysisUnits(dir string, tests bool) ([]*unit, error) {
 		}
 	}
 	return units, nil
+}
+
+// testVariantImporter resolves the imports of the external test package of
+// path. That package must see variant, the test-augmented variant of path
+// (the export_test.go convention), and so must every local package it
+// imports that depends on path: as the go tool does for foo_test, each such
+// package is re-checked against the variant. Otherwise a test passing a
+// value from such a package (a generator returning *foo.T, say) to foo would
+// meet two distinct foo packages.
+func (ld *loader) testVariantImporter(path string, variant *types.Package) types.Importer {
+	variants := map[string]*types.Package{path: variant}
+	var imp importerFunc
+	imp = func(p string) (*types.Package, error) {
+		if pkg, ok := variants[p]; ok {
+			return pkg, nil
+		}
+		dir := ld.dirFor(p)
+		if dir == "" {
+			return ld.Import(p)
+		}
+		dep, err := ld.loadDep(p, dir)
+		if err != nil {
+			return nil, err
+		}
+		pkg := dep.pkg
+		if dependsOn(pkg, path, map[*types.Package]bool{}) {
+			v, err := ld.check(p, dep.files, imp)
+			if err != nil {
+				return nil, err
+			}
+			pkg = v.pkg
+		}
+		variants[p] = pkg
+		return pkg, nil
+	}
+	return imp
+}
+
+// dependsOn reports whether pkg imports path directly or transitively.
+func dependsOn(pkg *types.Package, path string, seen map[*types.Package]bool) bool {
+	for _, dep := range pkg.Imports() {
+		if dep.Path() == path {
+			return true
+		}
+		if !seen[dep] {
+			seen[dep] = true
+			if dependsOn(dep, path, seen) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // parseDir parses every .go file in dir into production files, in-package

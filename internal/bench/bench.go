@@ -10,7 +10,7 @@
 // data), but the shapes the paper argues from — linear growth in tuples,
 // exponential growth in attributes, FASTOD ≪ ORDER for complete discovery,
 // TANE < FASTOD, and orders-of-magnitude savings from pruning — are
-// reproduced. EXPERIMENTS.md records the paper-vs-measured comparison.
+// reproduced.
 package bench
 
 import (

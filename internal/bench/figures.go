@@ -47,8 +47,8 @@ type Config struct {
 	LevelRows int
 }
 
-// DefaultConfig returns the laptop-scale configuration described in
-// EXPERIMENTS.md.
+// DefaultConfig returns the laptop-scale configuration odbench runs without
+// -quick.
 func DefaultConfig() Config {
 	return Config{
 		Seed:         2017,

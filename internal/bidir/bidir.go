@@ -234,7 +234,7 @@ func (od OD) Holds(enc *relation.Encoded) (bool, error) {
 	case canonical.OrderCompatible:
 		colB := enc.Column(od.B)
 		if od.Polarity == OppositeDirection {
-			colB = reverseRanks(colB, enc.Cardinality[od.B])
+			colB = reverseRanks(colB)
 		}
 		return !ctx.HasSwap(enc.Column(od.A), colB), nil
 	default:
@@ -243,10 +243,17 @@ func (od OD) Holds(enc *relation.Encoded) (bool, error) {
 }
 
 // reverseRanks flips a rank-encoded column so that descending order on the
-// original equals ascending order on the result.
-func reverseRanks(col []int32, cardinality int) []int32 {
+// original equals ascending order on the result. It reflects against the
+// column's maximum rank, not Cardinality-1: row views (HeadRows, SelectRows)
+// keep sparse ranks with Cardinality as their distinct count, and reflecting
+// against that would turn ranks negative, which the swap kernel's unsigned
+// pair keys misorder.
+func reverseRanks(col []int32) []int32 {
+	top := int32(0)
+	for _, v := range col {
+		top = max(top, v)
+	}
 	out := make([]int32, len(col))
-	top := int32(cardinality - 1)
 	for i, v := range col {
 		out[i] = top - v
 	}
@@ -377,7 +384,7 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	// Pre-reverse every column once for the opposite-direction checks.
 	reversed := make([][]int32, n)
 	for a := 0; a < n; a++ {
-		reversed[a] = reverseRanks(enc.Column(a), enc.Cardinality[a])
+		reversed[a] = reverseRanks(enc.Column(a))
 	}
 
 	// Node-reentrant discovery with shared satisfied-lists under one mutex.

@@ -5,7 +5,7 @@
 // structure* those datasets exhibit — constants, functional-dependency
 // hierarchies, order-compatible (monotone) column families, keys and noise —
 // which is what determines both algorithm runtime and the number and kind of
-// discovered ODs. See DESIGN.md, "Substitutions".
+// discovered ODs.
 //
 // All generators are deterministic for a given seed.
 package datagen

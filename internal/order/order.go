@@ -10,7 +10,7 @@
 // The implementation follows the behaviour documented in the paper's
 // Sections 4.5 and 5.3; where the original publication leaves internals
 // unspecified, the simplest rule consistent with the described behaviour is
-// used. DESIGN.md records this as a substitution.
+// used.
 package order
 
 import (

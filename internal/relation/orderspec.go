@@ -3,7 +3,7 @@ package relation
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -297,45 +297,56 @@ func EncodeSpec(r *Relation, spec OrderSpec) (*Encoded, error) {
 	return enc, nil
 }
 
-// encodeColumn rank-encodes one column under a column order. Distinct raw
-// values are keyed, sorted under the order, and grouped: values whose keys
-// compare equal (possible only under the merging collations — numeric, date,
-// case-insensitive, rank) share one dense rank.
+// encodeColumn rank-encodes one column under a column order through a
+// dictionary of its distinct values. One pass maps each raw value to a dense
+// first-seen id, with one map operation per row, and records each row's id.
+// Each distinct value is keyed once, and the ids are sorted by key with a
+// comparator that never hashes. Runs of equal keys share one dense rank;
+// only the merging collations (numeric, date, case-insensitive, rank)
+// produce them. Last, each row's id is overwritten in place by its rank.
+// With d distinct values a column costs O(rows + d log d).
 func encodeColumn(col Column, co ColumnOrder) ([]int32, int, error) {
-	distinct := make(map[string]struct{}, len(col.Raw))
-	for _, v := range col.Raw {
-		distinct[v] = struct{}{}
-	}
-	values := make([]string, 0, len(distinct))
-	for v := range distinct {
-		values = append(values, v)
+	out := make([]int32, len(col.Raw))
+	ids := make(map[string]int32)
+	var dict []string
+	for i, v := range col.Raw {
+		id, ok := ids[v]
+		if !ok {
+			id = int32(len(dict))
+			ids[v] = id
+			dict = append(dict, v)
+		}
+		out[i] = id
 	}
 	maker := newKeyMaker(co, col.Type)
-	keys := make(map[string]sortKey, len(values))
-	for _, v := range values {
+	keys := make([]sortKey, len(dict))
+	for id, v := range dict {
 		k, err := maker.key(v)
 		if err != nil {
 			return nil, 0, err
 		}
-		keys[v] = k
+		keys[id] = k
 	}
-	sort.Slice(values, func(i, j int) bool {
-		return co.compareKeys(keys[values[i]], keys[values[j]]) < 0
+	byKey := make([]int32, len(dict))
+	for id := range byKey {
+		byKey[id] = int32(id)
+	}
+	slices.SortFunc(byKey, func(a, b int32) int {
+		return co.compareKeys(keys[a], keys[b])
 	})
-	rank := make(map[string]int32, len(values))
+	rank := make([]int32, len(dict))
 	next := int32(0)
-	for i, v := range values {
-		if i > 0 && co.compareKeys(keys[values[i-1]], keys[v]) != 0 {
+	for i, id := range byKey {
+		if i > 0 && co.compareKeys(keys[byKey[i-1]], keys[id]) != 0 {
 			next++
 		}
-		rank[v] = next
+		rank[id] = next
 	}
-	out := make([]int32, len(col.Raw))
-	for i, v := range col.Raw {
-		out[i] = rank[v]
+	for i, id := range out {
+		out[i] = rank[id]
 	}
 	card := 0
-	if len(values) > 0 {
+	if len(dict) > 0 {
 		card = int(next) + 1
 	}
 	return out, card, nil

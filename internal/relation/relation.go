@@ -286,6 +286,10 @@ func Encode(r *Relation) (*Encoded, error) {
 // string, because no single chronological interpretation covers them. The
 // sniffed type is only a default — an OrderSpec collation overrides it at
 // encode time.
+//
+// Each value is parsed only as the candidate types still alive, and a value
+// ParseInt accepts skips ParseFloat: every base-10 integer also parses as a
+// float, so the shortcut never changes the sniffed type.
 func SniffType(values []string) Type {
 	isInt, isFloat := true, true
 	layoutOK := make([]bool, len(dateLayouts))
@@ -300,11 +304,15 @@ func SniffType(values []string) Type {
 			continue
 		}
 		nonEmpty++
-		if _, err := strconv.ParseInt(v, 10, 64); err != nil {
-			isInt = false
+		intOK := false
+		if isInt {
+			_, err := strconv.ParseInt(v, 10, 64)
+			intOK = err == nil
+			isInt = intOK
 		}
-		if _, err := strconv.ParseFloat(v, 64); err != nil {
-			isFloat = false
+		if isFloat && !intOK {
+			_, err := strconv.ParseFloat(v, 64)
+			isFloat = err == nil
 		}
 		if isDate {
 			any := false

@@ -87,6 +87,21 @@ func TestSniffType(t *testing.T) {
 		{[]string{"abc", "1"}, TypeString},
 		{[]string{"", ""}, TypeString},
 		{[]string{"", "7"}, TypeInt},
+		// Inputs at the edges of the int-before-float shortcut.
+		{[]string{"9223372036854775808"}, TypeFloat}, // int64 overflow
+		{[]string{"1", "9223372036854775808"}, TypeFloat},
+		{[]string{"+5"}, TypeInt},
+		{[]string{"-0"}, TypeInt},
+		{[]string{" 7 "}, TypeInt},
+		{[]string{"+5", "-0", " 7 "}, TypeInt},
+		{[]string{"1e3"}, TypeFloat},
+		{[]string{"3", "1e3", "4"}, TypeFloat},
+		{[]string{"NaN"}, TypeFloat},
+		{[]string{"Inf"}, TypeFloat},
+		{[]string{"1", "NaN", "Inf"}, TypeFloat},
+		{[]string{"0x10"}, TypeString},
+		{[]string{"16", "0x10"}, TypeString},
+		{[]string{"1.5", "0x10"}, TypeString},
 	}
 	for _, tc := range cases {
 		if got := SniffType(tc.vals); got != tc.want {
