@@ -66,13 +66,3 @@ func (d *Dataset) DiscoverWithORDER(opts ORDEROptions) (*ORDERResult, error) {
 	}
 	return rep.ORDER, nil
 }
-
-// DefaultORDERBudget is a conservative budget for interactive use of the
-// ORDER baseline: wide schemas hit it quickly because of the factorial
-// search space.
-//
-// Deprecated: use DefaultBudget, the shared Budget every algorithm honors;
-// this function returns the equivalent value wrapped in ORDEROptions.
-func DefaultORDERBudget() ORDEROptions {
-	return ORDEROptions{Budget: DefaultBudget()}
-}

@@ -179,33 +179,6 @@ func BenchmarkParallelWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerWorkers compares the two lattice schedulers — the
-// level-synchronous barrier and the dependency-aware DAG with work stealing —
-// at increasing worker counts on the same FASTOD discovery. The reports are
-// byte-identical across the grid (TestSchedulerDifferential); only wall-clock
-// and allocation behavior may differ. Keeping both modes in the grid means
-// the CI bench-smoke job exercises both scheduler paths on every PR.
-func BenchmarkSchedulerWorkers(b *testing.B) {
-	ds := figureDataset("flight", 2000, 10)
-	for _, sched := range []fastod.Scheduler{fastod.SchedulerBarrier, fastod.SchedulerDAG} {
-		for _, w := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/workers=%d", sched, w), func(b *testing.B) {
-				b.ReportAllocs()
-				req := fastod.Request{RunOptions: fastod.RunOptions{Workers: w, Scheduler: sched}}
-				for i := 0; i < b.N; i++ {
-					rep, err := ds.Run(context.Background(), req)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if rep.Interrupted {
-						b.Fatal("unbudgeted benchmark run interrupted")
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkConditionalSliceWorkers measures conditional discovery with slice
 // passes running sequentially (workers=1) versus fanned out across the pool
 // (workers=4, each slice sequential inside). The merged report is identical.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	fastod "repro"
@@ -12,8 +13,9 @@ import (
 )
 
 // The chaos sweep drives every registered engine fault point through every
-// algorithm, both schedulers and two worker counts, with both fault actions,
-// and asserts the containment contract end to end at the public API:
+// algorithm, two worker counts and two independently seeded fault schedules,
+// with both fault actions, and asserts the containment contract end to end
+// at the public API:
 //
 //   - the process survives every combination (the suite running to completion
 //     is itself the assertion);
@@ -22,7 +24,9 @@ import (
 //   - a fault without one (panics anywhere, errors at must-succeed points)
 //     surfaces as fastod.ErrInternal with a captured stack, never as a crash
 //     or a silently wrong report;
-//   - a schedule whose fault is never reached behaves exactly like no fault;
+//   - a schedule whose fault is never reached behaves exactly like no fault,
+//     and the faultinject.NodeSteal control, which no code hits, is never
+//     reached at all;
 //   - no combination leaks goroutines, and after the whole sweep every
 //     algorithm still produces the baseline result (nothing was poisoned).
 func TestChaosEngineFaults(t *testing.T) {
@@ -59,28 +63,38 @@ func TestChaosEngineFaults(t *testing.T) {
 	// more) must fail the suite, not just make it vacuous.
 	var firedPanic, firedDegrade, unfired int
 
+	// Every combination runs under two fault schedules, each drawn from its
+	// own seed. They are labelled "dag" and "barrier", the names of the two
+	// lattice schedulers the sweep used to compare, so that every subtest
+	// keeps its name now that one traversal serves all algorithms.
+	schedules := []string{"dag", "barrier"}
+	points := append(slices.Clone(faultinject.EnginePoints), faultinject.NodeSteal)
+
 	seed := int64(0)
-	for _, point := range faultinject.EnginePoints {
+	for _, point := range points {
 		for alg, baseReq := range requests {
-			for _, sched := range []fastod.Scheduler{fastod.SchedulerDAG, fastod.SchedulerBarrier} {
+			for _, schedule := range schedules {
 				for _, workers := range []int{1, 4} {
 					for _, action := range []faultinject.Action{faultinject.ActionPanic, faultinject.ActionError} {
 						seed++
-						name := fmt.Sprintf("%s/%s/%s/w%d/%s", point, alg, sched, workers, action)
+						name := fmt.Sprintf("%s/%s/%s/w%d/%s", point, alg, schedule, workers, action)
 						t.Run(name, func(t *testing.T) {
 							req := baseReq
 							req.Workers = workers
-							req.Scheduler = sched
 							req.Partitions = smallStore()
 							plan := faultinject.Seeded(seed, point, action, 40, 0)
 							defer faultinject.Enable(plan)()
 
 							rep, err := ds.Run(ctx, req)
 
+							if point == faultinject.NodeSteal && plan.Hits(point) != 0 {
+								t.Fatalf("the %s control was reached %d times; no code may hit it", point, plan.Hits(point))
+							}
 							if plan.Fired() == 0 {
-								// The scheduled hit was never reached (e.g. a
-								// steal point at one worker, or a schedule past
-								// the run's hit count): the run must be
+								// The scheduled hit was never reached (the
+								// NodeSteal control, an engine point ORDER
+								// never passes, or a schedule past the run's
+								// hit count): the run must be
 								// indistinguishable from a fault-free one.
 								unfired++
 								if err != nil {

@@ -39,14 +39,14 @@ func main() {
 	if err != nil {
 		log.Fatalf("fastod: %v", err)
 	}
-	ord, err := ds.DiscoverWithORDER(fastod.DefaultORDERBudget())
+	ord, err := ds.DiscoverWithORDER(fastod.ORDEROptions{Budget: fastod.DefaultBudget()})
 	if err != nil {
 		log.Fatalf("order: %v", err)
 	}
 
 	fmt.Printf("FASTOD discovered %s canonical ODs.\n", fast.Counts)
-	fmt.Printf("ORDER  discovered %d list ODs, mapping to %s canonical ODs (timed out: %v).\n\n",
-		len(ord.ODs), ord.Counts, ord.TimedOut)
+	fmt.Printf("ORDER  discovered %d list ODs, mapping to %s canonical ODs (interrupted: %v).\n\n",
+		len(ord.ODs), ord.Counts, ord.Interrupted)
 
 	fastCover := fastod.NewCover(fast.ODs)
 	orderCover := fastod.NewCover(ord.Canonical)

@@ -203,7 +203,7 @@ func TestBaselinesPublicAPI(t *testing.T) {
 		t.Errorf("TANE found %d FDs, FASTOD found %d constancy ODs", len(fds.FDs), res.Counts.Constancy)
 	}
 
-	ord, err := ds.DiscoverWithORDER(fastod.DefaultORDERBudget())
+	ord, err := ds.DiscoverWithORDER(fastod.ORDEROptions{Budget: fastod.DefaultBudget()})
 	if err != nil {
 		t.Fatalf("DiscoverWithORDER: %v", err)
 	}

@@ -15,8 +15,8 @@ func trapped(body func()) {
 
 type engine struct{}
 
-// worker mirrors the DAG scheduler's worker method: panic-safe by its own
-// top-level deferred recover.
+// worker is a method that is panic-safe by its own top-level deferred
+// recover.
 func (e *engine) worker(wk int) {
 	defer func() {
 		if rec := recover(); rec != nil {

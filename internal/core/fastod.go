@@ -22,11 +22,9 @@ func Discover(enc *relation.Encoded, opts Options) (*Result, error) {
 // DiscoverContext runs FASTOD (Algorithm 1 of the paper) over an encoded
 // relation instance and returns the complete, minimal set of canonical ODs
 // that hold, or — with Options.DisablePruning — every valid OD, minimal or
-// not. The context and Options.Budget are checked cooperatively — at node
-// handout under the DAG scheduler, at level barriers and between parallel
-// chunk handouts under the barrier scheduler; a cancelled or over-budget run
-// returns the ODs discovered so far with Stats.Interrupted set rather than an
-// error.
+// not. The context and Options.Budget are checked cooperatively before every
+// lattice node; a cancelled or over-budget run returns the ODs discovered so
+// far with Stats.Interrupted set rather than an error.
 func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (*Result, error) {
 	if enc == nil {
 		return nil, fmt.Errorf("core: nil relation")
@@ -55,9 +53,8 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	}
 	res := d.result
 	if !opts.CountOnly {
-		// Node completion order is schedule-dependent (under the DAG scheduler
-		// even across levels); the total order restores a byte-identical
-		// output for any scheduler and worker count.
+		// Node completion order within a level is schedule-dependent; the
+		// total order restores a byte-identical output for any worker count.
 		canonical.Sort(res.ODs)
 		res.Counts = canonical.CountByKind(res.ODs)
 	}
@@ -67,7 +64,7 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 }
 
 // discoverer carries the per-run state of the lattice traversal. The
-// traversal itself — node generation and scheduling, partition products and
+// traversal itself — node generation and handout, partition products and
 // retention, the worker pool — is owned by the shared lattice engine; this
 // type contributes FASTOD's candidate-set bookkeeping (Algorithms 3 and 4)
 // through the engine's node-reentrant visit callback.
@@ -85,10 +82,9 @@ type discoverer struct {
 	shards []checkShard
 
 	// mu guards the node-completion merge: the result's OD list and counters,
-	// the per-level stats. Nodes complete out of order under the DAG
-	// scheduler, so the merge moved from the level barrier to per-node
-	// completion; determinism survives because counters commute and the OD
-	// list is sorted in a total order at the end of the run.
+	// the per-level stats. A level's nodes complete in any order across the
+	// workers; determinism survives because counters commute and the OD list
+	// is sorted in a total order at the end of the run.
 	mu         sync.Mutex
 	levelStats map[int]*LevelStat
 
@@ -113,7 +109,6 @@ func newDiscoverer(ctx context.Context, enc *relation.Encoded, opts Options) (*d
 	}
 	eng, err := lattice.New(enc, lattice.Config{
 		Ctx:        ctx,
-		Scheduler:  opts.Scheduler,
 		Workers:    opts.Workers,
 		MaxLevel:   opts.MaxLevel,
 		Budget:     opts.Budget,
@@ -130,10 +125,9 @@ func newDiscoverer(ctx context.Context, enc *relation.Encoded, opts Options) (*d
 	return d, nil
 }
 
-// levelEnd stamps a completed level's wall-clock time and, when requested,
-// publishes its LevelStat. The engine invokes it in level order under both
-// schedulers; levels cut short by an interrupt never fully complete under the
-// DAG scheduler and are then absent from Result.Levels.
+// levelEnd stamps a visited level's wall-clock time and, when requested,
+// publishes its LevelStat. The engine invokes it in level order, including
+// for the partially visited level of an interrupted run.
 func (d *discoverer) levelEnd(l int, elapsed time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -195,8 +189,7 @@ func (d *discoverer) run() {
 // the candidate ODs, emits the minimal ones, and decides Algorithm 4's
 // pruning (both candidate sets empty — Lemma 11). It only reads the node's
 // deps and the engine's partition window, so it is node-reentrant: the
-// scheduler may run it concurrently on any set of mutually non-dependent
-// nodes, across levels.
+// engine runs it concurrently on the nodes of one level.
 func (d *discoverer) visitNode(wk, l int, x bitset.AttrSet, deps []any) (any, bool) {
 	sh := &d.shards[wk]
 	// deps are ordered by ascending removed attribute, so the state of X\{a}

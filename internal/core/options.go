@@ -28,12 +28,6 @@ type Options struct {
 	// goroutines; values below zero are treated as 1.
 	Workers int
 
-	// Scheduler selects how node work is ordered: the dependency-aware
-	// work-stealing DAG scheduler (the default), which starts a node the
-	// moment its immediate subsets are done, or the level-synchronous barrier
-	// path. Both produce byte-identical results; see lattice.Scheduler.
-	Scheduler lattice.Scheduler
-
 	// Budget bounds the run's wall-clock time and visited lattice nodes (see
 	// lattice.Budget; the zero value means no bound). An exhausted budget
 	// interrupts the run cooperatively: the Result carries every OD found so

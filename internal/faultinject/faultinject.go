@@ -3,7 +3,7 @@
 //
 // Production code calls Fire (or Hit) at named injection points threaded
 // into the hot paths: partition products, partition-store lookups and
-// evictions, DAG node dispatch and stealing, CSV decoding and SSE writes.
+// evictions, lattice node dispatch, CSV decoding and SSE writes.
 // When no plan is armed — the production state — Fire is a single atomic
 // pointer load that returns nil; no locks, no allocation, no time reads.
 //
@@ -30,16 +30,22 @@ type Point string
 // Canonical injection points. Keep in sync with the chaos suite sweep.
 const (
 	// PartitionProduct fires before a stripped-partition product is
-	// computed for a lattice node (both schedulers).
+	// computed for a lattice node.
 	PartitionProduct Point = "partition.product"
 	// StoreGet fires inside PartitionStore.Get before the lookup.
 	StoreGet Point = "store.get"
 	// StoreEvict fires inside the store's evictOne before a victim is
 	// chosen.
 	StoreEvict Point = "store.evict"
-	// NodeDispatch fires when the DAG scheduler hands a node to a worker.
+	// NodeDispatch fires when the engine hands a lattice node to a worker.
 	NodeDispatch Point = "node.dispatch"
-	// NodeSteal fires when a DAG worker steals from another deque.
+	// NodeSteal has no hit site: the engine hands every node out from its
+	// level's shared queue, so no worker takes work from another. The chaos
+	// suite arms it as its unreachable-point control, whose schedules must
+	// never fire and must leave every run identical to a fault-free one.
+	// It is not an engine point.
+	//
+	// faultpoint:test-only
 	NodeSteal Point = "node.steal"
 	// CSVDecode fires at the head of CSV decoding (relation.ReadCSV).
 	CSVDecode Point = "csv.decode"
@@ -49,7 +55,7 @@ const (
 
 // EnginePoints are the injection points that live inside a discovery run
 // (as opposed to the service I/O points). The chaos suite sweeps these.
-var EnginePoints = []Point{PartitionProduct, StoreGet, StoreEvict, NodeDispatch, NodeSteal}
+var EnginePoints = []Point{PartitionProduct, StoreGet, StoreEvict, NodeDispatch}
 
 // Action selects what an armed rule does when it triggers.
 type Action uint8

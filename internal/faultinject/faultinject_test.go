@@ -59,7 +59,7 @@ func TestTimesZeroFiresForever(t *testing.T) {
 }
 
 func TestPanicRule(t *testing.T) {
-	defer Enable(NewPlan(Rule{Point: NodeSteal, Action: ActionPanic, Times: 1}))()
+	defer Enable(NewPlan(Rule{Point: NodeDispatch, Action: ActionPanic, Times: 1}))()
 
 	defer func() {
 		rec := recover()
@@ -67,11 +67,11 @@ func TestPanicRule(t *testing.T) {
 		if !ok {
 			t.Fatalf("recovered %v (%T), want *Panicked", rec, rec)
 		}
-		if pk.Point != NodeSteal || pk.Hit != 1 {
+		if pk.Point != NodeDispatch || pk.Hit != 1 {
 			t.Fatalf("Panicked = %+v", pk)
 		}
 	}()
-	Hit(NodeSteal)
+	Hit(NodeDispatch)
 	t.Fatal("Hit did not panic")
 }
 

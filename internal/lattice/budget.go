@@ -14,15 +14,14 @@ import "time"
 // on an arbitrarily wide schema.
 type Budget struct {
 	// Timeout interrupts the run after the given wall-clock duration
-	// (0 = none). The deadline is checked at level barriers and between
-	// ParallelFor chunk handouts, so the interrupt latency is bounded by one
-	// chunk of work, not one lattice level.
+	// (0 = none). The deadline is checked before every node visit and
+	// partition product, so the interrupt latency is bounded by one node of
+	// work per worker, not one lattice level.
 	Timeout time.Duration
 	// MaxNodes interrupts the run once it has visited this many lattice
-	// nodes (0 = none). Under the barrier scheduler it is enforced at level
-	// barriers: the level that crosses the bound completes and no further
-	// level starts. Under the DAG scheduler it is enforced at node handout:
-	// at most MaxNodes nodes are ever dispatched.
+	// nodes (0 = none). It is enforced at node handout, mid-level if need
+	// be: at most MaxNodes nodes are ever visited, and Stats.NodesVisited
+	// equals the number of visits made.
 	MaxNodes int
 }
 
@@ -30,13 +29,14 @@ type Budget struct {
 func (b Budget) IsZero() bool { return b.Timeout <= 0 && b.MaxNodes <= 0 }
 
 // ProgressEvent is one per-level progress report of a traversal, delivered to
-// Config.OnProgress at every level barrier. Long discoveries on wide schemas
-// can run for minutes; the event stream is what lets a caller render a
-// progress bar, enforce its own policies, or decide to cancel the context.
+// Config.OnProgress at every level barrier, in level order, and once more for
+// the partially visited level of an interrupted run. Long discoveries on wide
+// schemas can run for minutes; the event stream is what lets a caller render
+// a progress bar, enforce its own policies, or decide to cancel the context.
 type ProgressEvent struct {
-	// Level is the lattice level that just completed (for the set lattice,
-	// the size of the attribute sets processed; for ORDER's list lattice, the
-	// length of the attribute lists).
+	// Level is the lattice level that just completed or was interrupted
+	// (for the set lattice, the size of the attribute sets processed; for
+	// ORDER's list lattice, the length of the attribute lists).
 	Level int
 	// Nodes is the number of lattice nodes visited at this level.
 	Nodes int

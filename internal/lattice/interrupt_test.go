@@ -2,6 +2,9 @@ package lattice
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,88 +12,226 @@ import (
 	"repro/internal/bitset"
 )
 
-// TestCancelMidLevel: cancelling the context from inside a visit callback's
-// ParallelFor must stop the handout within one chunk — most of the level's
-// items stay unprocessed — and terminate the traversal with Interrupted set,
-// without visiting another level.
-func TestCancelMidLevel(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		enc := encodeFlight(t, 120, 10)
-		ctx, cancel := context.WithCancel(context.Background())
-		eng, err := New(enc, Config{Ctx: ctx, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
+// checkEvents asserts the progress contract: one event per visited level in
+// level order, the partial level of an interrupted run included, each with
+// the cumulative node count, the last one matching the engine total.
+func checkEvents(t *testing.T, events []ProgressEvent, st Stats) {
+	t.Helper()
+	if len(events) != st.MaxLevelReached {
+		t.Fatalf("got %d events, want one per visited level (%d)", len(events), st.MaxLevelReached)
+	}
+	sum := 0
+	for i, ev := range events {
+		if ev.Level != i+1 {
+			t.Errorf("event %d has level %d, want %d", i, ev.Level, i+1)
 		}
-		var processed atomic.Int64
-		levelsVisited := 0
-		lastLevelItems := 0
-		eng.Run(func(l int, nodes []bitset.AttrSet) []bitset.AttrSet {
-			levelsVisited++
-			if l < 2 {
-				return nodes // let the lattice widen first
+		sum += ev.Nodes
+		if ev.NodesVisited != sum {
+			t.Errorf("event %d: NodesVisited = %d, want cumulative %d", i, ev.NodesVisited, sum)
+		}
+		if ev.PartitionsCached == 0 {
+			t.Errorf("event %d reports no cached partitions", i)
+		}
+		if i > 0 && ev.Elapsed < events[i-1].Elapsed {
+			t.Errorf("event %d: Elapsed went backwards", i)
+		}
+	}
+	if sum != st.NodesVisited {
+		t.Errorf("events sum to %d nodes, engine visited %d", sum, st.NodesVisited)
+	}
+}
+
+// TestCancelMidLevel: cancelling the context from inside a visit stops the
+// handout before the next node — at most workers-1 nodes (those already
+// running on other workers) are visited after the cancelling one — and ends
+// the traversal with Interrupted set, without visiting another level, and
+// with a progress event for the partial level.
+func TestCancelMidLevel(t *testing.T) {
+	// Level 1 of the 8-attribute lattice has 8 nodes and level 2 has 28, so
+	// the cancel fires on the fourth node of level 2.
+	const cancelAt = 12
+	enc := encodeFlight(t, 100, 8)
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var events []ProgressEvent
+			onProgress := func(ev ProgressEvent) { events = append(events, ev) }
+			eng, err := New(enc, Config{Ctx: ctx, Workers: workers, OnProgress: onProgress})
+			if err != nil {
+				t.Fatal(err)
 			}
-			lastLevelItems = len(nodes)
-			eng.ParallelFor(len(nodes), func(_, i int) {
-				if processed.Add(1) == 3 {
+			var visits atomic.Int64
+			eng.RunNodes(nil, func(_, l int, _ bitset.AttrSet, _ []any) (any, bool) {
+				if l > 2 {
+					t.Errorf("visited a level-%d node after the cancel in level 2", l)
+				}
+				switch n := visits.Add(1); {
+				case n == cancelAt:
 					cancel()
+				case n > cancelAt:
+					// Handed out before the cancel took effect: finish only
+					// once it has, so the cancel acts at node cancelAt and
+					// not some nodes later, when cancel() returns.
+					<-ctx.Done()
+				}
+				return nil, false
+			})
+			st := eng.Stats()
+			if !st.Interrupted {
+				t.Fatal("cancelled run not marked interrupted")
+			}
+			if got, max := int(visits.Load()), cancelAt+workers-1; got > max {
+				t.Errorf("%d nodes visited after a cancel at node %d, want <= %d (one running node per other worker)",
+					got, cancelAt, max)
+			}
+			if got := int(visits.Load()); got != st.NodesVisited {
+				t.Errorf("%d visits but NodesVisited = %d", got, st.NodesVisited)
+			}
+			if st.MaxLevelReached != 2 {
+				t.Errorf("MaxLevelReached = %d, want 2", st.MaxLevelReached)
+			}
+			checkEvents(t, events, st)
+		})
+	}
+}
+
+// TestDAGCancelLatency: wherever a cancel lands — on the first node, on the
+// last node of a level, mid-level — the handout stops at the next node: at
+// most workers-1 nodes (those already running on other workers) are visited
+// after the cancelling one, and NodesVisited counts exactly the visits made.
+// (The TestDAG tests are named for the dependency-driven scheduler that
+// first held their contracts; the one level-synchronous traversal holds
+// them now.)
+func TestDAGCancelLatency(t *testing.T) {
+	enc := encodeFlight(t, 100, 8)
+	for _, cancelAt := range []int64{1, 8, 9, 30} {
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("at%d_w%d", cancelAt, workers), func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				eng, err := New(enc, Config{Ctx: ctx, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var visits atomic.Int64
+				eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) {
+					switch n := visits.Add(1); {
+					case n == cancelAt:
+						cancel()
+					case n > cancelAt:
+						// See TestCancelMidLevel: the cancel takes effect
+						// when cancel() returns.
+						<-ctx.Done()
+					}
+					return nil, false
+				})
+				st := eng.Stats()
+				if !st.Interrupted {
+					t.Fatal("cancelled run not marked interrupted")
+				}
+				got := visits.Load()
+				if max := cancelAt + int64(workers) - 1; got > max {
+					t.Errorf("%d nodes visited after a cancel at node %d, want <= %d", got, cancelAt, max)
+				}
+				if int(got) != st.NodesVisited {
+					t.Errorf("%d visits but NodesVisited = %d", got, st.NodesVisited)
 				}
 			})
-			return nodes
-		})
-		if !eng.Stats().Interrupted {
-			t.Fatalf("workers=%d: cancelled run not marked interrupted", workers)
 		}
-		if levelsVisited != 2 {
-			t.Errorf("workers=%d: visited %d levels after mid-level cancel, want 2", workers, levelsVisited)
-		}
-		// Level 2 of a 10-attribute lattice has 45 nodes. The cancel fires at
-		// item 3; the handout must stop within one chunk per worker, far
-		// short of the full level.
-		if n := int(processed.Load()); n >= lastLevelItems {
-			t.Errorf("workers=%d: all %d items processed despite mid-level cancel", workers, n)
-		}
-		cancel()
 	}
 }
 
-// TestNodeBudgetInterrupts: MaxNodes must stop the traversal at the level
-// barrier after the bound is crossed, with coherent partial stats.
+// TestNodeBudgetInterrupts: MaxNodes is enforced at node handout, mid-level:
+// exactly MaxNodes nodes are visited, NodesVisited counts exactly those
+// visits, and the partial level still reports its progress event.
 func TestNodeBudgetInterrupts(t *testing.T) {
 	enc := encodeFlight(t, 100, 8)
-	full, err := New(enc, Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet { return nodes })
-	if full.Stats().Interrupted {
-		t.Fatal("unbudgeted run must not be interrupted")
-	}
-
-	budgeted, err := New(enc, Config{Workers: 1, Budget: Budget{MaxNodes: 10}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	budgeted.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet { return nodes })
-	st := budgeted.Stats()
-	if !st.Interrupted {
-		t.Fatal("over-budget run not marked interrupted")
-	}
-	if st.NodesVisited < 10 {
-		t.Errorf("NodesVisited = %d, want >= MaxNodes before stopping", st.NodesVisited)
-	}
-	if st.NodesVisited >= full.Stats().NodesVisited {
-		t.Errorf("budgeted run visited %d nodes, full run %d — budget had no effect",
-			st.NodesVisited, full.Stats().NodesVisited)
-	}
-	// The level crossing the bound completes; nothing deeper starts. Level 2
-	// (8+28 = 36 nodes) crosses a 10-node budget.
-	if st.MaxLevelReached != 2 {
-		t.Errorf("MaxLevelReached = %d, want 2", st.MaxLevelReached)
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			var events []ProgressEvent
+			onProgress := func(ev ProgressEvent) { events = append(events, ev) }
+			eng, err := New(enc, Config{Workers: workers, Budget: Budget{MaxNodes: 10}, OnProgress: onProgress})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var visits atomic.Int64
+			eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) {
+				visits.Add(1)
+				return nil, false
+			})
+			st := eng.Stats()
+			if !st.Interrupted {
+				t.Fatal("over-budget run not marked interrupted")
+			}
+			if got := int(visits.Load()); got != 10 || st.NodesVisited != 10 {
+				t.Errorf("%d visits, NodesVisited = %d; want exactly the budget of 10", got, st.NodesVisited)
+			}
+			// Level 1 has 8 nodes; the budget cuts level 2 after 2 of its 28.
+			if st.MaxLevelReached != 2 {
+				t.Errorf("MaxLevelReached = %d, want 2", st.MaxLevelReached)
+			}
+			checkEvents(t, events, st)
+			if events[1].Nodes != 2 {
+				t.Errorf("partial level event reports %d nodes, want 2", events[1].Nodes)
+			}
+		})
 	}
 }
 
-// TestTimeoutInterrupts: an immediate deadline stops the run at the first
-// barrier with Interrupted set and no error.
+// TestDAGNodeBudgetLatency: for any budget — one node, exactly a level
+// boundary, one node past it, deep mid-level, one short of the whole lattice,
+// the whole lattice — the handout visits exactly min(MaxNodes, lattice size)
+// nodes, NodesVisited counts exactly those, the run stops in the level that
+// holds the last budgeted node, and it is interrupted exactly when the
+// budget is smaller than the lattice.
+func TestDAGNodeBudgetLatency(t *testing.T) {
+	const cols = 8
+	enc := encodeFlight(t, 100, cols)
+	// levelOf returns the level holding the n-th node of the unpruned
+	// lattice, whose level l has C(cols, l) nodes.
+	levelOf := func(n int) int {
+		total, size := 0, 1
+		for l := 1; ; l++ {
+			size = size * (cols - l + 1) / l
+			if total += size; n <= total {
+				return l
+			}
+		}
+	}
+	const lattice = 1<<cols - 1
+	for _, budget := range []int{1, 8, 9, 36, 100, lattice - 1, lattice} {
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("max%d_w%d", budget, workers), func(t *testing.T) {
+				var events []ProgressEvent
+				onProgress := func(ev ProgressEvent) { events = append(events, ev) }
+				eng, err := New(enc, Config{Workers: workers, Budget: Budget{MaxNodes: budget}, OnProgress: onProgress})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var visits atomic.Int64
+				eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) {
+					visits.Add(1)
+					return nil, false
+				})
+				st := eng.Stats()
+				if got := int(visits.Load()); got != budget || st.NodesVisited != budget {
+					t.Errorf("%d visits, NodesVisited = %d; want exactly the budget of %d", got, st.NodesVisited, budget)
+				}
+				if want := budget < lattice; st.Interrupted != want {
+					t.Errorf("Interrupted = %v, want %v", st.Interrupted, want)
+				}
+				if want := levelOf(budget); st.MaxLevelReached != want {
+					t.Errorf("MaxLevelReached = %d, want %d", st.MaxLevelReached, want)
+				}
+				checkEvents(t, events, st)
+			})
+		}
+	}
+}
+
+// TestTimeoutInterrupts: an immediate deadline stops the run before any node
+// is visited, with Interrupted set and no error.
 func TestTimeoutInterrupts(t *testing.T) {
 	enc := encodeFlight(t, 100, 8)
 	eng, err := New(enc, Config{Workers: 1, Budget: Budget{Timeout: time.Nanosecond}})
@@ -98,9 +239,9 @@ func TestTimeoutInterrupts(t *testing.T) {
 		t.Fatal(err)
 	}
 	visited := 0
-	eng.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet {
-		visited += len(nodes)
-		return nodes
+	eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) {
+		visited++
+		return nil, false
 	})
 	if !eng.Stats().Interrupted {
 		t.Fatal("timed-out run not marked interrupted")
@@ -110,7 +251,7 @@ func TestTimeoutInterrupts(t *testing.T) {
 	}
 }
 
-// TestPreCancelledContext: a context cancelled before Run starts must
+// TestPreCancelledContext: a context cancelled before RunNodes starts must
 // interrupt before any node is visited.
 func TestPreCancelledContext(t *testing.T) {
 	enc := encodeFlight(t, 50, 6)
@@ -120,79 +261,123 @@ func TestPreCancelledContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	visited := 0
-	eng.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet {
-		visited += len(nodes)
-		return nodes
+	var visited atomic.Int64
+	eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) {
+		visited.Add(1)
+		return nil, false
 	})
-	if !eng.Stats().Interrupted || visited != 0 {
+	if !eng.Stats().Interrupted || visited.Load() != 0 {
 		t.Errorf("pre-cancelled run: interrupted=%v visited=%d, want true/0",
-			eng.Stats().Interrupted, visited)
+			eng.Stats().Interrupted, visited.Load())
 	}
 }
 
-// TestProgressEvents: one event per completed level, with monotone cumulative
-// counters and the retention window's partition count.
+// TestProgressEvents: a full traversal emits one event per level, in level
+// order, with the cumulative node count through that level and the
+// retention window's partition count, at every worker count.
 func TestProgressEvents(t *testing.T) {
 	enc := encodeFlight(t, 80, 6)
-	var events []ProgressEvent
-	eng, err := New(enc, Config{
-		Workers:    1,
-		OnProgress: func(ev ProgressEvent) { events = append(events, ev) },
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			var events []ProgressEvent
+			onProgress := func(ev ProgressEvent) { events = append(events, ev) }
+			eng, err := New(enc, Config{Workers: workers, OnProgress: onProgress})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) { return nil, false })
+			st := eng.Stats()
+			if st.Interrupted || st.MaxLevelReached != 6 {
+				t.Fatalf("stats = %+v, want a complete 6-level traversal", st)
+			}
+			checkEvents(t, events, st)
+		})
 	}
-	eng.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet { return nodes })
-	st := eng.Stats()
-	if len(events) != st.MaxLevelReached {
-		t.Fatalf("got %d progress events, want one per level (%d)", len(events), st.MaxLevelReached)
-	}
-	for i, ev := range events {
-		if ev.Level != i+1 {
-			t.Errorf("event %d has level %d, want %d", i, ev.Level, i+1)
+}
+
+// TestDAGProgressCoherence: when the nodes of a level finish out of order —
+// visits of uneven cost spread over the workers — the progress events still
+// arrive one at a time, one per level, in level order, each with the
+// cumulative node count, for a complete run and for one a budget cuts
+// mid-level.
+func TestDAGProgressCoherence(t *testing.T) {
+	enc := encodeFlight(t, 80, 6)
+	for _, budget := range []int{0, 30} {
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("max%d_w%d", budget, workers), func(t *testing.T) {
+				var events []ProgressEvent
+				var inHook atomic.Int32
+				onProgress := func(ev ProgressEvent) {
+					if inHook.Add(1) != 1 {
+						t.Error("progress hook called concurrently with itself")
+					}
+					events = append(events, ev)
+					inHook.Add(-1)
+				}
+				eng, err := New(enc, Config{Workers: workers, Budget: Budget{MaxNodes: budget}, OnProgress: onProgress})
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.RunNodes(nil, func(_, _ int, x bitset.AttrSet, _ []any) (any, bool) {
+					if x.Contains(0) {
+						time.Sleep(100 * time.Microsecond)
+					}
+					return nil, false
+				})
+				st := eng.Stats()
+				if budget > 0 && (!st.Interrupted || st.NodesVisited != budget) {
+					t.Fatalf("stats = %+v, want an interrupted run of %d nodes", st, budget)
+				}
+				if budget == 0 && (st.Interrupted || st.MaxLevelReached != 6) {
+					t.Fatalf("stats = %+v, want a complete 6-level traversal", st)
+				}
+				checkEvents(t, events, st)
+			})
 		}
-		if ev.PartitionsCached == 0 {
-			t.Errorf("event %d reports no cached partitions", i)
-		}
-		if i > 0 && ev.NodesVisited < events[i-1].NodesVisited+ev.Nodes {
-			t.Errorf("event %d: NodesVisited %d not cumulative", i, ev.NodesVisited)
-		}
-	}
-	if last := events[len(events)-1]; last.NodesVisited != st.NodesVisited {
-		t.Errorf("final event NodesVisited = %d, engine stats %d", last.NodesVisited, st.NodesVisited)
 	}
 }
 
 // TestInterruptedRunKeepsCompleteLevels: a node budget that stops the
-// traversal mid-lattice must leave every fully visited level's results
-// intact — the partial-output contract clients rely on.
+// traversal mid-lattice must leave every fully visited level intact and cut
+// the partial level to a subset of the full run's — the partial-output
+// contract clients rely on.
 func TestInterruptedRunKeepsCompleteLevels(t *testing.T) {
 	enc := encodeFlight(t, 100, 8)
-	type seen struct{ level, nodes int }
-	var fullLevels, partialLevels []seen
-	collect := func(out *[]seen) func(int, []bitset.AttrSet) []bitset.AttrSet {
-		return func(l int, nodes []bitset.AttrSet) []bitset.AttrSet {
-			*out = append(*out, seen{l, len(nodes)})
-			return nodes
+	collect := func(budget Budget) []map[bitset.AttrSet]bool {
+		eng, err := New(enc, Config{Workers: 2, Budget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var levels []map[bitset.AttrSet]bool
+		eng.RunNodes(nil, func(_, l int, x bitset.AttrSet, _ []any) (any, bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			for len(levels) < l {
+				levels = append(levels, make(map[bitset.AttrSet]bool))
+			}
+			levels[l-1][x] = true
+			return nil, false
+		})
+		return levels
+	}
+	fullLevels := collect(Budget{})
+	// 8 + 28 nodes fill levels 1 and 2; the budget cuts level 3 after 4.
+	partialLevels := collect(Budget{MaxNodes: 40})
+	if len(partialLevels) != 3 || len(fullLevels) <= 3 {
+		t.Fatalf("budgeted run visited %d levels, full run %d; want 3 and more", len(partialLevels), len(fullLevels))
+	}
+	for i := 0; i < 2; i++ {
+		if !reflect.DeepEqual(partialLevels[i], fullLevels[i]) {
+			t.Errorf("level %d of the budgeted run differs from the full run", i+1)
 		}
 	}
-	full, err := New(enc, Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	if got := len(partialLevels[2]); got != 4 {
+		t.Errorf("partial level 3 holds %d nodes, want 4", got)
 	}
-	full.Run(collect(&fullLevels))
-	budgeted, err := New(enc, Config{Workers: 1, Budget: Budget{MaxNodes: 40}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	budgeted.Run(collect(&partialLevels))
-	if len(partialLevels) >= len(fullLevels) {
-		t.Fatalf("budgeted run visited %d levels, full run %d", len(partialLevels), len(fullLevels))
-	}
-	for i, lv := range partialLevels {
-		if lv != fullLevels[i] {
-			t.Errorf("level %d of budgeted run = %+v, full run %+v", i, lv, fullLevels[i])
+	for x := range partialLevels[2] {
+		if !fullLevels[2][x] {
+			t.Errorf("partial level 3 visited %v, which the full run never does", x)
 		}
 	}
 }

@@ -7,9 +7,14 @@
 // The Engine factors out what those traversals have in common — singleton
 // seeding, prefix-block joins for the next level (Algorithm 2 of the paper),
 // partition products, the bounded per-level partition retention window, and a
-// chunked parallel executor — while each algorithm keeps ownership of its
-// candidate-set bookkeeping, validation and pruning inside a per-level visit
-// callback. A shared PartitionStore memoizes stripped partitions across runs
+// worker pool — while each algorithm keeps ownership of its candidate-set
+// bookkeeping, validation and pruning inside a per-node visit callback
+// (RunNodes). The traversal is level-synchronous: level l+1 is generated and
+// visited only after every node of level l has been visited. Inside a level
+// the cancellation and deadline signals are checked before every node, so an
+// interrupt abandons at most the nodes already running, and the handout is
+// capped by the node budget, so a run never visits more than Budget.MaxNodes
+// nodes. A shared PartitionStore memoizes stripped partitions across runs
 // (e.g. the pruned and un-pruned FASTOD passes of Figure 6, or repeated
 // Discover calls behind the advisor) under a configurable memory bound.
 package lattice
@@ -31,17 +36,11 @@ import (
 // Config configures an Engine.
 type Config struct {
 	// Ctx, when non-nil, is checked cooperatively throughout the traversal:
-	// at every level barrier and between ParallelFor chunk handouts (barrier
-	// scheduler) or at every node handout (DAG scheduler). A cancelled
-	// context interrupts the run within one chunk — respectively one node —
-	// of work; the engine keeps everything computed so far and reports
+	// before every node visit and every partition product, and at every level
+	// barrier. A cancelled context interrupts the run within one node of work
+	// per worker; the engine keeps everything computed so far and reports
 	// Stats.Interrupted. Nil behaves like context.Background().
 	Ctx context.Context
-	// Scheduler selects how node work is ordered for the node-reentrant
-	// traversal API (RunNodes): the dependency-aware DAG scheduler (the
-	// default) or the level-synchronous barrier path. See Scheduler. The
-	// level-callback Run API always uses the barrier path.
-	Scheduler Scheduler
 	// Workers is the number of goroutines used per lattice level, with the
 	// same convention as core.Options.Workers: 0 selects runtime.GOMAXPROCS,
 	// 1 forces the fully sequential path, negatives clamp to 1.
@@ -64,9 +63,9 @@ type Config struct {
 	// and the next level generated, with the wall-clock time the whole level
 	// took. Clients use it to record per-level statistics.
 	OnLevelEnd func(level int, elapsed time.Duration)
-	// OnProgress, when non-nil, receives one ProgressEvent per completed
-	// level, including the partial level of an interrupted run. It is invoked
-	// from the traversal goroutine (never concurrently).
+	// OnProgress, when non-nil, receives one ProgressEvent per visited
+	// level, in level order, including the partial level of an interrupted
+	// run. It is invoked from the traversal goroutine (never concurrently).
 	OnProgress func(ProgressEvent)
 }
 
@@ -95,7 +94,6 @@ type Stats struct {
 type Engine struct {
 	enc        *relation.Encoded
 	ctx        context.Context
-	scheduler  Scheduler
 	workers    int
 	maxLevel   int
 	budget     Budget
@@ -104,12 +102,12 @@ type Engine struct {
 	onProgress func(ProgressEvent)
 
 	// started and deadline frame the run's wall clock: both are set once at
-	// the top of Run and only read afterwards, including from worker
+	// the top of RunNodes and only read afterwards, including from worker
 	// goroutines. A zero deadline means no timeout.
 	started  time.Time
 	deadline time.Time
 	// stop is the cooperative interrupt flag, latched by checkInterrupt from
-	// any goroutine and polled between ParallelFor chunk handouts.
+	// any goroutine and polled before every node visit and partition product.
 	stop atomic.Bool
 	// fail latches the first recovered worker panic (see panic.go); failMu
 	// guards it because workers recover concurrently. Read through Err.
@@ -122,18 +120,14 @@ type Engine struct {
 	// scratch holds one partition-product workspace per worker, reused across
 	// all levels of the run.
 	scratch []*partition.Scratch
+	// deps holds one reusable NodeVisit deps buffer per worker.
+	deps [][]any
 
 	// parts retains the stripped partitions of the last three lattice levels,
 	// keyed by level then attribute set. The maps are written only at level
 	// barriers and are read-only while a level's nodes are being visited, so
-	// visit callbacks may read them from any worker goroutine. Used by the
-	// barrier path only.
+	// visit callbacks may read them from any worker goroutine.
 	parts map[int]map[bitset.AttrSet]*partition.Partition
-
-	// dagParts is the RWMutex-guarded partition window of an active DAG
-	// traversal; non-nil exactly while runNodesDAG executes. Partition routes
-	// through it when set, so visit callbacks are scheduler-agnostic.
-	dagParts *partTable
 
 	stats Stats
 }
@@ -162,7 +156,6 @@ func New(enc *relation.Encoded, cfg Config) (*Engine, error) {
 	e := &Engine{
 		enc:        enc,
 		ctx:        ctx,
-		scheduler:  cfg.Scheduler.resolve(),
 		workers:    ResolveWorkers(cfg.Workers),
 		maxLevel:   cfg.MaxLevel,
 		budget:     cfg.Budget,
@@ -173,8 +166,10 @@ func New(enc *relation.Encoded, cfg Config) (*Engine, error) {
 		parts:      make(map[int]map[bitset.AttrSet]*partition.Partition),
 	}
 	e.scratch = make([]*partition.Scratch, e.workers)
+	e.deps = make([][]any, e.workers)
 	for i := range e.scratch {
 		e.scratch[i] = partition.NewScratch()
+		e.deps[i] = make([]any, 0, e.numAttrs)
 	}
 	for a := 0; a < e.numAttrs; a++ {
 		e.all = e.all.Add(a)
@@ -187,11 +182,9 @@ func New(enc *relation.Encoded, cfg Config) (*Engine, error) {
 func (e *Engine) Workers() int { return e.workers }
 
 // Scratch returns the engine's reusable partition workspace for one worker
-// index (as handed to ParallelFor and NodeVisit callbacks). The engine only
-// ever uses scratch i from worker goroutine i — while generating the next
-// level on the barrier path (which never overlaps a visit callback) or while
-// deriving a node's partition on the DAG path (on the same goroutine that
-// then runs the node's visit) — so visit callbacks are free to use their
+// index (as handed to NodeVisit callbacks). The engine itself only uses
+// scratch i from worker goroutine i while generating the next level, which
+// never overlaps a visit callback, so visit callbacks are free to use their
 // worker's scratch for swap checks, removal counting and ad-hoc products,
 // keeping the whole validation hot path allocation-free. A scratch must never
 // be used from a different worker index than the one it was requested for.
@@ -203,16 +196,11 @@ func (e *Engine) All() bitset.AttrSet { return e.all }
 // Stats returns the engine's work counters accumulated so far.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// Interrupted reports whether the traversal has been interrupted by context
-// cancellation or budget exhaustion. Visit callbacks may call it after their
-// ParallelFor returns to skip work whose inputs are incomplete (an
-// interrupted ParallelFor leaves the remaining per-item slots untouched).
-func (e *Engine) Interrupted() bool { return e.stats.Interrupted || e.stop.Load() }
-
 // checkInterrupt evaluates the cancellation signals — the latched stop flag,
 // the context, the deadline — and latches the stop flag when any fires. It is
-// called between chunk handouts from worker goroutines and at level barriers,
-// so it must stay cheap: one atomic load on the fast path.
+// called from worker goroutines before every node visit and partition
+// product, and at level barriers, so it must stay cheap: one atomic load on
+// the fast path.
 func (e *Engine) checkInterrupt() bool {
 	if e.stop.Load() {
 		return true
@@ -231,7 +219,8 @@ func (e *Engine) checkInterrupt() bool {
 }
 
 // overNodeBudget reports whether the node budget is exhausted. It is only
-// called at level barriers (stats are owned by the traversal goroutine).
+// called at level barriers (stats are owned by the traversal goroutine);
+// inside a level, visitLevel caps the handout at the budget instead.
 func (e *Engine) overNodeBudget() bool {
 	return e.budget.MaxNodes > 0 && e.stats.NodesVisited >= e.budget.MaxNodes
 }
@@ -242,9 +231,6 @@ func (e *Engine) overNodeBudget() bool {
 func (e *Engine) partitionsCached() int {
 	if e.store != nil {
 		return e.store.Len()
-	}
-	if t := e.dagParts; t != nil {
-		return t.count()
 	}
 	n := 0
 	for _, m := range e.parts {
@@ -274,69 +260,91 @@ func (e *Engine) finishLevel(l, nodes int, start time.Time) {
 // retention window. During the visit of a level-l node, the partitions of
 // levels l-2, l-1 and l are available — exactly what constancy (context size
 // l-1) and order-compatibility (context size l-2) validation need. It is safe
-// to call from visit worker goroutines; under the DAG scheduler the window is
-// per-node rather than per-level (a level-j partition is only released once
-// every node that could still read it has completed).
+// to call from visit worker goroutines.
 func (e *Engine) Partition(x bitset.AttrSet) *partition.Partition {
-	if t := e.dagParts; t != nil {
-		return t.get(x)
-	}
 	return e.parts[x.Len()][x]
 }
 
-// ParallelFor shards n items across the engine's worker pool; see the
-// package-level ParallelFor for the contract. Unlike the package-level
-// function, the engine's ParallelFor is interruptible: the cancellation and
-// budget signals are polled between chunk handouts, and once one fires the
+// parallelFor shards n items — the seeds, node visits or partition products
+// of a level — across the worker pool in chunks (see parallelForChunk). The
+// cancellation signals are polled before every item, and once one fires the
 // remaining items are left unprocessed (their per-item output slots keep
-// their zero values). Callers detect this with Interrupted and must not treat
-// the per-item results as complete afterwards; the engine itself stops the
-// traversal before any partially generated level is visited.
-func (e *Engine) ParallelFor(n int, fn func(worker, item int)) {
+// their zero values); RunNodes then stops before any incomplete level is
+// visited or extended.
+func (e *Engine) parallelFor(n int, fn func(worker, item int)) {
 	parallelForChunk(e.workers, n, chunkFor(e.workers, n), e.checkInterrupt, e.trapWorker, fn)
 }
 
-// Run executes the level-wise traversal. Starting from the singleton level,
-// it calls visit once per level with the level number and its nodes; visit
-// returns the surviving nodes (its pruning decision — return the input slice
-// unchanged to keep everything), and Run generates the next level by joining
-// prefix blocks of the survivors, keeping only candidates whose every
-// immediate subset survived, and deriving each new node's partition (from the
-// store when shared, as a parallel partition product otherwise).
+// NodeVisit is the node-reentrant visit callback of RunNodes: it validates
+// one lattice node and returns the node's result (the algorithm's per-node
+// state, e.g. FASTOD's candidate sets) plus its pruning decision. A pruned
+// node generates no supersets.
 //
-// Cancellation and budget signals interrupt the traversal cooperatively: at
-// every level barrier and — via the engine's ParallelFor — between chunk
-// handouts inside a level, so the interrupt latency is bounded by one chunk
-// of work. An interrupted run keeps everything already computed, never visits
-// a partially generated level, and reports Stats.Interrupted.
-func (e *Engine) Run(visit func(level int, nodes []bitset.AttrSet) []bitset.AttrSet) {
+// deps carries the results of the node's immediate subsets in ascending order
+// of the removed attribute: deps[k] is the result of x with its (k+1)-th
+// smallest attribute removed. For level 1 it is [root]. The slice is only
+// valid for the duration of the call and must not be retained.
+//
+// The callback must be safe to run concurrently with itself on different
+// nodes of the same level, from the given worker goroutine (worker indexes
+// its Scratch and any per-worker shards). Every node of earlier levels has
+// completed before any node of level l starts. Emission order within a level
+// is schedule-dependent; algorithms keep deterministic output by sorting
+// their results in a total order at the end of the run.
+type NodeVisit func(worker, level int, x bitset.AttrSet, deps []any) (result any, pruned bool)
+
+// RunNodes executes the level-wise traversal. Starting from the singleton
+// level, it calls visit exactly once per apriori-reachable node (every
+// immediate subset visited, none pruned it), after the node's stripped
+// partition and those of its two preceding levels are available through
+// Partition, and with the immediate-subset results as deps. Once a level has
+// been visited, the next one is generated by joining prefix blocks of the
+// unpruned nodes, keeping only candidates whose every immediate subset
+// survived, and deriving each new node's partition (from the store when
+// shared, as a parallel partition product otherwise).
+//
+// Cancellation and budget signals interrupt the traversal cooperatively:
+// before every node visit and partition product, and at every level barrier.
+// At most Budget.MaxNodes nodes are ever visited. An interrupted run keeps
+// everything already computed, never visits a partially generated level,
+// reports Stats.Interrupted and still emits the progress event of its
+// partially visited level.
+func (e *Engine) RunNodes(root any, visit NodeVisit) {
 	defer e.trapTraversal()
 	e.started = time.Now()
 	if e.budget.Timeout > 0 {
 		e.deadline = e.started.Add(e.budget.Timeout)
 	}
 	level := e.firstLevel()
+	var prev map[bitset.AttrSet]any
 	for l := 1; len(level) > 0 && (e.maxLevel <= 0 || l <= e.maxLevel); l++ {
-		// The interrupt may have fired between levels (or during firstLevel,
-		// whose singleton partitions would then be incomplete), and the node
-		// budget is accounted at this barrier: either way the remaining work
-		// is abandoned before the level is visited.
+		// The interrupt may have fired between levels (or during level
+		// generation, whose partitions would then be incomplete), and a node
+		// budget spent exactly by the previous level leaves nothing for this
+		// one: either way the level is abandoned before any node is visited.
 		if e.checkInterrupt() || e.overNodeBudget() {
 			e.stop.Store(true)
 			e.stats.Interrupted = true
 			break
 		}
 		start := time.Now()
-		nodes := len(level)
-		e.stats.NodesVisited += nodes
 		e.stats.MaxLevelReached = l
-		kept := visit(l, level)
+		results, pruned, visited := e.visitLevel(root, l, level, prev, visit)
+		e.stats.NodesVisited += visited
 		if e.stopped() {
-			// The level was only partially processed; its statistics are
-			// still stamped so partial reports stay coherent.
+			// The level was only partially visited; its statistics are still
+			// stamped so partial reports stay coherent.
 			e.stats.Interrupted = true
-			e.finishLevel(l, nodes, start)
+			e.finishLevel(l, visited, start)
 			break
+		}
+		prev = make(map[bitset.AttrSet]any, len(level))
+		kept := make([]bitset.AttrSet, 0, len(level))
+		for i, x := range level {
+			prev[x] = results[i]
+			if !pruned[i] {
+				kept = append(kept, x)
+			}
 		}
 		if e.maxLevel > 0 && l == e.maxLevel {
 			// The loop is about to terminate; don't pay for the partition
@@ -348,14 +356,60 @@ func (e *Engine) Run(visit func(level int, nodes []bitset.AttrSet) []bitset.Attr
 				// Some products of the next level were never computed; the
 				// level must not be visited.
 				e.stats.Interrupted = true
-				e.finishLevel(l, nodes, start)
+				e.finishLevel(l, visited, start)
 				break
 			}
 		}
 		// Partitions of level l-2 are no longer needed once level l+1 starts.
 		delete(e.parts, l-2)
-		e.finishLevel(l, nodes, start)
+		e.finishLevel(l, visited, start)
 	}
+}
+
+// visitLevel hands the nodes of level l to the worker pool and returns each
+// node's result and pruning decision, plus the number of nodes handed to
+// visit. The stop flag, context and deadline are polled before every node,
+// so an interrupt abandons at most the nodes already running. The handout is
+// capped at what is left of the node budget, so the run never visits more
+// than Budget.MaxNodes nodes; a level the cap cuts short latches the stop
+// flag. Unvisited nodes keep zero results.
+func (e *Engine) visitLevel(root any, l int, level []bitset.AttrSet, prev map[bitset.AttrSet]any, visit NodeVisit) (results []any, pruned []bool, visited int) {
+	n := len(level)
+	if left := e.budget.MaxNodes - e.stats.NodesVisited; e.budget.MaxNodes > 0 && left < n {
+		n = left
+	}
+	results = make([]any, len(level))
+	pruned = make([]bool, len(level))
+	handed := make([]int, e.workers)
+	e.parallelFor(n, func(wk, i int) {
+		x := level[i]
+		// Recover inside the per-node frame rather than relying on the
+		// worker-level trap alone, so a panic is recorded with the node that
+		// raised it.
+		defer func() {
+			if rec := recover(); rec != nil {
+				e.recordPanic(rec, x, true)
+			}
+		}()
+		faultinject.Hit(faultinject.NodeDispatch)
+		handed[wk]++
+		deps := e.deps[wk][:0]
+		if l == 1 {
+			deps = append(deps, root)
+		} else {
+			x.ForEach(func(a int) {
+				deps = append(deps, prev[x.Remove(a)])
+			})
+		}
+		results[i], pruned[i] = visit(wk, l, x, deps)
+	})
+	for _, h := range handed {
+		visited += h
+	}
+	if n < len(level) {
+		e.stop.Store(true)
+	}
+	return results, pruned, visited
 }
 
 // stopped reports whether the interrupt flag is latched, without re-deriving
@@ -408,7 +462,7 @@ func (e *Engine) firstLevel() []bitset.AttrSet {
 			miss = append(miss, a)
 		}
 	}
-	e.ParallelFor(len(miss), func(_, k int) {
+	e.parallelFor(len(miss), func(_, k int) {
 		a := miss[k]
 		partsArr[a] = partition.FromColumn(e.enc.Column(a), e.enc.Cardinality[a])
 	})
@@ -485,7 +539,7 @@ func (e *Engine) nextLevel(level []bitset.AttrSet, l int) []bitset.AttrSet {
 		}
 	}
 
-	e.ParallelFor(len(miss), func(wk, k int) {
+	e.parallelFor(len(miss), func(wk, k int) {
 		i := miss[k]
 		x := next[i]
 		// A panic inside the product (an invariant violation, or an injected

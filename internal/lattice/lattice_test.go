@@ -1,6 +1,9 @@
 package lattice
 
 import (
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -54,9 +57,12 @@ func TestStoreBoundToOneRelation(t *testing.T) {
 	}
 }
 
+// keepAll is a NodeVisit that keeps every node.
+func keepAll(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) { return nil, false }
+
 // TestRunEnumeratesFullLattice: a visit that keeps every node must see every
-// non-empty subset of the schema exactly once, level by level, with the
-// partitions of the last three levels available.
+// non-empty subset of the schema exactly once, at its level, with the
+// partitions of the node and its immediate subsets available.
 func TestRunEnumeratesFullLattice(t *testing.T) {
 	const cols = 5
 	enc := encodeFlight(t, 100, cols)
@@ -65,23 +71,21 @@ func TestRunEnumeratesFullLattice(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := make(map[bitset.AttrSet]int)
-	eng.Run(func(l int, nodes []bitset.AttrSet) []bitset.AttrSet {
-		for _, x := range nodes {
-			if x.Len() != l {
-				t.Errorf("level %d contains node %v of size %d", l, x, x.Len())
-			}
-			seen[x]++
-			if eng.Partition(x) == nil {
-				t.Errorf("no partition for node %v at level %d", x, l)
-			}
-			// Immediate subsets must be resolvable for validation.
-			x.ForEach(func(a int) {
-				if eng.Partition(x.Remove(a)) == nil {
-					t.Errorf("no partition for subset %v of %v", x.Remove(a), x)
-				}
-			})
+	eng.RunNodes(nil, func(_, l int, x bitset.AttrSet, _ []any) (any, bool) {
+		if x.Len() != l {
+			t.Errorf("level %d contains node %v of size %d", l, x, x.Len())
 		}
-		return nodes
+		seen[x]++
+		if eng.Partition(x) == nil {
+			t.Errorf("no partition for node %v at level %d", x, l)
+		}
+		// Immediate subsets must be resolvable for validation.
+		x.ForEach(func(a int) {
+			if eng.Partition(x.Remove(a)) == nil {
+				t.Errorf("no partition for subset %v of %v", x.Remove(a), x)
+			}
+		})
+		return nil, false
 	})
 	if want := (1 << cols) - 1; len(seen) != want {
 		t.Fatalf("visited %d distinct nodes, want %d", len(seen), want)
@@ -115,18 +119,16 @@ func TestRunPartitionsMatchDirectComputation(t *testing.T) {
 		})
 		return p
 	}
-	eng.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet {
-		for _, x := range nodes {
-			got, want := eng.Partition(x), direct(x)
-			if got.Error() != want.Error() || got.NumClasses() != want.NumClasses() || got.Size() != want.Size() {
-				t.Errorf("partition of %v = %v, want %v", x, got, want)
-			}
+	eng.RunNodes(nil, func(_, _ int, x bitset.AttrSet, _ []any) (any, bool) {
+		got, want := eng.Partition(x), direct(x)
+		if got.Error() != want.Error() || got.NumClasses() != want.NumClasses() || got.Size() != want.Size() {
+			t.Errorf("partition of %v = %v, want %v", x, got, want)
 		}
-		return nodes
+		return nil, false
 	})
 }
 
-// TestRunPruningStopsGeneration: nodes dropped by the visit callback must not
+// TestRunPruningStopsGeneration: nodes pruned by the visit callback must not
 // generate supersets, and supersets with a missing immediate subset must not
 // be generated either.
 func TestRunPruningStopsGeneration(t *testing.T) {
@@ -137,18 +139,9 @@ func TestRunPruningStopsGeneration(t *testing.T) {
 	}
 	dropped := bitset.NewAttrSet(0)
 	var visited []bitset.AttrSet
-	eng.Run(func(l int, nodes []bitset.AttrSet) []bitset.AttrSet {
-		visited = append(visited, nodes...)
-		if l != 1 {
-			return nodes
-		}
-		kept := nodes[:0]
-		for _, x := range nodes {
-			if x != dropped {
-				kept = append(kept, x)
-			}
-		}
-		return kept
+	eng.RunNodes(nil, func(_, _ int, x bitset.AttrSet, _ []any) (any, bool) {
+		visited = append(visited, x)
+		return nil, x == dropped
 	})
 	for _, x := range visited {
 		if x != dropped && x.Contains(0) && x.Len() > 1 {
@@ -168,11 +161,9 @@ func TestRunMaxLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxSeen := 0
-	eng.Run(func(l int, nodes []bitset.AttrSet) []bitset.AttrSet {
-		if l > maxSeen {
-			maxSeen = l
-		}
-		return nodes
+	eng.RunNodes(nil, func(_, l int, _ bitset.AttrSet, _ []any) (any, bool) {
+		maxSeen = max(maxSeen, l)
+		return nil, false
 	})
 	if maxSeen != 2 {
 		t.Errorf("deepest visited level = %d, want 2", maxSeen)
@@ -190,7 +181,7 @@ func TestRunOnLevelEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet { return nodes })
+	eng.RunNodes(nil, keepAll)
 	if len(ended) != 4 {
 		t.Fatalf("OnLevelEnd fired %d times, want 4", len(ended))
 	}
@@ -202,8 +193,8 @@ func TestRunOnLevelEnd(t *testing.T) {
 	}
 }
 
-// TestWorkerInvariance: the engine's traversal (node sets, partitions, store
-// interactions) must be identical across worker counts.
+// TestWorkerInvariance: the engine's traversal (node sets per level, stats,
+// store interactions) must be identical across worker counts.
 func TestWorkerInvariance(t *testing.T) {
 	enc := encodeFlight(t, 300, 6)
 	trace := func(w int) ([]bitset.AttrSet, Stats) {
@@ -211,23 +202,29 @@ func TestWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var mu sync.Mutex
 		var visited []bitset.AttrSet
-		eng.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet {
-			visited = append(visited, nodes...)
-			return nodes
+		eng.RunNodes(nil, func(_, _ int, x bitset.AttrSet, _ []any) (any, bool) {
+			mu.Lock()
+			visited = append(visited, x)
+			mu.Unlock()
+			return nil, false
+		})
+		// Levels are visited in order; within a level the visit order is up
+		// to the workers, so compare each level as a sorted set.
+		sort.Slice(visited, func(i, j int) bool {
+			if li, lj := visited[i].Len(), visited[j].Len(); li != lj {
+				return li < lj
+			}
+			return visited[i] < visited[j]
 		})
 		return visited, eng.Stats()
 	}
 	seqNodes, seqStats := trace(1)
 	for _, w := range []int{2, 4, 0} {
 		nodes, stats := trace(w)
-		if len(nodes) != len(seqNodes) {
-			t.Fatalf("workers=%d: %d nodes, want %d", w, len(nodes), len(seqNodes))
-		}
-		for i := range seqNodes {
-			if nodes[i] != seqNodes[i] {
-				t.Fatalf("workers=%d: node %d = %v, want %v", w, i, nodes[i], seqNodes[i])
-			}
+		if !reflect.DeepEqual(nodes, seqNodes) {
+			t.Fatalf("workers=%d: visited %d nodes, sequential run %d; node sets differ", w, len(nodes), len(seqNodes))
 		}
 		if stats != seqStats {
 			t.Errorf("workers=%d: stats = %+v, want %+v", w, stats, seqStats)
@@ -244,7 +241,7 @@ func TestRunMaxLevelSkipsFinalGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run(func(_ int, nodes []bitset.AttrSet) []bitset.AttrSet { return nodes })
+	eng.RunNodes(nil, keepAll)
 	// Exactly the empty set, 5 singletons and C(5,2)=10 pairs get partitions.
 	if want := 1 + 5 + 10; store.Len() != want {
 		t.Errorf("store holds %d partitions after a MaxLevel=2 run, want %d", store.Len(), want)

@@ -7,20 +7,19 @@ import (
 	"repro/internal/bitset"
 )
 
-// Fault containment. Every goroutine the engine spawns — ParallelFor chunk
-// workers, barrier visit workers, DAG scheduler workers — recovers panics
+// Fault containment. Every goroutine the engine spawns — the worker pool
+// that runs seeds, node visits and partition products — recovers panics
 // instead of letting them kill the process: the first recovered panic is
 // latched as a typed *PanicError (value, lattice node when known, stack),
 // the cooperative stop flag is tripped so sibling workers drain within one
-// chunk/node of work, and the traversal returns with Stats.Interrupted set.
-// Clients read the latched failure through Engine.Err after Run/RunNodes and
+// node of work, and the traversal returns with Stats.Interrupted set.
+// Clients read the latched failure through Engine.Err after RunNodes and
 // propagate it as an error instead of a partial result, because a panicked
 // visit may have left per-node state inconsistent.
 //
-// The traversal goroutine itself (level generation, store probes, DAG
-// seeding) is covered by a catch-all recover at the top of Run and
-// runNodesDAG, so a poisoned node is contained no matter which goroutine it
-// runs on.
+// The traversal goroutine itself (level generation, store probes) is covered
+// by a catch-all recover at the top of RunNodes, so a poisoned node is
+// contained no matter which goroutine it runs on.
 
 // PanicError is the typed failure recorded when a worker panic was recovered
 // during a traversal. It carries the panic value, the lattice node whose
@@ -57,7 +56,7 @@ func PanicContext(node bitset.AttrSet, rec any) string {
 
 // recordPanic latches a recovered panic as the run's failure (first panic
 // wins; later ones are necessarily consequences or duplicates) and trips the
-// stop flag so every other worker drains at its next chunk or node handout.
+// stop flag so every other worker drains before its next node.
 // Safe to call from any goroutine.
 func (e *Engine) recordPanic(rec any, node bitset.AttrSet, hasNode bool) {
 	stack := debug.Stack()
@@ -70,14 +69,13 @@ func (e *Engine) recordPanic(rec any, node bitset.AttrSet, hasNode bool) {
 }
 
 // trapWorker is the recover sink for worker goroutines with no node context
-// (ParallelFor chunk workers running level generation products or client
-// fan-outs).
+// (pool workers outside a per-node recover frame).
 func (e *Engine) trapWorker(rec any) { e.recordPanic(rec, 0, false) }
 
-// trapTraversal is deferred at the top of Run and runNodesDAG: it contains
-// panics raised on the traversal goroutine itself (store probes, prefix
-// joins, DAG seeding) and marks the run interrupted, since the loop that
-// normally stamps Interrupted was unwound.
+// trapTraversal is deferred at the top of RunNodes: it contains panics raised
+// on the traversal goroutine itself (store probes, prefix joins) and marks
+// the run interrupted, since the loop that normally stamps Interrupted was
+// unwound.
 func (e *Engine) trapTraversal() {
 	if rec := recover(); rec != nil {
 		e.recordPanic(rec, 0, false)
@@ -87,7 +85,7 @@ func (e *Engine) trapTraversal() {
 
 // Err returns the typed *PanicError of the first worker panic this engine
 // recovered, or nil if the traversal ran clean. Clients must check it after
-// Run/RunNodes and fail the discovery rather than report partial results:
+// RunNodes and fail the discovery rather than report partial results:
 // unlike a budget interrupt, a panic gives no guarantee the per-node state
 // merged so far is coherent.
 func (e *Engine) Err() error {

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/faultinject"
@@ -12,10 +14,10 @@ import (
 )
 
 // Containment contract under test: a panic anywhere inside the engine — a
-// visit function, a partition product, the DAG scheduler's own dispatch and
-// steal paths — must (a) not crash the process, (b) surface through Err() as
-// a *PanicError carrying the stack and, where known, the node, (c) mark the
-// run interrupted, and (d) leave no worker goroutine behind.
+// visit function, a partition product, the node handout, the traversal
+// goroutine itself — must (a) not crash the process, (b) surface through
+// Err() as a *PanicError carrying the stack and, where known, the node, (c)
+// mark the run interrupted, and (d) leave no worker goroutine behind.
 
 func assertContained(t *testing.T, eng *Engine, wantNode bool) *PanicError {
 	t.Helper()
@@ -41,7 +43,7 @@ func assertContained(t *testing.T, eng *Engine, wantNode bool) *PanicError {
 
 // assertInterrupted is the traversal half of the contract: a run that was cut
 // short by a contained panic must not pretend its stats describe a complete
-// traversal. (Standalone ParallelFor calls have no traversal to mark.)
+// traversal. (Standalone parallelFor calls have no traversal to mark.)
 func assertInterrupted(t *testing.T, eng *Engine) {
 	t.Helper()
 	if !eng.Stats().Interrupted {
@@ -49,29 +51,43 @@ func assertInterrupted(t *testing.T, eng *Engine) {
 	}
 }
 
-// TestRunNodesVisitPanicContained: a panic thrown by the visit function is
-// contained under both schedulers at both worker counts, with the panicking
-// node attached.
+// faultDepths are the two places the containment tests land a fault in the
+// 5-attribute lattice: on the third hit — a level-1 visit, or a product for
+// level 2 — and on the 23rd, two levels deeper — a level-3 visit, or a
+// product for level 4. They are labelled "barrier" and "dag", the names of
+// the two lattice schedulers these tests used to sweep, so that every
+// subtest keeps its name now that one traversal remains.
+var faultDepths = []struct {
+	name  string
+	after int64 // hits that pass untouched before the fault
+	level int   // the deepest level the interrupted run reaches
+}{{"barrier", 2, 1}, {"dag", 22, 3}}
+
+// TestRunNodesVisitPanicContained: a panic thrown by the visit function,
+// early or late in the traversal, is contained at every worker count, with
+// the panicking node attached.
 func TestRunNodesVisitPanicContained(t *testing.T) {
 	leakcheck.Check(t)
 	enc := encodeFlight(t, 60, 5)
-	for _, sched := range []Scheduler{SchedulerBarrier, SchedulerDAG} {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s_w%d", sched, workers), func(t *testing.T) {
-				eng, err := New(enc, Config{Workers: workers, Scheduler: sched})
+	for _, depth := range faultDepths {
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s_w%d", depth.name, workers), func(t *testing.T) {
+				eng, err := New(enc, Config{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
-				n := 0
+				var n atomic.Int64
 				eng.RunNodes(nil, func(_, _ int, x bitset.AttrSet, _ []any) (any, bool) {
-					n++
-					if n == 3 {
+					if n.Add(1) == depth.after+1 {
 						panic("poisoned visit")
 					}
 					return nil, false
 				})
 				pe := assertContained(t, eng, true)
 				assertInterrupted(t, eng)
+				if got := eng.Stats().MaxLevelReached; got != depth.level {
+					t.Errorf("the panic stopped the run at level %d, want %d", got, depth.level)
+				}
 				if !strings.Contains(fmt.Sprint(pe.Value), "poisoned visit") {
 					t.Errorf("recovered value = %v, want the poisoned-visit panic", pe.Value)
 				}
@@ -80,29 +96,29 @@ func TestRunNodesVisitPanicContained(t *testing.T) {
 	}
 }
 
-// TestRunVisitPanicContained: same for the level-visit Run API, where the
-// panic unwinds the traversal goroutine itself and is caught by the
-// trapTraversal catch-all (no node context — the visit owns a whole level).
+// TestRunVisitPanicContained: a panic raised on RunNodes' own traversal
+// goroutine outside any node visit — here by the per-level hook, which runs
+// there between levels — unwinds the traversal and is caught by the
+// trapTraversal catch-all (no node context: no node was being processed).
 func TestRunVisitPanicContained(t *testing.T) {
 	leakcheck.Check(t)
 	enc := encodeFlight(t, 60, 5)
-	eng, err := New(enc, Config{Workers: 2})
+	eng, err := New(enc, Config{Workers: 2, OnLevelEnd: func(l int, _ time.Duration) {
+		if l == 2 {
+			panic("poisoned level hook")
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run(func(l int, nodes []bitset.AttrSet) []bitset.AttrSet {
-		if l == 2 {
-			panic("poisoned level visit")
-		}
-		return nodes
-	})
+	eng.RunNodes(nil, keepAll)
 	assertContained(t, eng, false)
 	assertInterrupted(t, eng)
 }
 
-// TestParallelForWorkerPanicContained: a panic inside an Engine.ParallelFor
-// body (the barrier scheduler's chunk workers) lands in trapWorker, stops the
-// sibling workers, and surfaces through Err().
+// TestParallelForWorkerPanicContained: a panic inside an Engine.parallelFor
+// body (the pool's chunk workers) lands in trapWorker, stops the sibling
+// workers, and surfaces through Err().
 func TestParallelForWorkerPanicContained(t *testing.T) {
 	leakcheck.Check(t)
 	enc := encodeFlight(t, 60, 5)
@@ -110,58 +126,49 @@ func TestParallelForWorkerPanicContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.ParallelFor(1000, func(wk, i int) {
+	eng.parallelFor(1000, func(wk, i int) {
 		if i == 137 {
 			panic("poisoned item")
 		}
 	})
-	// No assertInterrupted here: a standalone ParallelFor runs outside any
+	// No assertInterrupted here: a standalone parallelFor runs outside any
 	// traversal, so there is no run for the panic to interrupt — the error
 	// surfaces, the stats don't change.
 	assertContained(t, eng, false)
 }
 
 // TestInjectedFaultsContained: panics fired by the injection points inside
-// the engine itself — partition products, DAG dispatch, DAG steal — are
-// contained exactly like visit panics. These points sit on paths the visit
-// function never sees (the steal path runs while the scheduler mutex is
-// held), so they are the reason the scheduler needs its own recovery frames.
+// the engine itself — partition products and the node handout — early or
+// late in the traversal, are contained exactly like visit panics.
 func TestInjectedFaultsContained(t *testing.T) {
 	enc := encodeFlight(t, 60, 5)
-	cases := []struct {
-		point faultinject.Point
-		sched Scheduler
-	}{
-		{faultinject.PartitionProduct, SchedulerBarrier},
-		{faultinject.PartitionProduct, SchedulerDAG},
-		{faultinject.NodeDispatch, SchedulerDAG},
-		{faultinject.NodeSteal, SchedulerDAG},
-	}
-	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
-			if tc.point == faultinject.NodeSteal && workers == 1 {
-				continue // a single worker never steals
-			}
-			t.Run(fmt.Sprintf("%s_%s_w%d", tc.point, tc.sched, workers), func(t *testing.T) {
-				leakcheck.Check(t)
-				plan := faultinject.NewPlan(faultinject.Rule{
-					Point:  tc.point,
-					Action: faultinject.ActionPanic,
-					After:  2,
-					Times:  1,
+	for _, point := range []faultinject.Point{faultinject.PartitionProduct, faultinject.NodeDispatch} {
+		for _, depth := range faultDepths {
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s_%s_w%d", point, depth.name, workers), func(t *testing.T) {
+					leakcheck.Check(t)
+					plan := faultinject.NewPlan(faultinject.Rule{
+						Point:  point,
+						Action: faultinject.ActionPanic,
+						After:  depth.after,
+						Times:  1,
+					})
+					defer faultinject.Enable(plan)()
+					eng, err := New(enc, Config{Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					eng.RunNodes(nil, keepAll)
+					if plan.Fired() == 0 {
+						t.Fatalf("%s never fired", point)
+					}
+					assertContained(t, eng, false)
+					assertInterrupted(t, eng)
+					if got := eng.Stats().MaxLevelReached; got != depth.level {
+						t.Errorf("the fault stopped the run at level %d, want %d", got, depth.level)
+					}
 				})
-				defer faultinject.Enable(plan)()
-				eng, err := New(enc, Config{Workers: workers, Scheduler: tc.sched})
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) { return nil, false })
-				if plan.Fired() == 0 {
-					t.Skip("injection point not reached in this configuration")
-				}
-				assertContained(t, eng, false)
-				assertInterrupted(t, eng)
-			})
+			}
 		}
 	}
 }
@@ -211,18 +218,18 @@ func TestInjectedStoreFaultsDegrade(t *testing.T) {
 	}
 }
 
-// TestSchedulerSuiteLeaks applies the leak gate to a plain full traversal
-// under both schedulers, so a regression that parks workers on the exit path
+// TestSchedulerSuiteLeaks applies the leak gate to a plain full traversal at
+// several worker counts, so a regression that parks workers on the exit path
 // of a *successful* run is caught here rather than only under faults.
 func TestSchedulerSuiteLeaks(t *testing.T) {
 	leakcheck.Check(t)
 	enc := encodeFlight(t, 60, 5)
-	for _, sched := range []Scheduler{SchedulerBarrier, SchedulerDAG} {
-		eng, err := New(enc, Config{Workers: 4, Scheduler: sched})
+	for _, workers := range []int{2, 4} {
+		eng, err := New(enc, Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) { return nil, false })
+		eng.RunNodes(nil, keepAll)
 		if err := eng.Err(); err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,7 @@ import (
 // validation and partition products — is embarrassingly parallel: every node
 // of a level only reads state produced by previous levels. The engine
 // therefore shards each level's nodes across a small worker pool and its
-// clients merge per-worker results at a level barrier. All merge points are
+// clients merge per-worker results at node completion. All merge points are
 // deterministic (per-node output slots, counter addition in worker order), so
 // a parallel run is byte-identical to a sequential one.
 
@@ -26,33 +26,11 @@ func ResolveWorkers(requested int) int {
 	return requested
 }
 
-// ParallelFor runs fn for every item index in [0, n) using at most w
-// goroutines. Items are handed out in small chunks through an atomic cursor
-// so that uneven per-item costs (partition sizes vary wildly across nodes)
-// balance out without any up-front partitioning, while levels with thousands
-// of near-empty nodes (e.g. key-pruned superkey contexts) do not serialize on
-// the cursor: the chunk size grows with n so each worker performs a bounded
-// number of atomic fetches. fn receives the worker index (0..w-1), which
-// callers use to address per-worker scratch buffers and counter shards
-// without locks, and the item index, which callers use to write results into
-// per-item output slots.
-//
-// With w <= 1 or a single item the call degenerates to an inline loop with no
-// goroutines — the sequential path of the engine.
-//
-// The package-level form is uninterruptible; Engine.ParallelFor layers the
-// engine's cooperative stop checks between chunk handouts.
-func ParallelFor(w, n int, fn func(worker, item int)) {
-	if w < 1 {
-		w = 1
-	}
-	parallelForChunk(w, n, chunkFor(w, n), nil, nil, fn)
-}
-
-// chunkFor picks the batch size handed out per atomic fetch: 1 for small
-// levels (maximum load balance), growing with the item count so the cursor is
-// touched a bounded number of times per worker. The cap keeps a single
-// unlucky chunk of expensive items from stalling the barrier.
+// chunkFor picks the batch size of the engine's partition-product handout per
+// atomic fetch: 1 for small levels (maximum load balance), growing with the
+// item count so the cursor is touched a bounded number of times per worker.
+// The cap keeps a single unlucky chunk of expensive items from stalling the
+// barrier.
 func chunkFor(w, n int) int {
 	const (
 		// targetFetches is the number of cursor fetches each worker should
@@ -73,16 +51,24 @@ func chunkFor(w, n int) int {
 	return c
 }
 
-// parallelForChunk is ParallelFor with an explicit chunk size (the handout
-// benchmark uses it to measure chunking against the one-item-per-fetch
-// baseline), an optional stop check and an optional panic trap. A non-nil
-// stop is polled once per chunk handout — on the sequential path as well as
-// by every worker — and once it reports true the remaining items are
-// abandoned: cancellation latency is bounded by one chunk, never by the
-// whole level. A non-nil trap receives any panic a worker raises (the
-// worker's remaining chunks are abandoned; the trap is expected to latch the
-// stop signal so siblings drain too); with a nil trap panics propagate to
-// the caller, the package-level ParallelFor contract.
+// parallelForChunk runs fn for every item index in [0, n) using at most w
+// goroutines. Items are handed out in chunks of the given size through an
+// atomic cursor, so that uneven per-item costs (partition sizes vary wildly
+// across nodes) balance out without any up-front partitioning, while levels
+// with thousands of near-empty nodes (e.g. key-pruned superkey contexts) do
+// not serialize on the cursor. fn receives the worker index (0..w-1), which
+// callers use to address per-worker scratch buffers and counter shards
+// without locks, and the item index, which callers use to write results into
+// per-item output slots. With w <= 1 or a single item the call degenerates
+// to an inline loop with no goroutines — the sequential path of the engine.
+//
+// A non-nil stop is polled before every item — on the sequential path as
+// well as by every worker — and once it reports true the remaining items are
+// abandoned: cancellation latency is bounded by one item per worker, never
+// by a chunk or the whole level. A non-nil trap receives any panic a worker
+// raises (the worker's remaining items are abandoned; the trap is expected
+// to latch the stop signal so siblings drain too); with a nil trap panics
+// propagate to the caller.
 func parallelForChunk(w, n, chunk int, stop func() bool, trap func(rec any), fn func(worker, item int)) {
 	if w > n {
 		w = n
@@ -92,17 +78,11 @@ func parallelForChunk(w, n, chunk int, stop func() bool, trap func(rec any), fn 
 	}
 	if w <= 1 {
 		runTrapped(trap, func() {
-			for start := 0; start < n; start += chunk {
+			for i := 0; i < n; i++ {
 				if stop != nil && stop() {
 					return
 				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
-					fn(0, i)
-				}
+				fn(0, i)
 			}
 		})
 		return
@@ -115,18 +95,15 @@ func parallelForChunk(w, n, chunk int, stop func() bool, trap func(rec any), fn 
 			defer wg.Done()
 			runTrapped(trap, func() {
 				for {
-					if stop != nil && stop() {
-						return
-					}
 					start := int(cursor.Add(int64(chunk))) - chunk
 					if start >= n {
 						return
 					}
-					end := start + chunk
-					if end > n {
-						end = n
-					}
+					end := min(start+chunk, n)
 					for i := start; i < end; i++ {
+						if stop != nil && stop() {
+							return
+						}
 						fn(wk, i)
 					}
 				}

@@ -22,13 +22,20 @@ func TestResolveWorkers(t *testing.T) {
 	}
 }
 
+// TestParallelForCoversAllItems: the engine's parallelFor processes every
+// item exactly once, on worker indexes inside the pool, at every pool size.
 func TestParallelForCoversAllItems(t *testing.T) {
+	enc := encodeFlight(t, 20, 3)
 	for _, w := range []int{1, 2, 4, 9} {
+		eng, err := New(enc, Config{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
 		const n = 1000
 		hits := make([]int32, n)
 		var mu sync.Mutex
 		workersSeen := map[int]bool{}
-		ParallelFor(w, n, func(wk, i int) {
+		eng.parallelFor(n, func(wk, i int) {
 			mu.Lock()
 			hits[i]++
 			workersSeen[wk] = true
@@ -44,21 +51,8 @@ func TestParallelForCoversAllItems(t *testing.T) {
 				t.Fatalf("w=%d: worker index %d out of range", w, wk)
 			}
 		}
-	}
-	// Zero items must not call fn at all.
-	ParallelFor(4, 0, func(_, _ int) { t.Fatal("fn called for empty range") })
-	// w <= 0 degenerates to the inline sequential loop, per the contract.
-	for _, w := range []int{0, -2} {
-		count := 0
-		ParallelFor(w, 5, func(wk, _ int) {
-			if wk != 0 {
-				t.Fatalf("w=%d: worker index %d on the sequential path", w, wk)
-			}
-			count++
-		})
-		if count != 5 {
-			t.Fatalf("w=%d: %d items processed, want 5", w, count)
-		}
+		// Zero items must not call fn at all.
+		eng.parallelFor(0, func(_, _ int) { t.Fatal("fn called for empty range") })
 	}
 }
 

@@ -9,7 +9,7 @@
 // the snapshot or a deadline passes.
 //
 // The check is count-based rather than stack-based on purpose: it needs no
-// allow-list maintenance, and the suites that use it (scheduler, server,
+// allow-list maintenance, and the suites that use it (engine, server,
 // chaos) create goroutines in the hundreds per test, so an off-by-a-few
 // steady-state drift would still be caught. Runtime-internal helpers that
 // appear once per process (e.g. the first timer goroutine) are absorbed by

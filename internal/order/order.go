@@ -64,12 +64,7 @@ type Result struct {
 	// Options.Budget before exhausting the search space; ODs then holds
 	// everything found up to the interrupt.
 	Interrupted bool
-	// TimedOut is the historical name of Interrupted, kept for callers of the
-	// pre-budget API; the two fields are always equal.
-	//
-	// Deprecated: use Interrupted.
-	TimedOut bool
-	Elapsed  time.Duration
+	Elapsed     time.Duration
 }
 
 // node is one element of the list-containment lattice: a permutation of a
@@ -172,8 +167,6 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		}
 		level = next
 	}
-	res.TimedOut = res.Interrupted
-
 	res.Canonical = mapToCanonical(res.ODs)
 	res.Counts = canonical.CountByKind(res.Canonical)
 	res.Elapsed = time.Since(start)

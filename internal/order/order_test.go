@@ -38,7 +38,7 @@ func TestDiscoverTable1(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
-	if res.TimedOut {
+	if res.Interrupted {
 		t.Fatal("Table 1 should not time out")
 	}
 	if len(res.ODs) == 0 {
@@ -200,15 +200,15 @@ func TestDiscoverBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.TimedOut {
-		t.Error("MaxNodes budget should mark the run as timed out")
+	if !res.Interrupted {
+		t.Error("MaxNodes budget should mark the run as interrupted")
 	}
 	res, err = Discover(enc, Options{Budget: lattice.Budget{Timeout: time.Nanosecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.TimedOut {
-		t.Error("Timeout budget should mark the run as timed out")
+	if !res.Interrupted {
+		t.Error("Timeout budget should mark the run as interrupted")
 	}
 }
 

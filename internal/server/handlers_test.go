@@ -187,6 +187,7 @@ func TestDiscoverRequestValidation(t *testing.T) {
 		{"out-of-range condition attr", `{"algorithm":"conditional","conditional":{"condition_attrs":[99]}}`, "ConditionAttrs"},
 		{"unknown algorithm", `{"algorithm":"magic"}`, "algorithm"},
 		{"unknown field", `{"algorithmm":"fastod"}`, "unknown field"},
+		{"removed scheduler field", `{"scheduler":"dag"}`, "unknown field"},
 		{"not json", `{{{`, "decoding"},
 	}
 	for _, tc := range cases {

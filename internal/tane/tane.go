@@ -47,9 +47,6 @@ type Options struct {
 	// same convention as core.Options.Workers (0 = GOMAXPROCS, 1 =
 	// sequential). The output is identical regardless of the setting.
 	Workers int
-	// Scheduler selects the node ordering (DAG work-stealing by default,
-	// level-synchronous barrier as an option); see core.Options.Scheduler.
-	Scheduler lattice.Scheduler
 	// Budget bounds the run's wall-clock time and visited lattice nodes; see
 	// core.Options.Budget for the interrupt semantics.
 	Budget lattice.Budget
@@ -97,7 +94,6 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	start := time.Now()
 	eng, err := lattice.New(enc, lattice.Config{
 		Ctx:        ctx,
-		Scheduler:  opts.Scheduler,
 		Workers:    opts.Workers,
 		MaxLevel:   opts.MaxLevel,
 		Budget:     opts.Budget,

@@ -318,17 +318,6 @@ func TestRunWithProgressStreams(t *testing.T) {
 	}
 }
 
-// TestDefaultORDERBudgetAlias: the deprecated helper must return exactly the
-// shared default budget.
-func TestDefaultORDERBudgetAlias(t *testing.T) {
-	if got, want := fastod.DefaultORDERBudget().Budget, fastod.DefaultBudget(); got != want {
-		t.Errorf("DefaultORDERBudget().Budget = %+v, want DefaultBudget() %+v", got, want)
-	}
-	if fastod.DefaultBudget().IsZero() {
-		t.Error("DefaultBudget must actually bound something")
-	}
-}
-
 // TestConditionalIgnoresCountOnly: the conditional algorithm needs
 // materialized ODs for its global-cover comparison, so CountOnly must not
 // silently empty its output.
@@ -436,5 +425,63 @@ func TestViewsDoNotInheritPartitionCache(t *testing.T) {
 	}
 	if res.Stats.PartitionMisses == 0 {
 		t.Error("view run with its own store recorded no store traffic")
+	}
+}
+
+// TestRunWithProgressInterruptedLevel pins the documented progress contract
+// of an interrupted run at the public API: a node budget that runs out
+// mid-level visits exactly that many nodes, and the partially visited level
+// still gets its event, the last one, whose NodesVisited matches the report.
+func TestRunWithProgressInterruptedLevel(t *testing.T) {
+	ds := fastod.SyntheticFlight(200, 6, 2017)
+	for _, alg := range []fastod.Algorithm{
+		fastod.AlgorithmFASTOD, fastod.AlgorithmTANE, fastod.AlgorithmApprox,
+		fastod.AlgorithmBidirectional,
+	} {
+		var full []fastod.ProgressEvent
+		if _, err := ds.RunWithProgress(context.Background(), fastod.Request{Algorithm: alg},
+			func(ev fastod.ProgressEvent) { full = append(full, ev) }); err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		// Land the budget halfway into the first level after level 1 that
+		// has at least two nodes.
+		cut := -1
+		for i := 1; i < len(full); i++ {
+			if full[i].Nodes >= 2 {
+				cut = i
+				break
+			}
+		}
+		if cut < 0 {
+			t.Fatalf("%s: no level to interrupt in %+v", alg, full)
+		}
+		k := full[cut-1].NodesVisited + full[cut].Nodes/2
+		for _, workers := range []int{1, 2} {
+			var events []fastod.ProgressEvent
+			rep, err := ds.RunWithProgress(context.Background(), fastod.Request{
+				Algorithm:  alg,
+				RunOptions: fastod.RunOptions{Workers: workers, Budget: fastod.Budget{MaxNodes: k}},
+			}, func(ev fastod.ProgressEvent) { events = append(events, ev) })
+			if err != nil {
+				t.Fatalf("%s/w%d: %v", alg, workers, err)
+			}
+			if !rep.Interrupted || rep.Stats.NodesVisited != k {
+				t.Errorf("%s/w%d: interrupted=%v after %d nodes, want true after exactly %d",
+					alg, workers, rep.Interrupted, rep.Stats.NodesVisited, k)
+			}
+			if len(events) != cut+1 {
+				t.Fatalf("%s/w%d: %d events, want %d (the interrupted level %d included)",
+					alg, workers, len(events), cut+1, cut+1)
+			}
+			last := events[len(events)-1]
+			if last.Level != cut+1 || last.Nodes != k-full[cut-1].NodesVisited {
+				t.Errorf("%s/w%d: last event = level %d with %d nodes, want level %d with %d",
+					alg, workers, last.Level, last.Nodes, cut+1, k-full[cut-1].NodesVisited)
+			}
+			if last.NodesVisited != rep.Stats.NodesVisited {
+				t.Errorf("%s/w%d: last event NodesVisited = %d, report stats %d",
+					alg, workers, last.NodesVisited, rep.Stats.NodesVisited)
+			}
+		}
 	}
 }

@@ -9,13 +9,13 @@ import (
 	fastod "repro"
 )
 
-// --- Differential tests: the DAG scheduler must produce byte-identical ---
-// --- reports to the barrier scheduler, at every worker count, for every ---
-// --- algorithm. Only wall-clock fields may differ between runs.         ---
+// --- Differential tests: the lattice traversal must produce byte-identical ---
+// --- reports at every worker count, for every algorithm. Only wall-clock  ---
+// --- fields may differ between runs.                                      ---
 
 // zeroReportTimings clears every wall-clock field of a report in place so two
 // runs can be compared with reflect.DeepEqual: timing is the only thing a
-// scheduler or worker count is allowed to change.
+// worker count is allowed to change.
 func zeroReportTimings(rep *fastod.Report) {
 	rep.Elapsed = 0
 	switch {
@@ -43,8 +43,8 @@ func zeroReportTimings(rep *fastod.Report) {
 
 // schedulerDiffRequests covers all six algorithms, including a FASTOD ablation
 // (no pruning, count-only) whose node set differs radically from the default
-// run. ORDER ignores both knobs; it rides along to prove the plumbing does not
-// disturb it.
+// run. ORDER ignores the worker count; it rides along to prove the plumbing
+// does not disturb it.
 func schedulerDiffRequests() map[string]fastod.Request {
 	return map[string]fastod.Request{
 		"fastod": {Algorithm: fastod.AlgorithmFASTOD,
@@ -65,27 +65,23 @@ func TestSchedulerDifferential(t *testing.T) {
 	for name, base := range schedulerDiffRequests() {
 		t.Run(name, func(t *testing.T) {
 			var ref *fastod.Report
-			for _, sched := range []fastod.Scheduler{fastod.SchedulerBarrier, fastod.SchedulerDAG} {
-				for _, workers := range []int{1, 4} {
-					req := base
-					req.Workers = workers
-					req.Scheduler = sched
-					rep, err := ds.Run(context.Background(), req)
-					if err != nil {
-						t.Fatalf("scheduler=%s workers=%d: %v", sched, workers, err)
-					}
-					if rep.Interrupted {
-						t.Fatalf("scheduler=%s workers=%d: unbudgeted run interrupted", sched, workers)
-					}
-					zeroReportTimings(rep)
-					if ref == nil {
-						ref = rep
-						continue
-					}
-					if !reflect.DeepEqual(ref, rep) {
-						t.Errorf("scheduler=%s workers=%d: report differs from barrier/workers=1\n got: %+v\nwant: %+v",
-							sched, workers, rep, ref)
-					}
+			for _, workers := range []int{1, 2, 4} {
+				req := base
+				req.Workers = workers
+				rep, err := ds.Run(context.Background(), req)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if rep.Interrupted {
+					t.Fatalf("workers=%d: unbudgeted run interrupted", workers)
+				}
+				zeroReportTimings(rep)
+				if ref == nil {
+					ref = rep
+					continue
+				}
+				if !reflect.DeepEqual(ref, rep) {
+					t.Errorf("workers=%d: report differs from workers=1\n got: %+v\nwant: %+v", workers, rep, ref)
 				}
 			}
 		})
@@ -94,7 +90,7 @@ func TestSchedulerDifferential(t *testing.T) {
 
 // TestSchedulerDifferentialOrderSpecs repeats the full six-algorithm
 // differential under a non-default order spec: direction, NULL placement and
-// collation overrides must not introduce any scheduler- or worker-dependence.
+// collation overrides must not introduce any worker-dependence.
 // Every run re-encodes through the dataset's spec cache, so this also
 // exercises concurrent-ish reuse of one cached spec encoding across runs.
 func TestSchedulerDifferentialOrderSpecs(t *testing.T) {
@@ -106,28 +102,24 @@ func TestSchedulerDifferentialOrderSpecs(t *testing.T) {
 	for name, base := range schedulerDiffRequests() {
 		t.Run(name, func(t *testing.T) {
 			var ref *fastod.Report
-			for _, sched := range []fastod.Scheduler{fastod.SchedulerBarrier, fastod.SchedulerDAG} {
-				for _, workers := range []int{1, 4} {
-					req := base
-					req.Workers = workers
-					req.Scheduler = sched
-					req.OrderSpecs = specs
-					rep, err := ds.Run(context.Background(), req)
-					if err != nil {
-						t.Fatalf("scheduler=%s workers=%d: %v", sched, workers, err)
-					}
-					if rep.Interrupted {
-						t.Fatalf("scheduler=%s workers=%d: unbudgeted run interrupted", sched, workers)
-					}
-					zeroReportTimings(rep)
-					if ref == nil {
-						ref = rep
-						continue
-					}
-					if !reflect.DeepEqual(ref, rep) {
-						t.Errorf("scheduler=%s workers=%d: spec-encoded report differs from barrier/workers=1\n got: %+v\nwant: %+v",
-							sched, workers, rep, ref)
-					}
+			for _, workers := range []int{1, 2, 4} {
+				req := base
+				req.Workers = workers
+				req.OrderSpecs = specs
+				rep, err := ds.Run(context.Background(), req)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if rep.Interrupted {
+					t.Fatalf("workers=%d: unbudgeted run interrupted", workers)
+				}
+				zeroReportTimings(rep)
+				if ref == nil {
+					ref = rep
+					continue
+				}
+				if !reflect.DeepEqual(ref, rep) {
+					t.Errorf("workers=%d: spec-encoded report differs from workers=1\n got: %+v\nwant: %+v", workers, rep, ref)
 				}
 			}
 		})
@@ -141,31 +133,29 @@ func TestSchedulerDifferentialSecondShape(t *testing.T) {
 	ds := fastod.SyntheticNCVoter(150, 7, 41)
 	for _, alg := range []fastod.Algorithm{fastod.AlgorithmFASTOD, fastod.AlgorithmBidirectional} {
 		var ref *fastod.Report
-		for _, sched := range []fastod.Scheduler{fastod.SchedulerBarrier, fastod.SchedulerDAG} {
-			for _, workers := range []int{1, 4} {
-				rep, err := ds.Run(context.Background(), fastod.Request{
-					Algorithm:  alg,
-					RunOptions: fastod.RunOptions{Workers: workers, Scheduler: sched},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				zeroReportTimings(rep)
-				if ref == nil {
-					ref = rep
-					continue
-				}
-				if !reflect.DeepEqual(ref, rep) {
-					t.Errorf("%s scheduler=%s workers=%d: report differs from barrier/workers=1", alg, sched, workers)
-				}
+		for _, workers := range []int{1, 2, 4} {
+			rep, err := ds.Run(context.Background(), fastod.Request{
+				Algorithm:  alg,
+				RunOptions: fastod.RunOptions{Workers: workers},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			zeroReportTimings(rep)
+			if ref == nil {
+				ref = rep
+				continue
+			}
+			if !reflect.DeepEqual(ref, rep) {
+				t.Errorf("%s workers=%d: report differs from workers=1", alg, workers)
 			}
 		}
 	}
 }
 
-// TestSchedulerSharedStoreRace runs both schedulers concurrently against one
-// dataset partition store across several algorithms. Under -race this is the
-// end-to-end data-race canary for the DAG scheduler's store-first generation;
+// TestSchedulerSharedStoreRace runs parallel traversals concurrently against
+// one dataset partition store across several algorithms. Under -race this is
+// the end-to-end data-race canary for the engine's store-first generation;
 // without -race it still asserts every run agrees with an uncontended one.
 func TestSchedulerSharedStoreRace(t *testing.T) {
 	ds := fastod.SyntheticFlight(120, 5, 7)
@@ -183,22 +173,18 @@ func TestSchedulerSharedStoreRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sched := fastod.SchedulerDAG
-			if i%2 == 0 {
-				sched = fastod.SchedulerBarrier
-			}
 			req := fastod.Request{
 				Algorithm:  algs[i%len(algs)],
-				RunOptions: fastod.RunOptions{Workers: 2, Scheduler: sched},
+				RunOptions: fastod.RunOptions{Workers: 2},
 			}
 			rep, err := ds.Run(context.Background(), req)
 			if err != nil {
-				t.Errorf("goroutine %d (%s/%s): %v", i, req.Algorithm, sched, err)
+				t.Errorf("goroutine %d (%s): %v", i, req.Algorithm, err)
 				return
 			}
 			if req.Algorithm == fastod.AlgorithmFASTOD {
 				if got, want := rep.FASTOD.Counts, baseline.FASTOD.Counts; got != want {
-					t.Errorf("goroutine %d (%s): counts %+v differ from uncontended baseline %+v", i, sched, got, want)
+					t.Errorf("goroutine %d: counts %+v differ from uncontended baseline %+v", i, got, want)
 				}
 			}
 		}(i)
