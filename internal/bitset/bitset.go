@@ -1,13 +1,15 @@
-// Package bitset provides compact attribute-set representations used by the
-// level-wise lattice algorithms (FASTOD, TANE). A relation schema is limited
-// to 64 attributes, which matches the widest dataset in the paper's
-// evaluation (flight, 40 attributes) with room to spare.
+// Package bitset provides the word-sized set types of the level-wise lattice
+// algorithms (FASTOD, TANE). An AttrSet is a set of attributes held in one
+// 64-bit word, so a relation schema is limited to 64 attributes, which covers
+// the widest dataset in the paper's evaluation (flight, 40 attributes) with
+// room to spare. A PairSet is a set of attribute pairs held as one AttrSet row
+// per attribute. Neither type hashes or sorts: membership is a bit test, and
+// iteration walks the bits in ascending order.
 package bitset
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -166,82 +168,81 @@ func NewPair(a, b int) Pair {
 	return Pair{A: a, B: b}
 }
 
-// AsSet returns the pair as a two-attribute set.
-func (p Pair) AsSet() AttrSet { return NewAttrSet(p.A, p.B) }
-
 // String renders the pair like (1,3).
 func (p Pair) String() string { return fmt.Sprintf("(%d,%d)", p.A, p.B) }
 
-// PairSet is a set of unordered attribute pairs. It backs the C+s(X)
-// candidate sets in FASTOD. The zero value is an empty set ready for use
-// after a call to NewPairSet; use NewPairSet to construct.
+// PairSet is a set of unordered attribute pairs over a schema of n
+// attributes. It backs FASTOD's candidate sets C+s(X) as n bit rows: row A is
+// the AttrSet of partners B > A with {A,B} in the set, so a pair lives at
+// exactly one bit and the rows together form the strict upper triangle of an
+// n×n bit matrix. Set algebra over pairs is word algebra over rows, and
+// walking the rows in order and each row's bits in order yields the pairs in
+// (A,B) order with no sort.
+//
+// Pairs outside the schema are never members: Add rejects them and SetRow
+// drops them. The zero value is the empty set over no attributes. Copies of a
+// PairSet share their rows.
 type PairSet struct {
-	pairs map[Pair]struct{}
+	rows []AttrSet
 }
 
-// NewPairSet returns an empty pair set.
-func NewPairSet() *PairSet {
-	return &PairSet{pairs: make(map[Pair]struct{})}
+// NewPairSet returns an empty pair set over attributes [0, n).
+// It panics if n is outside [0, MaxAttrs].
+func NewPairSet(n int) PairSet {
+	if n < 0 || n > MaxAttrs {
+		panic(fmt.Sprintf("bitset: pair set width %d out of range [0,%d]", n, MaxAttrs))
+	}
+	return PairSet{rows: make([]AttrSet, n)}
 }
 
-// Add inserts the pair into the set.
-func (ps *PairSet) Add(p Pair) { ps.pairs[p] = struct{}{} }
+// Add inserts the pair into the set. It panics if the pair lies outside the
+// schema.
+func (ps *PairSet) Add(p Pair) {
+	if p.B >= len(ps.rows) {
+		panic(fmt.Sprintf("bitset: pair %v outside a pair set of width %d", p, len(ps.rows)))
+	}
+	ps.rows[p.A] = ps.rows[p.A].Add(p.B)
+}
 
 // Remove deletes the pair from the set. Removing an absent pair is a no-op.
-func (ps *PairSet) Remove(p Pair) { delete(ps.pairs, p) }
+func (ps *PairSet) Remove(p Pair) { ps.rows[p.A] = ps.rows[p.A].Remove(p.B) }
 
 // Contains reports whether the pair is in the set.
-func (ps *PairSet) Contains(p Pair) bool {
-	_, ok := ps.pairs[p]
-	return ok
+func (ps *PairSet) Contains(p Pair) bool { return ps.rows[p.A].Contains(p.B) }
+
+// Row returns the partners B > a paired with a in the set.
+func (ps *PairSet) Row(a int) AttrSet { return ps.rows[a] }
+
+// SetRow replaces the partners of a with the members of r that are greater
+// than a and inside the schema. Members at or below a are dropped, since
+// their pairs live in lower rows.
+func (ps *PairSet) SetRow(a int, r AttrSet) {
+	ps.rows[a] = r &^ (2<<uint(a) - 1) & (1<<uint(len(ps.rows)) - 1)
 }
 
 // Len returns the number of pairs in the set.
-func (ps *PairSet) Len() int { return len(ps.pairs) }
+func (ps *PairSet) Len() int {
+	n := 0
+	for _, r := range ps.rows {
+		n += r.Len()
+	}
+	return n
+}
 
 // IsEmpty reports whether the set has no pairs.
-func (ps *PairSet) IsEmpty() bool { return len(ps.pairs) == 0 }
-
-// Pairs returns the pairs sorted by (A,B) for deterministic iteration.
-func (ps *PairSet) Pairs() []Pair {
-	out := make([]Pair, 0, len(ps.pairs))
-	for p := range ps.pairs {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
-
-// Clone returns an independent copy of the set.
-func (ps *PairSet) Clone() *PairSet {
-	out := NewPairSet()
-	for p := range ps.pairs {
-		out.pairs[p] = struct{}{}
-	}
-	return out
-}
-
-// Intersect returns a new set containing pairs present in both sets.
-func (ps *PairSet) Intersect(other *PairSet) *PairSet {
-	out := NewPairSet()
-	for p := range ps.pairs {
-		if other.Contains(p) {
-			out.pairs[p] = struct{}{}
+func (ps *PairSet) IsEmpty() bool {
+	for _, r := range ps.rows {
+		if r != 0 {
+			return false
 		}
 	}
-	return out
+	return true
 }
 
-// Union returns a new set containing pairs present in either set.
-func (ps *PairSet) Union(other *PairSet) *PairSet {
-	out := ps.Clone()
-	for p := range other.pairs {
-		out.pairs[p] = struct{}{}
+// ForEach calls fn for every pair in (A,B) order. Each row is read once
+// before its pairs are visited, so fn may remove the pair it is given.
+func (ps *PairSet) ForEach(fn func(p Pair)) {
+	for a, r := range ps.rows {
+		r.ForEach(func(b int) { fn(Pair{A: a, B: b}) })
 	}
-	return out
 }

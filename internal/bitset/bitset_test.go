@@ -1,7 +1,10 @@
 package bitset
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -117,9 +120,6 @@ func TestPairNormalization(t *testing.T) {
 	if p != NewPair(2, 5) {
 		t.Error("pairs with swapped arguments must be equal")
 	}
-	if !p.AsSet().Equal(NewAttrSet(2, 5)) {
-		t.Errorf("AsSet = %v", p.AsSet())
-	}
 }
 
 func TestPairPanicsOnEqualAttrs(t *testing.T) {
@@ -132,7 +132,7 @@ func TestPairPanicsOnEqualAttrs(t *testing.T) {
 }
 
 func TestPairSetBasics(t *testing.T) {
-	ps := NewPairSet()
+	ps := NewPairSet(4)
 	if !ps.IsEmpty() {
 		t.Fatal("new pair set should be empty")
 	}
@@ -151,40 +151,133 @@ func TestPairSetBasics(t *testing.T) {
 	}
 }
 
-func TestPairSetSetOps(t *testing.T) {
-	a := NewPairSet()
-	a.Add(NewPair(0, 1))
-	a.Add(NewPair(0, 2))
-	b := NewPairSet()
-	b.Add(NewPair(0, 2))
-	b.Add(NewPair(1, 2))
+func TestPairSetZeroValueIsEmpty(t *testing.T) {
+	var ps PairSet
+	if !ps.IsEmpty() || ps.Len() != 0 {
+		t.Error("zero pair set should be empty")
+	}
+	ps.ForEach(func(p Pair) { t.Errorf("zero pair set yielded %v", p) })
+}
 
-	inter := a.Intersect(b)
-	if inter.Len() != 1 || !inter.Contains(NewPair(0, 2)) {
-		t.Errorf("Intersect = %v", inter.Pairs())
-	}
-	uni := a.Union(b)
-	if uni.Len() != 3 {
-		t.Errorf("Union len = %d, want 3", uni.Len())
-	}
-	clone := a.Clone()
-	clone.Remove(NewPair(0, 1))
-	if !a.Contains(NewPair(0, 1)) {
-		t.Error("Clone is not independent of the original")
+func TestPairSetPanicsOutOfRange(t *testing.T) {
+	for name, f := range map[string]func(){
+		"width above MaxAttrs": func() { NewPairSet(MaxAttrs + 1) },
+		"pair outside width":   func() { ps := NewPairSet(3); ps.Add(NewPair(1, 3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }
 
-func TestPairSetPairsSorted(t *testing.T) {
-	ps := NewPairSet()
-	ps.Add(NewPair(3, 1))
-	ps.Add(NewPair(0, 2))
-	ps.Add(NewPair(0, 1))
-	got := ps.Pairs()
-	want := []Pair{{0, 1}, {0, 2}, {1, 3}}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Pairs = %v, want %v", got, want)
+// TestPairSetMatchesMapModel runs seeded random operation sequences against a
+// map[Pair]struct{} model at every width from 1 to MaxAttrs. After each
+// operation every method must agree with the model: membership of every
+// pair, Len, IsEmpty, every row, and the ForEach walk, whose order must be
+// the model's pairs sorted by (A,B).
+func TestPairSetMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for n := 1; n <= MaxAttrs; n++ {
+		ps := NewPairSet(n)
+		model := make(map[Pair]struct{})
+		randomPair := func() Pair {
+			a := rng.Intn(n)
+			b := rng.Intn(n)
+			for n > 1 && b == a {
+				b = rng.Intn(n)
+			}
+			return NewPair(a, b)
 		}
+		for step := 0; step < 100; step++ {
+			var op string
+			switch k := rng.Intn(10); {
+			case n == 1:
+				op = "noop" // a single attribute admits no pair
+			case k < 5:
+				op = "add"
+				p := randomPair()
+				ps.Add(p)
+				model[p] = struct{}{}
+			case k < 8:
+				op = "remove"
+				p := randomPair()
+				ps.Remove(p)
+				delete(model, p)
+			default:
+				op = "setrow"
+				a := rng.Intn(n)
+				r := AttrSet(rng.Uint64())
+				ps.SetRow(a, r)
+				for p := range model {
+					if p.A == a {
+						delete(model, p)
+					}
+				}
+				for b := a + 1; b < n; b++ {
+					if r.Contains(b) {
+						model[NewPair(a, b)] = struct{}{}
+					}
+				}
+			}
+			checkPairSetAgainstModel(t, n, step, op, &ps, model)
+			if t.Failed() {
+				return
+			}
+		}
+		// Clearing every pair mid-walk empties the set.
+		ps.ForEach(func(p Pair) { ps.Remove(p) })
+		if !ps.IsEmpty() {
+			t.Fatalf("width %d: removing every pair during ForEach left %d pairs", n, ps.Len())
+		}
+	}
+}
+
+func checkPairSetAgainstModel(t *testing.T, n, step int, op string, ps *PairSet, model map[Pair]struct{}) {
+	t.Helper()
+	where := func() string { return fmt.Sprintf("width %d, step %d (%s)", n, step, op) }
+	if ps.Len() != len(model) {
+		t.Errorf("%s: Len = %d, model has %d", where(), ps.Len(), len(model))
+	}
+	if ps.IsEmpty() != (len(model) == 0) {
+		t.Errorf("%s: IsEmpty = %v with %d pairs in the model", where(), ps.IsEmpty(), len(model))
+	}
+	for a := 0; a < n; a++ {
+		var want AttrSet
+		for b := 0; b < n; b++ {
+			if a == b {
+				continue
+			}
+			_, in := model[NewPair(a, b)]
+			if ps.Contains(NewPair(a, b)) != in {
+				t.Errorf("%s: Contains(%v) = %v, model %v", where(), NewPair(a, b), !in, in)
+			}
+			if in && b > a {
+				want = want.Add(b)
+			}
+		}
+		if got := ps.Row(a); got != want {
+			t.Errorf("%s: Row(%d) = %v, want %v", where(), a, got, want)
+		}
+	}
+	want := make([]Pair, 0, len(model))
+	for p := range model {
+		want = append(want, p)
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].A != want[j].A {
+			return want[i].A < want[j].A
+		}
+		return want[i].B < want[j].B
+	})
+	var got []Pair
+	ps.ForEach(func(p Pair) { got = append(got, p) })
+	if !slices.Equal(got, want) {
+		t.Errorf("%s: ForEach order = %v, want %v", where(), got, want)
 	}
 }
 

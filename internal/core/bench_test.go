@@ -75,6 +75,27 @@ func BenchmarkDiscoverWorkersScaling(b *testing.B) {
 	}
 }
 
+// BenchmarkDiscoverWide runs the attribute axis the flight-like benchmarks
+// miss: hepatitis-like 155×13, the input of the repository benchmark's wide
+// workload. With so few rows the partition kernels are cheap, and the time
+// goes to the per-node candidate-set work of ~7 900 lattice nodes.
+func BenchmarkDiscoverWide(b *testing.B) {
+	enc, err := relation.Encode(datagen.HepatitisLike(155, 13, 2017))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []int{1, 2} {
+		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Discover(enc, Options{Workers: w}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkDiscoverNoPruning(b *testing.B) {
 	enc := benchRelation(b, 500, 8)
 	b.ReportAllocs()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -94,9 +95,11 @@ type discoverer struct {
 // nodeState is the per-node result the traversal threads along dependency
 // edges: the node's candidate sets C+c(X) and C+s(X), exactly the state
 // Algorithm 3 reads from the immediate subsets of each node it processes.
+// Level-1 nodes keep the zero C+s(X): a singleton has no pairs, and level 2
+// never reads its subsets' pairs.
 type nodeState struct {
 	cc bitset.AttrSet
-	cs *bitset.PairSet
+	cs bitset.PairSet
 }
 
 func newDiscoverer(ctx context.Context, enc *relation.Encoded, opts Options) (*discoverer, error) {
@@ -179,7 +182,7 @@ func (d *discoverer) finish() {
 // run executes FASTOD with the full candidate-set machinery (Algorithms 1-4).
 // The root state seeds every singleton with C+c(∅) = R and C+s(∅) = ∅.
 func (d *discoverer) run() {
-	root := &nodeState{cc: d.all, cs: bitset.NewPairSet()}
+	root := &nodeState{cc: d.all}
 	d.eng.RunNodes(root, d.visitNode)
 	d.finish()
 }
@@ -192,65 +195,31 @@ func (d *discoverer) run() {
 // engine runs it concurrently on the nodes of one level.
 func (d *discoverer) visitNode(wk, l int, x bitset.AttrSet, deps []any) (any, bool) {
 	sh := &d.shards[wk]
+	st := candidates(d.all, x, deps, d.numAttrs)
 	// deps are ordered by ascending removed attribute, so the state of X\{a}
 	// sits at a's rank within X.
 	prev := func(a int) *nodeState { return deps[x.Rank(a)].(*nodeState) }
-
-	// Pass 1 (lines 1-8): candidate sets from the immediate subsets.
-	cc := d.all
-	x.ForEach(func(a int) {
-		cc = cc.Intersect(prev(a).cc)
-	})
-	var cs *bitset.PairSet
-	switch {
-	case l == 2:
-		attrs := x.Attrs()
-		cs = bitset.NewPairSet()
-		cs.Add(bitset.NewPair(attrs[0], attrs[1]))
-	case l > 2:
-		union := bitset.NewPairSet()
-		x.ForEach(func(c int) {
-			union = union.Union(prev(c).cs)
-		})
-		cs = bitset.NewPairSet()
-		for _, p := range union.Pairs() {
-			keep := true
-			x.Diff(p.AsSet()).ForEach(func(dAttr int) {
-				if !keep {
-					return
-				}
-				if !prev(dAttr).cs.Contains(p) {
-					keep = false
-				}
-			})
-			if keep {
-				cs.Add(p)
-			}
-		}
-	default:
-		cs = bitset.NewPairSet()
-	}
 
 	// Pass 2 (lines 9-25): validation and emission.
 	var buf emitBuffer
 
 	// Constancy candidates X\A: [] ↦ A for A ∈ X ∩ C+c(X) (Lemma 7).
-	for _, a := range x.Intersect(cc).Attrs() {
+	x.Intersect(st.cc).ForEach(func(a int) {
 		ctx := x.Remove(a)
 		if d.checkConstancy(ctx, x, sh) {
 			d.bufferOD(&buf, canonical.NewConstancy(ctx, a))
-			cc = cc.Remove(a)
-			cc = cc.Intersect(x) // remove all B ∈ R \ X (line 14)
+			st.cc = st.cc.Remove(a)
+			st.cc = st.cc.Intersect(x) // remove all B ∈ R \ X (line 14)
 		}
-	}
+	})
 
 	// Order-compatibility candidates X\{A,B}: A ~ B for {A,B} ∈ C+s(X)
 	// (Lemma 8).
-	for _, p := range cs.Pairs() {
+	st.cs.ForEach(func(p bitset.Pair) {
 		a, b := p.A, p.B
 		if !prev(b).cc.Contains(a) || !prev(a).cc.Contains(b) {
-			cs.Remove(p) // line 19: constancy in a sub-context makes it non-minimal
-			continue
+			st.cs.Remove(p) // line 19: constancy in a sub-context makes it non-minimal
+			return
 		}
 		ctx := x.Remove(a).Remove(b)
 		valid, minimal := d.checkOrderCompat(ctx, a, b, sh, d.eng.Scratch(wk))
@@ -258,13 +227,53 @@ func (d *discoverer) visitNode(wk, l int, x bitset.AttrSet, deps []any) (any, bo
 			if minimal {
 				d.bufferOD(&buf, canonical.NewOrderCompatible(ctx, a, b))
 			}
-			cs.Remove(p) // line 22
+			st.cs.Remove(p) // line 22
 		}
-	}
+	})
 
-	pruned := l >= 2 && !d.opts.DisableNodePruning && cc.IsEmpty() && cs.IsEmpty()
+	pruned := l >= 2 && !d.opts.DisableNodePruning && st.cc.IsEmpty() && st.cs.IsEmpty()
 	d.flushNode(l, &buf, pruned)
-	return &nodeState{cc: cc, cs: cs}, pruned
+	return st, pruned
+}
+
+// candidates is pass 1 of Algorithm 3 (lines 1-8): it derives the candidate
+// sets of node X, over a schema of n attributes whose full set is all, from
+// the states of X's immediate subsets. deps[i] is the state of X minus its
+// i-th smallest attribute.
+//
+// C+s(X) is built row by row with word operations. The paper keeps a pair
+// {A,B} of the subsets' union iff {A,B} ∈ C+s(X\D) for every D ∈ X\{A,B}.
+// Row A of C+s(X\B) never holds B, so row A of C+s(X) is the AND, over
+// D ∈ X\{A}, of row A of C+s(X\D) with D added. For |X| ≥ 3 some D lies
+// outside {A,B}, so the AND already implies membership in the union and
+// holds only partners inside X above A.
+func candidates(all, x bitset.AttrSet, deps []any, n int) *nodeState {
+	st := &nodeState{cc: all}
+	for _, dep := range deps {
+		st.cc = st.cc.Intersect(dep.(*nodeState).cc)
+	}
+	if x.Len() < 2 {
+		return st
+	}
+	st.cs = bitset.NewPairSet(n)
+	if x.Len() == 2 {
+		// Level 2: the one pair of X, in the row of its lower attribute.
+		a := bits.TrailingZeros64(uint64(x))
+		st.cs.SetRow(a, x.Remove(a))
+		return st
+	}
+	x.ForEach(func(a int) {
+		row := x
+		i := 0
+		x.ForEach(func(dAttr int) {
+			if dAttr != a {
+				row = row.Intersect(deps[i].(*nodeState).cs.Row(a).Add(dAttr))
+			}
+			i++
+		})
+		st.cs.SetRow(a, row)
+	})
+	return st
 }
 
 // checkConstancy validates X\A: [] ↦ A using the partition-error criterion of

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -162,6 +163,31 @@ func TestOracleAgainstBruteForce(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestDiscoverMatchesReferenceAtWideWidths runs the reference oracle at the
+// width of the repository benchmark's wide workload and beyond it. The other
+// oracles in this package stop at 6 attributes, where no candidate-set row
+// holds more than five partners. Each input runs at 1, 2 and 4 workers.
+func TestDiscoverMatchesReferenceAtWideWidths(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rel  *relation.Relation
+	}{
+		{"hepatitis-like 155x13", datagen.HepatitisLike(155, 13, 16)},
+		{"dbtesma-like 60x16", datagen.DBTesmaLike(60, 16, 16)},
+	} {
+		enc := encode(t, tc.rel)
+		want, err := canonical.ReferenceDiscover(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := &Result{ODs: want, Counts: canonical.CountByKind(want)}
+		for _, w := range []int{1, 2, 4} {
+			got := discover(t, enc, Options{Workers: w})
+			assertSameODs(t, fmt.Sprintf("%s, %d workers", tc.name, w), got, ref)
 		}
 	}
 }

@@ -53,17 +53,3 @@ func (d *discoverer) bufferOD(buf *emitBuffer, od canonical.OD) {
 		buf.ods = append(buf.ods, od)
 	}
 }
-
-// flushEmits merges the per-node emission buffers into the result in node
-// order — the same order the sequential traversal emits in.
-func (d *discoverer) flushEmits(bufs []emitBuffer, stat *LevelStat) {
-	for i := range bufs {
-		b := &bufs[i]
-		stat.Constancy += b.constancy
-		stat.OrderCompat += b.orderCompat
-		d.result.Counts.Constancy += b.constancy
-		d.result.Counts.OrderCompat += b.orderCompat
-		d.result.Counts.Total += b.constancy + b.orderCompat
-		d.result.ODs = append(d.result.ODs, b.ods...)
-	}
-}
