@@ -17,12 +17,14 @@ import (
 	fastod "repro"
 )
 
-// seqOpts pins the paper-figure benchmarks to the sequential engine: they
+// seqFASTOD pins the paper-figure benchmarks to the sequential engine: they
 // compare FASTOD against the single-threaded TANE/ORDER baselines, so the
 // series stay comparable with the paper (and with runs recorded before the
 // parallel engine existed). BenchmarkParallelWorkers measures the parallel
 // trajectory explicitly.
-func seqOpts() fastod.Options { return fastod.Options{Workers: 1} }
+func seqFASTOD(opts fastod.FASTODRunOptions) fastod.Request {
+	return fastod.Request{RunOptions: fastod.RunOptions{Workers: 1}, FASTOD: opts}
+}
 
 // figureDataset builds one synthetic dataset by paper name.
 func figureDataset(name string, rows, cols int) *fastod.Dataset {
@@ -42,19 +44,19 @@ func figureDataset(name string, rows, cols int) *fastod.Dataset {
 }
 
 // benchORDERBudget keeps the factorial baseline bounded inside benchmarks.
-func benchORDERBudget() fastod.ORDEROptions {
-	return fastod.ORDEROptions{Budget: fastod.Budget{Timeout: 500 * time.Millisecond, MaxNodes: 100_000}}
+func benchORDERBudget() fastod.Budget {
+	return fastod.Budget{Timeout: 500 * time.Millisecond, MaxNodes: 100_000}
 }
 
-func runFASTOD(b *testing.B, ds *fastod.Dataset, opts fastod.Options) {
+func runFASTOD(b *testing.B, ds *fastod.Dataset, req fastod.Request) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := ds.Discover(opts)
+		rep, err := ds.Run(b.Context(), req)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Counts.Total < 0 {
+		if rep.FASTOD.Counts.Total < 0 {
 			b.Fatal("impossible count")
 		}
 	}
@@ -64,7 +66,7 @@ func runTANE(b *testing.B, ds *fastod.Dataset) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ds.DiscoverFDs(fastod.TANEOptions{}); err != nil {
+		if _, err := ds.Run(b.Context(), fastod.Request{Algorithm: fastod.AlgorithmTANE}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -74,7 +76,8 @@ func runORDER(b *testing.B, ds *fastod.Dataset) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ds.DiscoverWithORDER(benchORDERBudget()); err != nil {
+		req := fastod.Request{Algorithm: fastod.AlgorithmORDER, RunOptions: fastod.RunOptions{Budget: benchORDERBudget()}}
+		if _, err := ds.Run(b.Context(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,7 +92,7 @@ func BenchmarkFigure4(b *testing.B) {
 		for _, rows := range []int{500, 1000, 2000} {
 			ds := figureDataset(name, rows, cols)
 			b.Run(fmt.Sprintf("%s/rows=%d/TANE", name, rows), func(b *testing.B) { runTANE(b, ds) })
-			b.Run(fmt.Sprintf("%s/rows=%d/FASTOD", name, rows), func(b *testing.B) { runFASTOD(b, ds, seqOpts()) })
+			b.Run(fmt.Sprintf("%s/rows=%d/FASTOD", name, rows), func(b *testing.B) { runFASTOD(b, ds, seqFASTOD(fastod.FASTODRunOptions{})) })
 			b.Run(fmt.Sprintf("%s/rows=%d/ORDER", name, rows), func(b *testing.B) { runORDER(b, ds) })
 		}
 	}
@@ -109,7 +112,7 @@ func BenchmarkFigure5(b *testing.B) {
 		for _, cols := range colsFor[name] {
 			ds := figureDataset(name, rowsFor[name], cols)
 			b.Run(fmt.Sprintf("%s/cols=%d/TANE", name, cols), func(b *testing.B) { runTANE(b, ds) })
-			b.Run(fmt.Sprintf("%s/cols=%d/FASTOD", name, cols), func(b *testing.B) { runFASTOD(b, ds, seqOpts()) })
+			b.Run(fmt.Sprintf("%s/cols=%d/FASTOD", name, cols), func(b *testing.B) { runFASTOD(b, ds, seqFASTOD(fastod.FASTODRunOptions{})) })
 			b.Run(fmt.Sprintf("%s/cols=%d/ORDER", name, cols), func(b *testing.B) { runORDER(b, ds) })
 		}
 	}
@@ -121,16 +124,16 @@ func BenchmarkFigure5(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	for _, rows := range []int{500, 1000, 2000} {
 		ds := figureDataset("flight", rows, 8)
-		b.Run(fmt.Sprintf("rows=%d/FASTOD", rows), func(b *testing.B) { runFASTOD(b, ds, seqOpts()) })
+		b.Run(fmt.Sprintf("rows=%d/FASTOD", rows), func(b *testing.B) { runFASTOD(b, ds, seqFASTOD(fastod.FASTODRunOptions{})) })
 		b.Run(fmt.Sprintf("rows=%d/NoPruning", rows), func(b *testing.B) {
-			runFASTOD(b, ds, fastod.Options{Workers: 1, DisablePruning: true, CountOnly: true})
+			runFASTOD(b, ds, seqFASTOD(fastod.FASTODRunOptions{DisablePruning: true, CountOnly: true}))
 		})
 	}
 	for _, cols := range []int{6, 8, 10} {
 		ds := figureDataset("flight", 500, cols)
-		b.Run(fmt.Sprintf("cols=%d/FASTOD", cols), func(b *testing.B) { runFASTOD(b, ds, seqOpts()) })
+		b.Run(fmt.Sprintf("cols=%d/FASTOD", cols), func(b *testing.B) { runFASTOD(b, ds, seqFASTOD(fastod.FASTODRunOptions{})) })
 		b.Run(fmt.Sprintf("cols=%d/NoPruning", cols), func(b *testing.B) {
-			runFASTOD(b, ds, fastod.Options{Workers: 1, DisablePruning: true, CountOnly: true})
+			runFASTOD(b, ds, seqFASTOD(fastod.FASTODRunOptions{DisablePruning: true, CountOnly: true}))
 		})
 	}
 }
@@ -139,13 +142,13 @@ func BenchmarkFigure6(b *testing.B) {
 // a wider flight-like table; cmd/odbench -fig 7 prints the per-level series.
 func BenchmarkFigure7(b *testing.B) {
 	ds := figureDataset("flight", 500, 12)
-	runFASTOD(b, ds, fastod.Options{Workers: 1, CollectLevelStats: true})
+	runFASTOD(b, ds, seqFASTOD(fastod.FASTODRunOptions{CollectLevelStats: true}))
 }
 
 // BenchmarkTable1 measures discovery on the paper's running example.
 func BenchmarkTable1(b *testing.B) {
 	ds := fastod.EmployeesExample()
-	runFASTOD(b, ds, seqOpts())
+	runFASTOD(b, ds, seqFASTOD(fastod.FASTODRunOptions{}))
 }
 
 // BenchmarkAblation measures the individual optimizations of Section 4 of
@@ -153,17 +156,17 @@ func BenchmarkTable1(b *testing.B) {
 // sorted-scan swap check.
 func BenchmarkAblation(b *testing.B) {
 	ds := figureDataset("flight", 1000, 10)
-	b.Run("baseline", func(b *testing.B) { runFASTOD(b, ds, seqOpts()) })
-	b.Run("no-key-pruning", func(b *testing.B) { runFASTOD(b, ds, fastod.Options{Workers: 1, DisableKeyPruning: true}) })
-	b.Run("no-node-pruning", func(b *testing.B) { runFASTOD(b, ds, fastod.Options{Workers: 1, DisableNodePruning: true}) })
-	b.Run("naive-swap-check", func(b *testing.B) { runFASTOD(b, ds, fastod.Options{Workers: 1, NaiveSwapCheck: true}) })
+	b.Run("baseline", func(b *testing.B) { runFASTOD(b, ds, seqFASTOD(fastod.FASTODRunOptions{})) })
+	b.Run("no-key-pruning", func(b *testing.B) { runFASTOD(b, ds, seqFASTOD(fastod.FASTODRunOptions{DisableKeyPruning: true})) })
+	b.Run("no-node-pruning", func(b *testing.B) { runFASTOD(b, ds, seqFASTOD(fastod.FASTODRunOptions{DisableNodePruning: true})) })
+	b.Run("naive-swap-check", func(b *testing.B) { runFASTOD(b, ds, seqFASTOD(fastod.FASTODRunOptions{NaiveSwapCheck: true})) })
 }
 
 // BenchmarkQueryOptWorkload measures discovery on the date-dimension table of
 // the query-optimization example (Query 1 of the paper's introduction).
 func BenchmarkQueryOptWorkload(b *testing.B) {
 	ds := fastod.DateDimExample(3 * 365)
-	runFASTOD(b, ds, seqOpts())
+	runFASTOD(b, ds, seqFASTOD(fastod.FASTODRunOptions{}))
 }
 
 // BenchmarkParallelWorkers captures the sequential-vs-parallel trajectory of
@@ -174,7 +177,7 @@ func BenchmarkParallelWorkers(b *testing.B) {
 	ds := figureDataset("flight", 2000, 10)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			runFASTOD(b, ds, fastod.Options{Workers: w})
+			runFASTOD(b, ds, fastod.Request{RunOptions: fastod.RunOptions{Workers: w}})
 		})
 	}
 }

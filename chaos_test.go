@@ -27,6 +27,8 @@ import (
 //   - a schedule whose fault is never reached behaves exactly like no fault,
 //     and the faultinject.NodeSteal control, which no code hits, is never
 //     reached at all;
+//   - every engine fault point fires at least once under each action, so no
+//     point can drift off the hot path unnoticed;
 //   - no combination leaks goroutines, and after the whole sweep every
 //     algorithm still produces the baseline result (nothing was poisoned).
 func TestChaosEngineFaults(t *testing.T) {
@@ -43,15 +45,19 @@ func TestChaosEngineFaults(t *testing.T) {
 		fastod.AlgorithmORDER:         {Algorithm: fastod.AlgorithmORDER},
 	}
 
-	// smallStore returns a partition store tight enough that the eviction
-	// path actually runs (everything fits in a store at the default bound,
-	// and an eviction point that is never reached tests nothing).
-	smallStore := func() *fastod.PartitionStore { return fastod.NewPartitionStore(1 << 10) }
+	// smallStoreView returns a fresh view of the dataset with its own
+	// partition store, tight enough that the eviction path actually runs
+	// (everything fits in a store at the default bound, and an eviction
+	// point that is never reached tests nothing).
+	smallStoreView := func() *fastod.Dataset {
+		v := ds.Project(ds.NumCols())
+		v.EnablePartitionCache(1 << 10)
+		return v
+	}
 
 	baseline := make(map[fastod.Algorithm]int)
 	for alg, req := range requests {
-		req.Partitions = smallStore()
-		rep, err := ds.Run(ctx, req)
+		rep, err := smallStoreView().Run(ctx, req)
 		if err != nil {
 			t.Fatalf("baseline %s: %v", alg, err)
 		}
@@ -62,6 +68,12 @@ func TestChaosEngineFaults(t *testing.T) {
 	// that silently moves a fault point off the hot path (nothing fires any
 	// more) must fail the suite, not just make it vacuous.
 	var firedPanic, firedDegrade, unfired int
+	type pointAction struct {
+		point  faultinject.Point
+		action faultinject.Action
+	}
+	fired := make(map[pointAction]int)
+	actions := []faultinject.Action{faultinject.ActionPanic, faultinject.ActionError}
 
 	// Every combination runs under two fault schedules, each drawn from its
 	// own seed. They are labelled "dag" and "barrier", the names of the two
@@ -75,17 +87,17 @@ func TestChaosEngineFaults(t *testing.T) {
 		for alg, baseReq := range requests {
 			for _, schedule := range schedules {
 				for _, workers := range []int{1, 4} {
-					for _, action := range []faultinject.Action{faultinject.ActionPanic, faultinject.ActionError} {
+					for _, action := range actions {
 						seed++
 						name := fmt.Sprintf("%s/%s/%s/w%d/%s", point, alg, schedule, workers, action)
 						t.Run(name, func(t *testing.T) {
 							req := baseReq
 							req.Workers = workers
-							req.Partitions = smallStore()
+							view := smallStoreView()
 							plan := faultinject.Seeded(seed, point, action, 40, 0)
 							defer faultinject.Enable(plan)()
 
-							rep, err := ds.Run(ctx, req)
+							rep, err := view.Run(ctx, req)
 
 							if point == faultinject.NodeSteal && plan.Hits(point) != 0 {
 								t.Fatalf("the %s control was reached %d times; no code may hit it", point, plan.Hits(point))
@@ -105,6 +117,7 @@ func TestChaosEngineFaults(t *testing.T) {
 								}
 								return
 							}
+							fired[pointAction{point, action}]++
 
 							degradable := action == faultinject.ActionError &&
 								(point == faultinject.StoreGet || point == faultinject.StoreEvict)
@@ -161,12 +174,18 @@ func TestChaosEngineFaults(t *testing.T) {
 	if firedDegrade < 4 {
 		t.Errorf("only %d combinations exercised a degradation path", firedDegrade)
 	}
+	for _, point := range faultinject.EnginePoints {
+		for _, action := range actions {
+			if fired[pointAction{point, action}] == 0 {
+				t.Errorf("%s never fired under %s; the point has drifted off the hot path or its store never fills", point, action)
+			}
+		}
+	}
 
 	// After the full sweep (and with no plan armed) every algorithm must
 	// still produce the baseline: no fault poisoned shared state.
 	for alg, req := range requests {
-		req.Partitions = smallStore()
-		rep, err := ds.Run(ctx, req)
+		rep, err := smallStoreView().Run(ctx, req)
 		if err != nil {
 			t.Fatalf("post-sweep %s: %v", alg, err)
 		}

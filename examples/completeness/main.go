@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strconv"
@@ -35,14 +36,20 @@ func main() {
 	}
 	fmt.Printf("Dataset %q: %d tuples, %d attributes: %v\n\n", ds.Name(), ds.NumRows(), ds.NumCols(), ds.ColumnNames())
 
-	fast, err := ds.Discover(fastod.Options{})
+	ctx := context.Background()
+	fastRep, err := ds.Run(ctx, fastod.Request{})
 	if err != nil {
 		log.Fatalf("fastod: %v", err)
 	}
-	ord, err := ds.DiscoverWithORDER(fastod.ORDEROptions{Budget: fastod.DefaultBudget()})
+	fast := fastRep.FASTOD
+	ordRep, err := ds.Run(ctx, fastod.Request{
+		Algorithm:  fastod.AlgorithmORDER,
+		RunOptions: fastod.RunOptions{Budget: fastod.DefaultBudget()},
+	})
 	if err != nil {
 		log.Fatalf("order: %v", err)
 	}
+	ord := ordRep.ORDER
 
 	fmt.Printf("FASTOD discovered %s canonical ODs.\n", fast.Counts)
 	fmt.Printf("ORDER  discovered %d list ODs, mapping to %s canonical ODs (interrupted: %v).\n\n",

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -54,10 +55,15 @@ func main() {
 	}
 
 	// 2. Approximate discovery recovers the rules that almost hold.
-	approxRes, err := dirty.DiscoverApproximate(fastod.ApproxOptions{Threshold: 0.02})
+	ctx := context.Background()
+	approxRep, err := dirty.Run(ctx, fastod.Request{
+		Algorithm: fastod.AlgorithmApprox,
+		Approx:    fastod.ApproxRunOptions{Threshold: 0.02},
+	})
 	if err != nil {
 		log.Fatalf("approximate discovery: %v", err)
 	}
+	approxRes := approxRep.Approx
 	fmt.Printf("\nApproximate discovery (threshold 2%%) found %s ODs; those with non-zero error:\n", approxRes.Counts())
 	shown := 0
 	for _, d := range approxRes.ODs {
@@ -83,10 +89,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("ledger: %v", err)
 	}
-	bidi, err := ledger.DiscoverBidirectional(fastod.BidirOptions{})
+	bidiRep, err := ledger.Run(ctx, fastod.Request{Algorithm: fastod.AlgorithmBidirectional})
 	if err != nil {
 		log.Fatalf("bidirectional discovery: %v", err)
 	}
+	bidi := bidiRep.Bidir
 	fmt.Println("\nBidirectional ODs on the ledger (opposite polarities are invisible to unidirectional discovery):")
 	for _, od := range bidi.ODs {
 		if od.Kind == fastod.OrderCompatible && od.Polarity == fastod.OppositeDirection && od.Context.IsEmpty() {
@@ -95,10 +102,11 @@ func main() {
 	}
 
 	// 4. The advisor turns clean-data ODs into query rewrites.
-	res, err := clean.Discover(fastod.Options{})
+	rep, err := clean.Run(ctx, fastod.Request{})
 	if err != nil {
 		log.Fatalf("discover: %v", err)
 	}
+	res := rep.FASTOD
 	adv := fastod.NewAdvisor(res.ODs, res.ColumnNames)
 	suggestions, err := adv.Advise(fastod.AdvisorQuery{
 		OrderBy:         []string{"d_year", "d_quarter", "d_month"},

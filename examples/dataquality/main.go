@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,10 +20,11 @@ func main() {
 	clean := fastod.DateDimExample(2 * 365)
 	fmt.Printf("Clean dataset %q: %d tuples, %d attributes.\n", clean.Name(), clean.NumRows(), clean.NumCols())
 
-	res, err := clean.Discover(fastod.Options{})
+	rep, err := clean.Run(context.Background(), fastod.Request{})
 	if err != nil {
 		log.Fatalf("discover: %v", err)
 	}
+	res := rep.FASTOD
 	fmt.Printf("Discovered %s canonical ODs on the clean data.\n\n", res.Counts)
 
 	// Keep the business rules with small contexts: they are the most

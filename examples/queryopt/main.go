@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,10 +25,11 @@ func main() {
 	fmt.Printf("Dataset %q: %d tuples, %d attributes: %v\n\n",
 		ds.Name(), ds.NumRows(), ds.NumCols(), ds.ColumnNames())
 
-	res, err := ds.Discover(fastod.Options{})
+	rep, err := ds.Run(context.Background(), fastod.Request{})
 	if err != nil {
 		log.Fatalf("discover: %v", err)
 	}
+	res := rep.FASTOD
 	names := ds.ColumnNames()
 	fmt.Printf("Discovered %s canonical ODs in %v.\n\n", res.Counts, res.Elapsed)
 

@@ -1,7 +1,6 @@
 package fastod
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/advisor"
@@ -20,8 +19,6 @@ import (
 
 // Approximate order dependencies.
 type (
-	// ApproxOptions configures approximate discovery (error threshold).
-	ApproxOptions = approx.Options
 	// ApproxResult is the outcome of an approximate discovery run.
 	ApproxResult = approx.Result
 	// ApproxError reports how far an OD is from holding (minimum removals).
@@ -29,29 +26,6 @@ type (
 	// ODError pairs an OD with its measured error.
 	ODError = approx.ODError
 )
-
-// DiscoverApproximate finds the minimal canonical ODs whose error (the
-// fraction of tuples that must be removed for the OD to hold exactly) is at
-// most the configured threshold. Threshold 0 coincides with exact discovery.
-//
-// Deprecated: use Run with AlgorithmApprox and Request.Approx.Threshold,
-// which adds context cancellation, budgets and progress reporting.
-func (d *Dataset) DiscoverApproximate(opts ApproxOptions) (*ApproxResult, error) {
-	rep, err := d.RunWithProgress(context.Background(), Request{
-		Algorithm: AlgorithmApprox,
-		RunOptions: RunOptions{
-			Workers:    opts.Workers,
-			MaxLevel:   opts.MaxLevel,
-			Budget:     opts.Budget,
-			Partitions: opts.Partitions,
-		},
-		Approx: ApproxRunOptions{Threshold: opts.Threshold},
-	}, opts.Progress)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Approx, nil
-}
 
 // ODErrorOf measures the error of one canonical OD on the dataset.
 func (d *Dataset) ODErrorOf(od OD) (ApproxError, error) {
@@ -77,8 +51,6 @@ type (
 	// Polarity distinguishes same-direction from opposite-direction
 	// order compatibility.
 	Polarity = bidir.Polarity
-	// BidirOptions configures bidirectional discovery.
-	BidirOptions = bidir.Options
 	// BidirResult is the outcome of a bidirectional discovery run.
 	BidirResult = bidir.Result
 )
@@ -90,28 +62,6 @@ const (
 	SameDirection     = bidir.SameDirection
 	OppositeDirection = bidir.OppositeDirection
 )
-
-// DiscoverBidirectional finds the minimal bidirectional canonical ODs:
-// constancy ODs plus order-compatibility ODs annotated with whether the two
-// attributes move together or in opposite directions.
-//
-// Deprecated: use Run with AlgorithmBidirectional, which adds context
-// cancellation, budgets and progress reporting.
-func (d *Dataset) DiscoverBidirectional(opts BidirOptions) (*BidirResult, error) {
-	rep, err := d.RunWithProgress(context.Background(), Request{
-		Algorithm: AlgorithmBidirectional,
-		RunOptions: RunOptions{
-			Workers:    opts.Workers,
-			MaxLevel:   opts.MaxLevel,
-			Budget:     opts.Budget,
-			Partitions: opts.Partitions,
-		},
-	}, opts.Progress)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Bidir, nil
-}
 
 // CheckBidirListOD reports whether the bidirectional list OD "left ↦ right"
 // holds, with each side given as (column name, direction) pairs.
@@ -147,53 +97,12 @@ func (d *Dataset) bidirSpec(cols []DirectedColumn) (bidir.Spec, error) {
 
 // Conditional order dependencies.
 type (
-	// ConditionalOptions configures conditional discovery.
-	ConditionalOptions = conditional.Options
 	// ConditionalResult is the outcome of a conditional discovery run.
 	ConditionalResult = conditional.Result
 	// ConditionalOD is an OD that holds on the portion of the relation
 	// selected by an equality condition, but not unconditionally.
 	ConditionalOD = conditional.OD
 )
-
-// DiscoverConditional finds ODs that hold on condition-selected portions of
-// the dataset (e.g. within each country) but are not implied by the
-// unconditional ODs — the conditional-OD extension named in the paper's
-// conclusion. Like every other discovery entry it routes through Run, so its
-// unconditional pass now draws on the dataset's shared partition cache
-// (EnablePartitionCache) unless opts.Discovery.Partitions overrides it;
-// slice passes never touch the store (it binds to the full relation).
-//
-// Deprecated: use Run with AlgorithmConditional and Request.Conditional,
-// which adds context cancellation, budgets and progress reporting.
-func (d *Dataset) DiscoverConditional(opts ConditionalOptions) (*ConditionalResult, error) {
-	rep, err := d.RunWithProgress(context.Background(), Request{
-		Algorithm: AlgorithmConditional,
-		RunOptions: RunOptions{
-			Workers:    opts.Discovery.Workers,
-			MaxLevel:   opts.Discovery.MaxLevel,
-			Budget:     opts.Discovery.Budget,
-			Partitions: opts.Discovery.Partitions,
-		},
-		FASTOD: FASTODRunOptions{
-			DisablePruning:     opts.Discovery.DisablePruning,
-			DisableKeyPruning:  opts.Discovery.DisableKeyPruning,
-			DisableNodePruning: opts.Discovery.DisableNodePruning,
-			NaiveSwapCheck:     opts.Discovery.NaiveSwapCheck,
-			CountOnly:          opts.Discovery.CountOnly,
-			CollectLevelStats:  opts.Discovery.CollectLevelStats,
-		},
-		Conditional: ConditionalRunOptions{
-			MaxConditionCardinality: opts.MaxConditionCardinality,
-			MinSliceRows:            opts.MinSliceRows,
-			ConditionAttrs:          opts.ConditionAttrs,
-		},
-	}, opts.Discovery.Progress)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Conditional, nil
-}
 
 // Query-optimization advisor.
 type (

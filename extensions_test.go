@@ -13,10 +13,14 @@ func TestDiscoverApproximatePublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dirty.DiscoverApproximate(fastod.ApproxOptions{Threshold: 0.05})
+	rep, err := dirty.Run(t.Context(), fastod.Request{
+		Algorithm: fastod.AlgorithmApprox,
+		Approx:    fastod.ApproxRunOptions{Threshold: 0.05},
+	})
 	if err != nil {
-		t.Fatalf("DiscoverApproximate: %v", err)
+		t.Fatalf("approx Run: %v", err)
 	}
+	res := rep.Approx
 	if len(res.ODs) == 0 {
 		t.Fatal("expected approximate ODs")
 	}
@@ -58,12 +62,12 @@ func TestDiscoverBidirectionalPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ds.DiscoverBidirectional(fastod.BidirOptions{})
+	rep, err := ds.Run(t.Context(), fastod.Request{Algorithm: fastod.AlgorithmBidirectional})
 	if err != nil {
-		t.Fatalf("DiscoverBidirectional: %v", err)
+		t.Fatalf("bidir Run: %v", err)
 	}
 	found := false
-	for _, od := range res.ODs {
+	for _, od := range rep.Bidir.ODs {
 		if od.Kind == fastod.OrderCompatible && od.A == 0 && od.B == 1 &&
 			od.Context.IsEmpty() && od.Polarity == fastod.OppositeDirection {
 			found = true
@@ -97,11 +101,11 @@ func TestDiscoverBidirectionalPublic(t *testing.T) {
 
 func TestAdvisorPublic(t *testing.T) {
 	ds := fastod.DateDimExample(2 * 365)
-	res, err := ds.Discover(fastod.Options{})
+	rep, err := ds.Run(t.Context(), fastod.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv := fastod.NewAdvisor(res.ODs, res.ColumnNames)
+	adv := fastod.NewAdvisor(rep.FASTOD.ODs, rep.FASTOD.ColumnNames)
 	suggestions, err := adv.Advise(fastod.AdvisorQuery{
 		OrderBy:         []string{"d_year", "d_quarter", "d_month"},
 		GroupBy:         []string{"d_year", "d_quarter", "d_month"},
@@ -179,11 +183,11 @@ func TestParseAndCheckStatements(t *testing.T) {
 	}
 
 	// FormatOD round-trips through the parser.
-	res, err := ds.Discover(fastod.Options{})
+	rep, err := ds.Run(t.Context(), fastod.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := fastod.FormatOD(res.ODs[0], res.ColumnNames)
+	text := fastod.FormatOD(rep.FASTOD.ODs[0], rep.FASTOD.ColumnNames)
 	if _, err := fastod.ParseOD(text); err != nil {
 		t.Errorf("FormatOD produced unparseable text %q: %v", text, err)
 	}
@@ -204,10 +208,11 @@ func TestDiscoverConditionalPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ds.DiscoverConditional(fastod.ConditionalOptions{})
+	rep, err := ds.Run(t.Context(), fastod.Request{Algorithm: fastod.AlgorithmConditional})
 	if err != nil {
-		t.Fatalf("DiscoverConditional: %v", err)
+		t.Fatalf("conditional Run: %v", err)
 	}
+	res := rep.Conditional
 	if res.Global == nil || res.SlicesExamined == 0 {
 		t.Fatalf("conditional result incomplete: %+v", res)
 	}

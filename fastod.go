@@ -30,12 +30,11 @@
 // functional dependencies, ORDER for list-based OD discovery) — selected via
 // Request.Algorithm — a brute-force reference discoverer used for validation,
 // violation witnesses for data cleaning, and the Theorem-5 mapping between
-// list-based and set-based ODs. The per-algorithm Discover* methods predate
-// Run and remain as deprecated wrappers.
+// list-based and set-based ODs. Run and RunWithProgress are the only
+// discovery entry points.
 package fastod
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -62,8 +61,6 @@ type (
 	Cover = canonical.Cover
 	// Violation is a witness pair of rows explaining why an OD fails.
 	Violation = canonical.Violation
-	// Options configures a FASTOD discovery run.
-	Options = core.Options
 	// Result is the outcome of a FASTOD discovery run.
 	Result = core.Result
 	// LevelStat reports per-lattice-level statistics (Figure 7).
@@ -76,20 +73,12 @@ type (
 	ListOD = listod.OD
 	// PartitionStore is a bounded, concurrency-safe cache of stripped
 	// partitions keyed by attribute set, shared between discovery runs over
-	// the same relation (see Dataset.EnablePartitionCache and
-	// Options.Partitions).
+	// the same relation. Dataset.EnablePartitionCache attaches one and
+	// returns it for inspection.
 	PartitionStore = lattice.PartitionStore
 	// StoreStats is a snapshot of a PartitionStore's accounting.
 	StoreStats = lattice.StoreStats
 )
-
-// NewPartitionStore builds an empty partition store bounded to maxCost bytes
-// of retained class data (partitions are stored flat, so the accounting is
-// byte-exact); maxCost <= 0 selects a 16 MiB default. A store must only ever
-// be shared between discovery runs over the same relation instance.
-func NewPartitionStore(maxCost int) *PartitionStore {
-	return lattice.NewPartitionStore(maxCost)
-}
 
 // Kinds of canonical ODs.
 const (
@@ -250,61 +239,19 @@ func (d *Dataset) HeadRows(n int) *Dataset {
 // cache in bytes of retained class data (<= 0 selects a 16 MiB default);
 // beyond it partitions are evicted deepest-attribute-set-level first (then
 // least recently used within a level), because shallow partitions are
-// exponentially more reusable than deep ones. The first call wins:
-// once the dataset carries a store, later calls return it unchanged and
-// their maxCost is ignored. The store is returned so callers can inspect
-// its Stats. Discovery output is identical with and without the cache.
+// exponentially more reusable than deep ones. Runs under a non-default
+// Request.OrderSpecs use one store per spec encoding with the same bound,
+// whether the spec was encoded before or after this call. The first call
+// wins: once the dataset carries a store, later calls return it unchanged
+// and their maxCost is ignored. The store is returned so callers can
+// inspect its Stats. Discovery output is identical with and without the
+// cache.
 func (d *Dataset) EnablePartitionCache(maxCost int) *PartitionStore {
 	if d.parts == nil {
 		d.parts = lattice.NewPartitionStore(maxCost)
 	}
 	return d.parts
 }
-
-// partitions returns the dataset's shared store unless the caller supplied
-// its own in the run options.
-func (d *Dataset) partitions(explicit *lattice.PartitionStore) *lattice.PartitionStore {
-	if explicit != nil {
-		return explicit
-	}
-	return d.parts
-}
-
-// Discover runs FASTOD over the dataset and returns the complete, minimal set
-// of canonical ODs (or all valid ODs with Options.DisablePruning). It is a
-// thin wrapper over Run with a background context, so it can be neither
-// cancelled nor observed while running.
-//
-// Deprecated: use Run with AlgorithmFASTOD, which adds context cancellation,
-// budgets and progress reporting.
-func (d *Dataset) Discover(opts Options) (*Result, error) {
-	rep, err := d.RunWithProgress(context.Background(), Request{
-		Algorithm: AlgorithmFASTOD,
-		RunOptions: RunOptions{
-			Workers:    opts.Workers,
-			MaxLevel:   opts.MaxLevel,
-			Budget:     opts.Budget,
-			Partitions: opts.Partitions,
-		},
-		FASTOD: FASTODRunOptions{
-			DisablePruning:     opts.DisablePruning,
-			DisableKeyPruning:  opts.DisableKeyPruning,
-			DisableNodePruning: opts.DisableNodePruning,
-			NaiveSwapCheck:     opts.NaiveSwapCheck,
-			CountOnly:          opts.CountOnly,
-			CollectLevelStats:  opts.CollectLevelStats,
-		},
-	}, opts.Progress)
-	if err != nil {
-		return nil, err
-	}
-	return rep.FASTOD, nil
-}
-
-// Discover is the package-level convenience form of Dataset.Discover.
-//
-// Deprecated: use Dataset.Run with AlgorithmFASTOD.
-func Discover(d *Dataset, opts Options) (*Result, error) { return d.Discover(opts) }
 
 // ReferenceDiscover runs the brute-force reference discoverer (exponential in
 // attributes, quadratic in rows). It exists to validate the fast algorithm

@@ -24,11 +24,11 @@ func TestLoadCSVAndDiscover(t *testing.T) {
 	if ds.NumRows() != 6 || ds.NumCols() != 3 {
 		t.Fatalf("dims %dx%d", ds.NumRows(), ds.NumCols())
 	}
-	res, err := ds.Discover(fastod.Options{})
+	rep, err := ds.Run(t.Context(), fastod.Request{})
 	if err != nil {
-		t.Fatalf("Discover: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	cover := fastod.NewCover(res.ODs)
+	cover := fastod.NewCover(rep.FASTOD.ODs)
 	sal, tax := ds.ColumnIndex("sal"), ds.ColumnIndex("tax")
 	if !cover.Implies(fastod.NewConstancyOD([]int{sal}, tax)) {
 		t.Error("{sal}: [] -> tax should be implied")
@@ -160,8 +160,8 @@ func TestProjectAndHeadRows(t *testing.T) {
 	if h.NumRows() != 50 || h.NumCols() != 12 {
 		t.Errorf("HeadRows dims %dx%d", h.NumRows(), h.NumCols())
 	}
-	if _, err := p.Discover(fastod.Options{}); err != nil {
-		t.Errorf("Discover on projection: %v", err)
+	if _, err := p.Run(t.Context(), fastod.Request{}); err != nil {
+		t.Errorf("Run on projection: %v", err)
 	}
 }
 
@@ -174,12 +174,12 @@ func TestSyntheticDatasetsDiscoverable(t *testing.T) {
 		"datedim":   fastod.DateDimExample(90),
 	}
 	for name, ds := range sets {
-		res, err := ds.Discover(fastod.Options{})
+		rep, err := ds.Run(t.Context(), fastod.Request{})
 		if err != nil {
-			t.Errorf("%s: Discover: %v", name, err)
+			t.Errorf("%s: Run: %v", name, err)
 			continue
 		}
-		if res.Counts.Total == 0 {
+		if rep.FASTOD.Counts.Total == 0 {
 			t.Errorf("%s: expected some ODs", name)
 		}
 		if len(ds.ColumnNames()) != ds.NumCols() {
@@ -191,24 +191,28 @@ func TestSyntheticDatasetsDiscoverable(t *testing.T) {
 func TestBaselinesPublicAPI(t *testing.T) {
 	ds := fastod.EmployeesExample()
 
-	fds, err := ds.DiscoverFDs(fastod.TANEOptions{})
+	fds, err := ds.Run(t.Context(), fastod.Request{Algorithm: fastod.AlgorithmTANE})
 	if err != nil {
-		t.Fatalf("DiscoverFDs: %v", err)
+		t.Fatalf("TANE: %v", err)
 	}
-	res, err := ds.Discover(fastod.Options{})
+	rep, err := ds.Run(t.Context(), fastod.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fds.FDs) != res.Counts.Constancy {
-		t.Errorf("TANE found %d FDs, FASTOD found %d constancy ODs", len(fds.FDs), res.Counts.Constancy)
+	res := rep.FASTOD
+	if len(fds.TANE.FDs) != res.Counts.Constancy {
+		t.Errorf("TANE found %d FDs, FASTOD found %d constancy ODs", len(fds.TANE.FDs), res.Counts.Constancy)
 	}
 
-	ord, err := ds.DiscoverWithORDER(fastod.ORDEROptions{Budget: fastod.DefaultBudget()})
+	ord, err := ds.Run(t.Context(), fastod.Request{
+		Algorithm:  fastod.AlgorithmORDER,
+		RunOptions: fastod.RunOptions{Budget: fastod.DefaultBudget()},
+	})
 	if err != nil {
-		t.Fatalf("DiscoverWithORDER: %v", err)
+		t.Fatalf("ORDER: %v", err)
 	}
 	cover := fastod.NewCover(res.ODs)
-	for _, od := range ord.Canonical {
+	for _, od := range ord.ORDER.Canonical {
 		if !cover.Implies(od) {
 			t.Errorf("ORDER OD %v not implied by FASTOD output", od)
 		}
@@ -221,12 +225,12 @@ func TestReferenceDiscoverPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReferenceDiscover: %v", err)
 	}
-	res, err := ds.Discover(fastod.Options{})
+	rep, err := ds.Run(t.Context(), fastod.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ref) != len(res.ODs) {
-		t.Errorf("reference found %d ODs, FASTOD %d", len(ref), len(res.ODs))
+	if len(ref) != len(rep.FASTOD.ODs) {
+		t.Errorf("reference found %d ODs, FASTOD %d", len(ref), len(rep.FASTOD.ODs))
 	}
 }
 

@@ -15,10 +15,9 @@ import (
 func TestFingerprintIgnoresExecutionKnobs(t *testing.T) {
 	base := fastod.Request{Algorithm: fastod.AlgorithmFASTOD}
 	for name, variant := range map[string]fastod.Request{
-		"workers 1":          {Algorithm: fastod.AlgorithmFASTOD, RunOptions: fastod.RunOptions{Workers: 1}},
-		"workers 8":          {Algorithm: fastod.AlgorithmFASTOD, RunOptions: fastod.RunOptions{Workers: 8}},
-		"partition override": {Algorithm: fastod.AlgorithmFASTOD, RunOptions: fastod.RunOptions{Partitions: fastod.NewPartitionStore(0)}},
-		"zero algorithm":     {},
+		"workers 1":      {Algorithm: fastod.AlgorithmFASTOD, RunOptions: fastod.RunOptions{Workers: 1}},
+		"workers 8":      {Algorithm: fastod.AlgorithmFASTOD, RunOptions: fastod.RunOptions{Workers: 8}},
+		"zero algorithm": {},
 	} {
 		if got, want := variant.Fingerprint(), base.Fingerprint(); got != want {
 			t.Errorf("%s: fingerprint %q != base %q — execution knob leaked into the key", name, got, want)
@@ -225,21 +224,10 @@ func TestValidateRejectsBadOrderSpecs(t *testing.T) {
 			{Column: "a", Ranks: []string{"x"}}}}},
 		"rank collation without ranks": {RunOptions: fastod.RunOptions{OrderSpecs: []fastod.AttrOrder{
 			{Column: "a", Collation: fastod.CollateRank}}}},
-		"partitions with specs": {RunOptions: fastod.RunOptions{
-			Partitions: fastod.NewPartitionStore(0),
-			OrderSpecs: []fastod.AttrOrder{{Column: "a", Direction: fastod.OrderDesc}}}},
 	} {
 		if err := req.Validate(); !errors.Is(err, fastod.ErrInvalidRequest) {
 			t.Errorf("%s: Validate() = %v, want ErrInvalidRequest", name, err)
 		}
-	}
-	// A partition override WITH a spec list that canonicalizes away is fine.
-	ok := fastod.Request{RunOptions: fastod.RunOptions{
-		Partitions: fastod.NewPartitionStore(0),
-		OrderSpecs: []fastod.AttrOrder{{Column: "a"}},
-	}}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("all-default specs with partitions rejected: %v", err)
 	}
 }
 

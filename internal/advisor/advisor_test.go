@@ -18,7 +18,7 @@ func dateDimAdvisor(t *testing.T) (*Advisor, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Discover(enc, core.Options{})
+	res, err := core.DiscoverContext(t.Context(), enc, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestAdvisorOnEmployees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Discover(enc, core.Options{})
+	res, err := core.DiscoverContext(t.Context(), enc, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,7 @@
 //     *testing.T/B/F or testing.TB is tolerated for test helpers).
 //  2. An exported production function with no ctx parameter must not bake
 //     context.Background()/TODO() into a call: its callers can never cancel
-//     the work. Functions documented "Deprecated:" are exempt — the frozen
-//     pre-Run compatibility wrappers are exactly the sanctioned exception.
+//     the work.
 //  3. A production function that already receives a ctx must not hand
 //     context.Background()/TODO() to a callee, which would detach that call
 //     from cancellation. (Assigning "ctx = context.Background()" to
@@ -24,7 +23,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/internal/analyzers/analysis"
 	"repro/internal/analyzers/astwalk"
@@ -92,8 +90,7 @@ func checkParamOrder(pass *analysis.Pass, ft *ast.FuncType) {
 // checkBackgroundUse applies rules 2 and 3 to one declared function.
 func checkBackgroundUse(pass *analysis.Pass, fn *ast.FuncDecl) {
 	hasCtx := funcHasCtxParam(pass.Info, fn.Type)
-	exported := fn.Name.IsExported()
-	if !hasCtx && (!exported || isDeprecated(fn)) {
+	if !hasCtx && !fn.Name.IsExported() {
 		return
 	}
 	astwalk.WithStack(fn.Body, func(n ast.Node, stack []ast.Node) bool {
@@ -110,7 +107,7 @@ func checkBackgroundUse(pass *analysis.Pass, fn *ast.FuncDecl) {
 			}
 			pass.Reportf(call.Pos(), "%s already receives a ctx but hands %s to a callee, detaching it from cancellation; pass the caller's ctx (or //lint:allow ctxfirst <reason> for deliberate detachment)", fn.Name.Name, callName(call))
 		} else {
-			pass.Reportf(call.Pos(), "exported %s bakes %s in, so callers can never cancel the work; take ctx context.Context as the first parameter (or document the function Deprecated:)", fn.Name.Name, callName(call))
+			pass.Reportf(call.Pos(), "exported %s bakes %s in, so callers can never cancel the work; take ctx context.Context as the first parameter", fn.Name.Name, callName(call))
 		}
 		return true
 	})
@@ -171,16 +168,4 @@ func callName(call *ast.CallExpr) string {
 		return "context." + sel.Sel.Name + "()"
 	}
 	return "context.Background()"
-}
-
-func isDeprecated(fn *ast.FuncDecl) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if strings.HasPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), "Deprecated:") {
-			return true
-		}
-	}
-	return false
 }

@@ -34,9 +34,11 @@ func ExportedVia() {
 	use(ctx)
 }
 
+// A Deprecated: doc comment exempts nothing: rule 2 still applies.
+//
 // Deprecated: use Good, which threads the caller's ctx.
 func ExportedDeprecated() {
-	use(context.Background()) // ok: frozen compatibility wrapper
+	use(context.Background()) // want `bakes context.Background`
 }
 
 func unexported() {

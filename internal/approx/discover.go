@@ -67,9 +67,9 @@ func (r *Result) Counts() canonical.Count {
 	return canonical.CountByKind(ods)
 }
 
-// Discover finds the minimal canonical ODs whose error rate is at most the
-// threshold. Because the error measure is monotone (a larger context never
-// has a larger error), the notion of minimality is the same as in exact
+// DiscoverContext finds the minimal canonical ODs whose error rate is at
+// most the threshold. Because the error measure is monotone (a larger context
+// never has a larger error), the notion of minimality is the same as in exact
 // discovery: an OD is reported only if no proper subset context already
 // meets the threshold, and an order-compatibility OD only if neither of its
 // attributes is (approximately) constant in its context — the approximate
@@ -81,14 +81,10 @@ func (r *Result) Counts() canonical.Count {
 // candidates by computing their error directly; it trades some of FASTOD's
 // pruning for simplicity since thresholds are typically used on modest
 // schemas during data profiling.
-func Discover(enc *relation.Encoded, opts Options) (*Result, error) {
-	//lint:allow ctxfirst convenience wrapper kept for callers that cannot cancel; DiscoverContext is the cancellable entry point
-	return DiscoverContext(context.Background(), enc, opts)
-}
-
-// DiscoverContext is Discover with cooperative cancellation and budgeting
-// (see core.DiscoverContext): an interrupted run returns the approximate ODs
-// found so far with Interrupted set instead of an error.
+//
+// Cancellation and budgeting are cooperative (see core.DiscoverContext): an
+// interrupted run returns the approximate ODs found so far with Interrupted
+// set instead of an error.
 func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (*Result, error) {
 	if enc == nil || enc.NumCols() == 0 {
 		return nil, fmt.Errorf("approx: empty relation")

@@ -11,17 +11,17 @@ import (
 )
 
 func TestDiscoverValidation(t *testing.T) {
-	if _, err := Discover(nil, Options{}); err == nil {
+	if _, err := DiscoverContext(t.Context(), nil, Options{}); err == nil {
 		t.Error("nil relation must be rejected")
 	}
-	if _, err := Discover(&relation.Encoded{}, Options{}); err == nil {
+	if _, err := DiscoverContext(t.Context(), &relation.Encoded{}, Options{}); err == nil {
 		t.Error("empty relation must be rejected")
 	}
 	enc := encode(t, datagen.Employees())
-	if _, err := Discover(enc, Options{Threshold: -0.1}); err == nil {
+	if _, err := DiscoverContext(t.Context(), enc, Options{Threshold: -0.1}); err == nil {
 		t.Error("negative threshold must be rejected")
 	}
-	if _, err := Discover(enc, Options{Threshold: 1.0}); err == nil {
+	if _, err := DiscoverContext(t.Context(), enc, Options{Threshold: 1.0}); err == nil {
 		t.Error("threshold >= 1 must be rejected")
 	}
 }
@@ -33,11 +33,11 @@ func TestDiscoverThresholdZeroMatchesExact(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		rel := datagen.RandomStructuredRelation(2+rng.Intn(16), 4, 3, rng.Int63())
 		enc := encode(t, rel)
-		exact, err := core.Discover(enc, core.Options{})
+		exact, err := core.DiscoverContext(t.Context(), enc, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		approx, err := Discover(enc, Options{Threshold: 0})
+		approx, err := DiscoverContext(t.Context(), enc, Options{Threshold: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestDiscoverMonotoneInThreshold(t *testing.T) {
 	thresholds := []float64{0, 0.05, 0.2, 0.5}
 	var prev []Discovered
 	for i, th := range thresholds {
-		res, err := Discover(enc, Options{Threshold: th})
+		res, err := DiscoverContext(t.Context(), enc, Options{Threshold: th})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestDiscoverApproximateFindsNearlyHoldingODs(t *testing.T) {
 	yearIdx := 2
 	target := canonical.NewOrderCompatible(0, skIdx, yearIdx) // {}: d_date_sk ~ d_year
 
-	exact, err := core.Discover(enc, core.Options{})
+	exact, err := core.DiscoverContext(t.Context(), enc, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestDiscoverApproximateFindsNearlyHoldingODs(t *testing.T) {
 		t.Fatal("corruption failed: exact discovery still implies the target OD")
 	}
 
-	res, err := Discover(enc, Options{Threshold: 0.05})
+	res, err := DiscoverContext(t.Context(), enc, Options{Threshold: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestDiscoverApproximateFindsNearlyHoldingODs(t *testing.T) {
 
 func TestDiscoverMaxLevel(t *testing.T) {
 	enc := encode(t, datagen.Employees())
-	res, err := Discover(enc, Options{Threshold: 0.1, MaxLevel: 2})
+	res, err := DiscoverContext(t.Context(), enc, Options{Threshold: 0.1, MaxLevel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestDiscoverMaxLevel(t *testing.T) {
 // approximately constant attribute in its context pair (Propagate analogue).
 func TestDiscoverReportedODsAreMinimal(t *testing.T) {
 	enc := encode(t, datagen.HepatitisLike(80, 6, 5))
-	res, err := Discover(enc, Options{Threshold: 0.1})
+	res, err := DiscoverContext(t.Context(), enc, Options{Threshold: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +196,11 @@ func differentialRelations(t *testing.T) map[string]*relation.Encoded {
 func TestParallelMatchesSequentialDifferential(t *testing.T) {
 	for name, enc := range differentialRelations(t) {
 		for _, threshold := range []float64{0, 0.05} {
-			seq, err := Discover(enc, Options{Workers: 1, Threshold: threshold})
+			seq, err := DiscoverContext(t.Context(), enc, Options{Workers: 1, Threshold: threshold})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			par, err := Discover(enc, Options{Workers: 4, Threshold: threshold})
+			par, err := DiscoverContext(t.Context(), enc, Options{Workers: 4, Threshold: threshold})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -226,14 +226,14 @@ func TestParallelWorkerCounts(t *testing.T) {
 	for _, opts := range []Options{{Threshold: 0.02}, {Threshold: 0.02, MaxLevel: 3}} {
 		seqOpts := opts
 		seqOpts.Workers = 1
-		want, err := Discover(enc, seqOpts)
+		want, err := DiscoverContext(t.Context(), enc, seqOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{0, 2, 8, 64, -3} {
 			parOpts := opts
 			parOpts.Workers = w
-			got, err := Discover(enc, parOpts)
+			got, err := DiscoverContext(t.Context(), enc, parOpts)
 			if err != nil {
 				t.Fatal(err)
 			}

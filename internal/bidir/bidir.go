@@ -323,22 +323,18 @@ type Result struct {
 	Interrupted bool
 }
 
-// Discover finds the minimal bidirectional canonical ODs of a relation:
-// constancy ODs exactly as in the unidirectional case plus, for every
-// attribute pair and context, whether the pair is order compatible in the
-// same direction, in opposite directions, or both (which only happens when
-// one attribute is constant within the context — then Propagate already makes
-// the OD non-minimal). Minimality follows the unidirectional rules: no subset
-// context may satisfy the same OD (with the same polarity) and neither paired
-// attribute may be constant in the context.
-func Discover(enc *relation.Encoded, opts Options) (*Result, error) {
-	//lint:allow ctxfirst convenience wrapper kept for callers that cannot cancel; DiscoverContext is the cancellable entry point
-	return DiscoverContext(context.Background(), enc, opts)
-}
-
-// DiscoverContext is Discover with cooperative cancellation and budgeting
-// (see core.DiscoverContext): an interrupted run returns the bidirectional
-// ODs found so far with Interrupted set instead of an error.
+// DiscoverContext finds the minimal bidirectional canonical ODs of a
+// relation: constancy ODs exactly as in the unidirectional case plus, for
+// every attribute pair and context, whether the pair is order compatible in
+// the same direction, in opposite directions, or both (which only happens
+// when one attribute is constant within the context — then Propagate already
+// makes the OD non-minimal). Minimality follows the unidirectional rules: no
+// subset context may satisfy the same OD (with the same polarity) and neither
+// paired attribute may be constant in the context.
+//
+// Cancellation and budgeting are cooperative (see core.DiscoverContext): an
+// interrupted run returns the bidirectional ODs found so far with Interrupted
+// set instead of an error.
 func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (*Result, error) {
 	if enc == nil || enc.NumCols() == 0 {
 		return nil, fmt.Errorf("bidir: empty relation")

@@ -98,7 +98,7 @@ func TestHoldsMatchesUnidirectional(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		rel := datagen.RandomStructuredRelation(2+rng.Intn(16), 4, 3, rng.Int63())
 		enc := encode(t, rel)
-		res, err := core.Discover(enc, core.Options{})
+		res, err := core.DiscoverContext(t.Context(), enc, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,17 +174,17 @@ func TestODHoldsValidation(t *testing.T) {
 }
 
 func TestDiscoverValidation(t *testing.T) {
-	if _, err := Discover(nil, Options{}); err == nil {
+	if _, err := DiscoverContext(t.Context(), nil, Options{}); err == nil {
 		t.Error("nil relation must be rejected")
 	}
-	if _, err := Discover(&relation.Encoded{}, Options{}); err == nil {
+	if _, err := DiscoverContext(t.Context(), &relation.Encoded{}, Options{}); err == nil {
 		t.Error("empty relation must be rejected")
 	}
 }
 
 func TestDiscoverOpposingColumns(t *testing.T) {
 	enc := opposing(t, 30)
-	res, err := Discover(enc, Options{})
+	res, err := DiscoverContext(t.Context(), enc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +221,11 @@ func TestDiscoverSameDirectionSubsumesUnidirectional(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		rel := datagen.RandomStructuredRelation(2+rng.Intn(16), 4, 3, rng.Int63())
 		enc := encode(t, rel)
-		uni, err := core.Discover(enc, core.Options{})
+		uni, err := core.DiscoverContext(t.Context(), enc, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bi, err := Discover(enc, Options{})
+		bi, err := DiscoverContext(t.Context(), enc, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestDiscoverSameDirectionSubsumesUnidirectional(t *testing.T) {
 
 func TestDiscoverMaxLevel(t *testing.T) {
 	enc := encode(t, datagen.Employees())
-	res, err := Discover(enc, Options{MaxLevel: 2})
+	res, err := DiscoverContext(t.Context(), enc, Options{MaxLevel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,11 +292,11 @@ func differentialRelations(t *testing.T) map[string]*relation.Encoded {
 // context, pair and polarity), same node counter — on every seeded dataset.
 func TestParallelMatchesSequentialDifferential(t *testing.T) {
 	for name, enc := range differentialRelations(t) {
-		seq, err := Discover(enc, Options{Workers: 1})
+		seq, err := DiscoverContext(t.Context(), enc, Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		par, err := Discover(enc, Options{Workers: 4})
+		par, err := DiscoverContext(t.Context(), enc, Options{Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -321,14 +321,14 @@ func TestParallelWorkerCounts(t *testing.T) {
 	for _, opts := range []Options{{}, {MaxLevel: 3}} {
 		seqOpts := opts
 		seqOpts.Workers = 1
-		want, err := Discover(enc, seqOpts)
+		want, err := DiscoverContext(t.Context(), enc, seqOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{0, 2, 8, 64, -3} {
 			parOpts := opts
 			parOpts.Workers = w
-			got, err := Discover(enc, parOpts)
+			got, err := DiscoverContext(t.Context(), enc, parOpts)
 			if err != nil {
 				t.Fatal(err)
 			}

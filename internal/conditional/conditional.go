@@ -112,13 +112,6 @@ type Result struct {
 	Elapsed     time.Duration
 }
 
-// Discover runs conditional discovery with a background context; see
-// DiscoverContext.
-func Discover(enc *relation.Encoded, opts Options) (*Result, error) {
-	//lint:allow ctxfirst convenience wrapper kept for callers that cannot cancel; DiscoverContext is the cancellable entry point
-	return DiscoverContext(context.Background(), enc, opts)
-}
-
 // DiscoverContext finds conditional canonical ODs. An OD is reported for a
 // condition slice only if it is minimal on that slice (FASTOD's own
 // minimality) and not already implied by the unconditional ODs of the full

@@ -35,21 +35,21 @@ func bracketRelation(t *testing.T) *relation.Encoded {
 }
 
 func TestDiscoverValidation(t *testing.T) {
-	if _, err := Discover(nil, Options{}); err == nil {
+	if _, err := DiscoverContext(t.Context(), nil, Options{}); err == nil {
 		t.Error("nil relation must be rejected")
 	}
-	if _, err := Discover(&relation.Encoded{}, Options{}); err == nil {
+	if _, err := DiscoverContext(t.Context(), &relation.Encoded{}, Options{}); err == nil {
 		t.Error("empty relation must be rejected")
 	}
 	enc := bracketRelation(t)
-	if _, err := Discover(enc, Options{ConditionAttrs: []int{99}}); err == nil {
+	if _, err := DiscoverContext(t.Context(), enc, Options{ConditionAttrs: []int{99}}); err == nil {
 		t.Error("out-of-range condition attribute must be rejected")
 	}
 }
 
 func TestDiscoverFindsBracketRule(t *testing.T) {
 	enc := bracketRelation(t)
-	res, err := Discover(enc, Options{})
+	res, err := DiscoverContext(t.Context(), enc, Options{})
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestDiscoverFindsBracketRule(t *testing.T) {
 
 func TestDiscoverSkipsGloballyImpliedAndConditionAttribute(t *testing.T) {
 	enc := bracketRelation(t)
-	res, err := Discover(enc, Options{})
+	res, err := DiscoverContext(t.Context(), enc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestDiscoverRespectsBounds(t *testing.T) {
 	enc := bracketRelation(t)
 	// income has ~30 distinct values; with the default cardinality bound it
 	// must not be used as a condition attribute.
-	res, err := Discover(enc, Options{MaxConditionCardinality: 8})
+	res, err := DiscoverContext(t.Context(), enc, Options{MaxConditionCardinality: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestDiscoverRespectsBounds(t *testing.T) {
 		}
 	}
 	// MinSliceRows larger than every slice suppresses all conditional ODs.
-	res, err = Discover(enc, Options{MinSliceRows: 1000})
+	res, err = DiscoverContext(t.Context(), enc, Options{MinSliceRows: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestDiscoverRespectsBounds(t *testing.T) {
 		t.Errorf("expected no slices with MinSliceRows=1000, got %d ODs over %d slices", len(res.ODs), res.SlicesExamined)
 	}
 	// Restricting condition attributes is honoured.
-	res, err = Discover(enc, Options{ConditionAttrs: []int{3}})
+	res, err = DiscoverContext(t.Context(), enc, Options{ConditionAttrs: []int{3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestDiscoverOnEmployees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Discover(enc, Options{Discovery: core.Options{MaxLevel: 3}, MinSliceRows: 2})
+	res, err := DiscoverContext(t.Context(), enc, Options{Discovery: core.Options{MaxLevel: 3}, MinSliceRows: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,13 +163,13 @@ func TestMaxLevelReachedCoversSlicePasses(t *testing.T) {
 		bracketRelation(t),
 		mustEncode(t, datagen.HepatitisLike(80, 5, 7)),
 	} {
-		res, err := Discover(enc, Options{})
+		res, err := DiscoverContext(t.Context(), enc, Options{})
 		if err != nil {
 			t.Fatalf("Discover: %v", err)
 		}
 		// Oracle: the global pass plus an independent FASTOD run per slice,
 		// replicating the slicing rules (default cardinality/row bounds).
-		global, err := core.Discover(enc, core.Options{})
+		global, err := core.DiscoverContext(t.Context(), enc, core.Options{})
 		if err != nil {
 			t.Fatalf("core.Discover: %v", err)
 		}
@@ -190,7 +190,7 @@ func TestMaxLevelReachedCoversSlicePasses(t *testing.T) {
 				if err != nil {
 					t.Fatalf("SelectRows: %v", err)
 				}
-				sliceRes, err := core.Discover(slice, core.Options{})
+				sliceRes, err := core.DiscoverContext(t.Context(), slice, core.Options{})
 				if err != nil {
 					t.Fatalf("slice core.Discover: %v", err)
 				}

@@ -29,7 +29,7 @@ func BenchmarkDiscoverFlight1Kx10(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Discover(enc, Options{Workers: 1}); err != nil {
+		if _, err := DiscoverContext(b.Context(), enc, Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -50,7 +50,7 @@ func BenchmarkDiscoverRowsScaling(b *testing.B) {
 			b.Run(sizeLabel(rows)+"/"+cfg.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := Discover(enc, Options{Workers: cfg.workers}); err != nil {
+					if _, err := DiscoverContext(b.Context(), enc, Options{Workers: cfg.workers}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -67,7 +67,7 @@ func BenchmarkDiscoverWorkersScaling(b *testing.B) {
 		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Discover(enc, Options{Workers: w}); err != nil {
+				if _, err := DiscoverContext(b.Context(), enc, Options{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -88,7 +88,7 @@ func BenchmarkDiscoverWide(b *testing.B) {
 		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Discover(enc, Options{Workers: w}); err != nil {
+				if _, err := DiscoverContext(b.Context(), enc, Options{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -101,7 +101,7 @@ func BenchmarkDiscoverNoPruning(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Discover(enc, Options{Workers: 1, DisablePruning: true, CountOnly: true}); err != nil {
+		if _, err := DiscoverContext(b.Context(), enc, Options{Workers: 1, DisablePruning: true, CountOnly: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

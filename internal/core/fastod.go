@@ -14,12 +14,6 @@ import (
 	"repro/internal/relation"
 )
 
-// Discover runs FASTOD with a background context; see DiscoverContext.
-func Discover(enc *relation.Encoded, opts Options) (*Result, error) {
-	//lint:allow ctxfirst convenience wrapper kept for callers that cannot cancel; DiscoverContext is the cancellable entry point
-	return DiscoverContext(context.Background(), enc, opts)
-}
-
 // DiscoverContext runs FASTOD (Algorithm 1 of the paper) over an encoded
 // relation instance and returns the complete, minimal set of canonical ODs
 // that hold, or — with Options.DisablePruning — every valid OD, minimal or

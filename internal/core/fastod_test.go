@@ -21,7 +21,7 @@ func encode(t *testing.T, r *relation.Relation) *relation.Encoded {
 
 func discover(t *testing.T, enc *relation.Encoded, opts Options) *Result {
 	t.Helper()
-	res, err := Discover(enc, opts)
+	res, err := DiscoverContext(t.Context(), enc, opts)
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -29,11 +29,11 @@ func discover(t *testing.T, enc *relation.Encoded, opts Options) *Result {
 }
 
 func TestDiscoverInputValidation(t *testing.T) {
-	if _, err := Discover(nil, Options{}); err == nil {
+	if _, err := DiscoverContext(t.Context(), nil, Options{}); err == nil {
 		t.Error("nil relation must be rejected")
 	}
 	empty := &relation.Encoded{}
-	if _, err := Discover(empty, Options{}); err == nil {
+	if _, err := DiscoverContext(t.Context(), empty, Options{}); err == nil {
 		t.Error("zero-column relation must be rejected")
 	}
 }

@@ -44,11 +44,11 @@ type Options struct {
 	// it before computing any stripped partition and records every partition
 	// it derives, so partitions are reused across runs that pass the same
 	// store — the pruned and un-pruned passes of one experiment, repeated
-	// Discover calls on the same dataset, or the TANE/approximate/
-	// bidirectional algorithms profiling the same relation. The store is
-	// bounded (see lattice.NewPartitionStore) and must only ever be shared
-	// between runs over the same relation instance. Nil disables cross-run
-	// caching; the output is identical either way.
+	// runs on the same dataset, or the TANE/approximate/bidirectional
+	// algorithms profiling the same relation. The store is bounded (see
+	// lattice.NewPartitionStore) and must only ever be shared between runs
+	// over the same relation instance. Nil disables cross-run caching; the
+	// output is identical either way.
 	Partitions *lattice.PartitionStore
 
 	// DisablePruning turns off the minimality machinery entirely (candidate

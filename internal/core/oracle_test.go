@@ -102,7 +102,7 @@ func oracleRelations(t *testing.T) []*relation.Encoded {
 func TestOracleConstancyAgainstTANE(t *testing.T) {
 	for i, enc := range oracleRelations(t) {
 		res := discover(t, enc, Options{Workers: 4})
-		tres, err := tane.Discover(enc, tane.Options{})
+		tres, err := tane.DiscoverContext(t.Context(), enc, tane.Options{})
 		if err != nil {
 			t.Fatalf("relation %d: tane: %v", i, err)
 		}

@@ -127,7 +127,7 @@ func TestParallelDiscoverConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			res, err := Discover(enc, Options{Workers: 4})
+			res, err := DiscoverContext(t.Context(), enc, Options{Workers: 4})
 			if err != nil {
 				errs <- fmt.Errorf("caller %d: %v", g, err)
 				return
@@ -182,7 +182,7 @@ func TestPartitionStoreSharedAcrossPasses(t *testing.T) {
 	enc := encode(t, datagen.FlightLike(500, 8, 2017))
 	store := lattice.NewPartitionStore(0)
 
-	pruned, err := Discover(enc, Options{Workers: 1, Partitions: store})
+	pruned, err := DiscoverContext(t.Context(), enc, Options{Workers: 1, Partitions: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestPartitionStoreSharedAcrossPasses(t *testing.T) {
 	}
 	assertSameODs(t, "pruned+store", pruned, discover(t, enc, Options{Workers: 1}))
 
-	unpruned, err := Discover(enc, Options{Workers: 4, Partitions: store, DisablePruning: true, CountOnly: true})
+	unpruned, err := DiscoverContext(t.Context(), enc, Options{Workers: 4, Partitions: store, DisablePruning: true, CountOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +221,11 @@ func TestPartitionStoreSharedAcrossPasses(t *testing.T) {
 func TestPartitionStoreRepeatedDiscover(t *testing.T) {
 	enc := encode(t, datagen.FlightLike(400, 8, 2017))
 	store := lattice.NewPartitionStore(0)
-	first, err := Discover(enc, Options{Workers: 1, Partitions: store})
+	first, err := DiscoverContext(t.Context(), enc, Options{Workers: 1, Partitions: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Discover(enc, Options{Workers: 1, Partitions: store})
+	second, err := DiscoverContext(t.Context(), enc, Options{Workers: 1, Partitions: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestPartitionStoreRepeatedDiscover(t *testing.T) {
 func TestPartitionStoreBoundedDiscover(t *testing.T) {
 	enc := encode(t, datagen.FlightLike(300, 8, 2017))
 	store := lattice.NewPartitionStore(2048) // a handful of 300-row partitions
-	res, err := Discover(enc, Options{Workers: 1, Partitions: store})
+	res, err := DiscoverContext(t.Context(), enc, Options{Workers: 1, Partitions: store})
 	if err != nil {
 		t.Fatal(err)
 	}

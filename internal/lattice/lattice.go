@@ -15,8 +15,8 @@
 // interrupt abandons at most the nodes already running, and the handout is
 // capped by the node budget, so a run never visits more than Budget.MaxNodes
 // nodes. A shared PartitionStore memoizes stripped partitions across runs
-// (e.g. the pruned and un-pruned FASTOD passes of Figure 6, or repeated
-// Discover calls behind the advisor) under a configurable memory bound.
+// (e.g. the pruned and un-pruned FASTOD passes of Figure 6, or repeated runs
+// on one dataset behind the advisor) under a configurable memory bound.
 package lattice
 
 import (

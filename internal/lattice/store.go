@@ -26,9 +26,9 @@ const pinnedMaxLevel = 1
 
 // PartitionStore memoizes stripped partitions keyed by attribute set, so they
 // are computed once and reused across discovery runs: the pruned and
-// un-pruned FASTOD passes of one experiment, repeated Discover calls on the
-// same dataset (e.g. behind the advisor), or different algorithms (FASTOD,
-// TANE, approximate, bidirectional) profiling the same relation.
+// un-pruned FASTOD passes of one experiment, repeated runs on the same
+// dataset (e.g. behind the advisor), or different algorithms (FASTOD, TANE,
+// approximate, bidirectional) profiling the same relation.
 //
 // The store is bounded: every entry is charged the exact byte size of its
 // flat class data (rows arena + offsets index), and entries are evicted once

@@ -79,12 +79,6 @@ type node struct {
 	allValid bool
 }
 
-// Discover runs ORDER with a background context; see DiscoverContext.
-func Discover(enc *relation.Encoded, opts Options) (*Result, error) {
-	//lint:allow ctxfirst convenience wrapper kept for callers that cannot cancel; DiscoverContext is the cancellable entry point
-	return DiscoverContext(context.Background(), enc, opts)
-}
-
 // DiscoverContext runs ORDER over an encoded relation instance. The context
 // and Options.Budget are checked before every node evaluation; an interrupted
 // run returns the list ODs found so far with Interrupted set rather than an

@@ -24,17 +24,17 @@ func encode(t *testing.T, r *relation.Relation) *relation.Encoded {
 }
 
 func TestDiscoverValidation(t *testing.T) {
-	if _, err := Discover(nil, Options{}); err == nil {
+	if _, err := DiscoverContext(t.Context(), nil, Options{}); err == nil {
 		t.Error("nil relation must be rejected")
 	}
-	if _, err := Discover(&relation.Encoded{}, Options{}); err == nil {
+	if _, err := DiscoverContext(t.Context(), &relation.Encoded{}, Options{}); err == nil {
 		t.Error("empty relation must be rejected")
 	}
 }
 
 func TestDiscoverTable1(t *testing.T) {
 	enc := encode(t, datagen.Employees())
-	res, err := Discover(enc, Options{})
+	res, err := DiscoverContext(t.Context(), enc, Options{})
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -71,11 +71,11 @@ func TestORDERSoundRelativeToFASTOD(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		rel := datagen.RandomStructuredRelation(2+rng.Intn(16), 4, 3, rng.Int63())
 		enc := encode(t, rel)
-		orderRes, err := Discover(enc, Options{Budget: lattice.Budget{MaxNodes: 200000}})
+		orderRes, err := DiscoverContext(t.Context(), enc, Options{Budget: lattice.Budget{MaxNodes: 200000}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fastodRes, err := core.Discover(enc, core.Options{})
+		fastodRes, err := core.DiscoverContext(t.Context(), enc, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,11 +101,11 @@ func TestORDERIncompleteConstants(t *testing.T) {
 	}
 	enc := encode(t, rel)
 
-	orderRes, err := Discover(enc, Options{})
+	orderRes, err := DiscoverContext(t.Context(), enc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fastodRes, err := core.Discover(enc, core.Options{})
+	fastodRes, err := core.DiscoverContext(t.Context(), enc, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestORDERIncompleteOrderCompatibility(t *testing.T) {
 		t.Fatal("test fixture broken: month ~ week should hold")
 	}
 
-	fastodRes, err := core.Discover(enc, core.Options{})
+	fastodRes, err := core.DiscoverContext(t.Context(), enc, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestORDERIncompleteOrderCompatibility(t *testing.T) {
 		t.Error("FASTOD must imply {}: month ~ week")
 	}
 
-	orderRes, err := Discover(enc, Options{})
+	orderRes, err := DiscoverContext(t.Context(), enc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +164,11 @@ func TestORDERIncompleteOrderCompatibility(t *testing.T) {
 // though FASTOD implies them).
 func TestORDERConcisenessVsFASTOD(t *testing.T) {
 	enc := encode(t, datagen.DateDim(120))
-	orderRes, err := Discover(enc, Options{Budget: lattice.Budget{MaxNodes: 500000}})
+	orderRes, err := DiscoverContext(t.Context(), enc, Options{Budget: lattice.Budget{MaxNodes: 500000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fastodRes, err := core.Discover(enc, core.Options{})
+	fastodRes, err := core.DiscoverContext(t.Context(), enc, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,14 +196,14 @@ func TestORDERConcisenessVsFASTOD(t *testing.T) {
 
 func TestDiscoverBudgets(t *testing.T) {
 	enc := encode(t, datagen.FlightLike(50, 8, 7))
-	res, err := Discover(enc, Options{Budget: lattice.Budget{MaxNodes: 10}})
+	res, err := DiscoverContext(t.Context(), enc, Options{Budget: lattice.Budget{MaxNodes: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Interrupted {
 		t.Error("MaxNodes budget should mark the run as interrupted")
 	}
-	res, err = Discover(enc, Options{Budget: lattice.Budget{Timeout: time.Nanosecond}})
+	res, err = DiscoverContext(t.Context(), enc, Options{Budget: lattice.Budget{Timeout: time.Nanosecond}})
 	if err != nil {
 		t.Fatal(err)
 	}

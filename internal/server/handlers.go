@@ -158,12 +158,10 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	key, version, cacheable := cacheKey(name, ds, req)
-	if cacheable {
-		if rep, hit := s.reports.Get(key); hit {
-			writeJSON(w, http.StatusOK, discoverResponse(name, req, rep, ds.ColumnNames(), true))
-			return
-		}
+	key, version := cacheKey(name, ds, req)
+	if rep, hit := s.reports.Get(key); hit {
+		writeJSON(w, http.StatusOK, discoverResponse(name, req, rep, ds.ColumnNames(), true))
+		return
 	}
 	ctx, end, ok := s.beginRun(w, r, req)
 	if !ok {
@@ -183,7 +181,7 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	// while the run executed, the report may mix pre- and post-mutation data
 	// and is served once but never stored. The cache itself refuses
 	// interrupted partials.
-	if cacheable && ds.Version() == version {
+	if ds.Version() == version {
 		s.reports.Put(key, rep)
 	}
 	writeJSON(w, http.StatusOK, discoverResponse(name, req, rep, ds.ColumnNames(), false))
@@ -215,14 +213,12 @@ func (s *Server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 	}
 	// A cache hit replays the final "report" event immediately — no progress
 	// events (no run is happening to report on), no run-semaphore wait.
-	key, version, cacheable := cacheKey(name, ds, req)
-	if cacheable {
-		if rep, hit := s.reports.Get(key); hit {
-			startStream()
-			writeSSE(w, "report", discoverResponse(name, req, rep, ds.ColumnNames(), true))
-			flusher.Flush()
-			return
-		}
+	key, version := cacheKey(name, ds, req)
+	if rep, hit := s.reports.Get(key); hit {
+		startStream()
+		writeSSE(w, "report", discoverResponse(name, req, rep, ds.ColumnNames(), true))
+		flusher.Flush()
+		return
 	}
 	ctx, end, ok := s.beginRun(w, r, req)
 	if !ok {
@@ -252,7 +248,7 @@ func (s *Server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 	}
 	// Same rule as handleDiscover: store only if the dataset version did not
 	// move during the run (the cache refuses interrupted partials itself).
-	if cacheable && ds.Version() == version {
+	if ds.Version() == version {
 		s.reports.Put(key, rep)
 	}
 	writeSSE(w, "report", discoverResponse(name, req, rep, ds.ColumnNames(), false))

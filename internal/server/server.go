@@ -302,18 +302,13 @@ func (s *Server) acquire(done <-chan struct{}) (release func()) {
 
 // cacheKey computes the report-cache coordinate of one discover request: the
 // key plus the dataset version stamp it captured (re-checked after the run so
-// a report computed across a concurrent mutation is never cached), or
-// cacheable=false when the request must not be cached at all. The one
-// uncacheable shape today is an explicit Request.Partitions override: such a
-// run bypasses the dataset's own store, so its provenance is not fully
-// described by (dataset, version, request). Interrupted reports are refused
-// by the cache itself (see reportcache.Cache.Put).
-func cacheKey(name string, ds *fastod.Dataset, req fastod.Request) (key string, version uint64, cacheable bool) {
-	if req.Partitions != nil {
-		return "", 0, false
-	}
+// a report computed across a concurrent mutation is never cached). Every
+// request is cacheable: a run's output is fully described by (dataset,
+// version, request). Interrupted reports are refused by the cache itself
+// (see reportcache.Cache.Put).
+func cacheKey(name string, ds *fastod.Dataset, req fastod.Request) (key string, version uint64) {
 	version = ds.Version()
-	return reportcache.Key(name, version, req.Fingerprint()), version, true
+	return reportcache.Key(name, version, req.Fingerprint()), version
 }
 
 // ReportCacheStats returns a snapshot of the report cache's accounting (the

@@ -73,12 +73,6 @@ type Result struct {
 	Interrupted bool
 }
 
-// Discover runs TANE with a background context; see DiscoverContext.
-func Discover(enc *relation.Encoded, opts Options) (*Result, error) {
-	//lint:allow ctxfirst convenience wrapper kept for callers that cannot cancel; DiscoverContext is the cancellable entry point
-	return DiscoverContext(context.Background(), enc, opts)
-}
-
 // DiscoverContext runs TANE over an encoded relation and returns the complete
 // set of minimal, non-trivial functional dependencies with singleton
 // right-hand sides. Cancellation and Options.Budget are honored cooperatively

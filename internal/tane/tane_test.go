@@ -21,10 +21,10 @@ func encode(t *testing.T, r *relation.Relation) *relation.Encoded {
 }
 
 func TestDiscoverValidation(t *testing.T) {
-	if _, err := Discover(nil, Options{}); err == nil {
+	if _, err := DiscoverContext(t.Context(), nil, Options{}); err == nil {
 		t.Error("nil relation must be rejected")
 	}
-	if _, err := Discover(&relation.Encoded{}, Options{}); err == nil {
+	if _, err := DiscoverContext(t.Context(), &relation.Encoded{}, Options{}); err == nil {
 		t.Error("empty relation must be rejected")
 	}
 }
@@ -48,7 +48,7 @@ func TestDiscoverTable1FDs(t *testing.T) {
 	for i, n := range enc.ColumnNames {
 		idx[n] = i
 	}
-	res, err := Discover(enc, Options{})
+	res, err := DiscoverContext(t.Context(), enc, Options{})
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -90,11 +90,11 @@ func TestTANEMatchesFASTODFDs(t *testing.T) {
 		rel := datagen.RandomStructuredRelation(2+rng.Intn(20), 2+rng.Intn(4), 3, rng.Int63())
 		enc := encode(t, rel)
 
-		taneRes, err := Discover(enc, Options{})
+		taneRes, err := DiscoverContext(t.Context(), enc, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fastodRes, err := core.Discover(enc, core.Options{})
+		fastodRes, err := core.DiscoverContext(t.Context(), enc, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestTANEMatchesFASTODFDs(t *testing.T) {
 
 func TestDiscoverMaxLevel(t *testing.T) {
 	enc := encode(t, datagen.Employees())
-	res, err := Discover(enc, Options{MaxLevel: 2})
+	res, err := DiscoverContext(t.Context(), enc, Options{MaxLevel: 2})
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestDiscoverKeyRelation(t *testing.T) {
 	// determined by it, and minimality keeps the LHS at the key column alone.
 	rel := datagen.DBTesmaLike(50, 5, 3)
 	enc := encode(t, rel)
-	res, err := Discover(enc, Options{})
+	res, err := DiscoverContext(t.Context(), enc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +173,11 @@ func differentialRelations(t *testing.T) map[string]*relation.Encoded {
 // counter — on every seeded dataset.
 func TestParallelMatchesSequentialDifferential(t *testing.T) {
 	for name, enc := range differentialRelations(t) {
-		seq, err := Discover(enc, Options{Workers: 1})
+		seq, err := DiscoverContext(t.Context(), enc, Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		par, err := Discover(enc, Options{Workers: 4})
+		par, err := DiscoverContext(t.Context(), enc, Options{Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -202,14 +202,14 @@ func TestParallelWorkerCounts(t *testing.T) {
 	for _, opts := range []Options{{}, {MaxLevel: 3}} {
 		seqOpts := opts
 		seqOpts.Workers = 1
-		want, err := Discover(enc, seqOpts)
+		want, err := DiscoverContext(t.Context(), enc, seqOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{0, 2, 8, 64, -3} {
 			parOpts := opts
 			parOpts.Workers = w
-			got, err := Discover(enc, parOpts)
+			got, err := DiscoverContext(t.Context(), enc, parOpts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,7 +22,7 @@ import (
 
 // OrderDirection is the per-attribute sort direction of an order spec. (The
 // name avoids the package's existing Direction alias, which is the
-// bidirectional-OD arrow of DiscoverBidirectional.)
+// bidirectional-OD arrow of AlgorithmBidirectional.)
 type OrderDirection = relation.Direction
 
 // NullOrder places NULLs relative to every non-null value, independent of
@@ -174,11 +174,11 @@ func orderSpecKey(orders []AttrOrder) string {
 const defaultSpecEncodingBytes = 64 << 20
 
 // specEncoding is one cached re-encoding of a dataset under a non-default
-// order spec, with the partition store bound to it (non-nil exactly when the
-// dataset itself caches partitions).
+// order spec, with the partition store bound to it. The store is created on
+// the first run after the dataset enables its own (see specParts).
 type specEncoding struct {
 	enc   *relation.Encoded
-	parts *lattice.PartitionStore
+	parts *lattice.PartitionStore // guarded by specEncodings.mu
 	cost  int64
 	used  uint64 // LRU stamp
 }
@@ -195,20 +195,36 @@ type specEncodings struct {
 }
 
 // encodingFor resolves the rank encoding and partition store a validated
-// request runs on. Default spec: the dataset's own encoding and store
-// resolution (including the Request.Partitions override). Non-default spec:
-// a per-spec re-encoding from the cache (encoded on miss), with its own
-// store — never the dataset's, which is bound to the default encoding.
+// request runs on. Default spec: the dataset's own encoding and store.
+// Non-default spec: a per-spec re-encoding from the cache (encoded on miss),
+// with its own store — never the dataset's, which is bound to the default
+// encoding.
 func (d *Dataset) encodingFor(req Request) (*relation.Encoded, *lattice.PartitionStore, error) {
 	orders := canonicalAttrOrders(req.OrderSpecs)
 	if len(orders) == 0 {
-		return d.enc, d.partitions(req.Partitions), nil
+		return d.enc, d.parts, nil
 	}
 	se, err := d.specEncoding(orders)
 	if err != nil {
 		return nil, nil, err
 	}
-	return se.enc, se.parts, nil
+	return se.enc, d.specParts(se), nil
+}
+
+// specParts returns the partition store of a spec encoding: nil while the
+// dataset caches no partitions, otherwise a store with the dataset store's
+// bound, created on first use. Creating it here rather than at encode time
+// means a spec encoded before EnablePartitionCache still gets one.
+func (d *Dataset) specParts(se *specEncoding) *lattice.PartitionStore {
+	if d.parts == nil {
+		return nil
+	}
+	d.specs.mu.Lock()
+	defer d.specs.mu.Unlock()
+	if se.parts == nil {
+		se.parts = lattice.NewPartitionStore(d.parts.Stats().MaxCost)
+	}
+	return se.parts
 }
 
 // SpecEncoded returns the dataset re-encoded under the given (non-canonical
@@ -255,11 +271,6 @@ func (d *Dataset) specEncoding(orders []AttrOrder) (*specEncoding, error) {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
 	se := &specEncoding{enc: enc, cost: encodedCost(enc)}
-	if d.parts != nil {
-		// The dataset opted into partition caching; give the spec encoding
-		// its own store (a store is bound to exactly one Encoded instance).
-		se.parts = lattice.NewPartitionStore(0)
-	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

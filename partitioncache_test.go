@@ -14,15 +14,18 @@ func TestEnablePartitionCacheSharedAcrossAlgorithms(t *testing.T) {
 	cached := fastod.SyntheticFlight(400, 7, 2017)
 	plain := fastod.SyntheticFlight(400, 7, 2017)
 	store := cached.EnablePartitionCache(0)
+	run := func(ds *fastod.Dataset, req fastod.Request) *fastod.Report {
+		t.Helper()
+		rep, err := ds.Run(t.Context(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	seq := fastod.RunOptions{Workers: 1}
 
-	resC, err := cached.Discover(fastod.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resP, err := plain.Discover(fastod.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	resC := run(cached, fastod.Request{RunOptions: seq}).FASTOD
+	resP := run(plain, fastod.Request{RunOptions: seq}).FASTOD
 	if resC.Counts != resP.Counts || len(resC.ODs) != len(resP.ODs) {
 		t.Fatalf("cached counts %+v, want %+v", resC.Counts, resP.Counts)
 	}
@@ -41,14 +44,8 @@ func TestEnablePartitionCacheSharedAcrossAlgorithms(t *testing.T) {
 
 	// TANE prunes less aggressively than FASTOD, but every singleton and the
 	// shared lattice prefix must come from the cache.
-	fds, err := cached.DiscoverFDs(fastod.TANEOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fdsPlain, err := plain.DiscoverFDs(fastod.TANEOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fds := run(cached, fastod.Request{Algorithm: fastod.AlgorithmTANE, RunOptions: fastod.RunOptions{Workers: 4}}).TANE
+	fdsPlain := run(plain, fastod.Request{Algorithm: fastod.AlgorithmTANE}).TANE
 	if len(fds.FDs) != len(fdsPlain.FDs) {
 		t.Fatalf("cached TANE found %d FDs, uncached %d", len(fds.FDs), len(fdsPlain.FDs))
 	}
@@ -58,25 +55,13 @@ func TestEnablePartitionCacheSharedAcrossAlgorithms(t *testing.T) {
 	}
 
 	// Approximate and bidirectional discovery ride the same cache.
-	apx, err := cached.DiscoverApproximate(fastod.ApproxOptions{Threshold: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	apxPlain, err := plain.DiscoverApproximate(fastod.ApproxOptions{Threshold: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	apx := run(cached, fastod.Request{Algorithm: fastod.AlgorithmApprox}).Approx
+	apxPlain := run(plain, fastod.Request{Algorithm: fastod.AlgorithmApprox}).Approx
 	if len(apx.ODs) != len(apxPlain.ODs) {
 		t.Fatalf("cached approx found %d ODs, uncached %d", len(apx.ODs), len(apxPlain.ODs))
 	}
-	bid, err := cached.DiscoverBidirectional(fastod.BidirOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bidPlain, err := plain.DiscoverBidirectional(fastod.BidirOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	bid := run(cached, fastod.Request{Algorithm: fastod.AlgorithmBidirectional, RunOptions: fastod.RunOptions{Workers: 2}}).Bidir
+	bidPlain := run(plain, fastod.Request{Algorithm: fastod.AlgorithmBidirectional}).Bidir
 	if len(bid.ODs) != len(bidPlain.ODs) {
 		t.Fatalf("cached bidir found %d ODs, uncached %d", len(bid.ODs), len(bidPlain.ODs))
 	}
@@ -89,14 +74,61 @@ func TestEnablePartitionCacheSharedAcrossAlgorithms(t *testing.T) {
 	}
 
 	// A second FASTOD run over the fully warmed cache computes nothing.
-	again, err := cached.Discover(fastod.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := run(cached, fastod.Request{RunOptions: seq}).FASTOD
 	if again.Stats.PartitionMisses != 0 {
 		t.Errorf("warm FASTOD re-run recorded %d misses, want 0", again.Stats.PartitionMisses)
 	}
 	if again.Stats.PartitionHits == 0 {
 		t.Error("warm FASTOD re-run recorded no hits")
 	}
+}
+
+// TestSpecStoresFollowDatasetCache: a non-default order spec's encoding gets
+// a partition store exactly when the dataset has one, with the dataset
+// store's bound, however early the spec was first encoded.
+func TestSpecStoresFollowDatasetCache(t *testing.T) {
+	desc := []fastod.AttrOrder{{Column: "flight_sk", Direction: fastod.OrderDesc}}
+	defaultReq := fastod.Request{RunOptions: fastod.RunOptions{Workers: 1}}
+	specReq := fastod.Request{RunOptions: fastod.RunOptions{Workers: 1, OrderSpecs: desc}}
+	// secondRun runs req twice and returns the second run's counters.
+	secondRun := func(t *testing.T, ds *fastod.Dataset, req fastod.Request) fastod.RunStats {
+		t.Helper()
+		var rep *fastod.Report
+		for range 2 {
+			var err error
+			if rep, err = ds.Run(t.Context(), req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rep.Stats
+	}
+	// Stripped partitions depend only on equality, so a direction-only spec
+	// looks up and computes exactly the default spec's partitions: with equal
+	// store bounds, its second run must hit and miss exactly as often.
+	compare := func(t *testing.T, ds *fastod.Dataset) {
+		t.Helper()
+		def := secondRun(t, ds, defaultReq)
+		spec := secondRun(t, ds, specReq)
+		if spec.PartitionHits != def.PartitionHits || spec.PartitionMisses != def.PartitionMisses {
+			t.Errorf("second run under %v: %d hits, %d misses; default spec: %d hits, %d misses",
+				desc, spec.PartitionHits, spec.PartitionMisses, def.PartitionHits, def.PartitionMisses)
+		}
+		if def.PartitionHits == 0 {
+			t.Error("default spec's second run recorded no hits")
+		}
+	}
+
+	t.Run("bound", func(t *testing.T) {
+		ds := fastod.SyntheticFlight(2000, 8, 7)
+		ds.EnablePartitionCache(1 << 10)
+		compare(t, ds)
+	})
+	t.Run("enabled after encoding", func(t *testing.T) {
+		ds := fastod.SyntheticFlight(2000, 8, 7)
+		if _, err := ds.SpecEncoded(desc); err != nil {
+			t.Fatal(err)
+		}
+		ds.EnablePartitionCache(0)
+		compare(t, ds)
+	})
 }

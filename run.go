@@ -22,8 +22,8 @@ import (
 
 // This file is the unified discovery surface: one request/response envelope
 // executed by (*Dataset).Run with context cancellation, resource budgets and
-// per-level progress across every algorithm the repository implements. The
-// per-algorithm Discover* methods remain as thin deprecated wrappers.
+// per-level progress across every algorithm the repository implements. It is
+// the only way to run discovery through the public API.
 
 // Algorithm selects which discovery algorithm a Request executes. The zero
 // value selects FASTOD.
@@ -81,8 +81,8 @@ func DefaultBudget() Budget {
 }
 
 // RunOptions are the options shared by every algorithm: the worker pool, the
-// lattice depth bound, the resource budget and the partition store. The zero
-// value runs unbudgeted on all CPUs with the dataset's own store (if
+// lattice depth bound, the resource budget and the ordering semantics. The
+// zero value runs unbudgeted on all CPUs with the dataset's own store (if
 // EnablePartitionCache was called).
 type RunOptions struct {
 	// Workers is the number of goroutines used per lattice level (0 =
@@ -99,12 +99,6 @@ type RunOptions struct {
 	// For the conditional algorithm the budget is shared across the
 	// unconditional pass and every slice pass.
 	Budget Budget
-	// Partitions, when non-nil, overrides the dataset's shared partition
-	// store for this run (see EnablePartitionCache and NewPartitionStore).
-	// Ignored by ORDER, which does not use stripped partitions. Incompatible
-	// with OrderSpecs: a store is bound to one rank encoding, and an order
-	// spec selects a different one.
-	Partitions *PartitionStore
 	// OrderSpecs overrides the ordering semantics of named columns for this
 	// run: per attribute, the sort direction (asc/desc), the NULL placement
 	// (nulls first/last) and the collation raw values are compared under.
@@ -118,10 +112,10 @@ type RunOptions struct {
 	OrderSpecs []AttrOrder
 }
 
-// FASTODRunOptions are the FASTOD-specific knobs of a Request, mirroring the
-// ablation switches of Options; the zero value is the paper's configuration
-// with every optimization enabled. The conditional algorithm also reads them
-// for its inner FASTOD passes.
+// FASTODRunOptions are the FASTOD-specific knobs of a Request: the ablation
+// switches of Figure 6 and the per-level statistics of Figure 7. The zero
+// value is the paper's configuration with every optimization enabled. The
+// conditional algorithm also reads them for its inner FASTOD passes.
 type FASTODRunOptions struct {
 	// DisablePruning enumerates every valid OD, minimal or not (Figure 6).
 	DisablePruning bool
@@ -286,12 +280,6 @@ func (r Request) Validate() error {
 	if err := validateAttrOrders(r.OrderSpecs); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
-	if r.Partitions != nil && len(canonicalAttrOrders(r.OrderSpecs)) > 0 {
-		// A PartitionStore is bound to exactly one rank encoding; a
-		// non-default order spec selects a different encoding, so an explicit
-		// store could never be consulted (or worse, would poison itself).
-		return fmt.Errorf("%w: Partitions cannot be combined with non-default OrderSpecs (the store is bound to the default encoding)", ErrInvalidRequest)
-	}
 	return nil
 }
 
@@ -336,10 +324,6 @@ func (d *Dataset) ValidateRequest(req Request) error {
 //   - the zero Algorithm becomes AlgorithmFASTOD, its documented meaning;
 //   - Workers is erased: the engine's contract is that output is identical
 //     for every worker count, so parallelism must not fragment a cache;
-//   - Partitions is erased: a partition store changes where partitions are
-//     cached, never what is computed (callers that do supply an explicit
-//     store should not cache across it — see the server's rules — but the
-//     pointer itself has no place in a request identity);
 //   - the sub-option blocks the selected algorithm never reads are zeroed
 //     (e.g. an approx threshold on a FASTOD request is dead weight);
 //   - OrderSpecs is canonicalized, NOT erased — ordering semantics change the
@@ -367,7 +351,6 @@ func (r Request) Canonical() Request {
 		r.Algorithm = AlgorithmFASTOD
 	}
 	r.Workers = 0
-	r.Partitions = nil
 	r.OrderSpecs = canonicalAttrOrders(r.OrderSpecs)
 	if r.Algorithm != AlgorithmFASTOD && r.Algorithm != AlgorithmConditional {
 		r.FASTOD = FASTODRunOptions{}
@@ -522,9 +505,9 @@ type Report struct {
 // for the partial-result contract). Errors are reserved for invalid requests
 // and malformed inputs.
 //
-// Unless Request.Partitions overrides it, the run uses the dataset's shared
-// partition store (EnablePartitionCache), including the conditional
-// algorithm's unconditional pass.
+// The run uses the dataset's own partition store (EnablePartitionCache), or
+// under a non-default OrderSpecs the store of that spec's encoding; this
+// includes the conditional algorithm's unconditional pass.
 func (d *Dataset) Run(ctx context.Context, req Request) (*Report, error) {
 	return d.RunWithProgress(ctx, req, nil)
 }

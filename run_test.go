@@ -2,127 +2,228 @@ package fastod_test
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	fastod "repro"
+	"repro/internal/approx"
+	"repro/internal/bidir"
+	"repro/internal/conditional"
+	"repro/internal/core"
+	"repro/internal/order"
+	"repro/internal/relation"
+	"repro/internal/tane"
 )
 
-// --- Differential tests: Run must equal the legacy Discover* wrappers on ---
-// --- the seed datasets when no budget fires.                             ---
+// --- Request mapping: every request field that shapes an algorithm's ---
+// --- output must reach that algorithm.                                ---
 
-func seedDatasets() map[string]*fastod.Dataset {
-	return map[string]*fastod.Dataset{
-		"employees": fastod.EmployeesExample(),
-		"flight":    fastod.SyntheticFlight(300, 6, 2017),
-		"ncvoter":   fastod.SyntheticNCVoter(200, 5, 2017),
-		"dbtesma":   fastod.SyntheticDBTesma(200, 5, 2017),
+// discoverFunc is one algorithm package's entry point with its options bound,
+// rendering the result the way renderReport renders Run's payload.
+type discoverFunc func(ctx context.Context, enc *relation.Encoded) (string, error)
+
+// direct binds an algorithm's DiscoverContext to literal options.
+func direct[O, R any](discover func(context.Context, *relation.Encoded, O) (*R, error), render func(*R) string, opts O) discoverFunc {
+	return func(ctx context.Context, enc *relation.Encoded) (string, error) {
+		res, err := discover(ctx, enc, opts)
+		if err != nil {
+			return "", err
+		}
+		return render(res), nil
 	}
 }
 
-func TestRunMatchesDiscoverFASTOD(t *testing.T) {
-	ctx := context.Background()
-	for name, ds := range seedDatasets() {
-		rep, err := ds.Run(ctx, fastod.Request{Algorithm: fastod.AlgorithmFASTOD})
-		if err != nil {
-			t.Fatalf("%s: Run: %v", name, err)
-		}
-		legacy, err := ds.Discover(fastod.Options{})
-		if err != nil {
-			t.Fatalf("%s: Discover: %v", name, err)
-		}
-		if rep.Interrupted || rep.FASTOD.Stats.Interrupted {
-			t.Fatalf("%s: unbudgeted run reported interrupted", name)
-		}
-		if rep.Algorithm != fastod.AlgorithmFASTOD || rep.FASTOD == nil {
-			t.Fatalf("%s: report payload mismatch: %+v", name, rep)
-		}
-		if rep.FASTOD.Counts != legacy.Counts || len(rep.FASTOD.ODs) != len(legacy.ODs) {
-			t.Fatalf("%s: Run counts %v, Discover counts %v", name, rep.FASTOD.Counts, legacy.Counts)
-		}
-		for i := range legacy.ODs {
-			if !rep.FASTOD.ODs[i].Equal(legacy.ODs[i]) {
-				t.Fatalf("%s: OD %d = %v, want %v", name, i, rep.FASTOD.ODs[i], legacy.ODs[i])
+// The renderers print every output field of a result except wall-clock
+// timings: dependencies, counts, per-level statistics and work counters.
+
+func renderFASTOD(res *core.Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "counts=%v stats=%+v\n", res.Counts, res.Stats)
+	for _, l := range res.Levels {
+		l.Elapsed = 0
+		fmt.Fprintf(&b, "level %+v\n", l)
+	}
+	for _, od := range res.ODs {
+		fmt.Fprintln(&b, od)
+	}
+	return b.String()
+}
+
+func renderTANE(res *tane.Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "nodes=%d interrupted=%v stats=%+v\n", res.NodesVisited, res.Interrupted, res.Stats)
+	for _, fd := range res.FDs {
+		fmt.Fprintln(&b, fd)
+	}
+	return b.String()
+}
+
+func renderApprox(res *approx.Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "nodes=%d interrupted=%v stats=%+v\n", res.NodesVisited, res.Interrupted, res.Stats)
+	for _, d := range res.ODs {
+		fmt.Fprintf(&b, "%v error=%+v\n", d.OD, d.Error)
+	}
+	return b.String()
+}
+
+func renderBidir(res *bidir.Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "nodes=%d interrupted=%v stats=%+v\n", res.NodesVisited, res.Interrupted, res.Stats)
+	for _, od := range res.ODs {
+		fmt.Fprintln(&b, od)
+	}
+	return b.String()
+}
+
+func renderConditional(res *conditional.Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "slices=%d nodes=%d maxlevel=%d interrupted=%v\nglobal:\n%s",
+		res.SlicesExamined, res.NodesVisited, res.MaxLevelReached, res.Interrupted, renderFASTOD(res.Global))
+	for _, od := range res.ODs {
+		fmt.Fprintf(&b, "%+v %v\n", od.Condition, od.OD)
+	}
+	return b.String()
+}
+
+func renderORDER(res *order.Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "counts=%v nodes=%d maxlevel=%d interrupted=%v\n",
+		res.Counts, res.NodesVisited, res.MaxLevelReached, res.Interrupted)
+	for _, od := range res.ODs {
+		fmt.Fprintln(&b, od)
+	}
+	for _, od := range res.Canonical {
+		fmt.Fprintln(&b, od)
+	}
+	return b.String()
+}
+
+// renderReport renders Run's payload with the renderer of its algorithm.
+func renderReport(rep *fastod.Report) string {
+	switch {
+	case rep.FASTOD != nil:
+		return renderFASTOD(rep.FASTOD)
+	case rep.TANE != nil:
+		return renderTANE(rep.TANE)
+	case rep.Approx != nil:
+		return renderApprox(rep.Approx)
+	case rep.Bidir != nil:
+		return renderBidir(rep.Bidir)
+	case rep.Conditional != nil:
+		return renderConditional(rep.Conditional)
+	case rep.ORDER != nil:
+		return renderORDER(rep.ORDER)
+	}
+	return ""
+}
+
+// TestRunMapsRequestFieldsOntoAlgorithms runs each case through ds.Run and
+// through the algorithm package's DiscoverContext with the options written
+// out literally, so Run is checked against the algorithms rather than against
+// itself. A case must also differ from the zero request, so a request field
+// that Run drops cannot pass unnoticed.
+func TestRunMapsRequestFieldsOntoAlgorithms(t *testing.T) {
+	ds := fastod.SyntheticFlight(300, 6, 2017)
+	enc, err := ds.SpecEncoded(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Budgeted cases run sequentially so the interrupted prefix is the same
+	// on both sides.
+	nodes := fastod.Budget{MaxNodes: 20}
+	budgeted := fastod.RunOptions{Workers: 1, Budget: nodes}
+
+	for _, c := range []struct {
+		name string
+		req  fastod.Request
+		run  discoverFunc
+		// sameAsZero marks a case whose output must equal the zero
+		// request's rather than differ from it: the zero request itself, and
+		// a field that by contract cannot change the output.
+		sameAsZero bool
+	}{
+		{"fastod/zero", fastod.Request{}, direct(core.DiscoverContext, renderFASTOD, core.Options{}), true},
+		{"fastod/MaxLevel", fastod.Request{RunOptions: fastod.RunOptions{MaxLevel: 2}},
+			direct(core.DiscoverContext, renderFASTOD, core.Options{MaxLevel: 2}), false},
+		{"fastod/Budget", fastod.Request{RunOptions: budgeted},
+			direct(core.DiscoverContext, renderFASTOD, core.Options{Workers: 1, Budget: nodes}), false},
+		{"fastod/DisablePruning", fastod.Request{FASTOD: fastod.FASTODRunOptions{DisablePruning: true}},
+			direct(core.DiscoverContext, renderFASTOD, core.Options{DisablePruning: true}), false},
+		{"fastod/DisableKeyPruning", fastod.Request{FASTOD: fastod.FASTODRunOptions{DisableKeyPruning: true}},
+			direct(core.DiscoverContext, renderFASTOD, core.Options{DisableKeyPruning: true}), false},
+		{"fastod/DisableNodePruning", fastod.Request{FASTOD: fastod.FASTODRunOptions{DisableNodePruning: true}},
+			direct(core.DiscoverContext, renderFASTOD, core.Options{DisableNodePruning: true}), false},
+		{"fastod/CountOnly", fastod.Request{FASTOD: fastod.FASTODRunOptions{CountOnly: true}},
+			direct(core.DiscoverContext, renderFASTOD, core.Options{CountOnly: true}), false},
+		{"fastod/CollectLevelStats", fastod.Request{FASTOD: fastod.FASTODRunOptions{CollectLevelStats: true}},
+			direct(core.DiscoverContext, renderFASTOD, core.Options{CollectLevelStats: true}), false},
+		// The quadratic swap check returns exactly what the sorted scan
+		// returns, with the same counters; only its speed differs.
+		{"fastod/NaiveSwapCheck", fastod.Request{FASTOD: fastod.FASTODRunOptions{NaiveSwapCheck: true}},
+			direct(core.DiscoverContext, renderFASTOD, core.Options{NaiveSwapCheck: true}), true},
+
+		{"tane/zero", fastod.Request{Algorithm: fastod.AlgorithmTANE}, direct(tane.DiscoverContext, renderTANE, tane.Options{}), true},
+		{"tane/MaxLevel", fastod.Request{Algorithm: fastod.AlgorithmTANE, RunOptions: fastod.RunOptions{MaxLevel: 2}},
+			direct(tane.DiscoverContext, renderTANE, tane.Options{MaxLevel: 2}), false},
+		{"tane/Budget", fastod.Request{Algorithm: fastod.AlgorithmTANE, RunOptions: budgeted},
+			direct(tane.DiscoverContext, renderTANE, tane.Options{Workers: 1, Budget: nodes}), false},
+
+		{"approx/zero", fastod.Request{Algorithm: fastod.AlgorithmApprox}, direct(approx.DiscoverContext, renderApprox, approx.Options{}), true},
+		{"approx/Threshold", fastod.Request{Algorithm: fastod.AlgorithmApprox, Approx: fastod.ApproxRunOptions{Threshold: 0.1}},
+			direct(approx.DiscoverContext, renderApprox, approx.Options{Threshold: 0.1}), false},
+		{"approx/MaxLevel", fastod.Request{Algorithm: fastod.AlgorithmApprox, RunOptions: fastod.RunOptions{MaxLevel: 2}},
+			direct(approx.DiscoverContext, renderApprox, approx.Options{MaxLevel: 2}), false},
+		{"approx/Budget", fastod.Request{Algorithm: fastod.AlgorithmApprox, RunOptions: budgeted},
+			direct(approx.DiscoverContext, renderApprox, approx.Options{Workers: 1, Budget: nodes}), false},
+
+		{"bidir/zero", fastod.Request{Algorithm: fastod.AlgorithmBidirectional}, direct(bidir.DiscoverContext, renderBidir, bidir.Options{}), true},
+		{"bidir/MaxLevel", fastod.Request{Algorithm: fastod.AlgorithmBidirectional, RunOptions: fastod.RunOptions{MaxLevel: 2}},
+			direct(bidir.DiscoverContext, renderBidir, bidir.Options{MaxLevel: 2}), false},
+		{"bidir/Budget", fastod.Request{Algorithm: fastod.AlgorithmBidirectional, RunOptions: budgeted},
+			direct(bidir.DiscoverContext, renderBidir, bidir.Options{Workers: 1, Budget: nodes}), false},
+
+		{"conditional/zero", fastod.Request{Algorithm: fastod.AlgorithmConditional}, direct(conditional.DiscoverContext, renderConditional, conditional.Options{}), true},
+		{"conditional/MinSliceRows", fastod.Request{Algorithm: fastod.AlgorithmConditional, Conditional: fastod.ConditionalRunOptions{MinSliceRows: 100}},
+			direct(conditional.DiscoverContext, renderConditional, conditional.Options{MinSliceRows: 100}), false},
+		{"conditional/MaxConditionCardinality", fastod.Request{Algorithm: fastod.AlgorithmConditional, Conditional: fastod.ConditionalRunOptions{MaxConditionCardinality: 2}},
+			direct(conditional.DiscoverContext, renderConditional, conditional.Options{MaxConditionCardinality: 2}), false},
+		{"conditional/ConditionAttrs", fastod.Request{Algorithm: fastod.AlgorithmConditional, Conditional: fastod.ConditionalRunOptions{ConditionAttrs: []int{1}}},
+			direct(conditional.DiscoverContext, renderConditional, conditional.Options{ConditionAttrs: []int{1}}), false},
+		{"conditional/MaxLevel", fastod.Request{Algorithm: fastod.AlgorithmConditional, RunOptions: fastod.RunOptions{MaxLevel: 2}},
+			direct(conditional.DiscoverContext, renderConditional, conditional.Options{Discovery: core.Options{MaxLevel: 2}}), false},
+		{"conditional/CollectLevelStats", fastod.Request{Algorithm: fastod.AlgorithmConditional, FASTOD: fastod.FASTODRunOptions{CollectLevelStats: true}},
+			direct(conditional.DiscoverContext, renderConditional, conditional.Options{Discovery: core.Options{CollectLevelStats: true}}), false},
+
+		{"order/zero", fastod.Request{Algorithm: fastod.AlgorithmORDER}, direct(order.DiscoverContext, renderORDER, order.Options{}), true},
+		{"order/MaxLevel", fastod.Request{Algorithm: fastod.AlgorithmORDER, RunOptions: fastod.RunOptions{MaxLevel: 2}},
+			direct(order.DiscoverContext, renderORDER, order.Options{MaxLevel: 2}), false},
+		{"order/Budget", fastod.Request{Algorithm: fastod.AlgorithmORDER, RunOptions: fastod.RunOptions{Budget: nodes}},
+			direct(order.DiscoverContext, renderORDER, order.Options{Budget: nodes}), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rep, err := ds.Run(t.Context(), c.req)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
 			}
-		}
-		if rep.Stats.NodesVisited != legacy.Stats.NodesVisited {
-			t.Errorf("%s: Run visited %d nodes, Discover %d", name, rep.Stats.NodesVisited, legacy.Stats.NodesVisited)
-		}
-	}
-}
-
-func TestRunMatchesLegacyBaselinesAndExtensions(t *testing.T) {
-	ctx := context.Background()
-	ds := fastod.SyntheticFlight(250, 6, 2017)
-	dsLegacy := fastod.SyntheticFlight(250, 6, 2017)
-
-	tane, err := ds.Run(ctx, fastod.Request{Algorithm: fastod.AlgorithmTANE})
-	if err != nil {
-		t.Fatal(err)
-	}
-	taneLegacy, err := dsLegacy.DiscoverFDs(fastod.TANEOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tane.TANE.FDs) != len(taneLegacy.FDs) {
-		t.Errorf("TANE: Run found %d FDs, legacy %d", len(tane.TANE.FDs), len(taneLegacy.FDs))
-	}
-
-	apx, err := ds.Run(ctx, fastod.Request{
-		Algorithm: fastod.AlgorithmApprox,
-		Approx:    fastod.ApproxRunOptions{Threshold: 0.1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	apxLegacy, err := dsLegacy.DiscoverApproximate(fastod.ApproxOptions{Threshold: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(apx.Approx.ODs) != len(apxLegacy.ODs) {
-		t.Errorf("approx: Run found %d ODs, legacy %d", len(apx.Approx.ODs), len(apxLegacy.ODs))
-	}
-
-	bid, err := ds.Run(ctx, fastod.Request{Algorithm: fastod.AlgorithmBidirectional})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bidLegacy, err := dsLegacy.DiscoverBidirectional(fastod.BidirOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bid.Bidir.ODs) != len(bidLegacy.ODs) {
-		t.Errorf("bidir: Run found %d ODs, legacy %d", len(bid.Bidir.ODs), len(bidLegacy.ODs))
-	}
-
-	cond, err := ds.Run(ctx, fastod.Request{Algorithm: fastod.AlgorithmConditional})
-	if err != nil {
-		t.Fatal(err)
-	}
-	condLegacy, err := dsLegacy.DiscoverConditional(fastod.ConditionalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cond.Conditional.ODs) != len(condLegacy.ODs) || cond.Conditional.SlicesExamined != condLegacy.SlicesExamined {
-		t.Errorf("conditional: Run found %d ODs over %d slices, legacy %d over %d",
-			len(cond.Conditional.ODs), cond.Conditional.SlicesExamined,
-			len(condLegacy.ODs), condLegacy.SlicesExamined)
-	}
-
-	ord, err := ds.Run(ctx, fastod.Request{
-		Algorithm:  fastod.AlgorithmORDER,
-		RunOptions: fastod.RunOptions{Budget: fastod.Budget{MaxNodes: 200_000}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ordLegacy, err := dsLegacy.DiscoverWithORDER(fastod.ORDEROptions{Budget: fastod.Budget{MaxNodes: 200_000}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ord.ORDER.ODs) != len(ordLegacy.ODs) || ord.ORDER.Interrupted != ordLegacy.Interrupted {
-		t.Errorf("ORDER: Run found %d ODs (interrupted=%v), legacy %d (interrupted=%v)",
-			len(ord.ORDER.ODs), ord.ORDER.Interrupted, len(ordLegacy.ODs), ordLegacy.Interrupted)
+			got := renderReport(rep)
+			want, err := c.run(t.Context(), enc)
+			if err != nil {
+				t.Fatalf("DiscoverContext: %v", err)
+			}
+			if got != want {
+				t.Fatalf("Run and DiscoverContext disagree:\n--- Run\n%s--- DiscoverContext\n%s", got, want)
+			}
+			zero, err := ds.Run(t.Context(), fastod.Request{Algorithm: c.req.Algorithm})
+			if err != nil {
+				t.Fatalf("zero request: %v", err)
+			}
+			if same := renderReport(zero) == got; same != c.sameAsZero {
+				t.Fatalf("output equals the zero request's: %v, want %v (a case must observe its field)", same, c.sameAsZero)
+			}
+		})
 	}
 }
 
@@ -348,7 +449,7 @@ func TestConditionalUsesSharedPartitionStore(t *testing.T) {
 	store := ds.EnablePartitionCache(0)
 
 	// Warm the store with a plain FASTOD run.
-	if _, err := ds.Discover(fastod.Options{}); err != nil {
+	if _, err := ds.Run(t.Context(), fastod.Request{}); err != nil {
 		t.Fatal(err)
 	}
 	if store.Stats().Puts == 0 {
@@ -365,15 +466,6 @@ func TestConditionalUsesSharedPartitionStore(t *testing.T) {
 	if rep.Conditional.Global.Stats.PartitionHits == 0 {
 		t.Error("global pass stats show no partition hits")
 	}
-
-	// The legacy wrapper must route through the same path.
-	legacy, err := ds.DiscoverConditional(fastod.ConditionalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Global.Stats.PartitionHits == 0 {
-		t.Error("DiscoverConditional bypassed the dataset's shared partition store")
-	}
 }
 
 // --- Satellite: Project/HeadRows views must not inherit the parent's ---
@@ -382,7 +474,7 @@ func TestConditionalUsesSharedPartitionStore(t *testing.T) {
 func TestViewsDoNotInheritPartitionCache(t *testing.T) {
 	ds := fastod.SyntheticFlight(200, 6, 2017)
 	store := ds.EnablePartitionCache(0)
-	if _, err := ds.Discover(fastod.Options{}); err != nil {
+	if _, err := ds.Run(t.Context(), fastod.Request{}); err != nil {
 		t.Fatal(err)
 	}
 	before := store.Stats()

@@ -1,6 +1,7 @@
 package fastod_test
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -28,23 +29,23 @@ import (
 
 // viewAlgorithms runs each rank-free algorithm sequentially and renders its
 // output as sorted lines.
-var viewAlgorithms = map[string]func(*relation.Encoded) ([]string, error){
-	"fastod": func(enc *relation.Encoded) ([]string, error) {
-		res, err := core.Discover(enc, core.Options{Workers: 1})
+var viewAlgorithms = map[string]func(context.Context, *relation.Encoded) ([]string, error){
+	"fastod": func(ctx context.Context, enc *relation.Encoded) ([]string, error) {
+		res, err := core.DiscoverContext(ctx, enc, core.Options{Workers: 1})
 		if err != nil {
 			return nil, err
 		}
 		return renderLines(res.ODs, canonical.OD.String), nil
 	},
-	"tane": func(enc *relation.Encoded) ([]string, error) {
-		res, err := tane.Discover(enc, tane.Options{Workers: 1})
+	"tane": func(ctx context.Context, enc *relation.Encoded) ([]string, error) {
+		res, err := tane.DiscoverContext(ctx, enc, tane.Options{Workers: 1})
 		if err != nil {
 			return nil, err
 		}
 		return renderLines(res.FDs, tane.FD.String), nil
 	},
-	"approx": func(enc *relation.Encoded) ([]string, error) {
-		res, err := approx.Discover(enc, approx.Options{Threshold: 0.1, Workers: 1})
+	"approx": func(ctx context.Context, enc *relation.Encoded) ([]string, error) {
+		res, err := approx.DiscoverContext(ctx, enc, approx.Options{Threshold: 0.1, Workers: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -52,8 +53,8 @@ var viewAlgorithms = map[string]func(*relation.Encoded) ([]string, error){
 			return fmt.Sprintf("%v removals=%d", d.OD, d.Error.Removals)
 		}), nil
 	},
-	"bidir": func(enc *relation.Encoded) ([]string, error) {
-		res, err := bidir.Discover(enc, bidir.Options{Workers: 1})
+	"bidir": func(ctx context.Context, enc *relation.Encoded) ([]string, error) {
+		res, err := bidir.DiscoverContext(ctx, enc, bidir.Options{Workers: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -126,11 +127,11 @@ func TestRowViewsMatchFreshLoad(t *testing.T) {
 					t.Fatalf("%s: %v", sh.name, err)
 				}
 				for alg, run := range viewAlgorithms {
-					got, err := run(v.view)
+					got, err := run(t.Context(), v.view)
 					if err != nil {
 						t.Fatalf("%s %s(%d) %s on view: %v", sh.name, v.kind, n, alg, err)
 					}
-					want, err := run(fresh)
+					want, err := run(t.Context(), fresh)
 					if err != nil {
 						t.Fatalf("%s %s(%d) %s on fresh load: %v", sh.name, v.kind, n, alg, err)
 					}
