@@ -9,6 +9,7 @@ package approx
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bitset"
 	"repro/internal/canonical"
@@ -54,14 +55,15 @@ func constancyError(enc *relation.Encoded, ctx bitset.AttrSet, a int) (Error, er
 	if err != nil {
 		return Error{}, err
 	}
-	return newError(p.ConstancyRemovals(enc.Column(a), s), enc.NumRows()), nil
+	return newError(p.ConstancyRemovals(enc.Column(a), math.MaxInt, s), enc.NumRows()), nil
 }
 
 // orderCompatError computes the error of X: A ~ B: within each equivalence
 // class the largest swap-free subset is the longest non-decreasing
 // subsequence of B-ranks once the class is ordered by (A, B) — the
-// SwapRemovals kernel of package partition (radix sort plus patience
-// sorting); everything else must be removed.
+// SwapRemovals kernel of package partition, asked for the exact count, so
+// every class is sorted and scanned by patience sorting; everything else
+// must be removed.
 func orderCompatError(enc *relation.Encoded, ctx bitset.AttrSet, a, b int) (Error, error) {
 	if err := checkAttr(enc, a); err != nil {
 		return Error{}, err
@@ -77,7 +79,7 @@ func orderCompatError(enc *relation.Encoded, ctx bitset.AttrSet, a, b int) (Erro
 	if err != nil {
 		return Error{}, err
 	}
-	return newError(p.SwapRemovals(enc.Column(a), enc.Column(b), s), enc.NumRows()), nil
+	return newError(p.SwapRemovals(enc.Column(a), enc.Column(b), math.MaxInt, s), enc.NumRows()), nil
 }
 
 func newError(removals, rows int) Error {

@@ -207,7 +207,7 @@ func TestSwapRemovalsHandlesTies(t *testing.T) {
 	// Largest swap-free subset is rows {1,2,3} (A = 0,1,1 and B = 1,3,3):
 	// row 0 (B=5) conflicts with every larger-A row, and row 4 (A=2,B=2)
 	// conflicts with rows 2 and 3 — so two removals.
-	got := cls.SwapRemovals(colA, colB, nil)
+	got := cls.SwapRemovals(colA, colB, math.MaxInt, nil)
 	if got != 2 {
 		t.Errorf("SwapRemovals = %d, want 2", got)
 	}

@@ -92,7 +92,7 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	if enc.NumCols() > bitset.MaxAttrs {
 		return nil, fmt.Errorf("approx: relation has %d columns, maximum is %d", enc.NumCols(), bitset.MaxAttrs)
 	}
-	if opts.Threshold < 0 || opts.Threshold >= 1 {
+	if !(opts.Threshold >= 0 && opts.Threshold < 1) { // NaN fails too
 		return nil, fmt.Errorf("approx: threshold %v outside [0, 1)", opts.Threshold)
 	}
 	start := time.Now()
@@ -125,12 +125,17 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	}
 
 	// Per-class error counting runs on the flat partition kernels with the
-	// engine's per-worker scratches: allocation-free on the hot path.
+	// engine's per-worker scratches: allocation-free on the hot path. The
+	// kernels stop counting once the count passes the threshold's removal
+	// limit: such a count is rejected whatever its exact value, and a count
+	// within the limit is exact, so every decision and reported Error is the
+	// one exact counts give.
+	limit := removalLimit(enc.NumRows(), opts.Threshold)
 	colErr := func(ctxPart *partition.Partition, a int, s *partition.Scratch) Error {
-		return newError(ctxPart.ConstancyRemovals(enc.Column(a), s), enc.NumRows())
+		return newError(ctxPart.ConstancyRemovals(enc.Column(a), limit, s), enc.NumRows())
 	}
 	pairErr := func(ctxPart *partition.Partition, a, b int, s *partition.Scratch) Error {
-		return newError(ctxPart.SwapRemovals(enc.Column(a), enc.Column(b), s), enc.NumRows())
+		return newError(ctxPart.SwapRemovals(enc.Column(a), enc.Column(b), limit, s), enc.NumRows())
 	}
 
 	// Node-reentrant validation with the satisfied-lists under one mutex,
@@ -222,4 +227,21 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	sort.Slice(res.ODs, func(i, j int) bool { return canonical.Less(res.ODs[i].OD, res.ODs[j].OD) })
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// removalLimit returns the largest removal count r whose error rate
+// float64(r)/float64(rows) is at most threshold, so that r <= limit exactly
+// when newError(r, rows) passes the threshold. Division by a fixed positive
+// divisor rounds monotonically, so the passing counts are 0..limit; the
+// product estimate is corrected for rounding in both directions. A relation
+// without rows has nothing to remove; it gets 0, as 1/0 is +Inf.
+func removalLimit(rows int, threshold float64) int {
+	r := int(threshold * float64(rows))
+	for r > 0 && float64(r)/float64(rows) > threshold {
+		r--
+	}
+	for float64(r+1)/float64(rows) <= threshold {
+		r++
+	}
+	return r
 }

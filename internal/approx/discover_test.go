@@ -1,6 +1,7 @@
 package approx
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -23,6 +24,9 @@ func TestDiscoverValidation(t *testing.T) {
 	}
 	if _, err := DiscoverContext(t.Context(), enc, Options{Threshold: 1.0}); err == nil {
 		t.Error("threshold >= 1 must be rejected")
+	}
+	if _, err := DiscoverContext(t.Context(), enc, Options{Threshold: math.NaN()}); err == nil {
+		t.Error("NaN threshold must be rejected")
 	}
 }
 
@@ -243,6 +247,57 @@ func TestParallelWorkerCounts(t *testing.T) {
 			for i := range want.ODs {
 				if got.ODs[i] != want.ODs[i] {
 					t.Fatalf("workers=%d: OD %d = %+v, want %+v", w, i, got.ODs[i], want.ODs[i])
+				}
+			}
+		}
+	}
+}
+
+// TestRemovalLimitMatchesThreshold checks the count DiscoverContext bounds
+// the removal kernels by: r <= removalLimit(rows, threshold) must hold
+// exactly when r removals pass the threshold. It is checked on both sides of
+// the limit, so an off-by-one either way fails.
+func TestRemovalLimitMatchesThreshold(t *testing.T) {
+	type tc struct {
+		rows      int
+		threshold float64
+	}
+	var cases []tc
+	for _, rows := range []int{1, 3, 7, 155, 10_000, 20_000} {
+		for _, threshold := range []float64{0, 0.01, 0.02, 0.03, 0.05, 0.1, 1.0 / 3, 0.7} {
+			cases = append(cases, tc{rows, threshold})
+		}
+	}
+	// threshold × rows rounds down to 28.999… in the first case and up to
+	// exactly 10 in the second, so each needs one of the corrections.
+	cases = append(cases, tc{100, 0.29}, tc{100, math.Nextafter(0.1, 0)})
+	for _, c := range cases {
+		limit := removalLimit(c.rows, c.threshold)
+		for _, r := range []int{limit - 1, limit, limit + 1} {
+			if passes := float64(r)/float64(c.rows) <= c.threshold; (r <= limit) != passes {
+				t.Errorf("rows %d, threshold %v: limit %d, but %d removals pass = %v",
+					c.rows, c.threshold, limit, r, passes)
+			}
+		}
+	}
+}
+
+// TestReportedErrorsAreExact: the kernels' early returns must not reach the
+// output. Every reported error equals ErrorOf's exact count.
+func TestReportedErrorsAreExact(t *testing.T) {
+	for name, enc := range differentialRelations(t) {
+		for _, threshold := range []float64{0.01, 0.1} {
+			res, err := DiscoverContext(t.Context(), enc, Options{Threshold: threshold})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for _, d := range res.ODs {
+				want, err := ErrorOf(enc, d.OD)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.Error != want {
+					t.Errorf("%s@%v: %v reported with error %+v, ErrorOf = %+v", name, threshold, d.OD, d.Error, want)
 				}
 			}
 		}

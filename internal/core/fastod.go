@@ -287,11 +287,12 @@ func (d *discoverer) checkConstancy(ctx, x bitset.AttrSet, sh *checkShard) bool 
 }
 
 // checkOrderCompat validates X\{A,B}: A ~ B by scanning the equivalence
-// classes of the context partition for swaps, using the calling worker's
-// engine scratch so the radix-sorted check allocates nothing. It returns
-// (valid, minimal): when the context is a superkey the OD is valid but never
-// minimal (Lemma 13), so it is removed from the candidate set without being
-// emitted.
+// classes of the context partition for swaps: first for two neighbouring
+// rows that are inverted, then, only if none is, class by class in sorted
+// order, with the calling worker's engine scratch so the radix sort
+// allocates nothing. It returns (valid, minimal): when the context is a
+// superkey the OD is valid but never minimal (Lemma 13), so it is removed
+// from the candidate set without being emitted.
 func (d *discoverer) checkOrderCompat(ctx bitset.AttrSet, a, b int, sh *checkShard, s *partition.Scratch) (valid, minimal bool) {
 	sh.swapChecks++
 	ctxPart := d.eng.Partition(ctx)

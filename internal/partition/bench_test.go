@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -54,44 +55,74 @@ func BenchmarkProductWithScratch(b *testing.B) {
 	}
 }
 
-func BenchmarkHasSwapSortedScan(b *testing.B) {
+// The swap benchmarks below run on a 50 000-row context of 50 classes.
+// Random columns (SortedScan, Scratch, SwapRemovals at a 1 % limit) are
+// settled by the neighbour scan in front of the sort; the co-moving,
+// swap-free columns of HasSwapCoMoving and exact SwapRemovals counts pay for
+// the sort.
+
+func swapBenchInput(coMoving bool) (ctx *Partition, colA, colB []int32) {
 	ctxCol, ctxCard := randomColumn(50_000, 50, 1)
-	colA, _ := randomColumn(50_000, 1000, 2)
-	colB, _ := randomColumn(50_000, 1000, 3)
-	ctx := FromColumn(ctxCol, ctxCard)
+	ctx = FromColumn(ctxCol, ctxCard)
+	if coMoving {
+		colA, colB = coMovingColumns(rand.New(rand.NewSource(2)), ctx, 3000, true)
+		return ctx, colA, colB
+	}
+	colA, _ = randomColumn(50_000, 1000, 2)
+	colB, _ = randomColumn(50_000, 1000, 3)
+	return ctx, colA, colB
+}
+
+func BenchmarkHasSwapSortedScan(b *testing.B) {
+	ctx, colA, colB := swapBenchInput(false)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		ctx.HasSwap(colA, colB)
 	}
 }
 
 func BenchmarkHasSwapScratch(b *testing.B) {
-	// The validation hot path: with a warm per-worker scratch the radix swap
-	// check is allocation-free.
-	ctxCol, ctxCard := randomColumn(50_000, 50, 1)
-	colA, _ := randomColumn(50_000, 1000, 2)
-	colB, _ := randomColumn(50_000, 1000, 3)
-	ctx := FromColumn(ctxCol, ctxCard)
+	// The validation hot path: with a warm per-worker scratch the swap check
+	// is allocation-free.
+	ctx, colA, colB := swapBenchInput(false)
 	s := NewScratch()
 	ctx.HasSwapWith(colA, colB, s) // warm the scratch
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
+		ctx.HasSwapWith(colA, colB, s)
+	}
+}
+
+func BenchmarkHasSwapCoMoving(b *testing.B) {
+	// A valid OD: the neighbour scan finds nothing, so every class is
+	// sorted and scanned as well.
+	ctx, colA, colB := swapBenchInput(true)
+	s := NewScratch()
+	if ctx.HasSwapWith(colA, colB, s) { // also warms the scratch
+		b.Fatal("co-moving chain columns have a swap")
+	}
+	b.ReportAllocs()
+	for b.Loop() {
 		ctx.HasSwapWith(colA, colB, s)
 	}
 }
 
 func BenchmarkSwapRemovals(b *testing.B) {
-	ctxCol, ctxCard := randomColumn(50_000, 50, 1)
-	colA, _ := randomColumn(50_000, 1000, 2)
-	colB, _ := randomColumn(50_000, 1000, 3)
-	ctx := FromColumn(ctxCol, ctxCard)
-	s := NewScratch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx.SwapRemovals(colA, colB, s)
+	ctx, colA, colB := swapBenchInput(false)
+	for _, bc := range []struct {
+		name  string
+		limit int
+	}{
+		{"exact", math.MaxInt},
+		{"limit=1%", ctx.NumRows / 100}, // the count approx's threshold 0.01 allows
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := NewScratch()
+			b.ReportAllocs()
+			for b.Loop() {
+				ctx.SwapRemovals(colA, colB, bc.limit, s)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package partition implements the partition machinery of Section 4.6 of the
 // paper: equivalence-class partitions ΠX over attribute sets, stripped
 // partitions Π*X (singleton classes removed), linear-time partition products,
-// and the sorted-scan swap check used to validate order-compatibility ODs
-// X: A ~ B. All operations work on rank-encoded columns (see package
-// relation), so value comparisons are integer comparisons.
+// and the swap check used to validate order-compatibility ODs X: A ~ B: a
+// scan of neighbouring rows, then a sorted scan of each class. All
+// operations work on rank-encoded columns (see package relation), so value
+// comparisons are integer comparisons.
 //
 // # Memory model
 //

@@ -40,7 +40,9 @@ type Scratch struct {
 	outRows    []int32
 	outOffsets []int32
 	// keys/keyRows and tmpKeys/tmpRows are the (rank-pair, row) buffers of the
-	// radix sort behind the swap kernels.
+	// radix sort behind the swap kernels. Only swap-free HasSwapWith calls,
+	// FindSwapWith, and SwapRemovals calls whose neighbour-pair lower bound
+	// stays within the limit sort; the neighbour scan decides the rest.
 	keys    []uint64
 	keyRows []int32
 	tmpKeys []uint64

@@ -1,5 +1,7 @@
 package partition
 
+import "math"
+
 // SwapWitness identifies a pair of rows (s, t) within one equivalence class
 // such that s precedes t on colA but t precedes s on colB — a "swap" in the
 // sense of Definition 5, restricted to the context defining this partition.
@@ -16,14 +18,44 @@ func (p *Partition) HasSwap(colA, colB []int32) bool {
 	return p.HasSwapWith(colA, colB, nil)
 }
 
-// HasSwapWith is HasSwap using s as scratch space (nil allocates one). Each
-// class is ordered by its (A-rank, B-rank) pairs with a scratch-backed radix
-// sort over the dense ranks — no per-class allocation, no comparison sort —
-// and then scanned once: B-ranks must never decrease across strictly
-// increasing A-ranks.
+// HasSwapWith is HasSwap using s as scratch space (nil allocates one). It
+// first walks every class in stored order and returns true at the first two
+// consecutive rows that are strictly inverted on (A, B): such a pair is a
+// swap, and on violated ODs one usually sits next to another. Only when no
+// class has such a pair are the classes sorted: each is ordered by its
+// (A-rank, B-rank) pairs with a scratch-backed radix sort over the dense
+// ranks — no per-class allocation, no comparison sort — and then scanned
+// once: B-ranks must never decrease across strictly increasing A-ranks.
 func (p *Partition) HasSwapWith(colA, colB []int32, s *Scratch) bool {
+	if p.neighbourInversions(colA, colB, 0) > 0 {
+		return true
+	}
 	_, found := p.findSwap(colA, colB, false, s)
 	return found
+}
+
+// neighbourInversions counts disjoint pairs of consecutive rows of one class,
+// in stored order, that are strictly inverted on (A, B), and stops as soon as
+// the count exceeds limit. Every such pair is a swap, and no swap-free subset
+// keeps both of its rows, so the count is a lower bound on SwapRemovals. Rows
+// are never paired across a class boundary.
+func (p *Partition) neighbourInversions(colA, colB []int32, limit int) int {
+	n := 0
+	for ci := 1; ci < len(p.offsets); ci++ {
+		cls := p.rows[p.offsets[ci-1]:p.offsets[ci]]
+		for j := 1; j < len(cls); j++ {
+			s, t := cls[j-1], cls[j]
+			// Ranks are non-negative int32s, so the differences cannot
+			// overflow and their product fits an int64.
+			if int64(colA[t]-colA[s])*int64(colB[t]-colB[s]) < 0 {
+				if n++; n > limit {
+					return n
+				}
+				j++ // keep the pairs disjoint: t cannot open the next one
+			}
+		}
+	}
+	return n
 }
 
 // FindSwap returns a witness pair for a swap between colA and colB within the
@@ -89,12 +121,24 @@ func (p *Partition) findSwap(colA, colB []int32, wantWitness bool, s *Scratch) (
 // SwapRemovals returns the minimum number of tuples that must be removed from
 // the relation so that no class of the context partition contains a swap
 // between colA and colB — the g3-style error of the OD X: A ~ B (the receiver
-// being Π*X). Within each class the largest swap-free subset is the longest
-// non-decreasing subsequence of B-ranks once the class is ordered by (A, B);
-// the class is sorted with the scratch radix sort and the subsequence found
-// by patience sorting, so the whole computation is allocation-free on a warm
-// scratch. A nil scratch allocates one.
-func (p *Partition) SwapRemovals(colA, colB []int32, s *Scratch) int {
+// being Π*X) — when that number is at most limit. Otherwise it returns, as
+// soon as it has one, a count above limit that is still at most the exact
+// one; pass math.MaxInt for the exact count.
+//
+// Before sorting anything, a bounded call counts disjoint inverted pairs of
+// neighbouring rows (each costs at least one removal) and returns once that
+// lower bound passes the limit. Then, within each class, the largest
+// swap-free subset is the longest non-decreasing subsequence of B-ranks once
+// the class is ordered by (A, B): the class is sorted with the scratch radix
+// sort and the subsequence found by patience sorting, so the whole
+// computation is allocation-free on a warm scratch. A nil scratch allocates
+// one.
+func (p *Partition) SwapRemovals(colA, colB []int32, limit int, s *Scratch) int {
+	if limit != math.MaxInt {
+		if lower := p.neighbourInversions(colA, colB, limit); lower > limit {
+			return lower
+		}
+	}
 	if s == nil {
 		s = NewScratch()
 	}
@@ -126,6 +170,9 @@ func (p *Partition) SwapRemovals(colA, colB []int32, s *Scratch) int {
 		}
 		s.tails = tails[:0]
 		removals += len(cls) - len(tails)
+		if removals > limit {
+			return removals
+		}
 	}
 	return removals
 }
@@ -133,10 +180,12 @@ func (p *Partition) SwapRemovals(colA, colB []int32, s *Scratch) int {
 // ConstancyRemovals returns the minimum number of tuples that must be removed
 // so that attribute col is constant within every class of the partition — the
 // g3 error of the FD X → A (the receiver being Π*X): per class, everything
-// but the most frequent rank goes. The frequency count uses a dense scratch
-// table over the ranks, so the computation is allocation-free on a warm
-// scratch. A nil scratch allocates one.
-func (p *Partition) ConstancyRemovals(col []int32, s *Scratch) int {
+// but the most frequent rank goes. Like SwapRemovals it returns the exact
+// count when that is at most limit, and otherwise the first running count
+// above limit, a partial sum of the exact one. The frequency count uses a
+// dense scratch table over the ranks, so the computation is allocation-free
+// on a warm scratch. A nil scratch allocates one.
+func (p *Partition) ConstancyRemovals(col []int32, limit int, s *Scratch) int {
 	if s == nil {
 		s = NewScratch()
 	}
@@ -162,6 +211,9 @@ func (p *Partition) ConstancyRemovals(col []int32, s *Scratch) int {
 			s.freq[v] = 0
 		}
 		removals += len(cls) - int(best)
+		if removals > limit {
+			return removals
+		}
 	}
 	return removals
 }
