@@ -43,7 +43,7 @@ func newRawInstance(rel *relation.Relation, spec relation.OrderSpec) (*rawInstan
 // cmp orders rows s and t by attribute a under the spec.
 func (ri *rawInstance) cmp(a, s, t int) int {
 	col := ri.rel.Columns[a]
-	return relation.Compare(ri.spec[a], col.Type, col.Raw[s], col.Raw[t])
+	return relation.Compare(ri.spec[a], col.Type, col.Value(s), col.Value(t))
 }
 
 // contextClasses partitions the rows into equivalence classes of the context

@@ -146,7 +146,7 @@ func Generate(spec Spec) (*relation.Relation, error) {
 		for i, v := range cols[ci] {
 			raw[i] = strconv.Itoa(v)
 		}
-		columns[ci] = relation.Column{Name: cs.Name, Type: relation.TypeInt, Raw: raw}
+		columns[ci] = relation.NewColumn(cs.Name, relation.TypeInt, raw)
 	}
 	r := relation.New(spec.Name, columns...)
 	if err := r.Validate(); err != nil {

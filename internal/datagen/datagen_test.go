@@ -25,13 +25,13 @@ func TestGenerateConstantSequentialRandom(t *testing.T) {
 		t.Fatalf("dims %dx%d", r.NumRows(), r.NumCols())
 	}
 	for i := 0; i < 10; i++ {
-		if r.Columns[0].Raw[i] != "7" {
-			t.Errorf("constant row %d = %q", i, r.Columns[0].Raw[i])
+		if r.Columns[0].Value(i) != "7" {
+			t.Errorf("constant row %d = %q", i, r.Columns[0].Value(i))
 		}
-		if r.Columns[1].Raw[i] != strconv.Itoa(i+1) {
-			t.Errorf("sequential row %d = %q", i, r.Columns[1].Raw[i])
+		if r.Columns[1].Value(i) != strconv.Itoa(i+1) {
+			t.Errorf("sequential row %d = %q", i, r.Columns[1].Value(i))
 		}
-		v, _ := strconv.Atoi(r.Columns[2].Raw[i])
+		v, _ := strconv.Atoi(r.Columns[2].Value(i))
 		if v < 0 || v >= 3 {
 			t.Errorf("random value %d out of domain", v)
 		}
@@ -65,7 +65,7 @@ func TestGenerateDerivedFDHolds(t *testing.T) {
 	// src -> dst must hold exactly.
 	seen := map[string]string{}
 	for i := 0; i < r.NumRows(); i++ {
-		s, d := r.Columns[0].Raw[i], r.Columns[1].Raw[i]
+		s, d := r.Columns[0].Value(i), r.Columns[1].Value(i)
 		if prev, ok := seen[s]; ok && prev != d {
 			t.Fatalf("FD src->dst violated: src=%s has dst %s and %s", s, prev, d)
 		}
@@ -155,12 +155,13 @@ func TestPresetShapes(t *testing.T) {
 func TestFlightLikeHasConstantYearAndKey(t *testing.T) {
 	r := FlightLike(100, 10, 3)
 	for i := 0; i < r.NumRows(); i++ {
-		if r.Columns[0].Raw[i] != "2012" {
+		if r.Columns[0].Value(i) != "2012" {
 			t.Fatal("flight year column must be constant 2012")
 		}
 	}
 	seen := map[string]bool{}
-	for _, v := range r.Columns[1].Raw {
+	for i := 0; i < r.NumRows(); i++ {
+		v := r.Columns[1].Value(i)
 		if seen[v] {
 			t.Fatal("flight_sk must be unique")
 		}
@@ -177,7 +178,7 @@ func TestEmployeesMatchesTable1(t *testing.T) {
 		t.Error("column order does not match Table 1")
 	}
 	// Spot-check a couple of cells.
-	if r.Columns[4].Raw[2] != "10000" || r.Columns[8].Raw[4] != "I" {
+	if r.Columns[4].Value(2) != "10000" || r.Columns[8].Value(4) != "I" {
 		t.Error("cell values do not match Table 1")
 	}
 }
@@ -197,8 +198,9 @@ func TestDateDim(t *testing.T) {
 			t.Fatal("d_date_sk must be strictly increasing")
 		}
 	}
-	for _, v := range r.Columns[r.ColumnIndex("d_version")].Raw {
-		if v != "1" {
+	version := r.Columns[r.ColumnIndex("d_version")]
+	for i := 0; i < version.Len(); i++ {
+		if version.Value(i) != "1" {
 			t.Fatal("d_version must be constant")
 		}
 	}
@@ -261,8 +263,8 @@ func TestRandomRelations(t *testing.T) {
 func intCol(t *testing.T, r *relation.Relation, idx int) []int {
 	t.Helper()
 	out := make([]int, r.NumRows())
-	for i, raw := range r.Columns[idx].Raw {
-		v, err := strconv.Atoi(raw)
+	for i := range out {
+		v, err := strconv.Atoi(r.Columns[idx].Value(i))
 		if err != nil {
 			t.Fatalf("column %d row %d: %v", idx, i, err)
 		}
@@ -285,11 +287,12 @@ func TestMessyRelationShapes(t *testing.T) {
 	other := MessyWideShallow(2)
 	sameAsAgain, differsFromOther := true, false
 	for c := range wide.Columns {
-		for r, v := range wide.Columns[c].Raw {
-			if again.Columns[c].Raw[r] != v {
+		for r := 0; r < wide.NumRows(); r++ {
+			v := wide.Columns[c].Value(r)
+			if again.Columns[c].Value(r) != v {
 				sameAsAgain = false
 			}
-			if other.Columns[c].Raw[r] != v {
+			if other.Columns[c].Value(r) != v {
 				differsFromOther = true
 			}
 		}
@@ -306,8 +309,8 @@ func TestMessyRelationStressesOrderingSemantics(t *testing.T) {
 	rel := MessyWideShallow(3)
 	nulls := 0
 	for _, col := range rel.Columns {
-		for _, v := range col.Raw {
-			if v == "" {
+		for i := 0; i < col.Len(); i++ {
+			if col.Value(i) == "" {
 				nulls++
 			}
 		}

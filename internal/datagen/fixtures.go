@@ -93,8 +93,8 @@ func InjectSwapViolations(r *relation.Relation, colName string, n int, seed int6
 		if i == j {
 			j = (j + 1) % rows
 		}
-		raw := out.Columns[ci].Raw
-		raw[i], raw[j] = raw[j], raw[i]
+		ids := out.Columns[ci].IDs
+		ids[i], ids[j] = ids[j], ids[i]
 		affected = append(affected, i, j)
 	}
 	return out, affected, nil

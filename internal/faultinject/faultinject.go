@@ -47,7 +47,8 @@ const (
 	//
 	// faultpoint:test-only
 	NodeSteal Point = "node.steal"
-	// CSVDecode fires at the head of CSV decoding (relation.ReadCSV).
+	// CSVDecode fires at the head of CSV decoding (relation.ReadCSV and
+	// relation.ReadCSVFile).
 	CSVDecode Point = "csv.decode"
 	// SSEWrite fires before each SSE progress frame is written.
 	SSEWrite Point = "sse.write"

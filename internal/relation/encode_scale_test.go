@@ -77,7 +77,7 @@ func randomSpec(rng *rand.Rand, rel *relation.Relation, k int) relation.OrderSpe
 			listed := map[string]bool{"\x00absent": true}
 			co.Ranks = []string{"\x00absent"}
 			for k := 0; k < 6; k++ {
-				if v := col.Raw[rng.Intn(len(col.Raw))]; v != "" && !listed[v] {
+				if v := col.Value(rng.Intn(col.Len())); v != "" && !listed[v] {
 					listed[v] = true
 					co.Ranks = append(co.Ranks, v)
 				}
@@ -101,23 +101,23 @@ func checkColumnRanks(t *testing.T, col relation.Column, co relation.ColumnOrder
 	if i := slices.Index(used, false); i >= 0 {
 		t.Fatalf("column %s (%v): rank %d of [0,%d) unused", col.Name, co, i, card)
 	}
-	rows := make([]int, len(col.Raw))
+	rows := make([]int, col.Len())
 	for i := range rows {
 		rows[i] = i
 	}
 	slices.SortFunc(rows, func(a, b int) int {
-		return relation.Compare(co, col.Type, col.Raw[a], col.Raw[b])
+		return relation.Compare(co, col.Type, col.Value(a), col.Value(b))
 	})
 	for i := 1; i < len(rows); i++ {
 		a, b := rows[i-1], rows[i]
-		c := relation.Compare(co, col.Type, col.Raw[a], col.Raw[b])
+		c := relation.Compare(co, col.Type, col.Value(a), col.Value(b))
 		switch {
 		case ranks[a] > ranks[b]:
 			t.Fatalf("column %s (%v): Compare sorts %q before %q, but ranks are %d > %d",
-				col.Name, co, col.Raw[a], col.Raw[b], ranks[a], ranks[b])
+				col.Name, co, col.Value(a), col.Value(b), ranks[a], ranks[b])
 		case (ranks[a] == ranks[b]) != (c == 0):
 			t.Fatalf("column %s (%v): %q vs %q: Compare %d, ranks %d and %d",
-				col.Name, co, col.Raw[a], col.Raw[b], c, ranks[a], ranks[b])
+				col.Name, co, col.Value(a), col.Value(b), c, ranks[a], ranks[b])
 		}
 	}
 }

@@ -264,6 +264,8 @@ type OrderSpec []ColumnOrder
 // Compare(spec[col], col.Type, ·, ·) and replaced by their dense 0-based
 // rank, with values equal under the collation sharing one rank. A nil spec
 // is the all-default spec, making EncodeSpec(r, nil) identical to Encode(r).
+// Columns are encoded on up to GOMAXPROCS goroutines; when several fail, the
+// error is the lowest-index column's, as if they ran in order.
 func EncodeSpec(r *Relation, spec OrderSpec) (*Encoded, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
@@ -271,70 +273,68 @@ func EncodeSpec(r *Relation, spec OrderSpec) (*Encoded, error) {
 	if spec != nil && len(spec) != r.NumCols() {
 		return nil, fmt.Errorf("relation: order spec has %d entries, relation has %d columns", len(spec), r.NumCols())
 	}
-	rows := r.NumRows()
 	enc := &Encoded{
 		Name:        r.Name,
 		ColumnNames: r.ColumnNames(),
 		Values:      make([][]int32, r.NumCols()),
 		Cardinality: make([]int, r.NumCols()),
-		rows:        rows,
+		rows:        r.NumRows(),
 	}
-	for ci, col := range r.Columns {
+	err := parallel(r.NumCols(), func(ci int) error {
+		col := r.Columns[ci]
 		var co ColumnOrder
 		if spec != nil {
 			co = spec[ci]
 		}
 		if err := co.Validate(); err != nil {
-			return nil, fmt.Errorf("relation: column %q: %w", col.Name, err)
+			return fmt.Errorf("relation: column %q: %w", col.Name, err)
 		}
 		ranks, card, err := encodeColumn(col, co)
 		if err != nil {
-			return nil, fmt.Errorf("relation: column %q: %w", col.Name, err)
+			return fmt.Errorf("relation: column %q: %w", col.Name, err)
 		}
 		enc.Values[ci] = ranks
 		enc.Cardinality[ci] = card
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return enc, nil
 }
 
-// encodeColumn rank-encodes one column under a column order through a
-// dictionary of its distinct values. One pass maps each raw value to a dense
-// first-seen id, with one map operation per row, and records each row's id.
-// Each distinct value is keyed once, and the ids are sorted by key with a
-// comparator that never hashes. Runs of equal keys share one dense rank;
-// only the merging collations (numeric, date, case-insensitive, rank)
-// produce them. Last, each row's id is overwritten in place by its rank.
-// With d distinct values a column costs O(rows + d log d).
+// encodeColumn rank-encodes one column under a column order from its
+// dictionary. One pass over the rows marks the dictionary entries they use;
+// a row prefix (Head, or a HeadRows dataset's raw view) may leave some
+// unused, and those get no key and no rank. Each used value is keyed once,
+// in dictionary order, and the used ids are sorted by key with a comparator
+// that never hashes. Runs of equal keys share one dense rank; only the
+// merging collations (numeric, date, case-insensitive, rank) produce them.
+// A last pass maps each row's id to its rank. With d distinct values a
+// column costs O(rows + d log d).
 func encodeColumn(col Column, co ColumnOrder) ([]int32, int, error) {
-	out := make([]int32, len(col.Raw))
-	ids := make(map[string]int32)
-	var dict []string
-	for i, v := range col.Raw {
-		id, ok := ids[v]
-		if !ok {
-			id = int32(len(dict))
-			ids[v] = id
-			dict = append(dict, v)
+	rank := make([]int32, len(col.Dict))
+	for _, id := range col.IDs {
+		rank[id] = 1
+	}
+	byKey := make([]int32, 0, len(col.Dict))
+	for id, used := range rank {
+		if used != 0 {
+			byKey = append(byKey, int32(id))
 		}
-		out[i] = id
 	}
 	maker := newKeyMaker(co, col.Type)
-	keys := make([]sortKey, len(dict))
-	for id, v := range dict {
-		k, err := maker.key(v)
+	keys := make([]sortKey, len(col.Dict))
+	for _, id := range byKey {
+		k, err := maker.key(col.Dict[id])
 		if err != nil {
 			return nil, 0, err
 		}
 		keys[id] = k
 	}
-	byKey := make([]int32, len(dict))
-	for id := range byKey {
-		byKey[id] = int32(id)
-	}
 	slices.SortFunc(byKey, func(a, b int32) int {
 		return co.compareKeys(keys[a], keys[b])
 	})
-	rank := make([]int32, len(dict))
 	next := int32(0)
 	for i, id := range byKey {
 		if i > 0 && co.compareKeys(keys[byKey[i-1]], keys[id]) != 0 {
@@ -342,11 +342,12 @@ func encodeColumn(col Column, co ColumnOrder) ([]int32, int, error) {
 		}
 		rank[id] = next
 	}
-	for i, id := range out {
+	out := make([]int32, len(col.IDs))
+	for i, id := range col.IDs {
 		out[i] = rank[id]
 	}
 	card := 0
-	if len(dict) > 0 {
+	if len(byKey) > 0 {
 		card = int(next) + 1
 	}
 	return out, card, nil

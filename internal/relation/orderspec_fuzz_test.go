@@ -60,7 +60,7 @@ func FuzzEncodeSpec(f *testing.F) {
 		}
 		typ := SniffType(raw)
 		encode := func(order ColumnOrder) ([]int32, int, bool) {
-			r := New("fuzz", Column{Name: "a", Type: typ, Raw: raw})
+			r := New("fuzz", NewColumn("a", typ, raw))
 			enc, err := EncodeSpec(r, OrderSpec{order})
 			if err != nil {
 				// Only the typed default collation may reject values (e.g.

@@ -8,7 +8,7 @@ import (
 
 func encodeOne(t *testing.T, typ Type, raw []string, co ColumnOrder) ([]int32, int) {
 	t.Helper()
-	r := New("t", Column{Name: "a", Type: typ, Raw: raw})
+	r := New("t", NewColumn("a", typ, raw))
 	enc, err := EncodeSpec(r, OrderSpec{co})
 	if err != nil {
 		t.Fatalf("EncodeSpec: %v", err)
@@ -18,9 +18,9 @@ func encodeOne(t *testing.T, typ Type, raw []string, co ColumnOrder) ([]int32, i
 
 func TestEncodeSpecNilMatchesEncode(t *testing.T) {
 	r := New("t",
-		Column{Name: "i", Type: TypeInt, Raw: []string{"10", "2", "", "7", "2"}},
-		Column{Name: "s", Type: TypeString, Raw: []string{"b", "a", "c", "", "a"}},
-		Column{Name: "d", Type: TypeDate, Raw: []string{"2012-01-02", "2011-05-06", "", "2012-01-01", "2011-05-06"}},
+		NewColumn("i", TypeInt, []string{"10", "2", "", "7", "2"}),
+		NewColumn("s", TypeString, []string{"b", "a", "c", "", "a"}),
+		NewColumn("d", TypeDate, []string{"2012-01-02", "2011-05-06", "", "2012-01-01", "2011-05-06"}),
 	)
 	plain, err := Encode(r)
 	if err != nil {
@@ -225,7 +225,7 @@ func TestColumnOrderValidate(t *testing.T) {
 }
 
 func TestEncodeSpecLengthMismatch(t *testing.T) {
-	r := New("t", Column{Name: "a", Raw: []string{"x"}}, Column{Name: "b", Raw: []string{"y"}})
+	r := New("t", NewColumn("a", TypeString, []string{"x"}), NewColumn("b", TypeString, []string{"y"}))
 	if _, err := EncodeSpec(r, OrderSpec{{}}); err == nil {
 		t.Fatal("want error for 1-entry spec on 2-column relation")
 	}

@@ -5,6 +5,12 @@
 // integers ... in a way that the equivalence classes do not change and the
 // ordering is preserved").
 //
+// Every column is a dictionary: its distinct raw values once, plus one int32
+// id per row. ReadCSV builds the dictionaries while it decodes, cutting a
+// large input into chunks that parallel goroutines intern field by field,
+// and type sniffing and rank encoding then work on distinct values only:
+// sniff, key and sort each value once, and map ids to ranks in one pass.
+//
 // Ordering semantics are first-class: an OrderSpec chooses, per column, the
 // sort direction (Asc/Desc), the NULL placement (NullsFirst/NullsLast) and
 // the collation (type-driven default, lexicographic, numeric, date,
@@ -16,8 +22,12 @@ package relation
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -52,15 +62,46 @@ func (t Type) String() string {
 // dateLayouts are the date formats the type sniffer and parser accept.
 var dateLayouts = []string{"2006-01-02", "2006/01/02", "01/02/2006", time.RFC3339}
 
-// Column is a single named, typed column of raw values. Raw values are kept
-// as strings; Encode produces the rank representation used by the discovery
-// algorithms.
+// Column is a single named, typed column of raw values, stored as a
+// dictionary: each distinct textual value once, plus one index into the
+// dictionary per row. Encode produces the rank representation used by the
+// discovery algorithms from the dictionary, so it sniffs, keys and sorts each
+// distinct value once, whatever the row count.
 type Column struct {
 	Name string
 	Type Type
-	// Raw holds the original textual values, one per row.
-	Raw []string
+	// Dict holds the column's distinct values, in first-seen order when the
+	// column comes from NewColumn, FromRows or ReadCSV. Views (Head, Project)
+	// share it, so it must not be modified; a view's rows may leave some of
+	// its entries unused.
+	Dict []string
+	// IDs holds one index into Dict per row.
+	IDs []int32
 }
+
+// NewColumn builds a column of the given type by interning values, one per
+// row, into a dictionary.
+func NewColumn(name string, typ Type, values []string) Column {
+	dict, ids := internValues(len(values), func(i int) string { return values[i] })
+	return Column{Name: name, Type: typ, Dict: dict, IDs: ids}
+}
+
+// internValues interns value(0) … value(n-1) into a dictionary and returns it
+// with one id per value.
+func internValues(n int, value func(i int) string) ([]string, []int32) {
+	t := newInternTable()
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = t.intern(value(i))
+	}
+	return t.dict, ids
+}
+
+// Value returns the raw value of row i.
+func (c Column) Value(i int) string { return c.Dict[c.IDs[i]] }
+
+// Len returns the number of rows.
+func (c Column) Len() int { return len(c.IDs) }
 
 // Relation is a relation instance: an ordered list of columns of equal
 // length. It is the input to all discovery algorithms in this module.
@@ -79,7 +120,7 @@ func (r *Relation) NumRows() int {
 	if len(r.Columns) == 0 {
 		return 0
 	}
-	return len(r.Columns[0].Raw)
+	return r.Columns[0].Len()
 }
 
 // NumCols returns the number of attributes.
@@ -114,7 +155,7 @@ func (r *Relation) Validate() error {
 		return fmt.Errorf("relation: %d columns exceeds the 64-attribute limit", len(r.Columns))
 	}
 	seen := make(map[string]bool, len(r.Columns))
-	n := len(r.Columns[0].Raw)
+	n := r.Columns[0].Len()
 	for i, c := range r.Columns {
 		if c.Name == "" {
 			return fmt.Errorf("relation: column %d has an empty name", i)
@@ -123,15 +164,17 @@ func (r *Relation) Validate() error {
 			return fmt.Errorf("relation: duplicate column name %q", c.Name)
 		}
 		seen[c.Name] = true
-		if len(c.Raw) != n {
-			return fmt.Errorf("relation: column %q has %d rows, expected %d", c.Name, len(c.Raw), n)
+		if c.Len() != n {
+			return fmt.Errorf("relation: column %q has %d rows, expected %d", c.Name, c.Len(), n)
 		}
 	}
 	return nil
 }
 
 // Project returns a new relation containing only the columns at the given
-// indexes, in the given order. Row order is preserved.
+// indexes, in the given order. Row order is preserved. The result shares
+// each column's dictionary but owns its row ids, so a caller may permute its
+// rows without touching r.
 func (r *Relation) Project(cols []int) (*Relation, error) {
 	out := &Relation{Name: r.Name, Columns: make([]Column, 0, len(cols))}
 	for _, ci := range cols {
@@ -139,24 +182,19 @@ func (r *Relation) Project(cols []int) (*Relation, error) {
 			return nil, fmt.Errorf("relation: project column index %d out of range", ci)
 		}
 		src := r.Columns[ci]
-		raw := make([]string, len(src.Raw))
-		copy(raw, src.Raw)
-		out.Columns = append(out.Columns, Column{Name: src.Name, Type: src.Type, Raw: raw})
+		out.Columns = append(out.Columns, Column{Name: src.Name, Type: src.Type, Dict: src.Dict, IDs: slices.Clone(src.IDs)})
 	}
 	return out, nil
 }
 
-// Head returns a new relation containing only the first n rows (or all rows
-// if n exceeds the row count). Column order and types are preserved.
+// Head returns a relation containing only the first n rows (or all rows if n
+// exceeds the row count). Column order and types are preserved. The result
+// shares r's dictionaries and row ids, which some of its rows may not use.
 func (r *Relation) Head(n int) *Relation {
-	if n > r.NumRows() {
-		n = r.NumRows()
-	}
+	n = min(n, r.NumRows())
 	out := &Relation{Name: r.Name, Columns: make([]Column, len(r.Columns))}
 	for i, c := range r.Columns {
-		raw := make([]string, n)
-		copy(raw, c.Raw[:n])
-		out.Columns[i] = Column{Name: c.Name, Type: c.Type, Raw: raw}
+		out.Columns[i] = Column{Name: c.Name, Type: c.Type, Dict: c.Dict, IDs: c.IDs[:n:n]}
 	}
 	return out
 }
@@ -290,6 +328,10 @@ func Encode(r *Relation) (*Encoded, error) {
 // Each value is parsed only as the candidate types still alive, and a value
 // ParseInt accepts skips ParseFloat: every base-10 integer also parses as a
 // float, so the shortcut never changes the sniffed type.
+//
+// The result depends only on the set of distinct values: every candidate
+// survives only if it parses every non-empty value, and empty values are
+// skipped. So a column's dictionary sniffs as its rows do, in any order.
 func SniffType(values []string) Type {
 	isInt, isFloat := true, true
 	layoutOK := make([]bool, len(dateLayouts))
@@ -348,22 +390,21 @@ func SniffType(values []string) Type {
 }
 
 // FromRows builds a relation from a header and row-major string data,
-// sniffing each column's type. It is the common path for test fixtures and
-// synthetic generators.
+// sniffing each column's type from its distinct values. It is the common
+// path for test fixtures and synthetic generators.
 func FromRows(name string, header []string, rows [][]string) (*Relation, error) {
 	if len(header) == 0 {
 		return nil, errors.New("relation: empty header")
 	}
+	for ri, row := range rows {
+		if len(row) != len(header) {
+			return nil, raggedRowError(ri, len(row), len(header))
+		}
+	}
 	cols := make([]Column, len(header))
 	for ci, h := range header {
-		raw := make([]string, len(rows))
-		for ri, row := range rows {
-			if len(row) != len(header) {
-				return nil, fmt.Errorf("relation: row %d has %d fields, expected %d", ri, len(row), len(header))
-			}
-			raw[ri] = row[ci]
-		}
-		cols[ci] = Column{Name: h, Type: SniffType(raw), Raw: raw}
+		dict, ids := internValues(len(rows), func(i int) string { return rows[i][ci] })
+		cols[ci] = Column{Name: h, Type: SniffType(dict), Dict: dict, IDs: ids}
 	}
 	r := New(name, cols...)
 	if err := r.Validate(); err != nil {
@@ -380,9 +421,57 @@ func (r *Relation) Rows() [][]string {
 	for i := 0; i < n; i++ {
 		row := make([]string, len(r.Columns))
 		for j, c := range r.Columns {
-			row[j] = c.Raw[i]
+			row[j] = c.Value(i)
 		}
 		out[i] = row
 	}
 	return out
+}
+
+// raggedRowError is the error for a data row whose field count differs from
+// the header's; row counts data rows from 0.
+func raggedRowError(row, fields, want int) error {
+	return fmt.Errorf("relation: row %d has %d fields, expected %d", row, fields, want)
+}
+
+// parallel runs fn(0) … fn(n-1) on up to GOMAXPROCS goroutines and returns
+// the error of the lowest index that failed: the error a sequential loop
+// stopping at its first failure returns. A panic in fn is recovered on its
+// goroutine and raised again on the caller's once every worker has stopped.
+func parallel(n int, fn func(i int) error) error {
+	workers := min(n, runtime.GOMAXPROCS(0))
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, n)
+	panics := make([]any, workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[w] = recover() }()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -46,12 +46,12 @@ func TestValidateErrors(t *testing.T) {
 	}{
 		{"no columns", New("x")},
 		{"duplicate names", New("x",
-			Column{Name: "a", Raw: []string{"1"}},
-			Column{Name: "a", Raw: []string{"2"}})},
+			NewColumn("a", TypeString, []string{"1"}),
+			NewColumn("a", TypeString, []string{"2"}))},
 		{"ragged columns", New("x",
-			Column{Name: "a", Raw: []string{"1", "2"}},
-			Column{Name: "b", Raw: []string{"1"}})},
-		{"empty name", New("x", Column{Name: "", Raw: []string{"1"}})},
+			NewColumn("a", TypeString, []string{"1", "2"}),
+			NewColumn("b", TypeString, []string{"1"}))},
+		{"empty name", New("x", NewColumn("", TypeString, []string{"1"}))},
 	}
 	for _, tc := range cases {
 		if err := tc.rel.Validate(); err == nil {
@@ -63,7 +63,7 @@ func TestValidateErrors(t *testing.T) {
 func TestValidateTooManyColumns(t *testing.T) {
 	cols := make([]Column, 65)
 	for i := range cols {
-		cols[i] = Column{Name: "c" + strconv.Itoa(i), Raw: []string{"1"}}
+		cols[i] = NewColumn("c"+strconv.Itoa(i), TypeString, []string{"1"})
 	}
 	if err := New("wide", cols...).Validate(); err == nil {
 		t.Error("expected error for 65 columns")
@@ -176,15 +176,15 @@ func TestEncodeNullsFirst(t *testing.T) {
 }
 
 func TestEncodeErrorsOnBadValue(t *testing.T) {
-	r := New("bad", Column{Name: "n", Type: TypeInt, Raw: []string{"1", "abc"}})
+	r := New("bad", NewColumn("n", TypeInt, []string{"1", "abc"}))
 	if _, err := Encode(r); err == nil {
 		t.Error("expected error encoding non-integer value in an int column")
 	}
-	r2 := New("bad", Column{Name: "d", Type: TypeDate, Raw: []string{"not-a-date"}})
+	r2 := New("bad", NewColumn("d", TypeDate, []string{"not-a-date"}))
 	if _, err := Encode(r2); err == nil {
 		t.Error("expected error encoding non-date value in a date column")
 	}
-	r3 := New("bad", Column{Name: "f", Type: TypeFloat, Raw: []string{"x"}})
+	r3 := New("bad", NewColumn("f", TypeFloat, []string{"x"}))
 	if _, err := Encode(r3); err == nil {
 		t.Error("expected error encoding non-float value in a float column")
 	}
@@ -201,15 +201,15 @@ func TestProjectAndHead(t *testing.T) {
 	if got := p.ColumnNames(); !reflect.DeepEqual(got, []string{"c", "a"}) {
 		t.Errorf("projected names = %v", got)
 	}
-	if p.Columns[0].Raw[1] != "8" {
-		t.Errorf("projected value = %q, want 8", p.Columns[0].Raw[1])
+	if p.Columns[0].Value(1) != "8" {
+		t.Errorf("projected value = %q, want 8", p.Columns[0].Value(1))
 	}
 	if _, err := r.Project([]int{5}); err == nil {
 		t.Error("expected error projecting out-of-range column")
 	}
 
 	h := r.Head(2)
-	if h.NumRows() != 2 || h.Columns[1].Raw[1] != "y" {
+	if h.NumRows() != 2 || h.Columns[1].Value(1) != "y" {
 		t.Errorf("Head(2) wrong: %d rows", h.NumRows())
 	}
 	if r.Head(10).NumRows() != 3 {
@@ -328,7 +328,7 @@ func TestEncodeOrderPreservationQuick(t *testing.T) {
 		for i, v := range vals {
 			raw[i] = strconv.Itoa(int(v))
 		}
-		r := New("q", Column{Name: "n", Type: TypeInt, Raw: raw})
+		r := New("q", NewColumn("n", TypeInt, raw))
 		enc, err := Encode(r)
 		if err != nil {
 			return false
@@ -362,7 +362,7 @@ func TestEncodeDenseRanksQuick(t *testing.T) {
 		for i, v := range vals {
 			raw[i] = strconv.Itoa(int(v))
 		}
-		r := New("q", Column{Name: "n", Type: TypeInt, Raw: raw})
+		r := New("q", NewColumn("n", TypeInt, raw))
 		enc, err := Encode(r)
 		if err != nil {
 			return false

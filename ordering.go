@@ -327,18 +327,16 @@ func encodedCost(enc *relation.Encoded) int64 {
 
 // specView returns the raw relation matching the dataset's encoded view.
 // Project and HeadRows views share the full backing relation but narrow the
-// encoding to its first k columns / first n rows, so the raw view is the
-// same prefix slice.
+// encoding to its first k columns / first n rows, so the raw view takes the
+// same prefix of the row ids and shares the dictionaries; EncodeSpec ranks
+// only the dictionary entries the prefix uses.
 func (d *Dataset) specView() *relation.Relation {
 	cols, rows := d.enc.NumCols(), d.enc.NumRows()
 	if cols == d.rel.NumCols() && rows == d.rel.NumRows() {
 		return d.rel
 	}
-	out := &relation.Relation{Name: d.rel.Name, Columns: make([]relation.Column, cols)}
-	for i := 0; i < cols; i++ {
-		c := d.rel.Columns[i]
-		out.Columns[i] = relation.Column{Name: c.Name, Type: c.Type, Raw: c.Raw[:rows]}
-	}
+	out := d.rel.Head(rows)
+	out.Columns = out.Columns[:cols]
 	return out
 }
 

@@ -1,11 +1,14 @@
 package fastod_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/csv"
 	"fmt"
 	"slices"
 	"testing"
 
+	fastod "repro"
 	"repro/internal/approx"
 	"repro/internal/bidir"
 	"repro/internal/canonical"
@@ -78,9 +81,9 @@ func rowsOf(rel *relation.Relation, rows []int) *relation.Relation {
 	for ci, c := range rel.Columns {
 		raw := make([]string, len(rows))
 		for i, r := range rows {
-			raw[i] = c.Raw[r]
+			raw[i] = c.Value(r)
 		}
-		cols[ci] = relation.Column{Name: c.Name, Type: c.Type, Raw: raw}
+		cols[ci] = relation.NewColumn(c.Name, c.Type, raw)
 	}
 	return relation.New(rel.Name, cols...)
 }
@@ -154,4 +157,121 @@ func minus(a, b []string) []string {
 		}
 	}
 	return out
+}
+
+// --- Differential: a spec run on a view must equal the same spec run on a ---
+// --- fresh load of the view's rows and columns.                           ---
+//
+// A view under OrderSpecs is re-encoded from the raw relation it shares with
+// its parent: HeadRows takes a prefix of every column's row ids and Project
+// the first columns, while the dictionaries stay whole. The re-encoding must
+// rank only the values the view's rows use, or its ranks stop being dense
+// and its Cardinality over-counts — which FromColumn's bucket count and the
+// conditional algorithm's cardinality bound both read. Specs flip a
+// direction with NULLS LAST and use the merging collations (numeric and
+// case-insensitive), so collation classes span several dictionary entries.
+func TestSpecRunsOnViewsMatchFreshLoad(t *testing.T) {
+	shapes := []struct {
+		name   string
+		rel    *relation.Relation
+		orders []fastod.AttrOrder
+	}{
+		{"flight", datagen.FlightLike(1200, 6, 3), []fastod.AttrOrder{
+			{Column: "flight_sk", Direction: fastod.OrderDesc, Nulls: fastod.NullsLast},
+			{Column: "carrier_2", Collation: fastod.CollateNumeric},
+			{Column: "arr_time_5", Direction: fastod.OrderDesc},
+		}},
+		{"messy", datagen.MessyRelation(900, 7, 0.2, 5), []fastod.AttrOrder{
+			{Column: "m0_int", Collation: fastod.CollateNumeric, Direction: fastod.OrderDesc},
+			{Column: "m1_float", Direction: fastod.OrderDesc, Nulls: fastod.NullsLast, Collation: fastod.CollateNumeric},
+			{Column: "m2_str", Collation: fastod.CollateCaseInsen, Nulls: fastod.NullsLast},
+			{Column: "m6_int", Direction: fastod.OrderDesc, Nulls: fastod.NullsLast},
+		}},
+	}
+	requests := map[string]fastod.Request{
+		"fastod":      {},
+		"tane":        {Algorithm: fastod.AlgorithmTANE},
+		"bidir":       {Algorithm: fastod.AlgorithmBidirectional},
+		"approx":      {Algorithm: fastod.AlgorithmApprox, Approx: fastod.ApproxRunOptions{Threshold: 0.1}},
+		"conditional": {Algorithm: fastod.AlgorithmConditional},
+	}
+	for _, sh := range shapes {
+		header, rows := sh.rel.ColumnNames(), sh.rel.Rows()
+		ds := loadRows(t, sh.name, header, rows)
+		type view struct {
+			kind       string
+			ds, fresh  *fastod.Dataset
+			cols, nrow int
+		}
+		var views []view
+		for _, n := range []int{40, 300} {
+			views = append(views, view{fmt.Sprintf("HeadRows(%d)", n), ds.HeadRows(n), loadRows(t, sh.name, header, rows[:n]), len(header), n})
+		}
+		for _, k := range []int{3, 5} {
+			cut := make([][]string, len(rows))
+			for i, row := range rows {
+				cut[i] = row[:k]
+			}
+			views = append(views, view{fmt.Sprintf("Project(%d)", k), ds.Project(k), loadRows(t, sh.name, header[:k], cut), k, len(rows)})
+		}
+		for _, v := range views {
+			if got, want := v.ds.ColumnTypes(), v.fresh.ColumnTypes(); !slices.Equal(got, want) {
+				t.Fatalf("%s %s: the fresh load sniffs %v, the view keeps %v; pick a prefix whose types agree", sh.name, v.kind, want, got)
+			}
+			var orders []fastod.AttrOrder
+			for _, o := range sh.orders {
+				if v.ds.ColumnIndex(o.Column) >= 0 {
+					orders = append(orders, o)
+				}
+			}
+			if len(orders) < 2 {
+				t.Fatalf("%s %s keeps %d overridden columns; the test needs two", sh.name, v.kind, len(orders))
+			}
+			got, err := v.ds.SpecEncoded(orders)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := v.fresh.SpecEncoded(orders)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Cardinality, want.Cardinality) {
+				t.Errorf("%s %s: cardinalities %v, fresh load %v", sh.name, v.kind, got.Cardinality, want.Cardinality)
+			}
+			for c := range want.Values {
+				if !slices.Equal(got.Values[c], want.Values[c]) {
+					t.Errorf("%s %s: column %d ranks differ from the fresh load's", sh.name, v.kind, c)
+				}
+			}
+			for alg, req := range requests {
+				req.Workers = 1
+				req.OrderSpecs = orders
+				gotRep, err := v.ds.Run(t.Context(), req)
+				if err != nil {
+					t.Fatalf("%s %s %s on view: %v", sh.name, v.kind, alg, err)
+				}
+				wantRep, err := v.fresh.Run(t.Context(), req)
+				if err != nil {
+					t.Fatalf("%s %s %s on fresh load: %v", sh.name, v.kind, alg, err)
+				}
+				if g, w := renderReport(gotRep), renderReport(wantRep); g != w {
+					t.Errorf("%s %s %s: view and fresh load differ\n view: %s\nfresh: %s", sh.name, v.kind, alg, g, w)
+				}
+			}
+		}
+	}
+}
+
+// loadRows loads header and rows through LoadCSV, as a CSV upload would.
+func loadRows(t *testing.T, name string, header []string, rows [][]string) *fastod.Dataset {
+	t.Helper()
+	var b bytes.Buffer
+	w := csv.NewWriter(&b)
+	w.Write(header)
+	w.WriteAll(rows)
+	ds, err := fastod.LoadCSV(name, &b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
 }
