@@ -3,19 +3,14 @@
 // goroutines, deterministic output order, context plumbing, the faultinject
 // registry, and the partition arena contract).
 //
-// Standalone mode — the authoritative run, used by lint.sh and CI:
+// It is run by lint.sh and CI:
 //
 //	odlint              # analyze ./... from the module root
 //	odlint ./internal/lattice ./cmd/...
 //	odlint -list        # describe the analyzers
 //
-// Standalone mode loads packages from source (tests included), runs
-// whole-program Finish checks, and reports unused lint:allow comments.
-//
-// Vettool mode — the same per-package checks driven by the go toolchain,
-// with its build caching:
-//
-//	go vet -vettool=$(command -v odlint) ./...
+// odlint loads packages from source (tests included), runs whole-program
+// Finish checks, and reports unused lint:allow comments.
 //
 // A finding is suppressed by "//lint:allow <analyzer> <reason>" on the same
 // line or the line directly above; the reason is mandatory.
@@ -34,7 +29,6 @@ import (
 	"repro/internal/analyzers/faultpoint"
 	"repro/internal/analyzers/maporder"
 	"repro/internal/analyzers/nakedgo"
-	"repro/internal/analyzers/vettool"
 )
 
 func suite() []*analysis.Analyzer {
@@ -49,10 +43,6 @@ func suite() []*analysis.Analyzer {
 
 func main() {
 	analyzers := suite()
-	if vettool.Intercept(os.Args[1:], analyzers) {
-		return // unreachable: Intercept exits; kept for clarity
-	}
-
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	noTests := flag.Bool("notests", false, "skip _test.go files and _test packages")
 	flag.Parse()

@@ -44,6 +44,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lattice"
 	"repro/internal/listod"
+	"repro/internal/lru"
 	"repro/internal/relation"
 )
 
@@ -117,8 +118,10 @@ type Dataset struct {
 	// version is this dataset's content-version stamp; see Version.
 	version atomic.Uint64
 	// specs caches per-OrderSpec re-encodings of this dataset (and their
-	// partition stores), keyed by canonical spec fingerprint; see ordering.go.
-	specs specEncodings
+	// partition stores) in plain LRU order, keyed by canonical spec
+	// fingerprint; see ordering.go. Correctness never depends on it, only
+	// the cost of a repeat request does.
+	specs *lru.Cache[string, *specEncoding]
 }
 
 // datasetVersions issues version stamps. One process-global counter (rather
@@ -184,9 +187,15 @@ func newDataset(rel *relation.Relation) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Dataset{rel: rel, enc: enc}
+	return newView(rel, enc), nil
+}
+
+// newView builds a dataset over an encoding of rel (all of it, or a Project
+// or HeadRows prefix), with a fresh version stamp and an empty spec cache.
+func newView(rel *relation.Relation, enc *relation.Encoded) *Dataset {
+	d := &Dataset{rel: rel, enc: enc, specs: lru.New[string, *specEncoding](defaultSpecEncodingBytes)}
 	d.BumpVersion()
-	return d, nil
+	return d
 }
 
 // Name returns the dataset's name (file path or constructor-supplied name).
@@ -216,18 +225,14 @@ func (d *Dataset) ColumnIndex(name string) int { return d.enc.ColumnIndex(name) 
 // and the parent's partitions would be wrong for the view anyway. Call
 // EnablePartitionCache on the view itself to cache its partitions.
 func (d *Dataset) Project(k int) *Dataset {
-	v := &Dataset{rel: d.rel, enc: d.enc.ProjectColumns(k)}
-	v.BumpVersion()
-	return v
+	return newView(d.rel, d.enc.ProjectColumns(k))
 }
 
 // HeadRows returns a dataset restricted to the first n tuples. Like Project,
 // the view does not inherit the parent's partition cache (stores bind to one
 // relation instance); enable one on the view if needed.
 func (d *Dataset) HeadRows(n int) *Dataset {
-	v := &Dataset{rel: d.rel, enc: d.enc.HeadRows(n)}
-	v.BumpVersion()
-	return v
+	return newView(d.rel, d.enc.HeadRows(n))
 }
 
 // EnablePartitionCache attaches a bounded partition store to the dataset:

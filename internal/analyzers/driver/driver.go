@@ -98,15 +98,13 @@ func Run(opts Options, analyzers []*analysis.Analyzer) ([]Diagnostic, error) {
 	for _, u := range units {
 		allFiles = append(allFiles, u.files...)
 	}
-	return Resolve(ld.fset, allFiles, raw, opts.ReportUnusedAllows), nil
+	return resolve(ld.fset, allFiles, raw, opts.ReportUnusedAllows), nil
 }
 
-// Resolve turns raw analyzer diagnostics into the final finding list: it
+// resolve turns raw analyzer diagnostics into the final finding list: it
 // applies lint:allow suppressions found in files, reports malformed (and,
-// optionally, unused) allows, dedups, and sorts by position. It is shared by
-// Run and by the unitchecker-mode entry point, which loads packages through
-// the go toolchain instead of this driver.
-func Resolve(fset *token.FileSet, files []*ast.File, raw []analysis.Diagnostic, reportUnusedAllows bool) []Diagnostic {
+// optionally, unused) allows, dedups, and sorts by position.
+func resolve(fset *token.FileSet, files []*ast.File, raw []analysis.Diagnostic, reportUnusedAllows bool) []Diagnostic {
 	allows := collectAllows(fset, files)
 	var out []Diagnostic
 	seen := make(map[string]bool)

@@ -71,8 +71,7 @@ type Options struct {
 	// the relation into slivers that yield spurious dependencies.
 	MaxConditionCardinality int
 	// MinSliceRows skips condition values selecting fewer tuples than this
-	// (default 2's complement of nothing — default 4), again to avoid
-	// trivially-holding ODs on tiny slices.
+	// (default 4), again to avoid trivially-holding ODs on tiny slices.
 	MinSliceRows int
 	// ConditionAttrs restricts which attributes may serve as conditions
 	// (default: every attribute within the cardinality bound).

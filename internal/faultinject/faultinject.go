@@ -2,8 +2,8 @@
 // discovery engine and the odserve service.
 //
 // Production code calls Fire (or Hit) at named injection points threaded
-// into the hot paths: partition products, partition-store lookups and
-// evictions, lattice node dispatch, CSV decoding and SSE writes.
+// into the hot paths: partition products, cache lookups and evictions,
+// lattice node dispatch, CSV decoding and SSE writes.
 // When no plan is armed — the production state — Fire is a single atomic
 // pointer load that returns nil; no locks, no allocation, no time reads.
 //
@@ -32,10 +32,13 @@ const (
 	// PartitionProduct fires before a stripped-partition product is
 	// computed for a lattice node.
 	PartitionProduct Point = "partition.product"
-	// StoreGet fires inside PartitionStore.Get before the lookup.
+	// StoreGet fires once per lookup in every bounded cache (the lru core
+	// behind the partition store, the report cache and the spec-encoding
+	// cache), before the lookup. An injected error is a miss.
 	StoreGet Point = "store.get"
-	// StoreEvict fires inside the store's evictOne before a victim is
-	// chosen.
+	// StoreEvict fires in the lru core once per eviction, before the victim
+	// is chosen. An injected error stops the eviction loop, so the cache
+	// overshoots its bound until a later insert evicts.
 	StoreEvict Point = "store.evict"
 	// NodeDispatch fires when the engine hands a lattice node to a worker.
 	NodeDispatch Point = "node.dispatch"

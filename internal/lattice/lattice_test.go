@@ -51,10 +51,6 @@ func TestStoreBoundToOneRelation(t *testing.T) {
 	if _, err := New(encB, Config{Workers: 1, Store: store}); err == nil {
 		t.Fatal("binding the store to a second relation must fail")
 	}
-	store.Reset()
-	if _, err := New(encB, Config{Workers: 1, Store: store}); err != nil {
-		t.Fatalf("bind after Reset: %v", err)
-	}
 }
 
 // keepAll is a NodeVisit that keeps every node.

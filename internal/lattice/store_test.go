@@ -188,12 +188,4 @@ func TestStoreRowMismatchRejected(t *testing.T) {
 	if s.Len() != 1 {
 		t.Errorf("len = %d, want 1", s.Len())
 	}
-	s.Reset()
-	if s.Len() != 0 {
-		t.Errorf("len after Reset = %d, want 0", s.Len())
-	}
-	s.Put(bitset.NewAttrSet(1), colPartition(20)) // re-pinned after Reset
-	if _, ok := s.Get(bitset.NewAttrSet(1)); !ok {
-		t.Error("Reset must unpin the row count")
-	}
 }

@@ -22,47 +22,34 @@
 package reportcache
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	fastod "repro"
+	"repro/internal/lru"
 )
 
 // DefaultMaxBytes is the default cache bound: 32 MiB of estimated retained
 // report data.
 const DefaultMaxBytes = 32 << 20
 
-// Cache is the bounded LRU report cache. All methods are safe for concurrent
-// use. Reports handed out are shared, not copied — callers must treat them as
-// immutable, the same contract discovery results already carry.
+// Cache is the bounded report cache: plain LRU (one tier) on the lru core.
+// All methods are safe for concurrent use. Reports handed out are shared,
+// not copied — callers must treat them as immutable, the same contract
+// discovery results already carry.
 type Cache struct {
-	mu       sync.Mutex
-	maxBytes int
-	bytes    int
-	entries  map[string]*list.Element
-	lru      *list.List // front = most recently used; values are *entry
-	stats    Stats
+	lru     *lru.Cache[string, *fastod.Report]
+	rejects atomic.Int64
 }
 
-type entry struct {
-	key  string
-	rep  *fastod.Report
-	cost int
-}
-
-// Stats describes a cache's accounting at one point in time, mirroring the
-// shape of lattice.StoreStats so operators read both the same way.
+// Stats describes a cache's accounting at one point in time: the lru core's
+// counters, which lattice.StoreStats shares (here Cost is the estimated
+// retained bytes), plus Rejects.
 type Stats struct {
-	// Hits and Misses count Get outcomes.
-	Hits, Misses int
-	// Puts counts reports accepted into the cache; Rejects counts Put calls
-	// refused by the correctness rules (interrupted reports, reports larger
-	// than the whole bound); Evictions counts entries removed for space.
-	Puts, Rejects, Evictions int
-	// Entries and Cost describe the current contents; Cost is the estimated
-	// retained bytes and never exceeds MaxCost.
-	Entries, Cost, MaxCost int
+	lru.Stats
+	// Rejects counts Put calls refused by the correctness rules
+	// (interrupted reports, reports larger than the whole bound).
+	Rejects int
 }
 
 // New builds an empty cache bounded to maxBytes of estimated report data;
@@ -71,11 +58,7 @@ func New(maxBytes int) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	return &Cache{
-		maxBytes: maxBytes,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-	}
+	return &Cache{lru: lru.New[string, *fastod.Report](maxBytes)}
 }
 
 // Key assembles the cache key of one (dataset, version, request) coordinate.
@@ -87,18 +70,7 @@ func Key(dataset string, version uint64, fingerprint string) string {
 }
 
 // Get returns the cached report for a key, refreshing its recency.
-func (c *Cache) Get(key string) (*fastod.Report, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.stats.Misses++
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	c.stats.Hits++
-	return el.Value.(*entry).rep, true
-}
+func (c *Cache) Get(key string) (*fastod.Report, bool) { return c.lru.Get(key) }
 
 // Put stores a complete report under a key and reports whether it was
 // accepted. Nil and interrupted reports are refused (a partial report is not
@@ -107,56 +79,21 @@ func (c *Cache) Get(key string) (*fastod.Report, bool) {
 // refreshes recency and keeps the existing report: complete reports for one
 // key are interchangeable, so the first one in wins.
 func (c *Cache) Put(key string, rep *fastod.Report) bool {
-	if rep == nil || rep.Interrupted {
-		c.mu.Lock()
-		c.stats.Rejects++
-		c.mu.Unlock()
-		return false
-	}
-	cost := reportCost(rep)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cost > c.maxBytes {
-		c.stats.Rejects++
-		return false
-	}
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		return true
-	}
-	for c.bytes+cost > c.maxBytes {
-		el := c.lru.Back()
-		if el == nil {
-			break
+	if rep != nil && !rep.Interrupted {
+		if _, ok := c.lru.Add(key, rep, reportCost(rep), 0); ok {
+			return true
 		}
-		ent := el.Value.(*entry)
-		c.lru.Remove(el)
-		delete(c.entries, ent.key)
-		c.bytes -= ent.cost
-		c.stats.Evictions++
 	}
-	c.entries[key] = c.lru.PushFront(&entry{key: key, rep: rep, cost: cost})
-	c.bytes += cost
-	c.stats.Puts++
-	return true
+	c.rejects.Add(1)
+	return false
 }
 
 // Len returns the number of cached reports.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *Cache) Len() int { return c.lru.Len() }
 
 // Stats returns a snapshot of the cache's accounting.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.stats
-	st.Entries = len(c.entries)
-	st.Cost = c.bytes
-	st.MaxCost = c.maxBytes
-	return st
+	return Stats{Stats: c.lru.Stats(), Rejects: int(c.rejects.Load())}
 }
 
 // Per-element cost estimates of reportCost, in bytes. Unlike the partition

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/lattice"
 	"repro/internal/odparse"
@@ -171,6 +171,8 @@ func orderSpecKey(orders []AttrOrder) string {
 // enough for a handful of specs on mid-size relations, small enough that a
 // spec-per-request adversary cannot hold the heap hostage (entries beyond the
 // bound evict LRU; oversized single encodings are served but never retained).
+// It charges rank arrays only (see encodedCost); each resident encoding's
+// partition store is bounded on its own.
 const defaultSpecEncodingBytes = 64 << 20
 
 // specEncoding is one cached re-encoding of a dataset under a non-default
@@ -178,20 +180,7 @@ const defaultSpecEncodingBytes = 64 << 20
 // the first run after the dataset enables its own (see specParts).
 type specEncoding struct {
 	enc   *relation.Encoded
-	parts *lattice.PartitionStore // guarded by specEncodings.mu
-	cost  int64
-	used  uint64 // LRU stamp
-}
-
-// specEncodings is the mutex-guarded, byte-bounded LRU of a dataset's spec
-// re-encodings, keyed by orderSpecKey. It mirrors the PartitionStore's
-// philosophy: correctness never depends on it, only the cost of a repeat
-// request does.
-type specEncodings struct {
-	mu      sync.Mutex
-	entries map[string]*specEncoding
-	clock   uint64
-	bytes   int64
+	parts atomic.Pointer[lattice.PartitionStore]
 }
 
 // encodingFor resolves the rank encoding and partition store a validated
@@ -219,12 +208,13 @@ func (d *Dataset) specParts(se *specEncoding) *lattice.PartitionStore {
 	if d.parts == nil {
 		return nil
 	}
-	d.specs.mu.Lock()
-	defer d.specs.mu.Unlock()
-	if se.parts == nil {
-		se.parts = lattice.NewPartitionStore(d.parts.Stats().MaxCost)
+	if p := se.parts.Load(); p != nil {
+		return p
 	}
-	return se.parts
+	// Concurrent first runs race to install a store; the loser's is dropped
+	// unused, so every run on the encoding shares the winner's.
+	se.parts.CompareAndSwap(nil, lattice.NewPartitionStore(d.parts.Stats().MaxCost))
+	return se.parts.Load()
 }
 
 // SpecEncoded returns the dataset re-encoded under the given (non-canonical
@@ -250,17 +240,10 @@ func (d *Dataset) SpecEncoded(orders []AttrOrder) (*relation.Encoded, error) {
 // on miss. orders must be canonical (non-empty, validated, sorted).
 func (d *Dataset) specEncoding(orders []AttrOrder) (*specEncoding, error) {
 	key := orderSpecKey(orders)
-	s := &d.specs
-	s.mu.Lock()
-	if se, ok := s.entries[key]; ok {
-		s.clock++
-		se.used = s.clock
-		s.mu.Unlock()
+	if se, ok := d.specs.Get(key); ok {
 		return se, nil
 	}
-	s.mu.Unlock()
-
-	// Encode outside the lock: re-encoding is O(rows·cols·log) and must not
+	// Encode outside every lock: re-encoding is O(rows·cols·log) and must not
 	// serialize concurrent runs under different specs.
 	spec, err := d.relationSpec(orders)
 	if err != nil {
@@ -270,43 +253,11 @@ func (d *Dataset) specEncoding(orders []AttrOrder) (*specEncoding, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
-	se := &specEncoding{enc: enc, cost: encodedCost(enc)}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if prev, ok := s.entries[key]; ok {
-		// Lost a race with a concurrent encoder; keep the incumbent so every
-		// caller shares one instance (and one partition store).
-		s.clock++
-		prev.used = s.clock
-		return prev, nil
-	}
-	if se.cost > defaultSpecEncodingBytes {
-		// Never retain an encoding that alone busts the bound — serve it
-		// uncached; the caller holds the only reference.
-		return se, nil
-	}
-	if s.entries == nil {
-		s.entries = make(map[string]*specEncoding)
-	}
-	for s.bytes+se.cost > defaultSpecEncodingBytes {
-		var lruKey string
-		var lru *specEncoding
-		for k, e := range s.entries {
-			if lru == nil || e.used < lru.used {
-				lruKey, lru = k, e
-			}
-		}
-		if lru == nil {
-			break
-		}
-		s.bytes -= lru.cost
-		delete(s.entries, lruKey)
-	}
-	s.clock++
-	se.used = s.clock
-	s.entries[key] = se
-	s.bytes += se.cost
+	// A run that lost the encode race takes the resident entry, so every
+	// caller shares one instance (and one partition store). An encoding that
+	// alone busts the bound is served uncached; the caller holds the only
+	// reference.
+	se, _ := d.specs.Add(key, &specEncoding{enc: enc}, encodedCost(enc), 0)
 	return se, nil
 }
 
@@ -314,15 +265,14 @@ func (d *Dataset) specEncoding(orders []AttrOrder) (*specEncoding, error) {
 // resident encodings and their byte cost. For observability endpoints and
 // tests; the bound itself is fixed at 64 MiB per dataset.
 func (d *Dataset) SpecEncodingCacheStats() (entries int, bytes int64) {
-	d.specs.mu.Lock()
-	defer d.specs.mu.Unlock()
-	return len(d.specs.entries), d.specs.bytes
+	st := d.specs.Stats()
+	return st.Entries, int64(st.Cost)
 }
 
 // encodedCost is the byte cost a cached re-encoding is accounted at: the
 // rank arenas dominate, everything else is noise.
-func encodedCost(enc *relation.Encoded) int64 {
-	return int64(enc.NumCols()) * int64(enc.NumRows()) * 4
+func encodedCost(enc *relation.Encoded) int {
+	return enc.NumCols() * enc.NumRows() * 4
 }
 
 // specView returns the raw relation matching the dataset's encoded view.

@@ -1,9 +1,12 @@
 package fastod_test
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	fastod "repro"
+	"repro/internal/relation"
 )
 
 // TestEnablePartitionCacheSharedAcrossAlgorithms: once a dataset carries a
@@ -131,4 +134,73 @@ func TestSpecStoresFollowDatasetCache(t *testing.T) {
 		ds.EnablePartitionCache(0)
 		compare(t, ds)
 	})
+}
+
+// TestConcurrentFirstSpecRun: runs that race to encode the same new order
+// spec end up on one resident encoding with one partition store. Half the
+// goroutines ask for the encoding before running, half after, so both
+// SpecEncoded and Run meet the encode race; every caller must get the
+// resident encoding, and every report must list the same dependencies.
+func TestConcurrentFirstSpecRun(t *testing.T) {
+	const callers = 8
+	spec := []fastod.AttrOrder{{Column: "dep_time_4", Direction: fastod.OrderDesc, Nulls: fastod.NullsLast}}
+	req := fastod.Request{RunOptions: fastod.RunOptions{Workers: 2, OrderSpecs: spec}}
+	want, err := fastod.SyntheticFlight(1000, 6, 2017).Run(t.Context(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ds := fastod.SyntheticFlight(1000, 6, 2017)
+	ds.EnablePartitionCache(0)
+	reps := make([]*fastod.Report, callers)
+	encs := make([]*relation.Encoded, callers)
+	errs := make([]error, callers)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := range callers {
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			start.Wait()
+			if i%2 == 0 {
+				if encs[i], errs[i] = ds.SpecEncoded(spec); errs[i] != nil {
+					return
+				}
+				reps[i], errs[i] = ds.Run(t.Context(), req)
+				return
+			}
+			if reps[i], errs[i] = ds.Run(t.Context(), req); errs[i] != nil {
+				return
+			}
+			encs[i], errs[i] = ds.SpecEncoded(spec)
+		}(i)
+	}
+	start.Done()
+	done.Wait()
+
+	resident, err := ds.SpecEncoded(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range callers {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if encs[i] != resident {
+			t.Errorf("caller %d got a spec encoding other than the resident one", i)
+		}
+		if got := reps[i].FASTOD; !reflect.DeepEqual(got.ODs, want.FASTOD.ODs) || got.Counts != want.FASTOD.Counts {
+			t.Errorf("caller %d: %v dependencies, uncached run %v", i, got.Counts, want.FASTOD.Counts)
+		}
+	}
+	if n, _ := ds.SpecEncodingCacheStats(); n != 1 {
+		t.Errorf("spec cache holds %d encodings, want 1", n)
+	}
+	again, err := ds.Run(t.Context(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Stats.PartitionMisses != 0 {
+		t.Errorf("run after the race recorded %d partition misses, want 0 (one shared store)", again.Stats.PartitionMisses)
+	}
 }
