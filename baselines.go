@@ -12,8 +12,11 @@ import (
 type (
 	// FD is a minimal functional dependency as discovered by TANE.
 	FD = tane.FD
-	// TANEResult is the outcome of a TANE run.
+	// TANEResult is the outcome of a TANE run; its Stats are the run's
+	// RunStats.
 	TANEResult = tane.Result
-	// ORDERResult is the outcome of an ORDER run (list-based baseline).
+	// ORDERResult is the outcome of an ORDER run (list-based baseline). Its
+	// Stats count list-lattice nodes and the longest list visited; ORDER
+	// computes no stripped partitions, so the partition counters are zero.
 	ORDERResult = order.Result
 )

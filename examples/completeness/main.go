@@ -53,7 +53,7 @@ func main() {
 
 	fmt.Printf("FASTOD discovered %s canonical ODs.\n", fast.Counts)
 	fmt.Printf("ORDER  discovered %d list ODs, mapping to %s canonical ODs (interrupted: %v).\n\n",
-		len(ord.ODs), ord.Counts, ord.Interrupted)
+		len(ord.ODs), ord.Counts, ord.Stats.Interrupted)
 
 	fastCover := fastod.NewCover(fast.ODs)
 	orderCover := fastod.NewCover(ord.Canonical)

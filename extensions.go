@@ -19,7 +19,8 @@ import (
 
 // Approximate order dependencies.
 type (
-	// ApproxResult is the outcome of an approximate discovery run.
+	// ApproxResult is the outcome of an approximate discovery run; its
+	// Stats are the run's RunStats.
 	ApproxResult = approx.Result
 	// ApproxError reports how far an OD is from holding (minimum removals).
 	ApproxError = approx.Error
@@ -51,7 +52,8 @@ type (
 	// Polarity distinguishes same-direction from opposite-direction
 	// order compatibility.
 	Polarity = bidir.Polarity
-	// BidirResult is the outcome of a bidirectional discovery run.
+	// BidirResult is the outcome of a bidirectional discovery run; its
+	// Stats are the run's RunStats.
 	BidirResult = bidir.Result
 )
 
@@ -97,7 +99,10 @@ func (d *Dataset) bidirSpec(cols []DirectedColumn) (bidir.Spec, error) {
 
 // Conditional order dependencies.
 type (
-	// ConditionalResult is the outcome of a conditional discovery run.
+	// ConditionalResult is the outcome of a conditional discovery run. Its
+	// Stats total the nodes of the unconditional and every slice pass, keep
+	// the deepest level of any pass, and count the unconditional pass's
+	// partition-store hits and misses.
 	ConditionalResult = conditional.Result
 	// ConditionalOD is an OD that holds on the portion of the relation
 	// selected by an equality condition, but not unconditionally.

@@ -3,11 +3,8 @@ package approx
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/canonical"
 	"repro/internal/lattice"
 	"repro/internal/partition"
@@ -47,15 +44,11 @@ type Discovered struct {
 type Result struct {
 	ODs     []Discovered
 	Elapsed time.Duration
-	// NodesVisited counts lattice nodes processed.
-	NodesVisited int
 	// Stats carries the engine's traversal counters (nodes, partition store
-	// hits/misses, interruption).
+	// hits/misses, interruption). When Stats.Interrupted is set the run
+	// stopped early on context cancellation or budget exhaustion, and ODs
+	// holds everything found up to the interrupt.
 	Stats lattice.Stats
-	// Interrupted reports that the run stopped early on context cancellation
-	// or budget exhaustion; ODs then holds everything found up to the
-	// interrupt.
-	Interrupted bool
 }
 
 // Counts tallies the output by kind the way exact results are reported.
@@ -76,28 +69,19 @@ func (r *Result) Counts() canonical.Count {
 // analogue of the Propagate rule, which holds because removing the tuples
 // that break the constancy of A also removes every swap between A and B.
 //
-// The traversal is level-wise over the set-containment lattice — driven by
-// the shared engine in internal/lattice, like FASTOD — but validates
-// candidates by computing their error directly; it trades some of FASTOD's
-// pruning for simplicity since thresholds are typically used on modest
-// schemas during data profiling.
+// The search is the shared engine's subset-minimal search
+// (lattice.RunMinimal), which validates candidates by computing their error
+// directly; it trades some of FASTOD's pruning for simplicity since
+// thresholds are typically used on modest schemas during data profiling.
 //
 // Cancellation and budgeting are cooperative (see core.DiscoverContext): an
-// interrupted run returns the approximate ODs found so far with Interrupted
-// set instead of an error.
+// interrupted run returns the approximate ODs found so far with
+// Stats.Interrupted set instead of an error.
 func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (*Result, error) {
-	if enc == nil || enc.NumCols() == 0 {
-		return nil, fmt.Errorf("approx: empty relation")
-	}
-	if enc.NumCols() > bitset.MaxAttrs {
-		return nil, fmt.Errorf("approx: relation has %d columns, maximum is %d", enc.NumCols(), bitset.MaxAttrs)
-	}
 	if !(opts.Threshold >= 0 && opts.Threshold < 1) { // NaN fails too
 		return nil, fmt.Errorf("approx: threshold %v outside [0, 1)", opts.Threshold)
 	}
 	start := time.Now()
-	res := &Result{}
-
 	eng, err := lattice.New(enc, lattice.Config{
 		Ctx:        ctx,
 		Workers:    opts.Workers,
@@ -110,121 +94,34 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		return nil, err
 	}
 
-	// satisfiedConst[a] lists contexts where a is approximately constant;
-	// satisfiedOC[pair] lists contexts where the pair is approximately order
-	// compatible. Both are used for the subset-minimality test.
-	satisfiedConst := make(map[int][]bitset.AttrSet)
-	satisfiedOC := make(map[bitset.Pair][]bitset.AttrSet)
-	hasSubset := func(list []bitset.AttrSet, ctx bitset.AttrSet) bool {
-		for _, s := range list {
-			if s.IsSubsetOf(ctx) {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Per-class error counting runs on the flat partition kernels with the
-	// engine's per-worker scratches: allocation-free on the hot path. The
-	// kernels stop counting once the count passes the threshold's removal
-	// limit: such a count is rejected whatever its exact value, and a count
-	// within the limit is exact, so every decision and reported Error is the
-	// one exact counts give.
-	limit := removalLimit(enc.NumRows(), opts.Threshold)
-	colErr := func(ctxPart *partition.Partition, a int, s *partition.Scratch) Error {
-		return newError(ctxPart.ConstancyRemovals(enc.Column(a), limit, s), enc.NumRows())
-	}
-	pairErr := func(ctxPart *partition.Partition, a, b int, s *partition.Scratch) Error {
-		return newError(ctxPart.SwapRemovals(enc.Column(a), enc.Column(b), limit, s), enc.NumRows())
-	}
-
-	// Node-reentrant validation with the satisfied-lists under one mutex,
-	// following the same argument as internal/bidir: any list entry that can
-	// gate node X originates at a subset node of X, which the engine
-	// visits (and which publishes) in an earlier level; entries from
-	// concurrently running nodes are never subsets of X's contexts, so they
-	// cannot flip a gate. Each visit evaluates its minimality gates under the
-	// lock, computes the error counts off it, and publishes its discoveries
-	// before completing.
-	type constCand struct {
-		a   int
-		ctx bitset.AttrSet
-	}
-	type ocCand struct {
-		a, b int
-		ctx  bitset.AttrSet
-	}
-	var mu sync.Mutex
-	eng.RunNodes(nil, func(wk, l int, x bitset.AttrSet, _ []any) (any, bool) {
-		scratch := eng.Scratch(wk)
-		attrs := x.Attrs()
-		var constCands []constCand
-		var ocCands []ocCand
-		mu.Lock()
-		// Constancy candidates: X\A: [] ↦ A.
-		for _, a := range attrs {
-			ctx := x.Remove(a)
-			if !hasSubset(satisfiedConst[a], ctx) {
-				constCands = append(constCands, constCand{a: a, ctx: ctx})
-			}
-		}
-		// Order-compatibility candidates: X\{A,B}: A ~ B.
-		if l >= 2 {
-			for p := 0; p < len(attrs); p++ {
-				for q := p + 1; q < len(attrs); q++ {
-					a, b := attrs[p], attrs[q]
-					ctx := x.Remove(a).Remove(b)
-					if hasSubset(satisfiedOC[bitset.NewPair(a, b)], ctx) {
-						continue // not minimal (Augmentation-II analogue)
-					}
-					if hasSubset(satisfiedConst[a], ctx) || hasSubset(satisfiedConst[b], ctx) {
-						continue // not minimal (Propagate analogue)
-					}
-					ocCands = append(ocCands, ocCand{a: a, b: b, ctx: ctx})
-				}
-			}
-		}
-		mu.Unlock()
-
-		var found []Discovered
-		for _, c := range constCands {
-			e := colErr(eng.Partition(c.ctx), c.a, scratch)
-			if e.Rate <= opts.Threshold {
-				found = append(found, Discovered{OD: canonical.NewConstancy(c.ctx, c.a), Error: e})
-			}
-		}
-		for _, c := range ocCands {
-			e := pairErr(eng.Partition(c.ctx), c.a, c.b, scratch)
-			if e.Rate <= opts.Threshold {
-				found = append(found, Discovered{OD: canonical.NewOrderCompatible(c.ctx, c.a, c.b), Error: e})
-			}
-		}
-
-		if len(found) > 0 {
-			mu.Lock()
-			for _, d := range found {
-				res.ODs = append(res.ODs, d)
-				if d.OD.Kind == canonical.Constancy {
-					satisfiedConst[d.OD.A] = append(satisfiedConst[d.OD.A], d.OD.Context)
-				} else {
-					pair := bitset.NewPair(d.OD.A, d.OD.B)
-					satisfiedOC[pair] = append(satisfiedOC[pair], d.OD.Context)
-				}
-			}
-			mu.Unlock()
-		}
-		return nil, false
+	// Error counting runs on the flat partition kernels with the engine's
+	// per-worker scratches: allocation-free on the hot path. The kernels stop
+	// counting once the count passes the threshold's removal limit: such a
+	// count is rejected whatever its exact value, and a count within the
+	// limit is exact, so every decision and reported Error is the one exact
+	// counts give.
+	rows := enc.NumRows()
+	limit := removalLimit(rows, opts.Threshold)
+	found := lattice.RunMinimal(eng, lattice.Checks[Error]{
+		Variants: 1,
+		Constancy: func(p *partition.Partition, a int, s *partition.Scratch) (Error, bool) {
+			e := newError(p.ConstancyRemovals(enc.Column(a), limit, s), rows)
+			return e, e.Rate <= opts.Threshold
+		},
+		OrderCompatible: func(p *partition.Partition, a, b, _ int, s *partition.Scratch) (Error, bool) {
+			e := newError(p.SwapRemovals(enc.Column(a), enc.Column(b), limit, s), rows)
+			return e, e.Rate <= opts.Threshold
+		},
 	})
 	if err := eng.Err(); err != nil {
 		// A recovered worker panic: fail the discovery rather than report a
 		// possibly incoherent partial.
 		return nil, err
 	}
-	res.Stats = eng.Stats()
-	res.NodesVisited = res.Stats.NodesVisited
-	res.Interrupted = res.Stats.Interrupted
-
-	sort.Slice(res.ODs, func(i, j int) bool { return canonical.Less(res.ODs[i].OD, res.ODs[j].OD) })
+	res := &Result{Stats: eng.Stats()}
+	for _, f := range found {
+		res.ODs = append(res.ODs, Discovered{OD: f.OD, Error: f.Value})
+	}
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

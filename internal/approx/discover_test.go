@@ -134,7 +134,7 @@ func TestDiscoverApproximateFindsNearlyHoldingODs(t *testing.T) {
 	if res.Counts().Total != len(res.ODs) {
 		t.Error("Counts inconsistent with output length")
 	}
-	if res.Elapsed <= 0 || res.NodesVisited == 0 {
+	if res.Elapsed <= 0 || res.Stats.NodesVisited == 0 {
 		t.Error("stats not recorded")
 	}
 }
@@ -208,8 +208,8 @@ func TestParallelMatchesSequentialDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if par.NodesVisited != seq.NodesVisited {
-				t.Errorf("%s@%v: NodesVisited = %d, want %d", name, threshold, par.NodesVisited, seq.NodesVisited)
+			if par.Stats.NodesVisited != seq.Stats.NodesVisited {
+				t.Errorf("%s@%v: NodesVisited = %d, want %d", name, threshold, par.Stats.NodesVisited, seq.Stats.NodesVisited)
 			}
 			if len(par.ODs) != len(seq.ODs) {
 				t.Fatalf("%s@%v: %d ODs, want %d", name, threshold, len(par.ODs), len(seq.ODs))

@@ -136,7 +136,7 @@ func RunTANE(ctx context.Context, enc *relation.Encoded, dataset string, opts ta
 		Algorithm: AlgTANE,
 		Elapsed:   res.Elapsed,
 		Counts:    canonical.Count{Total: len(res.FDs), Constancy: len(res.FDs)},
-		TimedOut:  res.Interrupted,
+		TimedOut:  res.Stats.Interrupted,
 	}, nil
 }
 
@@ -154,7 +154,7 @@ func RunORDER(ctx context.Context, enc *relation.Encoded, dataset string, budget
 		Elapsed:   res.Elapsed,
 		Counts:    res.Counts,
 		ListODs:   len(res.ODs),
-		TimedOut:  res.Interrupted,
+		TimedOut:  res.Stats.Interrupted,
 	}, nil
 }
 

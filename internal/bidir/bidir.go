@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/bitset"
@@ -311,16 +310,13 @@ type Options struct {
 
 // Result is the outcome of bidirectional discovery.
 type Result struct {
-	ODs          []OD
-	Elapsed      time.Duration
-	NodesVisited int
+	ODs     []OD
+	Elapsed time.Duration
 	// Stats carries the engine's traversal counters (nodes, partition store
-	// hits/misses, interruption).
+	// hits/misses, interruption). When Stats.Interrupted is set the run
+	// stopped early on context cancellation or budget exhaustion, and ODs
+	// holds everything found up to the interrupt.
 	Stats lattice.Stats
-	// Interrupted reports that the run stopped early on context cancellation
-	// or budget exhaustion; ODs then holds everything found up to the
-	// interrupt.
-	Interrupted bool
 }
 
 // DiscoverContext finds the minimal bidirectional canonical ODs of a
@@ -330,22 +326,15 @@ type Result struct {
 // when one attribute is constant within the context — then Propagate already
 // makes the OD non-minimal). Minimality follows the unidirectional rules: no
 // subset context may satisfy the same OD (with the same polarity) and neither
-// paired attribute may be constant in the context.
+// paired attribute may be constant in the context. The search is the shared
+// engine's subset-minimal search (lattice.RunMinimal) with the two
+// polarities as its variants.
 //
 // Cancellation and budgeting are cooperative (see core.DiscoverContext): an
-// interrupted run returns the bidirectional ODs found so far with Interrupted
-// set instead of an error.
+// interrupted run returns the bidirectional ODs found so far with
+// Stats.Interrupted set instead of an error.
 func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (*Result, error) {
-	if enc == nil || enc.NumCols() == 0 {
-		return nil, fmt.Errorf("bidir: empty relation")
-	}
-	if enc.NumCols() > bitset.MaxAttrs {
-		return nil, fmt.Errorf("bidir: relation has %d columns, maximum is %d", enc.NumCols(), bitset.MaxAttrs)
-	}
 	start := time.Now()
-	n := enc.NumCols()
-	res := &Result{}
-
 	eng, err := lattice.New(enc, lattice.Config{
 		Ctx:        ctx,
 		Workers:    opts.Workers,
@@ -358,137 +347,34 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		return nil, err
 	}
 
-	type polKey struct {
-		pair bitset.Pair
-		pol  Polarity
-	}
-	satisfiedConst := make(map[int][]bitset.AttrSet)
-	satisfiedOC := make(map[polKey][]bitset.AttrSet)
-	hasSubset := func(list []bitset.AttrSet, ctx bitset.AttrSet) bool {
-		for _, s := range list {
-			if s.IsSubsetOf(ctx) {
-				return true
-			}
-		}
-		return false
-	}
-
 	// Pre-reverse every column once for the opposite-direction checks.
-	reversed := make([][]int32, n)
-	for a := 0; a < n; a++ {
+	reversed := make([][]int32, enc.NumCols())
+	for a := range reversed {
 		reversed[a] = reverseRanks(enc.Column(a))
 	}
-
-	// Node-reentrant discovery with shared satisfied-lists under one mutex.
-	// The minimality gates stay schedule-independent: an entry S relevant to
-	// node X (S ⊆ context ⊂ X) was discovered at the node S ∪ {checked
-	// attrs}, a subset of X — and the engine visits every subset of X, all
-	// of them in earlier levels, before X starts. Entries from
-	// concurrently running nodes are never subsets of X's contexts, so they
-	// cannot flip a gate; the lock only makes the slice reads safe. Each
-	// visit evaluates its gates under the lock, runs the expensive partition
-	// checks off it, and publishes its discoveries before completing.
-	type constCand struct {
-		a   int
-		ctx bitset.AttrSet
-	}
-	type ocCand struct {
-		a, b int
-		ctx  bitset.AttrSet
-		pol  Polarity
-	}
-	var mu sync.Mutex
-	eng.RunNodes(nil, func(wk, l int, x bitset.AttrSet, _ []any) (any, bool) {
-		scratch := eng.Scratch(wk)
-		attrs := x.Attrs()
-		var constCands []constCand
-		var ocCands []ocCand
-		mu.Lock()
-		for _, a := range attrs {
-			ctx := x.Remove(a)
-			if !hasSubset(satisfiedConst[a], ctx) {
-				constCands = append(constCands, constCand{a: a, ctx: ctx})
+	found := lattice.RunMinimal(eng, lattice.Checks[struct{}]{
+		Variants: 2, // SameDirection and OppositeDirection
+		Constancy: func(p *partition.Partition, a int, _ *partition.Scratch) (struct{}, bool) {
+			return struct{}{}, p.ConstantInClasses(enc.Column(a))
+		},
+		OrderCompatible: func(p *partition.Partition, a, b, pol int, s *partition.Scratch) (struct{}, bool) {
+			colB := enc.Column(b)
+			if Polarity(pol) == OppositeDirection {
+				colB = reversed[b]
 			}
-		}
-		if l >= 2 {
-			for p := 0; p < len(attrs); p++ {
-				for q := p + 1; q < len(attrs); q++ {
-					a, b := attrs[p], attrs[q]
-					ctx := x.Remove(a).Remove(b)
-					if hasSubset(satisfiedConst[a], ctx) || hasSubset(satisfiedConst[b], ctx) {
-						continue // Propagate: constant attributes are compatible both ways
-					}
-					pair := bitset.NewPair(a, b)
-					for _, pol := range []Polarity{SameDirection, OppositeDirection} {
-						if !hasSubset(satisfiedOC[polKey{pair: pair, pol: pol}], ctx) {
-							ocCands = append(ocCands, ocCand{a: a, b: b, ctx: ctx, pol: pol})
-						}
-					}
-				}
-			}
-		}
-		mu.Unlock()
-
-		var found []OD
-		for _, c := range constCands {
-			if eng.Partition(c.ctx).ConstantInClasses(enc.Column(c.a)) {
-				found = append(found, NewConstancy(c.ctx, c.a))
-			}
-		}
-		for _, c := range ocCands {
-			colB := enc.Column(c.b)
-			if c.pol == OppositeDirection {
-				colB = reversed[c.b]
-			}
-			if !eng.Partition(c.ctx).HasSwapWith(enc.Column(c.a), colB, scratch) {
-				found = append(found, NewOrderCompatible(c.ctx, c.a, c.b, c.pol))
-			}
-		}
-
-		if len(found) > 0 {
-			mu.Lock()
-			for _, od := range found {
-				res.ODs = append(res.ODs, od)
-				if od.Kind == canonical.Constancy {
-					satisfiedConst[od.A] = append(satisfiedConst[od.A], od.Context)
-				} else {
-					key := polKey{pair: bitset.NewPair(od.A, od.B), pol: od.Polarity}
-					satisfiedOC[key] = append(satisfiedOC[key], od.Context)
-				}
-			}
-			mu.Unlock()
-		}
-		return nil, false
+			return struct{}{}, !p.HasSwapWith(enc.Column(a), colB, s)
+		},
 	})
 	if err := eng.Err(); err != nil {
 		// A recovered worker panic: fail the discovery rather than report a
 		// possibly incoherent partial.
 		return nil, err
 	}
-	res.Stats = eng.Stats()
-	res.NodesVisited = res.Stats.NodesVisited
-	res.Interrupted = res.Stats.Interrupted
-
-	sort.Slice(res.ODs, func(i, j int) bool { return less(res.ODs[i], res.ODs[j]) })
+	res := &Result{Stats: eng.Stats()}
+	for _, f := range found {
+		od := f.OD
+		res.ODs = append(res.ODs, OD{Context: od.Context, Kind: od.Kind, A: od.A, B: od.B, Polarity: Polarity(f.Variant)})
+	}
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-func less(a, b OD) bool {
-	if a.Context.Len() != b.Context.Len() {
-		return a.Context.Len() < b.Context.Len()
-	}
-	if a.Context != b.Context {
-		return a.Context < b.Context
-	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	if a.A != b.A {
-		return a.A < b.A
-	}
-	if a.B != b.B {
-		return a.B < b.B
-	}
-	return a.Polarity < b.Polarity
 }

@@ -208,7 +208,7 @@ func TestDiscoverOpposingColumns(t *testing.T) {
 	if foundSame {
 		t.Error("{}: a ~ b (same) must not be discovered for opposing columns")
 	}
-	if res.Elapsed <= 0 || res.NodesVisited == 0 {
+	if res.Elapsed <= 0 || res.Stats.NodesVisited == 0 {
 		t.Error("stats not recorded")
 	}
 }
@@ -300,8 +300,8 @@ func TestParallelMatchesSequentialDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if par.NodesVisited != seq.NodesVisited {
-			t.Errorf("%s: NodesVisited = %d, want %d", name, par.NodesVisited, seq.NodesVisited)
+		if par.Stats.NodesVisited != seq.Stats.NodesVisited {
+			t.Errorf("%s: NodesVisited = %d, want %d", name, par.Stats.NodesVisited, seq.Stats.NodesVisited)
 		}
 		if len(par.ODs) != len(seq.ODs) {
 			t.Fatalf("%s: %d ODs, want %d", name, len(par.ODs), len(seq.ODs))

@@ -93,22 +93,17 @@ type Result struct {
 	ODs []OD
 	// SlicesExamined counts (attribute, value) slices that were processed.
 	SlicesExamined int
-	// NodesVisited totals the lattice nodes of the unconditional pass and
-	// every slice pass, the quantity Options.Discovery.Budget.MaxNodes bounds.
-	NodesVisited int
-	// MaxLevelReached is the deepest lattice level processed by ANY pass of
-	// the run — the unconditional pass or a slice pass — not just the
-	// unconditional one. (With today's exact discovery a slice can never out-
-	// run the full relation: dependencies survive row restriction, so slices
-	// prune at least as early. The max is taken anyway so the counter stays
-	// honest if a pass is ever bounded or restarted asymmetrically.)
-	MaxLevelReached int
-	// Interrupted reports that the run stopped early — during the
-	// unconditional pass, between slices, or inside a slice — because the
-	// context was cancelled or the shared budget exhausted. The result then
+	// Stats carries the run's traversal counters. NodesVisited totals the
+	// unconditional pass and every slice pass (the quantity
+	// Options.Discovery.Budget.MaxNodes bounds); MaxLevelReached is the
+	// deepest level of ANY pass (slices prune at least as early as the full
+	// relation, but the max keeps the counter honest); the partition
+	// counters describe the unconditional pass, the only one on the shared
+	// store. Interrupted reports that the run stopped early, in a pass or
+	// between slices, on cancellation or the shared budget; the result then
 	// holds every conditional OD confirmed before the interrupt.
-	Interrupted bool
-	Elapsed     time.Duration
+	Stats   lattice.Stats
+	Elapsed time.Duration
 }
 
 // DiscoverContext finds conditional canonical ODs. An OD is reported for a
@@ -122,11 +117,8 @@ type Result struct {
 // shared by the unconditional pass and every slice pass, so a budgeted
 // conditional run is bounded even when the relation fragments into many
 // slices. An interrupted run keeps the conditional ODs confirmed so far and
-// sets Result.Interrupted.
+// sets Result.Stats.Interrupted.
 func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (*Result, error) {
-	if enc == nil || enc.NumCols() == 0 {
-		return nil, fmt.Errorf("conditional: empty relation")
-	}
 	if opts.MaxConditionCardinality <= 0 {
 		opts.MaxConditionCardinality = DefaultMaxConditionCardinality
 	}
@@ -144,13 +136,8 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Global:          global,
-		NodesVisited:    global.Stats.NodesVisited,
-		MaxLevelReached: global.Stats.MaxLevelReached,
-	}
-	if global.Stats.Interrupted {
-		res.Interrupted = true
+	res := &Result{Global: global, Stats: global.Stats.Stats}
+	if res.Stats.Interrupted {
 		res.Elapsed = time.Since(start)
 		return res, nil
 	}
@@ -252,7 +239,7 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 			b.Timeout = left
 		}
 		if budget.MaxNodes > 0 {
-			left := budget.MaxNodes - res.NodesVisited
+			left := budget.MaxNodes - res.Stats.NodesVisited
 			if left <= 0 {
 				return b, true
 			}
@@ -269,7 +256,7 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 			}
 			left, exhausted := remainingBudget()
 			if exhausted {
-				res.Interrupted = true
+				res.Stats.Interrupted = true
 				stopped = true
 				mu.Unlock()
 				return
@@ -310,17 +297,15 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 			}
 
 			mu.Lock()
-			res.NodesVisited += sliceRes.Stats.NodesVisited
-			if sliceRes.Stats.MaxLevelReached > res.MaxLevelReached {
-				res.MaxLevelReached = sliceRes.Stats.MaxLevelReached
-			}
+			res.Stats.NodesVisited += sliceRes.Stats.NodesVisited
+			res.Stats.MaxLevelReached = max(res.Stats.MaxLevelReached, sliceRes.Stats.MaxLevelReached)
 			res.SlicesExamined++
 			outcomes[i] = sliceOutcome{ods: kept}
 			if opts.Discovery.Progress != nil {
 				opts.Discovery.Progress(lattice.ProgressEvent{
 					Level:        SliceProgressLevel,
 					Nodes:        sliceRes.Stats.NodesVisited,
-					NodesVisited: res.NodesVisited,
+					NodesVisited: res.Stats.NodesVisited,
 					Elapsed:      time.Since(start),
 					Slice:        &lattice.SliceInfo{Attr: job.attr, Value: job.value, Rows: len(job.rows)},
 				})
@@ -331,7 +316,7 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 				// individually) and are kept; the rest of the search is
 				// abandoned. In-flight slices on other workers finish their
 				// own (already budgeted) runs and their results are kept too.
-				res.Interrupted = true
+				res.Stats.Interrupted = true
 				stopped = true
 			}
 			mu.Unlock()

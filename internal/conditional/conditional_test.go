@@ -199,13 +199,13 @@ func TestMaxLevelReachedCoversSlicePasses(t *testing.T) {
 				}
 			}
 		}
-		if res.MaxLevelReached != want {
+		if res.Stats.MaxLevelReached != want {
 			t.Errorf("%s: MaxLevelReached = %d, want max over all passes %d",
-				enc.Name, res.MaxLevelReached, want)
+				enc.Name, res.Stats.MaxLevelReached, want)
 		}
-		if res.MaxLevelReached < res.Global.Stats.MaxLevelReached {
+		if res.Stats.MaxLevelReached < res.Global.Stats.MaxLevelReached {
 			t.Errorf("%s: MaxLevelReached = %d below the unconditional pass's %d",
-				enc.Name, res.MaxLevelReached, res.Global.Stats.MaxLevelReached)
+				enc.Name, res.Stats.MaxLevelReached, res.Global.Stats.MaxLevelReached)
 		}
 	}
 }

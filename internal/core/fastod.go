@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 	"sync"
 	"time"
@@ -21,15 +20,6 @@ import (
 // lattice node; a cancelled or over-budget run returns the ODs discovered so
 // far with Stats.Interrupted set rather than an error.
 func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (*Result, error) {
-	if enc == nil {
-		return nil, fmt.Errorf("core: nil relation")
-	}
-	if enc.NumCols() == 0 {
-		return nil, fmt.Errorf("core: relation has no columns")
-	}
-	if enc.NumCols() > bitset.MaxAttrs {
-		return nil, fmt.Errorf("core: relation has %d columns, maximum is %d", enc.NumCols(), bitset.MaxAttrs)
-	}
 	start := time.Now()
 	d, err := newDiscoverer(ctx, enc, opts)
 	if err != nil {
@@ -100,7 +90,6 @@ func newDiscoverer(ctx context.Context, enc *relation.Encoded, opts Options) (*d
 	d := &discoverer{
 		enc:        enc,
 		opts:       opts,
-		numAttrs:   enc.NumCols(),
 		levelStats: make(map[int]*LevelStat),
 		result:     &Result{},
 	}
@@ -117,6 +106,7 @@ func newDiscoverer(ctx context.Context, enc *relation.Encoded, opts Options) (*d
 		return nil, err
 	}
 	d.eng = eng
+	d.numAttrs = enc.NumCols()
 	d.all = eng.All()
 	d.shards = make([]checkShard, eng.Workers())
 	return d, nil
@@ -165,12 +155,7 @@ func (d *discoverer) flushNode(l int, buf *emitBuffer, pruned bool) {
 // the result.
 func (d *discoverer) finish() {
 	d.mergeShards(d.shards)
-	st := d.eng.Stats()
-	d.result.Stats.NodesVisited = st.NodesVisited
-	d.result.Stats.MaxLevelReached = st.MaxLevelReached
-	d.result.Stats.PartitionHits = st.PartitionHits
-	d.result.Stats.PartitionMisses = st.PartitionMisses
-	d.result.Stats.Interrupted = st.Interrupted
+	d.result.Stats.Stats = d.eng.Stats()
 }
 
 // run executes FASTOD with the full candidate-set machinery (Algorithms 1-4).

@@ -108,8 +108,12 @@ type LevelStat struct {
 
 // Stats aggregates counters describing the work a discovery run performed.
 type Stats struct {
-	// NodesVisited is the total number of lattice nodes processed.
-	NodesVisited int
+	// Stats holds the engine's traversal counters: nodes visited, the
+	// deepest level reached, partition store hits and misses (zero without
+	// Options.Partitions) and whether the run was interrupted, in which case
+	// the result holds everything discovered up to the interrupt (complete
+	// through the last fully processed lattice level).
+	lattice.Stats
 	// FDChecks and SwapChecks count the validation operations performed.
 	FDChecks   int
 	SwapChecks int
@@ -117,18 +121,6 @@ type Stats struct {
 	KeyPrunes int
 	// NodesPruned counts lattice nodes deleted by pruneLevels.
 	NodesPruned int
-	// MaxLevelReached is the deepest lattice level that produced candidates.
-	MaxLevelReached int
-	// PartitionHits and PartitionMisses count lattice-node partitions served
-	// from and missing in the shared partition store (Options.Partitions)
-	// during this run. Both are zero when no store is configured.
-	PartitionHits   int
-	PartitionMisses int
-	// Interrupted reports that the run stopped early because its context was
-	// cancelled or its budget exhausted; the result then holds everything
-	// discovered up to the interrupt (complete through the last fully
-	// processed lattice level).
-	Interrupted bool
 }
 
 // Result is the outcome of a discovery run.

@@ -7,10 +7,15 @@
 // The Engine factors out what those traversals have in common — singleton
 // seeding, prefix-block joins for the next level (Algorithm 2 of the paper),
 // partition products, the bounded per-level partition retention window, and a
-// worker pool — while each algorithm keeps ownership of its candidate-set
+// worker pool — while FASTOD and TANE keep ownership of their candidate-set
 // bookkeeping, validation and pruning inside a per-node visit callback
-// (RunNodes). The traversal is level-synchronous: level l+1 is generated and
-// visited only after every node of level l has been visited. Inside a level
+// (RunNodes). The approximate and bidirectional extensions keep only their
+// checks: RunMinimal is the one subset-minimal search over the two canonical
+// OD forms, with the paper's minimality rule (Section 4.1) applied to
+// whatever the checks accept.
+//
+// The traversal is level-synchronous: level l+1 is generated and visited
+// only after every node of level l has been visited. Inside a level
 // the cancellation and deadline signals are checked before every node, so an
 // interrupt abandons at most the nodes already running, and the handout is
 // capped by the node budget, so a run never visits more than Budget.MaxNodes
@@ -70,7 +75,9 @@ type Config struct {
 }
 
 // Stats aggregates the work counters the engine maintains on behalf of its
-// clients.
+// clients. It is the one shape of a run's traversal counters: every
+// algorithm's result carries it (core.Stats embeds it), and the public
+// RunStats is an alias.
 type Stats struct {
 	// NodesVisited is the total number of lattice nodes handed to visit
 	// callbacks.

@@ -38,7 +38,8 @@ type Options struct {
 	// runs before every node evaluation.
 	Budget lattice.Budget
 	// MaxLevel, when positive, bounds the length of the attribute lists
-	// explored — the list-lattice analogue of the set-lattice MaxLevel.
+	// explored — the list-lattice analogue of the set-lattice MaxLevel. The
+	// shortest list holds two attributes, so MaxLevel 1 visits nothing.
 	// Stopping at MaxLevel is a normal completion, not an interrupt.
 	MaxLevel int
 	// Progress, when non-nil, receives one event per completed list-lattice
@@ -56,15 +57,15 @@ type Result struct {
 	Canonical []canonical.OD
 	// Counts tallies Canonical by kind.
 	Counts canonical.Count
-	// NodesVisited counts list-lattice nodes processed.
-	NodesVisited int
-	// MaxLevelReached is the longest attribute-list length processed.
-	MaxLevelReached int
-	// Interrupted reports whether the run was stopped by its context or
-	// Options.Budget before exhausting the search space; ODs then holds
-	// everything found up to the interrupt.
-	Interrupted bool
-	Elapsed     time.Duration
+	// Stats carries the run's traversal counters: NodesVisited counts
+	// list-lattice nodes processed, MaxLevelReached is the longest
+	// attribute-list length processed, and Interrupted reports whether the
+	// run was stopped by its context or Options.Budget before exhausting the
+	// search space (ODs then holds everything found up to the interrupt).
+	// ORDER computes no stripped partitions, so the partition counters stay
+	// zero.
+	Stats   lattice.Stats
+	Elapsed time.Duration
 }
 
 // node is one element of the list-containment lattice: a permutation of a
@@ -81,8 +82,8 @@ type node struct {
 
 // DiscoverContext runs ORDER over an encoded relation instance. The context
 // and Options.Budget are checked before every node evaluation; an interrupted
-// run returns the list ODs found so far with Interrupted set rather than an
-// error.
+// run returns the list ODs found so far with Stats.Interrupted set rather
+// than an error.
 func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (*Result, error) {
 	if enc == nil || enc.NumCols() == 0 {
 		return nil, fmt.Errorf("order: empty relation")
@@ -98,7 +99,7 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	n := enc.NumCols()
 
 	overBudget := func() bool {
-		if opts.Budget.MaxNodes > 0 && res.NodesVisited >= opts.Budget.MaxNodes {
+		if opts.Budget.MaxNodes > 0 && res.Stats.NodesVisited >= opts.Budget.MaxNodes {
 			return true
 		}
 		if opts.Budget.Timeout > 0 && time.Since(start) >= opts.Budget.Timeout {
@@ -124,17 +125,17 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		}
 	}
 
-	for listLen := 2; len(level) > 0 && !res.Interrupted; listLen++ {
+	for listLen := 2; len(level) > 0 && !res.Stats.Interrupted && (opts.MaxLevel <= 0 || listLen <= opts.MaxLevel); listLen++ {
 		var next []node
 		extend := opts.MaxLevel <= 0 || listLen < opts.MaxLevel
 		for i := range level {
 			if overBudget() {
-				res.Interrupted = true
+				res.Stats.Interrupted = true
 				break
 			}
 			nd := &level[i]
-			res.NodesVisited++
-			res.MaxLevelReached = listLen
+			res.Stats.NodesVisited++
+			res.Stats.MaxLevelReached = listLen
 			evaluateNode(enc, nd, res, seen)
 			if nd.swapDead || nd.allValid || !extend {
 				continue
@@ -155,7 +156,7 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 			opts.Progress(lattice.ProgressEvent{
 				Level:        listLen,
 				Nodes:        len(level),
-				NodesVisited: res.NodesVisited,
+				NodesVisited: res.Stats.NodesVisited,
 				Elapsed:      time.Since(start),
 			})
 		}

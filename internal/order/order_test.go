@@ -38,7 +38,7 @@ func TestDiscoverTable1(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
-	if res.Interrupted {
+	if res.Stats.Interrupted {
 		t.Fatal("Table 1 should not time out")
 	}
 	if len(res.ODs) == 0 {
@@ -59,7 +59,7 @@ func TestDiscoverTable1(t *testing.T) {
 	if res.Counts.Total != len(res.Canonical) {
 		t.Errorf("Counts.Total = %d, len(Canonical) = %d", res.Counts.Total, len(res.Canonical))
 	}
-	if res.Elapsed <= 0 || res.NodesVisited == 0 {
+	if res.Elapsed <= 0 || res.Stats.NodesVisited == 0 {
 		t.Error("stats not recorded")
 	}
 }
@@ -200,15 +200,51 @@ func TestDiscoverBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Interrupted {
+	if !res.Stats.Interrupted {
 		t.Error("MaxNodes budget should mark the run as interrupted")
 	}
 	res, err = DiscoverContext(t.Context(), enc, Options{Budget: lattice.Budget{Timeout: time.Nanosecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Interrupted {
+	if !res.Stats.Interrupted {
 		t.Error("Timeout budget should mark the run as interrupted")
+	}
+}
+
+// TestDiscoverMaxLevel: MaxLevel bounds the list length. The shortest list
+// has two attributes, so MaxLevel 1 leaves nothing to visit, which is a
+// normal completion; MaxLevel 2 visits every ordered pair and extends none.
+func TestDiscoverMaxLevel(t *testing.T) {
+	enc := encode(t, datagen.FlightLike(200, 5, 3))
+	n := enc.NumCols()
+
+	var events int
+	res, err := DiscoverContext(t.Context(), enc, Options{MaxLevel: 1, Progress: func(lattice.ProgressEvent) { events++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.NodesVisited != 0 || res.Stats.MaxLevelReached != 0 || res.Stats.Interrupted {
+		t.Errorf("MaxLevel 1: stats %+v, want no node visited and not interrupted", res.Stats)
+	}
+	if len(res.ODs) != 0 || len(res.Canonical) != 0 || events != 0 {
+		t.Errorf("MaxLevel 1: %d list ODs, %d canonical ODs, %d progress events; want none", len(res.ODs), len(res.Canonical), events)
+	}
+
+	res, err = DiscoverContext(t.Context(), enc, Options{MaxLevel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.NodesVisited != n*(n-1) || res.Stats.MaxLevelReached != 2 || res.Stats.Interrupted {
+		t.Errorf("MaxLevel 2: stats %+v, want %d nodes at level 2, not interrupted", res.Stats, n*(n-1))
+	}
+	if len(res.ODs) == 0 {
+		t.Error("MaxLevel 2: expected list ODs between attribute pairs")
+	}
+	for _, od := range res.ODs {
+		if len(od.Left)+len(od.Right) != 2 {
+			t.Errorf("MaxLevel 2: %v spans more than two attributes", od)
+		}
 	}
 }
 

@@ -62,29 +62,19 @@ type Options struct {
 type Result struct {
 	FDs     []FD
 	Elapsed time.Duration
-	// NodesVisited counts lattice nodes processed, for comparison with FASTOD.
-	NodesVisited int
 	// Stats carries the engine's traversal counters (nodes, partition store
-	// hits/misses, interruption).
+	// hits/misses, interruption). When Stats.Interrupted is set the run
+	// stopped early on context cancellation or budget exhaustion, and FDs
+	// holds everything found up to the interrupt.
 	Stats lattice.Stats
-	// Interrupted reports that the run stopped early on context cancellation
-	// or budget exhaustion; FDs then holds everything found up to the
-	// interrupt.
-	Interrupted bool
 }
 
 // DiscoverContext runs TANE over an encoded relation and returns the complete
 // set of minimal, non-trivial functional dependencies with singleton
 // right-hand sides. Cancellation and Options.Budget are honored cooperatively
 // (see core.DiscoverContext): an interrupted run returns partial FDs with
-// Interrupted set.
+// Stats.Interrupted set.
 func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (*Result, error) {
-	if enc == nil || enc.NumCols() == 0 {
-		return nil, fmt.Errorf("tane: empty relation")
-	}
-	if enc.NumCols() > bitset.MaxAttrs {
-		return nil, fmt.Errorf("tane: relation has %d columns, maximum is %d", enc.NumCols(), bitset.MaxAttrs)
-	}
 	start := time.Now()
 	eng, err := lattice.New(enc, lattice.Config{
 		Ctx:        ctx,
@@ -139,8 +129,6 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		return nil, err
 	}
 	res.Stats = eng.Stats()
-	res.NodesVisited = res.Stats.NodesVisited
-	res.Interrupted = res.Stats.Interrupted
 
 	sort.Slice(res.FDs, func(i, j int) bool {
 		a, b := res.FDs[i], res.FDs[j]

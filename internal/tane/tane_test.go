@@ -76,7 +76,7 @@ func TestDiscoverTable1FDs(t *testing.T) {
 			t.Error("posit -> sal must not be reported")
 		}
 	}
-	if res.Elapsed <= 0 || res.NodesVisited == 0 {
+	if res.Elapsed <= 0 || res.Stats.NodesVisited == 0 {
 		t.Error("stats not recorded")
 	}
 }
@@ -181,8 +181,8 @@ func TestParallelMatchesSequentialDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if par.NodesVisited != seq.NodesVisited {
-			t.Errorf("%s: NodesVisited = %d, want %d", name, par.NodesVisited, seq.NodesVisited)
+		if par.Stats.NodesVisited != seq.Stats.NodesVisited {
+			t.Errorf("%s: NodesVisited = %d, want %d", name, par.Stats.NodesVisited, seq.Stats.NodesVisited)
 		}
 		if len(par.FDs) != len(seq.FDs) {
 			t.Fatalf("%s: %d FDs, want %d", name, len(par.FDs), len(seq.FDs))

@@ -453,10 +453,12 @@ func (r Request) EffectiveWorkers() int {
 const SliceProgressLevel = conditional.SliceProgressLevel
 
 // RunStats are the unified work counters of a Report, comparable across
-// algorithms; see lattice.Stats for the field semantics. For the conditional
-// algorithm NodesVisited totals the unconditional and slice passes while the
-// partition counters describe the unconditional pass; for ORDER the partition
-// counters are always zero.
+// algorithms; see lattice.Stats for the field semantics. Every payload
+// carries the same shape (FASTOD's Result.Stats embeds it), and Report.Stats
+// is a copy of the payload's. For the conditional algorithm NodesVisited
+// totals the unconditional and slice passes while the partition counters
+// describe the unconditional pass; for ORDER the partition counters are
+// always zero.
 type RunStats = lattice.Stats
 
 // Report is the unified response envelope of Run: the algorithm that ran,
@@ -573,13 +575,7 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 			return nil, err
 		}
 		rep.FASTOD = res
-		rep.Stats = RunStats{
-			NodesVisited:    res.Stats.NodesVisited,
-			MaxLevelReached: res.Stats.MaxLevelReached,
-			PartitionHits:   res.Stats.PartitionHits,
-			PartitionMisses: res.Stats.PartitionMisses,
-			Interrupted:     res.Stats.Interrupted,
-		}
+		rep.Stats = res.Stats.Stats
 
 	case AlgorithmTANE:
 		res, err := tane.DiscoverContext(ctx, enc, tane.Options{
@@ -640,16 +636,7 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 			return nil, err
 		}
 		rep.Conditional = res
-		rep.Stats = RunStats{
-			NodesVisited: res.NodesVisited,
-			// The deepest level of ANY pass (unconditional or slice), not just
-			// the unconditional one — the global pass alone under-reports the
-			// run's work, which matters once reports are cached and replayed.
-			MaxLevelReached: res.MaxLevelReached,
-			PartitionHits:   res.Global.Stats.PartitionHits,
-			PartitionMisses: res.Global.Stats.PartitionMisses,
-			Interrupted:     res.Interrupted,
-		}
+		rep.Stats = res.Stats
 
 	case AlgorithmORDER:
 		res, err := order.DiscoverContext(ctx, enc, order.Options{
@@ -661,11 +648,7 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 			return nil, err
 		}
 		rep.ORDER = res
-		rep.Stats = RunStats{
-			NodesVisited:    res.NodesVisited,
-			MaxLevelReached: res.MaxLevelReached,
-			Interrupted:     res.Interrupted,
-		}
+		rep.Stats = res.Stats
 
 	default:
 		// Unreachable: Validate rejected unknown algorithms above. Kept as a

@@ -53,7 +53,7 @@ func renderFASTOD(res *core.Result) string {
 
 func renderTANE(res *tane.Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "nodes=%d interrupted=%v stats=%+v\n", res.NodesVisited, res.Interrupted, res.Stats)
+	fmt.Fprintf(&b, "nodes=%d interrupted=%v stats=%+v\n", res.Stats.NodesVisited, res.Stats.Interrupted, res.Stats)
 	for _, fd := range res.FDs {
 		fmt.Fprintln(&b, fd)
 	}
@@ -62,7 +62,7 @@ func renderTANE(res *tane.Result) string {
 
 func renderApprox(res *approx.Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "nodes=%d interrupted=%v stats=%+v\n", res.NodesVisited, res.Interrupted, res.Stats)
+	fmt.Fprintf(&b, "nodes=%d interrupted=%v stats=%+v\n", res.Stats.NodesVisited, res.Stats.Interrupted, res.Stats)
 	for _, d := range res.ODs {
 		fmt.Fprintf(&b, "%v error=%+v\n", d.OD, d.Error)
 	}
@@ -71,7 +71,7 @@ func renderApprox(res *approx.Result) string {
 
 func renderBidir(res *bidir.Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "nodes=%d interrupted=%v stats=%+v\n", res.NodesVisited, res.Interrupted, res.Stats)
+	fmt.Fprintf(&b, "nodes=%d interrupted=%v stats=%+v\n", res.Stats.NodesVisited, res.Stats.Interrupted, res.Stats)
 	for _, od := range res.ODs {
 		fmt.Fprintln(&b, od)
 	}
@@ -81,7 +81,7 @@ func renderBidir(res *bidir.Result) string {
 func renderConditional(res *conditional.Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "slices=%d nodes=%d maxlevel=%d interrupted=%v\nglobal:\n%s",
-		res.SlicesExamined, res.NodesVisited, res.MaxLevelReached, res.Interrupted, renderFASTOD(res.Global))
+		res.SlicesExamined, res.Stats.NodesVisited, res.Stats.MaxLevelReached, res.Stats.Interrupted, renderFASTOD(res.Global))
 	for _, od := range res.ODs {
 		fmt.Fprintf(&b, "%+v %v\n", od.Condition, od.OD)
 	}
@@ -91,7 +91,7 @@ func renderConditional(res *conditional.Result) string {
 func renderORDER(res *order.Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "counts=%v nodes=%d maxlevel=%d interrupted=%v\n",
-		res.Counts, res.NodesVisited, res.MaxLevelReached, res.Interrupted)
+		res.Counts, res.Stats.NodesVisited, res.Stats.MaxLevelReached, res.Stats.Interrupted)
 	for _, od := range res.ODs {
 		fmt.Fprintln(&b, od)
 	}
