@@ -152,14 +152,14 @@ func BenchmarkTable1(b *testing.B) {
 }
 
 // BenchmarkAblation measures the individual optimizations of Section 4 of
-// the paper: key pruning (Lemmas 12–13), node pruning (Lemma 11) and the
-// sorted-scan swap check.
+// the paper: key pruning (Lemmas 12–13) and node pruning (Lemma 11). The
+// swap check's ablation is kernel-level: BenchmarkHasSwapNaive in
+// internal/partition.
 func BenchmarkAblation(b *testing.B) {
 	ds := figureDataset("flight", 1000, 10)
 	b.Run("baseline", func(b *testing.B) { runFASTOD(b, ds, seqFASTOD(fastod.FASTODRunOptions{})) })
 	b.Run("no-key-pruning", func(b *testing.B) { runFASTOD(b, ds, seqFASTOD(fastod.FASTODRunOptions{DisableKeyPruning: true})) })
 	b.Run("no-node-pruning", func(b *testing.B) { runFASTOD(b, ds, seqFASTOD(fastod.FASTODRunOptions{DisableNodePruning: true})) })
-	b.Run("naive-swap-check", func(b *testing.B) { runFASTOD(b, ds, seqFASTOD(fastod.FASTODRunOptions{NaiveSwapCheck: true})) })
 }
 
 // BenchmarkQueryOptWorkload measures discovery on the date-dimension table of
@@ -184,10 +184,12 @@ func BenchmarkParallelWorkers(b *testing.B) {
 
 // BenchmarkConditionalSliceWorkers measures conditional discovery with slice
 // passes running sequentially (workers=1) versus fanned out across the pool
-// (workers=4, each slice sequential inside). The merged report is identical.
+// (workers=2 and 4, each slice sequential inside). The merged report is
+// identical. Read it on a machine with at least two CPUs: on one, every
+// variant runs the same slice passes serially.
 func BenchmarkConditionalSliceWorkers(b *testing.B) {
 	ds := figureDataset("ncvoter", 2000, 7)
-	for _, w := range []int{1, 4} {
+	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			req := fastod.Request{

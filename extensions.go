@@ -41,12 +41,6 @@ func (d *Dataset) ProfileODs(ods []OD) ([]ODError, error) {
 
 // Bidirectional order dependencies.
 type (
-	// Direction is the per-attribute sort direction (ascending/descending).
-	Direction = bidir.Direction
-	// DirectedAttr is one attribute of a bidirectional order specification.
-	DirectedAttr = bidir.DirectedAttr
-	// BidirSpec is a bidirectional order specification.
-	BidirSpec = bidir.Spec
 	// BidirOD is a bidirectional canonical OD (with polarity).
 	BidirOD = bidir.OD
 	// Polarity distinguishes same-direction from opposite-direction
@@ -57,44 +51,62 @@ type (
 	BidirResult = bidir.Result
 )
 
-// Sort directions and polarities re-exported for bidirectional ODs.
+// Polarities re-exported for bidirectional ODs.
 const (
-	Asc               = bidir.Asc
-	Desc              = bidir.Desc
 	SameDirection     = bidir.SameDirection
 	OppositeDirection = bidir.OppositeDirection
 )
 
-// CheckBidirListOD reports whether the bidirectional list OD "left ↦ right"
-// holds, with each side given as (column name, direction) pairs.
-func (d *Dataset) CheckBidirListOD(left, right []DirectedColumn) (bool, error) {
-	l, err := d.bidirSpec(left)
-	if err != nil {
-		return false, err
-	}
-	r, err := d.bidirSpec(right)
-	if err != nil {
-		return false, err
-	}
-	return bidir.Holds(d.enc, l, r), nil
-}
-
-// DirectedColumn names a column together with its sort direction.
+// DirectedColumn names a column together with its sort direction, one entry
+// of a side of CheckBidirListOD. Any Dir but OrderDesc is ascending.
 type DirectedColumn struct {
 	Column string
-	Dir    Direction
+	Dir    OrderDirection
 }
 
-func (d *Dataset) bidirSpec(cols []DirectedColumn) (bidir.Spec, error) {
-	out := make(bidir.Spec, 0, len(cols))
-	for _, c := range cols {
-		idx := d.enc.ColumnIndex(c.Column)
-		if idx < 0 {
-			return nil, fmt.Errorf("fastod: unknown column %q", c.Column)
+// CheckBidirListOD reports whether the bidirectional list OD "left ↦ right"
+// holds, with each side given as (column name, direction) pairs, as in SQL
+// "ORDER BY a ASC, b DESC". Each descending column is ranked DESC NULLS
+// LAST, the exact reverse of its default order, through SpecEncoded (cached
+// per spec), and on that encoding the OD is the plain list OD CheckListOD
+// checks. One encoding ranks a column one way, so naming a column both
+// ascending and descending is an error.
+func (d *Dataset) CheckBidirListOD(left, right []DirectedColumn) (bool, error) {
+	desc := make(map[int]bool)
+	var orders []AttrOrder
+	resolve := func(cols []DirectedColumn) (listod.Spec, error) {
+		out := make(listod.Spec, len(cols))
+		for i, c := range cols {
+			a := d.enc.ColumnIndex(c.Column)
+			if a < 0 {
+				return nil, fmt.Errorf("fastod: unknown column %q", c.Column)
+			}
+			isDesc := c.Dir == OrderDesc
+			if prev, seen := desc[a]; !seen {
+				desc[a] = isDesc
+				if isDesc {
+					orders = append(orders, AttrOrder{Column: c.Column, Direction: OrderDesc, Nulls: NullsLast})
+				}
+			} else if prev != isDesc {
+				return nil, fmt.Errorf("fastod: column %q is named both ascending and descending", c.Column)
+			}
+			out[i] = a
 		}
-		out = append(out, bidir.DirectedAttr{Attr: idx, Dir: c.Dir})
+		return out, nil
 	}
-	return out, nil
+	l, err := resolve(left)
+	if err != nil {
+		return false, err
+	}
+	r, err := resolve(right)
+	if err != nil {
+		return false, err
+	}
+	enc, err := d.SpecEncoded(orders)
+	if err != nil {
+		return false, err
+	}
+	return listod.Holds(enc, l, r), nil
 }
 
 // Conditional order dependencies.

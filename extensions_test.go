@@ -78,15 +78,15 @@ func TestDiscoverBidirectionalPublic(t *testing.T) {
 	}
 
 	ok, err := ds.CheckBidirListOD(
-		[]fastod.DirectedColumn{{Column: "up", Dir: fastod.Asc}},
-		[]fastod.DirectedColumn{{Column: "down", Dir: fastod.Desc}},
+		[]fastod.DirectedColumn{{Column: "up", Dir: fastod.OrderAsc}},
+		[]fastod.DirectedColumn{{Column: "down", Dir: fastod.OrderDesc}},
 	)
 	if err != nil || !ok {
 		t.Errorf("up asc -> down desc = %v, %v", ok, err)
 	}
 	ok, err = ds.CheckBidirListOD(
-		[]fastod.DirectedColumn{{Column: "up", Dir: fastod.Asc}},
-		[]fastod.DirectedColumn{{Column: "down", Dir: fastod.Asc}},
+		[]fastod.DirectedColumn{{Column: "up", Dir: fastod.OrderAsc}},
+		[]fastod.DirectedColumn{{Column: "down", Dir: fastod.OrderAsc}},
 	)
 	if err != nil || ok {
 		t.Errorf("up asc -> down asc = %v, %v (should fail)", ok, err)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/bitset"
 	"repro/internal/canonical"
 	"repro/internal/partition"
 	"repro/internal/relation"
@@ -27,59 +26,33 @@ type Error struct {
 	Rate float64
 }
 
-// ErrorOf computes the error of a canonical OD on the encoded relation.
+// ErrorOf computes the error of a canonical OD on the encoded relation. Like
+// canonical.Holds it first checks every attribute with canonical.CheckAttrs
+// (so its attribute errors start "canonical:"), gives a trivial OD error
+// zero, and builds the context with canonical.ContextPartition. Within each
+// equivalence class of the context, a constancy OD X: [] ↦ A must remove
+// every tuple but those with the class's most frequent A value (the
+// ConstancyRemovals kernel), and an order-compatibility OD X: A ~ B keeps
+// the longest non-decreasing subsequence of B-ranks once the class is
+// ordered by (A, B) and removes the rest (the SwapRemovals kernel, asked for
+// the exact count).
 func ErrorOf(enc *relation.Encoded, od canonical.OD) (Error, error) {
+	if err := canonical.CheckAttrs(enc, od); err != nil {
+		return Error{}, err
+	}
+	if od.IsTrivial() {
+		return Error{}, nil
+	}
+	s := partition.NewScratch()
+	p := canonical.ContextPartition(enc, od.Context, s)
 	switch od.Kind {
 	case canonical.Constancy:
-		return constancyError(enc, od.Context, od.A)
+		return newError(p.ConstancyRemovals(enc.Column(od.A), math.MaxInt, s), enc.NumRows()), nil
 	case canonical.OrderCompatible:
-		return orderCompatError(enc, od.Context, od.A, od.B)
+		return newError(p.SwapRemovals(enc.Column(od.A), enc.Column(od.B), math.MaxInt, s), enc.NumRows()), nil
 	default:
 		return Error{}, fmt.Errorf("approx: unknown OD kind %v", od.Kind)
 	}
-}
-
-// constancyError computes the error of X: [] ↦ A: within each equivalence
-// class of ΠX all tuples must agree on A, so the removals per class are the
-// class size minus the most frequent A value in it. The per-class counting is
-// the flat ConstancyRemovals kernel of package partition.
-func constancyError(enc *relation.Encoded, ctx bitset.AttrSet, a int) (Error, error) {
-	if err := checkAttr(enc, a); err != nil {
-		return Error{}, err
-	}
-	if ctx.Contains(a) {
-		return Error{}, nil // trivial
-	}
-	s := partition.NewScratch()
-	p, err := contextPartition(enc, ctx, s)
-	if err != nil {
-		return Error{}, err
-	}
-	return newError(p.ConstancyRemovals(enc.Column(a), math.MaxInt, s), enc.NumRows()), nil
-}
-
-// orderCompatError computes the error of X: A ~ B: within each equivalence
-// class the largest swap-free subset is the longest non-decreasing
-// subsequence of B-ranks once the class is ordered by (A, B) — the
-// SwapRemovals kernel of package partition, asked for the exact count, so
-// every class is sorted and scanned by patience sorting; everything else
-// must be removed.
-func orderCompatError(enc *relation.Encoded, ctx bitset.AttrSet, a, b int) (Error, error) {
-	if err := checkAttr(enc, a); err != nil {
-		return Error{}, err
-	}
-	if err := checkAttr(enc, b); err != nil {
-		return Error{}, err
-	}
-	if a == b || ctx.Contains(a) || ctx.Contains(b) {
-		return Error{}, nil // trivial
-	}
-	s := partition.NewScratch()
-	p, err := contextPartition(enc, ctx, s)
-	if err != nil {
-		return Error{}, err
-	}
-	return newError(p.SwapRemovals(enc.Column(a), enc.Column(b), math.MaxInt, s), enc.NumRows()), nil
 }
 
 func newError(removals, rows int) Error {
@@ -88,26 +61,6 @@ func newError(removals, rows int) Error {
 		e.Rate = float64(removals) / float64(rows)
 	}
 	return e
-}
-
-func contextPartition(enc *relation.Encoded, ctx bitset.AttrSet, s *partition.Scratch) (*partition.Partition, error) {
-	for _, a := range ctx.Attrs() {
-		if err := checkAttr(enc, a); err != nil {
-			return nil, err
-		}
-	}
-	p := partition.FromConstant(enc.NumRows())
-	ctx.ForEach(func(a int) {
-		p = p.ProductWith(partition.FromColumn(enc.Column(a), enc.Cardinality[a]), s)
-	})
-	return p, nil
-}
-
-func checkAttr(enc *relation.Encoded, a int) error {
-	if a < 0 || a >= enc.NumCols() {
-		return fmt.Errorf("approx: attribute %d out of range for relation with %d columns", a, enc.NumCols())
-	}
-	return nil
 }
 
 // ODError pairs an OD with its measured error; Profile returns one per input

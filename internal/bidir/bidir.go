@@ -8,13 +8,15 @@
 // into two polarities — A and B move together (ascending/ascending, which
 // equals descending/descending) or in opposition (ascending/descending).
 // Discovery therefore only needs to check both polarities per attribute pair.
+// The opposite polarity is checked on B's ranks reflected, which order B
+// DESC NULLS LAST; list-level ODs with per-attribute directions run on that
+// same order as a spec re-encoding (fastod.Dataset.CheckBidirListOD).
 package bidir
 
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"time"
 
 	"repro/internal/bitset"
@@ -23,122 +25,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/relation"
 )
-
-// Direction is the sort direction of one attribute in a specification.
-type Direction int
-
-// Sort directions.
-const (
-	Asc Direction = iota
-	Desc
-)
-
-// String returns "asc" or "desc".
-func (d Direction) String() string {
-	if d == Desc {
-		return "desc"
-	}
-	return "asc"
-}
-
-// DirectedAttr is one attribute of a bidirectional order specification.
-type DirectedAttr struct {
-	Attr int
-	Dir  Direction
-}
-
-// Spec is a bidirectional order specification: a list of attributes each with
-// its own direction, defining a lexicographic order.
-type Spec []DirectedAttr
-
-// String renders the spec like [0 asc,2 desc].
-func (s Spec) String() string {
-	parts := make([]string, len(s))
-	for i, da := range s {
-		parts[i] = fmt.Sprintf("%d %s", da.Attr, da.Dir)
-	}
-	return "[" + strings.Join(parts, ",") + "]"
-}
-
-// Names renders the spec like [year asc,salary desc].
-func (s Spec) Names(names []string) string {
-	parts := make([]string, len(s))
-	for i, da := range s {
-		name := fmt.Sprintf("#%d", da.Attr)
-		if da.Attr >= 0 && da.Attr < len(names) {
-			name = names[da.Attr]
-		}
-		parts[i] = name + " " + da.Dir.String()
-	}
-	return "[" + strings.Join(parts, ",") + "]"
-}
-
-// Compare compares tuples s and t under the bidirectional lexicographic order
-// of the spec: negative if s precedes t strictly, zero if the projections are
-// equivalent, positive otherwise.
-func Compare(enc *relation.Encoded, spec Spec, s, t int) int {
-	for _, da := range spec {
-		col := enc.Column(da.Attr)
-		vs, vt := col[s], col[t]
-		if vs == vt {
-			continue
-		}
-		less := vs < vt
-		if da.Dir == Desc {
-			less = !less
-		}
-		if less {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-// Holds reports whether the bidirectional OD X ↦ Y holds: for every pair of
-// tuples, s ⪯X t implies s ⪯Y t. It sorts once by (X, Y) and scans, like the
-// unidirectional check.
-func Holds(enc *relation.Encoded, x, y Spec) bool {
-	n := enc.NumRows()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		c := Compare(enc, x, order[i], order[j])
-		if c != 0 {
-			return c < 0
-		}
-		return order[i] < order[j]
-	})
-	prevGroupStart := -1
-	start := 0
-	for i := 1; i <= n; i++ {
-		if i < n && Compare(enc, x, order[i], order[start]) == 0 {
-			continue
-		}
-		// Group [start, i): all tuples equal on X must be equal on Y.
-		for j := start + 1; j < i; j++ {
-			if Compare(enc, y, order[start], order[j]) != 0 {
-				return false
-			}
-		}
-		// Successive groups must be non-decreasing on Y.
-		if prevGroupStart >= 0 && Compare(enc, y, order[start], order[prevGroupStart]) < 0 {
-			return false
-		}
-		prevGroupStart = start
-		start = i
-	}
-	return true
-}
-
-// OrderCompatible reports X ~ Y for bidirectional specifications: XY ↔ YX.
-func OrderCompatible(enc *relation.Encoded, x, y Spec) bool {
-	xy := append(append(Spec{}, x...), y...)
-	yx := append(append(Spec{}, y...), x...)
-	return Holds(enc, xy, yx) && Holds(enc, yx, xy)
-}
 
 // Polarity describes how two attributes relate within a context.
 type Polarity int
@@ -184,16 +70,13 @@ func NewOrderCompatible(ctx bitset.AttrSet, a, b int, p Polarity) OD {
 	return OD{Context: ctx, Kind: canonical.OrderCompatible, A: pair.A, B: pair.B, Polarity: p}
 }
 
-// IsTrivial mirrors the unidirectional notion of triviality.
-func (od OD) IsTrivial() bool {
-	switch od.Kind {
-	case canonical.Constancy:
-		return od.Context.Contains(od.A)
-	case canonical.OrderCompatible:
-		return od.A == od.B || od.Context.Contains(od.A) || od.Context.Contains(od.B)
-	default:
-		return false
-	}
+// IsTrivial is the unidirectional notion of triviality: polarity never
+// makes a trivial OD non-trivial or the reverse.
+func (od OD) IsTrivial() bool { return od.canonical().IsTrivial() }
+
+// canonical drops the polarity.
+func (od OD) canonical() canonical.OD {
+	return canonical.OD{Context: od.Context, Kind: od.Kind, A: od.A, B: od.B}
 }
 
 // String renders the OD with attribute indexes.
@@ -219,26 +102,21 @@ func (od OD) NamesString(names []string) string {
 }
 
 // Holds checks a bidirectional canonical OD directly against the instance.
+// It is canonical.Holds on the OD without its polarity, on an encoding whose
+// B ranks are reflected when the polarity is opposite (B descending is the
+// reflection ascending), so its errors are canonical.Holds's.
 func (od OD) Holds(enc *relation.Encoded) (bool, error) {
-	if err := checkAttrs(enc, od); err != nil {
-		return false, err
-	}
-	if od.IsTrivial() {
-		return true, nil
-	}
-	ctx := contextPartition(enc, od.Context)
-	switch od.Kind {
-	case canonical.Constancy:
-		return ctx.ConstantInClasses(enc.Column(od.A)), nil
-	case canonical.OrderCompatible:
-		colB := enc.Column(od.B)
-		if od.Polarity == OppositeDirection {
-			colB = reverseRanks(colB)
+	c := od.canonical()
+	if od.Kind == canonical.OrderCompatible && od.Polarity == OppositeDirection {
+		if err := canonical.CheckAttrs(enc, c); err != nil {
+			return false, err
 		}
-		return !ctx.HasSwap(enc.Column(od.A), colB), nil
-	default:
-		return false, fmt.Errorf("bidir: unknown kind %v", od.Kind)
+		reflected := *enc
+		reflected.Values = slices.Clone(enc.Values)
+		reflected.Values[od.B] = reverseRanks(enc.Column(od.B))
+		enc = &reflected
 	}
+	return canonical.Holds(enc, c)
 }
 
 // reverseRanks flips a rank-encoded column so that descending order on the
@@ -257,36 +135,6 @@ func reverseRanks(col []int32) []int32 {
 		out[i] = top - v
 	}
 	return out
-}
-
-func contextPartition(enc *relation.Encoded, ctx bitset.AttrSet) *partition.Partition {
-	s := partition.NewScratch()
-	p := partition.FromConstant(enc.NumRows())
-	ctx.ForEach(func(a int) {
-		p = p.ProductWith(partition.FromColumn(enc.Column(a), enc.Cardinality[a]), s)
-	})
-	return p
-}
-
-func checkAttrs(enc *relation.Encoded, od OD) error {
-	check := func(a int) error {
-		if a < 0 || a >= enc.NumCols() {
-			return fmt.Errorf("bidir: attribute %d out of range for relation with %d columns", a, enc.NumCols())
-		}
-		return nil
-	}
-	for _, a := range od.Context.Attrs() {
-		if err := check(a); err != nil {
-			return err
-		}
-	}
-	if err := check(od.A); err != nil {
-		return err
-	}
-	if od.Kind == canonical.OrderCompatible {
-		return check(od.B)
-	}
-	return nil
 }
 
 // Options configures bidirectional discovery.

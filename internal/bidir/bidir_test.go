@@ -1,6 +1,7 @@
 package bidir
 
 import (
+	"cmp"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -36,58 +37,76 @@ func opposing(t *testing.T, rows int) *relation.Encoded {
 }
 
 func TestDirectionAndPolarityStrings(t *testing.T) {
-	if Asc.String() != "asc" || Desc.String() != "desc" {
-		t.Error("Direction.String incorrect")
-	}
 	if SameDirection.String() != "same" || OppositeDirection.String() != "opposite" {
 		t.Error("Polarity.String incorrect")
 	}
-	s := Spec{{Attr: 0, Dir: Asc}, {Attr: 2, Dir: Desc}}
-	if s.String() != "[0 asc,2 desc]" {
-		t.Errorf("Spec.String = %q", s.String())
-	}
-	if s.Names([]string{"a", "b", "c"}) != "[a asc,c desc]" {
-		t.Errorf("Spec.Names = %q", s.Names([]string{"a", "b", "c"}))
-	}
-	if (Spec{{Attr: 9}}).Names([]string{"a"}) != "[#9 asc]" {
-		t.Error("Spec.Names out of range incorrect")
-	}
 }
 
+// TestCompareWithDirections: a column orders rows descending exactly as its
+// reflected ranks (reverseRanks) order them ascending, ties included, and the
+// reflection stays non-negative on a HeadRows view, whose ranks are sparse.
 func TestCompareWithDirections(t *testing.T) {
 	enc := opposing(t, 10)
+	a := enc.Column(0)
 	// a ascending: row 0 before row 5.
-	if Compare(enc, Spec{{Attr: 0, Dir: Asc}}, 0, 5) >= 0 {
+	if a[0] >= a[5] {
 		t.Error("ascending comparison wrong")
 	}
 	// a descending: row 5 before row 0.
-	if Compare(enc, Spec{{Attr: 0, Dir: Desc}}, 0, 5) <= 0 {
+	if desc := reverseRanks(a); desc[5] >= desc[0] {
 		t.Error("descending comparison wrong")
 	}
-	// Equal projection on empty spec.
-	if Compare(enc, Spec{}, 1, 2) != 0 {
-		t.Error("empty spec comparison wrong")
+	// Rows 1 and 4 tie on c in either direction.
+	if c, desc := enc.Column(2), reverseRanks(enc.Column(2)); c[1] != c[4] || desc[1] != desc[4] {
+		t.Error("tie comparison wrong")
+	}
+	for _, e := range []*relation.Encoded{enc, opposing(t, 20).HeadRows(4)} {
+		for col := 0; col < e.NumCols(); col++ {
+			asc, desc := e.Column(col), reverseRanks(e.Column(col))
+			for s := range asc {
+				if desc[s] < 0 {
+					t.Fatalf("%d rows, column %d: reflected rank %d is negative", e.NumRows(), col, desc[s])
+				}
+				for u := range asc {
+					if cmp.Compare(desc[s], desc[u]) != cmp.Compare(asc[u], asc[s]) {
+						t.Fatalf("%d rows, column %d: rows %d, %d not reversed", e.NumRows(), col, s, u)
+					}
+				}
+			}
+		}
 	}
 }
 
+// TestHoldsBidirectional: on columns that move in opposition, the list OD
+// [a asc] -> [b desc] holds through its canonical ODs {a}: [] -> b and
+// {}: a ~ b (opposite), while [a asc] -> [b asc] fails on {}: a ~ b (same).
 func TestHoldsBidirectional(t *testing.T) {
 	enc := opposing(t, 20)
-	aAsc := Spec{{Attr: 0, Dir: Asc}}
-	bAsc := Spec{{Attr: 1, Dir: Asc}}
-	bDesc := Spec{{Attr: 1, Dir: Desc}}
-
-	// a ascending orders b descending (b falls as a rises).
-	if !Holds(enc, aAsc, bDesc) {
-		t.Error("[a asc] -> [b desc] should hold")
+	holds := func(od OD) bool {
+		t.Helper()
+		ok, err := od.Holds(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
 	}
-	if Holds(enc, aAsc, bAsc) {
-		t.Error("[a asc] -> [b asc] should not hold")
+	if !holds(NewConstancy(bitset.NewAttrSet(0), 1)) {
+		t.Error("{a}: [] -> b should hold")
 	}
-	if !OrderCompatible(enc, aAsc, bDesc) {
+	if !holds(NewOrderCompatible(bitset.AttrSet(0), 0, 1, OppositeDirection)) {
 		t.Error("[a asc] ~ [b desc] should hold")
 	}
-	if OrderCompatible(enc, aAsc, bAsc) {
+	if holds(NewOrderCompatible(bitset.AttrSet(0), 0, 1, SameDirection)) {
 		t.Error("[a asc] ~ [b asc] should not hold")
+	}
+	// c cycles as a rises and b falls: compatible with neither in either
+	// polarity.
+	for _, p := range []Polarity{SameDirection, OppositeDirection} {
+		for _, x := range []int{0, 1} {
+			if holds(NewOrderCompatible(bitset.AttrSet(0), x, 2, p)) {
+				t.Errorf("{}: %d ~ c (%s) should not hold", x, p)
+			}
+		}
 	}
 }
 
@@ -162,8 +181,10 @@ func TestODHoldsValidation(t *testing.T) {
 	if _, err := NewConstancy(bitset.AttrSet(0), 60).Holds(enc); err == nil {
 		t.Error("expected error for out-of-range attribute")
 	}
-	if _, err := NewOrderCompatible(bitset.AttrSet(0), 0, 60, SameDirection).Holds(enc); err == nil {
-		t.Error("expected error for out-of-range pair attribute")
+	for _, p := range []Polarity{SameDirection, OppositeDirection} {
+		if _, err := NewOrderCompatible(bitset.AttrSet(0), 0, 60, p).Holds(enc); err == nil {
+			t.Errorf("%s: expected error for out-of-range pair attribute", p)
+		}
 	}
 	if ok, err := NewConstancy(bitset.NewAttrSet(1), 1).Holds(enc); err != nil || !ok {
 		t.Error("trivial OD must hold")

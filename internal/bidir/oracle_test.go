@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/canonical"
 	"repro/internal/datagen"
 	"repro/internal/relation"
@@ -68,16 +69,7 @@ func referenceBidir(t *testing.T, rel *relation.Relation) []OD {
 func TestDiscoverMatchesReferenceOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 40; trial++ {
-		rows, cols, seed := 1+rng.Intn(32), 2+rng.Intn(5), rng.Int63()
-		var rel *relation.Relation
-		switch trial % 3 {
-		case 0:
-			rel = datagen.RandomStructuredRelation(rows, cols, 2+rng.Intn(4), seed)
-		case 1:
-			rel = datagen.RandomRelation(rows, cols, 2+rng.Intn(3), seed)
-		default:
-			rel = datagen.MessyRelation(rows, cols, 0.3, seed)
-		}
+		rel := oracleRelation(rng, trial, 6)
 		want := referenceBidir(t, rel)
 		enc := encode(t, rel)
 		for _, workers := range []int{1, 4} {
@@ -87,9 +79,65 @@ func TestDiscoverMatchesReferenceOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(res.ODs, want) {
-					t.Errorf("%d rows: got %v\nwant %v", rows, res.ODs, want)
+					t.Errorf("%d rows: got %v\nwant %v", rel.NumRows(), res.ODs, want)
 				}
 			})
+		}
+	}
+}
+
+// oracleRelation draws the oracle tests' inputs: up to 32 rows and maxCols
+// columns, rotating through random, structured and NULL-dense messy
+// relations.
+func oracleRelation(rng *rand.Rand, trial, maxCols int) *relation.Relation {
+	rows, cols, seed := 1+rng.Intn(32), 2+rng.Intn(maxCols-1), rng.Int63()
+	switch trial % 3 {
+	case 0:
+		return datagen.RandomStructuredRelation(rows, cols, 2+rng.Intn(4), seed)
+	case 1:
+		return datagen.RandomRelation(rows, cols, 2+rng.Intn(3), seed)
+	default:
+		return datagen.MessyRelation(rows, cols, 0.3, seed)
+	}
+}
+
+// TestODHoldsMatchesReferenceEncoding: OD.Holds in each polarity equals
+// canonical.Holds on the encoding the polarity stands for — the default one
+// for SameDirection, B alone DESC NULLS LAST for OppositeDirection — for
+// every pair and context, on full relations and on HeadRows views, whose
+// ranks are sparse.
+func TestODHoldsMatchesReferenceEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 30; trial++ {
+		rel := oracleRelation(rng, trial, 5)
+		enc := encode(t, rel)
+		if trial%2 == 1 {
+			n := 1 + rng.Intn(rel.NumRows())
+			rel, enc = rel.Head(n), enc.HeadRows(n)
+		}
+		n := rel.NumCols()
+		for b := 1; b < n; b++ {
+			spec := make(relation.OrderSpec, n)
+			spec[b] = relation.ColumnOrder{Direction: relation.Desc, Nulls: relation.NullsLast}
+			desc, err := relation.EncodeSpec(rel, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for a := 0; a < b; a++ {
+				for ctx := bitset.AttrSet(0); ctx < bitset.AttrSet(1)<<n; ctx++ {
+					od := canonical.NewOrderCompatible(ctx, a, b)
+					for p, ref := range []*relation.Encoded{enc, desc} {
+						got, err := NewOrderCompatible(ctx, a, b, Polarity(p)).Holds(enc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := canonical.MustHold(ref, od); got != want {
+							t.Fatalf("trial %d (%s, %d rows): %v %s = %v, want %v",
+								trial, rel.Name, enc.NumRows(), od, Polarity(p), got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -14,13 +14,13 @@ import (
 // constancy or no-swap condition within every equivalence class (Definition 6).
 // It is independent of the discovery algorithms and serves as their oracle.
 func Holds(enc *relation.Encoded, od OD) (bool, error) {
-	if err := checkAttrs(enc, od); err != nil {
+	if err := CheckAttrs(enc, od); err != nil {
 		return false, err
 	}
 	if od.IsTrivial() {
 		return true, nil
 	}
-	ctx := ContextPartition(enc, od.Context)
+	ctx := ContextPartition(enc, od.Context, nil)
 	switch od.Kind {
 	case Constancy:
 		return ctx.ConstantInClasses(enc.Column(od.A)), nil
@@ -65,13 +65,13 @@ func (v Violation) String() string {
 
 // FindViolation returns a witness pair for a violated canonical OD, if any.
 func FindViolation(enc *relation.Encoded, od OD) (Violation, bool, error) {
-	if err := checkAttrs(enc, od); err != nil {
+	if err := CheckAttrs(enc, od); err != nil {
 		return Violation{}, false, err
 	}
 	if od.IsTrivial() {
 		return Violation{}, false, nil
 	}
-	ctx := ContextPartition(enc, od.Context)
+	ctx := ContextPartition(enc, od.Context, nil)
 	switch od.Kind {
 	case Constancy:
 		if w, ok := ctx.FindSplit(enc.Column(od.A)); ok {
@@ -87,14 +87,11 @@ func FindViolation(enc *relation.Encoded, od OD) (Violation, bool, error) {
 
 // ContextPartition computes the stripped partition of the relation with
 // respect to the attribute set ctx by multiplying single-attribute partitions.
-// The empty context yields the single-class partition.
-func ContextPartition(enc *relation.Encoded, ctx bitset.AttrSet) *partition.Partition {
-	return contextPartitionWith(enc, ctx, nil)
-}
-
-// contextPartitionWith is ContextPartition reusing a scratch workspace across
-// the product chain (and across calls, for loops like ReferenceDiscover).
-func contextPartitionWith(enc *relation.Encoded, ctx bitset.AttrSet, s *partition.Scratch) *partition.Partition {
+// The empty context yields the single-class partition. s is the product
+// chain's workspace (nil allocates one): a caller that runs a kernel on the
+// result, or builds many contexts in a loop, passes its own. The attributes
+// of ctx must be in range; see CheckAttrs.
+func ContextPartition(enc *relation.Encoded, ctx bitset.AttrSet, s *partition.Scratch) *partition.Partition {
 	if s == nil {
 		s = partition.NewScratch()
 	}
@@ -105,7 +102,12 @@ func contextPartitionWith(enc *relation.Encoded, ctx bitset.AttrSet, s *partitio
 	return p
 }
 
-func checkAttrs(enc *relation.Encoded, od OD) error {
+// CheckAttrs reports an error naming the first attribute of the OD — context,
+// then A, then B for order-compatibility ODs — that is out of range for the
+// relation. Holds and FindViolation call it before anything else, so an
+// invalid OD is an error even when it is trivial; bidir's OD.Holds and
+// approx.ErrorOf do the same through it.
+func CheckAttrs(enc *relation.Encoded, od OD) error {
 	check := func(a int) error {
 		if a < 0 || a >= enc.NumCols() {
 			return fmt.Errorf("canonical: attribute %d out of range for relation with %d columns", a, enc.NumCols())
@@ -157,7 +159,7 @@ func ReferenceDiscover(enc *relation.Encoded) ([]OD, error) {
 	scratch := partition.NewScratch()
 	contexts := allSubsets(n)
 	for _, ctx := range contexts {
-		p := contextPartitionWith(enc, ctx, scratch)
+		p := ContextPartition(enc, ctx, scratch)
 		cm := make(map[int]bool)
 		om := make(map[pairKey]bool)
 		for a := 0; a < n; a++ {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/datagen"
 	"repro/internal/listod"
+	"repro/internal/partition"
 	"repro/internal/relation"
 )
 
@@ -122,15 +123,15 @@ func TestFindViolationWitnesses(t *testing.T) {
 
 func TestContextPartitionEmptyAndSingle(t *testing.T) {
 	enc, idx := encodeEmployees(t)
-	p := ContextPartition(enc, bitset.AttrSet(0))
+	p := ContextPartition(enc, bitset.AttrSet(0), nil)
 	if p.NumClasses() != 1 || p.Size() != enc.NumRows() {
 		t.Errorf("empty-context partition = %v", p)
 	}
-	pYear := ContextPartition(enc, bitset.NewAttrSet(idx["yr"]))
+	pYear := ContextPartition(enc, bitset.NewAttrSet(idx["yr"]), nil)
 	if pYear.NumClasses() != 2 {
 		t.Errorf("year partition classes = %d, want 2", pYear.NumClasses())
 	}
-	pKey := ContextPartition(enc, bitset.NewAttrSet(idx["ID"], idx["yr"]))
+	pKey := ContextPartition(enc, bitset.NewAttrSet(idx["ID"], idx["yr"]), partition.NewScratch())
 	if !pKey.IsSuperkey() {
 		t.Error("ID,yr should be a key of Table 1")
 	}

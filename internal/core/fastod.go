@@ -285,11 +285,7 @@ func (d *discoverer) checkOrderCompat(ctx bitset.AttrSet, a, b int, sh *checkSha
 		sh.keyPrunes++
 		return true, false
 	}
-	colA, colB := d.enc.Column(a), d.enc.Column(b)
-	if d.opts.NaiveSwapCheck {
-		return !ctxPart.HasSwapNaive(colA, colB), true
-	}
-	return !ctxPart.HasSwapWith(colA, colB, s), true
+	return !ctxPart.HasSwapWith(d.enc.Column(a), d.enc.Column(b), s), true
 }
 
 // runNoPruning enumerates the full set lattice and validates every candidate

@@ -234,10 +234,9 @@ func TestDiscoverOptionVariantsAgree(t *testing.T) {
 	enc := encode(t, datagen.RandomStructuredRelation(40, 5, 3, 123))
 	base := discover(t, enc, Options{})
 	variants := map[string]Options{
-		"naive swap check": {NaiveSwapCheck: true},
-		"no key pruning":   {DisableKeyPruning: true},
-		"no node pruning":  {DisableNodePruning: true},
-		"no key, no node":  {DisableKeyPruning: true, DisableNodePruning: true},
+		"no key pruning":  {DisableKeyPruning: true},
+		"no node pruning": {DisableNodePruning: true},
+		"no key, no node": {DisableKeyPruning: true, DisableNodePruning: true},
 	}
 	for name, opts := range variants {
 		got := discover(t, enc, opts)

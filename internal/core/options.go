@@ -68,12 +68,6 @@ type Options struct {
 	// children. Used by the ablation benchmarks.
 	DisableNodePruning bool
 
-	// NaiveSwapCheck replaces the swap check of Section 4.6 (a scan of
-	// neighbouring rows, then a sorted scan of each class) with a quadratic
-	// per-class pairwise comparison. Used by the ablation benchmarks; results
-	// are identical, only slower.
-	NaiveSwapCheck bool
-
 	// CountOnly suppresses materializing the discovered ODs and only counts
 	// them. This keeps the no-pruning runs (whose OD counts explode into the
 	// millions) within memory budget.

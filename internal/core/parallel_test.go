@@ -99,7 +99,6 @@ func TestParallelOptionVariants(t *testing.T) {
 		"count-only":        {CountOnly: true},
 		"no-key-pruning":    {DisableKeyPruning: true},
 		"no-node-pruning":   {DisableNodePruning: true},
-		"naive-swap":        {NaiveSwapCheck: true},
 		"max-level-3":       {MaxLevel: 3, CollectLevelStats: true},
 	}
 	for name, opts := range variants {

@@ -5,8 +5,7 @@ import "sort"
 // HasSwapNaive checks for swaps between colA and colB within every
 // equivalence class by comparing all tuple pairs. It is quadratic per class
 // and exists only as the ablation baseline for the swap check
-// (Options.NaiveSwapCheck in the discovery algorithm) and as an independent
-// oracle in tests.
+// (BenchmarkHasSwapNaive) and as an independent oracle in tests.
 func (p *Partition) HasSwapNaive(colA, colB []int32) bool {
 	for ci, n := 0, p.NumClasses(); ci < n; ci++ {
 		cls := p.Class(ci)

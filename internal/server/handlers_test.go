@@ -188,6 +188,7 @@ func TestDiscoverRequestValidation(t *testing.T) {
 		{"unknown algorithm", `{"algorithm":"magic"}`, "algorithm"},
 		{"unknown field", `{"algorithmm":"fastod"}`, "unknown field"},
 		{"removed scheduler field", `{"scheduler":"dag"}`, "unknown field"},
+		{"removed naive_swap_check field", `{"fastod":{"naive_swap_check":true}}`, "unknown field"},
 		{"not json", `{{{`, "decoding"},
 	}
 	for _, tc := range cases {

@@ -77,7 +77,6 @@ type FASTODOptions struct {
 	DisablePruning     bool `json:"disable_pruning,omitempty"`
 	DisableKeyPruning  bool `json:"disable_key_pruning,omitempty"`
 	DisableNodePruning bool `json:"disable_node_pruning,omitempty"`
-	NaiveSwapCheck     bool `json:"naive_swap_check,omitempty"`
 	CountOnly          bool `json:"count_only,omitempty"`
 	CollectLevelStats  bool `json:"collect_level_stats,omitempty"`
 }
@@ -123,7 +122,6 @@ func (q DiscoverRequest) toRequest() (fastod.Request, error) {
 			DisablePruning:     q.FASTOD.DisablePruning,
 			DisableKeyPruning:  q.FASTOD.DisableKeyPruning,
 			DisableNodePruning: q.FASTOD.DisableNodePruning,
-			NaiveSwapCheck:     q.FASTOD.NaiveSwapCheck,
 			CountOnly:          q.FASTOD.CountOnly,
 			CollectLevelStats:  q.FASTOD.CollectLevelStats,
 		}

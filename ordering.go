@@ -20,9 +20,8 @@ import (
 // dataset's columns as a relation.OrderSpec, and encoded away — every
 // discovery algorithm runs on the resulting plain ranks.
 
-// OrderDirection is the per-attribute sort direction of an order spec. (The
-// name avoids the package's existing Direction alias, which is the
-// bidirectional-OD arrow of AlgorithmBidirectional.)
+// OrderDirection is the per-attribute sort direction of an order spec, and
+// the direction of a DirectedColumn in CheckBidirListOD.
 type OrderDirection = relation.Direction
 
 // NullOrder places NULLs relative to every non-null value, independent of

@@ -2,6 +2,8 @@ package fastod_test
 
 import (
 	"context"
+	"math/rand"
+	"strconv"
 	"testing"
 
 	fastod "repro"
@@ -141,5 +143,130 @@ func TestSpecNullPlacementChangesDiscovery(t *testing.T) {
 	}
 	if same {
 		t.Error("NULLS FIRST and NULLS LAST discovered identical OD sets on a NULL-dense relation; the placement is not reaching the encoder")
+	}
+}
+
+// TestCheckBidirListODMatchesRawOracle checks CheckBidirListOD against the
+// definition of a list OD over raw values: X ↦ Y holds when, for every pair
+// of rows, s ⪯X t implies s ⪯Y t, comparing a descending column with
+// relation.Compare under DESC NULLS LAST and an ascending one under its
+// default order. Inputs are NULL-dense messy and flight-like datasets, a
+// NULL-dense integer column beside its negation and its copy (NULLs in the
+// same rows, so outcomes turn on where DESC puts NULLs), and HeadRows and
+// Project views of each; the sides are drawn with one direction per column
+// per draw.
+func TestCheckBidirListODMatchesRawOracle(t *testing.T) {
+	type input struct {
+		name string
+		rel  *relation.Relation
+		ds   *fastod.Dataset
+	}
+	rng := rand.New(rand.NewSource(43))
+	var inputs []input
+	for _, seed := range []int64{41, 42} {
+		mirrored := make([][]string, 36)
+		for i := range mirrored {
+			v, neg := "", ""
+			if rng.Intn(5) >= 2 {
+				n := rng.Intn(10) - 3
+				v, neg = strconv.Itoa(n), strconv.Itoa(-n)
+			}
+			mirrored[i] = []string{v, neg, v}
+		}
+		header := []string{"v", "neg", "copy"}
+		mirroredRel, err := relation.FromRows("mirrored", header, mirrored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mirroredDS, err := fastod.FromRows("mirrored", header, mirrored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range []input{
+			{"messy", datagen.MessyRelation(36, 6, 0.4, seed), fastod.SyntheticMessy(36, 6, 0.4, seed)},
+			{"flight", datagen.FlightLike(36, 7, seed), fastod.SyntheticFlight(36, 7, seed)},
+			{"mirrored", mirroredRel, mirroredDS},
+		} {
+			k := in.rel.NumCols() - 1
+			proj := &relation.Relation{Name: in.rel.Name, Columns: in.rel.Columns[:k]}
+			inputs = append(inputs, in,
+				input{in.name + "/head", in.rel.Head(20), in.ds.HeadRows(20)},
+				input{in.name + "/project", proj, in.ds.Project(k)})
+		}
+	}
+	desc := relation.ColumnOrder{Direction: relation.Desc, Nulls: relation.NullsLast}
+	precedes := func(rel *relation.Relation, side []fastod.DirectedColumn, s, t int) bool {
+		for _, c := range side {
+			col := rel.Columns[rel.ColumnIndex(c.Column)]
+			var co relation.ColumnOrder
+			if c.Dir == fastod.OrderDesc {
+				co = desc
+			}
+			if v := relation.Compare(co, col.Type, col.Value(s), col.Value(t)); v != 0 {
+				return v < 0
+			}
+		}
+		return true
+	}
+	checked, held := 0, 0
+	for _, in := range inputs {
+		n, names := in.rel.NumCols(), in.rel.ColumnNames()
+		for draw := 0; draw < 30; draw++ {
+			dirs := make([]fastod.OrderDirection, n)
+			for i := range dirs {
+				dirs[i] = fastod.OrderDirection(rng.Intn(2))
+			}
+			side := func(maxLen int) []fastod.DirectedColumn {
+				out := make([]fastod.DirectedColumn, 1+rng.Intn(maxLen))
+				for i := range out {
+					a := rng.Intn(n)
+					out[i] = fastod.DirectedColumn{Column: names[a], Dir: dirs[a]}
+				}
+				return out
+			}
+			x, y := side(3), side(2)
+			want := true
+			for s := 0; s < in.rel.NumRows() && want; s++ {
+				for u := 0; u < in.rel.NumRows(); u++ {
+					if precedes(in.rel, x, s, u) && !precedes(in.rel, y, s, u) {
+						want = false
+						break
+					}
+				}
+			}
+			got, err := in.ds.CheckBidirListOD(x, y)
+			if err != nil {
+				t.Fatalf("%s: %v -> %v: %v", in.name, x, y, err)
+			}
+			if got != want {
+				t.Fatalf("%s: %v -> %v = %v, raw oracle %v", in.name, x, y, got, want)
+			}
+			checked++
+			if got {
+				held++
+			}
+		}
+	}
+	if held == 0 || held == checked {
+		t.Fatalf("%d of %d drawn ODs hold; the draw does not exercise both outcomes", held, checked)
+	}
+	t.Logf("%d of %d drawn ODs hold", held, checked)
+
+	ds := inputs[0].ds
+	a, b := ds.ColumnNames()[0], ds.ColumnNames()[1]
+	for name, sides := range map[string][2][]fastod.DirectedColumn{
+		"both directions across sides": {{{Column: a}}, {{Column: a, Dir: fastod.OrderDesc}}},
+		"both directions on one side":  {{{Column: a, Dir: fastod.OrderDesc}, {Column: b}, {Column: a}}, nil},
+		"unknown left column":          {{{Column: "bogus"}}, {{Column: a}}},
+		"unknown right column":         {{{Column: a}}, {{Column: "bogus", Dir: fastod.OrderDesc}}},
+	} {
+		if _, err := ds.CheckBidirListOD(sides[0], sides[1]); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+	}
+	// A column outside a Project view is unknown there.
+	hidden := ds.ColumnNames()[5]
+	if _, err := ds.Project(5).CheckBidirListOD(nil, []fastod.DirectedColumn{{Column: hidden}}); err == nil {
+		t.Errorf("column %q outside the Project view: no error", hidden)
 	}
 }

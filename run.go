@@ -123,8 +123,6 @@ type FASTODRunOptions struct {
 	DisableKeyPruning bool
 	// DisableNodePruning turns off Lemma 11 node deletion.
 	DisableNodePruning bool
-	// NaiveSwapCheck uses the quadratic per-class swap comparison.
-	NaiveSwapCheck bool
 	// CountOnly counts ODs without materializing them. Ignored by the
 	// conditional algorithm, whose global-cover comparison needs the ODs.
 	CountOnly bool
@@ -396,9 +394,9 @@ func (r Request) Fingerprint() string {
 		c.Algorithm, c.MaxLevel, c.Budget.Timeout.Nanoseconds(), c.Budget.MaxNodes)
 	if c.Algorithm == AlgorithmFASTOD || c.Algorithm == AlgorithmConditional {
 		f := c.FASTOD
-		fmt.Fprintf(&b, ";fastod=%t,%t,%t,%t,%t,%t",
+		fmt.Fprintf(&b, ";fastod=%t,%t,%t,%t,%t",
 			f.DisablePruning, f.DisableKeyPruning, f.DisableNodePruning,
-			f.NaiveSwapCheck, f.CountOnly, f.CollectLevelStats)
+			f.CountOnly, f.CollectLevelStats)
 	}
 	switch c.Algorithm {
 	case AlgorithmApprox:
@@ -672,7 +670,6 @@ func (d *Dataset) coreOptions(req Request, store *PartitionStore, onProgress fun
 		DisablePruning:     req.FASTOD.DisablePruning,
 		DisableKeyPruning:  req.FASTOD.DisableKeyPruning,
 		DisableNodePruning: req.FASTOD.DisableNodePruning,
-		NaiveSwapCheck:     req.FASTOD.NaiveSwapCheck,
 		CountOnly:          req.FASTOD.CountOnly,
 		CollectLevelStats:  req.FASTOD.CollectLevelStats,
 	}

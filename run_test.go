@@ -160,10 +160,6 @@ func TestRunMapsRequestFieldsOntoAlgorithms(t *testing.T) {
 			direct(core.DiscoverContext, renderFASTOD, core.Options{CountOnly: true}), false},
 		{"fastod/CollectLevelStats", fastod.Request{FASTOD: fastod.FASTODRunOptions{CollectLevelStats: true}},
 			direct(core.DiscoverContext, renderFASTOD, core.Options{CollectLevelStats: true}), false},
-		// The quadratic swap check returns exactly what the sorted scan
-		// returns, with the same counters; only its speed differs.
-		{"fastod/NaiveSwapCheck", fastod.Request{FASTOD: fastod.FASTODRunOptions{NaiveSwapCheck: true}},
-			direct(core.DiscoverContext, renderFASTOD, core.Options{NaiveSwapCheck: true}), true},
 
 		{"tane/zero", fastod.Request{Algorithm: fastod.AlgorithmTANE}, direct(tane.DiscoverContext, renderTANE, tane.Options{}), true},
 		{"tane/MaxLevel", fastod.Request{Algorithm: fastod.AlgorithmTANE, RunOptions: fastod.RunOptions{MaxLevel: 2}},
