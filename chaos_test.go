@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	fastod "repro"
 	"repro/internal/faultinject"
@@ -192,6 +193,40 @@ func TestChaosEngineFaults(t *testing.T) {
 		if got := reportCount(t, rep); got != baseline[alg] {
 			t.Fatalf("post-sweep %s found %d deps, baseline %d", alg, got, baseline[alg])
 		}
+	}
+}
+
+// TestConditionalSliceProgressPanicContained: a progress callback that panics
+// on a condition-slice event fails the run with ErrInternal, at one worker
+// and at two, and leaves no goroutine behind. The slice merge invokes the
+// callback while holding the lock the pool's panic trap also takes, so the
+// run only returns if the merge releases that lock as the panic unwinds.
+func TestConditionalSliceProgressPanicContained(t *testing.T) {
+	ds := fastod.SyntheticHepatitis(80, 5, 7)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			leakcheck.Check(t)
+			done := make(chan error, 1)
+			go func() {
+				_, err := ds.RunWithProgress(context.Background(), fastod.Request{
+					Algorithm:  fastod.AlgorithmConditional,
+					RunOptions: fastod.RunOptions{Workers: workers},
+				}, func(ev fastod.ProgressEvent) {
+					if ev.Level == fastod.SliceProgressLevel {
+						panic("slice progress callback")
+					}
+				})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, fastod.ErrInternal) {
+					t.Fatalf("panicking slice callback returned %v (%T), want fastod.ErrInternal", err, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("RunWithProgress did not return within 10s of a panicking slice-progress callback")
+			}
+		})
 	}
 }
 

@@ -198,7 +198,7 @@ func printReport(cfg config, names []string, rep *fastod.Report) {
 	switch rep.Algorithm {
 	case fastod.AlgorithmFASTOD:
 		res := rep.FASTOD
-		fmt.Printf("discovered %s canonical ODs in %v\n", res.Counts, res.Elapsed.Round(time.Microsecond))
+		fmt.Printf("discovered %s canonical ODs in %v\n", res.Counts, rep.Elapsed.Round(time.Microsecond))
 		if cfg.levels {
 			fmt.Println("level  nodes  time           #ODs (#FDs + #OCDs)")
 			for _, ls := range res.Levels {
@@ -211,13 +211,13 @@ func printReport(cfg config, names []string, rep *fastod.Report) {
 
 	case fastod.AlgorithmTANE:
 		res := rep.TANE
-		fmt.Printf("discovered %d minimal FDs in %v\n", len(res.FDs), res.Elapsed.Round(time.Microsecond))
+		fmt.Printf("discovered %d minimal FDs in %v\n", len(res.FDs), rep.Elapsed.Round(time.Microsecond))
 		deps(len(res.FDs), func(i int) { fmt.Println(" ", res.FDs[i].NamesString(names)) })
 
 	case fastod.AlgorithmApprox:
 		res := rep.Approx
 		fmt.Printf("discovered %d approximate ODs (threshold %v) in %v\n",
-			len(res.ODs), cfg.threshold, res.Elapsed.Round(time.Microsecond))
+			len(res.ODs), cfg.threshold, rep.Elapsed.Round(time.Microsecond))
 		deps(len(res.ODs), func(i int) {
 			d := res.ODs[i]
 			fmt.Printf("  %s (error %.4f)\n", d.OD.NamesString(names), d.Error.Rate)
@@ -225,19 +225,19 @@ func printReport(cfg config, names []string, rep *fastod.Report) {
 
 	case fastod.AlgorithmBidirectional:
 		res := rep.Bidir
-		fmt.Printf("discovered %d bidirectional ODs in %v\n", len(res.ODs), res.Elapsed.Round(time.Microsecond))
+		fmt.Printf("discovered %d bidirectional ODs in %v\n", len(res.ODs), rep.Elapsed.Round(time.Microsecond))
 		deps(len(res.ODs), func(i int) { fmt.Println(" ", res.ODs[i].NamesString(names)) })
 
 	case fastod.AlgorithmConditional:
 		res := rep.Conditional
 		fmt.Printf("discovered %d conditional ODs over %d slices (%s unconditional) in %v\n",
-			len(res.ODs), res.SlicesExamined, res.Global.Counts, res.Elapsed.Round(time.Microsecond))
+			len(res.ODs), res.SlicesExamined, res.Global.Counts, rep.Elapsed.Round(time.Microsecond))
 		deps(len(res.ODs), func(i int) { fmt.Println(" ", res.ODs[i].NamesString(names)) })
 
 	case fastod.AlgorithmORDER:
 		res := rep.ORDER
 		fmt.Printf("discovered %d list ODs mapping to %s canonical ODs in %v\n",
-			len(res.ODs), res.Counts, res.Elapsed.Round(time.Microsecond))
+			len(res.ODs), res.Counts, rep.Elapsed.Round(time.Microsecond))
 		deps(len(res.ODs), func(i int) { fmt.Println(" ", res.ODs[i].Names(names)) })
 	}
 }

@@ -65,7 +65,7 @@ func main() {
 // run checks every rule and returns the number of rules that fail beyond the
 // threshold.
 func run(out *os.File, input, rulesPath string, threshold float64) (int, error) {
-	if threshold < 0 || threshold >= 1 {
+	if !(threshold >= 0 && threshold < 1) { // NaN fails too
 		return 0, fmt.Errorf("threshold %v outside [0,1)", threshold)
 	}
 	ds, err := fastod.LoadCSVFile(input)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -45,8 +46,10 @@ func TestRunChecksRules(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	csv := writeTemp(t, "emp.csv", "a,b\n1,2\n")
 	rules := writeTemp(t, "rules.txt", "[a] -> [b]\n")
-	if _, err := run(os.Stdout, csv, rules, -1); err == nil {
-		t.Error("invalid threshold should error")
+	for _, threshold := range []float64{-1, math.NaN()} {
+		if _, err := run(os.Stdout, csv, rules, threshold); err == nil {
+			t.Errorf("threshold %v should error", threshold)
+		}
 	}
 	if _, err := run(os.Stdout, csv+".missing", rules, 0); err == nil {
 		t.Error("missing csv should error")

@@ -31,7 +31,7 @@ func main() {
 	}
 	res := rep.FASTOD
 	names := ds.ColumnNames()
-	fmt.Printf("Discovered %s canonical ODs in %v.\n\n", res.Counts, res.Elapsed)
+	fmt.Printf("Discovered %s canonical ODs in %v.\n\n", res.Counts, rep.Elapsed)
 
 	cover := fastod.NewCover(res.ODs)
 	idx := func(name string) int { return ds.ColumnIndex(name) }

@@ -32,7 +32,7 @@ func main() {
 	res := rep.FASTOD
 
 	names := ds.ColumnNames()
-	fmt.Printf("Discovered %s canonical ODs in %v:\n", res.Counts, res.Elapsed)
+	fmt.Printf("Discovered %s canonical ODs in %v:\n", res.Counts, rep.Elapsed)
 	fmt.Println("\nConstancy ODs (the FD fragment, X: [] -> A):")
 	for _, od := range res.ConstancyODs() {
 		fmt.Printf("  %s\n", od.NamesString(names))

@@ -195,18 +195,8 @@ type StatementCheck struct {
 func (d *Dataset) CheckStatement(st Statement) (StatementCheck, error) {
 	enc := d.enc
 	if len(st.Orders) > 0 {
-		orders := make([]AttrOrder, len(st.Orders))
-		for i, o := range st.Orders {
-			orders[i] = AttrOrder{
-				Column:    o.Name,
-				Direction: o.Order.Direction,
-				Nulls:     o.Order.Nulls,
-				Collation: o.Order.Collation,
-				Ranks:     o.Order.Ranks,
-			}
-		}
 		var err error
-		if enc, err = d.SpecEncoded(orders); err != nil {
+		if enc, err = d.SpecEncoded(attrOrders(st.Orders)); err != nil {
 			return StatementCheck{}, err
 		}
 	}

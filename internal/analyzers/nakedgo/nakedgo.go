@@ -9,8 +9,7 @@
 //     ("defer func() { if rec := recover(); ... }()"), or
 //   - the literal's top level calls a panic-safe function — one whose own
 //     body defers a recover at its top level, like the engine's runTrapped
-//     wrapper, a worker method, or a local closure such as conditional
-//     discovery's safeRunWorker — or
+//     wrapper, a worker method, or a local closure — or
 //   - the "go" statement directly names such a panic-safe function.
 //
 // Anything else is a naked goroutine and is flagged. Test files are skipped

@@ -3,36 +3,12 @@ package approx
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/canonical"
 	"repro/internal/lattice"
 	"repro/internal/partition"
 	"repro/internal/relation"
 )
-
-// Options configures approximate discovery.
-type Options struct {
-	// Threshold is the maximum allowed error rate in [0, 1). Threshold 0
-	// makes the output coincide with exact discovery.
-	Threshold float64
-	// MaxLevel, when positive, bounds the lattice level processed (context
-	// size + right-hand attributes), which bounds cost on wide schemas.
-	MaxLevel int
-	// Workers is the number of goroutines processing lattice nodes, with the
-	// same convention as core.Options.Workers (0 = GOMAXPROCS, 1 =
-	// sequential). The output is identical regardless of the setting.
-	Workers int
-	// Budget bounds the run's wall-clock time and visited lattice nodes; see
-	// core.Options.Budget for the interrupt semantics.
-	Budget lattice.Budget
-	// Progress, when non-nil, receives one event per completed lattice level;
-	// see core.Options.Progress.
-	Progress func(lattice.ProgressEvent)
-	// Partitions, when non-nil, shares stripped partitions with other runs
-	// over the same relation; see core.Options.Partitions.
-	Partitions *lattice.PartitionStore
-}
 
 // Discovered is one approximate OD in the output, together with its error.
 type Discovered struct {
@@ -42,8 +18,7 @@ type Discovered struct {
 
 // Result is the outcome of an approximate discovery run.
 type Result struct {
-	ODs     []Discovered
-	Elapsed time.Duration
+	ODs []Discovered
 	// Stats carries the engine's traversal counters (nodes, partition store
 	// hits/misses, interruption). When Stats.Interrupted is set the run
 	// stopped early on context cancellation or budget exhaustion, and ODs
@@ -61,8 +36,12 @@ func (r *Result) Counts() canonical.Count {
 }
 
 // DiscoverContext finds the minimal canonical ODs whose error rate is at
-// most the threshold. Because the error measure is monotone (a larger context
-// never has a larger error), the notion of minimality is the same as in exact
+// most threshold, which must lie in [0, 1); threshold 0 makes the output
+// coincide with exact discovery. cfg is the engine's run configuration,
+// passed to it unchanged (see lattice.Config).
+//
+// Because the error measure is monotone (a larger context never has a
+// larger error), the notion of minimality is the same as in exact
 // discovery: an OD is reported only if no proper subset context already
 // meets the threshold, and an order-compatibility OD only if neither of its
 // attributes is (approximately) constant in its context — the approximate
@@ -77,19 +56,11 @@ func (r *Result) Counts() canonical.Count {
 // Cancellation and budgeting are cooperative (see core.DiscoverContext): an
 // interrupted run returns the approximate ODs found so far with
 // Stats.Interrupted set instead of an error.
-func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (*Result, error) {
-	if !(opts.Threshold >= 0 && opts.Threshold < 1) { // NaN fails too
-		return nil, fmt.Errorf("approx: threshold %v outside [0, 1)", opts.Threshold)
+func DiscoverContext(ctx context.Context, enc *relation.Encoded, threshold float64, cfg lattice.Config) (*Result, error) {
+	if !(threshold >= 0 && threshold < 1) { // NaN fails too
+		return nil, fmt.Errorf("approx: threshold %v outside [0, 1)", threshold)
 	}
-	start := time.Now()
-	eng, err := lattice.New(enc, lattice.Config{
-		Ctx:        ctx,
-		Workers:    opts.Workers,
-		MaxLevel:   opts.MaxLevel,
-		Budget:     opts.Budget,
-		Store:      opts.Partitions,
-		OnProgress: opts.Progress,
-	})
+	eng, err := lattice.New(ctx, enc, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -101,16 +72,16 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	// limit is exact, so every decision and reported Error is the one exact
 	// counts give.
 	rows := enc.NumRows()
-	limit := removalLimit(rows, opts.Threshold)
+	limit := removalLimit(rows, threshold)
 	found := lattice.RunMinimal(eng, lattice.Checks[Error]{
 		Variants: 1,
 		Constancy: func(p *partition.Partition, a int, s *partition.Scratch) (Error, bool) {
 			e := newError(p.ConstancyRemovals(enc.Column(a), limit, s), rows)
-			return e, e.Rate <= opts.Threshold
+			return e, e.Rate <= threshold
 		},
 		OrderCompatible: func(p *partition.Partition, a, b, _ int, s *partition.Scratch) (Error, bool) {
 			e := newError(p.SwapRemovals(enc.Column(a), enc.Column(b), limit, s), rows)
-			return e, e.Rate <= opts.Threshold
+			return e, e.Rate <= threshold
 		},
 	})
 	if err := eng.Err(); err != nil {
@@ -122,7 +93,6 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	for _, f := range found {
 		res.ODs = append(res.ODs, Discovered{OD: f.OD, Error: f.Value})
 	}
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/canonical"
 	"repro/internal/datagen"
+	"repro/internal/lattice"
 	"repro/internal/relation"
 )
 
@@ -110,7 +111,7 @@ func TestDiscoverMatchesBruteForceAboveZero(t *testing.T) {
 			want := bruteForceApprox(t, enc, threshold)
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%d_%s/%v/w%d", trial, rel.Name, threshold, workers), func(t *testing.T) {
-					res, err := DiscoverContext(t.Context(), enc, Options{Threshold: threshold, Workers: workers})
+					res, err := DiscoverContext(t.Context(), enc, threshold, lattice.Config{Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -104,7 +104,9 @@ func Encode(g DatasetGen, rows, cols int, seed int64) (*relation.Encoded, error)
 // RunFASTOD measures one FASTOD run. A run interrupted by the context or by
 // opts.Budget is reported as a partial measurement with TimedOut set.
 func RunFASTOD(ctx context.Context, enc *relation.Encoded, dataset string, opts core.Options) (Measurement, error) {
+	start := time.Now()
 	res, err := core.DiscoverContext(ctx, enc, opts)
+	elapsed := time.Since(start)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -117,15 +119,17 @@ func RunFASTOD(ctx context.Context, enc *relation.Encoded, dataset string, opts 
 		Rows:      enc.NumRows(),
 		Cols:      enc.NumCols(),
 		Algorithm: alg,
-		Elapsed:   res.Elapsed,
+		Elapsed:   elapsed,
 		Counts:    res.Counts,
 		TimedOut:  res.Stats.Interrupted,
 	}, nil
 }
 
 // RunTANE measures one TANE run; interrupts are reported like RunFASTOD's.
-func RunTANE(ctx context.Context, enc *relation.Encoded, dataset string, opts tane.Options) (Measurement, error) {
-	res, err := tane.DiscoverContext(ctx, enc, opts)
+func RunTANE(ctx context.Context, enc *relation.Encoded, dataset string, cfg lattice.Config) (Measurement, error) {
+	start := time.Now()
+	res, err := tane.DiscoverContext(ctx, enc, cfg)
+	elapsed := time.Since(start)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -134,7 +138,7 @@ func RunTANE(ctx context.Context, enc *relation.Encoded, dataset string, opts ta
 		Rows:      enc.NumRows(),
 		Cols:      enc.NumCols(),
 		Algorithm: AlgTANE,
-		Elapsed:   res.Elapsed,
+		Elapsed:   elapsed,
 		Counts:    canonical.Count{Total: len(res.FDs), Constancy: len(res.FDs)},
 		TimedOut:  res.Stats.Interrupted,
 	}, nil
@@ -142,7 +146,9 @@ func RunTANE(ctx context.Context, enc *relation.Encoded, dataset string, opts ta
 
 // RunORDER measures one ORDER run under the given budget.
 func RunORDER(ctx context.Context, enc *relation.Encoded, dataset string, budget lattice.Budget) (Measurement, error) {
+	start := time.Now()
 	res, err := order.DiscoverContext(ctx, enc, order.Options{Budget: budget})
+	elapsed := time.Since(start)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -151,7 +157,7 @@ func RunORDER(ctx context.Context, enc *relation.Encoded, dataset string, budget
 		Rows:      enc.NumRows(),
 		Cols:      enc.NumCols(),
 		Algorithm: AlgORDER,
-		Elapsed:   res.Elapsed,
+		Elapsed:   elapsed,
 		Counts:    res.Counts,
 		ListODs:   len(res.ODs),
 		TimedOut:  res.Stats.Interrupted,

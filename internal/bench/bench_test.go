@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lattice"
-	"repro/internal/tane"
 )
 
 func TestGenerators(t *testing.T) {
@@ -62,7 +61,7 @@ func TestRunnersProduceMeasurements(t *testing.T) {
 		t.Errorf("no-pruning found fewer ODs (%d) than pruned (%d)", mNP.Counts.Total, mF.Counts.Total)
 	}
 
-	mT, err := RunTANE(context.Background(), enc, "flight", tane.Options{})
+	mT, err := RunTANE(context.Background(), enc, "flight", lattice.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lattice"
 	"repro/internal/relation"
-	"repro/internal/tane"
 )
 
 // Config scales the experiments. The paper runs on hundreds of thousands of
@@ -19,7 +18,7 @@ import (
 type Config struct {
 	// Seed makes dataset generation deterministic.
 	Seed int64
-	// Workers is passed through to Options.Workers for every FASTOD and TANE
+	// Workers is passed through as the engine Workers of every FASTOD and TANE
 	// run (both share the level-parallel lattice engine). DefaultConfig and
 	// QuickConfig pin it to 1 (sequential) so the figures stay comparable
 	// with the paper's single-threaded measurements; set 0 (all CPUs) or
@@ -110,7 +109,7 @@ func Figure4(ctx context.Context, cfg Config) ([]Measurement, error) {
 			if err != nil {
 				return nil, err
 			}
-			m, err := RunTANE(ctx, enc, name, tane.Options{Workers: cfg.Workers, Budget: cfg.Budget})
+			m, err := RunTANE(ctx, enc, name, lattice.Config{Workers: cfg.Workers, Budget: cfg.Budget})
 			if err != nil {
 				return nil, err
 			}
@@ -148,7 +147,7 @@ func Figure5(ctx context.Context, cfg Config) ([]Measurement, error) {
 			if err != nil {
 				return nil, err
 			}
-			m, err := RunTANE(ctx, enc, gen.Name, tane.Options{Workers: cfg.Workers, Budget: cfg.Budget})
+			m, err := RunTANE(ctx, enc, gen.Name, lattice.Config{Workers: cfg.Workers, Budget: cfg.Budget})
 			if err != nil {
 				return nil, err
 			}
@@ -276,7 +275,7 @@ func FormatLevelTable(title string, ms []LevelMeasurement) string {
 // budget, as in the figure experiments).
 func Table1(ctx context.Context, enc *relation.Encoded, name string, cfg Config) ([]Measurement, error) {
 	var out []Measurement
-	m, err := RunTANE(ctx, enc, name, tane.Options{Workers: cfg.Workers, Budget: cfg.Budget})
+	m, err := RunTANE(ctx, enc, name, lattice.Config{Workers: cfg.Workers, Budget: cfg.Budget})
 	if err != nil {
 		return nil, err
 	}

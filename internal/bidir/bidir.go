@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/canonical"
@@ -137,29 +136,9 @@ func reverseRanks(col []int32) []int32 {
 	return out
 }
 
-// Options configures bidirectional discovery.
-type Options struct {
-	// MaxLevel, when positive, bounds the processed lattice level.
-	MaxLevel int
-	// Workers is the number of goroutines processing lattice nodes, with the
-	// same convention as core.Options.Workers (0 = GOMAXPROCS, 1 =
-	// sequential). The output is identical regardless of the setting.
-	Workers int
-	// Budget bounds the run's wall-clock time and visited lattice nodes; see
-	// core.Options.Budget for the interrupt semantics.
-	Budget lattice.Budget
-	// Progress, when non-nil, receives one event per completed lattice level;
-	// see core.Options.Progress.
-	Progress func(lattice.ProgressEvent)
-	// Partitions, when non-nil, shares stripped partitions with other runs
-	// over the same relation; see core.Options.Partitions.
-	Partitions *lattice.PartitionStore
-}
-
 // Result is the outcome of bidirectional discovery.
 type Result struct {
-	ODs     []OD
-	Elapsed time.Duration
+	ODs []OD
 	// Stats carries the engine's traversal counters (nodes, partition store
 	// hits/misses, interruption). When Stats.Interrupted is set the run
 	// stopped early on context cancellation or budget exhaustion, and ODs
@@ -176,21 +155,14 @@ type Result struct {
 // subset context may satisfy the same OD (with the same polarity) and neither
 // paired attribute may be constant in the context. The search is the shared
 // engine's subset-minimal search (lattice.RunMinimal) with the two
-// polarities as its variants.
+// polarities as its variants; cfg is the engine's run configuration, passed
+// to it unchanged (see lattice.Config).
 //
 // Cancellation and budgeting are cooperative (see core.DiscoverContext): an
 // interrupted run returns the bidirectional ODs found so far with
 // Stats.Interrupted set instead of an error.
-func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (*Result, error) {
-	start := time.Now()
-	eng, err := lattice.New(enc, lattice.Config{
-		Ctx:        ctx,
-		Workers:    opts.Workers,
-		MaxLevel:   opts.MaxLevel,
-		Budget:     opts.Budget,
-		Store:      opts.Partitions,
-		OnProgress: opts.Progress,
-	})
+func DiscoverContext(ctx context.Context, enc *relation.Encoded, cfg lattice.Config) (*Result, error) {
+	eng, err := lattice.New(ctx, enc, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -223,6 +195,5 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		od := f.OD
 		res.ODs = append(res.ODs, OD{Context: od.Context, Kind: od.Kind, A: od.A, B: od.B, Polarity: Polarity(f.Variant)})
 	}
-	res.Elapsed = time.Since(start)
 	return res, nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/canonical"
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/lattice"
 	"repro/internal/relation"
 )
 
@@ -195,17 +196,17 @@ func TestODHoldsValidation(t *testing.T) {
 }
 
 func TestDiscoverValidation(t *testing.T) {
-	if _, err := DiscoverContext(t.Context(), nil, Options{}); err == nil {
+	if _, err := DiscoverContext(t.Context(), nil, lattice.Config{}); err == nil {
 		t.Error("nil relation must be rejected")
 	}
-	if _, err := DiscoverContext(t.Context(), &relation.Encoded{}, Options{}); err == nil {
+	if _, err := DiscoverContext(t.Context(), &relation.Encoded{}, lattice.Config{}); err == nil {
 		t.Error("empty relation must be rejected")
 	}
 }
 
 func TestDiscoverOpposingColumns(t *testing.T) {
 	enc := opposing(t, 30)
-	res, err := DiscoverContext(t.Context(), enc, Options{})
+	res, err := DiscoverContext(t.Context(), enc, lattice.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestDiscoverOpposingColumns(t *testing.T) {
 	if foundSame {
 		t.Error("{}: a ~ b (same) must not be discovered for opposing columns")
 	}
-	if res.Elapsed <= 0 || res.Stats.NodesVisited == 0 {
+	if res.Stats.NodesVisited == 0 {
 		t.Error("stats not recorded")
 	}
 }
@@ -246,7 +247,7 @@ func TestDiscoverSameDirectionSubsumesUnidirectional(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bi, err := DiscoverContext(t.Context(), enc, Options{})
+		bi, err := DiscoverContext(t.Context(), enc, lattice.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +279,7 @@ func TestDiscoverSameDirectionSubsumesUnidirectional(t *testing.T) {
 
 func TestDiscoverMaxLevel(t *testing.T) {
 	enc := encode(t, datagen.Employees())
-	res, err := DiscoverContext(t.Context(), enc, Options{MaxLevel: 2})
+	res, err := DiscoverContext(t.Context(), enc, lattice.Config{MaxLevel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,11 +314,11 @@ func differentialRelations(t *testing.T) map[string]*relation.Encoded {
 // context, pair and polarity), same node counter — on every seeded dataset.
 func TestParallelMatchesSequentialDifferential(t *testing.T) {
 	for name, enc := range differentialRelations(t) {
-		seq, err := DiscoverContext(t.Context(), enc, Options{Workers: 1})
+		seq, err := DiscoverContext(t.Context(), enc, lattice.Config{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		par, err := DiscoverContext(t.Context(), enc, Options{Workers: 4})
+		par, err := DiscoverContext(t.Context(), enc, lattice.Config{Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -339,7 +340,7 @@ func TestParallelMatchesSequentialDifferential(t *testing.T) {
 // (GOMAXPROCS), oversubscription and the MaxLevel bound.
 func TestParallelWorkerCounts(t *testing.T) {
 	enc := encode(t, datagen.FlightLike(300, 6, 2017))
-	for _, opts := range []Options{{}, {MaxLevel: 3}} {
+	for _, opts := range []lattice.Config{{}, {MaxLevel: 3}} {
 		seqOpts := opts
 		seqOpts.Workers = 1
 		want, err := DiscoverContext(t.Context(), enc, seqOpts)

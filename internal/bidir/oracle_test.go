@@ -10,6 +10,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/canonical"
 	"repro/internal/datagen"
+	"repro/internal/lattice"
 	"repro/internal/relation"
 )
 
@@ -74,7 +75,7 @@ func TestDiscoverMatchesReferenceOracle(t *testing.T) {
 		enc := encode(t, rel)
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%d_%s/w%d", trial, rel.Name, workers), func(t *testing.T) {
-				res, err := DiscoverContext(t.Context(), enc, Options{Workers: workers})
+				res, err := DiscoverContext(t.Context(), enc, lattice.Config{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}

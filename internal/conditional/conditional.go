@@ -102,8 +102,7 @@ type Result struct {
 	// store. Interrupted reports that the run stopped early, in a pass or
 	// between slices, on cancellation or the shared budget; the result then
 	// holds every conditional OD confirmed before the interrupt.
-	Stats   lattice.Stats
-	Elapsed time.Duration
+	Stats lattice.Stats
 }
 
 // DiscoverContext finds conditional canonical ODs. An OD is reported for a
@@ -138,7 +137,6 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	}
 	res := &Result{Global: global, Stats: global.Stats.Stats}
 	if res.Stats.Interrupted {
-		res.Elapsed = time.Since(start)
 		return res, nil
 	}
 	// Condition slices are distinct relations; a partition store supplied for
@@ -193,15 +191,13 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		}
 	}
 
-	// Slice passes fan out across the run's worker pool. With W > 1 workers
-	// each slice runs with Workers: 1 and W slices run at once: slice lattices
-	// are small and numerous, so parallelism across slices beats parallelism
-	// inside each tiny slice. With one worker (or a single job) the sequential
-	// path keeps the inner runs' own parallelism setting.
-	workers := lattice.ResolveWorkers(opts.Discovery.Workers)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	// Slice passes fan out across the engine's worker pool, one slice per
+	// item. With W > 1 workers each slice runs with Workers: 1 and W slices
+	// run at once: slice lattices are small and numerous, so parallelism
+	// across slices beats parallelism inside each tiny slice. With one worker
+	// (or a single job) the sequential path keeps the inner runs' own
+	// parallelism setting.
+	workers := min(lattice.ResolveWorkers(opts.Discovery.Workers), len(jobs))
 	if workers > 1 {
 		sliceOpts.Workers = 1
 	}
@@ -210,13 +206,9 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	// after the pool drains makes a complete run byte-identical to a
 	// sequential one regardless of worker count. Counters (NodesVisited,
 	// SlicesExamined, MaxLevelReached) commute, so they merge at completion.
-	type sliceOutcome struct {
-		ods []OD
-	}
-	outcomes := make([]sliceOutcome, len(jobs))
+	outcomes := make([][]OD, len(jobs))
 	var (
 		mu      sync.Mutex
-		cursor  int
 		stopped bool
 		runErr  error
 	)
@@ -247,118 +239,102 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		}
 		return b, false
 	}
-	runWorker := func() {
-		for {
-			mu.Lock()
-			if stopped || runErr != nil || cursor >= len(jobs) {
-				mu.Unlock()
-				return
-			}
-			left, exhausted := remainingBudget()
-			if exhausted {
-				res.Stats.Interrupted = true
-				stopped = true
-				mu.Unlock()
-				return
-			}
-			i := cursor
-			cursor++
-			mu.Unlock()
-
-			job := jobs[i]
-			jobOpts := sliceOpts
-			jobOpts.Budget = left
-			slice, err := enc.SelectRows(job.rows)
-			var sliceRes *core.Result
-			if err == nil {
-				sliceRes, err = core.DiscoverContext(ctx, slice, jobOpts)
-			}
-			if err != nil {
-				mu.Lock()
-				if runErr == nil {
-					runErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			// Filter off the lock: the cover is read-only after construction.
-			cond := Condition{Attr: job.attr, Value: job.value, Rows: len(job.rows)}
-			var kept []OD
-			for _, od := range sliceRes.ODs {
-				// Skip ODs that mention the condition attribute itself: within
-				// the slice it is constant, so such ODs carry no information.
-				if od.Attributes().Contains(job.attr) {
-					continue
-				}
-				if globalCover.Implies(od) {
-					continue
-				}
-				kept = append(kept, OD{Condition: cond, OD: od})
-			}
-
-			mu.Lock()
-			res.Stats.NodesVisited += sliceRes.Stats.NodesVisited
-			res.Stats.MaxLevelReached = max(res.Stats.MaxLevelReached, sliceRes.Stats.MaxLevelReached)
-			res.SlicesExamined++
-			outcomes[i] = sliceOutcome{ods: kept}
-			if opts.Discovery.Progress != nil {
-				opts.Discovery.Progress(lattice.ProgressEvent{
-					Level:        SliceProgressLevel,
-					Nodes:        sliceRes.Stats.NodesVisited,
-					NodesVisited: res.Stats.NodesVisited,
-					Elapsed:      time.Since(start),
-					Slice:        &lattice.SliceInfo{Attr: job.attr, Value: job.value, Rows: len(job.rows)},
-				})
-			}
-			if sliceRes.Stats.Interrupted {
-				// The budget ran out inside the slice. The ODs it emitted up
-				// to the interrupt are valid on the slice (each was verified
-				// individually) and are kept; the rest of the search is
-				// abandoned. In-flight slices on other workers finish their
-				// own (already budgeted) runs and their results are kept too.
-				res.Stats.Interrupted = true
-				stopped = true
-			}
-			mu.Unlock()
+	stop := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return stopped || runErr != nil
+	}
+	// The pool's trap keeps the fault-containment contract for the slice
+	// scaffolding (row selection, cover filtering, result merging, the
+	// progress callback): a panic there becomes a typed error, not a dead
+	// process. Panics inside a slice's own discovery are already contained
+	// by that slice's engine and arrive as runErr.
+	trap := func(rec any) {
+		err := &lattice.PanicError{Value: rec, Stack: debug.Stack()}
+		mu.Lock()
+		defer mu.Unlock()
+		if runErr == nil {
+			runErr = err
 		}
+		stopped = true
 	}
-	// The fan-out goroutines are engine-spawned workers in the sense of the
-	// fault-containment contract: a panic in the slice scaffolding (row
-	// selection, cover filtering, result merging) must become a typed error,
-	// not a dead process. Panics inside a slice's own discovery are already
-	// contained by that slice's engine and arrive here as runErr.
-	safeRunWorker := func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				err := &lattice.PanicError{Value: rec, Stack: debug.Stack()}
-				mu.Lock()
-				if runErr == nil {
-					runErr = err
-				}
-				stopped = true
-				mu.Unlock()
-			}
-		}()
-		runWorker()
-	}
-	if workers <= 1 {
-		safeRunWorker()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				safeRunWorker()
-			}()
+	lattice.ParallelFor(workers, len(jobs), 1, stop, trap, func(_, i int) {
+		mu.Lock()
+		left, exhausted := remainingBudget()
+		if exhausted {
+			res.Stats.Interrupted = true
+			stopped = true
 		}
-		wg.Wait()
-	}
+		mu.Unlock()
+		if exhausted {
+			return
+		}
+
+		job := jobs[i]
+		jobOpts := sliceOpts
+		jobOpts.Budget = left
+		slice, err := enc.SelectRows(job.rows)
+		var sliceRes *core.Result
+		if err == nil {
+			sliceRes, err = core.DiscoverContext(ctx, slice, jobOpts)
+		}
+		if err != nil {
+			mu.Lock()
+			defer mu.Unlock()
+			if runErr == nil {
+				runErr = err
+			}
+			return
+		}
+		// Filter off the lock: the cover is read-only after construction.
+		cond := Condition{Attr: job.attr, Value: job.value, Rows: len(job.rows)}
+		var kept []OD
+		for _, od := range sliceRes.ODs {
+			// Skip ODs that mention the condition attribute itself: within
+			// the slice it is constant, so such ODs carry no information.
+			if od.Attributes().Contains(job.attr) {
+				continue
+			}
+			if globalCover.Implies(od) {
+				continue
+			}
+			kept = append(kept, OD{Condition: cond, OD: od})
+		}
+
+		// The progress callback runs under mu, so slice events are serialized
+		// and their cumulative NodesVisited never goes backwards. The
+		// deferred unlock releases mu even when the callback panics, so the
+		// trap can take it.
+		mu.Lock()
+		defer mu.Unlock()
+		res.Stats.NodesVisited += sliceRes.Stats.NodesVisited
+		res.Stats.MaxLevelReached = max(res.Stats.MaxLevelReached, sliceRes.Stats.MaxLevelReached)
+		res.SlicesExamined++
+		outcomes[i] = kept
+		if opts.Discovery.Progress != nil {
+			opts.Discovery.Progress(lattice.ProgressEvent{
+				Level:        SliceProgressLevel,
+				Nodes:        sliceRes.Stats.NodesVisited,
+				NodesVisited: res.Stats.NodesVisited,
+				Elapsed:      time.Since(start),
+				Slice:        &lattice.SliceInfo{Attr: job.attr, Value: job.value, Rows: len(job.rows)},
+			})
+		}
+		if sliceRes.Stats.Interrupted {
+			// The budget ran out inside the slice. The ODs it emitted up to
+			// the interrupt are valid on the slice (each was verified
+			// individually) and are kept; the rest of the search is
+			// abandoned. In-flight slices on other workers finish their own
+			// (already budgeted) runs and their results are kept too.
+			res.Stats.Interrupted = true
+			stopped = true
+		}
+	})
 	if runErr != nil {
 		return nil, runErr
 	}
-	for i := range outcomes {
-		res.ODs = append(res.ODs, outcomes[i].ods...)
+	for _, kept := range outcomes {
+		res.ODs = append(res.ODs, kept...)
 	}
 
 	sort.Slice(res.ODs, func(i, j int) bool {
@@ -371,7 +347,6 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		}
 		return canonical.Less(a.OD, b.OD)
 	})
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 

@@ -20,7 +20,6 @@ import (
 // lattice node; a cancelled or over-budget run returns the ODs discovered so
 // far with Stats.Interrupted set rather than an error.
 func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (*Result, error) {
-	start := time.Now()
 	d, err := newDiscoverer(ctx, enc, opts)
 	if err != nil {
 		return nil, err
@@ -43,7 +42,6 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		canonical.Sort(res.ODs)
 		res.Counts = canonical.CountByKind(res.ODs)
 	}
-	res.Elapsed = time.Since(start)
 	res.ColumnNames = append([]string(nil), enc.ColumnNames...)
 	return res, nil
 }
@@ -93,14 +91,13 @@ func newDiscoverer(ctx context.Context, enc *relation.Encoded, opts Options) (*d
 		levelStats: make(map[int]*LevelStat),
 		result:     &Result{},
 	}
-	eng, err := lattice.New(enc, lattice.Config{
-		Ctx:        ctx,
+	eng, err := lattice.New(ctx, enc, lattice.Config{
 		Workers:    opts.Workers,
 		MaxLevel:   opts.MaxLevel,
 		Budget:     opts.Budget,
-		Store:      opts.Partitions,
+		Partitions: opts.Partitions,
+		Progress:   opts.Progress,
 		OnLevelEnd: d.levelEnd,
-		OnProgress: opts.Progress,
 	})
 	if err != nil {
 		return nil, err

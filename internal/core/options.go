@@ -15,40 +15,28 @@ import (
 
 // Options configures a discovery run. The zero value is the paper's FASTOD
 // configuration with all optimizations enabled, running one worker per
-// available CPU.
+// available CPU. Workers, MaxLevel, Budget, Progress and Partitions are the
+// engine's run settings: DiscoverContext copies them into one lattice.Config,
+// whose fields document them. The remaining fields are FASTOD's own.
 type Options struct {
-	// Workers is the number of goroutines processing lattice nodes. A node
-	// only depends on its immediate subsets, so the per-node phases —
-	// candidate-set derivation, FD/swap validation and partition products —
-	// run concurrently across nodes and the results are merged at node
-	// completion: counters commute and the OD list is sorted in a total order
-	// at the end, so the result (ODs, counts and work counters) is identical
-	// to a sequential run regardless of the setting. 0 selects
-	// runtime.GOMAXPROCS(0); 1 forces the fully sequential path with no
-	// goroutines; values below zero are treated as 1.
+	// Workers is lattice.Config.Workers: goroutines per lattice level (0 =
+	// GOMAXPROCS, 1 = sequential). The result — ODs, counts and work
+	// counters — is identical to a sequential run for every setting.
 	Workers int
 
-	// Budget bounds the run's wall-clock time and visited lattice nodes (see
-	// lattice.Budget; the zero value means no bound). An exhausted budget
-	// interrupts the run cooperatively: the Result carries every OD found so
-	// far with coherent partial statistics and Stats.Interrupted set, instead
-	// of an error.
+	// Budget is lattice.Config.Budget: an exhausted budget interrupts the
+	// run cooperatively, and the Result carries every OD found so far with
+	// Stats.Interrupted set instead of an error.
 	Budget lattice.Budget
 
-	// Progress, when non-nil, receives one event per completed lattice level
-	// (including the partial level of an interrupted run). It is invoked from
-	// the discovery goroutine, never concurrently.
+	// Progress is lattice.Config.Progress: one event per completed lattice
+	// level, from the discovery goroutine, never concurrently.
 	Progress func(lattice.ProgressEvent)
 
-	// Partitions, when non-nil, is a shared partition store: the run consults
-	// it before computing any stripped partition and records every partition
-	// it derives, so partitions are reused across runs that pass the same
-	// store — the pruned and un-pruned passes of one experiment, repeated
-	// runs on the same dataset, or the TANE/approximate/bidirectional
-	// algorithms profiling the same relation. The store is bounded (see
-	// lattice.NewPartitionStore) and must only ever be shared between runs
-	// over the same relation instance. Nil disables cross-run caching; the
-	// output is identical either way.
+	// Partitions is lattice.Config.Partitions: a store shared with other
+	// runs over the same relation instance (the pruned and un-pruned passes
+	// of one experiment, repeated runs on one dataset, or the other
+	// set-lattice algorithms). The output is identical with or without it.
 	Partitions *lattice.PartitionStore
 
 	// DisablePruning turns off the minimality machinery entirely (candidate
@@ -73,10 +61,10 @@ type Options struct {
 	// millions) within memory budget.
 	CountOnly bool
 
-	// MaxLevel, when positive, stops the traversal after processing the given
-	// lattice level (context size + right-hand side attributes). The output is
-	// then complete only up to that level; Figure 7 uses it to report
-	// per-level behaviour.
+	// MaxLevel is lattice.Config.MaxLevel: when positive, the traversal
+	// stops after the given lattice level (context size + right-hand side
+	// attributes), so the output is complete only up to that level; Figure
+	// 7 uses it to report per-level behaviour.
 	MaxLevel int
 
 	// CollectLevelStats records per-level timing and OD counts (Figure 7).
@@ -130,8 +118,6 @@ type Result struct {
 	Levels []LevelStat
 	// Stats holds aggregate work counters.
 	Stats Stats
-	// Elapsed is the total wall-clock duration of the run.
-	Elapsed time.Duration
 	// ColumnNames echoes the relation's attribute names so results can be
 	// rendered without carrying the input around.
 	ColumnNames []string

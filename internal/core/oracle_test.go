@@ -8,6 +8,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/canonical"
 	"repro/internal/datagen"
+	"repro/internal/lattice"
 	"repro/internal/relation"
 	"repro/internal/tane"
 )
@@ -102,7 +103,7 @@ func oracleRelations(t *testing.T) []*relation.Encoded {
 func TestOracleConstancyAgainstTANE(t *testing.T) {
 	for i, enc := range oracleRelations(t) {
 		res := discover(t, enc, Options{Workers: 4})
-		tres, err := tane.DiscoverContext(t.Context(), enc, tane.Options{})
+		tres, err := tane.DiscoverContext(t.Context(), enc, lattice.Config{})
 		if err != nil {
 			t.Fatalf("relation %d: tane: %v", i, err)
 		}

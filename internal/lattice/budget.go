@@ -29,7 +29,7 @@ type Budget struct {
 func (b Budget) IsZero() bool { return b.Timeout <= 0 && b.MaxNodes <= 0 }
 
 // ProgressEvent is one per-level progress report of a traversal, delivered to
-// Config.OnProgress at every level barrier, in level order, and once more for
+// Config.Progress at every level barrier, in level order, and once more for
 // the partially visited level of an interrupted run. Long discoveries on wide
 // schemas can run for minutes; the event stream is what lets a caller render
 // a progress bar, enforce its own policies, or decide to cancel the context.

@@ -57,7 +57,7 @@ func TestCancelMidLevel(t *testing.T) {
 			defer cancel()
 			var events []ProgressEvent
 			onProgress := func(ev ProgressEvent) { events = append(events, ev) }
-			eng, err := New(enc, Config{Ctx: ctx, Workers: workers, OnProgress: onProgress})
+			eng, err := New(ctx, enc, Config{Workers: workers, Progress: onProgress})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +110,7 @@ func TestDAGCancelLatency(t *testing.T) {
 			t.Run(fmt.Sprintf("at%d_w%d", cancelAt, workers), func(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				eng, err := New(enc, Config{Ctx: ctx, Workers: workers})
+				eng, err := New(ctx, enc, Config{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,7 +151,7 @@ func TestNodeBudgetInterrupts(t *testing.T) {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			var events []ProgressEvent
 			onProgress := func(ev ProgressEvent) { events = append(events, ev) }
-			eng, err := New(enc, Config{Workers: workers, Budget: Budget{MaxNodes: 10}, OnProgress: onProgress})
+			eng, err := New(t.Context(), enc, Config{Workers: workers, Budget: Budget{MaxNodes: 10}, Progress: onProgress})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +205,7 @@ func TestDAGNodeBudgetLatency(t *testing.T) {
 			t.Run(fmt.Sprintf("max%d_w%d", budget, workers), func(t *testing.T) {
 				var events []ProgressEvent
 				onProgress := func(ev ProgressEvent) { events = append(events, ev) }
-				eng, err := New(enc, Config{Workers: workers, Budget: Budget{MaxNodes: budget}, OnProgress: onProgress})
+				eng, err := New(t.Context(), enc, Config{Workers: workers, Budget: Budget{MaxNodes: budget}, Progress: onProgress})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -234,7 +234,7 @@ func TestDAGNodeBudgetLatency(t *testing.T) {
 // is visited, with Interrupted set and no error.
 func TestTimeoutInterrupts(t *testing.T) {
 	enc := encodeFlight(t, 100, 8)
-	eng, err := New(enc, Config{Workers: 1, Budget: Budget{Timeout: time.Nanosecond}})
+	eng, err := New(t.Context(), enc, Config{Workers: 1, Budget: Budget{Timeout: time.Nanosecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestPreCancelledContext(t *testing.T) {
 	enc := encodeFlight(t, 50, 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	eng, err := New(enc, Config{Ctx: ctx, Workers: 2})
+	eng, err := New(ctx, enc, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestProgressEvents(t *testing.T) {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			var events []ProgressEvent
 			onProgress := func(ev ProgressEvent) { events = append(events, ev) }
-			eng, err := New(enc, Config{Workers: workers, OnProgress: onProgress})
+			eng, err := New(t.Context(), enc, Config{Workers: workers, Progress: onProgress})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -314,7 +314,7 @@ func TestDAGProgressCoherence(t *testing.T) {
 					events = append(events, ev)
 					inHook.Add(-1)
 				}
-				eng, err := New(enc, Config{Workers: workers, Budget: Budget{MaxNodes: budget}, OnProgress: onProgress})
+				eng, err := New(t.Context(), enc, Config{Workers: workers, Budget: Budget{MaxNodes: budget}, Progress: onProgress})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -344,7 +344,7 @@ func TestDAGProgressCoherence(t *testing.T) {
 func TestInterruptedRunKeepsCompleteLevels(t *testing.T) {
 	enc := encodeFlight(t, 100, 8)
 	collect := func(budget Budget) []map[bitset.AttrSet]bool {
-		eng, err := New(enc, Config{Workers: 2, Budget: budget})
+		eng, err := New(t.Context(), enc, Config{Workers: 2, Budget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,17 +38,16 @@ import (
 	"repro/internal/relation"
 )
 
-// Config configures an Engine.
+// Config is the run configuration every engine client takes: FASTOD
+// (through core.Options, which copies its engine fields into one), TANE, the
+// approximate and bidirectional extensions, and the inner passes of
+// conditional discovery. The zero value runs unbounded on all CPUs without a
+// shared store.
 type Config struct {
-	// Ctx, when non-nil, is checked cooperatively throughout the traversal:
-	// before every node visit and every partition product, and at every level
-	// barrier. A cancelled context interrupts the run within one node of work
-	// per worker; the engine keeps everything computed so far and reports
-	// Stats.Interrupted. Nil behaves like context.Background().
-	Ctx context.Context
-	// Workers is the number of goroutines used per lattice level, with the
-	// same convention as core.Options.Workers: 0 selects runtime.GOMAXPROCS,
-	// 1 forces the fully sequential path, negatives clamp to 1.
+	// Workers is the number of goroutines used per lattice level: 0 selects
+	// runtime.GOMAXPROCS, 1 forces the fully sequential path with no
+	// goroutines, negatives clamp to 1. The output is identical for every
+	// setting.
 	Workers int
 	// MaxLevel, when positive, stops the traversal after processing the given
 	// lattice level. Unlike a budget interrupt, stopping at MaxLevel is a
@@ -58,20 +57,21 @@ type Config struct {
 	// see Budget. An exhausted budget interrupts the run like a cancelled
 	// context does.
 	Budget Budget
-	// Store, when non-nil, is consulted before any stripped partition is
+	// Partitions, when non-nil, is consulted before any stripped partition is
 	// computed and receives every partition the run derives, so partitions are
-	// reused across runs that share the store. Nil disables cross-run caching;
-	// the per-run retention window still guarantees every partition a level
-	// needs is available.
-	Store *PartitionStore
+	// reused across runs that share the store. It must only ever be shared
+	// between runs over the same relation instance. Nil disables cross-run
+	// caching; the per-run retention window still guarantees every partition
+	// a level needs is available.
+	Partitions *PartitionStore
+	// Progress, when non-nil, receives one ProgressEvent per visited level,
+	// in level order, including the partial level of an interrupted run. It
+	// is invoked from the traversal goroutine (never concurrently).
+	Progress func(ProgressEvent)
 	// OnLevelEnd, when non-nil, is invoked after each level has been visited
 	// and the next level generated, with the wall-clock time the whole level
 	// took. Clients use it to record per-level statistics.
 	OnLevelEnd func(level int, elapsed time.Duration)
-	// OnProgress, when non-nil, receives one ProgressEvent per visited
-	// level, in level order, including the partial level of an interrupted
-	// run. It is invoked from the traversal goroutine (never concurrently).
-	OnProgress func(ProgressEvent)
 }
 
 // Stats aggregates the work counters the engine maintains on behalf of its
@@ -85,7 +85,8 @@ type Stats struct {
 	// MaxLevelReached is the deepest lattice level that produced nodes.
 	MaxLevelReached int
 	// PartitionHits and PartitionMisses count the store lookups for lattice
-	// node partitions during this run. Both stay zero without a Store.
+	// node partitions during this run. Both stay zero without a store
+	// (Config.Partitions).
 	PartitionHits   int
 	PartitionMisses int
 	// Interrupted reports that the traversal stopped early because the
@@ -139,8 +140,16 @@ type Engine struct {
 	stats Stats
 }
 
-// New validates the relation and builds an engine.
-func New(enc *relation.Encoded, cfg Config) (*Engine, error) {
+// New validates the relation and builds an engine for one run. The context
+// is checked cooperatively throughout the traversal: before every node visit
+// and every partition product, and at every level barrier. A cancelled
+// context interrupts the run within one node of work per worker; the engine
+// keeps everything computed so far and reports Stats.Interrupted. A nil ctx
+// behaves like context.Background().
+func New(ctx context.Context, enc *relation.Encoded, cfg Config) (*Engine, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if enc == nil {
 		return nil, fmt.Errorf("lattice: nil relation")
 	}
@@ -150,15 +159,10 @@ func New(enc *relation.Encoded, cfg Config) (*Engine, error) {
 	if enc.NumCols() > bitset.MaxAttrs {
 		return nil, fmt.Errorf("lattice: relation has %d columns, maximum is %d", enc.NumCols(), bitset.MaxAttrs)
 	}
-	if cfg.Store != nil {
-		if err := cfg.Store.bind(enc); err != nil {
+	if cfg.Partitions != nil {
+		if err := cfg.Partitions.bind(enc); err != nil {
 			return nil, err
 		}
-	}
-	ctx := cfg.Ctx
-	if ctx == nil {
-		//lint:allow ctxfirst ctx reaches New through Config.Ctx; nil means background by documented default
-		ctx = context.Background()
 	}
 	e := &Engine{
 		enc:        enc,
@@ -166,9 +170,9 @@ func New(enc *relation.Encoded, cfg Config) (*Engine, error) {
 		workers:    ResolveWorkers(cfg.Workers),
 		maxLevel:   cfg.MaxLevel,
 		budget:     cfg.Budget,
-		store:      cfg.Store,
+		store:      cfg.Partitions,
 		onEnd:      cfg.OnLevelEnd,
-		onProgress: cfg.OnProgress,
+		onProgress: cfg.Progress,
 		numAttrs:   enc.NumCols(),
 		parts:      make(map[int]map[bitset.AttrSet]*partition.Partition),
 	}
@@ -273,13 +277,13 @@ func (e *Engine) Partition(x bitset.AttrSet) *partition.Partition {
 }
 
 // parallelFor shards n items — the seeds, node visits or partition products
-// of a level — across the worker pool in chunks (see parallelForChunk). The
+// of a level — across the worker pool in chunks (see ParallelFor). The
 // cancellation signals are polled before every item, and once one fires the
 // remaining items are left unprocessed (their per-item output slots keep
 // their zero values); RunNodes then stops before any incomplete level is
 // visited or extended.
 func (e *Engine) parallelFor(n int, fn func(worker, item int)) {
-	parallelForChunk(e.workers, n, chunkFor(e.workers, n), e.checkInterrupt, e.trapWorker, fn)
+	ParallelFor(e.workers, n, chunkFor(e.workers, n), e.checkInterrupt, e.trapWorker, fn)
 }
 
 // NodeVisit is the node-reentrant visit callback of RunNodes: it validates

@@ -23,10 +23,10 @@ func encodeFlight(t *testing.T, rows, cols int) *relation.Encoded {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, Config{}); err == nil {
+	if _, err := New(t.Context(), nil, Config{}); err == nil {
 		t.Error("nil relation must be rejected")
 	}
-	if _, err := New(&relation.Encoded{}, Config{}); err == nil {
+	if _, err := New(t.Context(), &relation.Encoded{}, Config{}); err == nil {
 		t.Error("zero-column relation must be rejected")
 	}
 }
@@ -42,13 +42,13 @@ func TestStoreBoundToOneRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := NewPartitionStore(0)
-	if _, err := New(encA, Config{Workers: 1, Store: store}); err != nil {
+	if _, err := New(t.Context(), encA, Config{Workers: 1, Partitions: store}); err != nil {
 		t.Fatalf("first bind: %v", err)
 	}
-	if _, err := New(encA, Config{Workers: 1, Store: store}); err != nil {
+	if _, err := New(t.Context(), encA, Config{Workers: 1, Partitions: store}); err != nil {
 		t.Fatalf("rebind to the same relation: %v", err)
 	}
-	if _, err := New(encB, Config{Workers: 1, Store: store}); err == nil {
+	if _, err := New(t.Context(), encB, Config{Workers: 1, Partitions: store}); err == nil {
 		t.Fatal("binding the store to a second relation must fail")
 	}
 }
@@ -62,7 +62,7 @@ func keepAll(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) { return nil, fals
 func TestRunEnumeratesFullLattice(t *testing.T) {
 	const cols = 5
 	enc := encodeFlight(t, 100, cols)
-	eng, err := New(enc, Config{Workers: 1})
+	eng, err := New(t.Context(), enc, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRunEnumeratesFullLattice(t *testing.T) {
 // engine must equal the ground-truth product of singleton partitions.
 func TestRunPartitionsMatchDirectComputation(t *testing.T) {
 	enc := encodeFlight(t, 200, 4)
-	eng, err := New(enc, Config{Workers: 2})
+	eng, err := New(t.Context(), enc, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRunPartitionsMatchDirectComputation(t *testing.T) {
 // be generated either.
 func TestRunPruningStopsGeneration(t *testing.T) {
 	enc := encodeFlight(t, 100, 5)
-	eng, err := New(enc, Config{Workers: 1})
+	eng, err := New(t.Context(), enc, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestRunPruningStopsGeneration(t *testing.T) {
 
 func TestRunMaxLevel(t *testing.T) {
 	enc := encodeFlight(t, 100, 5)
-	eng, err := New(enc, Config{Workers: 1, MaxLevel: 2})
+	eng, err := New(t.Context(), enc, Config{Workers: 1, MaxLevel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestRunMaxLevel(t *testing.T) {
 func TestRunOnLevelEnd(t *testing.T) {
 	enc := encodeFlight(t, 100, 4)
 	var ended []int
-	eng, err := New(enc, Config{Workers: 1, OnLevelEnd: func(l int, _ time.Duration) { ended = append(ended, l) }})
+	eng, err := New(t.Context(), enc, Config{Workers: 1, OnLevelEnd: func(l int, _ time.Duration) { ended = append(ended, l) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestRunOnLevelEnd(t *testing.T) {
 func TestWorkerInvariance(t *testing.T) {
 	enc := encodeFlight(t, 300, 6)
 	trace := func(w int) ([]bitset.AttrSet, Stats) {
-		eng, err := New(enc, Config{Workers: w, Store: NewPartitionStore(0)})
+		eng, err := New(t.Context(), enc, Config{Workers: w, Partitions: NewPartitionStore(0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestWorkerInvariance(t *testing.T) {
 func TestRunMaxLevelSkipsFinalGeneration(t *testing.T) {
 	enc := encodeFlight(t, 100, 5)
 	store := NewPartitionStore(0)
-	eng, err := New(enc, Config{Workers: 1, MaxLevel: 2, Store: store})
+	eng, err := New(t.Context(), enc, Config{Workers: 1, MaxLevel: 2, Partitions: store})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestRunNodesVisitPanicContained(t *testing.T) {
 	for _, depth := range faultDepths {
 		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s_w%d", depth.name, workers), func(t *testing.T) {
-				eng, err := New(enc, Config{Workers: workers})
+				eng, err := New(t.Context(), enc, Config{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -103,7 +103,7 @@ func TestRunNodesVisitPanicContained(t *testing.T) {
 func TestRunVisitPanicContained(t *testing.T) {
 	leakcheck.Check(t)
 	enc := encodeFlight(t, 60, 5)
-	eng, err := New(enc, Config{Workers: 2, OnLevelEnd: func(l int, _ time.Duration) {
+	eng, err := New(t.Context(), enc, Config{Workers: 2, OnLevelEnd: func(l int, _ time.Duration) {
 		if l == 2 {
 			panic("poisoned level hook")
 		}
@@ -122,7 +122,7 @@ func TestRunVisitPanicContained(t *testing.T) {
 func TestParallelForWorkerPanicContained(t *testing.T) {
 	leakcheck.Check(t)
 	enc := encodeFlight(t, 60, 5)
-	eng, err := New(enc, Config{Workers: 4})
+	eng, err := New(t.Context(), enc, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestInjectedFaultsContained(t *testing.T) {
 						Times:  1,
 					})
 					defer faultinject.Enable(plan)()
-					eng, err := New(enc, Config{Workers: workers})
+					eng, err := New(t.Context(), enc, Config{Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -181,7 +181,7 @@ func TestInjectedFaultsContained(t *testing.T) {
 func TestInjectedStoreFaultsDegrade(t *testing.T) {
 	leakcheck.Check(t)
 	enc := encodeFlight(t, 60, 5)
-	clean, err := New(enc, Config{Workers: 2})
+	clean, err := New(t.Context(), enc, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestInjectedStoreFaultsDegrade(t *testing.T) {
 			// fires (at 1 KiB this workload's 3.4 KiB of partitions evict
 			// ~24 times; at 4 KiB everything fits and nothing ever evicts).
 			store := NewPartitionStore(1024)
-			eng, err := New(enc, Config{Workers: 2, Store: store})
+			eng, err := New(t.Context(), enc, Config{Workers: 2, Partitions: store})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +225,7 @@ func TestSchedulerSuiteLeaks(t *testing.T) {
 	leakcheck.Check(t)
 	enc := encodeFlight(t, 60, 5)
 	for _, workers := range []int{2, 4} {
-		eng, err := New(enc, Config{Workers: workers})
+		eng, err := New(t.Context(), enc, Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,7 @@ import (
 // deterministic (per-node output slots, counter addition in worker order), so
 // a parallel run is byte-identical to a sequential one.
 
-// ResolveWorkers maps an Options.Workers-style request onto a concrete worker
+// ResolveWorkers maps a Config.Workers-style request onto a concrete worker
 // count: 0 selects runtime.GOMAXPROCS(0), anything below 1 is clamped to 1.
 func ResolveWorkers(requested int) int {
 	if requested == 0 {
@@ -51,16 +51,18 @@ func chunkFor(w, n int) int {
 	return c
 }
 
-// parallelForChunk runs fn for every item index in [0, n) using at most w
-// goroutines. Items are handed out in chunks of the given size through an
-// atomic cursor, so that uneven per-item costs (partition sizes vary wildly
-// across nodes) balance out without any up-front partitioning, while levels
-// with thousands of near-empty nodes (e.g. key-pruned superkey contexts) do
-// not serialize on the cursor. fn receives the worker index (0..w-1), which
-// callers use to address per-worker scratch buffers and counter shards
-// without locks, and the item index, which callers use to write results into
-// per-item output slots. With w <= 1 or a single item the call degenerates
-// to an inline loop with no goroutines — the sequential path of the engine.
+// ParallelFor is the worker pool of the engine and of conditional
+// discovery's slice fan-out: it runs fn for every item index in [0, n) using
+// at most w goroutines. Items are handed out in chunks of the given size
+// through an atomic cursor, so that uneven per-item costs (partition sizes
+// vary wildly across nodes) balance out without any up-front partitioning,
+// while levels with thousands of near-empty nodes (e.g. key-pruned superkey
+// contexts) do not serialize on the cursor. fn receives the worker index
+// (0..w-1), which callers use to address per-worker scratch buffers and
+// counter shards without locks, and the item index, which callers use to
+// write results into per-item output slots. With w <= 1 or a single item the
+// call degenerates to an inline loop with no goroutines — the sequential
+// path of the engine.
 //
 // A non-nil stop is polled before every item — on the sequential path as
 // well as by every worker — and once it reports true the remaining items are
@@ -69,7 +71,7 @@ func chunkFor(w, n int) int {
 // raises (the worker's remaining items are abandoned; the trap is expected
 // to latch the stop signal so siblings drain too); with a nil trap panics
 // propagate to the caller.
-func parallelForChunk(w, n, chunk int, stop func() bool, trap func(rec any), fn func(worker, item int)) {
+func ParallelFor(w, n, chunk int, stop func() bool, trap func(rec any), fn func(worker, item int)) {
 	if w > n {
 		w = n
 	}

@@ -27,7 +27,7 @@ func TestResolveWorkers(t *testing.T) {
 func TestParallelForCoversAllItems(t *testing.T) {
 	enc := encodeFlight(t, 20, 3)
 	for _, w := range []int{1, 2, 4, 9} {
-		eng, err := New(enc, Config{Workers: w})
+		eng, err := New(t.Context(), enc, Config{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestParallelForChunkedCoversAllItems(t *testing.T) {
 		{2, 1000, 7}, {4, 1000, 64}, {4, 63, 64}, {3, 10, 1}, {8, 1000, 0},
 	} {
 		hits := make([]atomic.Int32, tc.n)
-		parallelForChunk(tc.w, tc.n, tc.chunk, nil, nil, func(_, i int) { hits[i].Add(1) })
+		ParallelFor(tc.w, tc.n, tc.chunk, nil, nil, func(_, i int) { hits[i].Add(1) })
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("w=%d n=%d chunk=%d: item %d processed %d times", tc.w, tc.n, tc.chunk, i, got)
@@ -99,7 +99,7 @@ func BenchmarkParallelForHandout(b *testing.B) {
 		}{{"chunk=1", 1}, {"chunk=auto", chunkFor(w, n)}} {
 			b.Run("workers="+strconv.Itoa(w)+"/"+cfg.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					parallelForChunk(w, n, cfg.chunk, nil, nil, func(_, item int) {
+					ParallelFor(w, n, cfg.chunk, nil, nil, func(_, item int) {
 						out[item] = int32(item) // trivially cheap per-item work
 					})
 				}

@@ -47,7 +47,7 @@ func TestStoreCrossCallReuse(t *testing.T) {
 	enc := encodeFlight(t, 300, 6)
 	store := NewPartitionStore(0)
 	run := func() Stats {
-		eng, err := New(enc, Config{Workers: 1, Store: store})
+		eng, err := New(t.Context(), enc, Config{Workers: 1, Partitions: store})
 		if err != nil {
 			t.Fatal(err)
 		}

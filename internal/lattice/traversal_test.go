@@ -81,7 +81,7 @@ func TestRunNodesSchedulerDifferential(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/w%d", name, workers), func(t *testing.T) {
-				eng, err := New(enc, Config{Workers: workers})
+				eng, err := New(t.Context(), enc, Config{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,7 +138,7 @@ func TestSchedulerSharedStoreStress(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			eng, err := New(enc, Config{Workers: workerCounts[i%len(workerCounts)], Store: store})
+			eng, err := New(t.Context(), enc, Config{Workers: workerCounts[i%len(workerCounts)], Partitions: store})
 			if err != nil {
 				t.Error(err)
 				return

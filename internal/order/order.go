@@ -64,8 +64,7 @@ type Result struct {
 	// search space (ODs then holds everything found up to the interrupt).
 	// ORDER computes no stripped partitions, so the partition counters stay
 	// zero.
-	Stats   lattice.Stats
-	Elapsed time.Duration
+	Stats lattice.Stats
 }
 
 // node is one element of the list-containment lattice: a permutation of a
@@ -164,7 +163,6 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	}
 	res.Canonical = mapToCanonical(res.ODs)
 	res.Counts = canonical.CountByKind(res.Canonical)
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/lattice"
@@ -39,29 +38,9 @@ func (fd FD) NamesString(names []string) string {
 	return fd.LHS.Names(names) + " -> " + rhs
 }
 
-// Options configures a TANE run.
-type Options struct {
-	// MaxLevel, when positive, bounds the lattice level that is processed.
-	MaxLevel int
-	// Workers is the number of goroutines processing lattice nodes, with the
-	// same convention as core.Options.Workers (0 = GOMAXPROCS, 1 =
-	// sequential). The output is identical regardless of the setting.
-	Workers int
-	// Budget bounds the run's wall-clock time and visited lattice nodes; see
-	// core.Options.Budget for the interrupt semantics.
-	Budget lattice.Budget
-	// Progress, when non-nil, receives one event per completed lattice level;
-	// see core.Options.Progress.
-	Progress func(lattice.ProgressEvent)
-	// Partitions, when non-nil, shares stripped partitions with other runs
-	// over the same relation; see core.Options.Partitions.
-	Partitions *lattice.PartitionStore
-}
-
 // Result is the outcome of a TANE run.
 type Result struct {
-	FDs     []FD
-	Elapsed time.Duration
+	FDs []FD
 	// Stats carries the engine's traversal counters (nodes, partition store
 	// hits/misses, interruption). When Stats.Interrupted is set the run
 	// stopped early on context cancellation or budget exhaustion, and FDs
@@ -71,19 +50,12 @@ type Result struct {
 
 // DiscoverContext runs TANE over an encoded relation and returns the complete
 // set of minimal, non-trivial functional dependencies with singleton
-// right-hand sides. Cancellation and Options.Budget are honored cooperatively
-// (see core.DiscoverContext): an interrupted run returns partial FDs with
-// Stats.Interrupted set.
-func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (*Result, error) {
-	start := time.Now()
-	eng, err := lattice.New(enc, lattice.Config{
-		Ctx:        ctx,
-		Workers:    opts.Workers,
-		MaxLevel:   opts.MaxLevel,
-		Budget:     opts.Budget,
-		Store:      opts.Partitions,
-		OnProgress: opts.Progress,
-	})
+// right-hand sides. cfg is the engine's run configuration, passed to it
+// unchanged (see lattice.Config). Cancellation and cfg.Budget are honored
+// cooperatively (see core.DiscoverContext): an interrupted run returns
+// partial FDs with Stats.Interrupted set.
+func DiscoverContext(ctx context.Context, enc *relation.Encoded, cfg lattice.Config) (*Result, error) {
+	eng, err := lattice.New(ctx, enc, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -140,6 +112,5 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		}
 		return a.RHS < b.RHS
 	})
-	res.Elapsed = time.Since(start)
 	return res, nil
 }

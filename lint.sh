@@ -3,10 +3,11 @@
 #
 #   ./lint.sh        (or: make lint)
 #
-# Runs, in order: gofmt (failing with the offending diff), go vet, staticcheck
-# (skipped with a notice when not installed; CI installs it), and the
-# project's own analyzer suite, cmd/odlint. odlint findings are also written
-# to odlint-findings.txt so CI can publish them as a job summary.
+# Runs, in order: gofmt (failing with the offending diff), go vet (on the root
+# module and the nested odperf module), staticcheck (skipped with a notice
+# when not installed; CI installs it), and the project's own analyzer suite,
+# cmd/odlint. odlint findings are also written to odlint-findings.txt so CI
+# can publish them as a job summary.
 set -eu
 cd "$(dirname "$0")"
 
@@ -23,6 +24,8 @@ fi
 
 echo "==> go vet"
 go vet ./... || fail=1
+# odperf is a nested module, so the root's ./... stops at its go.mod.
+(cd odperf && go vet ./...) || fail=1
 
 echo "==> staticcheck"
 if command -v staticcheck >/dev/null 2>&1; then

@@ -100,6 +100,12 @@ func ParseOrderSpecs(input string) ([]AttrOrder, error) {
 	if err != nil {
 		return nil, err
 	}
+	return attrOrders(parsed), nil
+}
+
+// attrOrders converts parsed per-column orders — an order-spec list or a
+// dependency expression's attribute modifiers — into AttrOrders.
+func attrOrders(parsed []odparse.NamedOrder) []AttrOrder {
 	out := make([]AttrOrder, len(parsed))
 	for i, no := range parsed {
 		out[i] = AttrOrder{
@@ -110,7 +116,7 @@ func ParseOrderSpecs(input string) ([]AttrOrder, error) {
 			Ranks:     no.Order.Ranks,
 		}
 	}
-	return out, nil
+	return out
 }
 
 // validateAttrOrders checks a Request.OrderSpecs list without a dataset:

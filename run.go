@@ -479,7 +479,9 @@ type Report struct {
 	Interrupted bool
 	// Stats holds the unified work counters.
 	Stats RunStats
-	// Elapsed is the total wall-clock duration of the run.
+	// Elapsed is the wall-clock duration of the run. It is the run's one
+	// clock: the payloads carry none (FASTOD's per-level times are
+	// Result.Levels, progress events carry their own elapsed time).
 	Elapsed time.Duration
 
 	// Exactly one of the following is non-nil, matching Algorithm.
@@ -566,9 +568,10 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 		rep.Algorithm = AlgorithmFASTOD
 	}
 	start := time.Now()
+	cfg := engineConfig(req, store, onProgress)
 	switch rep.Algorithm {
 	case AlgorithmFASTOD:
-		res, err := core.DiscoverContext(ctx, enc, d.coreOptions(req, store, onProgress))
+		res, err := core.DiscoverContext(ctx, enc, coreOptions(req, cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -576,13 +579,7 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 		rep.Stats = res.Stats.Stats
 
 	case AlgorithmTANE:
-		res, err := tane.DiscoverContext(ctx, enc, tane.Options{
-			Workers:    req.Workers,
-			MaxLevel:   req.MaxLevel,
-			Budget:     req.Budget,
-			Progress:   onProgress,
-			Partitions: store,
-		})
+		res, err := tane.DiscoverContext(ctx, enc, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -590,14 +587,7 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 		rep.Stats = res.Stats
 
 	case AlgorithmApprox:
-		res, err := approx.DiscoverContext(ctx, enc, approx.Options{
-			Threshold:  req.Approx.Threshold,
-			Workers:    req.Workers,
-			MaxLevel:   req.MaxLevel,
-			Budget:     req.Budget,
-			Progress:   onProgress,
-			Partitions: store,
-		})
+		res, err := approx.DiscoverContext(ctx, enc, req.Approx.Threshold, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -605,13 +595,7 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 		rep.Stats = res.Stats
 
 	case AlgorithmBidirectional:
-		res, err := bidir.DiscoverContext(ctx, enc, bidir.Options{
-			Workers:    req.Workers,
-			MaxLevel:   req.MaxLevel,
-			Budget:     req.Budget,
-			Progress:   onProgress,
-			Partitions: store,
-		})
+		res, err := bidir.DiscoverContext(ctx, enc, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -619,7 +603,7 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 		rep.Stats = res.Stats
 
 	case AlgorithmConditional:
-		discovery := d.coreOptions(req, store, onProgress)
+		discovery := coreOptions(req, cfg)
 		// Conditional discovery compares slice ODs against the global cover,
 		// which requires materialized ODs on both sides; CountOnly would
 		// silently reduce every conditional report to zero findings.
@@ -658,15 +642,28 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 	return rep, nil
 }
 
-// coreOptions assembles the FASTOD options of a request — used both for
-// plain FASTOD runs and for the conditional algorithm's inner passes.
-func (d *Dataset) coreOptions(req Request, store *PartitionStore, onProgress func(ProgressEvent)) core.Options {
+// engineConfig is the request's lattice run configuration: the one mapping
+// of RunOptions onto the engine every set-lattice algorithm runs on.
+func engineConfig(req Request, store *PartitionStore, onProgress func(ProgressEvent)) lattice.Config {
+	return lattice.Config{
+		Workers:    req.Workers,
+		MaxLevel:   req.MaxLevel,
+		Budget:     req.Budget,
+		Partitions: store,
+		Progress:   onProgress,
+	}
+}
+
+// coreOptions assembles the FASTOD options of a request from its engine
+// configuration — used both for plain FASTOD runs and for the conditional
+// algorithm's inner passes.
+func coreOptions(req Request, cfg lattice.Config) core.Options {
 	return core.Options{
-		Workers:            req.Workers,
-		MaxLevel:           req.MaxLevel,
-		Budget:             req.Budget,
-		Progress:           onProgress,
-		Partitions:         store,
+		Workers:            cfg.Workers,
+		MaxLevel:           cfg.MaxLevel,
+		Budget:             cfg.Budget,
+		Progress:           cfg.Progress,
+		Partitions:         cfg.Partitions,
 		DisablePruning:     req.FASTOD.DisablePruning,
 		DisableKeyPruning:  req.FASTOD.DisableKeyPruning,
 		DisableNodePruning: req.FASTOD.DisableNodePruning,

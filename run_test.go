@@ -12,6 +12,7 @@ import (
 	"repro/internal/bidir"
 	"repro/internal/conditional"
 	"repro/internal/core"
+	"repro/internal/lattice"
 	"repro/internal/order"
 	"repro/internal/relation"
 	"repro/internal/tane"
@@ -32,6 +33,14 @@ func direct[O, R any](discover func(context.Context, *relation.Encoded, O) (*R, 
 			return "", err
 		}
 		return render(res), nil
+	}
+}
+
+// approxAt binds approx.DiscoverContext's threshold, leaving the engine
+// configuration for direct to bind.
+func approxAt(threshold float64) func(context.Context, *relation.Encoded, lattice.Config) (*approx.Result, error) {
+	return func(ctx context.Context, enc *relation.Encoded, cfg lattice.Config) (*approx.Result, error) {
+		return approx.DiscoverContext(ctx, enc, threshold, cfg)
 	}
 }
 
@@ -161,25 +170,25 @@ func TestRunMapsRequestFieldsOntoAlgorithms(t *testing.T) {
 		{"fastod/CollectLevelStats", fastod.Request{FASTOD: fastod.FASTODRunOptions{CollectLevelStats: true}},
 			direct(core.DiscoverContext, renderFASTOD, core.Options{CollectLevelStats: true}), false},
 
-		{"tane/zero", fastod.Request{Algorithm: fastod.AlgorithmTANE}, direct(tane.DiscoverContext, renderTANE, tane.Options{}), true},
+		{"tane/zero", fastod.Request{Algorithm: fastod.AlgorithmTANE}, direct(tane.DiscoverContext, renderTANE, lattice.Config{}), true},
 		{"tane/MaxLevel", fastod.Request{Algorithm: fastod.AlgorithmTANE, RunOptions: fastod.RunOptions{MaxLevel: 2}},
-			direct(tane.DiscoverContext, renderTANE, tane.Options{MaxLevel: 2}), false},
+			direct(tane.DiscoverContext, renderTANE, lattice.Config{MaxLevel: 2}), false},
 		{"tane/Budget", fastod.Request{Algorithm: fastod.AlgorithmTANE, RunOptions: budgeted},
-			direct(tane.DiscoverContext, renderTANE, tane.Options{Workers: 1, Budget: nodes}), false},
+			direct(tane.DiscoverContext, renderTANE, lattice.Config{Workers: 1, Budget: nodes}), false},
 
-		{"approx/zero", fastod.Request{Algorithm: fastod.AlgorithmApprox}, direct(approx.DiscoverContext, renderApprox, approx.Options{}), true},
+		{"approx/zero", fastod.Request{Algorithm: fastod.AlgorithmApprox}, direct(approxAt(0), renderApprox, lattice.Config{}), true},
 		{"approx/Threshold", fastod.Request{Algorithm: fastod.AlgorithmApprox, Approx: fastod.ApproxRunOptions{Threshold: 0.1}},
-			direct(approx.DiscoverContext, renderApprox, approx.Options{Threshold: 0.1}), false},
+			direct(approxAt(0.1), renderApprox, lattice.Config{}), false},
 		{"approx/MaxLevel", fastod.Request{Algorithm: fastod.AlgorithmApprox, RunOptions: fastod.RunOptions{MaxLevel: 2}},
-			direct(approx.DiscoverContext, renderApprox, approx.Options{MaxLevel: 2}), false},
+			direct(approxAt(0), renderApprox, lattice.Config{MaxLevel: 2}), false},
 		{"approx/Budget", fastod.Request{Algorithm: fastod.AlgorithmApprox, RunOptions: budgeted},
-			direct(approx.DiscoverContext, renderApprox, approx.Options{Workers: 1, Budget: nodes}), false},
+			direct(approxAt(0), renderApprox, lattice.Config{Workers: 1, Budget: nodes}), false},
 
-		{"bidir/zero", fastod.Request{Algorithm: fastod.AlgorithmBidirectional}, direct(bidir.DiscoverContext, renderBidir, bidir.Options{}), true},
+		{"bidir/zero", fastod.Request{Algorithm: fastod.AlgorithmBidirectional}, direct(bidir.DiscoverContext, renderBidir, lattice.Config{}), true},
 		{"bidir/MaxLevel", fastod.Request{Algorithm: fastod.AlgorithmBidirectional, RunOptions: fastod.RunOptions{MaxLevel: 2}},
-			direct(bidir.DiscoverContext, renderBidir, bidir.Options{MaxLevel: 2}), false},
+			direct(bidir.DiscoverContext, renderBidir, lattice.Config{MaxLevel: 2}), false},
 		{"bidir/Budget", fastod.Request{Algorithm: fastod.AlgorithmBidirectional, RunOptions: budgeted},
-			direct(bidir.DiscoverContext, renderBidir, bidir.Options{Workers: 1, Budget: nodes}), false},
+			direct(bidir.DiscoverContext, renderBidir, lattice.Config{Workers: 1, Budget: nodes}), false},
 
 		{"conditional/zero", fastod.Request{Algorithm: fastod.AlgorithmConditional}, direct(conditional.DiscoverContext, renderConditional, conditional.Options{}), true},
 		{"conditional/MinSliceRows", fastod.Request{Algorithm: fastod.AlgorithmConditional, Conditional: fastod.ConditionalRunOptions{MinSliceRows: 100}},
@@ -334,6 +343,10 @@ func TestRunNodeBudgetAcrossAlgorithms(t *testing.T) {
 		}
 		if rep.Stats.NodesVisited >= full.Stats.NodesVisited {
 			t.Errorf("%s: budgeted run visited %d nodes, full run %d", alg, rep.Stats.NodesVisited, full.Stats.NodesVisited)
+		}
+		// Report.Elapsed is the one run clock, partial or complete.
+		if rep.Elapsed <= 0 || full.Elapsed <= 0 {
+			t.Errorf("%s: Elapsed not recorded: budgeted %v, full %v", alg, rep.Elapsed, full.Elapsed)
 		}
 	}
 }

@@ -15,29 +15,20 @@ import (
 
 // zeroReportTimings clears every wall-clock field of a report in place so two
 // runs can be compared with reflect.DeepEqual: timing is the only thing a
-// worker count is allowed to change.
+// worker count is allowed to change. Report.Elapsed is the run's one clock;
+// FASTOD payloads (and the conditional algorithm's global pass) add the
+// per-level clocks of Figure 7.
 func zeroReportTimings(rep *fastod.Report) {
 	rep.Elapsed = 0
+	var levels []fastod.LevelStat
 	switch {
 	case rep.FASTOD != nil:
-		rep.FASTOD.Elapsed = 0
-		for i := range rep.FASTOD.Levels {
-			rep.FASTOD.Levels[i].Elapsed = 0
-		}
-	case rep.TANE != nil:
-		rep.TANE.Elapsed = 0
-	case rep.Approx != nil:
-		rep.Approx.Elapsed = 0
-	case rep.Bidir != nil:
-		rep.Bidir.Elapsed = 0
+		levels = rep.FASTOD.Levels
 	case rep.Conditional != nil:
-		rep.Conditional.Elapsed = 0
-		rep.Conditional.Global.Elapsed = 0
-		for i := range rep.Conditional.Global.Levels {
-			rep.Conditional.Global.Levels[i].Elapsed = 0
-		}
-	case rep.ORDER != nil:
-		rep.ORDER.Elapsed = 0
+		levels = rep.Conditional.Global.Levels
+	}
+	for i := range levels {
+		levels[i].Elapsed = 0
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/canonical"
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/lattice"
 	"repro/internal/relation"
 	"repro/internal/tane"
 )
@@ -41,14 +42,14 @@ var viewAlgorithms = map[string]func(context.Context, *relation.Encoded) ([]stri
 		return renderLines(res.ODs, canonical.OD.String), nil
 	},
 	"tane": func(ctx context.Context, enc *relation.Encoded) ([]string, error) {
-		res, err := tane.DiscoverContext(ctx, enc, tane.Options{Workers: 1})
+		res, err := tane.DiscoverContext(ctx, enc, lattice.Config{Workers: 1})
 		if err != nil {
 			return nil, err
 		}
 		return renderLines(res.FDs, tane.FD.String), nil
 	},
 	"approx": func(ctx context.Context, enc *relation.Encoded) ([]string, error) {
-		res, err := approx.DiscoverContext(ctx, enc, approx.Options{Threshold: 0.1, Workers: 1})
+		res, err := approx.DiscoverContext(ctx, enc, 0.1, lattice.Config{Workers: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -57,7 +58,7 @@ var viewAlgorithms = map[string]func(context.Context, *relation.Encoded) ([]stri
 		}), nil
 	},
 	"bidir": func(ctx context.Context, enc *relation.Encoded) ([]string, error) {
-		res, err := bidir.DiscoverContext(ctx, enc, bidir.Options{Workers: 1})
+		res, err := bidir.DiscoverContext(ctx, enc, lattice.Config{Workers: 1})
 		if err != nil {
 			return nil, err
 		}
