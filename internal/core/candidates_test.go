@@ -98,9 +98,9 @@ func FuzzCandidatePairs(f *testing.F) {
 		}
 
 		all := bitset.AttrSet(1<<uint(n) - 1)
-		deps := make([]any, 0, len(attrs))
+		deps := make([]nodeState, 0, len(attrs))
 		for _, d := range attrs {
-			st := &nodeState{cc: all.Remove(d)}
+			st := nodeState{cc: all.Remove(d)}
 			if len(attrs) > 2 {
 				st.cs = bitset.NewPairSet(n)
 				for p := range subs[d] {

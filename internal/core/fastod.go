@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"math/bits"
-	"sync"
-	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/canonical"
@@ -47,10 +45,12 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 }
 
 // discoverer carries the per-run state of the lattice traversal. The
-// traversal itself — node generation and handout, partition products and
-// retention, the worker pool — is owned by the shared lattice engine; this
-// type contributes FASTOD's candidate-set bookkeeping (Algorithms 3 and 4)
-// through the engine's node-reentrant visit callback.
+// traversal itself — node generation and handout, partition products, the
+// worker pool — is owned by the shared lattice engine; this type contributes
+// FASTOD's candidate-set bookkeeping (Algorithms 3 and 4) through the
+// engine's node-reentrant visit callback. Each worker writes what its nodes
+// find into its own shard, and levelEnd folds the shards into the result at
+// every level barrier, on the traversal goroutine, so no node takes a lock.
 type discoverer struct {
 	enc  *relation.Encoded
 	opts Options
@@ -59,22 +59,12 @@ type discoverer struct {
 	all      bitset.AttrSet // the full schema R
 	eng      *lattice.Engine
 
-	// shards accumulate per-worker validation counters across the whole run;
-	// they are summed into the result at finish (addition commutes, so the
-	// totals match a sequential run exactly).
-	shards []checkShard
-
-	// mu guards the node-completion merge: the result's OD list and counters,
-	// the per-level stats. A level's nodes complete in any order across the
-	// workers; determinism survives because counters commute and the OD list
-	// is sorted in a total order at the end of the run.
-	mu         sync.Mutex
-	levelStats map[int]*LevelStat
+	shards []checkShard // one per worker
 
 	result *Result
 }
 
-// nodeState is the per-node result the traversal threads along dependency
+// nodeState is the per-node state the traversal threads along dependency
 // edges: the node's candidate sets C+c(X) and C+s(X), exactly the state
 // Algorithm 3 reads from the immediate subsets of each node it processes.
 // Level-1 nodes keep the zero C+s(X): a singleton has no pairs, and level 2
@@ -86,10 +76,9 @@ type nodeState struct {
 
 func newDiscoverer(ctx context.Context, enc *relation.Encoded, opts Options) (*discoverer, error) {
 	d := &discoverer{
-		enc:        enc,
-		opts:       opts,
-		levelStats: make(map[int]*LevelStat),
-		result:     &Result{},
+		enc:    enc,
+		opts:   opts,
+		result: &Result{},
 	}
 	eng, err := lattice.New(ctx, enc, lattice.Config{
 		Workers:    opts.Workers,
@@ -109,57 +98,10 @@ func newDiscoverer(ctx context.Context, enc *relation.Encoded, opts Options) (*d
 	return d, nil
 }
 
-// levelEnd stamps a visited level's wall-clock time and, when requested,
-// publishes its LevelStat. The engine invokes it in level order, including
-// for the partially visited level of an interrupted run.
-func (d *discoverer) levelEnd(l int, elapsed time.Duration) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := d.levelStats[l]
-	if st == nil {
-		return
-	}
-	st.Elapsed = elapsed
-	if d.opts.CollectLevelStats {
-		d.result.Levels = append(d.result.Levels, *st)
-	}
-	delete(d.levelStats, l)
-}
-
-// flushNode merges one completed node into the run: its discovered ODs, the
-// per-kind counters, its level's stats and the pruning tally.
-func (d *discoverer) flushNode(l int, buf *emitBuffer, pruned bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := d.levelStats[l]
-	if st == nil {
-		st = &LevelStat{Level: l}
-		d.levelStats[l] = st
-	}
-	st.Nodes++
-	st.Constancy += buf.constancy
-	st.OrderCompat += buf.orderCompat
-	d.result.Counts.Constancy += buf.constancy
-	d.result.Counts.OrderCompat += buf.orderCompat
-	d.result.Counts.Total += buf.constancy + buf.orderCompat
-	d.result.ODs = append(d.result.ODs, buf.ods...)
-	if pruned {
-		d.result.Stats.NodesPruned++
-	}
-}
-
-// finish folds the per-worker shards and the engine's traversal counters into
-// the result.
-func (d *discoverer) finish() {
-	d.mergeShards(d.shards)
-	d.result.Stats.Stats = d.eng.Stats()
-}
-
 // run executes FASTOD with the full candidate-set machinery (Algorithms 1-4).
 // The root state seeds every singleton with C+c(∅) = R and C+s(∅) = ∅.
 func (d *discoverer) run() {
-	root := &nodeState{cc: d.all}
-	d.eng.RunNodes(root, d.visitNode)
+	lattice.RunNodes(d.eng, nodeState{cc: d.all}, d.visitNode)
 	d.finish()
 }
 
@@ -167,48 +109,44 @@ func (d *discoverer) run() {
 // sets C+c(X) and C+s(X) from the immediate-subset states in deps, validates
 // the candidate ODs, emits the minimal ones, and decides Algorithm 4's
 // pruning (both candidate sets empty — Lemma 11). It only reads the node's
-// deps and the engine's partition window, so it is node-reentrant: the
-// engine runs it concurrently on the nodes of one level.
-func (d *discoverer) visitNode(wk, l int, x bitset.AttrSet, deps []any) (any, bool) {
+// deps and partitions and writes its worker's shard, so it is node-reentrant:
+// the engine runs it concurrently on the nodes of one level.
+func (d *discoverer) visitNode(wk int, n lattice.Node, deps []nodeState) (nodeState, bool) {
 	sh := &d.shards[wk]
+	x := n.X
 	st := candidates(d.all, x, deps, d.numAttrs)
-	// deps are ordered by ascending removed attribute, so the state of X\{a}
-	// sits at a's rank within X.
-	prev := func(a int) *nodeState { return deps[x.Rank(a)].(*nodeState) }
 
 	// Pass 2 (lines 9-25): validation and emission.
-	var buf emitBuffer
 
 	// Constancy candidates X\A: [] ↦ A for A ∈ X ∩ C+c(X) (Lemma 7).
 	x.Intersect(st.cc).ForEach(func(a int) {
-		ctx := x.Remove(a)
-		if d.checkConstancy(ctx, x, sh) {
-			d.bufferOD(&buf, canonical.NewConstancy(ctx, a))
+		if d.checkConstancy(n, a, sh) {
+			d.emit(sh, canonical.NewConstancy(x.Remove(a), a))
 			st.cc = st.cc.Remove(a)
 			st.cc = st.cc.Intersect(x) // remove all B ∈ R \ X (line 14)
 		}
 	})
 
 	// Order-compatibility candidates X\{A,B}: A ~ B for {A,B} ∈ C+s(X)
-	// (Lemma 8).
+	// (Lemma 8). deps are ordered by ascending removed attribute, so the
+	// state of X\{a} sits at a's rank within X.
 	st.cs.ForEach(func(p bitset.Pair) {
 		a, b := p.A, p.B
-		if !prev(b).cc.Contains(a) || !prev(a).cc.Contains(b) {
+		if !deps[x.Rank(b)].cc.Contains(a) || !deps[x.Rank(a)].cc.Contains(b) {
 			st.cs.Remove(p) // line 19: constancy in a sub-context makes it non-minimal
 			return
 		}
-		ctx := x.Remove(a).Remove(b)
-		valid, minimal := d.checkOrderCompat(ctx, a, b, sh, d.eng.Scratch(wk))
+		valid, minimal := d.checkOrderCompat(n, a, b, sh, d.eng.Scratch(wk))
 		if valid {
 			if minimal {
-				d.bufferOD(&buf, canonical.NewOrderCompatible(ctx, a, b))
+				d.emit(sh, canonical.NewOrderCompatible(x.Remove(a).Remove(b), a, b))
 			}
 			st.cs.Remove(p) // line 22
 		}
 	})
 
-	pruned := l >= 2 && !d.opts.DisableNodePruning && st.cc.IsEmpty() && st.cs.IsEmpty()
-	d.flushNode(l, &buf, pruned)
+	pruned := n.Level >= 2 && !d.opts.DisableNodePruning && st.cc.IsEmpty() && st.cs.IsEmpty()
+	sh.completed(pruned)
 	return st, pruned
 }
 
@@ -223,10 +161,10 @@ func (d *discoverer) visitNode(wk, l int, x bitset.AttrSet, deps []any) (any, bo
 // D ∈ X\{A}, of row A of C+s(X\D) with D added. For |X| ≥ 3 some D lies
 // outside {A,B}, so the AND already implies membership in the union and
 // holds only partners inside X above A.
-func candidates(all, x bitset.AttrSet, deps []any, n int) *nodeState {
-	st := &nodeState{cc: all}
+func candidates(all, x bitset.AttrSet, deps []nodeState, n int) nodeState {
+	st := nodeState{cc: all}
 	for _, dep := range deps {
-		st.cc = st.cc.Intersect(dep.(*nodeState).cc)
+		st.cc = st.cc.Intersect(dep.cc)
 	}
 	if x.Len() < 2 {
 		return st
@@ -243,7 +181,7 @@ func candidates(all, x bitset.AttrSet, deps []any, n int) *nodeState {
 		i := 0
 		x.ForEach(func(dAttr int) {
 			if dAttr != a {
-				row = row.Intersect(deps[i].(*nodeState).cs.Row(a).Add(dAttr))
+				row = row.Intersect(deps[i].cs.Row(a).Add(dAttr))
 			}
 			i++
 		})
@@ -255,17 +193,16 @@ func candidates(all, x bitset.AttrSet, deps []any, n int) *nodeState {
 // checkConstancy validates X\A: [] ↦ A using the partition-error criterion of
 // Section 4.6: the FD holds iff e(Π_ctx) == e(Π_x), because Π_x refines
 // Π_ctx. When the context is a superkey the OD holds trivially (Lemma 12) and
-// the comparison is skipped under key pruning. Counters go to the calling
-// worker's shard; the engine guarantees the partitions of a node and its two
-// preceding levels are readable while the node runs.
-func (d *discoverer) checkConstancy(ctx, x bitset.AttrSet, sh *checkShard) bool {
+// the comparison is skipped under key pruning. X is n's attribute set, and
+// counters go to the calling worker's shard.
+func (d *discoverer) checkConstancy(n lattice.Node, a int, sh *checkShard) bool {
 	sh.fdChecks++
-	ctxPart := d.eng.Partition(ctx)
+	ctxPart := n.Sub(a)
 	if !d.opts.DisableKeyPruning && ctxPart.IsSuperkey() {
 		sh.keyPrunes++
 		return true
 	}
-	return ctxPart.Error() == d.eng.Partition(x).Error()
+	return ctxPart.Error() == n.Partition().Error()
 }
 
 // checkOrderCompat validates X\{A,B}: A ~ B by scanning the equivalence
@@ -275,9 +212,9 @@ func (d *discoverer) checkConstancy(ctx, x bitset.AttrSet, sh *checkShard) bool 
 // allocates nothing. It returns (valid, minimal): when the context is a
 // superkey the OD is valid but never minimal (Lemma 13), so it is removed
 // from the candidate set without being emitted.
-func (d *discoverer) checkOrderCompat(ctx bitset.AttrSet, a, b int, sh *checkShard, s *partition.Scratch) (valid, minimal bool) {
+func (d *discoverer) checkOrderCompat(n lattice.Node, a, b int, sh *checkShard, s *partition.Scratch) (valid, minimal bool) {
 	sh.swapChecks++
-	ctxPart := d.eng.Partition(ctx)
+	ctxPart := n.Sub2(a, b)
 	if !d.opts.DisableKeyPruning && ctxPart.IsSuperkey() {
 		sh.keyPrunes++
 		return true, false
@@ -289,31 +226,27 @@ func (d *discoverer) checkOrderCompat(ctx bitset.AttrSet, a, b int, sh *checkSha
 // OD without any minimality reasoning. It reproduces the "FASTOD-No Pruning"
 // configuration of Figure 6: the output contains every valid OD, including
 // all the redundant ones. Nodes carry no state (the validations only read the
-// partition window), so the visit ignores root and deps and never prunes.
+// node's partitions), so the visit ignores root and deps and never prunes.
 func (d *discoverer) runNoPruning() {
-	d.eng.RunNodes(nil, func(wk, l int, x bitset.AttrSet, _ []any) (any, bool) {
+	lattice.RunNodes(d.eng, struct{}{}, func(wk int, n lattice.Node, _ []struct{}) (struct{}, bool) {
 		sh := &d.shards[wk]
-		var buf emitBuffer
+		x := n.X
 		attrs := x.Attrs()
 		for _, a := range attrs {
-			ctx := x.Remove(a)
-			if d.checkConstancy(ctx, x, sh) {
-				d.bufferOD(&buf, canonical.NewConstancy(ctx, a))
+			if d.checkConstancy(n, a, sh) {
+				d.emit(sh, canonical.NewConstancy(x.Remove(a), a))
 			}
 		}
-		if l >= 2 {
-			for p := 0; p < len(attrs); p++ {
-				for q := p + 1; q < len(attrs); q++ {
-					a, b := attrs[p], attrs[q]
-					ctx := x.Remove(a).Remove(b)
-					if valid, _ := d.checkOrderCompat(ctx, a, b, sh, d.eng.Scratch(wk)); valid {
-						d.bufferOD(&buf, canonical.NewOrderCompatible(ctx, a, b))
-					}
+		for p := 0; p < len(attrs); p++ {
+			for q := p + 1; q < len(attrs); q++ {
+				a, b := attrs[p], attrs[q]
+				if valid, _ := d.checkOrderCompat(n, a, b, sh, d.eng.Scratch(wk)); valid {
+					d.emit(sh, canonical.NewOrderCompatible(x.Remove(a).Remove(b), a, b))
 				}
 			}
 		}
-		d.flushNode(l, &buf, false)
-		return nil, false
+		sh.completed(false)
+		return struct{}{}, false
 	})
 	d.finish()
 }

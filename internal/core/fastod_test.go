@@ -375,3 +375,21 @@ func TestDiscoverDateDimQueryOptimizationODs(t *testing.T) {
 		t.Error("{}: [] -> d_version should be implied")
 	}
 }
+
+// TestDiscoverAllocsPerNode bounds FASTOD's allocations per visited lattice
+// node on Exp-2's attribute axis (hepatitis-like 155×13, about 7 900 nodes).
+// There the live heap stays far below the collector's 4 MB floor, so every
+// allocation turns into GC work. A node needs its candidate pair set and
+// one partition product (the Partition and one buffer for its rows and
+// offsets); the level slices spread over a level's nodes.
+func TestDiscoverAllocsPerNode(t *testing.T) {
+	enc := encode(t, datagen.HepatitisLike(155, 13, 2017))
+	var res *Result
+	allocs := testing.AllocsPerRun(3, func() {
+		res = discover(t, enc, Options{Workers: 1})
+	})
+	if perNode := allocs / float64(res.Stats.NodesVisited); perNode > 4 {
+		t.Errorf("%.0f allocations over %d nodes = %.2f per node, want at most 4",
+			allocs, res.Stats.NodesVisited, perNode)
+	}
+}

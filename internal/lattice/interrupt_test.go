@@ -62,7 +62,8 @@ func TestCancelMidLevel(t *testing.T) {
 				t.Fatal(err)
 			}
 			var visits atomic.Int64
-			eng.RunNodes(nil, func(_, l int, _ bitset.AttrSet, _ []any) (any, bool) {
+			RunNodes(eng, struct{}{}, func(_ int, nd Node, _ []struct{}) (struct{}, bool) {
+				l := nd.Level
 				if l > 2 {
 					t.Errorf("visited a level-%d node after the cancel in level 2", l)
 				}
@@ -75,7 +76,7 @@ func TestCancelMidLevel(t *testing.T) {
 					// not some nodes later, when cancel() returns.
 					<-ctx.Done()
 				}
-				return nil, false
+				return struct{}{}, false
 			})
 			st := eng.Stats()
 			if !st.Interrupted {
@@ -115,7 +116,7 @@ func TestDAGCancelLatency(t *testing.T) {
 					t.Fatal(err)
 				}
 				var visits atomic.Int64
-				eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) {
+				RunNodes(eng, struct{}{}, func(_ int, _ Node, _ []struct{}) (struct{}, bool) {
 					switch n := visits.Add(1); {
 					case n == cancelAt:
 						cancel()
@@ -124,7 +125,7 @@ func TestDAGCancelLatency(t *testing.T) {
 						// when cancel() returns.
 						<-ctx.Done()
 					}
-					return nil, false
+					return struct{}{}, false
 				})
 				st := eng.Stats()
 				if !st.Interrupted {
@@ -156,9 +157,9 @@ func TestNodeBudgetInterrupts(t *testing.T) {
 				t.Fatal(err)
 			}
 			var visits atomic.Int64
-			eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) {
+			RunNodes(eng, struct{}{}, func(_ int, _ Node, _ []struct{}) (struct{}, bool) {
 				visits.Add(1)
-				return nil, false
+				return struct{}{}, false
 			})
 			st := eng.Stats()
 			if !st.Interrupted {
@@ -210,9 +211,9 @@ func TestDAGNodeBudgetLatency(t *testing.T) {
 					t.Fatal(err)
 				}
 				var visits atomic.Int64
-				eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) {
+				RunNodes(eng, struct{}{}, func(_ int, _ Node, _ []struct{}) (struct{}, bool) {
 					visits.Add(1)
-					return nil, false
+					return struct{}{}, false
 				})
 				st := eng.Stats()
 				if got := int(visits.Load()); got != budget || st.NodesVisited != budget {
@@ -239,9 +240,9 @@ func TestTimeoutInterrupts(t *testing.T) {
 		t.Fatal(err)
 	}
 	visited := 0
-	eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) {
+	RunNodes(eng, struct{}{}, func(_ int, _ Node, _ []struct{}) (struct{}, bool) {
 		visited++
-		return nil, false
+		return struct{}{}, false
 	})
 	if !eng.Stats().Interrupted {
 		t.Fatal("timed-out run not marked interrupted")
@@ -262,9 +263,9 @@ func TestPreCancelledContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	var visited atomic.Int64
-	eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) {
+	RunNodes(eng, struct{}{}, func(_ int, _ Node, _ []struct{}) (struct{}, bool) {
 		visited.Add(1)
-		return nil, false
+		return struct{}{}, false
 	})
 	if !eng.Stats().Interrupted || visited.Load() != 0 {
 		t.Errorf("pre-cancelled run: interrupted=%v visited=%d, want true/0",
@@ -285,7 +286,7 @@ func TestProgressEvents(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) { return nil, false })
+			RunNodes(eng, struct{}{}, keepAll)
 			st := eng.Stats()
 			if st.Interrupted || st.MaxLevelReached != 6 {
 				t.Fatalf("stats = %+v, want a complete 6-level traversal", st)
@@ -318,11 +319,12 @@ func TestDAGProgressCoherence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eng.RunNodes(nil, func(_, _ int, x bitset.AttrSet, _ []any) (any, bool) {
+				RunNodes(eng, struct{}{}, func(_ int, n Node, _ []struct{}) (struct{}, bool) {
+					x := n.X
 					if x.Contains(0) {
 						time.Sleep(100 * time.Microsecond)
 					}
-					return nil, false
+					return struct{}{}, false
 				})
 				st := eng.Stats()
 				if budget > 0 && (!st.Interrupted || st.NodesVisited != budget) {
@@ -350,14 +352,15 @@ func TestInterruptedRunKeepsCompleteLevels(t *testing.T) {
 		}
 		var mu sync.Mutex
 		var levels []map[bitset.AttrSet]bool
-		eng.RunNodes(nil, func(_, l int, x bitset.AttrSet, _ []any) (any, bool) {
+		RunNodes(eng, struct{}{}, func(_ int, n Node, _ []struct{}) (struct{}, bool) {
+			l, x := n.Level, n.X
 			mu.Lock()
 			defer mu.Unlock()
 			for len(levels) < l {
 				levels = append(levels, make(map[bitset.AttrSet]bool))
 			}
 			levels[l-1][x] = true
-			return nil, false
+			return struct{}{}, false
 		})
 		return levels
 	}

@@ -6,13 +6,18 @@
 //
 // The Engine factors out what those traversals have in common — singleton
 // seeding, prefix-block joins for the next level (Algorithm 2 of the paper),
-// partition products, the bounded per-level partition retention window, and a
-// worker pool — while FASTOD and TANE keep ownership of their candidate-set
-// bookkeeping, validation and pruning inside a per-node visit callback
-// (RunNodes). The approximate and bidirectional extensions keep only their
-// checks: RunMinimal is the one subset-minimal search over the two canonical
-// OD forms, with the paper's minimality rule (Section 4.1) applied to
-// whatever the checks accept.
+// partition products, and a worker pool — while FASTOD and TANE keep
+// ownership of their candidate-set bookkeeping, validation and pruning inside
+// a per-node visit callback (RunNodes). The approximate and bidirectional
+// extensions keep only their checks: RunMinimal is the one subset-minimal
+// search over the two canonical OD forms, with the paper's minimality rule
+// (Section 4.1) applied to whatever the checks accept.
+//
+// A run keeps its last three levels as slices indexed like the levels:
+// attribute sets, partitions, and for every node the indexes of its
+// immediate subsets one level down. A visit receives its subsets' states and
+// reaches the partitions of X, X\A and X\{A,B} along those indexes, never
+// by looking up an attribute set.
 //
 // The traversal is level-synchronous: level l+1 is generated and visited
 // only after every node of level l has been visited. Inside a level
@@ -25,9 +30,11 @@
 package lattice
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,8 +68,8 @@ type Config struct {
 	// computed and receives every partition the run derives, so partitions are
 	// reused across runs that share the store. It must only ever be shared
 	// between runs over the same relation instance. Nil disables cross-run
-	// caching; the per-run retention window still guarantees every partition
-	// a level needs is available.
+	// caching; a run still keeps the partitions of the three levels a visit
+	// reads (the node's, its subsets' and theirs) in its level slices.
 	Partitions *PartitionStore
 	// Progress, when non-nil, receives one ProgressEvent per visited level,
 	// in level order, including the partial level of an interrupted run. It
@@ -128,14 +135,12 @@ type Engine struct {
 	// scratch holds one partition-product workspace per worker, reused across
 	// all levels of the run.
 	scratch []*partition.Scratch
-	// deps holds one reusable NodeVisit deps buffer per worker.
-	deps [][]any
 
-	// parts retains the stripped partitions of the last three lattice levels,
-	// keyed by level then attribute set. The maps are written only at level
-	// barriers and are read-only while a level's nodes are being visited, so
-	// visit callbacks may read them from any worker goroutine.
-	parts map[int]map[bitset.AttrSet]*partition.Partition
+	// levels[l] is level l's working set; only the last three levels are
+	// kept, earlier ones are emptied. The slice is written only at level
+	// barriers and is read-only while a level's nodes are being visited, so
+	// Node accessors may read it from any worker goroutine.
+	levels []level
 
 	stats Stats
 }
@@ -174,13 +179,10 @@ func New(ctx context.Context, enc *relation.Encoded, cfg Config) (*Engine, error
 		onEnd:      cfg.OnLevelEnd,
 		onProgress: cfg.Progress,
 		numAttrs:   enc.NumCols(),
-		parts:      make(map[int]map[bitset.AttrSet]*partition.Partition),
 	}
 	e.scratch = make([]*partition.Scratch, e.workers)
-	e.deps = make([][]any, e.workers)
 	for i := range e.scratch {
 		e.scratch[i] = partition.NewScratch()
-		e.deps[i] = make([]any, 0, e.numAttrs)
 	}
 	for a := 0; a < e.numAttrs; a++ {
 		e.all = e.all.Add(a)
@@ -193,7 +195,7 @@ func New(ctx context.Context, enc *relation.Encoded, cfg Config) (*Engine, error
 func (e *Engine) Workers() int { return e.workers }
 
 // Scratch returns the engine's reusable partition workspace for one worker
-// index (as handed to NodeVisit callbacks). The engine itself only uses
+// index (as handed to RunNodes' visit callbacks). The engine itself only uses
 // scratch i from worker goroutine i while generating the next level, which
 // never overlaps a visit callback, so visit callbacks are free to use their
 // worker's scratch for swap checks, removal counting and ad-hoc products,
@@ -238,14 +240,14 @@ func (e *Engine) overNodeBudget() bool {
 
 // partitionsCached counts the stripped partitions currently retained for
 // progress reporting: the shared store when configured (partitions survive
-// the run), otherwise the run's own retention window.
+// the run), otherwise those of the run's kept levels.
 func (e *Engine) partitionsCached() int {
 	if e.store != nil {
 		return e.store.Len()
 	}
 	n := 0
-	for _, m := range e.parts {
-		n += len(m)
+	for _, lv := range e.levels {
+		n += len(lv.parts)
 	}
 	return n
 }
@@ -267,15 +269,6 @@ func (e *Engine) finishLevel(l, nodes int, start time.Time) {
 	}
 }
 
-// Partition returns the stripped partition of an attribute set from the
-// retention window. During the visit of a level-l node, the partitions of
-// levels l-2, l-1 and l are available — exactly what constancy (context size
-// l-1) and order-compatibility (context size l-2) validation need. It is safe
-// to call from visit worker goroutines.
-func (e *Engine) Partition(x bitset.AttrSet) *partition.Partition {
-	return e.parts[x.Len()][x]
-}
-
 // parallelFor shards n items — the seeds, node visits or partition products
 // of a level — across the worker pool in chunks (see ParallelFor). The
 // cancellation signals are polled before every item, and once one fires the
@@ -286,33 +279,69 @@ func (e *Engine) parallelFor(n int, fn func(worker, item int)) {
 	ParallelFor(e.workers, n, chunkFor(e.workers, n), e.checkInterrupt, e.trapWorker, fn)
 }
 
-// NodeVisit is the node-reentrant visit callback of RunNodes: it validates
-// one lattice node and returns the node's result (the algorithm's per-node
-// state, e.g. FASTOD's candidate sets) plus its pruning decision. A pruned
-// node generates no supersets.
-//
-// deps carries the results of the node's immediate subsets in ascending order
-// of the removed attribute: deps[k] is the result of x with its (k+1)-th
-// smallest attribute removed. For level 1 it is [root]. The slice is only
-// valid for the duration of the call and must not be retained.
-//
-// The callback must be safe to run concurrently with itself on different
-// nodes of the same level, from the given worker goroutine (worker indexes
-// its Scratch and any per-worker shards). Every node of earlier levels has
-// completed before any node of level l starts. Emission order within a level
-// is schedule-dependent; algorithms keep deterministic output by sorting
-// their results in a total order at the end of the run.
-type NodeVisit func(worker, level int, x bitset.AttrSet, deps []any) (result any, pruned bool)
+// Node is one lattice node as a visit callback sees it: its level and
+// attribute set, plus accessors for the stripped partitions Algorithm 3 reads
+// (Π(X), Π(X\A) and Π(X\{A,B})). The accessors follow the subset indexes
+// recorded when the node's level was generated, so no partition is looked up
+// by attribute set. A Node is only valid for the duration of its visit.
+type Node struct {
+	Level int
+	X     bitset.AttrSet
+	e     *Engine
+	i     int // the node's index in its level
+}
 
-// RunNodes executes the level-wise traversal. Starting from the singleton
-// level, it calls visit exactly once per apriori-reachable node (every
-// immediate subset visited, none pruned it), after the node's stripped
-// partition and those of its two preceding levels are available through
-// Partition, and with the immediate-subset results as deps. Once a level has
-// been visited, the next one is generated by joining prefix blocks of the
+// Partition returns Π(X).
+func (n Node) Partition() *partition.Partition { return n.e.levels[n.Level].parts[n.i] }
+
+// Sub returns Π(X\A) for an attribute A ∈ X.
+func (n Node) Sub(a int) *partition.Partition {
+	return n.e.levels[n.Level-1].parts[n.sub(a)]
+}
+
+// Sub2 returns Π(X\{A,B}) for distinct attributes A, B ∈ X.
+func (n Node) Sub2(a, b int) *partition.Partition {
+	up := n.Level - 1
+	j := int(n.sub(a))
+	return n.e.levels[up-1].parts[n.e.levels[up].subs[j*up+n.X.Remove(a).Rank(b)]]
+}
+
+// sub returns the index of X\A in the previous level.
+func (n Node) sub(a int) int32 { return n.e.levels[n.Level].subs[n.i*n.Level+n.X.Rank(a)] }
+
+// level is the working set of one lattice level, indexed like its nodes:
+// node i is sets[i] with partition parts[i], and for a level-l node,
+// subs[i*l+k] is the index in level l-1 of sets[i] minus its (k+1)-th
+// smallest attribute.
+type level struct {
+	sets  []bitset.AttrSet
+	parts []*partition.Partition
+	subs  []int32
+}
+
+// RunNodes executes the level-wise traversal with e. Starting from the
+// singleton level, it calls visit exactly once per apriori-reachable node
+// (every immediate subset visited, none pruned it). Once a level has been
+// visited, the next one is generated by joining prefix blocks of the
 // unpruned nodes, keeping only candidates whose every immediate subset
 // survived, and deriving each new node's partition (from the store when
 // shared, as a parallel partition product otherwise).
+//
+// visit validates one node and returns the node's state S (e.g. FASTOD's
+// candidate sets) plus its pruning decision; a pruned node generates no
+// supersets. deps holds the states of the node's immediate subsets in
+// ascending order of the removed attribute: deps[k] is the state of X with
+// its (k+1)-th smallest attribute removed, and [root] for a singleton. The
+// slice is only valid for the duration of the call. The node's Partition,
+// Sub and Sub2 accessors serve the partitions of X, of its immediate subsets
+// and of theirs.
+//
+// visit must be safe to run concurrently with itself on different nodes of
+// the same level, from the given worker goroutine (worker indexes the
+// engine's Scratch and any per-worker shards). Every node of earlier levels
+// has completed before any node of level l starts. Completion order within a
+// level is schedule-dependent; algorithms keep deterministic output by
+// sorting their results in a total order at the end of the run.
 //
 // Cancellation and budget signals interrupt the traversal cooperatively:
 // before every node visit and partition product, and at every level barrier.
@@ -320,15 +349,21 @@ type NodeVisit func(worker, level int, x bitset.AttrSet, deps []any) (result any
 // everything already computed, never visits a partially generated level,
 // reports Stats.Interrupted and still emits the progress event of its
 // partially visited level.
-func (e *Engine) RunNodes(root any, visit NodeVisit) {
+func RunNodes[S any](e *Engine, root S, visit func(worker int, n Node, deps []S) (S, bool)) {
 	defer e.trapTraversal()
 	e.started = time.Now()
 	if e.budget.Timeout > 0 {
 		e.deadline = e.started.Add(e.budget.Timeout)
 	}
-	level := e.firstLevel()
-	var prev map[bitset.AttrSet]any
-	for l := 1; len(level) > 0 && (e.maxLevel <= 0 || l <= e.maxLevel); l++ {
+	e.firstLevel()
+	deps := make([][]S, e.workers)
+	for wk := range deps {
+		deps[wk] = make([]S, 0, e.numAttrs)
+	}
+	// prev holds the states of level l-1, indexed like it; level 0 is the
+	// empty set, whose state is root.
+	prev := []S{root}
+	for l := 1; l < len(e.levels) && len(e.levels[l].sets) > 0; l++ {
 		// The interrupt may have fired between levels (or during level
 		// generation, whose partitions would then be incomplete), and a node
 		// budget spent exactly by the previous level leaves nothing for this
@@ -340,7 +375,7 @@ func (e *Engine) RunNodes(root any, visit NodeVisit) {
 		}
 		start := time.Now()
 		e.stats.MaxLevelReached = l
-		results, pruned, visited := e.visitLevel(root, l, level, prev, visit)
+		states, pruned, visited := visitLevel(e, l, prev, deps, visit)
 		e.stats.NodesVisited += visited
 		if e.stopped() {
 			// The level was only partially visited; its statistics are still
@@ -349,20 +384,10 @@ func (e *Engine) RunNodes(root any, visit NodeVisit) {
 			e.finishLevel(l, visited, start)
 			break
 		}
-		prev = make(map[bitset.AttrSet]any, len(level))
-		kept := make([]bitset.AttrSet, 0, len(level))
-		for i, x := range level {
-			prev[x] = results[i]
-			if !pruned[i] {
-				kept = append(kept, x)
-			}
-		}
-		if e.maxLevel > 0 && l == e.maxLevel {
-			// The loop is about to terminate; don't pay for the partition
-			// products of a level that will never be visited.
-			level = nil
-		} else {
-			level = e.nextLevel(kept, l)
+		// Past MaxLevel the loop ends: the products of a level that will
+		// never be visited are not paid for.
+		if e.maxLevel <= 0 || l < e.maxLevel {
+			e.levels = append(e.levels, e.nextLevel(l, pruned))
 			if e.stopped() {
 				// Some products of the next level were never computed; the
 				// level must not be visited.
@@ -372,28 +397,36 @@ func (e *Engine) RunNodes(root any, visit NodeVisit) {
 			}
 		}
 		// Partitions of level l-2 are no longer needed once level l+1 starts.
-		delete(e.parts, l-2)
+		if l >= 2 {
+			e.levels[l-2] = level{}
+		}
 		e.finishLevel(l, visited, start)
+		prev = states
 	}
 }
 
 // visitLevel hands the nodes of level l to the worker pool and returns each
-// node's result and pruning decision, plus the number of nodes handed to
+// node's state and pruning decision, plus the number of nodes handed to
 // visit. The stop flag, context and deadline are polled before every node,
 // so an interrupt abandons at most the nodes already running. The handout is
 // capped at what is left of the node budget, so the run never visits more
 // than Budget.MaxNodes nodes; a level the cap cuts short latches the stop
-// flag. Unvisited nodes keep zero results.
-func (e *Engine) visitLevel(root any, l int, level []bitset.AttrSet, prev map[bitset.AttrSet]any, visit NodeVisit) (results []any, pruned []bool, visited int) {
-	n := len(level)
+// flag. Unvisited nodes keep zero states.
+func visitLevel[S any](e *Engine, l int, prev []S, deps [][]S, visit func(int, Node, []S) (S, bool)) (states []S, pruned []bool, visited int) {
+	lv := &e.levels[l]
+	n := len(lv.sets)
 	if left := e.budget.MaxNodes - e.stats.NodesVisited; e.budget.MaxNodes > 0 && left < n {
 		n = left
 	}
-	results = make([]any, len(level))
-	pruned = make([]bool, len(level))
-	handed := make([]int, e.workers)
+	states = make([]S, len(lv.sets))
+	pruned = make([]bool, len(lv.sets))
+	// Each worker counts its handouts on its own cache line.
+	handed := make([]struct {
+		n int
+		_ [56]byte
+	}, e.workers)
 	e.parallelFor(n, func(wk, i int) {
-		x := level[i]
+		x := lv.sets[i]
 		// Recover inside the per-node frame rather than relying on the
 		// worker-level trap alone, so a panic is recorded with the node that
 		// raised it.
@@ -403,24 +436,20 @@ func (e *Engine) visitLevel(root any, l int, level []bitset.AttrSet, prev map[bi
 			}
 		}()
 		faultinject.Hit(faultinject.NodeDispatch)
-		handed[wk]++
-		deps := e.deps[wk][:0]
-		if l == 1 {
-			deps = append(deps, root)
-		} else {
-			x.ForEach(func(a int) {
-				deps = append(deps, prev[x.Remove(a)])
-			})
+		handed[wk].n++
+		d := deps[wk][:0]
+		for _, j := range lv.subs[i*l : (i+1)*l] {
+			d = append(d, prev[j])
 		}
-		results[i], pruned[i] = visit(wk, l, x, deps)
+		states[i], pruned[i] = visit(wk, Node{Level: l, X: x, e: e, i: i}, d)
 	})
 	for _, h := range handed {
-		visited += h
+		visited += h.n
 	}
-	if n < len(level) {
+	if n < len(lv.sets) {
 		e.stop.Store(true)
 	}
-	return results, pruned, visited
+	return states, pruned, visited
 }
 
 // stopped reports whether the interrupt flag is latched, without re-deriving
@@ -449,139 +478,143 @@ func (e *Engine) storePut(x bitset.AttrSet, p *partition.Partition) {
 	}
 }
 
-// firstLevel seeds the empty-set partition and the singleton attribute sets;
+// firstLevel seeds levels 0 (the empty set) and 1 (the singletons);
 // per-column partitions are independent and are built in parallel, except
 // those already present in the shared store.
-func (e *Engine) firstLevel() []bitset.AttrSet {
+func (e *Engine) firstLevel() {
 	empty := bitset.AttrSet(0)
 	p0, ok := e.storeGet(empty)
 	if !ok {
 		p0 = partition.FromConstant(e.enc.NumRows())
 		e.storePut(empty, p0)
 	}
-	e.parts[0] = map[bitset.AttrSet]*partition.Partition{empty: p0}
-
-	level := make([]bitset.AttrSet, e.numAttrs)
-	partsArr := make([]*partition.Partition, e.numAttrs)
+	// Every singleton's one immediate subset is the empty set, node 0 of
+	// level 0, so subs stays all zero.
+	one := level{
+		sets:  make([]bitset.AttrSet, e.numAttrs),
+		parts: make([]*partition.Partition, e.numAttrs),
+		subs:  make([]int32, e.numAttrs),
+	}
 	miss := make([]int, 0, e.numAttrs)
-	for a := 0; a < e.numAttrs; a++ {
+	for a := range e.numAttrs {
 		x := bitset.NewAttrSet(a)
-		level[a] = x
+		one.sets[a] = x
 		if p, ok := e.storeGet(x); ok {
-			partsArr[a] = p
+			one.parts[a] = p
 		} else {
 			miss = append(miss, a)
 		}
 	}
 	e.parallelFor(len(miss), func(_, k int) {
 		a := miss[k]
-		partsArr[a] = partition.FromColumn(e.enc.Column(a), e.enc.Cardinality[a])
+		one.parts[a] = partition.FromColumn(e.enc.Column(a), e.enc.Cardinality[a])
 	})
-	e.parts[1] = make(map[bitset.AttrSet]*partition.Partition, e.numAttrs)
-	for a := 0; a < e.numAttrs; a++ {
-		e.parts[1][level[a]] = partsArr[a]
-	}
 	for _, a := range miss {
-		e.storePut(level[a], partsArr[a])
+		e.storePut(one.sets[a], one.parts[a])
 	}
-	return level
+	e.levels = []level{{sets: []bitset.AttrSet{empty}, parts: []*partition.Partition{p0}}, one}
 }
 
-// nextLevel is Algorithm 2 of the paper: it joins pairs of surviving nodes
-// that share all but one attribute (prefix blocks), keeps only candidates
-// whose every immediate subset survived, and derives the new nodes'
-// partitions. Join enumeration is sequential (cheap bit-set work); the
-// partition products — the dominant cost of level generation — run in
-// parallel, each worker reusing its own scratch buffer. The shared store is
-// probed store-first, during candidate enumeration itself: a hit skips the
-// product staging (no generator lookups, no join slot) entirely, so a warm
-// store reduces level generation to bit-set work plus map lookups.
-func (e *Engine) nextLevel(level []bitset.AttrSet, l int) []bitset.AttrSet {
-	if len(level) == 0 {
-		return nil
+// nextLevel is Algorithm 2 of the paper: it joins pairs of level l's
+// unpruned nodes that share all but their largest attribute (prefix blocks),
+// keeps only candidates whose every immediate subset survived, and derives
+// the new nodes' partitions. The two joined nodes are two of a candidate's
+// immediate subsets; the others come from one index over the survivors.
+// Nodes come out in prefix order (prefixes ascending as attribute sets,
+// members ascending within a block), which fixes where a node budget cuts a
+// level and the order of the store's probes and puts. Join enumeration is
+// sequential (cheap bit-set work); the partition products — the dominant
+// cost of level generation — run in parallel, each worker reusing its own
+// scratch. The shared store is probed during enumeration itself: a hit skips
+// the product, so a warm store reduces level generation to bit-set work.
+func (e *Engine) nextLevel(l int, pruned []bool) level {
+	cur := &e.levels[l]
+	type member struct {
+		prefix bitset.AttrSet
+		last   int
+		idx    int32
 	}
-	present := make(map[bitset.AttrSet]bool, len(level))
-	for _, x := range level {
-		present[x] = true
+	members := make([]member, 0, len(cur.sets))
+	index := make(map[bitset.AttrSet]int32, len(cur.sets))
+	for i, x := range cur.sets {
+		if pruned[i] {
+			continue
+		}
+		last := bits.Len64(uint64(x)) - 1
+		members = append(members, member{x.Remove(last), last, int32(i)})
+		index[x] = int32(i)
 	}
-	// Prefix blocks: nodes that agree on everything except their largest
-	// attribute. Sorting the block members keeps generation deterministic.
-	blocks := make(map[bitset.AttrSet][]int)
-	for _, x := range level {
-		attrs := x.Attrs()
-		last := attrs[len(attrs)-1]
-		prefix := x.Remove(last)
-		blocks[prefix] = append(blocks[prefix], last)
+	slices.SortFunc(members, func(p, q member) int {
+		if c := cmp.Compare(p.prefix, q.prefix); c != 0 {
+			return c
+		}
+		return cmp.Compare(p.last, q.last)
+	})
+	// A block of k members joins into at most k(k-1)/2 candidates: each
+	// member pairs with those before it in its block.
+	size, start := 0, 0
+	for i := range members {
+		if members[i].prefix != members[start].prefix {
+			start = i
+		}
+		size += i - start
 	}
-	prefixes := make([]bitset.AttrSet, 0, len(blocks))
-	for prefix := range blocks {
-		prefixes = append(prefixes, prefix)
-	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i] < prefixes[j] })
 
-	curParts := e.parts[l]
-	next := make([]bitset.AttrSet, 0)
-	partsArr := make([]*partition.Partition, 0)
-	type join struct{ left, right *partition.Partition }
-	// miss and joins run parallel to each other: joins[k] stages the product
-	// inputs for candidate index miss[k]. Store hits never occupy a slot.
-	miss := make([]int, 0)
-	joins := make([]join, 0)
-	for _, prefix := range prefixes {
-		members := blocks[prefix]
-		sort.Ints(members)
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				b, c := members[i], members[j]
-				x := prefix.Add(b).Add(c)
-				if !allSubsetsPresent(x, present) {
-					continue
-				}
-				if p, ok := e.storeGet(x); ok {
-					next = append(next, x)
-					partsArr = append(partsArr, p)
-					continue
-				}
-				miss = append(miss, len(next))
-				joins = append(joins, join{curParts[prefix.Add(b)], curParts[prefix.Add(c)]})
-				next = append(next, x)
-				partsArr = append(partsArr, nil)
+	width := l + 1 // immediate subsets per level-(l+1) node
+	next := level{
+		sets:  make([]bitset.AttrSet, 0, size),
+		parts: make([]*partition.Partition, 0, size),
+		subs:  make([]int32, 0, size*width),
+	}
+	// miss lists the candidates whose partition is a product to compute;
+	// store hits never occupy a slot.
+	miss := make([]int, 0, size)
+	for i, left := range members {
+	pairs:
+		for _, right := range members[i+1:] {
+			if right.prefix != left.prefix {
+				break // the block ends
 			}
+			x := left.prefix.Add(left.last).Add(right.last)
+			// Subsets in ascending order of the removed attribute: the
+			// prefix's attributes first, then X\B (right's node) and X\C
+			// (left's node), B < C being the joined attributes.
+			n := len(next.subs)
+			for v := uint64(left.prefix); v != 0; v &= v - 1 {
+				j, ok := index[x.Remove(bits.TrailingZeros64(v))]
+				if !ok {
+					next.subs = next.subs[:n] // a subset was pruned
+					continue pairs
+				}
+				next.subs = append(next.subs, j)
+			}
+			next.subs = append(next.subs, right.idx, left.idx)
+			p, ok := e.storeGet(x)
+			if !ok {
+				miss = append(miss, len(next.sets))
+			}
+			next.sets = append(next.sets, x)
+			next.parts = append(next.parts, p)
 		}
 	}
 
 	e.parallelFor(len(miss), func(wk, k int) {
 		i := miss[k]
-		x := next[i]
 		// A panic inside the product (an invariant violation, or an injected
 		// fault) is recorded with the node it was computing, so the recovered
 		// stack names the offending attribute set; the worker-level trap would
 		// only know the goroutine.
 		defer func() {
 			if rec := recover(); rec != nil {
-				e.recordPanic(rec, x, true)
+				e.recordPanic(rec, next.sets[i], true)
 			}
 		}()
 		faultinject.Hit(faultinject.PartitionProduct)
-		partsArr[i] = joins[k].left.ProductWith(joins[k].right, e.scratch[wk])
+		subs := next.subs[i*width : (i+1)*width]
+		next.parts[i] = cur.parts[subs[width-1]].ProductWith(cur.parts[subs[width-2]], e.scratch[wk])
 	})
 	for _, i := range miss {
-		e.storePut(next[i], partsArr[i])
+		e.storePut(next.sets[i], next.parts[i])
 	}
-	nextParts := make(map[bitset.AttrSet]*partition.Partition, len(next))
-	for i, x := range next {
-		nextParts[x] = partsArr[i]
-	}
-	e.parts[l+1] = nextParts
 	return next
-}
-
-func allSubsetsPresent(x bitset.AttrSet, present map[bitset.AttrSet]bool) bool {
-	ok := true
-	x.ForEach(func(a int) {
-		if ok && !present[x.Remove(a)] {
-			ok = false
-		}
-	})
-	return ok
 }

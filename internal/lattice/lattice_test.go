@@ -1,7 +1,9 @@
 package lattice
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -53,8 +55,8 @@ func TestStoreBoundToOneRelation(t *testing.T) {
 	}
 }
 
-// keepAll is a NodeVisit that keeps every node.
-func keepAll(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) { return nil, false }
+// keepAll is a stateless visit that keeps every node.
+func keepAll(int, Node, []struct{}) (struct{}, bool) { return struct{}{}, false }
 
 // TestRunEnumeratesFullLattice: a visit that keeps every node must see every
 // non-empty subset of the schema exactly once, at its level, with the
@@ -67,21 +69,22 @@ func TestRunEnumeratesFullLattice(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := make(map[bitset.AttrSet]int)
-	eng.RunNodes(nil, func(_, l int, x bitset.AttrSet, _ []any) (any, bool) {
+	RunNodes(eng, struct{}{}, func(_ int, n Node, _ []struct{}) (struct{}, bool) {
+		l, x := n.Level, n.X
 		if x.Len() != l {
 			t.Errorf("level %d contains node %v of size %d", l, x, x.Len())
 		}
 		seen[x]++
-		if eng.Partition(x) == nil {
+		if n.Partition() == nil {
 			t.Errorf("no partition for node %v at level %d", x, l)
 		}
 		// Immediate subsets must be resolvable for validation.
 		x.ForEach(func(a int) {
-			if eng.Partition(x.Remove(a)) == nil {
+			if n.Sub(a) == nil {
 				t.Errorf("no partition for subset %v of %v", x.Remove(a), x)
 			}
 		})
-		return nil, false
+		return struct{}{}, false
 	})
 	if want := (1 << cols) - 1; len(seen) != want {
 		t.Fatalf("visited %d distinct nodes, want %d", len(seen), want)
@@ -100,28 +103,108 @@ func TestRunEnumeratesFullLattice(t *testing.T) {
 	}
 }
 
-// TestRunPartitionsMatchDirectComputation: partitions handed out by the
-// engine must equal the ground-truth product of singleton partitions.
-func TestRunPartitionsMatchDirectComputation(t *testing.T) {
-	enc := encodeFlight(t, 200, 4)
-	eng, err := New(t.Context(), enc, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := func(x bitset.AttrSet) *partition.Partition {
+// directPartitions returns the ground truth the engine's partitions are
+// checked against: Π(X) as the product of the singleton partitions of X,
+// built straight from the columns. It is safe for concurrent use.
+func directPartitions(enc *relation.Encoded) func(x bitset.AttrSet) *partition.Partition {
+	var mu sync.Mutex
+	memo := make(map[bitset.AttrSet]*partition.Partition)
+	return func(x bitset.AttrSet) *partition.Partition {
+		mu.Lock()
+		defer mu.Unlock()
+		if p, ok := memo[x]; ok {
+			return p
+		}
 		p := partition.FromConstant(enc.NumRows())
 		x.ForEach(func(a int) {
 			p = partition.Product(p, partition.FromColumn(enc.Column(a), enc.Cardinality[a]))
 		})
+		memo[x] = p
 		return p
 	}
-	eng.RunNodes(nil, func(_, _ int, x bitset.AttrSet, _ []any) (any, bool) {
-		got, want := eng.Partition(x), direct(x)
-		if got.Error() != want.Error() || got.NumClasses() != want.NumClasses() || got.Size() != want.Size() {
-			t.Errorf("partition of %v = %v, want %v", x, got, want)
+}
+
+// samePartition reports whether two stripped partitions of one relation have
+// the same classes, whatever their class order: every row must carry the
+// same label, the smallest row of its class (-1 for a singleton).
+func samePartition(p, q *partition.Partition) bool {
+	label := func(p *partition.Partition) []int32 {
+		l := make([]int32, p.NumRows)
+		for i := range l {
+			l[i] = -1
 		}
-		return nil, false
+		p.ForEachClass(func(cls []int32) {
+			for _, row := range cls {
+				l[row] = cls[0]
+			}
+		})
+		return l
+	}
+	return p.NumRows == q.NumRows && slices.Equal(label(p), label(q))
+}
+
+// checkAccessors compares everything a visit can read through its Node —
+// Π(X), Π(X\A) for every A ∈ X and Π(X\{A,B}) for every pair in X — with
+// the direct partitions.
+func checkAccessors(t *testing.T, n Node, direct func(bitset.AttrSet) *partition.Partition) {
+	t.Helper()
+	x := n.X
+	if !samePartition(n.Partition(), direct(x)) {
+		t.Errorf("node %v: Partition() = %v, want %v", x, n.Partition(), direct(x))
+	}
+	x.ForEach(func(a int) {
+		if got, want := n.Sub(a), direct(x.Remove(a)); !samePartition(got, want) {
+			t.Errorf("node %v: Sub(%d) = %v, want %v", x, a, got, want)
+		}
+		x.ForEach(func(b int) {
+			if b == a {
+				return
+			}
+			if got, want := n.Sub2(a, b), direct(x.Remove(a).Remove(b)); !samePartition(got, want) {
+				t.Errorf("node %v: Sub2(%d, %d) = %v, want %v", x, a, b, got, want)
+			}
+		})
 	})
+}
+
+// TestRunPartitionsMatchDirectComputation: at every node, every partition a
+// visit can read through its Node must equal the ground-truth product of
+// singleton partitions, at every worker count, computed afresh or served by a
+// store an earlier run warmed up to level 2 (so deeper levels are products
+// over stored operands).
+func TestRunPartitionsMatchDirectComputation(t *testing.T) {
+	enc := encodeFlight(t, 200, 5)
+	direct := directPartitions(enc)
+	for _, warm := range []bool{false, true} {
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("warm=%v/w%d", warm, workers), func(t *testing.T) {
+				var store *PartitionStore
+				if warm {
+					store = NewPartitionStore(0)
+					pre, err := New(t.Context(), enc, Config{Workers: 1, MaxLevel: 2, Partitions: store})
+					if err != nil {
+						t.Fatal(err)
+					}
+					RunNodes(pre, struct{}{}, keepAll)
+				}
+				eng, err := New(t.Context(), enc, Config{Workers: workers, Partitions: store})
+				if err != nil {
+					t.Fatal(err)
+				}
+				RunNodes(eng, struct{}{}, func(_ int, n Node, _ []struct{}) (struct{}, bool) {
+					checkAccessors(t, n, direct)
+					return struct{}{}, false
+				})
+				st := eng.Stats()
+				if st.NodesVisited != 1<<5-1 {
+					t.Errorf("visited %d nodes, want the full lattice of %d", st.NodesVisited, 1<<5-1)
+				}
+				if warm && (st.PartitionHits == 0 || st.PartitionMisses == 0) {
+					t.Errorf("stats = %+v, want both store hits and misses", st)
+				}
+			})
+		}
+	}
 }
 
 // TestRunPruningStopsGeneration: nodes pruned by the visit callback must not
@@ -135,9 +218,10 @@ func TestRunPruningStopsGeneration(t *testing.T) {
 	}
 	dropped := bitset.NewAttrSet(0)
 	var visited []bitset.AttrSet
-	eng.RunNodes(nil, func(_, _ int, x bitset.AttrSet, _ []any) (any, bool) {
+	RunNodes(eng, struct{}{}, func(_ int, n Node, _ []struct{}) (struct{}, bool) {
+		x := n.X
 		visited = append(visited, x)
-		return nil, x == dropped
+		return struct{}{}, x == dropped
 	})
 	for _, x := range visited {
 		if x != dropped && x.Contains(0) && x.Len() > 1 {
@@ -157,9 +241,10 @@ func TestRunMaxLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxSeen := 0
-	eng.RunNodes(nil, func(_, l int, _ bitset.AttrSet, _ []any) (any, bool) {
+	RunNodes(eng, struct{}{}, func(_ int, n Node, _ []struct{}) (struct{}, bool) {
+		l := n.Level
 		maxSeen = max(maxSeen, l)
-		return nil, false
+		return struct{}{}, false
 	})
 	if maxSeen != 2 {
 		t.Errorf("deepest visited level = %d, want 2", maxSeen)
@@ -177,7 +262,7 @@ func TestRunOnLevelEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.RunNodes(nil, keepAll)
+	RunNodes(eng, struct{}{}, keepAll)
 	if len(ended) != 4 {
 		t.Fatalf("OnLevelEnd fired %d times, want 4", len(ended))
 	}
@@ -200,11 +285,12 @@ func TestWorkerInvariance(t *testing.T) {
 		}
 		var mu sync.Mutex
 		var visited []bitset.AttrSet
-		eng.RunNodes(nil, func(_, _ int, x bitset.AttrSet, _ []any) (any, bool) {
+		RunNodes(eng, struct{}{}, func(_ int, n Node, _ []struct{}) (struct{}, bool) {
+			x := n.X
 			mu.Lock()
 			visited = append(visited, x)
 			mu.Unlock()
-			return nil, false
+			return struct{}{}, false
 		})
 		// Levels are visited in order; within a level the visit order is up
 		// to the workers, so compare each level as a sorted set.
@@ -237,7 +323,7 @@ func TestRunMaxLevelSkipsFinalGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.RunNodes(nil, keepAll)
+	RunNodes(eng, struct{}{}, keepAll)
 	// Exactly the empty set, 5 singletons and C(5,2)=10 pairs get partitions.
 	if want := 1 + 5 + 10; store.Len() != want {
 		t.Errorf("store holds %d partitions after a MaxLevel=2 run, want %d", store.Len(), want)

@@ -76,7 +76,8 @@ func RunMinimal[T any](e *Engine, c Checks[T]) []Found[T] {
 		}
 		return false
 	}
-	e.RunNodes(nil, func(wk, _ int, x bitset.AttrSet, _ []any) (any, bool) {
+	RunNodes(e, struct{}{}, func(wk int, n Node, _ []struct{}) (struct{}, bool) {
+		x := n.X
 		attrs := x.Attrs()
 		var cands []Found[T]
 		mu.Lock()
@@ -105,11 +106,10 @@ func RunMinimal[T any](e *Engine, c Checks[T]) []Found[T] {
 		s := e.Scratch(wk)
 		for _, f := range cands {
 			var ok bool
-			p := e.Partition(f.OD.Context)
 			if f.OD.Kind == canonical.Constancy {
-				f.Value, ok = c.Constancy(p, f.OD.A, s)
+				f.Value, ok = c.Constancy(n.Sub(f.OD.A), f.OD.A, s)
 			} else {
-				f.Value, ok = c.OrderCompatible(p, f.OD.A, f.OD.B, f.Variant, s)
+				f.Value, ok = c.OrderCompatible(n.Sub2(f.OD.A, f.OD.B), f.OD.A, f.OD.B, f.Variant, s)
 			}
 			if ok {
 				held = append(held, f)
@@ -124,7 +124,7 @@ func RunMinimal[T any](e *Engine, c Checks[T]) []Found[T] {
 			found = append(found, held...)
 			mu.Unlock()
 		}
-		return nil, false
+		return struct{}{}, false
 	})
 	// Node completion order within a level is schedule-dependent; the total
 	// order makes the output identical at any worker count.

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/faultinject"
 	"repro/internal/leakcheck"
 )
@@ -77,11 +76,11 @@ func TestRunNodesVisitPanicContained(t *testing.T) {
 					t.Fatal(err)
 				}
 				var n atomic.Int64
-				eng.RunNodes(nil, func(_, _ int, x bitset.AttrSet, _ []any) (any, bool) {
+				RunNodes(eng, struct{}{}, func(_ int, _ Node, _ []struct{}) (struct{}, bool) {
 					if n.Add(1) == depth.after+1 {
 						panic("poisoned visit")
 					}
-					return nil, false
+					return struct{}{}, false
 				})
 				pe := assertContained(t, eng, true)
 				assertInterrupted(t, eng)
@@ -111,7 +110,7 @@ func TestRunVisitPanicContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.RunNodes(nil, keepAll)
+	RunNodes(eng, struct{}{}, keepAll)
 	assertContained(t, eng, false)
 	assertInterrupted(t, eng)
 }
@@ -158,7 +157,7 @@ func TestInjectedFaultsContained(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					eng.RunNodes(nil, keepAll)
+					RunNodes(eng, struct{}{}, keepAll)
 					if plan.Fired() == 0 {
 						t.Fatalf("%s never fired", point)
 					}
@@ -185,7 +184,7 @@ func TestInjectedStoreFaultsDegrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) { return nil, false })
+	RunNodes(clean, struct{}{}, keepAll)
 	want := clean.Stats().NodesVisited
 
 	for _, point := range []faultinject.Point{faultinject.StoreGet, faultinject.StoreEvict} {
@@ -200,7 +199,7 @@ func TestInjectedStoreFaultsDegrade(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) { return nil, false })
+			RunNodes(eng, struct{}{}, keepAll)
 			if plan.Fired() == 0 {
 				t.Fatalf("no %s faults fired", point)
 			}
@@ -229,7 +228,7 @@ func TestSchedulerSuiteLeaks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.RunNodes(nil, keepAll)
+		RunNodes(eng, struct{}{}, keepAll)
 		if err := eng.Err(); err != nil {
 			t.Fatal(err)
 		}

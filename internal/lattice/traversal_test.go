@@ -2,8 +2,10 @@ package lattice
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -58,11 +60,14 @@ func aprioriOracle(numAttrs int, root uint64, prune func(x uint64) bool) (levels
 
 // TestRunNodesSchedulerDifferential: RunNodes must visit exactly the nodes
 // the apriori oracle enumerates — same node set, same levels, same deps — at
-// every worker count, with and without pruning, and serve every visited
-// node's partition and those of its immediate subsets.
+// every worker count, with and without pruning, and serve through every
+// visited node the partitions of X, of its immediate subsets and of theirs,
+// with no store and with a store an earlier pruning run warmed (so some
+// nodes of one level are store hits and others products).
 func TestRunNodesSchedulerDifferential(t *testing.T) {
 	const cols = 6
 	enc := encodeFlight(t, 80, cols)
+	direct := directPartitions(enc)
 	rules := map[string]func(x uint64) bool{
 		"no-pruning": func(uint64) bool { return false },
 		// Every node holding attributes 0 and 1, plus one level-3 node, so
@@ -79,49 +84,123 @@ func TestRunNodesSchedulerDifferential(t *testing.T) {
 		for _, l := range wantLevels {
 			wantMax = max(wantMax, l)
 		}
-		for _, workers := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/w%d", name, workers), func(t *testing.T) {
-				eng, err := New(t.Context(), enc, Config{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var mu sync.Mutex
-				gotLevels := make(map[uint64]int)
-				gotDeps := make(map[uint64][]uint64)
-				eng.RunNodes(bitset.AttrSet(root), func(_, l int, x bitset.AttrSet, deps []any) (any, bool) {
-					d := make([]uint64, len(deps))
-					for k, r := range deps {
-						d[k] = uint64(r.(bitset.AttrSet))
-					}
-					if eng.Partition(x) == nil {
-						t.Errorf("node %v: no partition served", x)
-					}
-					x.ForEach(func(a int) {
-						if eng.Partition(x.Remove(a)) == nil {
-							t.Errorf("node %v: no partition for subset %v", x, x.Remove(a))
+		for _, warm := range []bool{false, true} {
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/warm=%v/w%d", name, warm, workers), func(t *testing.T) {
+					var store *PartitionStore
+					if warm {
+						store = NewPartitionStore(0)
+						pre, err := New(t.Context(), enc, Config{Workers: 1, Partitions: store})
+						if err != nil {
+							t.Fatal(err)
 						}
-					})
-					mu.Lock()
-					defer mu.Unlock()
-					if old, dup := gotLevels[uint64(x)]; dup {
-						t.Errorf("node %v visited twice (levels %d and %d)", x, old, l)
+						RunNodes(pre, struct{}{}, func(_ int, n Node, _ []struct{}) (struct{}, bool) {
+							return struct{}{}, rules["pruning"](uint64(n.X))
+						})
 					}
-					gotLevels[uint64(x)] = l
-					gotDeps[uint64(x)] = d
-					return x, prune(uint64(x))
+					eng, err := New(t.Context(), enc, Config{Workers: workers, Partitions: store})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var mu sync.Mutex
+					gotLevels := make(map[uint64]int)
+					gotDeps := make(map[uint64][]uint64)
+					RunNodes(eng, bitset.AttrSet(root), func(_ int, n Node, deps []bitset.AttrSet) (bitset.AttrSet, bool) {
+						l, x := n.Level, n.X
+						d := make([]uint64, len(deps))
+						for k, r := range deps {
+							d[k] = uint64(r)
+						}
+						checkAccessors(t, n, direct)
+						mu.Lock()
+						defer mu.Unlock()
+						if old, dup := gotLevels[uint64(x)]; dup {
+							t.Errorf("node %v visited twice (levels %d and %d)", x, old, l)
+						}
+						gotLevels[uint64(x)] = l
+						gotDeps[uint64(x)] = d
+						return x, prune(uint64(x))
+					})
+					if !reflect.DeepEqual(gotLevels, wantLevels) {
+						t.Errorf("visited %d nodes, oracle %d; node->level maps differ", len(gotLevels), len(wantLevels))
+					}
+					if !reflect.DeepEqual(gotDeps, wantDeps) {
+						t.Error("deps differ from the oracle's immediate subsets")
+					}
+					st := eng.Stats()
+					if st.NodesVisited != len(wantLevels) || st.MaxLevelReached != wantMax || st.Interrupted {
+						t.Errorf("stats = %+v, want %d nodes, max level %d, not interrupted", st, len(wantLevels), wantMax)
+					}
 				})
-				if !reflect.DeepEqual(gotLevels, wantLevels) {
-					t.Errorf("visited %d nodes, oracle %d; node->level maps differ", len(gotLevels), len(wantLevels))
-				}
-				if !reflect.DeepEqual(gotDeps, wantDeps) {
-					t.Error("deps differ from the oracle's immediate subsets")
-				}
-				st := eng.Stats()
-				if st.NodesVisited != len(wantLevels) || st.MaxLevelReached != wantMax || st.Interrupted {
-					t.Errorf("stats = %+v, want %d nodes, max level %d, not interrupted", st, len(wantLevels), wantMax)
-				}
-			})
+			}
 		}
+	}
+}
+
+// prefixOrderOracle lists, level by level, the nodes of the unpruned lattice
+// over numAttrs attributes in Algorithm 2's generation order: the singletons
+// ascending, then each level joined from the one before by prefix blocks.
+// A block gathers the nodes that agree on all but their largest attribute;
+// blocks go in ascending order of that shared prefix as an AttrSet, and
+// within a block every pair of largest attributes b < c is joined in
+// ascending (b, c) order.
+func prefixOrderOracle(numAttrs int) []bitset.AttrSet {
+	var level, all []bitset.AttrSet
+	for a := range numAttrs {
+		level = append(level, bitset.NewAttrSet(a))
+	}
+	for len(level) > 0 {
+		all = append(all, level...)
+		blocks := make(map[bitset.AttrSet][]int)
+		for _, x := range level {
+			attrs := x.Attrs()
+			last := attrs[len(attrs)-1]
+			blocks[x.Remove(last)] = append(blocks[x.Remove(last)], last)
+		}
+		var next []bitset.AttrSet
+		for _, prefix := range slices.Sorted(maps.Keys(blocks)) {
+			members := blocks[prefix]
+			slices.Sort(members)
+			for i, b := range members {
+				for _, c := range members[i+1:] {
+					next = append(next, prefix.Add(b).Add(c))
+				}
+			}
+		}
+		level = next
+	}
+	return all
+}
+
+// TestRunNodesPrefixOrder pins the order in which one worker visits the
+// nodes: the prefix-block order of Algorithm 2, which decides where a node
+// budget cuts a level and the order of the store's probes and puts. A budget
+// that cuts level 4 halfway visits exactly the order's first nodes.
+func TestRunNodesPrefixOrder(t *testing.T) {
+	const cols = 6
+	enc := encodeFlight(t, 80, cols)
+	want := prefixOrderOracle(cols)
+	// Levels 1-3 hold 6 + 15 + 20 nodes; level 4 holds 15.
+	const cut = 6 + 15 + 20 + 7
+	for _, budget := range []int{0, cut} {
+		t.Run(fmt.Sprintf("max%d", budget), func(t *testing.T) {
+			eng, err := New(t.Context(), enc, Config{Workers: 1, Budget: Budget{MaxNodes: budget}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []bitset.AttrSet
+			RunNodes(eng, struct{}{}, func(_ int, n Node, _ []struct{}) (struct{}, bool) {
+				got = append(got, n.X)
+				return struct{}{}, false
+			})
+			wantPrefix := want
+			if budget > 0 {
+				wantPrefix = want[:budget]
+			}
+			if !slices.Equal(got, wantPrefix) {
+				t.Errorf("visit order = %v, want %v", got, wantPrefix)
+			}
+		})
 	}
 }
 
@@ -143,7 +222,7 @@ func TestSchedulerSharedStoreStress(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			eng.RunNodes(nil, func(_, _ int, _ bitset.AttrSet, _ []any) (any, bool) { return nil, false })
+			RunNodes(eng, struct{}{}, keepAll)
 			results[i] = eng.Stats().NodesVisited
 		}(i)
 	}

@@ -60,8 +60,8 @@ func NewScratch() *Scratch { return &Scratch{} }
 // ProductWith computes Product(a, b) using s as scratch space, avoiding the
 // per-call probe-table and grouping allocations. A nil scratch is allowed and
 // makes the call equivalent to Product(a, b). The result is a freshly
-// allocated Partition with exact-size flat buffers that share nothing with
-// the scratch or the operands.
+// allocated Partition whose rows and offsets share one exact-size buffer and
+// nothing with the scratch or the operands.
 //
 // The class order of the result is deterministic: classes are emitted
 // right-operand-major — for each class of b in order, its subclasses in order
@@ -147,14 +147,12 @@ func (a *Partition) ProductWith(b *Partition, s *Scratch) *Partition {
 	for _, row := range a.rows {
 		s.probe[row] = -1
 	}
-	out := &Partition{
-		NumRows: a.NumRows,
-		rows:    make([]int32, len(s.outRows)),
-		offsets: make([]int32, len(s.outOffsets)),
-	}
-	copy(out.rows, s.outRows)
-	copy(out.offsets, s.outOffsets)
-	return out
+	// One exact-size buffer holds the rows and then the offsets. rows is
+	// capped at its length, so no class view can grow into the offsets.
+	buf := make([]int32, len(s.outRows)+len(s.outOffsets))
+	n := copy(buf, s.outRows)
+	copy(buf[n:], s.outOffsets)
+	return &Partition{NumRows: a.NumRows, rows: buf[:n:n], offsets: buf[n:]}
 }
 
 // extendInt32 grows s by n elements (contents of the new tail unspecified),

@@ -63,37 +63,33 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, cfg lattice.Con
 	res := &Result{}
 
 	// The per-node visit: derive C+(X) from the immediate-subset candidate
-	// sets in deps, validate X\A → A for A ∈ X ∩ C+(X) against the partition
-	// window, and prune nodes whose candidate set empties (no superset can
-	// yield a minimal FD). Discovered FDs are merged under a mutex at node
-	// completion — emission order is schedule-dependent, the final total-order
-	// sort restores determinism.
+	// sets in deps, validate X\A → A for A ∈ X ∩ C+(X) against the node's
+	// partitions, and prune nodes whose candidate set empties (no superset
+	// can yield a minimal FD). Discovered FDs are merged under a mutex at node
+	// completion — emission order is schedule-dependent, the final
+	// total-order sort restores determinism.
 	var mu sync.Mutex
-	root := all
-	eng.RunNodes(root, func(wk, l int, x bitset.AttrSet, deps []any) (any, bool) {
+	lattice.RunNodes(eng, all, func(_ int, n lattice.Node, deps []bitset.AttrSet) (bitset.AttrSet, bool) {
+		x := n.X
 		cc := all
-		var i int
-		x.ForEach(func(a int) {
-			cc = cc.Intersect(deps[i].(bitset.AttrSet))
-			i++
-		})
+		for _, d := range deps {
+			cc = cc.Intersect(d)
+		}
 		var found []FD
-		for _, a := range x.Intersect(cc).Attrs() {
-			ctx := x.Remove(a)
-			ctxPart := eng.Partition(ctx)
-			valid := ctxPart.IsSuperkey() || ctxPart.Error() == eng.Partition(x).Error()
-			if valid {
-				found = append(found, FD{LHS: ctx, RHS: a})
+		x.Intersect(cc).ForEach(func(a int) {
+			ctxPart := n.Sub(a)
+			if ctxPart.IsSuperkey() || ctxPart.Error() == n.Partition().Error() {
+				found = append(found, FD{LHS: x.Remove(a), RHS: a})
 				cc = cc.Remove(a)
 				cc = cc.Intersect(x)
 			}
-		}
+		})
 		if len(found) > 0 {
 			mu.Lock()
 			res.FDs = append(res.FDs, found...)
 			mu.Unlock()
 		}
-		return cc, l >= 2 && cc.IsEmpty()
+		return cc, n.Level >= 2 && cc.IsEmpty()
 	})
 	if err := eng.Err(); err != nil {
 		// A recovered worker panic: the FDs merged so far may be incoherent,
