@@ -117,11 +117,11 @@ type Dataset struct {
 	parts *lattice.PartitionStore
 	// version is this dataset's content-version stamp; see Version.
 	version atomic.Uint64
-	// specs caches per-OrderSpec re-encodings of this dataset (and their
-	// partition stores) in plain LRU order, keyed by canonical spec
-	// fingerprint; see ordering.go. Correctness never depends on it, only
-	// the cost of a repeat request does.
-	specs *lru.Cache[string, *specEncoding]
+	// specs caches per-OrderSpec re-encodings of this dataset in plain LRU
+	// order, keyed by canonical spec fingerprint; see ordering.go. They share
+	// parts, so correctness never depends on the cache, only the cost of a
+	// repeat request does.
+	specs *lru.Cache[string, *relation.Encoded]
 }
 
 // datasetVersions issues version stamps. One process-global counter (rather
@@ -193,7 +193,7 @@ func newDataset(rel *relation.Relation) (*Dataset, error) {
 // newView builds a dataset over an encoding of rel (all of it, or a Project
 // or HeadRows prefix), with a fresh version stamp and an empty spec cache.
 func newView(rel *relation.Relation, enc *relation.Encoded) *Dataset {
-	d := &Dataset{rel: rel, enc: enc, specs: lru.New[string, *specEncoding](defaultSpecEncodingBytes)}
+	d := &Dataset{rel: rel, enc: enc, specs: lru.New[string, *relation.Encoded](defaultSpecEncodingBytes)}
 	d.BumpVersion()
 	return d
 }
@@ -220,17 +220,18 @@ func (d *Dataset) ColumnIndex(name string) int { return d.enc.ColumnIndex(name) 
 // the scalability experiments.
 //
 // A view is a distinct relation instance, so it deliberately does NOT
-// inherit the parent's partition cache: a PartitionStore binds to exactly
-// one relation instance and fails loudly on reuse (see EnablePartitionCache),
-// and the parent's partitions would be wrong for the view anyway. Call
-// EnablePartitionCache on the view itself to cache its partitions.
+// inherit the parent's partition cache: a PartitionStore binds to one
+// default encoding and its re-encodings and fails loudly on any other (see
+// EnablePartitionCache), and the parent's partitions would be wrong for the
+// view anyway. Call EnablePartitionCache on the view itself; its spec runs
+// then share that store, with signatures against the view's cardinalities.
 func (d *Dataset) Project(k int) *Dataset {
 	return newView(d.rel, d.enc.ProjectColumns(k))
 }
 
 // HeadRows returns a dataset restricted to the first n tuples. Like Project,
-// the view does not inherit the parent's partition cache (stores bind to one
-// relation instance); enable one on the view if needed.
+// the view does not inherit the parent's partition cache (a store binds to
+// one default encoding and its re-encodings); enable one on the view.
 func (d *Dataset) HeadRows(n int) *Dataset {
 	return newView(d.rel, d.enc.HeadRows(n))
 }
@@ -245,12 +246,14 @@ func (d *Dataset) HeadRows(n int) *Dataset {
 // beyond it partitions are evicted deepest-attribute-set-level first (then
 // least recently used within a level), because shallow partitions are
 // exponentially more reusable than deep ones. Runs under a non-default
-// Request.OrderSpecs use one store per spec encoding with the same bound,
-// whether the spec was encoded before or after this call. The first call
-// wins: once the dataset carries a store, later calls return it unchanged
-// and their maxCost is ignored. The store is returned so callers can
-// inspect its Stats. Discovery output is identical with and without the
-// cache.
+// Request.OrderSpecs share this one store, whether the spec was encoded
+// before or after this call: a partition records only which rows agree, so
+// it is filed under its attribute set plus its encoding's equality
+// signature, and a spec that merges no values reads the default spec's
+// partitions. The first call wins: once the dataset carries a store, later
+// calls return it unchanged and their maxCost is ignored. The store is
+// returned so callers can inspect its Stats. Discovery output is identical
+// with and without the cache.
 func (d *Dataset) EnablePartitionCache(maxCost int) *PartitionStore {
 	if d.parts == nil {
 		d.parts = lattice.NewPartitionStore(maxCost)

@@ -43,10 +43,10 @@ type ProgressEvent struct {
 	// NodesVisited is the cumulative number of nodes visited so far.
 	NodesVisited int
 	// PartitionsCached is the number of stripped partitions currently
-	// retained: the shared store's size when one is configured, otherwise
-	// those of the levels the run keeps (after a complete level l: levels
-	// l-1, l and the generated l+1). Zero for algorithms that do not use
-	// partitions (ORDER).
+	// retained: the shared store's size when one is configured (under any
+	// order spec, the dataset's one store), otherwise those of the levels
+	// the run keeps (after a complete level l: levels l-1, l and the
+	// generated l+1). Zero for algorithms that do not use partitions (ORDER).
 	PartitionsCached int
 	// Elapsed is the wall-clock time since the run started.
 	Elapsed time.Duration

@@ -67,7 +67,8 @@ type Config struct {
 	// Partitions, when non-nil, is consulted before any stripped partition is
 	// computed and receives every partition the run derives, so partitions are
 	// reused across runs that share the store. It must only ever be shared
-	// between runs over the same relation instance. Nil disables cross-run
+	// between runs over one default encoding and its re-encodings, whose
+	// partitions it files by equality signature. Nil disables cross-run
 	// caching; a run still keeps the partitions of the three levels a visit
 	// reads (the node's, its subsets' and theirs) in its level slices.
 	Partitions *PartitionStore
@@ -456,14 +457,14 @@ func visitLevel[S any](e *Engine, l int, prev []S, deps [][]S, visit func(int, N
 // the signals.
 func (e *Engine) stopped() bool { return e.stop.Load() }
 
-// storeGet consults the shared store, counting hits and misses. New has
-// bound the store to this engine's relation, so a stored partition is always
-// the right one.
+// storeGet consults the shared store under the relation's equality signature,
+// counting hits and misses. New has bound the store to this engine's relation
+// (or its Base), so a stored partition is always the right one.
 func (e *Engine) storeGet(x bitset.AttrSet) (*partition.Partition, bool) {
 	if e.store == nil {
 		return nil, false
 	}
-	p, ok := e.store.Get(x)
+	p, ok := e.store.Get(x, e.enc.Equality)
 	if ok {
 		e.stats.PartitionHits++
 	} else {
@@ -474,7 +475,7 @@ func (e *Engine) storeGet(x bitset.AttrSet) (*partition.Partition, bool) {
 
 func (e *Engine) storePut(x bitset.AttrSet, p *partition.Partition) {
 	if e.store != nil {
-		e.store.Put(x, p)
+		e.store.Put(x, e.enc.Equality, p)
 	}
 }
 

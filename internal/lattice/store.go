@@ -16,11 +16,13 @@ import (
 // partition.FootprintBytes).
 const DefaultStoreCost = 16 << 20
 
-// PartitionStore memoizes stripped partitions keyed by attribute set, so they
-// are computed once and reused across discovery runs: the pruned and
-// un-pruned FASTOD passes of one experiment, repeated runs on the same
-// dataset (e.g. behind the advisor), or different algorithms (FASTOD, TANE,
-// approximate, bidirectional) profiling the same relation.
+// PartitionStore memoizes stripped partitions keyed by attribute set and
+// equality signature (relation.Encoded.Equality), so they are computed once
+// and reused across discovery runs: the pruned and un-pruned FASTOD passes
+// of one experiment, repeated runs on the same dataset (e.g. behind the
+// advisor), different algorithms profiling the same relation, or runs under
+// order specs with one signature (every spec that merges no values has the
+// default's). Classes keep the computing encoding's order; no reader cares.
 //
 // The store is bounded: every entry is charged the exact byte size of its
 // flat class data (rows arena + offsets index), and entries are evicted once
@@ -36,22 +38,30 @@ const DefaultStoreCost = 16 << 20
 // therefore go only when nothing deeper is left. Within one level the
 // policy degenerates to plain LRU.
 //
-// A store belongs to one relation instance: the first engine run binds it to
-// its *relation.Encoded, and building an engine over a different relation
-// with the same store fails loudly rather than silently serving the wrong
-// partitions. (As a second line of defense for direct Put callers, the row
-// count is also pinned and mismatching puts are dropped.) Partitions handed
-// out are shared between callers and goroutines; this is safe because
-// partitions are immutable after construction — the flat arena is never
-// written again, and Class hands out read-only views (see the package
-// partition docs for the contract).
+// A store belongs to one default encoding and its re-encodings: the first
+// engine run binds it to its *relation.Encoded (a re-encoding's Base), and
+// building an engine over any other relation with the same store fails
+// loudly rather than silently serving the wrong partitions. (As a second
+// line of defense for direct Put callers, the row count is also pinned and
+// mismatching puts are dropped.) Partitions handed out are shared between
+// callers and goroutines; this is safe because partitions are immutable
+// after construction — the flat arena is never written again, and Class
+// hands out read-only views (see the package partition docs for the
+// contract).
 //
 // All methods are safe for concurrent use.
 type PartitionStore struct {
 	mu    sync.Mutex
 	owner *relation.Encoded // pinned by the first engine bind; nil before
 	rows  int               // pinned by the first Put; -1 before
-	cache *lru.Cache[bitset.AttrSet, *partition.Partition]
+	cache *lru.Cache[storeKey, *partition.Partition]
+}
+
+// storeKey files a partition under its attribute set and its encoding's
+// equality signature.
+type storeKey struct {
+	x  bitset.AttrSet
+	eq string
 }
 
 // StoreStats describes a store's accounting at one point in time; Cost is
@@ -64,13 +74,17 @@ func NewPartitionStore(maxCost int) *PartitionStore {
 	if maxCost <= 0 {
 		maxCost = DefaultStoreCost
 	}
-	return &PartitionStore{rows: -1, cache: lru.New[bitset.AttrSet, *partition.Partition](maxCost)}
+	return &PartitionStore{rows: -1, cache: lru.New[storeKey, *partition.Partition](maxCost)}
 }
 
-// bind pins the store to one relation instance. The first bind wins;
-// binding to a different relation is an error, which engines surface from
-// New so misuse fails before any wrong partition can be served.
+// bind pins the store to one default encoding: enc itself, or its Base when
+// enc re-encodes one. The first bind wins; binding to a different relation
+// is an error, which engines surface from New so misuse fails before any
+// wrong partition can be served.
 func (s *PartitionStore) bind(enc *relation.Encoded) error {
+	if enc.Base != nil {
+		enc = enc.Base
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.owner == nil {
@@ -78,24 +92,25 @@ func (s *PartitionStore) bind(enc *relation.Encoded) error {
 		return nil
 	}
 	if s.owner != enc {
-		return fmt.Errorf("lattice: partition store is bound to a different relation (a store must only be shared between runs over the same relation instance)")
+		return fmt.Errorf("lattice: partition store is bound to a different relation (a store must only be shared between runs over one default encoding and its re-encodings)")
 	}
 	return nil
 }
 
-// Get returns the memoized partition for an attribute set, refreshing its
-// recency within its level.
-func (s *PartitionStore) Get(x bitset.AttrSet) (*partition.Partition, bool) {
-	return s.cache.Get(x)
+// Get returns the memoized partition for an attribute set under an
+// equality signature, refreshing its recency within its level.
+func (s *PartitionStore) Get(x bitset.AttrSet, eq string) (*partition.Partition, bool) {
+	return s.cache.Get(storeKey{x, eq})
 }
 
-// Put memoizes a partition, charged its exact flat footprint (even an empty
-// superkey partition carries its offsets sentinel, so every entry has
-// positive weight). Puts for a different relation (row-count mismatch with
-// the pinned one) and partitions larger than the whole bound are dropped;
-// otherwise entries are evicted — deepest level first, LRU within a level —
-// until the new entry fits.
-func (s *PartitionStore) Put(x bitset.AttrSet, p *partition.Partition) {
+// Put memoizes a partition under an attribute set and equality signature,
+// charged its exact flat footprint (even an empty superkey partition
+// carries its offsets sentinel, so every entry has positive weight). Puts
+// for a different relation (row-count mismatch with the pinned one) and
+// partitions larger than the whole bound are dropped; otherwise entries are
+// evicted — deepest level first, LRU within a level — until the new entry
+// fits.
+func (s *PartitionStore) Put(x bitset.AttrSet, eq string, p *partition.Partition) {
 	if p == nil {
 		return
 	}
@@ -106,7 +121,7 @@ func (s *PartitionStore) Put(x bitset.AttrSet, p *partition.Partition) {
 	same := s.rows == p.NumRows
 	s.mu.Unlock()
 	if same {
-		s.cache.Add(x, p, p.FootprintBytes(), x.Len())
+		s.cache.Add(storeKey{x, eq}, p, p.FootprintBytes(), x.Len())
 	}
 }
 

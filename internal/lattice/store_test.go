@@ -20,12 +20,12 @@ const colPartitionCost = 4 * (10 + 2)
 func TestStoreHitMissAccounting(t *testing.T) {
 	s := NewPartitionStore(0)
 	x := bitset.NewAttrSet(0)
-	if _, ok := s.Get(x); ok {
+	if _, ok := s.Get(x, ""); ok {
 		t.Fatal("Get on empty store must miss")
 	}
 	p := colPartition(10)
-	s.Put(x, p)
-	got, ok := s.Get(x)
+	s.Put(x, "", p)
+	got, ok := s.Get(x, "")
 	if !ok || got != p {
 		t.Fatalf("Get after Put = (%v, %v), want the stored partition", got, ok)
 	}
@@ -79,7 +79,7 @@ func TestStoreBoundEvicts(t *testing.T) {
 	for a := 0; a < 6; a++ {
 		x := bitset.NewAttrSet(a)
 		keys = append(keys, x)
-		s.Put(x, colPartition(10))
+		s.Put(x, "", colPartition(10))
 	}
 	st := s.Stats()
 	if st.Entries > 3 {
@@ -93,12 +93,12 @@ func TestStoreBoundEvicts(t *testing.T) {
 	}
 	// LRU order: the oldest keys were evicted, the newest survive.
 	for _, x := range keys[:3] {
-		if _, ok := s.Get(x); ok {
+		if _, ok := s.Get(x, ""); ok {
 			t.Errorf("key %v should have been evicted", x)
 		}
 	}
 	for _, x := range keys[3:] {
-		if _, ok := s.Get(x); !ok {
+		if _, ok := s.Get(x, ""); !ok {
 			t.Errorf("key %v should have survived", x)
 		}
 	}
@@ -107,22 +107,22 @@ func TestStoreBoundEvicts(t *testing.T) {
 func TestStoreLRURefreshOnGet(t *testing.T) {
 	s := NewPartitionStore(3*colPartitionCost + 5) // three 48-byte entries fit
 	a, b, c, d := bitset.NewAttrSet(0), bitset.NewAttrSet(1), bitset.NewAttrSet(2), bitset.NewAttrSet(3)
-	s.Put(a, colPartition(10))
-	s.Put(b, colPartition(10))
-	s.Put(c, colPartition(10))
-	s.Get(a) // refresh a; b becomes the eviction candidate
-	s.Put(d, colPartition(10))
-	if _, ok := s.Get(b); ok {
+	s.Put(a, "", colPartition(10))
+	s.Put(b, "", colPartition(10))
+	s.Put(c, "", colPartition(10))
+	s.Get(a, "") // refresh a; b becomes the eviction candidate
+	s.Put(d, "", colPartition(10))
+	if _, ok := s.Get(b, ""); ok {
 		t.Error("b should have been evicted as least recently used")
 	}
-	if _, ok := s.Get(a); !ok {
+	if _, ok := s.Get(a, ""); !ok {
 		t.Error("a was refreshed and should have survived")
 	}
 }
 
 func TestStoreOversizedEntryRejected(t *testing.T) {
 	s := NewPartitionStore(5)
-	s.Put(bitset.NewAttrSet(0), colPartition(100)) // cost 408 bytes > bound 5
+	s.Put(bitset.NewAttrSet(0), "", colPartition(100)) // cost 408 bytes > bound 5
 	if s.Len() != 0 {
 		t.Errorf("oversized entry stored; len = %d", s.Len())
 	}
@@ -138,17 +138,17 @@ func TestStoreLevelWeightedEviction(t *testing.T) {
 	l1b := bitset.NewAttrSet(1)
 	d1 := bitset.NewAttrSet(0, 1, 2) // level 3
 	d2 := bitset.NewAttrSet(0, 1, 3)
-	s.Put(l1a, colPartition(10))
-	s.Put(l1b, colPartition(10))
-	s.Put(d1, colPartition(10))
+	s.Put(l1a, "", colPartition(10))
+	s.Put(l1b, "", colPartition(10))
+	s.Put(d1, "", colPartition(10))
 	// The store is full. The singletons are the oldest entries, but inserting
 	// another deep partition must evict the deep d1, not the stale singletons.
-	s.Put(d2, colPartition(10))
-	if _, ok := s.Get(d1); ok {
+	s.Put(d2, "", colPartition(10))
+	if _, ok := s.Get(d1, ""); ok {
 		t.Error("deep entry d1 should have been evicted (deepest level first)")
 	}
 	for _, x := range []bitset.AttrSet{l1a, l1b, d2} {
-		if _, ok := s.Get(x); !ok {
+		if _, ok := s.Get(x, ""); !ok {
 			t.Errorf("entry %v should have survived the deep eviction", x)
 		}
 	}
@@ -158,18 +158,18 @@ func TestStoreLevelWeightedEviction(t *testing.T) {
 	// add a level-2 entry first to check cross-level ordering: the level-3
 	// entry is evicted before the level-2 one regardless of recency.
 	l2 := bitset.NewAttrSet(2, 3)
-	s.Put(l2, colPartition(10)) // store full again: l1a, l1b, d2, l2 minus evictions
-	if _, ok := s.Get(d2); ok {
+	s.Put(l2, "", colPartition(10)) // store full again: l1a, l1b, d2, l2 minus evictions
+	if _, ok := s.Get(d2, ""); ok {
 		t.Error("level-3 entry should have been evicted before the level-2 entry")
 	}
-	if _, ok := s.Get(l2); !ok {
+	if _, ok := s.Get(l2, ""); !ok {
 		t.Error("level-2 entry should have survived while a level-3 entry existed")
 	}
 
 	// Pinned seed levels go only as a last resort, in LRU order.
 	l1c := bitset.NewAttrSet(3)
-	s.Put(l1c, colPartition(10)) // only l1a, l1b, l2 remain as victims: l2 is deepest
-	if _, ok := s.Get(l2); ok {
+	s.Put(l1c, "", colPartition(10)) // only l1a, l1b, l2 remain as victims: l2 is deepest
+	if _, ok := s.Get(l2, ""); ok {
 		t.Error("level-2 entry should have been evicted before any pinned singleton")
 	}
 	st := s.Stats()
@@ -180,9 +180,9 @@ func TestStoreLevelWeightedEviction(t *testing.T) {
 
 func TestStoreRowMismatchRejected(t *testing.T) {
 	s := NewPartitionStore(0)
-	s.Put(bitset.NewAttrSet(0), colPartition(10)) // pins rows=10
-	s.Put(bitset.NewAttrSet(1), colPartition(20)) // different relation: dropped
-	if _, ok := s.Get(bitset.NewAttrSet(1)); ok {
+	s.Put(bitset.NewAttrSet(0), "", colPartition(10)) // pins rows=10
+	s.Put(bitset.NewAttrSet(1), "", colPartition(20)) // different relation: dropped
+	if _, ok := s.Get(bitset.NewAttrSet(1), ""); ok {
 		t.Error("partition with mismatched row count must not be stored")
 	}
 	if s.Len() != 1 {

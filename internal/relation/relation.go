@@ -211,7 +211,14 @@ type Encoded struct {
 	Values [][]int32
 	// Cardinality[col] is the number of distinct values in attribute col.
 	Cardinality []int
-	rows        int
+	// Base is the default encoding an order-spec re-encoding was made from
+	// (nil for a default encoding), and Equality its equality signature
+	// against Base: empty when every column keeps its base cardinality, and
+	// so its classes, else the merged columns with their collations. Equal
+	// signatures mean equal partitions, so a store bound to Base serves both.
+	Base     *Encoded
+	Equality string
+	rows     int
 }
 
 // NumRows returns the number of tuples in the encoded relation.

@@ -5,9 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
-	"repro/internal/lattice"
 	"repro/internal/odparse"
 	"repro/internal/relation"
 )
@@ -18,7 +16,9 @@ import (
 // dataset's bounded cache of per-spec re-encodings. The flow is one-way:
 // named AttrOrders are canonicalized, fingerprinted, compiled onto the
 // dataset's columns as a relation.OrderSpec, and encoded away — every
-// discovery algorithm runs on the resulting plain ranks.
+// discovery algorithm runs on the resulting plain ranks. Ranks change, the
+// partitions do not: every run shares the dataset's one partition store,
+// filed by equality signature (see SpecEncoded).
 
 // OrderDirection is the per-attribute sort direction of an order spec, and
 // the direction of a DirectedColumn in CheckBidirListOD.
@@ -176,56 +176,15 @@ func orderSpecKey(orders []AttrOrder) string {
 // enough for a handful of specs on mid-size relations, small enough that a
 // spec-per-request adversary cannot hold the heap hostage (entries beyond the
 // bound evict LRU; oversized single encodings are served but never retained).
-// It charges rank arrays only (see encodedCost); each resident encoding's
-// partition store is bounded on its own.
+// It charges rank arrays only (see encodedCost). Partitions are not charged
+// here: every re-encoding reads and fills the dataset's one partition store.
 const defaultSpecEncodingBytes = 64 << 20
 
-// specEncoding is one cached re-encoding of a dataset under a non-default
-// order spec, with the partition store bound to it. The store is created on
-// the first run after the dataset enables its own (see specParts).
-type specEncoding struct {
-	enc   *relation.Encoded
-	parts atomic.Pointer[lattice.PartitionStore]
-}
-
-// encodingFor resolves the rank encoding and partition store a validated
-// request runs on. Default spec: the dataset's own encoding and store.
-// Non-default spec: a per-spec re-encoding from the cache (encoded on miss),
-// with its own store — never the dataset's, which is bound to the default
-// encoding.
-func (d *Dataset) encodingFor(req Request) (*relation.Encoded, *lattice.PartitionStore, error) {
-	orders := canonicalAttrOrders(req.OrderSpecs)
-	if len(orders) == 0 {
-		return d.enc, d.parts, nil
-	}
-	se, err := d.specEncoding(orders)
-	if err != nil {
-		return nil, nil, err
-	}
-	return se.enc, d.specParts(se), nil
-}
-
-// specParts returns the partition store of a spec encoding: nil while the
-// dataset caches no partitions, otherwise a store with the dataset store's
-// bound, created on first use. Creating it here rather than at encode time
-// means a spec encoded before EnablePartitionCache still gets one.
-func (d *Dataset) specParts(se *specEncoding) *lattice.PartitionStore {
-	if d.parts == nil {
-		return nil
-	}
-	if p := se.parts.Load(); p != nil {
-		return p
-	}
-	// Concurrent first runs race to install a store; the loser's is dropped
-	// unused, so every run on the encoding shares the winner's.
-	se.parts.CompareAndSwap(nil, lattice.NewPartitionStore(d.parts.Stats().MaxCost))
-	return se.parts.Load()
-}
-
 // SpecEncoded returns the dataset re-encoded under the given (non-canonical
-// is fine) order overrides, from the cache when warm. It is how spec-aware
-// single-statement checks (CheckStatement) and tests reach the same encoding
-// Run would use.
+// is fine) order overrides, from the cache when warm: the encoding Run uses
+// for Request.OrderSpecs, and spec-aware single-statement checks
+// (CheckStatement) too. Fully-default overrides return the dataset's own
+// encoding.
 func (d *Dataset) SpecEncoded(orders []AttrOrder) (*relation.Encoded, error) {
 	canon := canonicalAttrOrders(orders)
 	if len(canon) == 0 {
@@ -234,23 +193,13 @@ func (d *Dataset) SpecEncoded(orders []AttrOrder) (*relation.Encoded, error) {
 	if err := validateAttrOrders(canon); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
-	se, err := d.specEncoding(canon)
-	if err != nil {
-		return nil, err
-	}
-	return se.enc, nil
-}
-
-// specEncoding returns the cached re-encoding for canonical orders, encoding
-// on miss. orders must be canonical (non-empty, validated, sorted).
-func (d *Dataset) specEncoding(orders []AttrOrder) (*specEncoding, error) {
-	key := orderSpecKey(orders)
-	if se, ok := d.specs.Get(key); ok {
-		return se, nil
+	key := orderSpecKey(canon)
+	if enc, ok := d.specs.Get(key); ok {
+		return enc, nil
 	}
 	// Encode outside every lock: re-encoding is O(rows·cols·log) and must not
 	// serialize concurrent runs under different specs.
-	spec, err := d.relationSpec(orders)
+	spec, err := d.relationSpec(canon)
 	if err != nil {
 		return nil, err
 	}
@@ -258,12 +207,21 @@ func (d *Dataset) specEncoding(orders []AttrOrder) (*specEncoding, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
+	// Raw-equal values share a rank under every spec, so a column's classes
+	// change exactly when its cardinality does; only the collation decides
+	// which values merge, never the direction or NULL placement.
+	var eq strings.Builder
+	for i, co := range spec {
+		if enc.Cardinality[i] != d.enc.Cardinality[i] {
+			fmt.Fprintf(&eq, "%d:%d;", i, co.Collation)
+		}
+	}
+	enc.Base, enc.Equality = d.enc, eq.String()
 	// A run that lost the encode race takes the resident entry, so every
-	// caller shares one instance (and one partition store). An encoding that
-	// alone busts the bound is served uncached; the caller holds the only
-	// reference.
-	se, _ := d.specs.Add(key, &specEncoding{enc: enc}, encodedCost(enc), 0)
-	return se, nil
+	// caller shares one instance. An encoding that alone busts the bound is
+	// served uncached; the caller holds the only reference.
+	enc, _ = d.specs.Add(key, enc, encodedCost(enc), 0)
+	return enc, nil
 }
 
 // SpecEncodingCacheStats reports the spec re-encoding cache's accounting:

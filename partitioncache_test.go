@@ -1,7 +1,9 @@
 package fastod_test
 
 import (
+	"maps"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -86,58 +88,87 @@ func TestEnablePartitionCacheSharedAcrossAlgorithms(t *testing.T) {
 	}
 }
 
-// TestSpecStoresFollowDatasetCache: a non-default order spec's encoding gets
-// a partition store exactly when the dataset has one, with the dataset
-// store's bound, however early the spec was first encoded.
-func TestSpecStoresFollowDatasetCache(t *testing.T) {
-	desc := []fastod.AttrOrder{{Column: "flight_sk", Direction: fastod.OrderDesc}}
-	defaultReq := fastod.Request{RunOptions: fastod.RunOptions{Workers: 1}}
-	specReq := fastod.Request{RunOptions: fastod.RunOptions{Workers: 1, OrderSpecs: desc}}
-	// secondRun runs req twice and returns the second run's counters.
-	secondRun := func(t *testing.T, ds *fastod.Dataset, req fastod.Request) fastod.RunStats {
+// TestFirstSpecRunOnWarmStore: every order spec reads the dataset's one
+// partition store. Once a default run has filled it with the whole lattice,
+// the first run of each lattice algorithm under a spec that merges no values
+// computes nothing and adds no entry, however early the spec was encoded. A
+// spec that merges values files its partitions apart: its first run misses,
+// its second does not.
+func TestFirstSpecRunOnWarmStore(t *testing.T) {
+	fill := fastod.Request{
+		RunOptions: fastod.RunOptions{Workers: 1},
+		FASTOD:     fastod.FASTODRunOptions{DisablePruning: true, CountOnly: true},
+	}
+	requests := map[string]fastod.Request{
+		"fastod":      {},
+		"tane":        {Algorithm: fastod.AlgorithmTANE},
+		"approx":      {Algorithm: fastod.AlgorithmApprox, Approx: fastod.ApproxRunOptions{Threshold: 0.05}},
+		"bidir":       {Algorithm: fastod.AlgorithmBidirectional},
+		"conditional": {Algorithm: fastod.AlgorithmConditional},
+	}
+	run := func(t *testing.T, ds *fastod.Dataset, req fastod.Request) fastod.RunStats {
 		t.Helper()
-		var rep *fastod.Report
-		for range 2 {
-			var err error
-			if rep, err = ds.Run(t.Context(), req); err != nil {
-				t.Fatal(err)
-			}
+		rep, err := ds.Run(t.Context(), req)
+		if err != nil {
+			t.Fatal(err)
 		}
 		return rep.Stats
 	}
-	// Stripped partitions depend only on equality, so a direction-only spec
-	// looks up and computes exactly the default spec's partitions: with equal
-	// store bounds, its second run must hit and miss exactly as often.
-	compare := func(t *testing.T, ds *fastod.Dataset) {
+	// warm enables the dataset's store and fills it with every partition of
+	// the default lattice; it returns the store and its entry count.
+	warm := func(t *testing.T, ds *fastod.Dataset) (*fastod.PartitionStore, int) {
 		t.Helper()
-		def := secondRun(t, ds, defaultReq)
-		spec := secondRun(t, ds, specReq)
-		if spec.PartitionHits != def.PartitionHits || spec.PartitionMisses != def.PartitionMisses {
-			t.Errorf("second run under %v: %d hits, %d misses; default spec: %d hits, %d misses",
-				desc, spec.PartitionHits, spec.PartitionMisses, def.PartitionHits, def.PartitionMisses)
+		store := ds.EnablePartitionCache(0)
+		run(t, ds, fill)
+		if want := 1 << ds.NumCols(); store.Len() != want {
+			t.Fatalf("the filling run left %d entries, want the whole lattice's %d", store.Len(), want)
 		}
-		if def.PartitionHits == 0 {
-			t.Error("default spec's second run recorded no hits")
+		return store, store.Len()
+	}
+	desc := []fastod.AttrOrder{{Column: "flight_sk", Direction: fastod.OrderDesc}}
+	firstRuns := func(t *testing.T, ds *fastod.Dataset) {
+		t.Helper()
+		store, entries := warm(t, ds)
+		for _, name := range slices.Sorted(maps.Keys(requests)) {
+			req := requests[name]
+			req.Workers = 1
+			req.OrderSpecs = desc
+			st := run(t, ds, req)
+			if st.PartitionMisses != 0 || st.PartitionHits == 0 {
+				t.Errorf("%s: first run under %v recorded %d hits and %d misses, want hits and no miss", name, desc, st.PartitionHits, st.PartitionMisses)
+			}
+			if store.Len() != entries {
+				t.Errorf("%s: first run under %v took the store from %d to %d entries", name, desc, entries, store.Len())
+			}
 		}
 	}
 
-	t.Run("bound", func(t *testing.T) {
-		ds := fastod.SyntheticFlight(2000, 8, 7)
-		ds.EnablePartitionCache(1 << 10)
-		compare(t, ds)
+	t.Run("non-merging spec", func(t *testing.T) {
+		firstRuns(t, fastod.SyntheticFlight(2000, 8, 7))
 	})
 	t.Run("enabled after encoding", func(t *testing.T) {
 		ds := fastod.SyntheticFlight(2000, 8, 7)
 		if _, err := ds.SpecEncoded(desc); err != nil {
 			t.Fatal(err)
 		}
-		ds.EnablePartitionCache(0)
-		compare(t, ds)
+		firstRuns(t, ds)
+	})
+	t.Run("merging spec", func(t *testing.T) {
+		ds := fastod.SyntheticMessy(2000, 8, 0.2, 7)
+		warm(t, ds)
+		req := fastod.Request{RunOptions: fastod.RunOptions{Workers: 1,
+			OrderSpecs: []fastod.AttrOrder{{Column: "m2_str", Collation: fastod.CollateCaseInsen}}}}
+		if st := run(t, ds, req); st.PartitionMisses == 0 {
+			t.Errorf("first run under a merging spec recorded no misses (%d hits)", st.PartitionHits)
+		}
+		if st := run(t, ds, req); st.PartitionMisses != 0 || st.PartitionHits == 0 {
+			t.Errorf("second run under a merging spec recorded %d hits and %d misses, want hits and no miss", st.PartitionHits, st.PartitionMisses)
+		}
 	})
 }
 
 // TestConcurrentFirstSpecRun: runs that race to encode the same new order
-// spec end up on one resident encoding with one partition store. Half the
+// spec end up on one resident encoding, sharing the dataset's store. Half the
 // goroutines ask for the encoding before running, half after, so both
 // SpecEncoded and Run meet the encode race; every caller must get the
 // resident encoding, and every report must list the same dependencies.
@@ -201,6 +232,6 @@ func TestConcurrentFirstSpecRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if again.Stats.PartitionMisses != 0 {
-		t.Errorf("run after the race recorded %d partition misses, want 0 (one shared store)", again.Stats.PartitionMisses)
+		t.Errorf("run after the race recorded %d partition misses, want 0 (the dataset's store)", again.Stats.PartitionMisses)
 	}
 }

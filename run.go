@@ -507,9 +507,9 @@ type Report struct {
 // for the partial-result contract). Errors are reserved for invalid requests
 // and malformed inputs.
 //
-// The run uses the dataset's own partition store (EnablePartitionCache), or
-// under a non-default OrderSpecs the store of that spec's encoding; this
-// includes the conditional algorithm's unconditional pass.
+// The run uses the dataset's one partition store (EnablePartitionCache)
+// under every OrderSpecs, including in the conditional algorithm's
+// unconditional pass.
 func (d *Dataset) Run(ctx context.Context, req Request) (*Report, error) {
 	return d.RunWithProgress(ctx, req, nil)
 }
@@ -553,13 +553,12 @@ func (d *Dataset) RunWithProgress(ctx context.Context, req Request, onProgress f
 	return rep, nil
 }
 
-// runRequest dispatches a validated request to its algorithm, first
-// resolving the rank encoding (and its partition store) the request's order
-// spec selects — under the default spec that is the dataset's own encoding;
-// otherwise a cached re-encoding. Algorithms are spec-oblivious: they only
-// ever see the resolved ranks.
+// runRequest dispatches a validated request to its algorithm on the rank
+// encoding its order spec selects: the dataset's own under the default
+// spec, otherwise a cached re-encoding. Algorithms are spec-oblivious: they
+// see only the resolved ranks and the dataset's one partition store.
 func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(ProgressEvent)) (*Report, error) {
-	enc, store, err := d.encodingFor(req)
+	enc, err := d.SpecEncoded(req.OrderSpecs)
 	if err != nil {
 		return nil, err
 	}
@@ -568,7 +567,7 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 		rep.Algorithm = AlgorithmFASTOD
 	}
 	start := time.Now()
-	cfg := engineConfig(req, store, onProgress)
+	cfg := engineConfig(req, d.parts, onProgress)
 	switch rep.Algorithm {
 	case AlgorithmFASTOD:
 		res, err := core.DiscoverContext(ctx, enc, coreOptions(req, cfg))

@@ -178,15 +178,12 @@ func TestConditionalSliceProgress(t *testing.T) {
 // --- Concurrent mixed-algorithm runs over one dataset and one shared ---
 // --- partition store: exactly the pattern the HTTP server creates.   ---
 
+// TestConcurrentRunMixedAlgorithmsSharedStore hammers one store-enabled
+// dataset with every lattice algorithm at once. On the messy twin the
+// requests also cross a spec that merges no values and one that does, so
+// runs under different equality signatures share the one store.
 func TestConcurrentRunMixedAlgorithmsSharedStore(t *testing.T) {
-	ds := fastod.SyntheticFlight(250, 6, 2017)
-	ds.EnablePartitionCache(0)
-	ctx := context.Background()
-
-	// Sequential ground truth per algorithm, on a twin dataset so the shared
-	// store under test starts cold.
-	truth := fastod.SyntheticFlight(250, 6, 2017)
-	requests := map[string]fastod.Request{
+	algorithms := map[string]fastod.Request{
 		"fastod": {Algorithm: fastod.AlgorithmFASTOD},
 		"tane":   {Algorithm: fastod.AlgorithmTANE},
 		"approx": {Algorithm: fastod.AlgorithmApprox, Approx: fastod.ApproxRunOptions{Threshold: 0.05}},
@@ -194,6 +191,42 @@ func TestConcurrentRunMixedAlgorithmsSharedStore(t *testing.T) {
 		"conditional": {Algorithm: fastod.AlgorithmConditional,
 			Conditional: fastod.ConditionalRunOptions{MaxConditionCardinality: 8}},
 	}
+	shapes := []struct {
+		name  string
+		load  func() *fastod.Dataset
+		specs map[string][]fastod.AttrOrder
+	}{
+		{"flight", func() *fastod.Dataset { return fastod.SyntheticFlight(250, 6, 2017) },
+			map[string][]fastod.AttrOrder{"default": nil}},
+		{"messy", func() *fastod.Dataset { return fastod.SyntheticMessy(250, 7, 0.2, 2017) },
+			map[string][]fastod.AttrOrder{
+				"default":            nil,
+				"m0 desc nulls last": {{Column: "m0_int", Direction: fastod.OrderDesc, Nulls: fastod.NullsLast}},
+				"m2 ci":              {{Column: "m2_str", Collation: fastod.CollateCaseInsen}},
+			}},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			requests := make(map[string]fastod.Request)
+			for alg, req := range algorithms {
+				for spec, orders := range sh.specs {
+					req.OrderSpecs = orders
+					requests[alg+"/"+spec] = req
+				}
+			}
+			hammerSharedStore(t, sh.load(), sh.load(), requests)
+		})
+	}
+}
+
+// hammerSharedStore runs every request on ds with its partition store
+// enabled, several times over and all at once, and checks each report
+// against a sequential run of the same request on truth, a twin dataset
+// without a store.
+func hammerSharedStore(t *testing.T, ds, truth *fastod.Dataset, requests map[string]fastod.Request) {
+	t.Helper()
+	ds.EnablePartitionCache(0)
+	ctx := context.Background()
 	type expectation struct {
 		count int
 		nodes int
@@ -207,7 +240,7 @@ func TestConcurrentRunMixedAlgorithmsSharedStore(t *testing.T) {
 		want[name] = expectation{count: payloadCount(rep), nodes: rep.Stats.NodesVisited}
 	}
 
-	// Hammer the cached dataset with every algorithm at once, several times
+	// Hammer the cached dataset with every request at once, several times
 	// over, as a server handling mixed traffic would. Run with -race in CI.
 	// Spawn in sorted-name order so the schedule (and any failure output) is
 	// reproducible rather than following map iteration order.

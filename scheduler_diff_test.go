@@ -2,7 +2,9 @@ package fastod_test
 
 import (
 	"context"
+	"maps"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -114,6 +116,124 @@ func TestSchedulerDifferentialOrderSpecs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// zeroStoreCounters clears a report's partition store hits and misses in
+// place. They depend on what earlier runs left in the store; nothing else in
+// a report may.
+func zeroStoreCounters(rep *fastod.Report) {
+	stats := []*fastod.RunStats{&rep.Stats}
+	switch {
+	case rep.FASTOD != nil:
+		stats = append(stats, &rep.FASTOD.Stats.Stats)
+	case rep.TANE != nil:
+		stats = append(stats, &rep.TANE.Stats)
+	case rep.Approx != nil:
+		stats = append(stats, &rep.Approx.Stats)
+	case rep.Bidir != nil:
+		stats = append(stats, &rep.Bidir.Stats)
+	case rep.Conditional != nil:
+		stats = append(stats, &rep.Conditional.Stats, &rep.Conditional.Global.Stats.Stats)
+	}
+	for _, s := range stats {
+		s.PartitionHits, s.PartitionMisses = 0, 0
+	}
+}
+
+// TestSharedStoreSpecDifferential: every order spec reads and fills the
+// dataset's one partition store, which files partitions by equality
+// signature. Runs under specs that merge values and specs that do not, in
+// either order, on a store small enough to evict mid-run, must report
+// exactly what the same request reports on a fresh dataset without a store.
+func TestSharedStoreSpecDifferential(t *testing.T) {
+	newDataset := func() *fastod.Dataset { return fastod.SyntheticMessy(300, 7, 0.2, 11) }
+	type spec struct {
+		name   string
+		orders []fastod.AttrOrder
+		merges bool
+	}
+	ci := fastod.AttrOrder{Column: "m2_str", Collation: fastod.CollateCaseInsen}
+	ciDesc := ci
+	ciDesc.Direction = fastod.OrderDesc
+	specs := []spec{
+		{"default", nil, false},
+		{"m0 desc nulls last", []fastod.AttrOrder{{Column: "m0_int", Direction: fastod.OrderDesc, Nulls: fastod.NullsLast}}, false},
+		{"m2 ci", []fastod.AttrOrder{ci}, true},
+		// The same signature as "m2 ci", ranked the other way.
+		{"m2 ci desc", []fastod.AttrOrder{ciDesc}, true},
+		{"m1 numeric, m2 ci", []fastod.AttrOrder{{Column: "m1_float", Collation: fastod.CollateNumeric}, ci}, true},
+		{"m4 date", []fastod.AttrOrder{{Column: "m4_mixdate", Collation: fastod.CollateDate}}, true},
+	}
+	var merging, plain []spec
+	for _, sp := range specs {
+		if sp.merges {
+			merging = append(merging, sp)
+		} else {
+			plain = append(plain, sp)
+		}
+	}
+	sequences := []struct {
+		name  string
+		specs []spec
+	}{{"default first", specs}, {"merging first", append(merging, plain...)}}
+
+	run := func(ds *fastod.Dataset, req fastod.Request) *fastod.Report {
+		t.Helper()
+		rep, err := ds.Run(t.Context(), req)
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		zeroReportTimings(rep)
+		zeroStoreCounters(rep)
+		return rep
+	}
+	requests := schedulerDiffRequests()
+	names := slices.Sorted(maps.Keys(requests))
+	fresh := newDataset()
+	base, err := fresh.SpecEncoded(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]*fastod.Report)
+	for _, sp := range specs {
+		enc, err := fresh.SpecEncoded(sp.orders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged := false
+		for c, n := range enc.Cardinality {
+			merged = merged || n < base.Cardinality[c]
+		}
+		if merged != sp.merges {
+			t.Fatalf("%s: lowers a cardinality = %v, want %v (cardinalities %v, default %v)", sp.name, merged, sp.merges, enc.Cardinality, base.Cardinality)
+		}
+		for _, name := range names {
+			req := requests[name]
+			req.Workers = 1
+			req.OrderSpecs = sp.orders
+			want[sp.name+"/"+name] = run(fresh, req)
+		}
+	}
+
+	for _, seq := range sequences {
+		for _, bound := range []int{0, 4 << 10} {
+			ds := newDataset()
+			ds.EnablePartitionCache(bound)
+			for _, sp := range seq.specs {
+				for _, name := range names {
+					for _, workers := range []int{1, 4} {
+						req := requests[name]
+						req.Workers = workers
+						req.OrderSpecs = sp.orders
+						if got, w := run(ds, req), want[sp.name+"/"+name]; !reflect.DeepEqual(got, w) {
+							t.Errorf("%s, bound %d, %s, %s, workers=%d: report differs from a run without a store\n got: %s\nwant: %s",
+								seq.name, bound, sp.name, name, workers, renderReport(got), renderReport(w))
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

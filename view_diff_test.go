@@ -171,6 +171,10 @@ func minus(a, b []string) []string {
 // conditional algorithm's cardinality bound both read. Specs flip a
 // direction with NULLS LAST and use the merging collations (numeric and
 // case-insensitive), so collation classes span several dictionary entries.
+// Each view caches partitions and runs the default request first, so its
+// spec runs read and fill a warm store. That store is the view's own, and
+// the equality signatures are taken against the view's own cardinalities,
+// since a row prefix can keep apart values the full relation merges.
 func TestSpecRunsOnViewsMatchFreshLoad(t *testing.T) {
 	shapes := []struct {
 		name   string
@@ -244,6 +248,10 @@ func TestSpecRunsOnViewsMatchFreshLoad(t *testing.T) {
 					t.Errorf("%s %s: column %d ranks differ from the fresh load's", sh.name, v.kind, c)
 				}
 			}
+			v.ds.EnablePartitionCache(0)
+			if _, err := v.ds.Run(t.Context(), fastod.Request{RunOptions: fastod.RunOptions{Workers: 1}}); err != nil {
+				t.Fatalf("%s %s default run on view: %v", sh.name, v.kind, err)
+			}
 			for alg, req := range requests {
 				req.Workers = 1
 				req.OrderSpecs = orders
@@ -255,6 +263,7 @@ func TestSpecRunsOnViewsMatchFreshLoad(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s %s on fresh load: %v", sh.name, v.kind, alg, err)
 				}
+				zeroStoreCounters(gotRep)
 				if g, w := renderReport(gotRep), renderReport(wantRep); g != w {
 					t.Errorf("%s %s %s: view and fresh load differ\n view: %s\nfresh: %s", sh.name, v.kind, alg, g, w)
 				}
