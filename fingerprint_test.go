@@ -215,6 +215,22 @@ func TestFingerprintCanonicalizesOrderSpecs(t *testing.T) {
 	}
 }
 
+// TestFingerprintOrderSpecGolden pins the rendering of order specs in the
+// fingerprint, ranks included: entries sorted by column, each
+// `;ord="col":direction,nulls,collation` and then its quoted ranks. A change
+// here re-keys every cached report that has an order spec.
+func TestFingerprintOrderSpecGolden(t *testing.T) {
+	r := fastod.Request{Algorithm: fastod.AlgorithmApprox, RunOptions: fastod.RunOptions{OrderSpecs: []fastod.AttrOrder{
+		{Column: "grade", Direction: fastod.OrderDesc, Nulls: fastod.NullsLast, Collation: fastod.CollateRank,
+			Ranks: []string{"low", "mid,high", `top "1"`}},
+		{Column: "a;b", Collation: fastod.CollateCaseInsen},
+	}}}
+	const want = `alg=approx;lvl=0;to=0;nodes=0;thr=0x0p+00;ord="a;b":0,0,4;ord="grade":1,1,5,"low","mid,high","top \"1\""`
+	if got := r.Fingerprint(); got != want {
+		t.Errorf("fingerprint = %s\nwant          %s", got, want)
+	}
+}
+
 func TestValidateRejectsBadOrderSpecs(t *testing.T) {
 	for name, req := range map[string]fastod.Request{
 		"empty column": {RunOptions: fastod.RunOptions{OrderSpecs: []fastod.AttrOrder{{}}}},

@@ -125,7 +125,10 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		opts.MinSliceRows = DefaultMinSliceRows
 	}
 	start := time.Now()
-	budget := opts.Discovery.Budget
+	// Every pass draws its visits from the one node allowance this budget
+	// carries.
+	budget := lattice.SharedNodes(opts.Discovery.Budget)
+	opts.Discovery.Budget = budget
 	var deadline time.Time
 	if budget.Timeout > 0 {
 		deadline = start.Add(budget.Timeout)
@@ -141,10 +144,11 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	}
 	// Condition slices are distinct relations; a partition store supplied for
 	// the global run must not leak into them (a store is bound to exactly one
-	// relation instance). Slice runs draw on the remainder of the shared
-	// budget, computed before each slice. Per-level progress stays with the
-	// unconditional pass (slice lattices are tiny and many); instead each
-	// completed slice reports one SliceProgressLevel event below.
+	// relation instance). Each slice run gets what is left of the run's time
+	// when it starts and draws on the shared node allowance. Per-level
+	// progress stays with the unconditional pass (slice lattices are tiny
+	// and many); instead each completed slice reports one SliceProgressLevel
+	// event below.
 	sliceOpts := opts.Discovery
 	sliceOpts.Partitions = nil
 	sliceOpts.Progress = nil
@@ -212,30 +216,19 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		stopped bool
 		runErr  error
 	)
-	// remainingBudget converts the shared allowance into the budget for the
-	// next slice run; exhausted reports that nothing is left. Callers hold mu
-	// (it reads the accumulated node count). Each concurrent slice is handed
-	// the allowance remaining when it starts, so in-flight slices can jointly
-	// overshoot MaxNodes by the nodes of the other W-1 running slices — the
-	// bound is enforced at every handout, not retroactively across workers.
+	// remainingBudget is the budget for the next slice run: the shared one
+	// with what is left of the run's time. exhausted reports that the
+	// context, the deadline or the node allowance is spent.
 	remainingBudget := func() (lattice.Budget, bool) {
-		var b lattice.Budget
-		if ctx.Err() != nil {
+		b := budget
+		if ctx.Err() != nil || lattice.NodesSpent(b) {
 			return b, true
 		}
-		if budget.Timeout > 0 {
-			left := time.Until(deadline)
-			if left <= 0 {
+		if b.Timeout > 0 {
+			b.Timeout = time.Until(deadline)
+			if b.Timeout <= 0 {
 				return b, true
 			}
-			b.Timeout = left
-		}
-		if budget.MaxNodes > 0 {
-			left := budget.MaxNodes - res.Stats.NodesVisited
-			if left <= 0 {
-				return b, true
-			}
-			b.MaxNodes = left
 		}
 		return b, false
 	}
@@ -259,14 +252,12 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		stopped = true
 	}
 	lattice.ParallelFor(workers, len(jobs), 1, stop, trap, func(_, i int) {
-		mu.Lock()
 		left, exhausted := remainingBudget()
 		if exhausted {
+			mu.Lock()
+			defer mu.Unlock()
 			res.Stats.Interrupted = true
 			stopped = true
-		}
-		mu.Unlock()
-		if exhausted {
 			return
 		}
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/canonical"
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/lattice"
 	"repro/internal/relation"
 )
 
@@ -206,6 +207,33 @@ func TestMaxLevelReachedCoversSlicePasses(t *testing.T) {
 		if res.Stats.MaxLevelReached < res.Global.Stats.MaxLevelReached {
 			t.Errorf("%s: MaxLevelReached = %d below the unconditional pass's %d",
 				enc.Name, res.Stats.MaxLevelReached, res.Global.Stats.MaxLevelReached)
+		}
+	}
+}
+
+// TestNodeBudgetSharedBySlicePasses: every pass of a conditional run draws
+// its visits from one node allowance, so no run visits more than MaxNodes
+// nodes, however many slice passes run at once. The budgets sweep the slice
+// phase, from one node past the unconditional pass to the whole run, at 1, 2
+// and 4 workers; each cuts the run short.
+func TestNodeBudgetSharedBySlicePasses(t *testing.T) {
+	enc := mustEncode(t, datagen.FlightLike(3000, 8, 7))
+	full, err := DiscoverContext(t.Context(), enc, Options{Discovery: core.Options{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for budget := full.Global.Stats.NodesVisited + 1; budget < full.Stats.NodesVisited; budget += 53 {
+		for _, workers := range []int{1, 2, 4} {
+			res, err := DiscoverContext(t.Context(), enc, Options{Discovery: core.Options{
+				Workers: workers, Budget: lattice.Budget{MaxNodes: budget},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.NodesVisited > budget || !res.Stats.Interrupted {
+				t.Errorf("MaxNodes %d, workers %d: %d nodes visited, interrupted=%v; want at most %d, interrupted",
+					budget, workers, res.Stats.NodesVisited, res.Stats.Interrupted, budget)
+			}
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package lattice
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // Budget bounds the resources one discovery run may consume. It is the
 // generalization of the wall-clock/node budget the ORDER baseline always had
@@ -23,10 +26,41 @@ type Budget struct {
 	// be: at most MaxNodes nodes are ever visited, and Stats.NodesVisited
 	// equals the number of visits made.
 	MaxNodes int
+
+	// nodes is the allowance of visits left, drawn at handout; it goes
+	// negative once spent. New gives each run an allowance of its own unless
+	// the budget already carries one (see SharedNodes).
+	nodes *atomic.Int64
 }
 
 // IsZero reports whether the budget imposes no bound at all.
 func (b Budget) IsZero() bool { return b.Timeout <= 0 && b.MaxNodes <= 0 }
+
+// SharedNodes returns b with one allowance of MaxNodes visits for every run
+// handed b or a copy of it, so together those runs visit at most MaxNodes
+// nodes, however many run at once. The passes of one conditional discovery
+// share their budget this way. A budget without MaxNodes is returned as is.
+func SharedNodes(b Budget) Budget {
+	if b.MaxNodes > 0 {
+		b.nodes = new(atomic.Int64)
+		b.nodes.Store(int64(b.MaxNodes))
+	}
+	return b
+}
+
+// NodesSpent reports whether b's node allowance is used up; it is false for a
+// budget that carries none.
+func NodesSpent(b Budget) bool { return b.nodes != nil && b.nodes.Load() <= 0 }
+
+// take draws up to want visits from the allowance and returns how many it
+// got: all of them without an allowance, otherwise at most what was left.
+func (b Budget) take(want int) int {
+	if b.nodes == nil {
+		return want
+	}
+	left := b.nodes.Add(-int64(want)) + int64(want)
+	return int(min(int64(want), max(left, 0)))
+}
 
 // ProgressEvent is one per-level progress report of a traversal, delivered to
 // Config.Progress at every level barrier, in level order, and once more for

@@ -180,6 +180,51 @@ func TestNodeBudgetInterrupts(t *testing.T) {
 	}
 }
 
+// TestSharedNodeBudget: runs handed one SharedNodes budget draw their visits
+// from one allowance. Three concurrent runs over a 255-node lattice share a
+// budget of 300 and visit exactly 300 nodes together; a run that starts once
+// the allowance is spent visits nothing and is interrupted; and a budget
+// that was not shared gives every run an allowance of its own.
+func TestSharedNodeBudget(t *testing.T) {
+	enc := encodeFlight(t, 100, 8)
+	run := func(b Budget) Stats {
+		eng, err := New(t.Context(), enc, Config{Workers: 2, Budget: b})
+		if err != nil {
+			t.Error(err)
+			return Stats{}
+		}
+		RunNodes(eng, struct{}{}, keepAll)
+		return eng.Stats()
+	}
+	shared := SharedNodes(Budget{MaxNodes: 300})
+	stats := make([]Stats, 3)
+	var wg sync.WaitGroup
+	for i := range stats {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stats[i] = run(shared)
+		}()
+	}
+	wg.Wait()
+	total := 0
+	for _, st := range stats {
+		total += st.NodesVisited
+	}
+	if total != 300 || !NodesSpent(shared) {
+		t.Errorf("concurrent runs visited %d nodes in all (%+v), spent=%v; want the shared 300", total, stats, NodesSpent(shared))
+	}
+	if st := run(shared); st.NodesVisited != 0 || !st.Interrupted {
+		t.Errorf("run on a spent allowance: %+v, want no visits, interrupted", st)
+	}
+	own := Budget{MaxNodes: 300}
+	for range 2 {
+		if st := run(own); st.NodesVisited != 255 || st.Interrupted {
+			t.Errorf("run on its own allowance: %+v, want the whole lattice of 255", st)
+		}
+	}
+}
+
 // TestDAGNodeBudgetLatency: for any budget — one node, exactly a level
 // boundary, one node past it, deep mid-level, one short of the whole lattice,
 // the whole lattice — the handout visits exactly min(MaxNodes, lattice size)
@@ -350,18 +395,20 @@ func TestInterruptedRunKeepsCompleteLevels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var mu sync.Mutex
-		var levels []map[bitset.AttrSet]bool
-		RunNodes(eng, struct{}{}, func(_ int, n Node, _ []struct{}) (struct{}, bool) {
-			l, x := n.Level, n.X
-			mu.Lock()
-			defer mu.Unlock()
-			for len(levels) < l {
-				levels = append(levels, make(map[bitset.AttrSet]bool))
-			}
-			levels[l-1][x] = true
+		shards := make([][]bitset.AttrSet, eng.Workers())
+		RunNodes(eng, struct{}{}, func(wk int, n Node, _ []struct{}) (struct{}, bool) {
+			shards[wk] = append(shards[wk], n.X)
 			return struct{}{}, false
 		})
+		var levels []map[bitset.AttrSet]bool
+		for _, sh := range shards {
+			for _, x := range sh {
+				for len(levels) < x.Len() {
+					levels = append(levels, make(map[bitset.AttrSet]bool))
+				}
+				levels[x.Len()-1][x] = true
+			}
+		}
 		return levels
 	}
 	fullLevels := collect(Budget{})

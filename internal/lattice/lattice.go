@@ -11,7 +11,10 @@
 // a per-node visit callback (RunNodes). The approximate and bidirectional
 // extensions keep only their checks: RunMinimal is the one subset-minimal
 // search over the two canonical OD forms, with the paper's minimality rule
-// (Section 4.1) applied to whatever the checks accept.
+// (Section 4.1) applied to whatever the checks accept. Every client,
+// RunMinimal included, derives a node's minimality state from its immediate
+// subsets' states alone and writes what it finds into its worker's shard,
+// so no visit takes a lock.
 //
 // A run keeps its last three levels as slices indexed like the levels:
 // attribute sets, partitions, and for every node the indexes of its
@@ -20,13 +23,14 @@
 // by looking up an attribute set.
 //
 // The traversal is level-synchronous: level l+1 is generated and visited
-// only after every node of level l has been visited. Inside a level
-// the cancellation and deadline signals are checked before every node, so an
+// only after every node of level l has been visited. Inside a level the
+// cancellation and deadline signals are checked before every node, so an
 // interrupt abandons at most the nodes already running, and the handout is
-// capped by the node budget, so a run never visits more than Budget.MaxNodes
-// nodes. A shared PartitionStore memoizes stripped partitions across runs
-// (e.g. the pruned and un-pruned FASTOD passes of Figure 6, or repeated runs
-// on one dataset behind the advisor) under a configurable memory bound.
+// drawn from the budget's node allowance, so the runs sharing it never
+// visit more than Budget.MaxNodes nodes. A shared PartitionStore memoizes
+// stripped partitions across runs (e.g. the pruned and un-pruned FASTOD
+// passes of Figure 6, or repeated runs on one dataset behind the advisor)
+// under a configurable memory bound.
 package lattice
 
 import (
@@ -170,6 +174,9 @@ func New(ctx context.Context, enc *relation.Encoded, cfg Config) (*Engine, error
 			return nil, err
 		}
 	}
+	if cfg.Budget.nodes == nil {
+		cfg.Budget = SharedNodes(cfg.Budget)
+	}
 	e := &Engine{
 		enc:        enc,
 		ctx:        ctx,
@@ -230,13 +237,6 @@ func (e *Engine) checkInterrupt() bool {
 		return true
 	}
 	return false
-}
-
-// overNodeBudget reports whether the node budget is exhausted. It is only
-// called at level barriers (stats are owned by the traversal goroutine);
-// inside a level, visitLevel caps the handout at the budget instead.
-func (e *Engine) overNodeBudget() bool {
-	return e.budget.MaxNodes > 0 && e.stats.NodesVisited >= e.budget.MaxNodes
 }
 
 // partitionsCached counts the stripped partitions currently retained for
@@ -369,7 +369,7 @@ func RunNodes[S any](e *Engine, root S, visit func(worker int, n Node, deps []S)
 		// generation, whose partitions would then be incomplete), and a node
 		// budget spent exactly by the previous level leaves nothing for this
 		// one: either way the level is abandoned before any node is visited.
-		if e.checkInterrupt() || e.overNodeBudget() {
+		if e.checkInterrupt() || NodesSpent(e.budget) {
 			e.stop.Store(true)
 			e.stats.Interrupted = true
 			break
@@ -410,15 +410,13 @@ func RunNodes[S any](e *Engine, root S, visit func(worker int, n Node, deps []S)
 // node's state and pruning decision, plus the number of nodes handed to
 // visit. The stop flag, context and deadline are polled before every node,
 // so an interrupt abandons at most the nodes already running. The handout is
-// capped at what is left of the node budget, so the run never visits more
-// than Budget.MaxNodes nodes; a level the cap cuts short latches the stop
-// flag. Unvisited nodes keep zero states.
+// the level's first nodes, as many as the node allowance grants, so the runs
+// sharing it never visit more than Budget.MaxNodes nodes; a level the
+// allowance cuts short latches the stop flag. Unvisited nodes keep zero
+// states.
 func visitLevel[S any](e *Engine, l int, prev []S, deps [][]S, visit func(int, Node, []S) (S, bool)) (states []S, pruned []bool, visited int) {
 	lv := &e.levels[l]
-	n := len(lv.sets)
-	if left := e.budget.MaxNodes - e.stats.NodesVisited; e.budget.MaxNodes > 0 && left < n {
-		n = left
-	}
+	n := e.budget.take(len(lv.sets))
 	states = make([]S, len(lv.sets))
 	pruned = make([]bool, len(lv.sets))
 	// Each worker counts its handouts on its own cache line.

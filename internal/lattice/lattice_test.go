@@ -2,10 +2,10 @@ package lattice
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -105,23 +105,16 @@ func TestRunEnumeratesFullLattice(t *testing.T) {
 
 // directPartitions returns the ground truth the engine's partitions are
 // checked against: Π(X) as the product of the singleton partitions of X,
-// built straight from the columns. It is safe for concurrent use.
+// built straight from the columns. Every subset of the (small) schema is
+// computed up front, so concurrent visits only read it.
 func directPartitions(enc *relation.Encoded) func(x bitset.AttrSet) *partition.Partition {
-	var mu sync.Mutex
-	memo := make(map[bitset.AttrSet]*partition.Partition)
-	return func(x bitset.AttrSet) *partition.Partition {
-		mu.Lock()
-		defer mu.Unlock()
-		if p, ok := memo[x]; ok {
-			return p
-		}
-		p := partition.FromConstant(enc.NumRows())
-		x.ForEach(func(a int) {
-			p = partition.Product(p, partition.FromColumn(enc.Column(a), enc.Cardinality[a]))
-		})
-		memo[x] = p
-		return p
+	parts := make([]*partition.Partition, 1<<enc.NumCols())
+	parts[0] = partition.FromConstant(enc.NumRows())
+	for x := 1; x < len(parts); x++ {
+		a := bits.TrailingZeros(uint(x))
+		parts[x] = partition.Product(parts[x&(x-1)], partition.FromColumn(enc.Column(a), enc.Cardinality[a]))
 	}
+	return func(x bitset.AttrSet) *partition.Partition { return parts[x] }
 }
 
 // samePartition reports whether two stripped partitions of one relation have
@@ -283,15 +276,12 @@ func TestWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var mu sync.Mutex
-		var visited []bitset.AttrSet
-		RunNodes(eng, struct{}{}, func(_ int, n Node, _ []struct{}) (struct{}, bool) {
-			x := n.X
-			mu.Lock()
-			visited = append(visited, x)
-			mu.Unlock()
+		shards := make([][]bitset.AttrSet, eng.Workers())
+		RunNodes(eng, struct{}{}, func(wk int, n Node, _ []struct{}) (struct{}, bool) {
+			shards[wk] = append(shards[wk], n.X)
 			return struct{}{}, false
 		})
+		visited := slices.Concat(shards...)
 		// Levels are visited in order; within a level the visit order is up
 		// to the workers, so compare each level as a sorted set.
 		sort.Slice(visited, func(i, j int) bool {

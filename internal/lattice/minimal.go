@@ -1,8 +1,8 @@
 package lattice
 
 import (
+	"math/bits"
 	"sort"
-	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/canonical"
@@ -33,6 +33,15 @@ type Found[T any] struct {
 	Value   T
 }
 
+// held is the node state RunMinimal threads along dependency edges: what held
+// at the node X or below it. consts holds every A such that S: [] ↦ A held
+// for some S ∪ {A} ⊆ X. Row v·n+A of pairs (n attributes) holds every B > A
+// such that S: A ~ B held in variant v for some S ∪ {A,B} ⊆ X.
+type held struct {
+	consts bitset.AttrSet
+	pairs  []bitset.AttrSet
+}
+
 // RunMinimal traverses the lattice with e and returns every minimal canonical
 // OD the checks accept, sorted by canonical.Less and then variant. At node X
 // the candidates are X\A: [] ↦ A for every A ∈ X and, in every variant,
@@ -42,92 +51,61 @@ type Found[T any] struct {
 // its context, and an order-compatibility candidate only if neither attribute
 // held as constant in a subset of its context (Propagate). Nodes are never
 // pruned; the engine's MaxLevel and Budget bound the search.
+//
+// Both rules read only the states of X's immediate subsets (see held). Every
+// proper subset of X lies under one of them, so a candidate held below X
+// exactly when it is in the union of their states; and X\{A,B}: [] ↦ A held
+// in a subset of its context exactly when A is constant in the state of
+// X\B, as in FASTOD's line 19. Each worker appends what held to its own
+// shard, and the shards are merged and sorted once the traversal ends.
 func RunMinimal[T any](e *Engine, c Checks[T]) []Found[T] {
-	// contexts[k] lists the contexts in which the OD k (its own context
-	// cleared) held in k's variant. The gates stay schedule-independent: an
-	// entry S that can gate a candidate of node X (S ⊆ its context ⊂ X) was
-	// found at the node S ∪ {the checked attributes}, a proper subset of X,
-	// and the engine visits every subset of X, all in earlier levels, before
-	// X starts. Entries published by nodes running concurrently with X are
-	// never subsets of X's contexts, so they cannot flip a gate; the lock
-	// only makes the list reads safe. Each visit reads its gates under the
-	// lock, runs its checks off it, and publishes what held before it
-	// completes.
-	type key struct {
-		od      canonical.OD
-		variant int
-	}
-	keyOf := func(od canonical.OD, variant int) key {
-		od.Context = 0
-		return key{od, variant}
-	}
-	var (
-		mu       sync.Mutex
-		contexts = make(map[key][]bitset.AttrSet)
-		found    []Found[T]
-	)
-	// heldWithin reports whether od already held in the variant in a context
-	// contained in its own. Callers hold mu.
-	heldWithin := func(od canonical.OD, variant int) bool {
-		for _, s := range contexts[keyOf(od, variant)] {
-			if s.IsSubsetOf(od.Context) {
-				return true
+	n := e.numAttrs
+	shards := make([][]Found[T], e.workers)
+	RunNodes(e, held{}, func(wk int, node Node, deps []held) (held, bool) {
+		x := node.X
+		st := held{pairs: make([]bitset.AttrSet, c.Variants*n)}
+		for _, d := range deps {
+			st.consts = st.consts.Union(d.consts)
+			for i, r := range d.pairs {
+				st.pairs[i] |= r
 			}
 		}
-		return false
-	}
-	RunNodes(e, struct{}{}, func(wk int, n Node, _ []struct{}) (struct{}, bool) {
-		x := n.X
-		attrs := x.Attrs()
-		var cands []Found[T]
-		mu.Lock()
-		for _, a := range attrs {
-			if od := canonical.NewConstancy(x.Remove(a), a); !heldWithin(od, 0) {
-				cands = append(cands, Found[T]{OD: od})
+		s := e.Scratch(wk)
+		found := shards[wk]
+		x.Diff(st.consts).ForEach(func(a int) {
+			if v, ok := c.Constancy(node.Sub(a), a, s); ok {
+				found = append(found, Found[T]{OD: canonical.NewConstancy(x.Remove(a), a), Value: v})
+				st.consts = st.consts.Add(a)
 			}
-		}
-		for p, a := range attrs {
-			for _, b := range attrs[p+1:] {
-				ctx := x.Remove(a).Remove(b)
-				if heldWithin(canonical.NewConstancy(ctx, a), 0) || heldWithin(canonical.NewConstancy(ctx, b), 0) {
+		})
+		for ra := uint64(x); ra != 0; ra &= ra - 1 {
+			a := bits.TrailingZeros64(ra)
+			for rb := ra & (ra - 1); rb != 0; rb &= rb - 1 {
+				b := bits.TrailingZeros64(rb)
+				if deps[x.Rank(b)].consts.Contains(a) || deps[x.Rank(a)].consts.Contains(b) {
 					continue // Propagate: a constant attribute is compatible with anything
 				}
-				od := canonical.NewOrderCompatible(ctx, a, b)
 				for v := range c.Variants {
-					if !heldWithin(od, v) {
-						cands = append(cands, Found[T]{OD: od, Variant: v})
+					row := &st.pairs[v*n+a]
+					if row.Contains(b) {
+						continue
+					}
+					if val, ok := c.OrderCompatible(node.Sub2(a, b), a, b, v, s); ok {
+						found = append(found, Found[T]{OD: canonical.NewOrderCompatible(x.Remove(a).Remove(b), a, b), Variant: v, Value: val})
+						*row = row.Add(b)
 					}
 				}
 			}
 		}
-		mu.Unlock()
-
-		held := cands[:0]
-		s := e.Scratch(wk)
-		for _, f := range cands {
-			var ok bool
-			if f.OD.Kind == canonical.Constancy {
-				f.Value, ok = c.Constancy(n.Sub(f.OD.A), f.OD.A, s)
-			} else {
-				f.Value, ok = c.OrderCompatible(n.Sub2(f.OD.A, f.OD.B), f.OD.A, f.OD.B, f.Variant, s)
-			}
-			if ok {
-				held = append(held, f)
-			}
-		}
-		if len(held) > 0 {
-			mu.Lock()
-			for _, f := range held {
-				k := keyOf(f.OD, f.Variant)
-				contexts[k] = append(contexts[k], f.OD.Context)
-			}
-			found = append(found, held...)
-			mu.Unlock()
-		}
-		return struct{}{}, false
+		shards[wk] = found
+		return st, false
 	})
-	// Node completion order within a level is schedule-dependent; the total
-	// order makes the output identical at any worker count.
+	var found []Found[T]
+	for _, sh := range shards {
+		found = append(found, sh...)
+	}
+	// Which worker found what is schedule-dependent; the total order makes
+	// the output identical at any worker count.
 	sort.Slice(found, func(i, j int) bool {
 		if found[i].OD != found[j].OD {
 			return canonical.Less(found[i].OD, found[j].OD)

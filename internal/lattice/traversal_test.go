@@ -102,25 +102,30 @@ func TestRunNodesSchedulerDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					var mu sync.Mutex
-					gotLevels := make(map[uint64]int)
-					gotDeps := make(map[uint64][]uint64)
-					RunNodes(eng, bitset.AttrSet(root), func(_ int, n Node, deps []bitset.AttrSet) (bitset.AttrSet, bool) {
-						l, x := n.Level, n.X
+					type visit struct {
+						x     uint64
+						level int
+						deps  []uint64
+					}
+					shards := make([][]visit, eng.Workers())
+					RunNodes(eng, bitset.AttrSet(root), func(wk int, n Node, deps []bitset.AttrSet) (bitset.AttrSet, bool) {
 						d := make([]uint64, len(deps))
 						for k, r := range deps {
 							d[k] = uint64(r)
 						}
 						checkAccessors(t, n, direct)
-						mu.Lock()
-						defer mu.Unlock()
-						if old, dup := gotLevels[uint64(x)]; dup {
-							t.Errorf("node %v visited twice (levels %d and %d)", x, old, l)
-						}
-						gotLevels[uint64(x)] = l
-						gotDeps[uint64(x)] = d
-						return x, prune(uint64(x))
+						shards[wk] = append(shards[wk], visit{uint64(n.X), n.Level, d})
+						return n.X, prune(uint64(n.X))
 					})
+					gotLevels := make(map[uint64]int)
+					gotDeps := make(map[uint64][]uint64)
+					for _, v := range slices.Concat(shards...) {
+						if old, dup := gotLevels[v.x]; dup {
+							t.Errorf("node %b visited twice (levels %d and %d)", v.x, old, v.level)
+						}
+						gotLevels[v.x] = v.level
+						gotDeps[v.x] = v.deps
+					}
 					if !reflect.DeepEqual(gotLevels, wantLevels) {
 						t.Errorf("visited %d nodes, oracle %d; node->level maps differ", len(gotLevels), len(wantLevels))
 					}

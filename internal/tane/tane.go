@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/lattice"
@@ -60,43 +59,39 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, cfg lattice.Con
 		return nil, err
 	}
 	all := eng.All()
-	res := &Result{}
 
 	// The per-node visit: derive C+(X) from the immediate-subset candidate
 	// sets in deps, validate X\A → A for A ∈ X ∩ C+(X) against the node's
 	// partitions, and prune nodes whose candidate set empties (no superset
-	// can yield a minimal FD). Discovered FDs are merged under a mutex at node
-	// completion — emission order is schedule-dependent, the final
+	// can yield a minimal FD). Each worker appends its FDs to its own shard;
+	// which worker found what is schedule-dependent, and the final
 	// total-order sort restores determinism.
-	var mu sync.Mutex
-	lattice.RunNodes(eng, all, func(_ int, n lattice.Node, deps []bitset.AttrSet) (bitset.AttrSet, bool) {
+	shards := make([][]FD, eng.Workers())
+	lattice.RunNodes(eng, all, func(wk int, n lattice.Node, deps []bitset.AttrSet) (bitset.AttrSet, bool) {
 		x := n.X
 		cc := all
 		for _, d := range deps {
 			cc = cc.Intersect(d)
 		}
-		var found []FD
 		x.Intersect(cc).ForEach(func(a int) {
 			ctxPart := n.Sub(a)
 			if ctxPart.IsSuperkey() || ctxPart.Error() == n.Partition().Error() {
-				found = append(found, FD{LHS: x.Remove(a), RHS: a})
+				shards[wk] = append(shards[wk], FD{LHS: x.Remove(a), RHS: a})
 				cc = cc.Remove(a)
 				cc = cc.Intersect(x)
 			}
 		})
-		if len(found) > 0 {
-			mu.Lock()
-			res.FDs = append(res.FDs, found...)
-			mu.Unlock()
-		}
 		return cc, n.Level >= 2 && cc.IsEmpty()
 	})
 	if err := eng.Err(); err != nil {
-		// A recovered worker panic: the FDs merged so far may be incoherent,
+		// A recovered worker panic: the FDs found so far may be incoherent,
 		// so fail the discovery instead of reporting a partial.
 		return nil, err
 	}
-	res.Stats = eng.Stats()
+	res := &Result{Stats: eng.Stats()}
+	for _, sh := range shards {
+		res.FDs = append(res.FDs, sh...)
+	}
 
 	sort.Slice(res.FDs, func(i, j int) bool {
 		a, b := res.FDs[i], res.FDs[j]

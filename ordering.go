@@ -157,17 +157,20 @@ func canonicalAttrOrders(orders []AttrOrder) []AttrOrder {
 	return out
 }
 
-// orderSpecKey serializes canonical AttrOrders into the cache key of a spec
-// re-encoding. Quoting makes distinct specs collision-free.
-func orderSpecKey(orders []AttrOrder) string {
+// orderSpecKey renders canonical AttrOrders, each entry as before, then
+// `"col":direction,nulls,collation` and its ranks, then after: the one
+// rendering behind spec-cache keys (after ";") and request fingerprints
+// (before ";ord="). Column names and ranks are quoted, so distinct specs
+// never render alike.
+func orderSpecKey(orders []AttrOrder, before, after string) string {
 	var b strings.Builder
 	for _, o := range orders {
-		fmt.Fprintf(&b, "%s:%d,%d,%d", strconv.Quote(o.Column), o.Direction, o.Nulls, o.Collation)
+		fmt.Fprintf(&b, "%s%s:%d,%d,%d", before, strconv.Quote(o.Column), o.Direction, o.Nulls, o.Collation)
 		for _, v := range o.Ranks {
 			b.WriteByte(',')
 			b.WriteString(strconv.Quote(v))
 		}
-		b.WriteByte(';')
+		b.WriteString(after)
 	}
 	return b.String()
 }
@@ -193,7 +196,7 @@ func (d *Dataset) SpecEncoded(orders []AttrOrder) (*relation.Encoded, error) {
 	if err := validateAttrOrders(canon); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
-	key := orderSpecKey(canon)
+	key := orderSpecKey(canon, "", ";")
 	if enc, ok := d.specs.Get(key); ok {
 		return enc, nil
 	}

@@ -422,15 +422,7 @@ func (r Request) Fingerprint() string {
 	}
 	// Rendered only when a non-default spec survives canonicalization, so
 	// every pre-existing fingerprint (and cached report key) is unchanged.
-	// Column names are quoted — they may contain any delimiter — and rank
-	// lists are quoted element-wise, so distinct specs can never collide.
-	for _, o := range c.OrderSpecs {
-		fmt.Fprintf(&b, ";ord=%s:%d,%d,%d", strconv.Quote(o.Column), o.Direction, o.Nulls, o.Collation)
-		for _, v := range o.Ranks {
-			b.WriteByte(',')
-			b.WriteString(strconv.Quote(v))
-		}
-	}
+	b.WriteString(orderSpecKey(c.OrderSpecs, ";ord=", ""))
 	return b.String()
 }
 
