@@ -198,9 +198,10 @@ func TestChaosEngineFaults(t *testing.T) {
 
 // TestConditionalSliceProgressPanicContained: a progress callback that panics
 // on a condition-slice event fails the run with ErrInternal, at one worker
-// and at two, and leaves no goroutine behind. The slice merge invokes the
-// callback while holding the lock the pool's panic trap also takes, so the
-// run only returns if the merge releases that lock as the panic unwinds.
+// and at two, and leaves no goroutine behind. The callback runs under the
+// lock that serializes slice events, and at two workers the other worker may
+// be waiting on it to report its own slice, so the run only returns if the
+// lock is released as the panic unwinds.
 func TestConditionalSliceProgressPanicContained(t *testing.T) {
 	ds := fastod.SyntheticHepatitis(80, 5, 7)
 	for _, workers := range []int{1, 2} {

@@ -5,6 +5,12 @@
 // running time per algorithm plus "#ODs (#FDs + #OCDs)" — so the shapes can
 // be compared with the paper's figures directly.
 //
+// Every run goes through fastod's Dataset.Run: a row of Figures 4–6 is one
+// run timed by its own Report.Elapsed, and Figure 7's rows are one run's
+// per-level statistics. The -workers, -timeout and -max-nodes flags are
+// checked by Request.Validate, as fastod's are: a negative value fails the
+// first run with the validation error, before anything is printed.
+//
 // Usage:
 //
 //	odbench -fig all            # run every experiment at the default scale
@@ -20,9 +26,8 @@ import (
 	"os/signal"
 	"time"
 
+	fastod "repro"
 	"repro/internal/bench"
-	"repro/internal/lattice"
-	"repro/internal/relation"
 )
 
 func main() {
@@ -43,7 +48,7 @@ func main() {
 	}
 	cfg.Seed = *seed
 	cfg.Workers = *workers
-	cfg.Budget = lattice.Budget{Timeout: *timeout, MaxNodes: *maxNodes}
+	cfg.Budget = fastod.Budget{Timeout: *timeout, MaxNodes: *maxNodes}
 
 	// Ctrl-C cancels the experiment cooperatively: in-flight runs stop
 	// within one parallel chunk and whatever measurements completed are
@@ -130,18 +135,14 @@ func runSingle(ctx context.Context, input string, cfg bench.Config) error {
 	if input == "" {
 		return fmt.Errorf("-fig single requires -input")
 	}
-	rel, err := relation.ReadCSVFile(input)
+	ds, err := fastod.LoadCSVFile(input)
 	if err != nil {
 		return err
 	}
-	enc, err := relation.Encode(rel)
+	ms, err := bench.Table1(ctx, ds, cfg)
 	if err != nil {
 		return err
 	}
-	ms, err := bench.Table1(ctx, enc, rel.Name, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatTable("Algorithm comparison on "+rel.Name, ms))
+	fmt.Print(bench.FormatTable("Algorithm comparison on "+ds.Name(), ms))
 	return nil
 }

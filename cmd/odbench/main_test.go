@@ -2,13 +2,14 @@ package main
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	fastod "repro"
 	"repro/internal/bench"
-	"repro/internal/lattice"
 )
 
 // tinyConfig keeps the experiment smoke tests to fractions of a second.
@@ -21,7 +22,7 @@ func tinyConfig() bench.Config {
 	cfg.PruningColScales = []int{4}
 	cfg.LevelCols = 5
 	cfg.LevelRows = 50
-	cfg.ORDERBudget = lattice.Budget{Timeout: 200 * time.Millisecond, MaxNodes: 5000}
+	cfg.ORDERBudget = fastod.Budget{Timeout: 200 * time.Millisecond, MaxNodes: 5000}
 	return cfg
 }
 
@@ -52,5 +53,27 @@ func TestRunSingle(t *testing.T) {
 	}
 	if err := run(context.Background(), "single", path+".missing", cfg); err == nil {
 		t.Error("expected error for missing input")
+	}
+}
+
+// TestNegativeFlagsRejected: a negative -workers, -timeout or -max-nodes is
+// not clamped or ignored but fails every experiment with Request.Validate's
+// error, as it does in fastod.
+func TestNegativeFlagsRejected(t *testing.T) {
+	for _, c := range []struct {
+		flag string
+		set  func(*bench.Config)
+	}{
+		{"-workers", func(cfg *bench.Config) { cfg.Workers = -1 }},
+		{"-timeout", func(cfg *bench.Config) { cfg.Budget.Timeout = -time.Second }},
+		{"-max-nodes", func(cfg *bench.Config) { cfg.Budget.MaxNodes = -1 }},
+	} {
+		cfg := tinyConfig()
+		c.set(&cfg)
+		for _, fig := range []string{"4", "5", "6", "7"} {
+			if err := run(context.Background(), fig, "", cfg); !errors.Is(err, fastod.ErrInvalidRequest) {
+				t.Errorf("%s: run(%s) = %v, want an error wrapping fastod.ErrInvalidRequest", c.flag, fig, err)
+			}
+		}
 	}
 }

@@ -115,8 +115,9 @@ type Dataset struct {
 	rel   *relation.Relation
 	enc   *relation.Encoded
 	parts *lattice.PartitionStore
-	// version is this dataset's content-version stamp; see Version.
-	version atomic.Uint64
+	// version is this dataset's version stamp, set once at construction;
+	// see Version.
+	version uint64
 	// specs caches per-OrderSpec re-encodings of this dataset in plain LRU
 	// order, keyed by canonical spec fingerprint; see ordering.go. They share
 	// parts, so correctness never depends on the cache, only the cost of a
@@ -131,26 +132,14 @@ type Dataset struct {
 // delete-and-reupload path.
 var datasetVersions atomic.Uint64
 
-// Version returns the dataset's content-version stamp. Stamps are issued from
-// one process-global monotonic counter: every dataset (and every Project/
-// HeadRows view, which is a distinct relation instance) gets a fresh stamp at
-// construction, and BumpVersion re-stamps after a mutation. Any cache keyed
-// by (version, request) is therefore invalidated by construction whenever the
-// underlying data can have changed — the report cache's dataset half (the
-// request half is Request.Fingerprint).
-func (d *Dataset) Version() uint64 { return d.version.Load() }
-
-// BumpVersion marks the dataset's contents as changed and returns the fresh
-// stamp. Every mutation path (today none exist in-package; future row appends
-// or deletes will be one) must call it AFTER the mutation is visible, so a
-// reader that still observes the old stamp can at worst cache a report of the
-// old contents under the old stamp — stale entries are never served because
-// readers key by the current stamp. Safe for concurrent use.
-func (d *Dataset) BumpVersion() uint64 {
-	v := datasetVersions.Add(1)
-	d.version.Store(v)
-	return v
-}
+// Version returns the dataset's version stamp. Stamps are issued from one
+// process-global monotonic counter: every dataset (and every Project/HeadRows
+// view, which is a distinct relation instance) gets a fresh stamp at
+// construction, and a dataset never changes after it. A cache keyed by
+// (version, request) therefore never serves one dataset's report for
+// another, even one that reuses its name — the report cache's dataset half
+// (the request half is Request.Fingerprint).
+func (d *Dataset) Version() uint64 { return d.version }
 
 // LoadCSVFile reads a CSV file with a header row, sniffs column types
 // (integers, floats, dates, strings) and returns a dataset.
@@ -193,9 +182,12 @@ func newDataset(rel *relation.Relation) (*Dataset, error) {
 // newView builds a dataset over an encoding of rel (all of it, or a Project
 // or HeadRows prefix), with a fresh version stamp and an empty spec cache.
 func newView(rel *relation.Relation, enc *relation.Encoded) *Dataset {
-	d := &Dataset{rel: rel, enc: enc, specs: lru.New[string, *relation.Encoded](defaultSpecEncodingBytes)}
-	d.BumpVersion()
-	return d
+	return &Dataset{
+		rel:     rel,
+		enc:     enc,
+		version: datasetVersions.Add(1),
+		specs:   lru.New[string, *relation.Encoded](defaultSpecEncodingBytes),
+	}
 }
 
 // Name returns the dataset's name (file path or constructor-supplied name).

@@ -2,9 +2,11 @@
 // evaluation (Section 5): scalability in the number of tuples (Figure 4),
 // scalability in the number of attributes (Figure 5), the impact of pruning
 // (Figure 6) and the per-lattice-level behaviour (Figure 7). Each experiment
-// builds the synthetic stand-in datasets, runs FASTOD and the baselines, and
-// returns structured measurements that the odbench command renders as the
-// same series the paper plots.
+// builds the synthetic stand-in datasets with the fastod.Synthetic*
+// constructors, runs FASTOD and the baselines through Dataset.Run, the
+// library's one run harness, and returns structured measurements that the
+// odbench command renders as the same series the paper plots. A measurement's
+// time is the run's own clock, Report.Elapsed.
 //
 // Absolute numbers differ from the paper (different hardware, language and
 // data), but the shapes the paper argues from — linear growth in tuples,
@@ -19,13 +21,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/canonical"
-	"repro/internal/core"
-	"repro/internal/datagen"
-	"repro/internal/lattice"
-	"repro/internal/order"
-	"repro/internal/relation"
-	"repro/internal/tane"
+	fastod "repro"
 )
 
 // Algorithm names used in measurements.
@@ -47,7 +43,7 @@ type Measurement struct {
 	// Counts reports discovered set-based ODs (#total, #FDs, #OCDs). For TANE
 	// only the constancy field is populated; for ORDER the counts are of its
 	// canonical image.
-	Counts canonical.Count
+	Counts fastod.Count
 	// ListODs is the number of list-based ODs found (ORDER only).
 	ListODs int
 	// TimedOut reports that the run hit its budget before finishing (ORDER on
@@ -68,8 +64,8 @@ func (m Measurement) String() string {
 // DatasetGen builds one of the named synthetic datasets at a given size.
 type DatasetGen struct {
 	Name string
-	// Build returns a relation with the requested shape.
-	Build func(rows, cols int, seed int64) *relation.Relation
+	// Build returns a dataset with the requested shape.
+	Build func(rows, cols int, seed int64) *fastod.Dataset
 	// BaseRows is the row count used by the column-scaling experiment.
 	BaseRows int
 }
@@ -77,12 +73,10 @@ type DatasetGen struct {
 // Generators returns the four dataset stand-ins keyed by the paper's names.
 func Generators() []DatasetGen {
 	return []DatasetGen{
-		{Name: "flight", Build: datagen.FlightLike, BaseRows: 1000},
-		{Name: "ncvoter", Build: datagen.NCVoterLike, BaseRows: 1000},
-		{Name: "hepatitis", Build: func(rows, cols int, seed int64) *relation.Relation {
-			return datagen.HepatitisLike(rows, cols, seed)
-		}, BaseRows: 155},
-		{Name: "dbtesma", Build: datagen.DBTesmaLike, BaseRows: 1000},
+		{Name: "flight", Build: fastod.SyntheticFlight, BaseRows: 1000},
+		{Name: "ncvoter", Build: fastod.SyntheticNCVoter, BaseRows: 1000},
+		{Name: "hepatitis", Build: fastod.SyntheticHepatitis, BaseRows: 155},
+		{Name: "dbtesma", Build: fastod.SyntheticDBTesma, BaseRows: 1000},
 	}
 }
 
@@ -96,72 +90,40 @@ func GeneratorByName(name string) (DatasetGen, error) {
 	return DatasetGen{}, fmt.Errorf("bench: unknown dataset %q", name)
 }
 
-// Encode builds and rank-encodes one synthetic dataset.
-func Encode(g DatasetGen, rows, cols int, seed int64) (*relation.Encoded, error) {
-	return relation.Encode(g.Build(rows, cols, seed))
-}
-
-// RunFASTOD measures one FASTOD run. A run interrupted by the context or by
-// opts.Budget is reported as a partial measurement with TimedOut set.
-func RunFASTOD(ctx context.Context, enc *relation.Encoded, dataset string, opts core.Options) (Measurement, error) {
-	start := time.Now()
-	res, err := core.DiscoverContext(ctx, enc, opts)
-	elapsed := time.Since(start)
+// Measure runs one FASTOD, TANE or ORDER request on ds through Dataset.Run
+// and reports it under the given dataset name. A run interrupted by the
+// context or by the request's budget is a partial measurement with TimedOut
+// set, not an error; an invalid request fails with Run's validation error.
+func Measure(ctx context.Context, ds *fastod.Dataset, name string, req fastod.Request) (Measurement, error) {
+	rep, err := ds.Run(ctx, req)
 	if err != nil {
 		return Measurement{}, err
 	}
-	alg := AlgFASTOD
-	if opts.DisablePruning {
-		alg = AlgFASTODNoPruning
+	m := Measurement{
+		Dataset:  name,
+		Rows:     ds.NumRows(),
+		Cols:     ds.NumCols(),
+		Elapsed:  rep.Elapsed,
+		TimedOut: rep.Interrupted,
 	}
-	return Measurement{
-		Dataset:   dataset,
-		Rows:      enc.NumRows(),
-		Cols:      enc.NumCols(),
-		Algorithm: alg,
-		Elapsed:   elapsed,
-		Counts:    res.Counts,
-		TimedOut:  res.Stats.Interrupted,
-	}, nil
-}
-
-// RunTANE measures one TANE run; interrupts are reported like RunFASTOD's.
-func RunTANE(ctx context.Context, enc *relation.Encoded, dataset string, cfg lattice.Config) (Measurement, error) {
-	start := time.Now()
-	res, err := tane.DiscoverContext(ctx, enc, cfg)
-	elapsed := time.Since(start)
-	if err != nil {
-		return Measurement{}, err
+	switch {
+	case rep.FASTOD != nil:
+		m.Algorithm = AlgFASTOD
+		if req.FASTOD.DisablePruning {
+			m.Algorithm = AlgFASTODNoPruning
+		}
+		m.Counts = rep.FASTOD.Counts
+	case rep.TANE != nil:
+		m.Algorithm = AlgTANE
+		m.Counts = fastod.Count{Total: len(rep.TANE.FDs), Constancy: len(rep.TANE.FDs)}
+	case rep.ORDER != nil:
+		m.Algorithm = AlgORDER
+		m.Counts = rep.ORDER.Counts
+		m.ListODs = len(rep.ORDER.ODs)
+	default:
+		return Measurement{}, fmt.Errorf("bench: no measurement for algorithm %q", rep.Algorithm)
 	}
-	return Measurement{
-		Dataset:   dataset,
-		Rows:      enc.NumRows(),
-		Cols:      enc.NumCols(),
-		Algorithm: AlgTANE,
-		Elapsed:   elapsed,
-		Counts:    canonical.Count{Total: len(res.FDs), Constancy: len(res.FDs)},
-		TimedOut:  res.Stats.Interrupted,
-	}, nil
-}
-
-// RunORDER measures one ORDER run under the given budget.
-func RunORDER(ctx context.Context, enc *relation.Encoded, dataset string, budget lattice.Budget) (Measurement, error) {
-	start := time.Now()
-	res, err := order.DiscoverContext(ctx, enc, order.Options{Budget: budget})
-	elapsed := time.Since(start)
-	if err != nil {
-		return Measurement{}, err
-	}
-	return Measurement{
-		Dataset:   dataset,
-		Rows:      enc.NumRows(),
-		Cols:      enc.NumCols(),
-		Algorithm: AlgORDER,
-		Elapsed:   elapsed,
-		Counts:    res.Counts,
-		ListODs:   len(res.ODs),
-		TimedOut:  res.Stats.Interrupted,
-	}, nil
+	return m, nil
 }
 
 // FormatTable renders measurements grouped by dataset, in input order.

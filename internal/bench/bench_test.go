@@ -6,8 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/lattice"
+	fastod "repro"
 )
 
 func TestGenerators(t *testing.T) {
@@ -16,13 +15,8 @@ func TestGenerators(t *testing.T) {
 		t.Fatalf("expected 4 generators, got %d", len(gens))
 	}
 	for _, g := range gens {
-		enc, err := Encode(g, 50, 6, 1)
-		if err != nil {
-			t.Errorf("%s: Encode: %v", g.Name, err)
-			continue
-		}
-		if enc.NumCols() != 6 {
-			t.Errorf("%s: cols = %d", g.Name, enc.NumCols())
+		if ds := g.Build(50, 6, 1); ds.NumCols() != 6 {
+			t.Errorf("%s: cols = %d", g.Name, ds.NumCols())
 		}
 	}
 	if _, err := GeneratorByName("flight"); err != nil {
@@ -38,22 +32,21 @@ func TestRunnersProduceMeasurements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := Encode(gen, 100, 6, 1)
-	if err != nil {
-		t.Fatal(err)
+	ds := gen.Build(100, 6, 1)
+	measure := func(req fastod.Request) Measurement {
+		t.Helper()
+		m, err := Measure(context.Background(), ds, "flight", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
 
-	mF, err := RunFASTOD(context.Background(), enc, "flight", core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mF.Algorithm != AlgFASTOD || mF.Counts.Total == 0 || mF.Rows != 100 || mF.Cols != 6 {
+	mF := measure(fastod.Request{})
+	if mF.Algorithm != AlgFASTOD || mF.Counts.Total == 0 || mF.Rows != 100 || mF.Cols != 6 || mF.Elapsed <= 0 {
 		t.Errorf("FASTOD measurement = %+v", mF)
 	}
-	mNP, err := RunFASTOD(context.Background(), enc, "flight", core.Options{DisablePruning: true, CountOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mNP := measure(fastod.Request{FASTOD: fastod.FASTODRunOptions{DisablePruning: true, CountOnly: true}})
 	if mNP.Algorithm != AlgFASTODNoPruning {
 		t.Errorf("no-pruning algorithm label = %q", mNP.Algorithm)
 	}
@@ -61,20 +54,22 @@ func TestRunnersProduceMeasurements(t *testing.T) {
 		t.Errorf("no-pruning found fewer ODs (%d) than pruned (%d)", mNP.Counts.Total, mF.Counts.Total)
 	}
 
-	mT, err := RunTANE(context.Background(), enc, "flight", lattice.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mT := measure(fastod.Request{Algorithm: fastod.AlgorithmTANE})
 	if mT.Counts.Constancy != mF.Counts.Constancy {
 		t.Errorf("TANE FD count %d != FASTOD constancy count %d", mT.Counts.Constancy, mF.Counts.Constancy)
 	}
 
-	mO, err := RunORDER(context.Background(), enc, "flight", lattice.Budget{Timeout: 2 * time.Second, MaxNodes: 50000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mO.Algorithm != AlgORDER {
+	mO := measure(fastod.Request{
+		Algorithm:  fastod.AlgorithmORDER,
+		RunOptions: fastod.RunOptions{Budget: fastod.Budget{Timeout: 2 * time.Second, MaxNodes: 50000}},
+	})
+	if mO.Algorithm != AlgORDER || mO.ListODs == 0 {
 		t.Errorf("ORDER measurement = %+v", mO)
+	}
+
+	// The harness measures the three algorithms of the paper's figures only.
+	if _, err := Measure(context.Background(), ds, "flight", fastod.Request{Algorithm: fastod.AlgorithmBidirectional}); err == nil {
+		t.Error("Measure accepted a bidirectional run")
 	}
 
 	table := FormatTable("smoke", []Measurement{mF, mT, mO, mNP})
@@ -103,7 +98,7 @@ func TestFiguresQuickConfig(t *testing.T) {
 	cfg.PruningColScales = []int{4, 5}
 	cfg.LevelCols = 6
 	cfg.LevelRows = 100
-	cfg.ORDERBudget = lattice.Budget{Timeout: time.Second, MaxNodes: 20000}
+	cfg.ORDERBudget = fastod.Budget{Timeout: time.Second, MaxNodes: 20000}
 
 	f4, err := Figure4(context.Background(), cfg)
 	if err != nil {
@@ -154,13 +149,8 @@ func TestFiguresQuickConfig(t *testing.T) {
 	}
 
 	// Table1 single-shot comparison.
-	gen, _ := GeneratorByName("flight")
-	enc, err := Encode(gen, 100, 5, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg.Workers = 4
-	single, err := Table1(context.Background(), enc, "flight", cfg)
+	single, err := Table1(context.Background(), fastod.SyntheticFlight(100, 5, cfg.Seed), cfg)
 	if err != nil {
 		t.Fatalf("Table1: %v", err)
 	}

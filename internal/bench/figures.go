@@ -6,9 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/lattice"
-	"repro/internal/relation"
+	fastod "repro"
 )
 
 // Config scales the experiments. The paper runs on hundreds of thousands of
@@ -18,19 +16,17 @@ import (
 type Config struct {
 	// Seed makes dataset generation deterministic.
 	Seed int64
-	// Workers is passed through as the engine Workers of every FASTOD and TANE
-	// run (both share the level-parallel lattice engine). DefaultConfig and
+	// Workers is the RunOptions.Workers of every run. DefaultConfig and
 	// QuickConfig pin it to 1 (sequential) so the figures stay comparable
 	// with the paper's single-threaded measurements; set 0 (all CPUs) or
-	// higher explicitly to measure the parallel engine. ORDER remains
-	// single-threaded (its depth-first list-lattice search does not go
-	// through the engine).
+	// higher explicitly to measure the parallel engine. ORDER ignores it
+	// (its list-lattice search is sequential).
 	Workers int
 	// ORDERBudget bounds each ORDER run (it is factorial in attributes).
-	ORDERBudget lattice.Budget
+	ORDERBudget fastod.Budget
 	// Budget, when non-zero, bounds each FASTOD and TANE run; interrupted
 	// runs are reported as partial measurements (TimedOut set), not errors.
-	Budget lattice.Budget
+	Budget fastod.Budget
 	// RowScales lists the tuple counts for the row-scalability experiment
 	// (Figure 4), applied to every dataset.
 	RowScales []int
@@ -52,7 +48,7 @@ func DefaultConfig() Config {
 	return Config{
 		Seed:         2017,
 		Workers:      1,
-		ORDERBudget:  lattice.Budget{Timeout: 20 * time.Second, MaxNodes: 1_500_000},
+		ORDERBudget:  fastod.Budget{Timeout: 20 * time.Second, MaxNodes: 1_500_000},
 		RowScales:    []int{2000, 4000, 6000, 8000, 10000},
 		RowScaleCols: 10,
 		ColScales: map[string][]int{
@@ -74,7 +70,7 @@ func QuickConfig() Config {
 	return Config{
 		Seed:         2017,
 		Workers:      1,
-		ORDERBudget:  lattice.Budget{Timeout: 2 * time.Second, MaxNodes: 100_000},
+		ORDERBudget:  fastod.Budget{Timeout: 2 * time.Second, MaxNodes: 100_000},
 		RowScales:    []int{200, 400, 600, 800, 1000},
 		RowScaleCols: 8,
 		ColScales: map[string][]int{
@@ -90,81 +86,89 @@ func QuickConfig() Config {
 	}
 }
 
+// request is the run of one algorithm under cfg: its worker count, and
+// ORDERBudget for ORDER or Budget for the others.
+func (c Config) request(alg fastod.Algorithm) fastod.Request {
+	budget := c.Budget
+	if alg == fastod.AlgorithmORDER {
+		budget = c.ORDERBudget
+	}
+	return fastod.Request{Algorithm: alg, RunOptions: fastod.RunOptions{Workers: c.Workers, Budget: budget}}
+}
+
+// comparison is the paper's TANE, FASTOD, ORDER sequence under cfg.
+func (c Config) comparison() []fastod.Request {
+	return []fastod.Request{
+		c.request(fastod.AlgorithmTANE),
+		c.request(fastod.AlgorithmFASTOD),
+		c.request(fastod.AlgorithmORDER),
+	}
+}
+
+// point is one dataset shape of an experiment series.
+type point struct {
+	gen        DatasetGen
+	rows, cols int
+}
+
+// sweep builds every point's dataset and measures reqs on it, in order. Once
+// ctx is done it returns what it has measured, without an error.
+func sweep(ctx context.Context, seed int64, points []point, reqs []fastod.Request) ([]Measurement, error) {
+	var out []Measurement
+	for _, p := range points {
+		if ctx.Err() != nil {
+			return out, nil
+		}
+		ms, err := measureAll(ctx, p.gen.Build(p.rows, p.cols, seed), p.gen.Name, reqs)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ms...)
+	}
+	return out, nil
+}
+
+// measureAll measures reqs on one dataset, in order.
+func measureAll(ctx context.Context, ds *fastod.Dataset, name string, reqs []fastod.Request) ([]Measurement, error) {
+	out := make([]Measurement, 0, len(reqs))
+	for _, req := range reqs {
+		m, err := Measure(ctx, ds, name, req)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, m)
+	}
+	return out, nil
+}
+
 // Figure4 reproduces Exp-1/Exp-3/Exp-4 of the paper: runtime and output size
 // of TANE, FASTOD and ORDER while the number of tuples grows, on the
 // flight-, ncvoter- and dbtesma-like datasets with a fixed attribute count.
 func Figure4(ctx context.Context, cfg Config) ([]Measurement, error) {
-	datasets := []string{"flight", "ncvoter", "dbtesma"}
-	var out []Measurement
-	for _, name := range datasets {
+	var points []point
+	for _, name := range []string{"flight", "ncvoter", "dbtesma"} {
 		gen, err := GeneratorByName(name)
 		if err != nil {
 			return nil, err
 		}
 		for _, rows := range cfg.RowScales {
-			if ctx.Err() != nil {
-				return out, nil
-			}
-			enc, err := Encode(gen, rows, cfg.RowScaleCols, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			m, err := RunTANE(ctx, enc, name, lattice.Config{Workers: cfg.Workers, Budget: cfg.Budget})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, m)
-			m, err = RunFASTOD(ctx, enc, name, core.Options{Workers: cfg.Workers, Budget: cfg.Budget})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, m)
-			m, err = RunORDER(ctx, enc, name, cfg.ORDERBudget)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, m)
+			points = append(points, point{gen, rows, cfg.RowScaleCols})
 		}
 	}
-	return out, nil
+	return sweep(ctx, cfg.Seed, points, cfg.comparison())
 }
 
 // Figure5 reproduces Exp-2/Exp-3/Exp-4: runtime and output size of TANE,
 // FASTOD and ORDER while the number of attributes grows, on all four
 // datasets with a fixed tuple count.
 func Figure5(ctx context.Context, cfg Config) ([]Measurement, error) {
-	var out []Measurement
+	var points []point
 	for _, gen := range Generators() {
-		scales, ok := cfg.ColScales[gen.Name]
-		if !ok {
-			continue
-		}
-		for _, cols := range scales {
-			if ctx.Err() != nil {
-				return out, nil
-			}
-			enc, err := Encode(gen, gen.BaseRows, cols, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			m, err := RunTANE(ctx, enc, gen.Name, lattice.Config{Workers: cfg.Workers, Budget: cfg.Budget})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, m)
-			m, err = RunFASTOD(ctx, enc, gen.Name, core.Options{Workers: cfg.Workers, Budget: cfg.Budget})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, m)
-			m, err = RunORDER(ctx, enc, gen.Name, cfg.ORDERBudget)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, m)
+		for _, cols := range cfg.ColScales[gen.Name] {
+			points = append(points, point{gen, gen.BaseRows, cols})
 		}
 	}
-	return out, nil
+	return sweep(ctx, cfg.Seed, points, cfg.comparison())
 }
 
 // Figure6 reproduces Exp-5/Exp-6: FASTOD with and without its pruning rules,
@@ -176,119 +180,47 @@ func Figure6(ctx context.Context, cfg Config) ([]Measurement, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []Measurement
+	var points []point
 	for _, rows := range cfg.PruningRowScales {
-		if ctx.Err() != nil {
-			return out, nil
-		}
-		enc, err := Encode(gen, rows, cfg.RowScaleCols, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		m, err := RunFASTOD(ctx, enc, "flight", core.Options{Workers: cfg.Workers, Budget: cfg.Budget})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-		m, err = RunFASTOD(ctx, enc, "flight", core.Options{Workers: cfg.Workers, Budget: cfg.Budget, DisablePruning: true, CountOnly: true})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
+		points = append(points, point{gen, rows, cfg.RowScaleCols})
 	}
 	for _, cols := range cfg.PruningColScales {
-		if ctx.Err() != nil {
-			return out, nil
-		}
-		enc, err := Encode(gen, cfg.LevelRows, cols, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		m, err := RunFASTOD(ctx, enc, "flight", core.Options{Workers: cfg.Workers, Budget: cfg.Budget})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-		m, err = RunFASTOD(ctx, enc, "flight", core.Options{Workers: cfg.Workers, Budget: cfg.Budget, DisablePruning: true, CountOnly: true})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
+		points = append(points, point{gen, cfg.LevelRows, cols})
 	}
-	return out, nil
-}
-
-// LevelMeasurement is one row of the Figure 7 table: per-lattice-level
-// runtime and OD counts.
-type LevelMeasurement struct {
-	Level       int
-	Nodes       int
-	Elapsed     time.Duration
-	Constancy   int
-	OrderCompat int
+	pruned := cfg.request(fastod.AlgorithmFASTOD)
+	unpruned := pruned
+	unpruned.FASTOD = fastod.FASTODRunOptions{DisablePruning: true, CountOnly: true}
+	return sweep(ctx, cfg.Seed, points, []fastod.Request{pruned, unpruned})
 }
 
 // Figure7 reproduces Exp-7: the time spent and the ODs found at each level of
 // the set-containment lattice on the flight-like dataset.
-func Figure7(ctx context.Context, cfg Config) ([]LevelMeasurement, error) {
-	gen, err := GeneratorByName("flight")
+func Figure7(ctx context.Context, cfg Config) ([]fastod.LevelStat, error) {
+	req := cfg.request(fastod.AlgorithmFASTOD)
+	req.FASTOD.CollectLevelStats = true
+	rep, err := fastod.SyntheticFlight(cfg.LevelRows, cfg.LevelCols, cfg.Seed).Run(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	enc, err := Encode(gen, cfg.LevelRows, cfg.LevelCols, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.DiscoverContext(ctx, enc, core.Options{Workers: cfg.Workers, Budget: cfg.Budget, CollectLevelStats: true})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]LevelMeasurement, 0, len(res.Levels))
-	for _, ls := range res.Levels {
-		out = append(out, LevelMeasurement{
-			Level:       ls.Level,
-			Nodes:       ls.Nodes,
-			Elapsed:     ls.Elapsed,
-			Constancy:   ls.Constancy,
-			OrderCompat: ls.OrderCompat,
-		})
-	}
-	return out, nil
+	return rep.FASTOD.Levels, nil
 }
 
 // FormatLevelTable renders Figure 7's rows.
-func FormatLevelTable(title string, ms []LevelMeasurement) string {
+func FormatLevelTable(title string, levels []fastod.LevelStat) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s ==\n", title)
 	fmt.Fprintf(&b, "%-6s %-8s %-14s %s\n", "level", "nodes", "time", "#ODs (#FDs + #OCDs)")
-	for _, m := range ms {
-		total := m.Constancy + m.OrderCompat
+	for _, l := range levels {
 		fmt.Fprintf(&b, "%-6d %-8d %-14v %d (%d + %d)\n",
-			m.Level, m.Nodes, m.Elapsed.Round(time.Microsecond), total, m.Constancy, m.OrderCompat)
+			l.Level, l.Nodes, l.Elapsed.Round(time.Microsecond), l.Constancy+l.OrderCompat, l.Constancy, l.OrderCompat)
 	}
 	return b.String()
 }
 
-// Table1 runs the three algorithms on one dataset configuration; it backs the
-// odbench "single" mode used for ad-hoc comparisons on user CSV files. The
-// FASTOD/TANE budget and worker count come from cfg (ORDER keeps its own
-// budget, as in the figure experiments).
-func Table1(ctx context.Context, enc *relation.Encoded, name string, cfg Config) ([]Measurement, error) {
-	var out []Measurement
-	m, err := RunTANE(ctx, enc, name, lattice.Config{Workers: cfg.Workers, Budget: cfg.Budget})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, m)
-	m, err = RunFASTOD(ctx, enc, name, core.Options{Workers: cfg.Workers, Budget: cfg.Budget})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, m)
-	m, err = RunORDER(ctx, enc, name, cfg.ORDERBudget)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, m)
-	return out, nil
+// Table1 runs TANE, FASTOD and ORDER on one dataset, labelled with its name;
+// it backs the odbench "single" mode used for ad-hoc comparisons on user CSV
+// files. The budgets and worker count come from cfg, as in the figure
+// experiments.
+func Table1(ctx context.Context, ds *fastod.Dataset, cfg Config) ([]Measurement, error) {
+	return measureAll(ctx, ds, ds.Name(), cfg.comparison())
 }

@@ -17,6 +17,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/canonical"
@@ -112,11 +113,12 @@ type Result struct {
 // knowledge.
 //
 // The context and Options.Discovery.Budget are honored across the whole run,
-// not per inner discovery: the wall-clock deadline and the node allowance are
-// shared by the unconditional pass and every slice pass, so a budgeted
-// conditional run is bounded even when the relation fragments into many
-// slices. An interrupted run keeps the conditional ODs confirmed so far and
-// sets Result.Stats.Interrupted.
+// not per inner discovery: Budget.Timeout becomes one deadline on the run's
+// context, and every pass, the unconditional one and each slice pass, runs
+// under that context with no timeout of its own and draws its visits from
+// one shared node allowance. So a budgeted conditional run is bounded even
+// when the relation fragments into many slices. An interrupted run keeps the
+// conditional ODs confirmed so far and sets Result.Stats.Interrupted.
 func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (*Result, error) {
 	if opts.MaxConditionCardinality <= 0 {
 		opts.MaxConditionCardinality = DefaultMaxConditionCardinality
@@ -125,14 +127,14 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		opts.MinSliceRows = DefaultMinSliceRows
 	}
 	start := time.Now()
-	// Every pass draws its visits from the one node allowance this budget
-	// carries.
 	budget := lattice.SharedNodes(opts.Discovery.Budget)
-	opts.Discovery.Budget = budget
-	var deadline time.Time
 	if budget.Timeout > 0 {
-		deadline = start.Add(budget.Timeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, budget.Timeout)
+		defer cancel()
+		budget.Timeout = 0
 	}
+	opts.Discovery.Budget = budget
 
 	global, err := core.DiscoverContext(ctx, enc, opts.Discovery)
 	if err != nil {
@@ -144,11 +146,9 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	}
 	// Condition slices are distinct relations; a partition store supplied for
 	// the global run must not leak into them (a store is bound to exactly one
-	// relation instance). Each slice run gets what is left of the run's time
-	// when it starts and draws on the shared node allowance. Per-level
-	// progress stays with the unconditional pass (slice lattices are tiny
-	// and many); instead each completed slice reports one SliceProgressLevel
-	// event below.
+	// relation instance). Per-level progress stays with the unconditional
+	// pass (slice lattices are tiny and many); instead each completed slice
+	// reports one SliceProgressLevel event below.
 	sliceOpts := opts.Discovery
 	sliceOpts.Partitions = nil
 	sliceOpts.Progress = nil
@@ -206,80 +206,51 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		sliceOpts.Workers = 1
 	}
 
-	// outcomes[i] holds job i's filtered conditional ODs; merging in job order
-	// after the pool drains makes a complete run byte-identical to a
-	// sequential one regardless of worker count. Counters (NodesVisited,
-	// SlicesExamined, MaxLevelReached) commute, so they merge at completion.
-	outcomes := make([][]OD, len(jobs))
-	var (
-		mu      sync.Mutex
-		stopped bool
-		runErr  error
-	)
-	// remainingBudget is the budget for the next slice run: the shared one
-	// with what is left of the run's time. exhausted reports that the
-	// context, the deadline or the node allowance is spent.
-	remainingBudget := func() (lattice.Budget, bool) {
-		b := budget
-		if ctx.Err() != nil || lattice.NodesSpent(b) {
-			return b, true
-		}
-		if b.Timeout > 0 {
-			b.Timeout = time.Until(deadline)
-			if b.Timeout <= 0 {
-				return b, true
-			}
-		}
-		return b, false
+	// Each job writes only its own outcome slot; the slots merge in job order
+	// after the pool drains, so a complete run is byte-identical to a
+	// sequential one regardless of worker count.
+	type outcome struct {
+		ods   []OD
+		stats lattice.Stats
+		ran   bool
+		err   error
 	}
+	outcomes := make([]outcome, len(jobs))
+	var (
+		// failed stops the pool once a job fails or panics.
+		failed   atomic.Bool
+		panicked atomic.Pointer[lattice.PanicError]
+		// mu serializes the progress callback; reported, the slice nodes
+		// already reported, is read and written only under it, so the
+		// events' cumulative NodesVisited never goes backwards.
+		mu       sync.Mutex
+		reported int
+	)
 	stop := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return stopped || runErr != nil
+		return ctx.Err() != nil || lattice.NodesSpent(budget) || failed.Load()
 	}
 	// The pool's trap keeps the fault-containment contract for the slice
-	// scaffolding (row selection, cover filtering, result merging, the
-	// progress callback): a panic there becomes a typed error, not a dead
-	// process. Panics inside a slice's own discovery are already contained
-	// by that slice's engine and arrive as runErr.
+	// scaffolding (row selection, cover filtering, the progress callback): a
+	// panic there becomes a typed error, not a dead process. Panics inside a
+	// slice's own discovery are already contained by that slice's engine and
+	// arrive as the job's error.
 	trap := func(rec any) {
-		err := &lattice.PanicError{Value: rec, Stack: debug.Stack()}
-		mu.Lock()
-		defer mu.Unlock()
-		if runErr == nil {
-			runErr = err
-		}
-		stopped = true
+		panicked.CompareAndSwap(nil, &lattice.PanicError{Value: rec, Stack: debug.Stack()})
+		failed.Store(true)
 	}
 	lattice.ParallelFor(workers, len(jobs), 1, stop, trap, func(_, i int) {
-		left, exhausted := remainingBudget()
-		if exhausted {
-			mu.Lock()
-			defer mu.Unlock()
-			res.Stats.Interrupted = true
-			stopped = true
-			return
-		}
-
-		job := jobs[i]
-		jobOpts := sliceOpts
-		jobOpts.Budget = left
+		job, out := jobs[i], &outcomes[i]
 		slice, err := enc.SelectRows(job.rows)
 		var sliceRes *core.Result
 		if err == nil {
-			sliceRes, err = core.DiscoverContext(ctx, slice, jobOpts)
+			sliceRes, err = core.DiscoverContext(ctx, slice, sliceOpts)
 		}
 		if err != nil {
-			mu.Lock()
-			defer mu.Unlock()
-			if runErr == nil {
-				runErr = err
-			}
+			out.err = err
+			failed.Store(true)
 			return
 		}
-		// Filter off the lock: the cover is read-only after construction.
 		cond := Condition{Attr: job.attr, Value: job.value, Rows: len(job.rows)}
-		var kept []OD
 		for _, od := range sliceRes.ODs {
 			// Skip ODs that mention the condition attribute itself: within
 			// the slice it is constant, so such ODs carry no information.
@@ -289,43 +260,44 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 			if globalCover.Implies(od) {
 				continue
 			}
-			kept = append(kept, OD{Condition: cond, OD: od})
+			out.ods = append(out.ods, OD{Condition: cond, OD: od})
 		}
-
-		// The progress callback runs under mu, so slice events are serialized
-		// and their cumulative NodesVisited never goes backwards. The
-		// deferred unlock releases mu even when the callback panics, so the
-		// trap can take it.
-		mu.Lock()
-		defer mu.Unlock()
-		res.Stats.NodesVisited += sliceRes.Stats.NodesVisited
-		res.Stats.MaxLevelReached = max(res.Stats.MaxLevelReached, sliceRes.Stats.MaxLevelReached)
-		res.SlicesExamined++
-		outcomes[i] = kept
-		if opts.Discovery.Progress != nil {
-			opts.Discovery.Progress(lattice.ProgressEvent{
+		out.stats, out.ran = sliceRes.Stats.Stats, true
+		if progress := opts.Discovery.Progress; progress != nil {
+			// The deferred unlock releases mu even when the callback panics,
+			// so the workers waiting to report are not left blocked.
+			mu.Lock()
+			defer mu.Unlock()
+			reported += sliceRes.Stats.NodesVisited
+			progress(lattice.ProgressEvent{
 				Level:        SliceProgressLevel,
 				Nodes:        sliceRes.Stats.NodesVisited,
-				NodesVisited: res.Stats.NodesVisited,
+				NodesVisited: global.Stats.NodesVisited + reported,
 				Elapsed:      time.Since(start),
 				Slice:        &lattice.SliceInfo{Attr: job.attr, Value: job.value, Rows: len(job.rows)},
 			})
 		}
-		if sliceRes.Stats.Interrupted {
-			// The budget ran out inside the slice. The ODs it emitted up to
-			// the interrupt are valid on the slice (each was verified
-			// individually) and are kept; the rest of the search is
-			// abandoned. In-flight slices on other workers finish their own
-			// (already budgeted) runs and their results are kept too.
-			res.Stats.Interrupted = true
-			stopped = true
-		}
 	})
-	if runErr != nil {
-		return nil, runErr
+	if p := panicked.Load(); p != nil {
+		return nil, p
 	}
-	for _, kept := range outcomes {
-		res.ODs = append(res.ODs, kept...)
+	for _, out := range outcomes {
+		switch {
+		case out.err != nil:
+			return nil, out.err
+		case !out.ran:
+			// The pool stopped on the context or the node allowance before
+			// this slice started.
+			res.Stats.Interrupted = true
+		default:
+			// A slice interrupted by the context or the allowance keeps the
+			// ODs it emitted: each was verified on the slice individually.
+			res.Stats.Interrupted = res.Stats.Interrupted || out.stats.Interrupted
+			res.Stats.NodesVisited += out.stats.NodesVisited
+			res.Stats.MaxLevelReached = max(res.Stats.MaxLevelReached, out.stats.MaxLevelReached)
+			res.SlicesExamined++
+			res.ODs = append(res.ODs, out.ods...)
+		}
 	}
 
 	sort.Slice(res.ODs, func(i, j int) bool {

@@ -3,6 +3,7 @@ package conditional
 import (
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/canonical"
 	"repro/internal/core"
@@ -233,6 +234,52 @@ func TestNodeBudgetSharedBySlicePasses(t *testing.T) {
 			if res.Stats.NodesVisited > budget || !res.Stats.Interrupted {
 				t.Errorf("MaxNodes %d, workers %d: %d nodes visited, interrupted=%v; want at most %d, interrupted",
 					budget, workers, res.Stats.NodesVisited, res.Stats.Interrupted, budget)
+			}
+		}
+	}
+}
+
+// TestDeadlineSharedBySlicePasses: Budget.Timeout is one deadline for the
+// whole run, not a fresh timeout per pass. A progress callback that sleeps
+// past it at the first slice event leaves no later slice to start, at 1, 2
+// and 4 workers: the run is interrupted, has examined at most the slices
+// that were running when the deadline passed (one per worker), and reports
+// only ODs the unbudgeted run reports.
+func TestDeadlineSharedBySlicePasses(t *testing.T) {
+	enc := mustEncode(t, datagen.FlightLike(3000, 8, 7))
+	full, err := DiscoverContext(t.Context(), enc, Options{Discovery: core.Options{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	complete := make(map[OD]bool, len(full.ODs))
+	for _, od := range full.ODs {
+		complete[od] = true
+	}
+	const timeout = 300 * time.Millisecond
+	for _, workers := range []int{1, 2, 4} {
+		deadline := time.Now().Add(timeout)
+		// Slice events are serialized, so the flag needs no lock.
+		slept := false
+		res, err := DiscoverContext(t.Context(), enc, Options{Discovery: core.Options{
+			Workers: workers,
+			Budget:  lattice.Budget{Timeout: timeout},
+			Progress: func(ev lattice.ProgressEvent) {
+				if ev.Level == SliceProgressLevel && !slept {
+					slept = true
+					time.Sleep(time.Until(deadline) + 50*time.Millisecond)
+				}
+			},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Stats.Interrupted || res.SlicesExamined > workers {
+			t.Errorf("workers %d: interrupted=%v after %d of %d slices; want interrupted after at most %d",
+				workers, res.Stats.Interrupted, res.SlicesExamined, full.SlicesExamined, workers)
+		}
+		for _, od := range res.ODs {
+			if !complete[od] {
+				t.Errorf("workers %d: %v is not reported by the unbudgeted run", workers, od.NamesString(enc.ColumnNames))
 			}
 		}
 	}

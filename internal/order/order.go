@@ -26,27 +26,6 @@ import (
 	"repro/internal/relation"
 )
 
-// Options configures an ORDER run. Because the algorithm is factorial in the
-// number of attributes, a budget (node count and wall-clock timeout) is
-// supported; a run that exceeds it is reported as interrupted, mirroring the
-// "* 5h" annotations in the paper's figures. ORDER pioneered the budget in
-// this repository; the type is now the shared lattice.Budget every algorithm
-// honors.
-type Options struct {
-	// Budget bounds the run's wall-clock time and visited list-lattice nodes
-	// (0 values = none). ORDER's budget has per-node granularity: the check
-	// runs before every node evaluation.
-	Budget lattice.Budget
-	// MaxLevel, when positive, bounds the length of the attribute lists
-	// explored — the list-lattice analogue of the set-lattice MaxLevel. The
-	// shortest list holds two attributes, so MaxLevel 1 visits nothing.
-	// Stopping at MaxLevel is a normal completion, not an interrupt.
-	MaxLevel int
-	// Progress, when non-nil, receives one event per completed list-lattice
-	// level (the Level field is the list length).
-	Progress func(lattice.ProgressEvent)
-}
-
 // Result is the outcome of an ORDER run.
 type Result struct {
 	// ODs is the list-based output, in discovery order, deduplicated.
@@ -60,7 +39,7 @@ type Result struct {
 	// Stats carries the run's traversal counters: NodesVisited counts
 	// list-lattice nodes processed, MaxLevelReached is the longest
 	// attribute-list length processed, and Interrupted reports whether the
-	// run was stopped by its context or Options.Budget before exhausting the
+	// run was stopped by its context or Config.Budget before exhausting the
 	// search space (ODs then holds everything found up to the interrupt).
 	// ORDER computes no stripped partitions, so the partition counters stay
 	// zero.
@@ -79,11 +58,24 @@ type node struct {
 	allValid bool
 }
 
-// DiscoverContext runs ORDER over an encoded relation instance. The context
-// and Options.Budget are checked before every node evaluation; an interrupted
-// run returns the list ODs found so far with Stats.Interrupted set rather
-// than an error.
-func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (*Result, error) {
+// DiscoverContext runs ORDER over an encoded relation instance under the
+// engine's run configuration, of which it reads three fields:
+//
+//   - Budget bounds the wall-clock time and the visited list-lattice nodes.
+//     ORDER is factorial in the number of attributes, so a run that exhausts
+//     its budget is reported as interrupted, mirroring the "* 5h"
+//     annotations in the paper's figures. The context and the budget are
+//     checked before every node evaluation; an interrupted run returns the
+//     list ODs found so far with Stats.Interrupted set rather than an error.
+//   - MaxLevel, when positive, bounds the length of the attribute lists
+//     explored. The shortest list holds two attributes, so MaxLevel 1 visits
+//     nothing. Stopping at MaxLevel is a normal completion, not an interrupt.
+//   - Progress, when non-nil, receives one event per completed list-lattice
+//     level (the Level field is the list length).
+//
+// Workers and Partitions do not apply: the list-lattice search is sequential
+// and computes no stripped partitions.
+func DiscoverContext(ctx context.Context, enc *relation.Encoded, cfg lattice.Config) (*Result, error) {
 	if enc == nil || enc.NumCols() == 0 {
 		return nil, fmt.Errorf("order: empty relation")
 	}
@@ -98,10 +90,10 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	n := enc.NumCols()
 
 	overBudget := func() bool {
-		if opts.Budget.MaxNodes > 0 && res.Stats.NodesVisited >= opts.Budget.MaxNodes {
+		if cfg.Budget.MaxNodes > 0 && res.Stats.NodesVisited >= cfg.Budget.MaxNodes {
 			return true
 		}
-		if opts.Budget.Timeout > 0 && time.Since(start) >= opts.Budget.Timeout {
+		if cfg.Budget.Timeout > 0 && time.Since(start) >= cfg.Budget.Timeout {
 			return true
 		}
 		select {
@@ -124,9 +116,9 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		}
 	}
 
-	for listLen := 2; len(level) > 0 && !res.Stats.Interrupted && (opts.MaxLevel <= 0 || listLen <= opts.MaxLevel); listLen++ {
+	for listLen := 2; len(level) > 0 && !res.Stats.Interrupted && (cfg.MaxLevel <= 0 || listLen <= cfg.MaxLevel); listLen++ {
 		var next []node
-		extend := opts.MaxLevel <= 0 || listLen < opts.MaxLevel
+		extend := cfg.MaxLevel <= 0 || listLen < cfg.MaxLevel
 		for i := range level {
 			if overBudget() {
 				res.Stats.Interrupted = true
@@ -151,8 +143,8 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 				next = append(next, node{list: child})
 			}
 		}
-		if opts.Progress != nil {
-			opts.Progress(lattice.ProgressEvent{
+		if cfg.Progress != nil {
+			cfg.Progress(lattice.ProgressEvent{
 				Level:        listLen,
 				Nodes:        len(level),
 				NodesVisited: res.Stats.NodesVisited,

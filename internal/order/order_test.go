@@ -24,17 +24,17 @@ func encode(t *testing.T, r *relation.Relation) *relation.Encoded {
 }
 
 func TestDiscoverValidation(t *testing.T) {
-	if _, err := DiscoverContext(t.Context(), nil, Options{}); err == nil {
+	if _, err := DiscoverContext(t.Context(), nil, lattice.Config{}); err == nil {
 		t.Error("nil relation must be rejected")
 	}
-	if _, err := DiscoverContext(t.Context(), &relation.Encoded{}, Options{}); err == nil {
+	if _, err := DiscoverContext(t.Context(), &relation.Encoded{}, lattice.Config{}); err == nil {
 		t.Error("empty relation must be rejected")
 	}
 }
 
 func TestDiscoverTable1(t *testing.T) {
 	enc := encode(t, datagen.Employees())
-	res, err := DiscoverContext(t.Context(), enc, Options{})
+	res, err := DiscoverContext(t.Context(), enc, lattice.Config{})
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestORDERSoundRelativeToFASTOD(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		rel := datagen.RandomStructuredRelation(2+rng.Intn(16), 4, 3, rng.Int63())
 		enc := encode(t, rel)
-		orderRes, err := DiscoverContext(t.Context(), enc, Options{Budget: lattice.Budget{MaxNodes: 200000}})
+		orderRes, err := DiscoverContext(t.Context(), enc, lattice.Config{Budget: lattice.Budget{MaxNodes: 200000}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestORDERIncompleteConstants(t *testing.T) {
 	}
 	enc := encode(t, rel)
 
-	orderRes, err := DiscoverContext(t.Context(), enc, Options{})
+	orderRes, err := DiscoverContext(t.Context(), enc, lattice.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestORDERIncompleteOrderCompatibility(t *testing.T) {
 		t.Error("FASTOD must imply {}: month ~ week")
 	}
 
-	orderRes, err := DiscoverContext(t.Context(), enc, Options{})
+	orderRes, err := DiscoverContext(t.Context(), enc, lattice.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestORDERIncompleteOrderCompatibility(t *testing.T) {
 // though FASTOD implies them).
 func TestORDERConcisenessVsFASTOD(t *testing.T) {
 	enc := encode(t, datagen.DateDim(120))
-	orderRes, err := DiscoverContext(t.Context(), enc, Options{Budget: lattice.Budget{MaxNodes: 500000}})
+	orderRes, err := DiscoverContext(t.Context(), enc, lattice.Config{Budget: lattice.Budget{MaxNodes: 500000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,14 +196,14 @@ func TestORDERConcisenessVsFASTOD(t *testing.T) {
 
 func TestDiscoverBudgets(t *testing.T) {
 	enc := encode(t, datagen.FlightLike(50, 8, 7))
-	res, err := DiscoverContext(t.Context(), enc, Options{Budget: lattice.Budget{MaxNodes: 10}})
+	res, err := DiscoverContext(t.Context(), enc, lattice.Config{Budget: lattice.Budget{MaxNodes: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Stats.Interrupted {
 		t.Error("MaxNodes budget should mark the run as interrupted")
 	}
-	res, err = DiscoverContext(t.Context(), enc, Options{Budget: lattice.Budget{Timeout: time.Nanosecond}})
+	res, err = DiscoverContext(t.Context(), enc, lattice.Config{Budget: lattice.Budget{Timeout: time.Nanosecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestDiscoverMaxLevel(t *testing.T) {
 	n := enc.NumCols()
 
 	var events int
-	res, err := DiscoverContext(t.Context(), enc, Options{MaxLevel: 1, Progress: func(lattice.ProgressEvent) { events++ }})
+	res, err := DiscoverContext(t.Context(), enc, lattice.Config{MaxLevel: 1, Progress: func(lattice.ProgressEvent) { events++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestDiscoverMaxLevel(t *testing.T) {
 		t.Errorf("MaxLevel 1: %d list ODs, %d canonical ODs, %d progress events; want none", len(res.ODs), len(res.Canonical), events)
 	}
 
-	res, err = DiscoverContext(t.Context(), enc, Options{MaxLevel: 2})
+	res, err = DiscoverContext(t.Context(), enc, lattice.Config{MaxLevel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

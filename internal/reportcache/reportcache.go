@@ -7,11 +7,11 @@
 // not a lattice traversal.
 //
 // Keys are opaque strings assembled by Key from the three coordinates that
-// fully determine a complete report: a dataset name, its content-version
-// stamp (fastod.Dataset.Version — any mutation bumps it, so stale entries die
-// by construction rather than by explicit invalidation), and the canonical
-// request fingerprint (fastod.Request.Fingerprint — requests differing only
-// in execution knobs such as Workers share an entry).
+// fully determine a complete report: a dataset name, its version stamp
+// (fastod.Dataset.Version — a dataset never changes after construction and
+// every dataset gets a fresh stamp, so a key never outlives its data), and
+// the canonical request fingerprint (fastod.Request.Fingerprint — requests
+// differing only in execution knobs such as Workers share an entry).
 //
 // Correctness rules are enforced IN the cache, not left to callers: an
 // interrupted (partial) report is never stored — where a run stops on budget

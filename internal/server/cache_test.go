@@ -138,35 +138,6 @@ func TestDiscoverCacheDistinguishesOrderSpecs(t *testing.T) {
 	}
 }
 
-func TestDiscoverCacheInvalidatedOnVersionBump(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	upload(t, ts, "emp", csvOf(t, datagen.Employees())).Body.Close()
-
-	discoverRaw(t, ts.URL, "emp", ``)
-	ds, ok := s.dataset("emp")
-	if !ok {
-		t.Fatal("uploaded dataset missing")
-	}
-	ds.BumpVersion()
-	var out DiscoverResponse
-	_, raw := discoverRaw(t, ts.URL, "emp", ``)
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Cached {
-		t.Error("report served from the cache across a dataset version bump")
-	}
-	// The fresh report was stored under the new version; the old entry is
-	// stranded (and will age out via LRU), not served.
-	_, raw = discoverRaw(t, ts.URL, "emp", ``)
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !out.Cached {
-		t.Error("post-bump report not cached under the new version")
-	}
-}
-
 func TestInterruptedReportsAreNeverCached(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	upload(t, ts, "flight", csvOf(t, datagen.FlightLike(300, 6, 2017))).Body.Close()

@@ -158,7 +158,7 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	key, version := cacheKey(name, ds, req)
+	key := cacheKey(name, ds, req)
 	if rep, hit := s.reports.Get(key); hit {
 		writeJSON(w, http.StatusOK, discoverResponse(name, req, rep, ds.ColumnNames(), true))
 		return
@@ -177,13 +177,8 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		s.serveRunError(w, name, newRequestID(), err)
 		return
 	}
-	// Cache only reports that are still current: if the dataset version moved
-	// while the run executed, the report may mix pre- and post-mutation data
-	// and is served once but never stored. The cache itself refuses
-	// interrupted partials.
-	if ds.Version() == version {
-		s.reports.Put(key, rep)
-	}
+	// The cache itself refuses interrupted partials.
+	s.reports.Put(key, rep)
 	writeJSON(w, http.StatusOK, discoverResponse(name, req, rep, ds.ColumnNames(), false))
 }
 
@@ -213,7 +208,7 @@ func (s *Server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 	}
 	// A cache hit replays the final "report" event immediately — no progress
 	// events (no run is happening to report on), no run-semaphore wait.
-	key, version := cacheKey(name, ds, req)
+	key := cacheKey(name, ds, req)
 	if rep, hit := s.reports.Get(key); hit {
 		startStream()
 		writeSSE(w, "report", discoverResponse(name, req, rep, ds.ColumnNames(), true))
@@ -246,11 +241,8 @@ func (s *Server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 		return
 	}
-	// Same rule as handleDiscover: store only if the dataset version did not
-	// move during the run (the cache refuses interrupted partials itself).
-	if ds.Version() == version {
-		s.reports.Put(key, rep)
-	}
+	// As in handleDiscover, the cache refuses interrupted partials itself.
+	s.reports.Put(key, rep)
 	writeSSE(w, "report", discoverResponse(name, req, rep, ds.ColumnNames(), false))
 	flusher.Flush()
 }

@@ -251,6 +251,29 @@ func TestDiscoverOverBudgetRequestIsCapped(t *testing.T) {
 	}
 }
 
+// TestDiscoverTimeoutSaturates: timeout_ms values past the range of
+// time.Duration saturate instead of wrapping around it. A huge timeout is
+// the server cap, never a short budget or a negative one, and a hugely
+// negative timeout is still a 400, never a short positive budget.
+func TestDiscoverTimeoutSaturates(t *testing.T) {
+	cap := fastod.Budget{Timeout: 8 * time.Second, MaxNodes: 500}
+	_, ts := newTestServer(t, Config{MaxBudget: cap})
+	resp := upload(t, ts, "emp", csvOf(t, datagen.Employees()))
+	resp.Body.Close()
+
+	for _, body := range []string{`{"timeout_ms":18446744073709602}`, `{"timeout_ms":9223372036855}`} {
+		status, out, errBody := discover(t, ts, "emp", body)
+		if status != http.StatusOK || out.Budget.TimeoutMS != cap.Timeout.Milliseconds() {
+			t.Errorf("%s: status %d, budget %+v, error %q; want 200 with the server cap %v",
+				body, status, out.Budget, errBody.Error, cap.Timeout)
+		}
+	}
+	status, _, errBody := discover(t, ts, "emp", `{"timeout_ms":-18446744073709502}`)
+	if status != http.StatusBadRequest || !strings.Contains(errBody.Error, "negative Budget.Timeout") {
+		t.Errorf("hugely negative timeout_ms: status %d, error %q; want 400 naming the negative Budget.Timeout", status, errBody.Error)
+	}
+}
+
 func TestDiscoverStream(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp := upload(t, ts, "flight", csvOf(t, datagen.FlightLike(300, 6, 2017)))

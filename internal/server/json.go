@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	fastod "repro"
@@ -105,7 +106,7 @@ func (q DiscoverRequest) toRequest() (fastod.Request, error) {
 			Workers:  q.Workers,
 			MaxLevel: q.MaxLevel,
 			Budget: fastod.Budget{
-				Timeout:  time.Duration(q.TimeoutMS) * time.Millisecond,
+				Timeout:  millis(q.TimeoutMS),
 				MaxNodes: q.MaxNodes,
 			},
 		},
@@ -137,6 +138,21 @@ func (q DiscoverRequest) toRequest() (fastod.Request, error) {
 		}
 	}
 	return req, nil
+}
+
+// millis converts wire milliseconds to a Duration, saturating at the
+// Duration range instead of wrapping around it: a timeout past the range
+// then becomes the server cap through capBudget, and a negative one stays
+// negative for validation to reject.
+func millis(ms int64) time.Duration {
+	const limit = math.MaxInt64 / int64(time.Millisecond)
+	switch {
+	case ms > limit:
+		return math.MaxInt64
+	case ms < -limit:
+		return math.MinInt64
+	}
+	return time.Duration(ms) * time.Millisecond
 }
 
 // ColumnInfo is the per-column schema entry of DatasetInfo: the sniffed (or

@@ -23,8 +23,9 @@
 // completed reports by (dataset name, dataset version, canonical request
 // fingerprint): a repeated question skips the run — and the run semaphore —
 // entirely and is answered in microseconds with "cached": true. Interrupted
-// (partial) reports are never cached, and any dataset version bump
-// invalidates by construction since the version is part of the key.
+// (partial) reports are never cached. Datasets never change after upload,
+// and every dataset gets a fresh version stamp, so a key never outlives the
+// data it describes.
 //
 // Resource discipline: a global semaphore bounds how many discovery runs
 // execute at once, and a server-side budget cap bounds each run's wall-clock
@@ -300,15 +301,13 @@ func (s *Server) acquire(done <-chan struct{}) (release func()) {
 	}
 }
 
-// cacheKey computes the report-cache coordinate of one discover request: the
-// key plus the dataset version stamp it captured (re-checked after the run so
-// a report computed across a concurrent mutation is never cached). Every
-// request is cacheable: a run's output is fully described by (dataset,
-// version, request). Interrupted reports are refused by the cache itself
-// (see reportcache.Cache.Put).
-func cacheKey(name string, ds *fastod.Dataset, req fastod.Request) (key string, version uint64) {
-	version = ds.Version()
-	return reportcache.Key(name, version, req.Fingerprint()), version
+// cacheKey computes the report-cache key of one discover request. Every
+// request is cacheable: a dataset never changes after construction, so a
+// run's output is fully described by (dataset, version, request).
+// Interrupted reports are refused by the cache itself (see
+// reportcache.Cache.Put).
+func cacheKey(name string, ds *fastod.Dataset, req fastod.Request) string {
+	return reportcache.Key(name, ds.Version(), req.Fingerprint())
 }
 
 // ReportCacheStats returns a snapshot of the report cache's accounting (the

@@ -612,11 +612,7 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 		rep.Stats = res.Stats
 
 	case AlgorithmORDER:
-		res, err := order.DiscoverContext(ctx, enc, order.Options{
-			Budget:   req.Budget,
-			MaxLevel: req.MaxLevel,
-			Progress: onProgress,
-		})
+		res, err := order.DiscoverContext(ctx, enc, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -634,7 +630,8 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 }
 
 // engineConfig is the request's lattice run configuration: the one mapping
-// of RunOptions onto the engine every set-lattice algorithm runs on.
+// of RunOptions onto the configuration every algorithm runs under, the
+// set-lattice ones and ORDER alike.
 func engineConfig(req Request, store *PartitionStore, onProgress func(ProgressEvent)) lattice.Config {
 	return lattice.Config{
 		Workers:    req.Workers,

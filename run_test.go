@@ -202,11 +202,11 @@ func TestRunMapsRequestFieldsOntoAlgorithms(t *testing.T) {
 		{"conditional/CollectLevelStats", fastod.Request{Algorithm: fastod.AlgorithmConditional, FASTOD: fastod.FASTODRunOptions{CollectLevelStats: true}},
 			direct(conditional.DiscoverContext, renderConditional, conditional.Options{Discovery: core.Options{CollectLevelStats: true}}), false},
 
-		{"order/zero", fastod.Request{Algorithm: fastod.AlgorithmORDER}, direct(order.DiscoverContext, renderORDER, order.Options{}), true},
+		{"order/zero", fastod.Request{Algorithm: fastod.AlgorithmORDER}, direct(order.DiscoverContext, renderORDER, lattice.Config{}), true},
 		{"order/MaxLevel", fastod.Request{Algorithm: fastod.AlgorithmORDER, RunOptions: fastod.RunOptions{MaxLevel: 2}},
-			direct(order.DiscoverContext, renderORDER, order.Options{MaxLevel: 2}), false},
+			direct(order.DiscoverContext, renderORDER, lattice.Config{MaxLevel: 2}), false},
 		{"order/Budget", fastod.Request{Algorithm: fastod.AlgorithmORDER, RunOptions: fastod.RunOptions{Budget: nodes}},
-			direct(order.DiscoverContext, renderORDER, order.Options{Budget: nodes}), false},
+			direct(order.DiscoverContext, renderORDER, lattice.Config{Budget: nodes}), false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rep, err := ds.Run(t.Context(), c.req)
