@@ -159,6 +159,37 @@ func TestFiguresQuickConfig(t *testing.T) {
 	}
 }
 
+// TestQuickORDERStopsAtItsNodeBound runs Figure 5's slowest quick ORDER
+// point twice: the node bound, not the clock, must cut both runs, so they
+// find the same dependencies.
+func TestQuickORDERStopsAtItsNodeBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("quick ORDER runs skipped in -short mode")
+	}
+	cfg := QuickConfig()
+	gen, err := GeneratorByName("ncvoter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := gen.Build(gen.BaseRows, 8, cfg.Seed)
+	req := cfg.request(fastod.AlgorithmORDER)
+	var counts [2]fastod.Count
+	for run := range counts {
+		rep, err := ds.Run(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Interrupted || rep.Stats.NodesVisited != req.Budget.MaxNodes {
+			t.Fatalf("run %d: interrupted %v after %d nodes, want the bound of %d to cut it",
+				run, rep.Interrupted, rep.Stats.NodesVisited, req.Budget.MaxNodes)
+		}
+		counts[run] = rep.ORDER.Counts
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("two runs of one seed found %v and %v", counts[0], counts[1])
+	}
+}
+
 func TestDefaultAndQuickConfigs(t *testing.T) {
 	def := DefaultConfig()
 	if len(def.RowScales) == 0 || def.RowScaleCols == 0 || len(def.ColScales) != 4 {

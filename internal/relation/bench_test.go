@@ -12,21 +12,40 @@ import (
 // (Exp-1): flight-like 20 000 rows × 10 columns, the input of the repository
 // benchmark's tall workload, plus the NULL-dense, mixed-type messy 10 000 × 8
 // relation the benchmark's serve workload preloads. BenchmarkReadCSV times
-// CSV decode, which interns every field into its column's dictionary, plus
-// type sniffing; BenchmarkEncode the default rank encoding of the decoded
+// CSV decode, which scans the input's bytes and interns every field into
+// its column's dictionary straight from the input buffer, plus type
+// sniffing; BenchmarkEncode the default rank encoding of the decoded
 // relation; BenchmarkLoadCSV both, as fastod.LoadCSV runs them; and
 // BenchmarkEncodeSpec a re-encoding with one non-default column, as a run
 // with OrderSpecs makes.
 
 const benchRows, benchCols, benchSeed = 20000, 10, 2017
 
-func csvBytes(b *testing.B, rel *relation.Relation) []byte {
-	b.Helper()
+func csvBytes(tb testing.TB, rel *relation.Relation) []byte {
+	tb.Helper()
 	var csv bytes.Buffer
 	if err := relation.WriteCSV(rel, &csv); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return csv.Bytes()
+}
+
+// TestReadCSVAllocsPerColumn pins the decode's allocation shape on the
+// benchmark's flight-like input: a bounded number of allocations per column
+// (its tables, their growth, and one string for its dictionary), none per
+// record, at one chunk and at two.
+func TestReadCSVAllocsPerColumn(t *testing.T) {
+	data := csvBytes(t, datagen.FlightLike(benchRows, benchCols, benchSeed))
+	for _, chunks := range []int{1, 2} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, _, err := relation.DecodeCSV("flight", data, chunks); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1000 {
+			t.Errorf("%d chunks: decoding %d rows allocated %v times, want at most 1000", chunks, benchRows, allocs)
+		}
+	}
 }
 
 func BenchmarkReadCSV(b *testing.B) {

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
+	"strings"
 
 	"repro/internal/faultinject"
 )
@@ -21,11 +23,13 @@ const minChunkBytes = 64 << 10
 // ReadCSV parses a CSV stream with a header row into a relation, sniffing
 // column types from the data. name is used only for diagnostics.
 //
-// The input is buffered whole, and its body is decoded in up to GOMAXPROCS
-// chunks on parallel goroutines, each interning its fields into per-column
-// dictionaries that are then merged in chunk order. Errors name the same
-// line, column and row as a sequential decode: a chunk that fails is not
-// reported, the body is decoded again as one chunk instead.
+// The input is buffered whole and encoding/csv reads its header. The body is
+// cut into up to GOMAXPROCS chunks that parallel goroutines scan byte by
+// byte, handing every field, as a slice of the input, to its column's
+// dictionary; the chunks' dictionaries are then merged in chunk order. The
+// scan accepts exactly what encoding/csv accepts. Anything else it rejects
+// without a word, and the body is decoded again whole by encoding/csv, so
+// errors name the same line, column and row as a sequential decode.
 func ReadCSV(name string, src io.Reader) (*Relation, error) {
 	size := 0
 	if s, ok := src.(interface{ Len() int }); ok {
@@ -64,26 +68,26 @@ func readCSV(name string, src io.Reader, size int) (*Relation, error) {
 	return rel, err
 }
 
-// errSplit reports that a chunk of a split body hit a parse error or a
-// ragged row. Its line numbers and row indexes are chunk-local, so the body
-// is decoded again as one chunk, which reports them as a whole-input decode
-// does.
-var errSplit = errors.New("relation: chunk failed")
+// errRejected reports that a piece broke the grammar chunk.scan accepts or
+// held a record whose field count differs from the header's. The scan words
+// no error, so the body is decoded again by encoding/csv, which does.
+var errRejected = errors.New("relation: chunk rejected")
 
 // decodeCSV decodes data, cutting its body into up to chunks pieces.
-// retried reports that a piece failed and the body was decoded again whole.
+// retried reports that a piece was rejected and encoding/csv decoded the
+// body again whole.
 //
 // Cutting is sound because of the retry. The cuts sit at newlines outside
 // quoted fields by quote parity, which is exact on input encoding/csv
 // accepts (it rejects bare quotes without LazyQuotes). The first piece
-// starts at a record boundary. A piece that starts at one and parses
+// starts at a record boundary. A piece that starts at one and scans
 // cleanly, standalone, ends at one too: a quoted field still open at its end
-// is an error, and no other rule depends on where the input ends. So if
-// every piece parses cleanly, they hold exactly the records a whole-input
-// decode reads.
+// is rejected. Every piece but the last ends with a newline, so the rules
+// for the end of input apply in the last piece only. So if every piece scans
+// cleanly, they hold exactly the records a whole-input decode reads.
 func decodeCSV(name string, data []byte, chunks int) (rel *Relation, retried bool, err error) {
 	r := csv.NewReader(bytes.NewReader(data))
-	r.FieldsPerRecord = -1 // ragged rows get decodeChunks' clearer error
+	r.FieldsPerRecord = -1 // ragged rows get chunk.decode's clearer error
 	header, err := r.Read()
 	if err == io.EOF {
 		return nil, false, fmt.Errorf("relation: csv %s is empty", name)
@@ -91,11 +95,15 @@ func decodeCSV(name string, data []byte, chunks int) (rel *Relation, retried boo
 	if err != nil {
 		return nil, false, fmt.Errorf("relation: reading csv %s: %w", name, err)
 	}
-	r.ReuseRecord = true
 	body := data[r.InputOffset():]
-	cols, err := decodeChunks(name, r, header, splitBody(body, chunks))
-	if err == errSplit {
+	if len(body) > math.MaxInt32 {
+		// Dictionaries address their bytes with int32 offsets.
+		return nil, false, fmt.Errorf("relation: csv %s has a body of %d bytes, more than %d", name, len(body), math.MaxInt32)
+	}
+	cols, err := decodeChunks(name, nil, header, splitBody(body, chunks))
+	if err == errRejected {
 		retried = true
+		r.ReuseRecord = true
 		cols, err = decodeChunks(name, r, header, [][]byte{body})
 	}
 	if err != nil {
@@ -140,14 +148,15 @@ func splitBody(body []byte, n int) [][]byte {
 	return pieces
 }
 
-// decodeChunks decodes the pieces of a body into columns named by header:
-// the first piece alone with r, the header's reader, continuing where it
-// stopped; several pieces on parallel goroutines, each with its own reader,
-// returning errSplit when any of them fails. Each piece interns its fields
-// into dictionaries of its own, which are then merged per column in piece
-// order, so every dictionary keeps first-seen order. Row ids go into one
-// array per column that each piece fills from its own offset; the merge
-// closes the gaps that blank lines and quoted newlines leave.
+// decodeChunks decodes the pieces of a body into columns named by header.
+// With r nil, each piece is scanned on its own goroutine, and a rejected
+// piece fails the decode with errRejected; otherwise the one piece is read
+// with r, the header's reader, continuing where it stopped. Each piece
+// interns its fields into dictionaries of its own, which are then merged
+// per column in piece order, so every dictionary keeps first-seen order.
+// Row ids go into one array per column that each piece fills from its own
+// offset; the merge closes the gaps that blank lines and quoted newlines
+// leave.
 func decodeChunks(name string, r *csv.Reader, header []string, pieces [][]byte) ([]Column, error) {
 	ncols := len(header)
 	parts := make([]chunk, len(pieces))
@@ -171,15 +180,10 @@ func decodeChunks(name string, r *csv.Reader, header []string, pieces [][]byte) 
 		parts[k].init(arena)
 	}
 	var err error
-	if len(pieces) == 1 {
-		err = parts[0].decode(name, r, ncols, false)
+	if r != nil {
+		err = parts[0].decode(name, r)
 	} else {
-		err = parallel(len(pieces), func(k int) error {
-			pr := csv.NewReader(bytes.NewReader(pieces[k]))
-			pr.FieldsPerRecord = -1
-			pr.ReuseRecord = true
-			return parts[k].decode(name, pr, ncols, true)
-		})
+		err = parallel(len(pieces), func(k int) error { return parts[k].scan(pieces[k]) })
 	}
 	if err != nil {
 		return nil, err
@@ -210,12 +214,101 @@ func (ch *chunk) init(arena [][]int32) {
 	}
 }
 
-// decode reads r to its end, interning every field of every row. split
-// selects the failure mode: a piece of a split body stops at its first parse
-// error or ragged row with errSplit. A whole body reports a parse error as
-// is; after a ragged row it reads on, because a parse error anywhere takes
-// precedence, and then reports the first ragged row.
-func (ch *chunk) decode(name string, r *csv.Reader, ncols int, split bool) error {
+// scan interns every field of p, a run of whole records, and returns
+// errRejected unless p keeps to the grammar encoding/csv accepts (neither
+// LazyQuotes nor TrimLeadingSpace) with one field per column in every
+// record. Fields end at a comma, records at \n, \r\n or the end of input,
+// and a line end alone, or a \r alone at the end, is a blank line. A \r
+// before a line end or at the end of input is dropped; any other \r is data.
+// A field that starts with a quote ends at a quote not doubled, which a
+// comma or a record end must follow; it is unescaped into scratch, "" as one
+// quote and \r\n as \n. Any other field holds no quote and is handed over
+// as a slice of p.
+func (ch *chunk) scan(p []byte) error {
+	var scratch []byte
+	for i := 0; i < len(p); {
+		if n := lineEnd(p, i); n > 0 {
+			i += n // a blank line
+			continue
+		}
+		for c := 0; ; c++ {
+			end := i
+			var field []byte
+			if i < len(p) && p[i] == '"' {
+				// Each segment is copied with the quote that ends it, so a
+				// doubled quote leaves one and the closing quote is cut off.
+				for scratch, end = scratch[:0], i+1; ; end++ {
+					k := bytes.IndexByte(p[end:], '"')
+					if k < 0 {
+						return errRejected
+					}
+					scratch = appendLF(scratch, p[end:end+k+1])
+					if end += k + 1; end == len(p) || p[end] != '"' {
+						break
+					}
+				}
+				field = scratch[:len(scratch)-1]
+			} else {
+				for end < len(p) && p[end] != ',' && p[end] != '\n' && p[end] != '"' {
+					end++
+				}
+				if end < len(p) && p[end] == '"' {
+					return errRejected
+				}
+				if end > i && lineEnd(p, end-1) > 0 {
+					end-- // a \r before the line end
+				}
+				field = p[i:end]
+			}
+			if c == len(ch.tabs) {
+				return errRejected
+			}
+			ch.ids[c] = append(ch.ids[c], ch.tabs[c].internBytes(field))
+			if end < len(p) && p[end] == ',' {
+				i = end + 1
+				continue
+			}
+			n := lineEnd(p, end)
+			if n == 0 && end < len(p) || c+1 != len(ch.tabs) {
+				return errRejected
+			}
+			i = end + n
+			break
+		}
+		if len(ch.ids[0]) == probeRows {
+			ch.reserveDistinct(len(p), i)
+		}
+	}
+	return nil
+}
+
+// lineEnd returns the length of the line end at p[i]: \n, \r\n, or a \r
+// that ends p; 0 if there is none.
+func lineEnd(p []byte, i int) int {
+	switch {
+	case i < len(p) && p[i] == '\n', i+1 == len(p) && p[i] == '\r':
+		return 1
+	case i+1 < len(p) && p[i] == '\r' && p[i+1] == '\n':
+		return 2
+	}
+	return 0
+}
+
+// appendLF appends src to dst with every \r\n turned into \n, as
+// encoding/csv reads a quoted field that spans lines.
+func appendLF(dst, src []byte) []byte {
+	for k := bytes.Index(src, []byte("\r\n")); k >= 0; k = bytes.Index(src, []byte("\r\n")) {
+		dst = append(append(dst, src[:k]...), '\n')
+		src = src[k+2:]
+	}
+	return append(dst, src...)
+}
+
+// decode reads r to its end, interning every field of every row. It
+// reports a parse error as is; after a ragged row it reads on, because a
+// parse error anywhere takes precedence, and then reports the first ragged
+// row.
+func (ch *chunk) decode(name string, r *csv.Reader) error {
 	ragged, raggedFields := -1, 0
 	for row := 0; ; row++ {
 		rec, err := r.Read()
@@ -223,15 +316,9 @@ func (ch *chunk) decode(name string, r *csv.Reader, ncols int, split bool) error
 			break
 		}
 		if err != nil {
-			if split {
-				return errSplit
-			}
 			return fmt.Errorf("relation: reading csv %s: %w", name, err)
 		}
-		if len(rec) != ncols && ragged < 0 {
-			if split {
-				return errSplit
-			}
+		if len(rec) != len(ch.tabs) && ragged < 0 {
 			ragged, raggedFields = row, len(rec)
 		}
 		if ragged >= 0 {
@@ -240,27 +327,28 @@ func (ch *chunk) decode(name string, r *csv.Reader, ncols int, split bool) error
 		for c, v := range rec {
 			ch.ids[c] = append(ch.ids[c], ch.tabs[c].intern(v))
 		}
-		if row == probeRows {
-			ch.reserveDistinct()
-		}
 	}
 	if ragged >= 0 {
-		return raggedRowError(ragged, raggedFields, ncols)
+		return raggedRowError(ragged, raggedFields, len(ch.tabs))
 	}
 	return nil
 }
 
-// probeRows is the row after which a chunk judges each column's cardinality.
+// probeRows is the number of rows after which a chunk judges each column's
+// cardinality.
 const probeRows = 1024
 
 // reserveDistinct sizes the dictionary of every column whose first probeRows
 // rows were mostly distinct for one value per row of the chunk. Doubling a
 // near-unique column's dictionary and table up from empty would allocate
-// about twice their final size and copy every entry several times.
-func (ch *chunk) reserveDistinct() {
+// about twice their final size and copy every entry several times. Its arena
+// is sized for its bytes so far, scaled from the scanned bytes to the
+// chunk's size with a quarter to spare for values that grow longer, so all
+// arenas together reserve at most 5/4 of the chunk's size.
+func (ch *chunk) reserveDistinct(size, scanned int) {
 	for c := range ch.tabs {
-		if 2*len(ch.tabs[c].dict) > probeRows {
-			ch.tabs[c].reserve(ch.cap)
+		if t := &ch.tabs[c]; 2*len(t.ends) > probeRows {
+			t.reserve(ch.cap, int(int64(len(t.buf))*int64(size)/int64(scanned)*5/4))
 		}
 	}
 }
@@ -281,25 +369,27 @@ func mergeColumn(name string, parts []chunk, c int, ids []int32) Column {
 		// append moved it; moving runs down in place is then unsafe.
 		ids = make([]int32, rows)
 	}
-	dict := &parts[0].tabs[c]
-	distinct := 0
+	tab := &parts[0].tabs[c]
+	distinct, size := 0, 0
 	for k := range parts {
-		distinct += len(parts[k].tabs[c].dict)
+		distinct += len(parts[k].tabs[c].ends)
+		size += len(parts[k].tabs[c].buf)
 	}
-	dict.reserve(distinct)
+	tab.reserve(distinct, size)
 	off := copy(ids, parts[0].ids[c])
 	for k := 1; k < len(parts); k++ {
-		local := parts[k].tabs[c].dict
-		remap := make([]int32, len(local))
-		for id, v := range local {
-			remap[id] = dict.intern(v)
+		local := &parts[k].tabs[c]
+		remap := make([]int32, len(local.ends))
+		for id := range remap {
+			remap[id] = tab.internBytes(local.value(int32(id)))
 		}
 		for _, id := range parts[k].ids[c] {
 			ids[off] = remap[id]
 			off++
 		}
 	}
-	return Column{Name: name, Type: SniffType(dict.dict), Dict: dict.dict, IDs: ids[:rows:rows]}
+	dict := tab.dict()
+	return Column{Name: name, Type: SniffType(dict), Dict: dict, IDs: ids[:rows:rows]}
 }
 
 // WriteCSV writes the relation as CSV with a header row.
@@ -309,10 +399,11 @@ func WriteCSV(r *Relation, dst io.Writer) error {
 	}
 	bw := bufio.NewWriter(dst)
 	w := csv.NewWriter(bw)
-	if err := w.Write(r.ColumnNames()); err != nil {
+	if err := w.Write(keepCRLF(r.ColumnNames())); err != nil {
 		return fmt.Errorf("relation: writing csv header: %w", err)
 	}
 	for _, row := range r.Rows() {
+		keepCRLF(row)
 		if len(row) == 1 && row[0] == "" {
 			// encoding/csv writes a lone empty field as a blank line,
 			// which readers skip; quote it so the row survives.
@@ -329,6 +420,16 @@ func WriteCSV(r *Relation, dst io.Writer) error {
 		return err
 	}
 	return bw.Flush()
+}
+
+// keepCRLF rewrites, in place, each \r\n in fields as \r\r\n, which the
+// writer quotes. A reader turns a \r\n in a quoted field into \n, so
+// \r\r\n reads back as \r\n.
+func keepCRLF(fields []string) []string {
+	for i, f := range fields {
+		fields[i] = strings.ReplaceAll(f, "\r\n", "\r\r\n")
+	}
+	return fields
 }
 
 // WriteCSVFile writes the relation to the given path, creating or truncating

@@ -213,24 +213,28 @@ func TestInternTable(t *testing.T) {
 				t.Fatalf("domain %d: intern(%q) = %d, want %d", domain, v, got, id)
 			}
 		}
+		dict := tab.dict()
 		for v, id := range want {
-			if tab.dict[id] != v {
-				t.Fatalf("domain %d: dict[%d] = %q, want %q", domain, id, tab.dict[id], v)
+			if dict[id] != v {
+				t.Fatalf("domain %d: dict[%d] = %q, want %q", domain, id, dict[id], v)
 			}
 		}
 	}
 	values := make([]string, 5000)
+	size := 0
 	for i := range values {
 		values[i] = strconv.Itoa(i)
+		size += len(values[i])
 	}
-	// reserve allocates the dictionary and the slots; interning adds nothing.
+	// reserve allocates the value arena, its ends and the slots; interning
+	// adds nothing.
 	if allocs := testing.AllocsPerRun(5, func() {
 		tab := newInternTable()
-		tab.reserve(len(values))
+		tab.reserve(len(values), size)
 		for _, v := range values {
 			tab.intern(v)
 		}
-	}); allocs != 2 {
-		t.Errorf("reserving and filling a table allocated %v times, want 2", allocs)
+	}); allocs != 3 {
+		t.Errorf("reserving and filling a table allocated %v times, want 3", allocs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -59,7 +60,9 @@ var fuzzChunkCounts = []int{1, 2, 3, 5}
 
 // FuzzReadCSV drives the CSV decode path — the only place untrusted bytes
 // enter the system (odserve uploads, CLI file loads) — with hostile input,
-// and differences it against referenceReadCSV. The properties under test:
+// and differences it against referenceReadCSV, which is encoding/csv. Only
+// the byte scanner accepts input, so this is what trusts it. The properties
+// under test:
 //
 //  1. at every chunk count, the decode either matches the reference on
 //     names, types and every value, or fails with the reference's error
@@ -74,7 +77,9 @@ var fuzzChunkCounts = []int{1, 2, 3, 5}
 // nasty classes — hostile header names, ragged rows, quoted fields spanning
 // lines, and invalid UTF-8 — so `go test` replays them even when no fuzzing
 // budget is spent. The seeds added here put quoted newlines, escaped quotes,
-// CRLF and blank lines and ragged rows where the chunk counts above cut.
+// CRLF and blank lines and ragged rows where the chunk counts above cut,
+// and stand at each edge of the scanner's grammar: \r before a line end, at
+// the end of input and inside a field, quotes closed, doubled and bare.
 func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte("a,b\n1,2\n"))
 	f.Add([]byte("a,b\n1\n1,2,3\n"))                                               // ragged rows
@@ -94,6 +99,15 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte("\xef\xbb\xbfa,b\n1,2\n3,4\n5,6\n7,8\n"))                         // BOM header, split body
 	f.Add([]byte("a,b\n"))                                                         // header only
 	f.Add([]byte(""))                                                              // empty input
+	f.Add([]byte("a,b\r\n1,\"x\"\r\n\"y\",2\r\n"))                                 // closing quote before \r\n
+	f.Add([]byte("a,b\n1,2\n3,4\r"))                                               // lone \r at the end, unquoted field
+	f.Add([]byte("a,b\n1,2\n3,\"4\"\r"))                                           // lone \r at the end, quoted field
+	f.Add([]byte("a,b\n1,2\r\r\n3,4\n"))                                           // \r\r\n
+	f.Add([]byte("a,b\n1\r2,3\n4,\r5\n"))                                          // \r inside unquoted fields
+	f.Add([]byte("a,b\n1,2\n3,\"\""))                                              // empty quoted last field, no newline
+	f.Add([]byte("a,b\n1,\"x\r\n\r\ny\"\n2,3\n"))                                  // quoted field spanning \r\n and a blank line
+	f.Add([]byte("a,b\n\"a\"\"b\",1\n\"a\"b,2\n"))                                 // "a""b" next to "a"b
+	f.Add([]byte("a,b\n1,2\n3,x\"y"))                                              // bare quote in the last field, no newline
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := referenceReadCSV("fuzz", data)
@@ -170,44 +184,76 @@ func diffReference(rel *Relation, want *referenceRelation) string {
 }
 
 // TestReadCSVSplitsLargeInput checks the chunked decode on inputs past
-// ReadCSV's size floor, with quoted newlines throughout: it must match the
-// reference, without a retry, at every chunk count.
+// ReadCSV's size floor, with quoted newlines throughout, one of them with
+// every field quoted and CRLF line ends: each must match the reference,
+// without a retry, at every chunk count.
 func TestReadCSVSplitsLargeInput(t *testing.T) {
-	var b strings.Builder
-	b.WriteString("id,note,score\n")
+	var plain, quoted strings.Builder
+	plain.WriteString("id,note,score\n")
+	quoted.WriteString("\"id\",\"note\",\"score\"\r\n")
 	for i := 0; i < 20000; i++ {
 		switch i % 7 {
 		case 0:
-			fmt.Fprintf(&b, "%d,\"line one\nline \"\"two\"\"\",%d\n", i, i%13)
+			fmt.Fprintf(&plain, "%d,\"line one\nline \"\"two\"\"\",%d\n", i, i%13)
+			fmt.Fprintf(&quoted, "\"%d\",\"line one\r\nline \"\"two\"\"\",\"%d\"\r\n", i, i%13)
 		case 3:
-			fmt.Fprintf(&b, "%d,,%d.5\r\n", i, i%5)
+			fmt.Fprintf(&plain, "%d,,%d.5\r\n", i, i%5)
+			fmt.Fprintf(&quoted, "\"%d\",\"\",\"%d.5\"\r\n", i, i%5)
 		default:
-			fmt.Fprintf(&b, "%d,note %d,%d\n", i, i%97, i%13)
+			fmt.Fprintf(&plain, "%d,note %d,%d\n", i, i%97, i%13)
+			fmt.Fprintf(&quoted, "\"%d\",\"note %d\",\"%d\"\r\n", i, i%97, i%13)
 		}
 	}
-	data := []byte(b.String())
-	if len(data) < 4*minChunkBytes {
-		t.Fatalf("input is %d bytes, too small to split under the floor", len(data))
-	}
-	want, err := referenceReadCSV("big", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunks := range []int{1, 2, 4, 7} {
-		rel, retried, err := decodeCSV("big", data, chunks)
-		if err != nil || retried {
-			t.Fatalf("%d chunks: err %v, retried %v", chunks, err, retried)
+	for _, in := range []struct {
+		name string
+		data []byte
+	}{{"plain", []byte(plain.String())}, {"quoted", []byte(quoted.String())}} {
+		if len(in.data) < 4*minChunkBytes {
+			t.Fatalf("%s: input is %d bytes, too small to split under the floor", in.name, len(in.data))
+		}
+		want, err := referenceReadCSV("big", in.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chunks := range []int{1, 2, 4, 7} {
+			rel, retried, err := decodeCSV("big", in.data, chunks)
+			if err != nil || retried {
+				t.Fatalf("%s, %d chunks: err %v, retried %v", in.name, chunks, err, retried)
+			}
+			if msg := diffReference(rel, want); msg != "" {
+				t.Fatalf("%s, %d chunks: %s", in.name, chunks, msg)
+			}
+		}
+		rel, err := ReadCSV("big", bytes.NewReader(in.data))
+		if err != nil {
+			t.Fatal(err)
 		}
 		if msg := diffReference(rel, want); msg != "" {
-			t.Fatalf("%d chunks: %s", chunks, msg)
+			t.Fatalf("%s, ReadCSV: %s", in.name, msg)
 		}
 	}
-	rel, err := ReadCSV("big", bytes.NewReader(data))
-	if err != nil {
+}
+
+// TestReadCSVReservesWithinInput decodes a column whose first rows are long
+// and distinct and whose later rows are short. The arena a chunk reserves
+// after its first probeRows rows must follow the bytes scanned, not the
+// rows: by rows, it would reserve a long value for every short row to come.
+func TestReadCSVReservesWithinInput(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("a,b\n")
+	for i := 0; i < 2*probeRows; i++ {
+		fmt.Fprintf(&b, "%d%s,1\n", i, strings.Repeat("x", 1000))
+	}
+	b.WriteString(strings.Repeat("1,2\n", 200000))
+	data := []byte(b.String())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := decodeCSV("skewed", data, 1); err != nil {
 		t.Fatal(err)
 	}
-	if msg := diffReference(rel, want); msg != "" {
-		t.Fatalf("ReadCSV: %s", msg)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 10*uint64(len(data)) {
+		t.Errorf("decoding %d bytes allocated %d", len(data), alloc)
 	}
 }
 

@@ -7,9 +7,11 @@
 //
 // Every column is a dictionary: its distinct raw values once, plus one int32
 // id per row. ReadCSV builds the dictionaries while it decodes, cutting a
-// large input into chunks that parallel goroutines intern field by field,
-// and type sniffing and rank encoding then work on distinct values only:
-// sniff, key and sort each value once, and map ids to ranks in one pass.
+// large input into chunks that parallel goroutines scan byte by byte,
+// interning each field straight from the input buffer; encoding/csv reads
+// only the header and any input the scan rejects. Type sniffing and rank
+// encoding then work on distinct values only: sniff, key and sort each
+// value once, and map ids to ranks in one pass.
 //
 // Ordering semantics are first-class: an OrderSpec chooses, per column, the
 // sort direction (Asc/Desc), the NULL placement (NullsFirst/NullsLast) and
@@ -94,7 +96,7 @@ func internValues(n int, value func(i int) string) ([]string, []int32) {
 	for i := range ids {
 		ids[i] = t.intern(value(i))
 	}
-	return t.dict, ids
+	return t.dict(), ids
 }
 
 // Value returns the raw value of row i.

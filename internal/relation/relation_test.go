@@ -274,8 +274,8 @@ func TestEncodedProjectColumnsAndHeadRows(t *testing.T) {
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	r := mustRelation(t, []string{"id", "name"}, [][]string{
-		{"1", "ann"}, {"2", "bo,b"}, {"3", `qu"ote`},
+	r := mustRelation(t, []string{"id", "name\r\n"}, [][]string{
+		{"1", "ann"}, {"2", "bo,b"}, {"3", `qu"ote`}, {"4", "cr\r\nlf"}, {"5", "\r\r\n"},
 	})
 	var buf bytes.Buffer
 	if err := WriteCSV(r, &buf); err != nil {
@@ -285,8 +285,8 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadCSV: %v", err)
 	}
-	if !reflect.DeepEqual(back.Rows(), r.Rows()) {
-		t.Errorf("round trip mismatch:\n got %v\nwant %v", back.Rows(), r.Rows())
+	if !reflect.DeepEqual(back.ColumnNames(), r.ColumnNames()) || !reflect.DeepEqual(back.Rows(), r.Rows()) {
+		t.Errorf("round trip mismatch:\n got %q %q\nwant %q %q", back.ColumnNames(), back.Rows(), r.ColumnNames(), r.Rows())
 	}
 }
 
