@@ -62,7 +62,7 @@ func TestChaosEngineFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("baseline %s: %v", alg, err)
 		}
-		baseline[alg] = reportCount(t, rep)
+		baseline[alg] = rep.Found
 	}
 
 	// The sweep counts outcomes so it can assert about itself: a refactor
@@ -113,7 +113,7 @@ func TestChaosEngineFaults(t *testing.T) {
 								if err != nil {
 									t.Fatalf("unfired fault changed the run: %v", err)
 								}
-								if got := reportCount(t, rep); got != baseline[alg] {
+								if got := rep.Found; got != baseline[alg] {
 									t.Fatalf("unfired fault changed the result: %d deps, want %d", got, baseline[alg])
 								}
 								return
@@ -134,7 +134,7 @@ func TestChaosEngineFaults(t *testing.T) {
 								if rep.Interrupted {
 									t.Fatal("degraded run marked interrupted")
 								}
-								if got := reportCount(t, rep); got != baseline[alg] {
+								if got := rep.Found; got != baseline[alg] {
 									t.Fatalf("degraded run found %d deps, baseline %d", got, baseline[alg])
 								}
 								return
@@ -190,7 +190,7 @@ func TestChaosEngineFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("post-sweep %s: %v", alg, err)
 		}
-		if got := reportCount(t, rep); got != baseline[alg] {
+		if got := rep.Found; got != baseline[alg] {
 			t.Fatalf("post-sweep %s found %d deps, baseline %d", alg, got, baseline[alg])
 		}
 	}
@@ -229,26 +229,4 @@ func TestConditionalSliceProgressPanicContained(t *testing.T) {
 			}
 		})
 	}
-}
-
-// reportCount reduces a report to its dependency tally, the cross-run
-// comparison key of the sweep.
-func reportCount(t *testing.T, rep *fastod.Report) int {
-	t.Helper()
-	switch {
-	case rep.FASTOD != nil:
-		return rep.FASTOD.Counts.Total
-	case rep.TANE != nil:
-		return len(rep.TANE.FDs)
-	case rep.Approx != nil:
-		return len(rep.Approx.ODs)
-	case rep.Bidir != nil:
-		return len(rep.Bidir.ODs)
-	case rep.Conditional != nil:
-		return len(rep.Conditional.ODs)
-	case rep.ORDER != nil:
-		return len(rep.ORDER.ODs)
-	}
-	t.Fatal("report carries no payload")
-	return -1
 }

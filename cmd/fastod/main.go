@@ -28,6 +28,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"time"
@@ -149,6 +150,7 @@ func run(ctx context.Context, cfg config) error {
 	fmt.Printf("dataset %s: %d tuples, %d attributes, %d workers\n",
 		ds.Name(), ds.NumRows(), ds.NumCols(), req.EffectiveWorkers())
 
+	names := ds.ColumnNames()
 	var onProgress func(fastod.ProgressEvent)
 	if cfg.progress {
 		onProgress = func(ev fastod.ProgressEvent) {
@@ -156,8 +158,8 @@ func run(ctx context.Context, cfg config) error {
 			// events with one event per condition slice.
 			if ev.Level == fastod.SliceProgressLevel {
 				if ev.Slice != nil {
-					fmt.Fprintf(os.Stderr, "slice #%d=rank(%d) (%d rows): %d nodes (%d total), %v elapsed\n",
-						ev.Slice.Attr, ev.Slice.Value, ev.Slice.Rows,
+					fmt.Fprintf(os.Stderr, "slice %s (%d rows): %d nodes (%d total), %v elapsed\n",
+						ev.Slice.NamesString(names), ev.Slice.Rows,
 						ev.Nodes, ev.NodesVisited, ev.Elapsed.Round(time.Millisecond))
 					return
 				}
@@ -177,67 +179,51 @@ func run(ctx context.Context, cfg config) error {
 		fmt.Printf("run interrupted after %v (%d nodes visited) — partial results follow\n",
 			rep.Elapsed.Round(time.Microsecond), rep.Stats.NodesVisited)
 	}
-	printReport(cfg, ds.ColumnNames(), rep)
+	printReport(os.Stdout, cfg, names, rep)
 	return nil
 }
 
-// printReport renders the algorithm-specific payload of the report.
-func printReport(cfg config, names []string, rep *fastod.Report) {
-	deps := func(n int, print func(i int)) {
-		if cfg.countOnly {
+// printReport writes the report to w: a headline, FASTOD's per-level table
+// under -levels, then one line per dependency unless -count-only.
+func printReport(w io.Writer, cfg config, names []string, rep *fastod.Report) {
+	fmt.Fprintf(w, "discovered %s in %v\n", headline(cfg, rep), rep.Elapsed.Round(time.Microsecond))
+	if cfg.levels && rep.FASTOD != nil {
+		fmt.Fprintln(w, "level  nodes  time           #ODs (#FDs + #OCDs)")
+		for _, ls := range rep.FASTOD.Levels {
+			fmt.Fprintf(w, "%-6d %-6d %-14v %d (%d + %d)\n",
+				ls.Level, ls.Nodes, ls.Elapsed.Round(time.Microsecond),
+				ls.Constancy+ls.OrderCompat, ls.Constancy, ls.OrderCompat)
+		}
+	}
+	if cfg.countOnly {
+		return
+	}
+	deps := rep.Dependencies(names)
+	for i, d := range deps {
+		if cfg.limit > 0 && i >= cfg.limit {
+			fmt.Fprintf(w, "... (%d more)\n", len(deps)-cfg.limit)
 			return
 		}
-		for i := 0; i < n; i++ {
-			if cfg.limit > 0 && i >= cfg.limit {
-				fmt.Printf("... (%d more)\n", n-cfg.limit)
-				return
-			}
-			print(i)
-		}
+		fmt.Fprintln(w, " ", d)
 	}
+}
+
+// headline says what the run found, in each algorithm's own terms.
+func headline(cfg config, rep *fastod.Report) string {
 	switch rep.Algorithm {
 	case fastod.AlgorithmFASTOD:
-		res := rep.FASTOD
-		fmt.Printf("discovered %s canonical ODs in %v\n", res.Counts, rep.Elapsed.Round(time.Microsecond))
-		if cfg.levels {
-			fmt.Println("level  nodes  time           #ODs (#FDs + #OCDs)")
-			for _, ls := range res.Levels {
-				fmt.Printf("%-6d %-6d %-14v %d (%d + %d)\n",
-					ls.Level, ls.Nodes, ls.Elapsed.Round(time.Microsecond),
-					ls.Constancy+ls.OrderCompat, ls.Constancy, ls.OrderCompat)
-			}
-		}
-		deps(len(res.ODs), func(i int) { fmt.Println(" ", res.ODs[i].NamesString(names)) })
-
+		return fmt.Sprintf("%s canonical ODs", rep.Counts)
 	case fastod.AlgorithmTANE:
-		res := rep.TANE
-		fmt.Printf("discovered %d minimal FDs in %v\n", len(res.FDs), rep.Elapsed.Round(time.Microsecond))
-		deps(len(res.FDs), func(i int) { fmt.Println(" ", res.FDs[i].NamesString(names)) })
-
+		return fmt.Sprintf("%d minimal FDs", rep.Found)
 	case fastod.AlgorithmApprox:
-		res := rep.Approx
-		fmt.Printf("discovered %d approximate ODs (threshold %v) in %v\n",
-			len(res.ODs), cfg.threshold, rep.Elapsed.Round(time.Microsecond))
-		deps(len(res.ODs), func(i int) {
-			d := res.ODs[i]
-			fmt.Printf("  %s (error %.4f)\n", d.OD.NamesString(names), d.Error.Rate)
-		})
-
+		return fmt.Sprintf("%d approximate ODs (threshold %v)", rep.Found, cfg.threshold)
 	case fastod.AlgorithmBidirectional:
-		res := rep.Bidir
-		fmt.Printf("discovered %d bidirectional ODs in %v\n", len(res.ODs), rep.Elapsed.Round(time.Microsecond))
-		deps(len(res.ODs), func(i int) { fmt.Println(" ", res.ODs[i].NamesString(names)) })
-
+		return fmt.Sprintf("%d bidirectional ODs", rep.Found)
 	case fastod.AlgorithmConditional:
-		res := rep.Conditional
-		fmt.Printf("discovered %d conditional ODs over %d slices (%s unconditional) in %v\n",
-			len(res.ODs), res.SlicesExamined, res.Global.Counts, rep.Elapsed.Round(time.Microsecond))
-		deps(len(res.ODs), func(i int) { fmt.Println(" ", res.ODs[i].NamesString(names)) })
-
+		return fmt.Sprintf("%d conditional ODs over %d slices (%s unconditional)",
+			rep.Found, rep.Conditional.SlicesExamined, rep.Conditional.Global.Counts)
 	case fastod.AlgorithmORDER:
-		res := rep.ORDER
-		fmt.Printf("discovered %d list ODs mapping to %s canonical ODs in %v\n",
-			len(res.ODs), res.Counts, rep.Elapsed.Round(time.Microsecond))
-		deps(len(res.ODs), func(i int) { fmt.Println(" ", res.ODs[i].Names(names)) })
+		return fmt.Sprintf("%d list ODs mapping to %s canonical ODs", rep.Found, rep.Counts)
 	}
+	return fmt.Sprintf("%d dependencies", rep.Found)
 }

@@ -165,9 +165,10 @@ func ParseOD(input string) (Statement, error) { return odparse.Parse(input) }
 // ignoring blank lines and '#' comments.
 func ParseODs(input string) ([]Statement, error) { return odparse.ParseAll(input) }
 
-// FormatOD renders a canonical OD in the parseable textual syntax.
+// FormatOD renders a canonical OD in the parseable textual syntax; it is
+// od.NamesString, the rendering the CLI and odserve print.
 func FormatOD(od OD, columnNames []string) string {
-	return odparse.FormatCanonical(od, columnNames)
+	return od.NamesString(columnNames)
 }
 
 // StatementCheck is the outcome of checking one parsed statement against a

@@ -22,9 +22,13 @@
 //	})
 //	if err != nil { ... }
 //	if rep.Interrupted { ... } // partial results: budget or ctx fired
-//	for _, od := range rep.FASTOD.ODs {
-//	    fmt.Println(od.NamesString(rep.FASTOD.ColumnNames))
+//	fmt.Println("discovered", rep.Counts, "canonical ODs")
+//	for _, dep := range rep.Dependencies(ds.ColumnNames()) {
+//	    fmt.Println(dep)
 //	}
+//
+// Report.Found, Report.Counts and Report.Dependencies read the same way for
+// every algorithm; the typed payload (rep.FASTOD here) holds the rest.
 //
 // The package also exposes the paper's comparison baselines (TANE for
 // functional dependencies, ORDER for list-based OD discovery) — selected via

@@ -116,6 +116,20 @@ func TestFiguresQuickConfig(t *testing.T) {
 	if len(f5) != (2+1+1+1)*3 {
 		t.Errorf("Figure5 measurements = %d, want 15", len(f5))
 	}
+	// Every point runs TANE, FASTOD, ORDER in that order, and TANE's minimal
+	// FDs are exactly FASTOD's constancy ODs.
+	for _, ms := range [][]Measurement{f4, f5} {
+		for i := 0; i+1 < len(ms); i += 3 {
+			tane, fast := ms[i], ms[i+1]
+			if tane.Algorithm != AlgTANE || fast.Algorithm != AlgFASTOD {
+				t.Fatalf("comparison ordering unexpected at %d: %s then %s", i, tane.Algorithm, fast.Algorithm)
+			}
+			if tane.Counts.Total != fast.Counts.Constancy {
+				t.Errorf("%s %d rows/%d cols: TANE found %d FDs, FASTOD %d constancy ODs",
+					tane.Dataset, tane.Rows, tane.Cols, tane.Counts.Total, fast.Counts.Constancy)
+			}
+		}
+	}
 
 	f6, err := Figure6(context.Background(), cfg)
 	if err != nil {

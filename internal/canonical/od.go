@@ -154,11 +154,11 @@ func Sort(ods []OD) {
 
 // Count summarizes a set of canonical ODs the way the paper reports results:
 // total, number of constancy (FD-flavoured) ODs and number of
-// order-compatibility ODs.
+// order-compatibility ODs. The tags are odserve's "counts" object.
 type Count struct {
-	Total       int
-	Constancy   int
-	OrderCompat int
+	Total       int `json:"total"`
+	Constancy   int `json:"constancy"`
+	OrderCompat int `json:"order_compatible"`
 }
 
 // CountByKind tallies a slice of canonical ODs.

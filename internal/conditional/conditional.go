@@ -50,13 +50,9 @@ const (
 )
 
 // Condition is an equality binding "attribute = value" selecting a portion of
-// the relation. Value is the raw rank of the encoded column; Rows is the
-// number of tuples it selects.
-type Condition struct {
-	Attr  int
-	Value int32
-	Rows  int
-}
+// the relation: the slice a conditional progress event reports. Value is the
+// raw rank of the encoded column; Rows is the number of tuples it selects.
+type Condition = lattice.SliceInfo
 
 // OD is a conditional canonical OD: the embedded OD holds on the tuples
 // selected by the condition but is not implied by the unconditional ODs.
@@ -274,7 +270,7 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 				Nodes:        sliceRes.Stats.NodesVisited,
 				NodesVisited: global.Stats.NodesVisited + reported,
 				Elapsed:      time.Since(start),
-				Slice:        &lattice.SliceInfo{Attr: job.attr, Value: job.value, Rows: len(job.rows)},
+				Slice:        &cond,
 			})
 		}
 	})
@@ -311,21 +307,4 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		return canonical.Less(a.OD, b.OD)
 	})
 	return res, nil
-}
-
-// NamesString renders the condition binding using attribute names; the value
-// is shown as its rank because raw values are not retained in the encoded
-// relation. Every front end (CLI, HTTP JSON) renders conditions through this
-// one helper so the syntax cannot drift between them.
-func (c Condition) NamesString(names []string) string {
-	attr := fmt.Sprintf("#%d", c.Attr)
-	if c.Attr >= 0 && c.Attr < len(names) {
-		attr = names[c.Attr]
-	}
-	return fmt.Sprintf("%s=rank(%d)", attr, c.Value)
-}
-
-// NamesString renders a conditional OD using attribute names.
-func (c OD) NamesString(names []string) string {
-	return fmt.Sprintf("[%s, %d rows] %s", c.Condition.NamesString(names), c.Condition.Rows, c.OD.NamesString(names))
 }

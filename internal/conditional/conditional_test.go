@@ -78,8 +78,9 @@ func TestDiscoverFindsBracketRule(t *testing.T) {
 		if cod.OD.Kind == canonical.OrderCompatible && cod.OD.A == incomeIdx && cod.OD.B == rateIdx && cod.OD.Context.IsEmpty() {
 			found++
 		}
-		if cod.NamesString(enc.ColumnNames) == "" {
-			t.Error("NamesString should not be empty")
+		want := enc.ColumnNames[countryIdx] + "=rank(" + strconv.Itoa(int(cod.Condition.Value)) + ")"
+		if got := cod.Condition.NamesString(enc.ColumnNames); got != want {
+			t.Errorf("Condition.NamesString = %q, want %q", got, want)
 		}
 	}
 	if found != 1 {
@@ -279,7 +280,8 @@ func TestDeadlineSharedBySlicePasses(t *testing.T) {
 		}
 		for _, od := range res.ODs {
 			if !complete[od] {
-				t.Errorf("workers %d: %v is not reported by the unbudgeted run", workers, od.NamesString(enc.ColumnNames))
+				t.Errorf("workers %d: %s: %s is not reported by the unbudgeted run",
+					workers, od.Condition.NamesString(enc.ColumnNames), od.OD.NamesString(enc.ColumnNames))
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package lattice
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -101,4 +102,16 @@ type SliceInfo struct {
 	Value int32
 	// Rows is the number of rows in the slice.
 	Rows int
+}
+
+// NamesString renders the condition over attribute names, e.g. "tax=rank(2)":
+// raw values are not retained in the encoded relation, so the value is its
+// rank. The CLI's report and progress lines and odserve's JSON all render
+// conditions through it.
+func (s SliceInfo) NamesString(names []string) string {
+	attr := fmt.Sprintf("#%d", s.Attr)
+	if s.Attr >= 0 && s.Attr < len(names) {
+		attr = names[s.Attr]
+	}
+	return fmt.Sprintf("%s=rank(%d)", attr, s.Value)
 }

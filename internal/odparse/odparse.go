@@ -1,5 +1,5 @@
-// Package odparse parses and formats textual order-dependency expressions, so
-// that dependencies can be exchanged with users and tools (the cmd/odcheck
+// Package odparse parses textual order-dependency expressions, so that
+// dependencies can be exchanged with users and tools (the cmd/odcheck
 // command reads them from files). Two surface syntaxes are supported, both
 // using attribute names:
 //
@@ -27,6 +27,12 @@
 // around delimiters; attribute names may contain any characters except the
 // delimiters ,]}~>: and whitespace, and are matched against the relation's
 // columns during resolution.
+//
+// The package does not format. Discovered dependencies render through their
+// own types: canonical.OD.NamesString and listod.OD.Names print the two forms
+// above, so their output parses back. TANE's FDs ("{A} -> C") and
+// bidirectional ODs (with a "(same)" or "(opposite)" suffix) print forms of
+// their own that this syntax does not read.
 package odparse
 
 import (
@@ -442,38 +448,4 @@ func Resolve(st Statement, resolve Resolver) (ResolvedStatement, error) {
 	default:
 		return ResolvedStatement{}, fmt.Errorf("odparse: unknown statement kind %v", st.Kind)
 	}
-}
-
-// FormatCanonical renders a canonical OD in the parseable syntax using the
-// given attribute names; Parse(FormatCanonical(od)) round-trips.
-func FormatCanonical(od canonical.OD, names []string) string {
-	name := func(a int) string {
-		if a >= 0 && a < len(names) {
-			return names[a]
-		}
-		return fmt.Sprintf("col%d", a)
-	}
-	ctxNames := make([]string, 0, od.Context.Len())
-	od.Context.ForEach(func(a int) { ctxNames = append(ctxNames, name(a)) })
-	ctx := "{" + strings.Join(ctxNames, ",") + "}"
-	if od.Kind == canonical.Constancy {
-		return fmt.Sprintf("%s: [] -> %s", ctx, name(od.A))
-	}
-	return fmt.Sprintf("%s: %s ~ %s", ctx, name(od.A), name(od.B))
-}
-
-// FormatList renders a list OD in the parseable syntax.
-func FormatList(od listod.OD, names []string) string {
-	render := func(spec listod.Spec) string {
-		parts := make([]string, len(spec))
-		for i, a := range spec {
-			if a >= 0 && a < len(names) {
-				parts[i] = names[a]
-			} else {
-				parts[i] = fmt.Sprintf("col%d", a)
-			}
-		}
-		return "[" + strings.Join(parts, ",") + "]"
-	}
-	return render(od.Left) + " -> " + render(od.Right)
 }

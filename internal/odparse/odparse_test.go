@@ -181,6 +181,8 @@ func TestResolve(t *testing.T) {
 	}
 }
 
+// TestFormatRoundTrip parses back what the CLI and odserve print for
+// canonical and list ODs: canonical.OD.NamesString and listod.OD.Names.
 func TestFormatRoundTrip(t *testing.T) {
 	names := []string{"yr", "posit", "bin", "sal"}
 	resolver := func(name string) int {
@@ -198,7 +200,7 @@ func TestFormatRoundTrip(t *testing.T) {
 		canonical.NewOrderCompatible(bitset.NewAttrSet(0), 2, 3),
 	}
 	for _, od := range canons {
-		text := FormatCanonical(od, names)
+		text := od.NamesString(names)
 		st, err := Parse(text)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", text, err)
@@ -211,9 +213,12 @@ func TestFormatRoundTrip(t *testing.T) {
 			t.Errorf("round trip of %v through %q gave %v", od, text, r.Canonical)
 		}
 	}
-	// Out-of-range attribute falls back to a positional name.
-	if got := FormatCanonical(canonical.NewConstancy(bitset.AttrSet(0), 9), names); got != "{}: [] -> col9" {
-		t.Errorf("FormatCanonical fallback = %q", got)
+	// An out-of-range attribute falls back to a positional name, which
+	// parses as a name too.
+	if got := canonical.NewConstancy(bitset.AttrSet(0), 9).NamesString(names); got != "{}: [] -> #9" {
+		t.Errorf("NamesString fallback = %q", got)
+	} else if st, err := Parse(got); err != nil || st.A != "#9" {
+		t.Errorf("Parse(%q) = %+v, %v", got, st, err)
 	}
 
 	lists := []listod.OD{
@@ -221,7 +226,7 @@ func TestFormatRoundTrip(t *testing.T) {
 		{Left: listod.Spec{0, 3}, Right: listod.Spec{1}},
 	}
 	for _, od := range lists {
-		text := FormatList(od, names)
+		text := od.Names(names)
 		st, err := Parse(text)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", text, err)
@@ -233,8 +238,5 @@ func TestFormatRoundTrip(t *testing.T) {
 		if !r.Left.Equal(od.Left) || !r.Right.Equal(od.Right) {
 			t.Errorf("round trip of %v through %q gave %v -> %v", od, text, r.Left, r.Right)
 		}
-	}
-	if got := FormatList(listod.OD{Left: listod.Spec{9}, Right: listod.Spec{0}}, names); got != "[col9] -> [yr]" {
-		t.Errorf("FormatList fallback = %q", got)
 	}
 }

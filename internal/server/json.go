@@ -10,10 +10,12 @@ import (
 )
 
 // The wire types of the service: a JSON mirror of fastod.Request on the way
-// in, and a flattened, renderer-backed view of fastod.Report on the way out.
-// Dependencies travel as their textual form (the same syntax the CLIs print
-// and internal/odparse parses) rather than as index-level structs — the
-// server knows the column names, the client usually does not.
+// in, and a flattened view of fastod.Report on the way out. Dependencies
+// travel as their textual form, the lines the fastod CLI prints
+// (fastod.Report.Dependencies), rather than as index-level structs: the
+// server knows the column names, the client usually does not. Canonical and
+// list ODs are in the syntax internal/odparse parses; TANE's "{yr} -> bin"
+// and bidir's "(opposite)" suffix are not.
 
 // DiscoverRequest is the JSON mirror of fastod.Request. The per-request
 // deadline travels as timeout_ms and is mapped onto both Budget.Timeout and
@@ -203,24 +205,9 @@ type StatsInfo struct {
 	PartitionMisses int `json:"partition_misses"`
 }
 
-// CountInfo is the paper-style tally of discovered canonical ODs.
-type CountInfo struct {
-	Total       int `json:"total"`
-	Constancy   int `json:"constancy"`
-	OrderCompat int `json:"order_compatible"`
-}
-
-// Dependency is one discovered dependency rendered over column names. OD uses
-// the parseable textual syntax of the CLIs; Error and Condition are filled by
-// the approximate and conditional algorithms respectively.
-type Dependency struct {
-	OD string `json:"od"`
-	// Error is the measured error rate of an approximate OD.
-	Error *float64 `json:"error,omitempty"`
-	// Condition and Rows describe the slice a conditional OD holds on.
-	Condition string `json:"condition,omitempty"`
-	Rows      int    `json:"rows,omitempty"`
-}
+// Dependency is one discovered dependency rendered over column names; see
+// fastod.Dependency.
+type Dependency = fastod.Dependency
 
 // DiscoverResponse is the response of the discover endpoints: the effective
 // run parameters (workers after resolution, budget after the cap), the
@@ -240,12 +227,14 @@ type DiscoverResponse struct {
 	// happened, and ElapsedMS/Stats describe the original cached run. Always
 	// present (not omitempty) so clients and smoke tests can assert both
 	// polarities.
-	Cached    bool       `json:"cached"`
-	ElapsedMS float64    `json:"elapsed_ms"`
-	Stats     StatsInfo  `json:"stats"`
-	Counts    *CountInfo `json:"counts,omitempty"`
-	// Count is len(Dependencies), except in count-only mode where it reports
-	// the tally of a run that materialized nothing.
+	Cached    bool      `json:"cached"`
+	ElapsedMS float64   `json:"elapsed_ms"`
+	Stats     StatsInfo `json:"stats"`
+	// Counts is fastod.Report.Counts, the canonical tally; bidir and
+	// conditional replies have none.
+	Counts *fastod.Count `json:"counts,omitempty"`
+	// Count is fastod.Report.Found, what the run found in the algorithm's
+	// own unit: len(Dependencies), except in count-only mode.
 	Count        int          `json:"count"`
 	Dependencies []Dependency `json:"dependencies"`
 	// SlicesExamined counts processed condition slices (conditional only).
@@ -349,8 +338,8 @@ type errorBody struct {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// discoverResponse flattens a Report into the wire response, rendering each
-// payload's dependencies over the dataset's column names.
+// discoverResponse flattens a Report into the wire response: its counts and
+// its dependencies rendered over the dataset's column names.
 func discoverResponse(dataset string, req fastod.Request, rep *fastod.Report, names []string, cached bool) DiscoverResponse {
 	resp := DiscoverResponse{
 		Dataset:   dataset,
@@ -369,57 +358,12 @@ func discoverResponse(dataset string, req fastod.Request, rep *fastod.Report, na
 			PartitionHits:   rep.Stats.PartitionHits,
 			PartitionMisses: rep.Stats.PartitionMisses,
 		},
-		// Marshal as [] rather than null when a run discovers nothing (or
-		// materializes nothing, in count-only mode).
-		Dependencies: []Dependency{},
+		Counts:       rep.Counts,
+		Count:        rep.Found,
+		Dependencies: rep.Dependencies(names),
 	}
-	switch {
-	case rep.FASTOD != nil:
-		res := rep.FASTOD
-		resp.Counts = &CountInfo{Total: res.Counts.Total, Constancy: res.Counts.Constancy, OrderCompat: res.Counts.OrderCompat}
-		resp.Count = res.Counts.Total
-		for _, od := range res.ODs {
-			resp.Dependencies = append(resp.Dependencies, Dependency{OD: od.NamesString(names)})
-		}
-	case rep.TANE != nil:
-		res := rep.TANE
-		resp.Count = len(res.FDs)
-		for _, fd := range res.FDs {
-			resp.Dependencies = append(resp.Dependencies, Dependency{OD: fd.NamesString(names)})
-		}
-	case rep.Approx != nil:
-		res := rep.Approx
-		counts := res.Counts()
-		resp.Counts = &CountInfo{Total: counts.Total, Constancy: counts.Constancy, OrderCompat: counts.OrderCompat}
-		resp.Count = len(res.ODs)
-		for _, d := range res.ODs {
-			rate := d.Error.Rate
-			resp.Dependencies = append(resp.Dependencies, Dependency{OD: d.OD.NamesString(names), Error: &rate})
-		}
-	case rep.Bidir != nil:
-		res := rep.Bidir
-		resp.Count = len(res.ODs)
-		for _, od := range res.ODs {
-			resp.Dependencies = append(resp.Dependencies, Dependency{OD: od.NamesString(names)})
-		}
-	case rep.Conditional != nil:
-		res := rep.Conditional
-		resp.Count = len(res.ODs)
-		resp.SlicesExamined = res.SlicesExamined
-		for _, c := range res.ODs {
-			resp.Dependencies = append(resp.Dependencies, Dependency{
-				OD:        c.OD.NamesString(names),
-				Condition: c.Condition.NamesString(names),
-				Rows:      c.Condition.Rows,
-			})
-		}
-	case rep.ORDER != nil:
-		res := rep.ORDER
-		resp.Counts = &CountInfo{Total: res.Counts.Total, Constancy: res.Counts.Constancy, OrderCompat: res.Counts.OrderCompat}
-		resp.Count = len(res.ODs)
-		for _, od := range res.ODs {
-			resp.Dependencies = append(resp.Dependencies, Dependency{OD: od.Names(names)})
-		}
+	if rep.Conditional != nil {
+		resp.SlicesExamined = rep.Conditional.SlicesExamined
 	}
 	return resp
 }

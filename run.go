@@ -452,8 +452,10 @@ const SliceProgressLevel = conditional.SliceProgressLevel
 type RunStats = lattice.Stats
 
 // Report is the unified response envelope of Run: the algorithm that ran,
-// whether it was interrupted, comparable work counters, and exactly one
-// non-nil algorithm-specific result payload.
+// whether it was interrupted, comparable work counters, what was found, and
+// exactly one non-nil algorithm-specific result payload. Found, Counts and
+// Dependencies are the one view of the payload that front ends print; the
+// payload itself holds the algorithm's typed result.
 //
 // The partial-result contract: an interrupted run (cancelled context or
 // exhausted budget) still returns a non-nil Report with nil error. Its
@@ -475,6 +477,17 @@ type Report struct {
 	// clock: the payloads carry none (FASTOD's per-level times are
 	// Result.Levels, progress events carry their own elapsed time).
 	Elapsed time.Duration
+	// Found is the number of dependencies found, in the algorithm's own
+	// unit: canonical ODs for FASTOD (Counts.Total, which a CountOnly run
+	// fills too), minimal FDs for TANE, approximate, bidirectional or
+	// conditional ODs for those algorithms, and list ODs for ORDER.
+	Found int
+	// Counts is the paper's canonical tally, "#ODs (#FDs + #OCDs)", of what
+	// was found: FASTOD's and approx's ODs, TANE's FDs counted as the
+	// constancy ODs they are (X -> A is X: [] -> A), and the Theorem-5 image
+	// of ORDER's list ODs. It is nil for bidirectional and conditional runs,
+	// whose findings are not plain canonical ODs.
+	Counts *Count
 
 	// Exactly one of the following is non-nil, matching Algorithm.
 
@@ -490,6 +503,70 @@ type Report struct {
 	Conditional *ConditionalResult
 	// ORDER is the payload of AlgorithmORDER runs.
 	ORDER *ORDERResult
+}
+
+// Dependency is one dependency of a Report rendered over column names; it is
+// also odserve's JSON form of a finding. OD is the dependency's text:
+// canonical ODs and list ODs in the syntax ParseOD reads, TANE's FDs as
+// "{X} -> A" and bidirectional ODs with a "(same)" or "(opposite)" suffix.
+type Dependency struct {
+	OD string `json:"od"`
+	// Error is the measured error rate of an approximate OD.
+	Error *float64 `json:"error,omitempty"`
+	// Condition and Rows describe the slice a conditional OD holds on.
+	Condition string `json:"condition,omitempty"`
+	Rows      int    `json:"rows,omitempty"`
+}
+
+// String renders the dependency as one line of the fastod CLI's report: an
+// approximate OD followed by its error rate, a conditional OD preceded by
+// its slice.
+func (d Dependency) String() string {
+	switch {
+	case d.Error != nil:
+		return fmt.Sprintf("%s (error %.4f)", d.OD, *d.Error)
+	case d.Condition != "":
+		return fmt.Sprintf("[%s, %d rows] %s", d.Condition, d.Rows, d.OD)
+	}
+	return d.OD
+}
+
+// Dependencies renders the report's dependencies over the given column
+// names, in the payload's order. The slice is never nil, so an empty one
+// marshals as []; a CountOnly FASTOD run materializes no dependencies, and
+// otherwise the slice holds Found entries.
+func (r *Report) Dependencies(names []string) []Dependency {
+	switch {
+	case r.FASTOD != nil:
+		return render(r.FASTOD.ODs, func(od OD) Dependency { return Dependency{OD: od.NamesString(names)} })
+	case r.TANE != nil:
+		return render(r.TANE.FDs, func(fd FD) Dependency { return Dependency{OD: fd.NamesString(names)} })
+	case r.Approx != nil:
+		// One backing array for every error rate the entries point at.
+		rates := make([]float64, 0, len(r.Approx.ODs))
+		return render(r.Approx.ODs, func(d approx.Discovered) Dependency {
+			rates = append(rates, d.Error.Rate)
+			return Dependency{OD: d.OD.NamesString(names), Error: &rates[len(rates)-1]}
+		})
+	case r.Bidir != nil:
+		return render(r.Bidir.ODs, func(od BidirOD) Dependency { return Dependency{OD: od.NamesString(names)} })
+	case r.Conditional != nil:
+		return render(r.Conditional.ODs, func(c ConditionalOD) Dependency {
+			return Dependency{OD: c.OD.NamesString(names), Condition: c.Condition.NamesString(names), Rows: c.Condition.Rows}
+		})
+	case r.ORDER != nil:
+		return render(r.ORDER.ODs, func(od ListOD) Dependency { return Dependency{OD: od.Names(names)} })
+	}
+	return []Dependency{}
+}
+
+// render maps a payload's findings onto a slice allocated once.
+func render[T any](found []T, dep func(T) Dependency) []Dependency {
+	out := make([]Dependency, len(found))
+	for i, f := range found {
+		out[i] = dep(f)
+	}
+	return out
 }
 
 // Run executes one discovery request. The context is checked cooperatively
@@ -568,6 +645,7 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 		}
 		rep.FASTOD = res
 		rep.Stats = res.Stats.Stats
+		rep.Found, rep.Counts = res.Counts.Total, &res.Counts
 
 	case AlgorithmTANE:
 		res, err := tane.DiscoverContext(ctx, enc, cfg)
@@ -576,6 +654,8 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 		}
 		rep.TANE = res
 		rep.Stats = res.Stats
+		rep.Found = len(res.FDs)
+		rep.Counts = &Count{Total: rep.Found, Constancy: rep.Found}
 
 	case AlgorithmApprox:
 		res, err := approx.DiscoverContext(ctx, enc, req.Approx.Threshold, cfg)
@@ -584,6 +664,8 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 		}
 		rep.Approx = res
 		rep.Stats = res.Stats
+		counts := res.Counts()
+		rep.Found, rep.Counts = len(res.ODs), &counts
 
 	case AlgorithmBidirectional:
 		res, err := bidir.DiscoverContext(ctx, enc, cfg)
@@ -592,6 +674,7 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 		}
 		rep.Bidir = res
 		rep.Stats = res.Stats
+		rep.Found = len(res.ODs)
 
 	case AlgorithmConditional:
 		discovery := coreOptions(req, cfg)
@@ -610,6 +693,7 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 		}
 		rep.Conditional = res
 		rep.Stats = res.Stats
+		rep.Found = len(res.ODs)
 
 	case AlgorithmORDER:
 		res, err := order.DiscoverContext(ctx, enc, cfg)
@@ -618,6 +702,7 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 		}
 		rep.ORDER = res
 		rep.Stats = res.Stats
+		rep.Found, rep.Counts = len(res.ODs), &res.Counts
 
 	default:
 		// Unreachable: Validate rejected unknown algorithms above. Kept as a

@@ -237,7 +237,7 @@ func hammerSharedStore(t *testing.T, ds, truth *fastod.Dataset, requests map[str
 		if err != nil {
 			t.Fatalf("baseline %s: %v", name, err)
 		}
-		want[name] = expectation{count: payloadCount(rep), nodes: rep.Stats.NodesVisited}
+		want[name] = expectation{count: rep.Found, nodes: rep.Stats.NodesVisited}
 	}
 
 	// Hammer the cached dataset with every request at once, several times
@@ -267,7 +267,7 @@ func hammerSharedStore(t *testing.T, ds, truth *fastod.Dataset, requests map[str
 					errs <- errors.New(name + ": unbudgeted run interrupted")
 					return
 				}
-				if got := payloadCount(rep); got != want[name].count {
+				if got := rep.Found; got != want[name].count {
 					errs <- errors.New(name + ": concurrent result diverged from sequential baseline")
 				}
 				if rep.Stats.NodesVisited != want[name].nodes {
@@ -287,23 +287,4 @@ func hammerSharedStore(t *testing.T, ds, truth *fastod.Dataset, requests map[str
 	if stats.Hits == 0 {
 		t.Errorf("shared store saw no hits across %d mixed runs: %+v", len(requests)*rounds, stats)
 	}
-}
-
-// payloadCount extracts the dependency count of whichever payload is set.
-func payloadCount(rep *fastod.Report) int {
-	switch {
-	case rep.FASTOD != nil:
-		return len(rep.FASTOD.ODs)
-	case rep.TANE != nil:
-		return len(rep.TANE.FDs)
-	case rep.Approx != nil:
-		return len(rep.Approx.ODs)
-	case rep.Bidir != nil:
-		return len(rep.Bidir.ODs)
-	case rep.Conditional != nil:
-		return len(rep.Conditional.ODs)
-	case rep.ORDER != nil:
-		return len(rep.ORDER.ODs)
-	}
-	return -1
 }
