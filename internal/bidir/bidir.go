@@ -120,10 +120,8 @@ func (od OD) Holds(enc *relation.Encoded) (bool, error) {
 
 // reverseRanks flips a rank-encoded column so that descending order on the
 // original equals ascending order on the result. It reflects against the
-// column's maximum rank, not Cardinality-1: row views (HeadRows, SelectRows)
-// keep sparse ranks with Cardinality as their distinct count, and reflecting
-// against that would turn ranks negative, which the swap kernel's unsigned
-// pair keys misorder.
+// column's maximum rank, so the result stays in [0, Cardinality): a negative
+// rank would be misordered by the swap kernel's unsigned pair keys.
 func reverseRanks(col []int32) []int32 {
 	top := int32(0)
 	for _, v := range col {

@@ -46,7 +46,8 @@ func TestDirectionAndPolarityStrings(t *testing.T) {
 
 // TestCompareWithDirections: a column orders rows descending exactly as its
 // reflected ranks (reverseRanks) order them ascending, ties included, and the
-// reflection stays non-negative on a HeadRows view, whose ranks are sparse.
+// reflection stays non-negative on a HeadRows view, whose ranks are
+// re-ranked from its parent's.
 func TestCompareWithDirections(t *testing.T) {
 	enc := opposing(t, 10)
 	a := enc.Column(0)

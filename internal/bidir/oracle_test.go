@@ -106,7 +106,7 @@ func oracleRelation(rng *rand.Rand, trial, maxCols int) *relation.Relation {
 // canonical.Holds on the encoding the polarity stands for — the default one
 // for SameDirection, B alone DESC NULLS LAST for OppositeDirection — for
 // every pair and context, on full relations and on HeadRows views, whose
-// ranks are sparse.
+// ranks are re-ranked from their parent's.
 func TestODHoldsMatchesReferenceEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 30; trial++ {

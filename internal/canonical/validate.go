@@ -86,19 +86,27 @@ func FindViolation(enc *relation.Encoded, od OD) (Violation, bool, error) {
 }
 
 // ContextPartition computes the stripped partition of the relation with
-// respect to the attribute set ctx by multiplying single-attribute partitions.
-// The empty context yields the single-class partition. s is the product
+// respect to the attribute set ctx: the partition of ctx's highest attribute,
+// refined by each other attribute's ranks in ascending order. For contexts of
+// one or two attributes that is exactly the partition, class order included,
+// that multiplying single-attribute partitions in ascending order gives. The
+// empty context yields the single-class partition. s is the refinement
 // chain's workspace (nil allocates one): a caller that runs a kernel on the
 // result, or builds many contexts in a loop, passes its own. The attributes
 // of ctx must be in range; see CheckAttrs.
 func ContextPartition(enc *relation.Encoded, ctx bitset.AttrSet, s *partition.Scratch) *partition.Partition {
+	if ctx.IsEmpty() {
+		return partition.FromConstant(enc.NumRows())
+	}
 	if s == nil {
 		s = partition.NewScratch()
 	}
-	p := partition.FromConstant(enc.NumRows())
-	ctx.ForEach(func(a int) {
-		p = p.ProductWith(partition.FromColumn(enc.Column(a), enc.Cardinality[a]), s)
-	})
+	attrs := ctx.Attrs()
+	top := attrs[len(attrs)-1]
+	p := partition.FromColumn(enc.Column(top), enc.Cardinality[top])
+	for _, a := range attrs[:len(attrs)-1] {
+		p = p.RefineWith(enc.Column(a), enc.Cardinality[a], s)
+	}
 	return p
 }
 

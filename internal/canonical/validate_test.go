@@ -2,6 +2,8 @@ package canonical
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
@@ -134,6 +136,88 @@ func TestContextPartitionEmptyAndSingle(t *testing.T) {
 	pKey := ContextPartition(enc, bitset.NewAttrSet(idx["ID"], idx["yr"]), partition.NewScratch())
 	if !pKey.IsSuperkey() {
 		t.Error("ID,yr should be a key of Table 1")
+	}
+}
+
+// productChain is the context partition as products of single-attribute
+// partitions in ascending attribute order, the reference ContextPartition
+// matches byte for byte on contexts of one and two attributes.
+func productChain(enc *relation.Encoded, ctx bitset.AttrSet) *partition.Partition {
+	s := partition.NewScratch()
+	p := partition.FromConstant(enc.NumRows())
+	ctx.ForEach(func(a int) {
+		p = p.ProductWith(partition.FromColumn(enc.Column(a), enc.Cardinality[a]), s)
+	})
+	return p
+}
+
+func classList(p *partition.Partition) [][]int32 {
+	out := [][]int32{}
+	p.ForEachClass(func(cls []int32) { out = append(out, slices.Clone(cls)) })
+	return out
+}
+
+// TestContextPartitionWitnessStability: on contexts of one or two
+// attributes ContextPartition lists the classes, and the rows within them,
+// exactly as the product chain does, so FindViolation's witnesses there are
+// those a product chain gives. On larger contexts the class order may
+// differ, and the test asks only what a witness promises: its two rows agree
+// on every context attribute and form a split (they differ on A) or a swap
+// (A and B order them oppositely). It also checks that every larger context
+// has the product chain's classes.
+func TestContextPartitionWitnessStability(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	witnesses := 0
+	for trial := range 60 {
+		r := datagen.RandomStructuredRelation(2+rng.Intn(60), 5, 1+rng.Intn(4), rng.Int63())
+		enc, err := relation.Encode(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := enc.NumCols()
+		for x := bitset.AttrSet(1); x < 1<<cols; x++ {
+			got, want := ContextPartition(enc, x, nil), productChain(enc, x)
+			if x.Len() <= 2 && !reflect.DeepEqual(classList(got), classList(want)) {
+				t.Fatalf("trial %d context %v: classes %v, product chain %v", trial, x, classList(got), classList(want))
+			}
+			if !got.Refines(want) || !want.Refines(got) {
+				t.Fatalf("trial %d context %v: classes %v, product chain %v", trial, x, classList(got), classList(want))
+			}
+			for a := range cols {
+				for b := a; b < cols; b++ {
+					od := NewConstancy(x, a)
+					if b != a {
+						od = NewOrderCompatible(x, a, b)
+					}
+					v, found, err := FindViolation(enc, od)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !found {
+						continue
+					}
+					witnesses++
+					s, u := v.RowS, v.RowT
+					x.ForEach(func(c int) {
+						if enc.Column(c)[s] != enc.Column(c)[u] {
+							t.Fatalf("trial %d %v: witness rows %d, %d differ on context attribute %d", trial, od, s, u, c)
+						}
+					})
+					colA := enc.Column(a)
+					genuine := colA[s] != colA[u]
+					if v.IsSwap {
+						colB := enc.Column(b)
+						genuine = (colA[s] < colA[u] && colB[u] < colB[s]) || (colA[u] < colA[s] && colB[s] < colB[u])
+					}
+					if !genuine {
+						t.Fatalf("trial %d %v: rows %d, %d are no split or swap", trial, od, s, u)
+					}
+				}
+			}
+		}
+	}
+	if witnesses == 0 {
+		t.Fatal("no violation found; the relations are too regular")
 	}
 }
 

@@ -78,9 +78,10 @@ func BenchmarkDiscoverWorkersScaling(b *testing.B) {
 // BenchmarkDiscoverWide runs the attribute axis the flight-like benchmarks
 // miss: hepatitis-like 155×13, the input of the repository benchmark's wide
 // workload. With so few rows each partition kernel is small, but nearly all
-// of the ~7 900 lattice nodes need a product: on two CPUs ProductWith takes a
-// quarter to a third of the CPU and the swap checks about a sixth, and the
-// rest goes to the per-node candidate-set work and the engine's handout.
+// of the ~7 900 lattice nodes need a partition: on two CPUs RefineWith, which
+// derives each from a parent and one column, takes about 30 % of the CPU and
+// the swap checks about a sixth, and the rest goes to the per-node
+// candidate-set work and the engine's handout.
 func BenchmarkDiscoverWide(b *testing.B) {
 	enc, err := relation.Encode(datagen.HepatitisLike(155, 13, 2017))
 	if err != nil {

@@ -522,10 +522,12 @@ func (e *Engine) firstLevel() {
 // Nodes come out in prefix order (prefixes ascending as attribute sets,
 // members ascending within a block), which fixes where a node budget cuts a
 // level and the order of the store's probes and puts. Join enumeration is
-// sequential (cheap bit-set work); the partition products — the dominant
-// cost of level generation — run in parallel, each worker reusing its own
-// scratch. The shared store is probed during enumeration itself: a hit skips
-// the product, so a warm store reduces level generation to bit-set work.
+// sequential (cheap bit-set work). The partitions run in parallel, each
+// worker reusing its own scratch: Π(X) = Π(X\B)·Π({B}), so each is the
+// smaller joined node's partition refined by the column of the attribute it
+// lacks (partition.RefineWith), a superkey parent costing nothing. The
+// shared store is probed during enumeration itself: a hit skips the
+// refinement, so a warm store reduces level generation to bit-set work.
 func (e *Engine) nextLevel(l int, pruned []bool) level {
 	cur := &e.levels[l]
 	type member struct {
@@ -609,8 +611,17 @@ func (e *Engine) nextLevel(l int, pruned []bool) level {
 			}
 		}()
 		faultinject.Hit(faultinject.PartitionProduct)
-		subs := next.subs[i*width : (i+1)*width]
-		next.parts[i] = cur.parts[subs[width-1]].ProductWith(cur.parts[subs[width-2]], e.scratch[wk])
+		// The joined nodes are X\B and X\C, B < C being X's two largest
+		// attributes. Refining X\B by B on a tie reproduces the two-operand
+		// product Π(X\C)·Π(X\B) exactly, rows and class order alike.
+		x, subs := next.sets[i], next.subs[i*width:(i+1)*width]
+		c := bits.Len64(uint64(x)) - 1
+		b := bits.Len64(uint64(x.Remove(c))) - 1
+		parent, a := cur.parts[subs[width-2]], b
+		if pc := cur.parts[subs[width-1]]; pc.Size() < parent.Size() {
+			parent, a = pc, c
+		}
+		next.parts[i] = parent.RefineWith(e.enc.Column(a), e.enc.Cardinality[a], e.scratch[wk])
 	})
 	for _, i := range miss {
 		e.storePut(next.sets[i], next.parts[i])

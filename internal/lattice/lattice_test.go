@@ -160,42 +160,88 @@ func checkAccessors(t *testing.T, n Node, direct func(bitset.AttrSet) *partition
 	})
 }
 
+// ViewEncodings returns encodings of one NULL-dense messy relation that a
+// lattice run meets besides the default encoding: a HeadRows prefix, a
+// strided SelectRows selection and an OrderSpec re-encoding whose date and
+// case-insensitive collations merge values. The views' parents hold ranks
+// their rows do not use, so these are the inputs on which per-rank tables
+// sized by the wrong bound overrun. TestConditionalOnViewEncodings runs
+// conditional discovery, a lattice per slice, over the same encodings.
+func ViewEncodings(t *testing.T) map[string]*relation.Encoded {
+	t.Helper()
+	rel := datagen.MessyRelation(300, 5, 0.2, 2017)
+	full, err := relation.Encode(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var strided []int
+	for r := rel.NumRows() - 1; r >= 0; r -= 2 {
+		strided = append(strided, r)
+	}
+	selected, err := full.SelectRows(strided)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merging, err := relation.EncodeSpec(rel, relation.OrderSpec{
+		{Direction: relation.Desc, Nulls: relation.NullsLast}, {}, {},
+		{Collation: relation.CollateDate}, {Collation: relation.CollateCaseInsensitive},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*relation.Encoded{
+		"default":    full,
+		"HeadRows":   full.HeadRows(170),
+		"SelectRows": selected,
+		"merging":    merging,
+	}
+}
+
 // TestRunPartitionsMatchDirectComputation: at every node, every partition a
 // visit can read through its Node must equal the ground-truth product of
 // singleton partitions, at every worker count, computed afresh or served by a
-// store an earlier run warmed up to level 2 (so deeper levels are products
-// over stored operands).
+// store an earlier run warmed up to level 2 (so deeper levels are derived
+// from stored parents), on a default encoding and on each of ViewEncodings.
 func TestRunPartitionsMatchDirectComputation(t *testing.T) {
-	enc := encodeFlight(t, 200, 5)
-	direct := directPartitions(enc)
-	for _, warm := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("warm=%v/w%d", warm, workers), func(t *testing.T) {
-				var store *PartitionStore
-				if warm {
-					store = NewPartitionStore(0)
-					pre, err := New(t.Context(), enc, Config{Workers: 1, MaxLevel: 2, Partitions: store})
+	// The flight default keeps the subtest names it had alone.
+	encs := map[string]*relation.Encoded{"": encodeFlight(t, 200, 5)}
+	for name, enc := range ViewEncodings(t) {
+		encs[name+"/"] = enc
+	}
+	for prefix, enc := range encs {
+		direct := directPartitions(enc)
+		for _, warm := range []bool{false, true} {
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%swarm=%v/w%d", prefix, warm, workers), func(t *testing.T) {
+					var store *PartitionStore
+					if warm {
+						store = NewPartitionStore(0)
+						pre, err := New(t.Context(), enc, Config{Workers: 1, MaxLevel: 2, Partitions: store})
+						if err != nil {
+							t.Fatal(err)
+						}
+						RunNodes(pre, struct{}{}, keepAll)
+					}
+					eng, err := New(t.Context(), enc, Config{Workers: workers, Partitions: store})
 					if err != nil {
 						t.Fatal(err)
 					}
-					RunNodes(pre, struct{}{}, keepAll)
-				}
-				eng, err := New(t.Context(), enc, Config{Workers: workers, Partitions: store})
-				if err != nil {
-					t.Fatal(err)
-				}
-				RunNodes(eng, struct{}{}, func(_ int, n Node, _ []struct{}) (struct{}, bool) {
-					checkAccessors(t, n, direct)
-					return struct{}{}, false
+					RunNodes(eng, struct{}{}, func(_ int, n Node, _ []struct{}) (struct{}, bool) {
+						checkAccessors(t, n, direct)
+						return struct{}{}, false
+					})
+					if err := eng.Err(); err != nil {
+						t.Fatalf("run failed: %v", err)
+					}
+					st := eng.Stats()
+					if st.NodesVisited != 1<<5-1 {
+						t.Errorf("visited %d nodes, want the full lattice of %d", st.NodesVisited, 1<<5-1)
+					}
+					if warm && (st.PartitionHits == 0 || st.PartitionMisses == 0) {
+						t.Errorf("stats = %+v, want both store hits and misses", st)
+					}
 				})
-				st := eng.Stats()
-				if st.NodesVisited != 1<<5-1 {
-					t.Errorf("visited %d nodes, want the full lattice of %d", st.NodesVisited, 1<<5-1)
-				}
-				if warm && (st.PartitionHits == 0 || st.PartitionMisses == 0) {
-					t.Errorf("stats = %+v, want both store hits and misses", st)
-				}
-			})
+			}
 		}
 	}
 }

@@ -55,6 +55,20 @@ func BenchmarkProductWithScratch(b *testing.B) {
 	}
 }
 
+func BenchmarkRefineWith(b *testing.B) {
+	// The lattice's level generation: the same 100 000-row operands as
+	// BenchmarkProductWithScratch, one refined by the other's column.
+	colA, cardA := randomColumn(100_000, 100, 1)
+	colB, cardB := randomColumn(100_000, 100, 2)
+	pa := FromColumn(colA, cardA)
+	s := NewScratch()
+	pa.RefineWith(colB, cardB, s) // warm the scratch
+	b.ReportAllocs()
+	for b.Loop() {
+		pa.RefineWith(colB, cardB, s)
+	}
+}
+
 // The swap benchmarks below run on a 50 000-row context of 50 classes.
 // Random columns (SortedScan, Scratch, SwapRemovals at a 1 % limit) are
 // settled by the neighbour scan in front of the sort; the co-moving,

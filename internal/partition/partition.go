@@ -2,9 +2,12 @@
 // paper: equivalence-class partitions ΠX over attribute sets, stripped
 // partitions Π*X (singleton classes removed), linear-time partition products,
 // and the swap check used to validate order-compatibility ODs X: A ~ B: a
-// scan of neighbouring rows, then a sorted scan of each class. All
-// operations work on rank-encoded columns (see package relation), so value
-// comparisons are integer comparisons.
+// scan of neighbouring rows, then a sorted scan of each class. Discovery
+// derives partitions with RefineWith, the product Π(X)·Π({B}) computed by
+// splitting each class of Π*X by B's ranks; ProductWith is the general
+// two-operand product. All operations work on rank-encoded columns (see
+// package relation), whose ranks are dense, so value comparisons are integer
+// comparisons and per-rank tables are sized by the column's cardinality.
 //
 // # Memory model
 //
@@ -46,8 +49,8 @@ type Partition struct {
 
 // fromClasses builds a flat partition from materialized class slices. It is
 // the bridge used by the naive oracles and in-package tests; the production
-// constructors (FromColumn, FromConstant, ProductWith) emit into the flat
-// buffers directly.
+// constructors (FromColumn, FromConstant, RefineWith, ProductWith) emit into
+// the flat buffers directly.
 func fromClasses(numRows int, classes [][]int32) *Partition {
 	size := 0
 	for _, c := range classes {

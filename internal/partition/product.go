@@ -5,38 +5,39 @@ import "fmt"
 // Product computes the stripped partition of X ∪ Y from the stripped
 // partitions of X and Y in time linear in the partition sizes, using the
 // standard probe-table construction: tuples that share a class in both inputs
-// share a class in the product. This is the only operation FASTOD needs to
-// derive the partitions of level l+1 nodes from level l nodes.
+// share a class in the product. It is the general two-operand form of Section
+// 4.6. Discovery needs only its special case Π(X)·Π({B}), which RefineWith
+// computes from one operand; Product and ProductWith remain the reference the
+// tests hold RefineWith to.
 //
-// Product allocates a fresh workspace per call; hot loops that compute many
-// products (the level-generation phase of FASTOD) should hold a Scratch and
-// call ProductWith instead.
+// Product allocates a fresh workspace per call; a loop that computes many
+// products should hold a Scratch and call ProductWith instead.
 func Product(a, b *Partition) *Partition {
 	return a.ProductWith(b, nil)
 }
 
-// Scratch is a reusable workspace for the partition kernels: ProductWith,
-// the scratch-backed swap checks (HasSwapWith, FindSwapWith) and the
-// approximate-error kernels (SwapRemovals, ConstancyRemovals). A single
-// Scratch may be reused across any number of calls, over relations of any
-// size — it grows as needed and cleans up after itself — but it must not be
-// shared between goroutines: parallel callers hold one Scratch per worker
+// Scratch is a reusable workspace for the partition kernels: RefineWith,
+// ProductWith, the scratch-backed swap checks (HasSwapWith, FindSwapWith)
+// and the approximate-error kernels (SwapRemovals, ConstancyRemovals). A
+// single Scratch may be reused across any number of calls, over relations of
+// any size — it grows as needed and cleans up after itself — but it must not
+// be shared between goroutines: parallel callers hold one Scratch per worker
 // (the lattice engine exposes its per-worker scratches for exactly this).
 type Scratch struct {
-	// probe[row] = index of row's class in the left product operand, or -1 if
-	// the row is a singleton there. All entries are -1 between calls.
+	// probe[row] = index of row's class in ProductWith's left operand, or -1
+	// if the row is a singleton there. All entries are -1 between calls.
 	probe []int32
-	// groupLen[ci] counts the rows of the current right-operand class that
-	// fall into left class ci; groupPos[ci] is the arena write cursor assigned
-	// to that group (-1 when the group stays singleton). groupLen is all zero
-	// between right classes; groupPos is always written before it is read.
-	groupLen []int32
-	groupPos []int32
-	// touched lists the left classes dirtied by the current right class.
+	// count is the per-key table of split and ConstancyRemovals, indexed by
+	// a rank or, in ProductWith, a left-operand class. split counts a class's
+	// rows per key in it and then, in the same slot, holds the arena write
+	// cursor of the key's group (-1 for a group of one row). All entries are
+	// zero between calls.
+	count []int32
+	// touched lists the keys the current class dirtied.
 	touched []int32
-	// outRows and outOffsets stage the product's flat buffers; the result
-	// copies them at exact size so no over-capacity is retained by callers
-	// (or by a PartitionStore) and the staging arrays amortize across calls.
+	// outRows and outOffsets stage split's flat buffers; the result copies
+	// them at exact size so no over-capacity is retained by callers (or by a
+	// PartitionStore) and the staging arrays amortize across calls.
 	outRows    []int32
 	outOffsets []int32
 	// keys/keyRows and tmpKeys/tmpRows are the (rank-pair, row) buffers of the
@@ -49,13 +50,35 @@ type Scratch struct {
 	tmpRows []int32
 	// tails is the patience-sorting buffer of SwapRemovals.
 	tails []int32
-	// freq is the dense rank-frequency table of ConstancyRemovals. All
-	// entries are zero between calls.
-	freq []int32
 }
 
 // NewScratch returns an empty workspace ready for any partition kernel.
 func NewScratch() *Scratch { return &Scratch{} }
+
+// RefineWith computes the stripped partition of X ∪ {B} from the receiver,
+// Π*X, and B's rank column col, whose ranks must lie in [0, cardinality).
+// The classes of Π({B}) are B's rank groups, so the result is the product
+// Π(X)·Π({B}) of Section 4.6: every class of the receiver splits by B's
+// ranks. That takes two passes over the receiver's rows and no probe, and a
+// superkey receiver costs nothing. s is the workspace, as for ProductWith
+// (nil allocates one); its key table gets cardinality slots, so a rank at or
+// above cardinality panics.
+//
+// Classes come out parent-major: for each class of the receiver in order,
+// its subclasses in order of first appearance, rows ascending. Refining
+// Π(X\B) by B therefore yields exactly Π(X\C).ProductWith(Π(X\B)), rows and
+// offsets alike, for any attribute C in X\B.
+func (p *Partition) RefineWith(col []int32, cardinality int, s *Scratch) *Partition {
+	if len(col) != p.NumRows {
+		panic(fmt.Sprintf("partition: refinement by a column of %d rows of a partition of %d rows (%d classes)",
+			len(col), p.NumRows, p.NumClasses()))
+	}
+	if s == nil {
+		s = NewScratch()
+	}
+	s.reserveKeys(cardinality)
+	return s.split(p, col)
+}
 
 // ProductWith computes Product(a, b) using s as scratch space, avoiding the
 // per-call probe-table and grouping allocations. A nil scratch is allowed and
@@ -65,9 +88,9 @@ func NewScratch() *Scratch { return &Scratch{} }
 //
 // The class order of the result is deterministic: classes are emitted
 // right-operand-major — for each class of b in order, its subclasses in order
-// of first appearance — and rows ascend within every class. All callers
-// compute any given attribute set's partition through the same operand
-// sequence, so identical inputs always yield identical partitions.
+// of first appearance — and rows ascend within every class. The probe labels
+// each row with its class in a, and b's classes split by that label on the
+// same loop RefineWith splits by ranks.
 func (a *Partition) ProductWith(b *Partition, s *Scratch) *Partition {
 	if a.NumRows != b.NumRows {
 		// This package cannot know which lattice node asked for the product,
@@ -88,71 +111,81 @@ func (a *Partition) ProductWith(b *Partition, s *Scratch) *Partition {
 		}
 		s.probe = grown
 	}
-	if len(s.groupLen) < a.NumClasses() {
-		s.groupLen = make([]int32, a.NumClasses())
-		s.groupPos = make([]int32, a.NumClasses())
-	}
+	s.reserveKeys(a.NumClasses())
 	for ci, n := 0, a.NumClasses(); ci < n; ci++ {
 		for _, row := range a.Class(ci) {
 			s.probe[row] = int32(ci)
 		}
 	}
-	s.outRows = s.outRows[:0]
-	s.outOffsets = append(s.outOffsets[:0], 0)
-	// For each class of b, group its rows by their class in a, emitting the
-	// groups of size >= 2 straight into the flat staging buffers: one counting
-	// pass reserves each group's contiguous arena range, one placement pass
-	// fills it.
-	for bi, bn := 0, b.NumClasses(); bi < bn; bi++ {
-		cls := b.Class(bi)
-		s.touched = s.touched[:0]
-		for _, row := range cls {
-			ca := s.probe[row]
-			if ca < 0 {
-				continue // singleton in a => singleton in the product
-			}
-			if s.groupLen[ca] == 0 {
-				s.touched = append(s.touched, ca)
-			}
-			s.groupLen[ca]++
-		}
-		for _, ca := range s.touched {
-			n := s.groupLen[ca]
-			if n >= 2 {
-				start := int32(len(s.outRows))
-				s.outRows = extendInt32(s.outRows, int(n))
-				s.groupPos[ca] = start
-				s.outOffsets = append(s.outOffsets, start+n)
-			} else {
-				s.groupPos[ca] = -1
-			}
-		}
-		for _, row := range cls {
-			ca := s.probe[row]
-			if ca < 0 {
-				continue
-			}
-			pos := s.groupPos[ca]
-			if pos < 0 {
-				continue
-			}
-			s.outRows[pos] = row
-			s.groupPos[ca] = pos + 1
-		}
-		for _, ca := range s.touched {
-			s.groupLen[ca] = 0
-		}
-	}
+	out := s.split(b, s.probe)
 	// Restore the all--1 probe invariant for the next call.
 	for _, row := range a.rows {
 		s.probe[row] = -1
+	}
+	return out
+}
+
+// reserveKeys gives the key table room for keys 0..n-1. A grown table is
+// fresh, so the all-zero invariant holds either way.
+func (s *Scratch) reserveKeys(n int) {
+	if len(s.count) < n {
+		s.count = make([]int32, n)
+	}
+}
+
+// split is the grouping loop of RefineWith and ProductWith. It splits every
+// class of p into the groups of rows with equal key[row], leaves out the rows
+// whose key is negative, and emits the groups of two or more rows: for each
+// class of p in order, its groups in order of their first row. One counting
+// pass reserves each group's contiguous arena range, one placement pass fills
+// it. s.count must hold a slot for every key of p's rows.
+func (s *Scratch) split(p *Partition, key []int32) *Partition {
+	count := s.count
+	s.outRows = s.outRows[:0]
+	s.outOffsets = append(s.outOffsets[:0], 0)
+	for ci, n := 0, p.NumClasses(); ci < n; ci++ {
+		cls := p.Class(ci)
+		s.touched = s.touched[:0]
+		for _, row := range cls {
+			k := key[row]
+			if k < 0 {
+				continue
+			}
+			if count[k] == 0 {
+				s.touched = append(s.touched, k)
+			}
+			count[k]++
+		}
+		for _, k := range s.touched {
+			if c := count[k]; c >= 2 {
+				start := int32(len(s.outRows))
+				s.outRows = extendInt32(s.outRows, int(c))
+				s.outOffsets = append(s.outOffsets, start+c)
+				count[k] = start
+			} else {
+				count[k] = -1
+			}
+		}
+		for _, row := range cls {
+			k := key[row]
+			if k < 0 {
+				continue
+			}
+			if pos := count[k]; pos >= 0 {
+				s.outRows[pos] = row
+				count[k] = pos + 1
+			}
+		}
+		for _, k := range s.touched {
+			count[k] = 0
+		}
 	}
 	// One exact-size buffer holds the rows and then the offsets. rows is
 	// capped at its length, so no class view can grow into the offsets.
 	buf := make([]int32, len(s.outRows)+len(s.outOffsets))
 	n := copy(buf, s.outRows)
 	copy(buf[n:], s.outOffsets)
-	return &Partition{NumRows: a.NumRows, rows: buf[:n:n], offsets: buf[n:]}
+	return &Partition{NumRows: p.NumRows, rows: buf[:n:n], offsets: buf[n:]}
 }
 
 // extendInt32 grows s by n elements (contents of the new tail unspecified),

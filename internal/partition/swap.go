@@ -196,19 +196,19 @@ func (p *Partition) ConstancyRemovals(col []int32, limit int, s *Scratch) int {
 		best := int32(0)
 		for _, row := range cls {
 			v := col[row]
-			if int(v) >= len(s.freq) {
-				s.freq = growInt32(s.freq, int(v)+1)
+			if int(v) >= len(s.count) {
+				s.count = growInt32(s.count, int(v)+1)
 			}
-			if s.freq[v] == 0 {
+			if s.count[v] == 0 {
 				s.touched = append(s.touched, v)
 			}
-			s.freq[v]++
-			if s.freq[v] > best {
-				best = s.freq[v]
+			s.count[v]++
+			if s.count[v] > best {
+				best = s.count[v]
 			}
 		}
 		for _, v := range s.touched {
-			s.freq[v] = 0
+			s.count[v] = 0
 		}
 		removals += len(cls) - int(best)
 		if removals > limit {

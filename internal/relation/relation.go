@@ -259,24 +259,25 @@ func (e *Encoded) ProjectColumns(k int) *Encoded {
 }
 
 // SelectRows returns an encoded relation containing only the given tuples, in
-// the given order. Ranks are not re-densified: equality and relative order
-// are preserved, which is all the algorithms require. Row indexes must be in
-// range; duplicates are allowed (the result simply repeats the tuple).
+// the given order. Row indexes must be in range; duplicates are allowed (the
+// result simply repeats the tuple). Each column is re-ranked densely onto
+// [0, Cardinality) in the same order, so equality and relative order are
+// preserved and the ranks are those a fresh encoding of the tuples would get.
 func (e *Encoded) SelectRows(rows []int) (*Encoded, error) {
+	for _, r := range rows {
+		if r < 0 || r >= e.rows {
+			return nil, fmt.Errorf("relation: selected row %d out of range [0,%d)", r, e.rows)
+		}
+	}
+	var d densifier
 	vals := make([][]int32, len(e.Values))
 	card := make([]int, len(e.Values))
 	for ci, col := range e.Values {
 		out := make([]int32, len(rows))
-		distinct := make(map[int32]struct{})
 		for i, r := range rows {
-			if r < 0 || r >= e.rows {
-				return nil, fmt.Errorf("relation: selected row %d out of range [0,%d)", r, e.rows)
-			}
 			out[i] = col[r]
-			distinct[col[r]] = struct{}{}
 		}
-		vals[ci] = out
-		card[ci] = len(distinct)
+		vals[ci], card[ci] = d.densify(out, e.Cardinality[ci], out)
 	}
 	return &Encoded{
 		Name:        e.Name,
@@ -288,21 +289,18 @@ func (e *Encoded) SelectRows(rows []int) (*Encoded, error) {
 }
 
 // HeadRows returns an encoded relation restricted to the first n tuples.
-// Ranks are not re-densified: equality and relative order are preserved,
-// which is all the algorithms require.
+// Each column is re-ranked densely onto [0, Cardinality) in the same order,
+// as SelectRows does; a column whose prefix holds every rank of the parent
+// shares the parent's ranks, and only the others are copied.
 func (e *Encoded) HeadRows(n int) *Encoded {
 	if n > e.rows {
 		n = e.rows
 	}
+	var d densifier
 	vals := make([][]int32, len(e.Values))
 	card := make([]int, len(e.Values))
 	for i, col := range e.Values {
-		vals[i] = col[:n]
-		distinct := make(map[int32]struct{})
-		for _, v := range col[:n] {
-			distinct[v] = struct{}{}
-		}
-		card[i] = len(distinct)
+		vals[i], card[i] = d.densify(col[:n:n], e.Cardinality[i], nil)
 	}
 	return &Encoded{
 		Name:        e.Name,
@@ -311,6 +309,44 @@ func (e *Encoded) HeadRows(n int) *Encoded {
 		Cardinality: card,
 		rows:        n,
 	}
+}
+
+// densifier re-ranks the columns of a row view. rank is its one table,
+// indexed by a parent rank; it is all zero between calls and grows to the
+// widest column's cardinality.
+type densifier struct{ rank []int32 }
+
+// densify maps col's ranks, all in [0, card), onto [0, k) in the same order,
+// k being the number of distinct ranks col holds, and returns the mapped
+// column with k. When col holds every rank the mapping is the identity and
+// col itself is returned; otherwise the ranks are written to dst (which may
+// alias col), or to a new slice when dst is nil.
+func (d *densifier) densify(col []int32, card int, dst []int32) ([]int32, int) {
+	if len(d.rank) < card {
+		d.rank = make([]int32, card)
+	}
+	rank := d.rank[:card]
+	for _, v := range col {
+		rank[v] = 1
+	}
+	k := int32(0)
+	for v, used := range rank {
+		if used != 0 {
+			rank[v] = k
+			k++
+		}
+	}
+	if int(k) < card {
+		if dst == nil {
+			dst = make([]int32, len(col))
+		}
+		for i, v := range col {
+			dst[i] = rank[v]
+		}
+		col = dst
+	}
+	clear(rank)
+	return col, int(k)
 }
 
 // Encode converts a raw relation into its rank-encoded form under the

@@ -2,8 +2,11 @@ package relation
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -232,9 +235,7 @@ func TestEncodedSelectRows(t *testing.T) {
 	if sel.NumRows() != 3 {
 		t.Fatalf("rows = %d, want 3", sel.NumRows())
 	}
-	if sel.Column(0)[0] != enc.Column(0)[3] || sel.Column(1)[1] != enc.Column(1)[1] {
-		t.Error("selected values do not match source rows")
-	}
+	checkViewRanks(t, "SelectRows", enc, sel, []int{3, 1, 1})
 	if sel.Cardinality[0] != 1 || sel.Cardinality[1] != 2 {
 		t.Errorf("cardinalities = %v, want [1 2]", sel.Cardinality)
 	}
@@ -243,6 +244,112 @@ func TestEncodedSelectRows(t *testing.T) {
 	}
 	if _, err := enc.SelectRows([]int{-1}); err == nil {
 		t.Error("negative row should error")
+	}
+}
+
+// checkViewRanks fails unless every column of view has its ranks in
+// [0, Cardinality), each value of that range taken, and orders and equates
+// every pair of its rows i, j as src's column does rows[i] and rows[j].
+func checkViewRanks(t *testing.T, label string, src, view *Encoded, rows []int) {
+	t.Helper()
+	if view.NumRows() != len(rows) {
+		t.Fatalf("%s: %d rows, want %d", label, view.NumRows(), len(rows))
+	}
+	for c := range view.NumCols() {
+		col, from, card := view.Column(c), src.Column(c), view.Cardinality[c]
+		used := make([]bool, card)
+		for i, v := range col {
+			if v < 0 || int(v) >= card {
+				t.Fatalf("%s: column %d row %d has rank %d outside [0,%d)", label, c, i, v, card)
+			}
+			used[v] = true
+		}
+		if k := slices.Index(used, false); k >= 0 {
+			t.Fatalf("%s: column %d leaves rank %d of [0,%d) unused", label, c, k, card)
+		}
+		for i := range col {
+			for j := range col {
+				if got, want := cmp.Compare(col[i], col[j]), cmp.Compare(from[rows[i]], from[rows[j]]); got != want {
+					t.Fatalf("%s: column %d compares rows %d, %d as %d, source rows %d, %d as %d",
+						label, c, i, j, got, rows[i], rows[j], want)
+				}
+			}
+		}
+	}
+}
+
+// TestEncodedViewsKeepDenseRanks holds every way to make an Encoded to the
+// rank contract checkViewRanks states, on a NULL-dense relation of ints,
+// floats and mixed-case strings: EncodeSpec under the default spec and under
+// a spec whose collations merge values, and from each, HeadRows, SelectRows
+// with repeated and reordered rows, ProjectColumns, and views of views. A
+// HeadRows column shares its parent's ranks exactly when its prefix holds
+// every one of them.
+func TestEncodedViewsKeepDenseRanks(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	header := []string{"i", "f", "s"}
+	raw := make([][]string, 120)
+	for r := range raw {
+		cell := func(v string) string {
+			if rng.Intn(4) == 0 {
+				return ""
+			}
+			return v
+		}
+		raw[r] = []string{
+			cell(strconv.Itoa(rng.Intn(30))),
+			cell(strconv.FormatFloat(float64(rng.Intn(12))/4, 'f', []int{-1, 2}[rng.Intn(2)], 64)),
+			cell([]string{"a", "A", "b", "B", "c", "d"}[rng.Intn(6)] + strconv.Itoa(rng.Intn(3))),
+		}
+	}
+	rel := mustRelation(t, header, raw)
+	merging := OrderSpec{
+		{Direction: Desc, Nulls: NullsLast},
+		{Collation: CollateNumeric, Direction: Desc},
+		{Collation: CollateCaseInsensitive, Nulls: NullsLast},
+	}
+	seq := func(n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = i
+		}
+		return out
+	}
+	for _, spec := range []OrderSpec{nil, merging} {
+		enc, err := EncodeSpec(rel, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := "EncodeSpec " + fmt.Sprint(spec)
+		checkViewRanks(t, label, enc, enc, seq(enc.NumRows()))
+		// Rows drawn with replacement: repeated, reordered and sparse.
+		picked := make([]int, 50)
+		for i := range picked {
+			picked[i] = rng.Intn(enc.NumRows())
+		}
+		sel, err := enc.SelectRows(picked)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkViewRanks(t, label+" SelectRows", enc, sel, picked)
+		checkViewRanks(t, label+" ProjectColumns", enc, enc.ProjectColumns(2), seq(enc.NumRows()))
+		for _, n := range []int{0, 1, 9, 60, enc.NumRows()} {
+			head := enc.HeadRows(n)
+			checkViewRanks(t, fmt.Sprintf("%s HeadRows(%d)", label, n), enc, head, seq(n))
+			for c := range head.NumCols() {
+				shared := n > 0 && &head.Column(c)[0] == &enc.Column(c)[0]
+				if full := head.Cardinality[c] == enc.Cardinality[c]; n > 0 && shared != full {
+					t.Errorf("%s HeadRows(%d) column %d: shares ranks %v, holds every rank %v", label, n, c, shared, full)
+				}
+			}
+		}
+		headOfSel := sel.HeadRows(20)
+		checkViewRanks(t, label+" SelectRows.HeadRows", sel, headOfSel, seq(20))
+		selOfHead, err := enc.HeadRows(60).SelectRows([]int{59, 3, 3, 40, 0, 17})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkViewRanks(t, label+" HeadRows.SelectRows", enc, selOfHead, []int{59, 3, 3, 40, 0, 17})
 	}
 }
 

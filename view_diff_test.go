@@ -12,6 +12,7 @@ import (
 	"repro/internal/approx"
 	"repro/internal/bidir"
 	"repro/internal/canonical"
+	"repro/internal/conditional"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/lattice"
@@ -23,16 +24,13 @@ import (
 // --- rows discovers.                                                       ---
 //
 // Encoded.HeadRows and Encoded.SelectRows (behind Dataset.HeadRows and the
-// conditional algorithm's slices) keep the parent's ranks without
-// re-densifying them, so a view's ranks are sparse and its Cardinality is a
-// distinct count, not a rank bound. The views promise that equality and
-// relative order are all the algorithms need; this suite holds every
-// algorithm whose output is rank-free to that promise. Conditional is left
-// out: it reports condition values as ranks, which legitimately differ
-// between a view and a fresh encoding.
+// conditional algorithm's slices) re-rank every column densely in the same
+// order, so a view holds the ranks a fresh encoding of its rows gets. This
+// suite holds every algorithm to that promise, conditional included: it
+// reports condition values as ranks, and those must match too.
 
-// viewAlgorithms runs each rank-free algorithm sequentially and renders its
-// output as sorted lines.
+// viewAlgorithms runs each algorithm sequentially and renders its output as
+// sorted lines.
 var viewAlgorithms = map[string]func(context.Context, *relation.Encoded) ([]string, error){
 	"fastod": func(ctx context.Context, enc *relation.Encoded) ([]string, error) {
 		res, err := core.DiscoverContext(ctx, enc, core.Options{Workers: 1})
@@ -63,6 +61,15 @@ var viewAlgorithms = map[string]func(context.Context, *relation.Encoded) ([]stri
 			return nil, err
 		}
 		return renderLines(res.ODs, bidir.OD.String), nil
+	},
+	"conditional": func(ctx context.Context, enc *relation.Encoded) ([]string, error) {
+		res, err := conditional.DiscoverContext(ctx, enc, conditional.Options{Discovery: core.Options{Workers: 1}})
+		if err != nil {
+			return nil, err
+		}
+		return renderLines(res.ODs, func(od conditional.OD) string {
+			return fmt.Sprintf("%s (%d rows): %v", od.Condition.NamesString(enc.ColumnNames), od.Condition.Rows, od.OD)
+		}), nil
 	},
 }
 
