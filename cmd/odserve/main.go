@@ -14,10 +14,10 @@
 // -max-nodes): a request may ask for less, never for more, and a run that
 // exhausts its budget returns HTTP 200 with "interrupted": true and the
 // partial report. Invalid requests fail fast with HTTP 400; JSON bodies over
-// -max-request-bytes with 413. Completed reports are memoized in a bounded
-// report cache (-report-cache-bytes) keyed by dataset version and canonical
-// request, so a repeated question is answered in microseconds with
-// "cached": true. See the README section "Serving discovery over HTTP" for
+// -max-request-bytes with 413. The replies of completed runs are kept in a
+// bounded report cache (-report-cache-bytes) keyed by dataset version and
+// canonical request, so a repeated question is answered in microseconds with
+// the stored reply and "cached": true. See the README section "Serving discovery over HTTP" for
 // the endpoint and JSON shapes.
 package main
 
@@ -48,7 +48,7 @@ func main() {
 		maxUpload     = flag.Int64("max-upload-bytes", server.DefaultMaxUploadBytes, "largest accepted CSV upload body")
 		maxDatasets   = flag.Int("max-datasets", server.DefaultMaxDatasets, "datasets allowed to be resident at once")
 		maxRequest    = flag.Int64("max-request-bytes", server.DefaultMaxRequestBytes, "largest accepted JSON discover request body")
-		reportCache   = flag.Int("report-cache-bytes", server.DefaultReportCacheBytes, "report cache bound in estimated bytes (completed reports memoized per dataset version and request)")
+		reportCache   = flag.Int("report-cache-bytes", server.DefaultReportCacheBytes, "report cache bound in bytes of cached replies (the replies of completed runs, kept per dataset version and request)")
 		maxHeapBytes  = flag.Uint64("max-heap-bytes", 0, "soft heap limit: shed new discovery runs with 503 while live heap objects exceed this (0 disables)")
 	)
 	flag.Parse()

@@ -183,8 +183,8 @@ func newDataset(rel *relation.Relation) (*Dataset, error) {
 	return newView(rel, enc), nil
 }
 
-// newView builds a dataset over an encoding of rel (all of it, or a Project
-// or HeadRows prefix), with a fresh version stamp and an empty spec cache.
+// newView builds a dataset over rel and its default encoding, with a fresh
+// version stamp and an empty spec cache.
 func newView(rel *relation.Relation, enc *relation.Encoded) *Dataset {
 	return &Dataset{
 		rel:     rel,
@@ -213,7 +213,10 @@ func (d *Dataset) ColumnIndex(name string) int { return d.enc.ColumnIndex(name) 
 
 // Project returns a dataset restricted to the first k attributes, and
 // HeadRows one restricted to the first n tuples. Both are cheap views used by
-// the scalability experiments.
+// the scalability experiments. A view narrows the raw relation along with
+// its encoding, sharing the parent's dictionaries and row ids, so whatever
+// reads raw values — spec re-encodings, WithSwapViolations — sees the view's
+// rows and columns only.
 //
 // A view is a distinct relation instance, so it deliberately does NOT
 // inherit the parent's partition cache: a PartitionStore binds to one
@@ -222,14 +225,16 @@ func (d *Dataset) ColumnIndex(name string) int { return d.enc.ColumnIndex(name) 
 // view anyway. Call EnablePartitionCache on the view itself; its spec runs
 // then share that store, with signatures against the view's cardinalities.
 func (d *Dataset) Project(k int) *Dataset {
-	return newView(d.rel, d.enc.ProjectColumns(k))
+	enc := d.enc.ProjectColumns(k)
+	k = enc.NumCols()
+	return newView(&relation.Relation{Name: d.rel.Name, Columns: d.rel.Columns[:k:k]}, enc)
 }
 
 // HeadRows returns a dataset restricted to the first n tuples. Like Project,
 // the view does not inherit the parent's partition cache (a store binds to
 // one default encoding and its re-encodings); enable one on the view.
 func (d *Dataset) HeadRows(n int) *Dataset {
-	return newView(d.rel, d.enc.HeadRows(n))
+	return newView(d.rel.Head(n), d.enc.HeadRows(n))
 }
 
 // EnablePartitionCache attaches a bounded partition store to the dataset:

@@ -249,6 +249,21 @@ func TestWithSwapViolations(t *testing.T) {
 	if _, _, err := ds.WithSwapViolations("missing", 1, 9); err == nil {
 		t.Error("expected error for unknown column")
 	}
+
+	// A view's dirty copy has the view's rows and columns, not the parent's.
+	view := fastod.DateDimExample(200).HeadRows(20).Project(3)
+	dirty, affected, err = view.WithSwapViolations("d_year", 2, 9)
+	if err != nil {
+		t.Fatalf("WithSwapViolations on a view: %v", err)
+	}
+	if dirty.NumRows() != 20 || dirty.NumCols() != 3 {
+		t.Errorf("dirty copy of a 20x3 view is %dx%d", dirty.NumRows(), dirty.NumCols())
+	}
+	for _, row := range affected {
+		if row >= 20 {
+			t.Errorf("affected row %d lies outside the 20-row view", row)
+		}
+	}
 }
 
 func TestMinimizeODsPublic(t *testing.T) {

@@ -8,12 +8,14 @@
 // (bounded-cardinality attributes only), runs FASTOD on every partition slice,
 // and reports the ODs that hold in a slice but are not implied by the ODs of
 // the full relation. Condition slices are disjoint row subsets, so the slice
-// passes fan out across the worker pool under the run's one shared budget.
+// passes fan out across the worker pool, unless the run's one shared node
+// budget is too small for all of them.
 package conditional
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -61,25 +63,19 @@ type OD struct {
 	OD        canonical.OD
 }
 
-// Options configures conditional discovery.
+// Options are conditional discovery's own knobs. The tags are their JSON
+// names in an odserve request's "conditional" block.
 type Options struct {
 	// MaxConditionCardinality bounds how many distinct values a condition
 	// attribute may have (default 16): attributes with more values fragment
 	// the relation into slivers that yield spurious dependencies.
-	MaxConditionCardinality int
+	MaxConditionCardinality int `json:"max_condition_cardinality,omitempty"`
 	// MinSliceRows skips condition values selecting fewer tuples than this
 	// (default 4), again to avoid trivially-holding ODs on tiny slices.
-	MinSliceRows int
+	MinSliceRows int `json:"min_slice_rows,omitempty"`
 	// ConditionAttrs restricts which attributes may serve as conditions
 	// (default: every attribute within the cardinality bound).
-	ConditionAttrs []int
-	// Discovery is passed through to the per-slice FASTOD runs (e.g.
-	// MaxLevel to bound context sizes). Discovery.Workers additionally sets
-	// how many condition slices are processed concurrently: with more than
-	// one worker, slices fan out across the pool and each slice pass runs
-	// sequentially inside. The merged output of a complete run is identical
-	// for every worker count.
-	Discovery core.Options
+	ConditionAttrs []int `json:"condition_attrs,omitempty"`
 }
 
 // Result is the outcome of a conditional discovery run.
@@ -91,8 +87,8 @@ type Result struct {
 	// SlicesExamined counts (attribute, value) slices that were processed.
 	SlicesExamined int
 	// Stats carries the run's traversal counters. NodesVisited totals the
-	// unconditional pass and every slice pass (the quantity
-	// Options.Discovery.Budget.MaxNodes bounds); MaxLevelReached is the
+	// unconditional pass and every slice pass (the quantity the discovery
+	// options' Budget.MaxNodes bounds); MaxLevelReached is the
 	// deepest level of ANY pass (slices prune at least as early as the full
 	// relation, but the max keeps the counter honest); the partition
 	// counters describe the unconditional pass, the only one on the shared
@@ -108,14 +104,23 @@ type Result struct {
 // relation — otherwise a conditional report would just restate global
 // knowledge.
 //
-// The context and Options.Discovery.Budget are honored across the whole run,
-// not per inner discovery: Budget.Timeout becomes one deadline on the run's
+// discovery configures the FASTOD passes, the unconditional one and one per
+// slice (e.g. MaxLevel to bound context sizes); its CountOnly is ignored,
+// since the global-cover comparison needs the ODs. discovery.Workers also
+// sets how many slices run at once: slices fan out across the pool, each
+// pass sequential inside, when the node budget left after the unconditional
+// pass covers every slice's whole lattice, and otherwise run in job order,
+// each pass on the workers. The merged output of a complete run is identical
+// for every worker count, and so is that of a run cut by the node budget.
+//
+// The context and discovery.Budget are honored across the whole run, not
+// per inner discovery: Budget.Timeout becomes one deadline on the run's
 // context, and every pass, the unconditional one and each slice pass, runs
 // under that context with no timeout of its own and draws its visits from
 // one shared node allowance. So a budgeted conditional run is bounded even
 // when the relation fragments into many slices. An interrupted run keeps the
 // conditional ODs confirmed so far and sets Result.Stats.Interrupted.
-func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (*Result, error) {
+func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options, discovery core.Options) (*Result, error) {
 	if opts.MaxConditionCardinality <= 0 {
 		opts.MaxConditionCardinality = DefaultMaxConditionCardinality
 	}
@@ -123,16 +128,17 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		opts.MinSliceRows = DefaultMinSliceRows
 	}
 	start := time.Now()
-	budget := lattice.SharedNodes(opts.Discovery.Budget)
+	discovery.CountOnly = false
+	budget := lattice.SharedNodes(discovery.Budget)
 	if budget.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, budget.Timeout)
 		defer cancel()
 		budget.Timeout = 0
 	}
-	opts.Discovery.Budget = budget
+	discovery.Budget = budget
 
-	global, err := core.DiscoverContext(ctx, enc, opts.Discovery)
+	global, err := core.DiscoverContext(ctx, enc, discovery)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +151,7 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	// relation instance). Per-level progress stays with the unconditional
 	// pass (slice lattices are tiny and many); instead each completed slice
 	// reports one SliceProgressLevel event below.
-	sliceOpts := opts.Discovery
+	sliceOpts := discovery
 	sliceOpts.Partitions = nil
 	sliceOpts.Progress = nil
 	globalCover := canonical.NewCover(global.ODs)
@@ -194,10 +200,14 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 	// Slice passes fan out across the engine's worker pool, one slice per
 	// item. With W > 1 workers each slice runs with Workers: 1 and W slices
 	// run at once: slice lattices are small and numerous, so parallelism
-	// across slices beats parallelism inside each tiny slice. With one worker
-	// (or a single job) the sequential path keeps the inner runs' own
-	// parallelism setting.
-	workers := min(lattice.ResolveWorkers(opts.Discovery.Workers), len(jobs))
+	// across slices beats parallelism inside each tiny slice. But slices that
+	// race for a node allowance too small for all of them finish in an order
+	// only the scheduler decides, so then they run in job order like the
+	// sequential path, which keeps the inner runs' own parallelism setting.
+	workers := min(lattice.ResolveWorkers(discovery.Workers), len(jobs))
+	if budget.MaxNodes > 0 && !coversSlices(budget.MaxNodes-global.Stats.NodesVisited, len(jobs), enc.NumCols()) {
+		workers = 1
+	}
 	if workers > 1 {
 		sliceOpts.Workers = 1
 	}
@@ -259,7 +269,7 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 			out.ods = append(out.ods, OD{Condition: cond, OD: od})
 		}
 		out.stats, out.ran = sliceRes.Stats.Stats, true
-		if progress := opts.Discovery.Progress; progress != nil {
+		if progress := discovery.Progress; progress != nil {
 			// The deferred unlock releases mu even when the callback panics,
 			// so the workers waiting to report are not left blocked.
 			mu.Lock()
@@ -307,4 +317,12 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, opts Options) (
 		return canonical.Less(a.OD, b.OD)
 	})
 	return res, nil
+}
+
+// coversSlices reports whether left node visits cover jobs slice passes that
+// each visit every node of a lattice over cols attributes: jobs × (2^cols − 1)
+// visits, saturating instead of overflowing.
+func coversSlices(left, jobs, cols int) bool {
+	hi, need := bits.Mul64(uint64(jobs), uint64(1)<<cols-1)
+	return hi == 0 && need <= uint64(max(left, 0))
 }

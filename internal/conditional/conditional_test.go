@@ -1,6 +1,8 @@
 package conditional
 
 import (
+	"math"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -37,21 +39,21 @@ func bracketRelation(t *testing.T) *relation.Encoded {
 }
 
 func TestDiscoverValidation(t *testing.T) {
-	if _, err := DiscoverContext(t.Context(), nil, Options{}); err == nil {
+	if _, err := DiscoverContext(t.Context(), nil, Options{}, core.Options{}); err == nil {
 		t.Error("nil relation must be rejected")
 	}
-	if _, err := DiscoverContext(t.Context(), &relation.Encoded{}, Options{}); err == nil {
+	if _, err := DiscoverContext(t.Context(), &relation.Encoded{}, Options{}, core.Options{}); err == nil {
 		t.Error("empty relation must be rejected")
 	}
 	enc := bracketRelation(t)
-	if _, err := DiscoverContext(t.Context(), enc, Options{ConditionAttrs: []int{99}}); err == nil {
+	if _, err := DiscoverContext(t.Context(), enc, Options{ConditionAttrs: []int{99}}, core.Options{}); err == nil {
 		t.Error("out-of-range condition attribute must be rejected")
 	}
 }
 
 func TestDiscoverFindsBracketRule(t *testing.T) {
 	enc := bracketRelation(t)
-	res, err := DiscoverContext(t.Context(), enc, Options{})
+	res, err := DiscoverContext(t.Context(), enc, Options{}, core.Options{})
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -90,7 +92,7 @@ func TestDiscoverFindsBracketRule(t *testing.T) {
 
 func TestDiscoverSkipsGloballyImpliedAndConditionAttribute(t *testing.T) {
 	enc := bracketRelation(t)
-	res, err := DiscoverContext(t.Context(), enc, Options{})
+	res, err := DiscoverContext(t.Context(), enc, Options{}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func TestDiscoverRespectsBounds(t *testing.T) {
 	enc := bracketRelation(t)
 	// income has ~30 distinct values; with the default cardinality bound it
 	// must not be used as a condition attribute.
-	res, err := DiscoverContext(t.Context(), enc, Options{MaxConditionCardinality: 8})
+	res, err := DiscoverContext(t.Context(), enc, Options{MaxConditionCardinality: 8}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestDiscoverRespectsBounds(t *testing.T) {
 		}
 	}
 	// MinSliceRows larger than every slice suppresses all conditional ODs.
-	res, err = DiscoverContext(t.Context(), enc, Options{MinSliceRows: 1000})
+	res, err = DiscoverContext(t.Context(), enc, Options{MinSliceRows: 1000}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +129,7 @@ func TestDiscoverRespectsBounds(t *testing.T) {
 		t.Errorf("expected no slices with MinSliceRows=1000, got %d ODs over %d slices", len(res.ODs), res.SlicesExamined)
 	}
 	// Restricting condition attributes is honoured.
-	res, err = DiscoverContext(t.Context(), enc, Options{ConditionAttrs: []int{3}})
+	res, err = DiscoverContext(t.Context(), enc, Options{ConditionAttrs: []int{3}}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +146,7 @@ func TestDiscoverOnEmployees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DiscoverContext(t.Context(), enc, Options{Discovery: core.Options{MaxLevel: 3}, MinSliceRows: 2})
+	res, err := DiscoverContext(t.Context(), enc, Options{MinSliceRows: 2}, core.Options{MaxLevel: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +168,7 @@ func TestMaxLevelReachedCoversSlicePasses(t *testing.T) {
 		bracketRelation(t),
 		mustEncode(t, datagen.HepatitisLike(80, 5, 7)),
 	} {
-		res, err := DiscoverContext(t.Context(), enc, Options{})
+		res, err := DiscoverContext(t.Context(), enc, Options{}, core.Options{})
 		if err != nil {
 			t.Fatalf("Discover: %v", err)
 		}
@@ -220,15 +222,15 @@ func TestMaxLevelReachedCoversSlicePasses(t *testing.T) {
 // and 4 workers; each cuts the run short.
 func TestNodeBudgetSharedBySlicePasses(t *testing.T) {
 	enc := mustEncode(t, datagen.FlightLike(3000, 8, 7))
-	full, err := DiscoverContext(t.Context(), enc, Options{Discovery: core.Options{Workers: 1}})
+	full, err := DiscoverContext(t.Context(), enc, Options{}, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for budget := full.Global.Stats.NodesVisited + 1; budget < full.Stats.NodesVisited; budget += 53 {
 		for _, workers := range []int{1, 2, 4} {
-			res, err := DiscoverContext(t.Context(), enc, Options{Discovery: core.Options{
+			res, err := DiscoverContext(t.Context(), enc, Options{}, core.Options{
 				Workers: workers, Budget: lattice.Budget{MaxNodes: budget},
-			}})
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,6 +238,55 @@ func TestNodeBudgetSharedBySlicePasses(t *testing.T) {
 				t.Errorf("MaxNodes %d, workers %d: %d nodes visited, interrupted=%v; want at most %d, interrupted",
 					budget, workers, res.Stats.NodesVisited, res.Stats.Interrupted, budget)
 			}
+		}
+	}
+}
+
+// TestNodeBudgetedRunIsWorkerInvariant: a run its node budget cuts short
+// reports the same result at every worker count. Slices too many for the
+// allowance left run in job order, so which of them finish does not depend
+// on scheduling: ten 2-worker runs equal the 1-worker run.
+func TestNodeBudgetedRunIsWorkerInvariant(t *testing.T) {
+	enc := mustEncode(t, datagen.HepatitisLike(155, 10, 7))
+	budget := lattice.Budget{MaxNodes: 3000}
+	want, err := DiscoverContext(t.Context(), enc, Options{}, core.Options{Workers: 1, Budget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Stats.Interrupted || want.Global.Stats.Interrupted {
+		t.Fatalf("the budget must cut the slice passes, not the unconditional one: %+v", want.Stats)
+	}
+	for run := 0; run < 10; run++ {
+		got, err := DiscoverContext(t.Context(), enc, Options{}, core.Options{Workers: 2, Budget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.ODs, want.ODs) || got.SlicesExamined != want.SlicesExamined || got.Stats != want.Stats {
+			t.Fatalf("run %d at 2 workers: %d ODs over %d slices, stats %+v; at 1 worker: %d ODs over %d slices, stats %+v",
+				run, len(got.ODs), got.SlicesExamined, got.Stats, len(want.ODs), want.SlicesExamined, want.Stats)
+		}
+	}
+}
+
+// TestCoversSlices pins the fan-out rule's arithmetic: jobs × (2^cols − 1)
+// node visits, saturating rather than overflowing.
+func TestCoversSlices(t *testing.T) {
+	for _, c := range []struct {
+		left, jobs, cols int
+		want             bool
+	}{
+		{left: 1023, jobs: 1, cols: 10, want: true},
+		{left: 1022, jobs: 1, cols: 10, want: false},
+		{left: 2046, jobs: 2, cols: 10, want: true},
+		{left: 0, jobs: 0, cols: 10, want: true},
+		{left: -5, jobs: 1, cols: 1, want: false},
+		{left: math.MaxInt, jobs: 1, cols: 63, want: true},
+		{left: math.MaxInt, jobs: 2, cols: 63, want: false},
+		{left: math.MaxInt, jobs: 1, cols: 64, want: false},
+		{left: math.MaxInt, jobs: math.MaxInt, cols: 2, want: false},
+	} {
+		if got := coversSlices(c.left, c.jobs, c.cols); got != c.want {
+			t.Errorf("coversSlices(%d, %d, %d) = %v, want %v", c.left, c.jobs, c.cols, got, c.want)
 		}
 	}
 }
@@ -248,7 +299,7 @@ func TestNodeBudgetSharedBySlicePasses(t *testing.T) {
 // only ODs the unbudgeted run reports.
 func TestDeadlineSharedBySlicePasses(t *testing.T) {
 	enc := mustEncode(t, datagen.FlightLike(3000, 8, 7))
-	full, err := DiscoverContext(t.Context(), enc, Options{Discovery: core.Options{Workers: 1}})
+	full, err := DiscoverContext(t.Context(), enc, Options{}, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +312,7 @@ func TestDeadlineSharedBySlicePasses(t *testing.T) {
 		deadline := time.Now().Add(timeout)
 		// Slice events are serialized, so the flag needs no lock.
 		slept := false
-		res, err := DiscoverContext(t.Context(), enc, Options{Discovery: core.Options{
+		res, err := DiscoverContext(t.Context(), enc, Options{}, core.Options{
 			Workers: workers,
 			Budget:  lattice.Budget{Timeout: timeout},
 			Progress: func(ev lattice.ProgressEvent) {
@@ -270,7 +321,7 @@ func TestDeadlineSharedBySlicePasses(t *testing.T) {
 					time.Sleep(time.Until(deadline) + 50*time.Millisecond)
 				}
 			},
-		}})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,7 +104,7 @@ func BenchmarkDiscoverNoPruning(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DiscoverContext(b.Context(), enc, Options{Workers: 1, DisablePruning: true, CountOnly: true}); err != nil {
+		if _, err := DiscoverContext(b.Context(), enc, Options{Workers: 1, Flags: Flags{DisablePruning: true, CountOnly: true}}); err != nil {
 			b.Fatal(err)
 		}
 	}

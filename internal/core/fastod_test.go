@@ -193,7 +193,7 @@ func TestDiscoverNoPruningSupersetAndMinimization(t *testing.T) {
 		rel := datagen.RandomStructuredRelation(2+rng.Intn(12), 4, 3, rng.Int63())
 		enc := encode(t, rel)
 		minimal := discover(t, enc, Options{})
-		all := discover(t, enc, Options{DisablePruning: true})
+		all := discover(t, enc, Options{Flags: Flags{DisablePruning: true}})
 
 		if all.Counts.Total < minimal.Counts.Total {
 			t.Fatalf("trial %d: no-pruning found fewer ODs (%d) than pruned (%d)",
@@ -231,9 +231,9 @@ func TestDiscoverOptionVariantsAgree(t *testing.T) {
 	enc := encode(t, datagen.RandomStructuredRelation(40, 5, 3, 123))
 	base := discover(t, enc, Options{})
 	variants := map[string]Options{
-		"no key pruning":  {DisableKeyPruning: true},
-		"no node pruning": {DisableNodePruning: true},
-		"no key, no node": {DisableKeyPruning: true, DisableNodePruning: true},
+		"no key pruning":  {Flags: Flags{DisableKeyPruning: true}},
+		"no node pruning": {Flags: Flags{DisableNodePruning: true}},
+		"no key, no node": {Flags: Flags{DisableKeyPruning: true, DisableNodePruning: true}},
 	}
 	for name, opts := range variants {
 		got := discover(t, enc, opts)
@@ -253,7 +253,7 @@ func TestDiscoverOptionVariantsAgree(t *testing.T) {
 func TestDiscoverCountOnly(t *testing.T) {
 	enc := encode(t, datagen.Employees())
 	full := discover(t, enc, Options{})
-	counted := discover(t, enc, Options{CountOnly: true})
+	counted := discover(t, enc, Options{Flags: Flags{CountOnly: true}})
 	if counted.ODs != nil {
 		t.Error("CountOnly must not materialize ODs")
 	}
@@ -264,7 +264,7 @@ func TestDiscoverCountOnly(t *testing.T) {
 
 func TestDiscoverMaxLevelAndLevelStats(t *testing.T) {
 	enc := encode(t, datagen.Employees())
-	res := discover(t, enc, Options{MaxLevel: 2, CollectLevelStats: true})
+	res := discover(t, enc, Options{MaxLevel: 2, Flags: Flags{CollectLevelStats: true}})
 	if len(res.Levels) != 2 {
 		t.Fatalf("levels recorded = %d, want 2", len(res.Levels))
 	}

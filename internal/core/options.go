@@ -17,12 +17,18 @@ import (
 // configuration with all optimizations enabled, running one worker per
 // available CPU. Workers, MaxLevel, Budget, Progress and Partitions are the
 // engine's run settings: DiscoverContext copies them into one lattice.Config,
-// whose fields document them. The remaining fields are FASTOD's own.
+// whose fields document them. Flags are FASTOD's own.
 type Options struct {
 	// Workers is lattice.Config.Workers: goroutines per lattice level (0 =
 	// GOMAXPROCS, 1 = sequential). The result — ODs, counts and work
 	// counters — is identical to a sequential run for every setting.
 	Workers int
+
+	// MaxLevel is lattice.Config.MaxLevel: when positive, the traversal
+	// stops after the given lattice level (context size + right-hand side
+	// attributes), so the output is complete only up to that level; Figure
+	// 7 uses it to report per-level behaviour.
+	MaxLevel int
 
 	// Budget is lattice.Config.Budget: an exhausted budget interrupts the
 	// run cooperatively, and the Result carries every OD found so far with
@@ -39,36 +45,39 @@ type Options struct {
 	// set-lattice algorithms). The output is identical with or without it.
 	Partitions *lattice.PartitionStore
 
+	Flags
+}
+
+// Flags are FASTOD's own switches: the ablations of Figure 6 and the
+// per-level statistics of Figure 7. The zero value is the paper's
+// configuration with every optimization enabled. The tags are their JSON
+// names in an odserve request's "fastod" block.
+type Flags struct {
 	// DisablePruning turns off the minimality machinery entirely (candidate
 	// sets C+c/C+s, node deletion, key pruning). Every valid OD — minimal or
 	// not — is then enumerated and verified, which reproduces the
 	// "FASTOD-No Pruning" series of Figure 6. The traversal still proceeds
 	// level by level over the set lattice.
-	DisablePruning bool
+	DisablePruning bool `json:"disable_pruning,omitempty"`
 
 	// DisableKeyPruning turns off the Lemma 12/13 shortcut that skips
 	// validation when the candidate's context is a superkey (its stripped
 	// partition is empty). Used by the ablation benchmarks.
-	DisableKeyPruning bool
+	DisableKeyPruning bool `json:"disable_key_pruning,omitempty"`
 
 	// DisableNodePruning turns off pruneLevels (Lemma 11): nodes whose
 	// candidate sets are both empty are then kept and keep generating
 	// children. Used by the ablation benchmarks.
-	DisableNodePruning bool
+	DisableNodePruning bool `json:"disable_node_pruning,omitempty"`
 
 	// CountOnly suppresses materializing the discovered ODs and only counts
 	// them. This keeps the no-pruning runs (whose OD counts explode into the
-	// millions) within memory budget.
-	CountOnly bool
-
-	// MaxLevel is lattice.Config.MaxLevel: when positive, the traversal
-	// stops after the given lattice level (context size + right-hand side
-	// attributes), so the output is complete only up to that level; Figure
-	// 7 uses it to report per-level behaviour.
-	MaxLevel int
+	// millions) within memory budget. Conditional discovery ignores it: its
+	// global-cover comparison needs the ODs.
+	CountOnly bool `json:"count_only,omitempty"`
 
 	// CollectLevelStats records per-level timing and OD counts (Figure 7).
-	CollectLevelStats bool
+	CollectLevelStats bool `json:"collect_level_stats,omitempty"`
 }
 
 // LevelStat records what happened while processing one lattice level.

@@ -67,8 +67,8 @@ func differentialRelations(t *testing.T) map[string]*relation.Encoded {
 
 func TestParallelMatchesSequentialDifferential(t *testing.T) {
 	for name, enc := range differentialRelations(t) {
-		seq := discover(t, enc, Options{Workers: 1, CollectLevelStats: true})
-		par := discover(t, enc, Options{Workers: 4, CollectLevelStats: true})
+		seq := discover(t, enc, Options{Workers: 1, Flags: Flags{CollectLevelStats: true}})
+		par := discover(t, enc, Options{Workers: 4, Flags: Flags{CollectLevelStats: true}})
 		assertResultsEqual(t, name, par, seq)
 	}
 }
@@ -94,12 +94,12 @@ func TestParallelOptionVariants(t *testing.T) {
 	enc := encode(t, datagen.FlightLike(400, 8, 2017))
 	variants := map[string]Options{
 		"default":           {},
-		"no-pruning":        {DisablePruning: true},
-		"no-pruning-counts": {DisablePruning: true, CountOnly: true},
-		"count-only":        {CountOnly: true},
-		"no-key-pruning":    {DisableKeyPruning: true},
-		"no-node-pruning":   {DisableNodePruning: true},
-		"max-level-3":       {MaxLevel: 3, CollectLevelStats: true},
+		"no-pruning":        {Flags: Flags{DisablePruning: true}},
+		"no-pruning-counts": {Flags: Flags{DisablePruning: true, CountOnly: true}},
+		"count-only":        {Flags: Flags{CountOnly: true}},
+		"no-key-pruning":    {Flags: Flags{DisableKeyPruning: true}},
+		"no-node-pruning":   {Flags: Flags{DisableNodePruning: true}},
+		"max-level-3":       {MaxLevel: 3, Flags: Flags{CollectLevelStats: true}},
 	}
 	for name, opts := range variants {
 		seqOpts, parOpts := opts, opts
@@ -193,14 +193,14 @@ func TestPartitionStoreSharedAcrossPasses(t *testing.T) {
 	}
 	assertSameODs(t, "pruned+store", pruned, discover(t, enc, Options{Workers: 1}))
 
-	unpruned, err := DiscoverContext(t.Context(), enc, Options{Workers: 4, Partitions: store, DisablePruning: true, CountOnly: true})
+	unpruned, err := DiscoverContext(t.Context(), enc, Options{Workers: 4, Partitions: store, Flags: Flags{DisablePruning: true, CountOnly: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if unpruned.Stats.PartitionHits == 0 {
 		t.Error("un-pruned pass over a shared store recorded no cache hits")
 	}
-	noStore := discover(t, enc, Options{Workers: 1, DisablePruning: true, CountOnly: true})
+	noStore := discover(t, enc, Options{Workers: 1, Flags: Flags{DisablePruning: true, CountOnly: true}})
 	if unpruned.Counts != noStore.Counts {
 		t.Errorf("un-pruned counts with store = %+v, want %+v", unpruned.Counts, noStore.Counts)
 	}

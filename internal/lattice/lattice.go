@@ -88,24 +88,25 @@ type Config struct {
 
 // Stats aggregates the work counters the engine maintains on behalf of its
 // clients. It is the one shape of a run's traversal counters: every
-// algorithm's result carries it (core.Stats embeds it), and the public
-// RunStats is an alias.
+// algorithm's result carries it (core.Stats embeds it), the public RunStats
+// is an alias, and the tags are its JSON names in an odserve reply.
 type Stats struct {
 	// NodesVisited is the total number of lattice nodes handed to visit
 	// callbacks.
-	NodesVisited int
+	NodesVisited int `json:"nodes_visited"`
 	// MaxLevelReached is the deepest lattice level that produced nodes.
-	MaxLevelReached int
+	MaxLevelReached int `json:"max_level_reached"`
 	// PartitionHits and PartitionMisses count the store lookups for lattice
 	// node partitions during this run. Both stay zero without a store
 	// (Config.Partitions).
-	PartitionHits   int
-	PartitionMisses int
+	PartitionHits   int `json:"partition_hits"`
+	PartitionMisses int `json:"partition_misses"`
 	// Interrupted reports that the traversal stopped early because the
 	// context was cancelled or the budget was exhausted. Everything computed
 	// before the interrupt is retained; NodesVisited counts the nodes handed
-	// to visit callbacks, including those of a partially processed level.
-	Interrupted bool
+	// to visit callbacks, including those of a partially processed level. A
+	// reply carries it once, at its top level.
+	Interrupted bool `json:"-"`
 }
 
 // Engine drives one level-wise traversal over one encoded relation. It is not

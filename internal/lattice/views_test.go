@@ -20,7 +20,7 @@ func TestConditionalOnViewEncodings(t *testing.T) {
 	for name, enc := range lattice.ViewEncodings(t) {
 		var first *conditional.Result
 		for _, workers := range []int{1, 2} {
-			res, err := conditional.DiscoverContext(t.Context(), enc, conditional.Options{Discovery: core.Options{Workers: workers}})
+			res, err := conditional.DiscoverContext(t.Context(), enc, conditional.Options{}, core.Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s, %d workers: %v", name, workers, err)
 			}

@@ -1,6 +1,6 @@
 // Package lru is the one cache core behind the repository's memos: the
-// partition store (lattice.PartitionStore), the report cache
-// (internal/reportcache) and a dataset's per-spec re-encodings. It is a
+// partition store (lattice.PartitionStore), odserve's report cache
+// (internal/server) and a dataset's per-spec re-encodings. It is a
 // byte-bounded, concurrency-safe map with least-recently-used eviction.
 //
 // Every entry carries a cost, charged against the cache's single bound, and

@@ -61,12 +61,65 @@ func TestDiscoverResponseGolden(t *testing.T) {
 			fmt.Fprintf(&got, "=== %s %s count_only=%t\n", name, rep.Algorithm, req.FASTOD.CountOnly)
 			enc := json.NewEncoder(&got)
 			enc.SetEscapeHTML(false)
-			if err := enc.Encode(discoverResponse(name, req, rep, ds.ColumnNames(), false)); err != nil {
+			if err := enc.Encode(discoverResponse(name, req, rep, ds.ColumnNames())); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	checkGolden(t, "discover.golden", got.Bytes())
+}
+
+// TestDiscoverRequestGolden pins the request wire: the json.Marshal bytes of
+// a fixed list of requests, as a Go client such as odperf sends them, and
+// the Fingerprint of each decoded body. Every option block appears nil, zero
+// and set, condition_attrs absent, empty and listed, the approx threshold
+// at 0 and 0.05, and one order spec.
+func TestDiscoverRequestGolden(t *testing.T) {
+	reqs := []struct {
+		name string
+		req  DiscoverRequest
+	}{
+		{"empty", DiscoverRequest{}},
+		{"run options", DiscoverRequest{Algorithm: "fastod", Workers: 2, MaxLevel: 3, TimeoutMS: 1500, MaxNodes: 1000}},
+		{"fastod zero", DiscoverRequest{FASTOD: &FASTODOptions{}}},
+		{"fastod set", DiscoverRequest{FASTOD: &FASTODOptions{DisablePruning: true, DisableKeyPruning: true, DisableNodePruning: true, CountOnly: true, CollectLevelStats: true}}},
+		{"fastod on tane", DiscoverRequest{Algorithm: "tane", FASTOD: &FASTODOptions{DisableKeyPruning: true}}},
+		{"approx nil", DiscoverRequest{Algorithm: "approx"}},
+		{"approx zero", DiscoverRequest{Algorithm: "approx", Approx: &ApproxOptions{}}},
+		{"approx 0.05", DiscoverRequest{Algorithm: "approx", Approx: &ApproxOptions{Threshold: 0.05}}},
+		{"approx on fastod", DiscoverRequest{Approx: &ApproxOptions{Threshold: 0.05}}},
+		{"conditional nil", DiscoverRequest{Algorithm: "conditional"}},
+		{"conditional zero", DiscoverRequest{Algorithm: "conditional", Conditional: &ConditionalOptions{}}},
+		{"conditional set", DiscoverRequest{Algorithm: "conditional", Conditional: &ConditionalOptions{MaxConditionCardinality: 8, MinSliceRows: 2}}},
+		{"conditional attrs empty", DiscoverRequest{Algorithm: "conditional", Conditional: &ConditionalOptions{ConditionAttrs: []int{}}}},
+		{"conditional attrs", DiscoverRequest{Algorithm: "conditional", Conditional: &ConditionalOptions{MaxConditionCardinality: 8, ConditionAttrs: []int{0, 2}}}},
+		{"conditional with fastod", DiscoverRequest{Algorithm: "conditional", MaxLevel: 2, FASTOD: &FASTODOptions{CountOnly: true, DisableNodePruning: true}}},
+		{"conditional on bidir", DiscoverRequest{Algorithm: "bidir", Conditional: &ConditionalOptions{MinSliceRows: 9}}},
+		{"order spec", DiscoverRequest{Algorithm: "order", MaxNodes: 400, OrderSpecs: []OrderSpecJSON{{Column: "sal", Direction: "desc", Nulls: "last", Collation: "ci"}}}},
+		{"every block", DiscoverRequest{
+			Algorithm: "conditional", Workers: 1, TimeoutMS: 50,
+			FASTOD:      &FASTODOptions{CollectLevelStats: true},
+			Approx:      &ApproxOptions{Threshold: 0.05},
+			Conditional: &ConditionalOptions{MinSliceRows: 3, ConditionAttrs: []int{2, 0}},
+		}},
+	}
+	var got bytes.Buffer
+	for _, tc := range reqs {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded DiscoverRequest
+		if err := json.Unmarshal(body, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		req, err := decoded.toRequest()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		fmt.Fprintf(&got, "=== %s\n%s\n%s\n", tc.name, body, req.Fingerprint())
+	}
+	checkGolden(t, "request.golden", got.Bytes())
 }
 
 // checkGolden compares got with testdata/name. On a mismatch it writes got

@@ -26,7 +26,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // healthResponse assembles the /healthz body from the server's gauges.
 func (s *Server) healthResponse() HealthResponse {
-	resp := healthResponse(s.reports.Stats())
+	resp := healthResponse(s.ReportCacheStats())
 	resp.Runtime = RuntimeInfo{
 		Goroutines:     runtime.NumGoroutine(),
 		HeapBytes:      s.mem.heapBytes(),
@@ -149,7 +149,7 @@ func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
 // partial report — because the partial-result contract guarantees every
 // reported dependency is individually valid. Invalid requests are 400s via
 // fastod.ErrInvalidRequest; algorithm failures are 500s.
-// A cache hit skips the run AND the run semaphore: replaying a stored report
+// A cache hit skips the run AND the run semaphore: replaying a stored reply
 // is a map lookup plus JSON encoding, so it must never queue behind actual
 // discovery work.
 func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
@@ -158,9 +158,9 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	key := cacheKey(name, ds, req)
-	if rep, hit := s.reports.Get(key); hit {
-		writeJSON(w, http.StatusOK, discoverResponse(name, req, rep, ds.ColumnNames(), true))
+	key := cacheKey(name, ds.Version(), req.Fingerprint())
+	if resp, hit := s.cachedReply(key, req); hit {
+		writeJSON(w, http.StatusOK, resp)
 		return
 	}
 	ctx, end, ok := s.beginRun(w, r, req)
@@ -177,9 +177,9 @@ func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		s.serveRunError(w, name, newRequestID(), err)
 		return
 	}
-	// The cache itself refuses interrupted partials.
-	s.reports.Put(key, rep)
-	writeJSON(w, http.StatusOK, discoverResponse(name, req, rep, ds.ColumnNames(), false))
+	resp := discoverResponse(name, req, rep, ds.ColumnNames())
+	s.cacheReply(key, resp) // refuses interrupted partials
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleDiscoverStream is handleDiscover over Server-Sent Events:
@@ -208,10 +208,10 @@ func (s *Server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 	}
 	// A cache hit replays the final "report" event immediately — no progress
 	// events (no run is happening to report on), no run-semaphore wait.
-	key := cacheKey(name, ds, req)
-	if rep, hit := s.reports.Get(key); hit {
+	key := cacheKey(name, ds.Version(), req.Fingerprint())
+	if resp, hit := s.cachedReply(key, req); hit {
 		startStream()
-		writeSSE(w, "report", discoverResponse(name, req, rep, ds.ColumnNames(), true))
+		writeSSE(w, "report", resp)
 		flusher.Flush()
 		return
 	}
@@ -241,9 +241,9 @@ func (s *Server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 		return
 	}
-	// As in handleDiscover, the cache refuses interrupted partials itself.
-	s.reports.Put(key, rep)
-	writeSSE(w, "report", discoverResponse(name, req, rep, ds.ColumnNames(), false))
+	resp := discoverResponse(name, req, rep, ds.ColumnNames())
+	s.cacheReply(key, resp) // refuses interrupted partials
+	writeSSE(w, "report", resp)
 	flusher.Flush()
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	fastod "repro"
-	"repro/internal/reportcache"
 )
 
 // The wire types of the service: a JSON mirror of fastod.Request on the way
@@ -75,26 +74,17 @@ func (o OrderSpecJSON) toAttrOrder() (fastod.AttrOrder, error) {
 	}, nil
 }
 
-// FASTODOptions mirrors fastod.FASTODRunOptions.
-type FASTODOptions struct {
-	DisablePruning     bool `json:"disable_pruning,omitempty"`
-	DisableKeyPruning  bool `json:"disable_key_pruning,omitempty"`
-	DisableNodePruning bool `json:"disable_node_pruning,omitempty"`
-	CountOnly          bool `json:"count_only,omitempty"`
-	CollectLevelStats  bool `json:"collect_level_stats,omitempty"`
-}
-
-// ApproxOptions mirrors fastod.ApproxRunOptions.
-type ApproxOptions struct {
-	Threshold float64 `json:"threshold"`
-}
-
-// ConditionalOptions mirrors fastod.ConditionalRunOptions.
-type ConditionalOptions struct {
-	MaxConditionCardinality int   `json:"max_condition_cardinality,omitempty"`
-	MinSliceRows            int   `json:"min_slice_rows,omitempty"`
-	ConditionAttrs          []int `json:"condition_attrs,omitempty"`
-}
+// The option blocks of a request are the library's own types, tagged with
+// their wire names where they are declared.
+type (
+	// FASTODOptions is the "fastod" block: fastod.FASTODRunOptions.
+	FASTODOptions = fastod.FASTODRunOptions
+	// ApproxOptions is the "approx" block: fastod.ApproxRunOptions.
+	ApproxOptions = fastod.ApproxRunOptions
+	// ConditionalOptions is the "conditional" block:
+	// fastod.ConditionalRunOptions.
+	ConditionalOptions = fastod.ConditionalRunOptions
+)
 
 // toRequest maps the wire request onto the library envelope. The only
 // validation here is parsing the textual order-spec enums (the mapping cannot
@@ -121,23 +111,13 @@ func (q DiscoverRequest) toRequest() (fastod.Request, error) {
 		req.OrderSpecs = append(req.OrderSpecs, ao)
 	}
 	if q.FASTOD != nil {
-		req.FASTOD = fastod.FASTODRunOptions{
-			DisablePruning:     q.FASTOD.DisablePruning,
-			DisableKeyPruning:  q.FASTOD.DisableKeyPruning,
-			DisableNodePruning: q.FASTOD.DisableNodePruning,
-			CountOnly:          q.FASTOD.CountOnly,
-			CollectLevelStats:  q.FASTOD.CollectLevelStats,
-		}
+		req.FASTOD = *q.FASTOD
 	}
 	if q.Approx != nil {
-		req.Approx = fastod.ApproxRunOptions{Threshold: q.Approx.Threshold}
+		req.Approx = *q.Approx
 	}
 	if q.Conditional != nil {
-		req.Conditional = fastod.ConditionalRunOptions{
-			MaxConditionCardinality: q.Conditional.MaxConditionCardinality,
-			MinSliceRows:            q.Conditional.MinSliceRows,
-			ConditionAttrs:          q.Conditional.ConditionAttrs,
-		}
+		req.Conditional = *q.Conditional
 	}
 	return req, nil
 }
@@ -197,13 +177,9 @@ type BudgetInfo struct {
 	MaxNodes  int   `json:"max_nodes"`
 }
 
-// StatsInfo mirrors fastod.RunStats.
-type StatsInfo struct {
-	NodesVisited    int `json:"nodes_visited"`
-	MaxLevelReached int `json:"max_level_reached"`
-	PartitionHits   int `json:"partition_hits"`
-	PartitionMisses int `json:"partition_misses"`
-}
+// StatsInfo is a reply's "stats": fastod.RunStats, whose interrupted flag
+// the reply carries at its top level instead.
+type StatsInfo = fastod.RunStats
 
 // Dependency is one discovered dependency rendered over column names; see
 // fastod.Dependency.
@@ -279,8 +255,8 @@ func progressEvent(ev fastod.ProgressEvent) ProgressEvent {
 	return out
 }
 
-// CacheStatsInfo mirrors reportcache.Stats on the wire (the /healthz body),
-// the report-cache analog of the partition store's StoreStats.
+// CacheStatsInfo is CacheStats on the wire (the /healthz body), the
+// report-cache analog of the partition store's StoreStats.
 type CacheStatsInfo struct {
 	Hits         int `json:"hits"`
 	Misses       int `json:"misses"`
@@ -312,7 +288,7 @@ type HealthResponse struct {
 	Runtime     RuntimeInfo    `json:"runtime"`
 }
 
-func healthResponse(st reportcache.Stats) HealthResponse {
+func healthResponse(st CacheStats) HealthResponse {
 	return HealthResponse{
 		Status: "ok",
 		ReportCache: CacheStatsInfo{
@@ -339,9 +315,11 @@ type errorBody struct {
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // discoverResponse flattens a Report into the wire response: its counts and
-// its dependencies rendered over the dataset's column names.
-func discoverResponse(dataset string, req fastod.Request, rep *fastod.Report, names []string, cached bool) DiscoverResponse {
-	resp := DiscoverResponse{
+// its dependencies rendered over the dataset's column names. It renders a
+// run's reply, so Cached is false; a report-cache hit copies the reply and
+// sets it.
+func discoverResponse(dataset string, req fastod.Request, rep *fastod.Report, names []string) *DiscoverResponse {
+	resp := &DiscoverResponse{
 		Dataset:   dataset,
 		Algorithm: string(rep.Algorithm),
 		Workers:   req.EffectiveWorkers(),
@@ -349,18 +327,17 @@ func discoverResponse(dataset string, req fastod.Request, rep *fastod.Report, na
 			TimeoutMS: req.Budget.Timeout.Milliseconds(),
 			MaxNodes:  req.Budget.MaxNodes,
 		},
-		Interrupted: rep.Interrupted,
-		Cached:      cached,
-		ElapsedMS:   ms(rep.Elapsed),
-		Stats: StatsInfo{
-			NodesVisited:    rep.Stats.NodesVisited,
-			MaxLevelReached: rep.Stats.MaxLevelReached,
-			PartitionHits:   rep.Stats.PartitionHits,
-			PartitionMisses: rep.Stats.PartitionMisses,
-		},
-		Counts:       rep.Counts,
+		Interrupted:  rep.Interrupted,
+		ElapsedMS:    ms(rep.Elapsed),
+		Stats:        rep.Stats,
 		Count:        rep.Found,
 		Dependencies: rep.Dependencies(names),
+	}
+	if rep.Counts != nil {
+		// A copy: Counts points into the payload, which a cached reply must
+		// not keep alive.
+		counts := *rep.Counts
+		resp.Counts = &counts
 	}
 	if rep.Conditional != nil {
 		resp.SlicesExamined = rep.Conditional.SlicesExamined

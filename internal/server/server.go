@@ -19,13 +19,25 @@
 // (fastod.Dataset.EnablePartitionCache), so repeated discovery requests
 // against the same dataset reuse stripped partitions across algorithms — the
 // access pattern a profiling service spends most of its time on. One level
-// above it, a bounded report cache (internal/reportcache) memoizes whole
-// completed reports by (dataset name, dataset version, canonical request
+// above it, a bounded report cache keeps the reply of every completed run,
+// rendered once, under (dataset name, dataset version, canonical request
 // fingerprint): a repeated question skips the run — and the run semaphore —
-// entirely and is answered in microseconds with "cached": true. Interrupted
-// (partial) reports are never cached. Datasets never change after upload,
-// and every dataset gets a fresh version stamp, so a key never outlives the
-// data it describes.
+// entirely and is answered with the stored reply, its workers set to the
+// repeat's and "cached": true. The cache enforces two correctness rules
+// itself:
+//
+//   - An interrupted (partial) reply is never cached. Where a run stops on
+//     budget exhaustion depends on machine load and worker scheduling, so a
+//     partial reply is not a function of its key and must be recomputed
+//     every time; caching it would also let a budget-starved answer shadow
+//     the full one.
+//   - A key never outlives its data. A dataset never changes after upload,
+//     and every dataset and every Project/HeadRows view gets a
+//     process-unique version stamp (fastod.Dataset.Version) that is part of
+//     the key.
+//
+// Replies larger than the whole bound are refused rather than evicting
+// everything else; refusals are counted as rejects.
 //
 // Resource discipline: a global semaphore bounds how many discovery runs
 // execute at once, and a server-side budget cap bounds each run's wall-clock
@@ -47,9 +59,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	fastod "repro"
-	"repro/internal/reportcache"
+	"repro/internal/lru"
 )
 
 // Typed AddDataset failures, so the upload handler can map each to its HTTP
@@ -85,10 +98,11 @@ type Config struct {
 	// (<= 0 selects DefaultMaxRequestBytes). Oversized bodies are refused
 	// with 413, mirroring the CSV upload path.
 	MaxRequestBytes int64
-	// ReportCacheBytes bounds the report cache — completed discovery reports
-	// memoized by (dataset name, dataset version, canonical request), so a
-	// repeated question costs a map lookup instead of a run (<= 0 selects
-	// reportcache.DefaultMaxBytes). Interrupted reports are never cached.
+	// ReportCacheBytes bounds the report cache — the replies of completed
+	// discovery runs, kept by (dataset name, dataset version, canonical
+	// request), so a repeated question costs a map lookup instead of a run —
+	// in bytes of cached replies (<= 0 selects DefaultReportCacheBytes).
+	// Interrupted replies are never cached.
 	ReportCacheBytes int
 	// MaxHeapBytes is the soft-memory admission limit: when the live heap
 	// exceeds it, new discover requests are shed with 503 + Retry-After
@@ -110,7 +124,7 @@ const (
 	DefaultMaxUploadBytes   = 64 << 20
 	DefaultMaxDatasets      = 64
 	DefaultMaxRequestBytes  = 1 << 20
-	DefaultReportCacheBytes = reportcache.DefaultMaxBytes
+	DefaultReportCacheBytes = 32 << 20
 )
 
 // Server is the HTTP discovery service: a named collection of uploaded
@@ -126,8 +140,12 @@ type Server struct {
 	maxDatasets     int
 	maxRequestBytes int64
 	maxHeapBytes    uint64
-	reports         *reportcache.Cache
+	reports         *lru.Cache[string, *DiscoverResponse]
 	logger          *log.Logger
+
+	// reportRejects counts replies the report cache refused: interrupted
+	// ones and ones larger than its whole bound.
+	reportRejects atomic.Int64
 
 	// internalErrors counts contained run failures (recovered panics mapped
 	// to 500s); shedRequests counts discover requests refused by the
@@ -211,7 +229,7 @@ func New(cfg Config) *Server {
 		maxDatasets:     cfg.MaxDatasets,
 		maxRequestBytes: cfg.MaxRequestBytes,
 		maxHeapBytes:    cfg.MaxHeapBytes,
-		reports:         reportcache.New(cfg.ReportCacheBytes),
+		reports:         lru.New[string, *DiscoverResponse](cfg.ReportCacheBytes),
 		logger:          logger,
 	}
 }
@@ -301,18 +319,75 @@ func (s *Server) acquire(done <-chan struct{}) (release func()) {
 	}
 }
 
-// cacheKey computes the report-cache key of one discover request. Every
+// cacheKey assembles the report-cache key of one discover request from its
+// dataset's name and version and its fastod.Request.Fingerprint. Every
 // request is cacheable: a dataset never changes after construction, so a
-// run's output is fully described by (dataset, version, request).
-// Interrupted reports are refused by the cache itself (see
-// reportcache.Cache.Put).
-func cacheKey(name string, ds *fastod.Dataset, req fastod.Request) string {
-	return reportcache.Key(name, ds.Version(), req.Fingerprint())
+// run's output is fully described by (dataset, version, request). The
+// version separator cannot occur in a fingerprint and versions are
+// process-unique, so distinct coordinates never collide, whatever the
+// dataset names.
+func cacheKey(name string, version uint64, fingerprint string) string {
+	return fmt.Sprintf("%s@%d|%s", name, version, fingerprint)
+}
+
+// cachedReply returns the reply cached under key as the reply to req: a copy
+// with req's effective workers and Cached set.
+func (s *Server) cachedReply(key string, req fastod.Request) (*DiscoverResponse, bool) {
+	cached, ok := s.reports.Get(key)
+	if !ok {
+		return nil, false
+	}
+	resp := *cached
+	resp.Workers = req.EffectiveWorkers()
+	resp.Cached = true
+	return &resp, true
+}
+
+// cacheReply offers a run's reply to the report cache, which from then on
+// shares it: the reply must not change afterwards. Interrupted replies and
+// replies larger than the whole bound are refused and counted as rejects.
+// Storing under a resident key keeps the resident reply: complete replies
+// for one key are interchangeable, so the first one in wins.
+func (s *Server) cacheReply(key string, resp *DiscoverResponse) {
+	if !resp.Interrupted {
+		if _, ok := s.reports.Add(key, resp, replyCost(key, resp), 0); ok {
+			return
+		}
+	}
+	s.reportRejects.Add(1)
+}
+
+// replyCost is the bytes a cached reply holds: its key, the fixed sizes of
+// the reply, its counts and its dependency array, and the bytes of every
+// string and error rate the reply points at.
+func replyCost(key string, resp *DiscoverResponse) int {
+	cost := len(key) + int(unsafe.Sizeof(*resp)) + len(resp.Dataset) + len(resp.Algorithm) +
+		cap(resp.Dependencies)*int(unsafe.Sizeof(Dependency{}))
+	if resp.Counts != nil {
+		cost += int(unsafe.Sizeof(*resp.Counts))
+	}
+	for _, d := range resp.Dependencies {
+		cost += len(d.OD) + len(d.Condition)
+		if d.Error != nil {
+			cost += int(unsafe.Sizeof(*d.Error))
+		}
+	}
+	return cost
+}
+
+// CacheStats is the report cache's accounting: the lru core's counters, with
+// Cost in bytes of cached replies, plus Rejects, the replies refused
+// (interrupted, or larger than the whole bound).
+type CacheStats struct {
+	lru.Stats
+	Rejects int
 }
 
 // ReportCacheStats returns a snapshot of the report cache's accounting (the
 // healthz payload; exported for tests and operators embedding the server).
-func (s *Server) ReportCacheStats() reportcache.Stats { return s.reports.Stats() }
+func (s *Server) ReportCacheStats() CacheStats {
+	return CacheStats{Stats: s.reports.Stats(), Rejects: int(s.reportRejects.Load())}
+}
 
 // capBudget clamps a requested budget to the server-wide cap, knob by knob: a
 // zero knob means the client asked for no bound, which on a shared server

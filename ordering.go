@@ -206,7 +206,7 @@ func (d *Dataset) SpecEncoded(orders []AttrOrder) (*relation.Encoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	enc, err := relation.EncodeSpec(d.specView(), spec)
+	enc, err := relation.EncodeSpec(d.rel, spec)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
@@ -239,21 +239,6 @@ func (d *Dataset) SpecEncodingCacheStats() (entries int, bytes int64) {
 // rank arenas dominate, everything else is noise.
 func encodedCost(enc *relation.Encoded) int {
 	return enc.NumCols() * enc.NumRows() * 4
-}
-
-// specView returns the raw relation matching the dataset's encoded view.
-// Project and HeadRows views share the full backing relation but narrow the
-// encoding to its first k columns / first n rows, so the raw view takes the
-// same prefix of the row ids and shares the dictionaries; EncodeSpec ranks
-// only the dictionary entries the prefix uses.
-func (d *Dataset) specView() *relation.Relation {
-	cols, rows := d.enc.NumCols(), d.enc.NumRows()
-	if cols == d.rel.NumCols() && rows == d.rel.NumRows() {
-		return d.rel
-	}
-	out := d.rel.Head(rows)
-	out.Columns = out.Columns[:cols]
-	return out
 }
 
 // relationSpec compiles named overrides onto the dataset's columns as a

@@ -113,40 +113,24 @@ type RunOptions struct {
 }
 
 // FASTODRunOptions are the FASTOD-specific knobs of a Request: the ablation
-// switches of Figure 6 and the per-level statistics of Figure 7. The zero
-// value is the paper's configuration with every optimization enabled. The
-// conditional algorithm also reads them for its inner FASTOD passes.
-type FASTODRunOptions struct {
-	// DisablePruning enumerates every valid OD, minimal or not (Figure 6).
-	DisablePruning bool
-	// DisableKeyPruning turns off the Lemma 12/13 superkey shortcut.
-	DisableKeyPruning bool
-	// DisableNodePruning turns off Lemma 11 node deletion.
-	DisableNodePruning bool
-	// CountOnly counts ODs without materializing them. Ignored by the
-	// conditional algorithm, whose global-cover comparison needs the ODs.
-	CountOnly bool
-	// CollectLevelStats records per-level timing and OD counts (Figure 7).
-	CollectLevelStats bool
-}
+// switches of Figure 6 and the per-level statistics of Figure 7; see
+// core.Flags. The zero value is the paper's configuration with every
+// optimization enabled. The conditional algorithm also reads them for its
+// inner FASTOD passes, all but CountOnly.
+type FASTODRunOptions = core.Flags
 
 // ApproxRunOptions are the approximate-discovery knobs of a Request.
 type ApproxRunOptions struct {
 	// Threshold is the maximum allowed error rate in [0, 1); 0 coincides
 	// with exact discovery.
-	Threshold float64
+	Threshold float64 `json:"threshold"`
 }
 
-// ConditionalRunOptions are the conditional-discovery knobs of a Request.
-type ConditionalRunOptions struct {
-	// MaxConditionCardinality bounds the distinct values of a condition
-	// attribute (default 16).
-	MaxConditionCardinality int
-	// MinSliceRows skips condition values selecting fewer tuples (default 4).
-	MinSliceRows int
-	// ConditionAttrs restricts which attributes may serve as conditions.
-	ConditionAttrs []int
-}
+// ConditionalRunOptions are the conditional-discovery knobs of a Request:
+// the condition cardinality bound (default 16), the smallest slice processed
+// (default 4) and the attributes allowed as conditions; see
+// conditional.Options.
+type ConditionalRunOptions = conditional.Options
 
 // Request describes one discovery run: which algorithm, the shared options,
 // and the algorithm-specific sub-options (only the block matching Algorithm
@@ -677,17 +661,7 @@ func (d *Dataset) runRequest(ctx context.Context, req Request, onProgress func(P
 		rep.Found = len(res.ODs)
 
 	case AlgorithmConditional:
-		discovery := coreOptions(req, cfg)
-		// Conditional discovery compares slice ODs against the global cover,
-		// which requires materialized ODs on both sides; CountOnly would
-		// silently reduce every conditional report to zero findings.
-		discovery.CountOnly = false
-		res, err := conditional.DiscoverContext(ctx, enc, conditional.Options{
-			MaxConditionCardinality: req.Conditional.MaxConditionCardinality,
-			MinSliceRows:            req.Conditional.MinSliceRows,
-			ConditionAttrs:          req.Conditional.ConditionAttrs,
-			Discovery:               discovery,
-		})
+		res, err := conditional.DiscoverContext(ctx, enc, req.Conditional, coreOptions(req, cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -732,15 +706,11 @@ func engineConfig(req Request, store *PartitionStore, onProgress func(ProgressEv
 // algorithm's inner passes.
 func coreOptions(req Request, cfg lattice.Config) core.Options {
 	return core.Options{
-		Workers:            cfg.Workers,
-		MaxLevel:           cfg.MaxLevel,
-		Budget:             cfg.Budget,
-		Progress:           cfg.Progress,
-		Partitions:         cfg.Partitions,
-		DisablePruning:     req.FASTOD.DisablePruning,
-		DisableKeyPruning:  req.FASTOD.DisableKeyPruning,
-		DisableNodePruning: req.FASTOD.DisableNodePruning,
-		CountOnly:          req.FASTOD.CountOnly,
-		CollectLevelStats:  req.FASTOD.CollectLevelStats,
+		Workers:    cfg.Workers,
+		MaxLevel:   cfg.MaxLevel,
+		Budget:     cfg.Budget,
+		Progress:   cfg.Progress,
+		Partitions: cfg.Partitions,
+		Flags:      req.FASTOD,
 	}
 }

@@ -44,6 +44,14 @@ func approxAt(threshold float64) func(context.Context, *relation.Encoded, lattic
 	}
 }
 
+// conditionalWith binds conditional.DiscoverContext's own options, leaving
+// the FASTOD options for direct to bind.
+func conditionalWith(opts conditional.Options) func(context.Context, *relation.Encoded, core.Options) (*conditional.Result, error) {
+	return func(ctx context.Context, enc *relation.Encoded, discovery core.Options) (*conditional.Result, error) {
+		return conditional.DiscoverContext(ctx, enc, opts, discovery)
+	}
+}
+
 // The renderers print every output field of a result except wall-clock
 // timings: dependencies, counts, per-level statistics and work counters.
 
@@ -160,15 +168,15 @@ func TestRunMapsRequestFieldsOntoAlgorithms(t *testing.T) {
 		{"fastod/Budget", fastod.Request{RunOptions: budgeted},
 			direct(core.DiscoverContext, renderFASTOD, core.Options{Workers: 1, Budget: nodes}), false},
 		{"fastod/DisablePruning", fastod.Request{FASTOD: fastod.FASTODRunOptions{DisablePruning: true}},
-			direct(core.DiscoverContext, renderFASTOD, core.Options{DisablePruning: true}), false},
+			direct(core.DiscoverContext, renderFASTOD, core.Options{Flags: core.Flags{DisablePruning: true}}), false},
 		{"fastod/DisableKeyPruning", fastod.Request{FASTOD: fastod.FASTODRunOptions{DisableKeyPruning: true}},
-			direct(core.DiscoverContext, renderFASTOD, core.Options{DisableKeyPruning: true}), false},
+			direct(core.DiscoverContext, renderFASTOD, core.Options{Flags: core.Flags{DisableKeyPruning: true}}), false},
 		{"fastod/DisableNodePruning", fastod.Request{FASTOD: fastod.FASTODRunOptions{DisableNodePruning: true}},
-			direct(core.DiscoverContext, renderFASTOD, core.Options{DisableNodePruning: true}), false},
+			direct(core.DiscoverContext, renderFASTOD, core.Options{Flags: core.Flags{DisableNodePruning: true}}), false},
 		{"fastod/CountOnly", fastod.Request{FASTOD: fastod.FASTODRunOptions{CountOnly: true}},
-			direct(core.DiscoverContext, renderFASTOD, core.Options{CountOnly: true}), false},
+			direct(core.DiscoverContext, renderFASTOD, core.Options{Flags: core.Flags{CountOnly: true}}), false},
 		{"fastod/CollectLevelStats", fastod.Request{FASTOD: fastod.FASTODRunOptions{CollectLevelStats: true}},
-			direct(core.DiscoverContext, renderFASTOD, core.Options{CollectLevelStats: true}), false},
+			direct(core.DiscoverContext, renderFASTOD, core.Options{Flags: core.Flags{CollectLevelStats: true}}), false},
 
 		{"tane/zero", fastod.Request{Algorithm: fastod.AlgorithmTANE}, direct(tane.DiscoverContext, renderTANE, lattice.Config{}), true},
 		{"tane/MaxLevel", fastod.Request{Algorithm: fastod.AlgorithmTANE, RunOptions: fastod.RunOptions{MaxLevel: 2}},
@@ -190,17 +198,17 @@ func TestRunMapsRequestFieldsOntoAlgorithms(t *testing.T) {
 		{"bidir/Budget", fastod.Request{Algorithm: fastod.AlgorithmBidirectional, RunOptions: budgeted},
 			direct(bidir.DiscoverContext, renderBidir, lattice.Config{Workers: 1, Budget: nodes}), false},
 
-		{"conditional/zero", fastod.Request{Algorithm: fastod.AlgorithmConditional}, direct(conditional.DiscoverContext, renderConditional, conditional.Options{}), true},
+		{"conditional/zero", fastod.Request{Algorithm: fastod.AlgorithmConditional}, direct(conditionalWith(conditional.Options{}), renderConditional, core.Options{}), true},
 		{"conditional/MinSliceRows", fastod.Request{Algorithm: fastod.AlgorithmConditional, Conditional: fastod.ConditionalRunOptions{MinSliceRows: 100}},
-			direct(conditional.DiscoverContext, renderConditional, conditional.Options{MinSliceRows: 100}), false},
+			direct(conditionalWith(conditional.Options{MinSliceRows: 100}), renderConditional, core.Options{}), false},
 		{"conditional/MaxConditionCardinality", fastod.Request{Algorithm: fastod.AlgorithmConditional, Conditional: fastod.ConditionalRunOptions{MaxConditionCardinality: 2}},
-			direct(conditional.DiscoverContext, renderConditional, conditional.Options{MaxConditionCardinality: 2}), false},
+			direct(conditionalWith(conditional.Options{MaxConditionCardinality: 2}), renderConditional, core.Options{}), false},
 		{"conditional/ConditionAttrs", fastod.Request{Algorithm: fastod.AlgorithmConditional, Conditional: fastod.ConditionalRunOptions{ConditionAttrs: []int{1}}},
-			direct(conditional.DiscoverContext, renderConditional, conditional.Options{ConditionAttrs: []int{1}}), false},
+			direct(conditionalWith(conditional.Options{ConditionAttrs: []int{1}}), renderConditional, core.Options{}), false},
 		{"conditional/MaxLevel", fastod.Request{Algorithm: fastod.AlgorithmConditional, RunOptions: fastod.RunOptions{MaxLevel: 2}},
-			direct(conditional.DiscoverContext, renderConditional, conditional.Options{Discovery: core.Options{MaxLevel: 2}}), false},
+			direct(conditionalWith(conditional.Options{}), renderConditional, core.Options{MaxLevel: 2}), false},
 		{"conditional/CollectLevelStats", fastod.Request{Algorithm: fastod.AlgorithmConditional, FASTOD: fastod.FASTODRunOptions{CollectLevelStats: true}},
-			direct(conditional.DiscoverContext, renderConditional, conditional.Options{Discovery: core.Options{CollectLevelStats: true}}), false},
+			direct(conditionalWith(conditional.Options{}), renderConditional, core.Options{Flags: core.Flags{CollectLevelStats: true}}), false},
 
 		{"order/zero", fastod.Request{Algorithm: fastod.AlgorithmORDER}, direct(order.DiscoverContext, renderORDER, lattice.Config{}), true},
 		{"order/MaxLevel", fastod.Request{Algorithm: fastod.AlgorithmORDER, RunOptions: fastod.RunOptions{MaxLevel: 2}},

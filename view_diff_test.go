@@ -63,7 +63,7 @@ var viewAlgorithms = map[string]func(context.Context, *relation.Encoded) ([]stri
 		return renderLines(res.ODs, bidir.OD.String), nil
 	},
 	"conditional": func(ctx context.Context, enc *relation.Encoded) ([]string, error) {
-		res, err := conditional.DiscoverContext(ctx, enc, conditional.Options{Discovery: core.Options{Workers: 1}})
+		res, err := conditional.DiscoverContext(ctx, enc, conditional.Options{}, core.Options{Workers: 1})
 		if err != nil {
 			return nil, err
 		}
