@@ -73,6 +73,9 @@ func TestFingerprintConditionalAttrs(t *testing.T) {
 	if mk(nil).Fingerprint() == mk([]int{}).Fingerprint() {
 		t.Error("nil and empty ConditionAttrs collide")
 	}
+	if fp := mk([]int{}).Fingerprint(); !strings.HasSuffix(fp, ";attrs=") {
+		t.Errorf("empty ConditionAttrs fingerprint %q, want an empty attribute list", fp)
+	}
 	// With explicit attrs the cardinality bound is unread, so it must not
 	// split the key; with nil attrs it steers enumeration, so it must.
 	explicit := mk([]int{1})

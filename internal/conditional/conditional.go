@@ -75,7 +75,7 @@ type Options struct {
 	MinSliceRows int `json:"min_slice_rows,omitempty"`
 	// ConditionAttrs restricts which attributes may serve as conditions
 	// (default: every attribute within the cardinality bound).
-	ConditionAttrs []int `json:"condition_attrs,omitempty"`
+	ConditionAttrs []int `json:"condition_attrs,omitzero"`
 }
 
 // Result is the outcome of a conditional discovery run.

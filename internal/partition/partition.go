@@ -27,6 +27,11 @@
 // partition to be shared freely between worker goroutines and between
 // discovery runs through a PartitionStore; use Clone for a private mutable
 // copy (tests only).
+//
+// It also lets a product return an operand: RefineWith returns its receiver
+// when no class splits or loses a row, and ProductWith its right operand. A
+// PartitionStore may then file one partition under two attribute sets and
+// charge its bytes under each, so its accounting overstates what it holds.
 package partition
 
 import "fmt"

@@ -68,6 +68,12 @@ func NewScratch() *Scratch { return &Scratch{} }
 // its subclasses in order of first appearance, rows ascending. Refining
 // Π(X\B) by B therefore yields exactly Π(X\C).ProductWith(Π(X\B)), rows and
 // offsets alike, for any attribute C in X\B.
+//
+// When B is constant within every class of the receiver (always so for a
+// superkey receiver), the result is the receiver itself and the call
+// allocates nothing. Partitions are immutable, so sharing is safe, but a
+// PartitionStore then files one partition under both X\B and X and charges
+// its bytes twice.
 func (p *Partition) RefineWith(col []int32, cardinality int, s *Scratch) *Partition {
 	if len(col) != p.NumRows {
 		panic(fmt.Sprintf("partition: refinement by a column of %d rows of a partition of %d rows (%d classes)",
@@ -82,9 +88,11 @@ func (p *Partition) RefineWith(col []int32, cardinality int, s *Scratch) *Partit
 
 // ProductWith computes Product(a, b) using s as scratch space, avoiding the
 // per-call probe-table and grouping allocations. A nil scratch is allowed and
-// makes the call equivalent to Product(a, b). The result is a freshly
-// allocated Partition whose rows and offsets share one exact-size buffer and
-// nothing with the scratch or the operands.
+// makes the call equivalent to Product(a, b). When every class of b lies
+// within one class of a, the result is b itself, as RefineWith returns its
+// receiver; otherwise it is a freshly allocated Partition whose rows and
+// offsets share one exact-size buffer and nothing with the scratch or the
+// operands.
 //
 // The class order of the result is deterministic: classes are emitted
 // right-operand-major — for each class of b in order, its subclasses in order
@@ -136,17 +144,49 @@ func (s *Scratch) reserveKeys(n int) {
 // split is the grouping loop of RefineWith and ProductWith. It splits every
 // class of p into the groups of rows with equal key[row], leaves out the rows
 // whose key is negative, and emits the groups of two or more rows: for each
-// class of p in order, its groups in order of their first row. One counting
-// pass reserves each group's contiguous arena range, one placement pass fills
-// it. s.count must hold a slot for every key of p's rows.
+// class of p in order, its groups in order of their first row. s.count must
+// hold a slot for every key of p's rows.
+//
+// A first scan of each class stops at the first row whose key differs from
+// the class's first row. A class that scans to its end has one key: it is
+// emitted whole, or dropped whole if that key is negative. A class of two
+// rows is settled by the same comparison. Any other class is grouped: one
+// counting pass, which starts after the rows the scan already read, reserves
+// each group's contiguous arena range, and one placement pass fills it.
+//
+// Nothing is staged while every class passes through whole. If none splits
+// or loses a row, the result is p itself, and split allocates nothing.
 func (s *Scratch) split(p *Partition, key []int32) *Partition {
 	count := s.count
 	s.outRows = s.outRows[:0]
-	s.outOffsets = append(s.outOffsets[:0], 0)
+	s.outOffsets = s.outOffsets[:0] // empty until some class splits or loses a row
 	for ci, n := 0, p.NumClasses(); ci < n; ci++ {
 		cls := p.Class(ci)
+		k0, same := key[cls[0]], 1
+		for same < len(cls) && key[cls[same]] == k0 {
+			same++
+		}
+		if same == len(cls) && k0 >= 0 {
+			if len(s.outOffsets) > 0 {
+				s.outRows = append(s.outRows, cls...)
+				s.outOffsets = append(s.outOffsets, int32(len(s.outRows)))
+			}
+			continue
+		}
+		if len(s.outOffsets) == 0 {
+			// The first class to change: stage the classes before it.
+			s.outRows = append(s.outRows, p.rows[:p.offsets[ci]]...)
+			s.outOffsets = append(s.outOffsets, p.offsets[:ci+1]...)
+		}
+		if same == len(cls) || len(cls) == 2 {
+			continue
+		}
 		s.touched = s.touched[:0]
-		for _, row := range cls {
+		if k0 >= 0 {
+			count[k0] = int32(same)
+			s.touched = append(s.touched, k0)
+		}
+		for _, row := range cls[same:] {
 			k := key[row]
 			if k < 0 {
 				continue
@@ -179,6 +219,9 @@ func (s *Scratch) split(p *Partition, key []int32) *Partition {
 		for _, k := range s.touched {
 			count[k] = 0
 		}
+	}
+	if len(s.outOffsets) == 0 {
+		return p
 	}
 	// One exact-size buffer holds the rows and then the offsets. rows is
 	// capped at its length, so no class view can grow into the offsets.

@@ -124,15 +124,57 @@ func TestRefineWithSuperkeyAndMismatch(t *testing.T) {
 	FromConstant(3).RefineWith(col, card, NewScratch())
 }
 
+// TestRefineWithUnsplitReturnsReceiver pins the fast path: refining by a
+// column that is constant within every class, or refining a superkey,
+// returns the receiver and allocates nothing once the scratch is warm. So
+// does a product whose right operand no class of the left one splits.
+func TestRefineWithUnsplitReturnsReceiver(t *testing.T) {
+	coarse, card := buildColumn([]int{3, 1, 3, 2, 1, 3, 7, 1, 2, 5})
+	// fine is a function of coarse, with one value shared by two classes.
+	fine, fineCard := buildColumn([]int{0, 4, 0, 9, 4, 0, 6, 4, 9, 0})
+	p := FromColumn(coarse, card)
+	s := NewScratch()
+	cases := []struct {
+		name string
+		recv *Partition
+		col  []int32
+		card int
+	}{
+		{"constant within classes", p, fine, fineCard},
+		{"refined by itself", p, coarse, card},
+		{"superkey", FromColumn([]int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 10), coarse, card},
+	}
+	for _, tc := range cases {
+		if got := tc.recv.RefineWith(tc.col, tc.card, s); got != tc.recv {
+			t.Errorf("%s: RefineWith = %v, want its receiver", tc.name, got)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { tc.recv.RefineWith(tc.col, tc.card, s) }); allocs != 0 {
+			t.Errorf("%s: RefineWith allocated %v times, want 0", tc.name, allocs)
+		}
+	}
+	if got := FromColumn(fine, fineCard).ProductWith(p, s); got != p {
+		t.Errorf("Π(fine)·Π(coarse) = %v, want Π(coarse) itself", got)
+	}
+}
+
 // FuzzRefineWith checks chains of refinements on small relations with
 // checkRefinement. shape's low two bits give the chain length (1–4 columns)
 // and the next three the rank range (1–8). cells holds the relation row by
 // row, one byte per cell: a byte below 96 is rank 0, where NULL sorts by
 // default, so the columns are NULL-dense; any other byte is reduced modulo
 // the range. At most 64 whole rows are used.
+//
+// Beyond the two generic seeds, three reach split's shortcuts at rank range
+// 8, where 'a'..'g' are ranks 1..7 and '0' is rank 0: two-row classes that
+// keep or split, a link that splits no class followed by one whose first
+// change comes after a class passed through whole, and a chain of four
+// columns none of which splits anything after the first.
 func FuzzRefineWith(f *testing.F) {
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(0b11101), []byte("\x00\xff\x61\x62\x00\x00\x63\x64\xff\xfe\x61\x61\x00\x62\x70\x71"))
+	f.Add(uint8(1|7<<2), []byte("aa"+"aa"+"ba"+"bb"+"c0"+"c0"+"d0"+"da"))
+	f.Add(uint8(2|7<<2), []byte("aef"+"aef"+"aef"+"b0f"+"b0g"+"b0f"+"ceg"+"ceg"))
+	f.Add(uint8(3|7<<2), []byte("ac0a"+"ac0a"+"bd0b"+"bd0b"+"bd0b"+"gf0g"+"0e00"+"0e00"))
 	f.Fuzz(func(t *testing.T, shape uint8, cells []byte) {
 		width := 1 + int(shape&3)
 		span := 1 + int(shape>>2&7)

@@ -2,6 +2,7 @@ package relation_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
@@ -17,7 +18,7 @@ import (
 // sniffing; BenchmarkEncode the default rank encoding of the decoded
 // relation; BenchmarkLoadCSV both, as fastod.LoadCSV runs them; and
 // BenchmarkEncodeSpec a re-encoding with one non-default column, as a run
-// with OrderSpecs makes.
+// with OrderSpecs makes, under each collation.
 
 const benchRows, benchCols, benchSeed = 20000, 10, 2017
 
@@ -45,6 +46,32 @@ func TestReadCSVAllocsPerColumn(t *testing.T) {
 		if allocs > 1000 {
 			t.Errorf("%d chunks: decoding %d rows allocated %v times, want at most 1000", chunks, benchRows, allocs)
 		}
+	}
+}
+
+// TestEncodeBytes pins the encoding's allocation on the benchmark's
+// flight-like input. Per column it allocates the rows' ranks (4 bytes a
+// row), a rank slot per distinct value (4 bytes) and a pointer-free key per
+// distinct value (16 bytes), and it may exceed that sum by a tenth for
+// size-class rounding and the result's headers. Keys that held two strings
+// took 64 bytes per distinct value: 4.05 MB here, against 1.85 MB.
+func TestEncodeBytes(t *testing.T) {
+	rel := datagen.FlightLike(benchRows, benchCols, benchSeed)
+	want := 0
+	for _, c := range rel.Columns {
+		want += 4*len(c.IDs) + (4+16)*len(c.Dict)
+	}
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := relation.Encode(rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > uint64(want+want/10) {
+		t.Errorf("Encode allocated %d bytes per run, want at most %d (+10 %%)", got, want)
 	}
 }
 
@@ -97,14 +124,32 @@ func BenchmarkLoadCSV(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeSpec re-encodes the relation with one non-default column,
+// flight_sk, whose 20 000 values are all distinct, once per collation, so
+// each key path is timed: the default collation's exact integers (desc,
+// NULLs last), bytewise and lowered strings, floats, dates (all fallback
+// values on an integer column) and a rank list of its first 16 values.
 func BenchmarkEncodeSpec(b *testing.B) {
 	rel := datagen.FlightLike(benchRows, benchCols, benchSeed)
-	spec := make(relation.OrderSpec, rel.NumCols())
-	spec[4] = relation.ColumnOrder{Direction: relation.Desc, Nulls: relation.NullsLast, Collation: relation.CollateNumeric}
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := relation.EncodeSpec(rel, spec); err != nil {
-			b.Fatal(err)
-		}
+	const ci = 1
+	orders := []relation.ColumnOrder{
+		{Direction: relation.Desc, Nulls: relation.NullsLast},
+		{Collation: relation.CollateLexicographic},
+		{Direction: relation.Desc, Nulls: relation.NullsLast, Collation: relation.CollateNumeric},
+		{Collation: relation.CollateDate},
+		{Collation: relation.CollateCaseInsensitive},
+		{Collation: relation.CollateRank, Ranks: rel.Columns[ci].Dict[:16]},
+	}
+	for _, co := range orders {
+		spec := make(relation.OrderSpec, rel.NumCols())
+		spec[ci] = co
+		b.Run(co.Collation.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := relation.EncodeSpec(rel, spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -109,14 +110,16 @@ type Collation uint8
 const (
 	// CollateDefault compares by the column's Type (int/float/date/string),
 	// breaking numeric and date ties by the raw string so distinct raw values
-	// always get distinct ranks. Unparseable values are an encoding error,
-	// exactly as before OrderSpec existed.
+	// always get distinct ranks. Integers compare exactly as int64, floats as
+	// float64. Unparseable values are an encoding error, exactly as before
+	// OrderSpec existed.
 	CollateDefault Collation = iota
 	// CollateLexicographic compares raw strings bytewise, whatever the
 	// column's type.
 	CollateLexicographic
-	// CollateNumeric parses values as floats. Equal numbers are EQUAL (so
-	// "1" and "1.0" merge into one equivalence class); values that do not
+	// CollateNumeric parses values as floats. It merges values that parse
+	// to one float64 into one equivalence class: "1" and "1.0", but also
+	// integers past 2^53 that round to the same float. Values that do not
 	// parse (or parse to NaN) sort after every number, ordered bytewise
 	// among themselves. Total on any input — never an encoding error.
 	CollateNumeric
@@ -307,202 +310,223 @@ func EncodeSpec(r *Relation, spec OrderSpec) (*Encoded, error) {
 // dictionary. One pass over the rows marks the dictionary entries they use;
 // a row prefix (Head, or a HeadRows dataset's raw view) may leave some
 // unused, and those get no key and no rank. Each used value is keyed once,
-// in dictionary order, and the used ids are sorted by key with a comparator
-// that never hashes. Runs of equal keys share one dense rank; only the
-// merging collations (numeric, date, case-insensitive, rank) produce them.
-// A last pass maps each row's id to its rank. With d distinct values a
-// column costs O(rows + d log d).
+// in dictionary order, and the keys themselves are sorted. A key holds no
+// pointer: it carries the value's dictionary id, and a string comparand is
+// read through that id from the dictionary, or from lowered copies under
+// CollateCaseInsensitive, the one collation that makes any. Runs of equal
+// keys share one dense rank; only the merging collations (numeric, date,
+// case-insensitive, rank) produce them. A last pass maps each row's id to
+// its rank. With d distinct values a column costs O(rows + d log d).
 func encodeColumn(col Column, co ColumnOrder) ([]int32, int, error) {
 	rank := make([]int32, len(col.Dict))
 	for _, id := range col.IDs {
 		rank[id] = 1
 	}
-	byKey := make([]int32, 0, len(col.Dict))
+	o := newKeyOrder(co, col)
+	keys := make([]sortKey, 0, len(col.Dict))
 	for id, used := range rank {
-		if used != 0 {
-			byKey = append(byKey, int32(id))
+		if used == 0 {
+			continue
 		}
-	}
-	maker := newKeyMaker(co, col.Type)
-	keys := make([]sortKey, len(col.Dict))
-	for _, id := range byKey {
-		k, err := maker.key(col.Dict[id])
+		k, err := o.key(int32(id))
 		if err != nil {
 			return nil, 0, err
 		}
-		keys[id] = k
+		keys = append(keys, k)
 	}
-	slices.SortFunc(byKey, func(a, b int32) int {
-		return co.compareKeys(keys[a], keys[b])
-	})
+	slices.SortFunc(keys, o.compare)
 	next := int32(0)
-	for i, id := range byKey {
-		if i > 0 && co.compareKeys(keys[byKey[i-1]], keys[id]) != 0 {
+	for i, k := range keys {
+		if i > 0 && o.compare(keys[i-1], k) != 0 {
 			next++
 		}
-		rank[id] = next
+		rank[k.id] = next
 	}
 	out := make([]int32, len(col.IDs))
 	for i, id := range col.IDs {
 		out[i] = rank[id]
 	}
 	card := 0
-	if len(byKey) > 0 {
+	if len(keys) > 0 {
 		card = int(next) + 1
 	}
 	return out, card, nil
 }
 
-// sortKey is the comparison key of one raw value under a column order. Keys
-// of one column are totally ordered by ColumnOrder.compareKeys; two keys
-// compare equal exactly when the raw values are equal under the collation.
+// sortKey is the comparison key of one value of a column under a column
+// order. It holds no pointer, so a column's keys are never scanned by the
+// garbage collector. Keys of one column are totally ordered by
+// keyOrder.compare; two keys compare equal exactly when the raw values are
+// equal under the collation.
 type sortKey struct {
-	null bool
-	// bucket separates a collation's primary values (parsed numbers/dates,
-	// listed ranks — bucket 0) from its fallback values (bucket 1), which
-	// sort after every primary value.
+	// num is the exact comparand of a bucket-0 value of a numeric-like
+	// order: the integer, the date's unix time, the rank-list index, or
+	// floatKey of the float.
+	num int64
+	// id is the value's dictionary id, through which its string comparand
+	// is read.
+	id int32
+	// bucket separates a collation's primary values (parsed numbers and
+	// dates, listed ranks: bucket 0) from its fallback values (bucket 1),
+	// which sort after every primary value.
 	bucket uint8
-	// num orders bucket-0 values of the numeric-like collations (the parsed
-	// number, the date's unix time, or the rank-list index).
-	num float64
-	// str orders string-compared values (raw, lowered, or fallback-bucket).
-	str string
-	// tie is the raw-value tiebreak of non-merging collations; hasTie
-	// distinguishes "no tiebreak: equal keys merge" from an empty tie.
-	tie    string
-	hasTie bool
+	null   bool
 }
 
-// compareKeys totally orders two non-null-aware keys under the column order:
+// floatKey maps a float64 other than NaN to an int64 of the same order,
+// folding −0 into +0: the sign bit makes a negative float's bits a negative
+// int64, and flipping its other bits reverses their magnitude order.
+func floatKey(f float64) int64 {
+	if f == 0 {
+		f = 0 // −0 == 0, so this turns −0 into +0
+	}
+	b := int64(math.Float64bits(f))
+	if b < 0 {
+		b ^= math.MaxInt64
+	}
+	return b
+}
+
+// keyOrder builds and compares the sort keys of one column under one
+// column order. numeric says bucket-0 keys compare by num first, and merge
+// that equal nums are equal values (the merging collations) rather than a
+// tie broken by the raw string. Every other comparison reads str, the
+// column's dictionary or, under CollateCaseInsensitive, its lowered copies.
+type keyOrder struct {
+	co             ColumnOrder
+	typ            Type
+	dict           []string
+	str            []string
+	numeric, merge bool
+	ranks          map[string]int
+}
+
+func newKeyOrder(co ColumnOrder, col Column) *keyOrder {
+	o := &keyOrder{co: co, typ: col.Type, dict: col.Dict, str: col.Dict}
+	switch co.Collation {
+	case CollateCaseInsensitive:
+		o.str = make([]string, len(col.Dict))
+	case CollateNumeric, CollateDate:
+		o.numeric, o.merge = true, true
+	case CollateRank:
+		o.numeric, o.merge = true, true
+		o.ranks = make(map[string]int, len(co.Ranks))
+		for i, v := range co.Ranks {
+			o.ranks[v] = i
+		}
+	case CollateDefault:
+		o.numeric = col.Type == TypeInt || col.Type == TypeFloat || col.Type == TypeDate
+	}
+	return o
+}
+
+// key builds value id's key; under CollateCaseInsensitive it also records
+// the value's lowered copy.
+func (o *keyOrder) key(id int32) (sortKey, error) {
+	raw := o.dict[id]
+	if raw == "" {
+		return sortKey{id: id, null: true}, nil
+	}
+	k := sortKey{id: id}
+	switch o.co.Collation {
+	case CollateLexicographic:
+	case CollateCaseInsensitive:
+		o.str[id] = strings.ToLower(raw)
+	case CollateNumeric:
+		f, ok := parseNumeric(raw)
+		k.num, k.bucket = floatKey(f), bucketOf(ok)
+	case CollateDate:
+		ts, ok := parseDate(raw)
+		k.num, k.bucket = ts, bucketOf(ok)
+	case CollateRank:
+		i, ok := o.ranks[raw]
+		k.num, k.bucket = int64(i), bucketOf(ok)
+	default:
+		return k, defaultKey(&k, o.typ, raw)
+	}
+	return k, nil
+}
+
+// bucketOf is the bucket of a value whose parse succeeded (0) or failed (1).
+func bucketOf(parsed bool) uint8 {
+	if parsed {
+		return 0
+	}
+	return 1
+}
+
+// defaultKey fills in the type-driven key of CollateDefault: the historical
+// Encode behavior, including its errors on values that contradict the
+// declared type. Distinct raw values that parse equal (e.g. "1" and "01" as
+// integers, "1" and "1.0" as floats) tie on num, and keyOrder.compare breaks
+// the tie by the raw string, so they keep distinct ranks.
+func defaultKey(k *sortKey, t Type, raw string) error {
+	switch t {
+	case TypeInt:
+		n, err := strconv.ParseInt(strings.TrimSpace(raw), 10, 64)
+		if err != nil {
+			return fmt.Errorf("value %q is not an integer: %w", raw, err)
+		}
+		k.num = n
+	case TypeFloat:
+		f, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
+		if err != nil {
+			return fmt.Errorf("value %q is not a float: %w", raw, err)
+		}
+		// NaN breaks the strict weak order of float comparison (it is
+		// neither less than nor equal to anything); park it in the
+		// fallback bucket, ordered by raw string, to keep the key order
+		// total and deterministic.
+		k.num, k.bucket = floatKey(f), bucketOf(!math.IsNaN(f))
+	case TypeDate:
+		ts, ok := parseDate(raw)
+		if !ok {
+			return fmt.Errorf("value %q is not a recognized date", raw)
+		}
+		k.num = ts
+	}
+	return nil
+}
+
+// compare totally orders two keys of the column under the column order:
 // nulls are placed by Nulls independent of Direction, and Direction inverts
 // the whole non-null comparison.
-func (co ColumnOrder) compareKeys(a, b sortKey) int {
+func (o *keyOrder) compare(a, b sortKey) int {
 	if a.null || b.null {
 		switch {
 		case a.null && b.null:
 			return 0
 		case a.null:
-			if co.Nulls == NullsLast {
+			if o.co.Nulls == NullsLast {
 				return 1
 			}
 			return -1
 		default:
-			if co.Nulls == NullsLast {
+			if o.co.Nulls == NullsLast {
 				return -1
 			}
 			return 1
 		}
 	}
-	c := rawKeyCompare(a, b)
-	if co.Direction == Desc {
+	c := o.ascending(a, b)
+	if o.co.Direction == Desc {
 		c = -c
 	}
 	return c
 }
 
-// rawKeyCompare orders two non-null keys ascending: bucket, then numeric
-// magnitude, then string comparand, then the raw tiebreak (when present).
-func rawKeyCompare(a, b sortKey) int {
+// ascending orders two non-null keys ascending: bucket, then (for a
+// numeric-like bucket-0 pair) num, then the string comparand.
+func (o *keyOrder) ascending(a, b sortKey) int {
 	if a.bucket != b.bucket {
 		return int(a.bucket) - int(b.bucket)
 	}
-	if a.num != b.num {
-		if a.num < b.num {
-			return -1
-		}
-		return 1
-	}
-	if c := strings.Compare(a.str, b.str); c != 0 {
-		return c
-	}
-	if a.hasTie || b.hasTie {
-		return strings.Compare(a.tie, b.tie)
-	}
-	return 0
-}
-
-// keyMaker builds sort keys for one column's values under one column order;
-// it pre-indexes the rank list of CollateRank so key building stays O(1).
-type keyMaker struct {
-	co    ColumnOrder
-	typ   Type
-	ranks map[string]int
-}
-
-func newKeyMaker(co ColumnOrder, t Type) keyMaker {
-	m := keyMaker{co: co, typ: t}
-	if co.Collation == CollateRank {
-		m.ranks = make(map[string]int, len(co.Ranks))
-		for i, v := range co.Ranks {
-			m.ranks[v] = i
+	if a.bucket == 0 && o.numeric {
+		if c := cmp.Compare(a.num, b.num); c != 0 || o.merge {
+			return c
 		}
 	}
-	return m
-}
-
-func (m keyMaker) key(raw string) (sortKey, error) {
-	if raw == "" {
-		return sortKey{null: true}, nil
-	}
-	switch m.co.Collation {
-	case CollateLexicographic:
-		return sortKey{str: raw}, nil
-	case CollateCaseInsensitive:
-		return sortKey{str: strings.ToLower(raw)}, nil
-	case CollateNumeric:
-		if f, err := strconv.ParseFloat(strings.TrimSpace(raw), 64); err == nil && !math.IsNaN(f) {
-			return sortKey{num: f}, nil
-		}
-		return sortKey{bucket: 1, str: raw}, nil
-	case CollateDate:
-		if ts, ok := parseDate(raw); ok {
-			return sortKey{num: float64(ts)}, nil
-		}
-		return sortKey{bucket: 1, str: raw}, nil
-	case CollateRank:
-		if i, ok := m.ranks[raw]; ok {
-			return sortKey{num: float64(i)}, nil
-		}
-		return sortKey{bucket: 1, str: raw}, nil
-	default:
-		return makeDefaultKey(m.typ, raw)
-	}
-}
-
-// makeDefaultKey is the type-driven key of CollateDefault: the historical
-// Encode behavior, including its errors on values that contradict the
-// declared type. Ties between distinct raw values that parse equal (e.g.
-// "1" and "1.0" as floats) are broken by the raw string, so distinct raw
-// values keep distinct ranks under the default collation.
-func makeDefaultKey(t Type, raw string) (sortKey, error) {
-	switch t {
-	case TypeInt:
-		n, err := strconv.ParseInt(strings.TrimSpace(raw), 10, 64)
-		if err != nil {
-			return sortKey{}, fmt.Errorf("value %q is not an integer: %w", raw, err)
-		}
-		return sortKey{num: float64(n), tie: raw, hasTie: true}, nil
-	case TypeFloat:
-		f, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
-		if err != nil {
-			return sortKey{}, fmt.Errorf("value %q is not a float: %w", raw, err)
-		}
-		if math.IsNaN(f) {
-			// NaN breaks the strict weak order of float comparison (it is
-			// neither less than nor equal to anything); park it in the
-			// fallback bucket, ordered by raw string, to keep the key order
-			// total and deterministic.
-			return sortKey{bucket: 1, str: raw, tie: raw, hasTie: true}, nil
-		}
-		return sortKey{num: f, tie: raw, hasTie: true}, nil
-	case TypeDate:
-		if ts, ok := parseDate(raw); ok {
-			return sortKey{num: float64(ts), tie: raw, hasTie: true}, nil
-		}
-		return sortKey{}, fmt.Errorf("value %q is not a recognized date", raw)
-	default:
-		return sortKey{str: raw}, nil
-	}
+	return strings.Compare(o.str[a.id], o.str[b.id])
 }
 
 // parseDate parses a raw value under the first matching accepted layout and
@@ -569,7 +593,21 @@ func compareNonNull(co ColumnOrder, t Type, a, b string) int {
 		return comparePrimary(float64(ia), oka, float64(ib), okb, a, b, false)
 	default:
 		switch t {
-		case TypeInt, TypeFloat:
+		case TypeInt:
+			ia, erra := strconv.ParseInt(strings.TrimSpace(a), 10, 64)
+			ib, errb := strconv.ParseInt(strings.TrimSpace(b), 10, 64)
+			if erra == nil && errb == nil {
+				if c := cmp.Compare(ia, ib); c != 0 {
+					return c
+				}
+				return strings.Compare(a, b)
+			}
+			// A value Encode would reject: keep the float comparison's
+			// total fallback.
+			fa, oka := parseNumeric(a)
+			fb, okb := parseNumeric(b)
+			return comparePrimary(fa, oka, fb, okb, a, b, true)
+		case TypeFloat:
 			fa, oka := parseNumeric(a)
 			fb, okb := parseNumeric(b)
 			return comparePrimary(fa, oka, fb, okb, a, b, true)

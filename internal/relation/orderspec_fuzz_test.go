@@ -24,6 +24,8 @@ func FuzzEncodeSpec(f *testing.F) {
 	f.Add("high\nlow\nmedium\nunknown\nlow\n", 0, 1, 5, "low\nmedium\nhigh")
 	f.Add("2006-01-02\n2006/01/02\n01/02/2006", 0, 0, 0, "")
 	f.Add("\n\n\n", 1, 1, 1, "")
+	f.Add("9007199254740993\n-9007199254740992\n9007199254740991\n-9007199254740993\n9007199254740992\n-9007199254740991", 0, 0, 0, "")
+	f.Add("9007199254740993\n-9007199254740992\n9007199254740991\n-9007199254740993\n9007199254740992\n-9007199254740991", 1, 0, 2, "")
 	f.Fuzz(func(t *testing.T, colData string, dir, nulls, coll int, ranksData string) {
 		raw := strings.Split(colData, "\n")
 		if len(raw) > 64 {

@@ -158,6 +158,40 @@ func TestEncodeSpecNumericCollationIsTotal(t *testing.T) {
 	}
 }
 
+// TestEncodeIntegersPast2To53 pins exact integer order where float64 runs
+// out of precision: 2^53+1 rounds to 2^53 as a float, and -2^53-1 to -2^53.
+// The default collation ranks every int64 exactly, and Compare agrees. The
+// numeric collation stays a float collation and merges each rounded pair.
+func TestEncodeIntegersPast2To53(t *testing.T) {
+	raw := []string{
+		"9007199254740993", "-9007199254740992", "9007199254740991",
+		"-9007199254740993", "9007199254740992", "-9007199254740991",
+	}
+	if got := SniffType(raw); got != TypeInt {
+		t.Fatalf("SniffType = %v, want int", got)
+	}
+	for _, tc := range []struct {
+		co   ColumnOrder
+		want []int32
+	}{
+		{ColumnOrder{}, []int32{5, 1, 3, 0, 4, 2}},
+		{ColumnOrder{Collation: CollateNumeric}, []int32{3, 0, 2, 0, 3, 1}},
+	} {
+		ranks, _ := encodeOne(t, TypeInt, raw, tc.co)
+		if !reflect.DeepEqual(ranks, tc.want) {
+			t.Errorf("%v: ranks = %v, want %v", tc.co, ranks, tc.want)
+		}
+		for i := range raw {
+			for j := range raw {
+				want := Compare(tc.co, TypeInt, raw[i], raw[j])
+				if got := int(ranks[i]) - int(ranks[j]); (want < 0) != (got < 0) || (want == 0) != (got == 0) {
+					t.Errorf("%v: Compare(%s, %s) = %d, rank delta %d", tc.co, raw[i], raw[j], want, got)
+				}
+			}
+		}
+	}
+}
+
 func TestEncodeSpecDateCollation(t *testing.T) {
 	raw := []string{"2012-01-02", "2011/05/06", "not a date", "2011-05-06"}
 	ranks, _ := encodeOne(t, TypeString, raw, ColumnOrder{Collation: CollateDate})

@@ -285,7 +285,11 @@ func TestReplyCostTracksHeap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Two cycles settle the heap. Memory that one cycle leaves to the
+		// next, such as a sync.Pool's victim cache, would otherwise be
+		// freed inside the window and offset what the replies hold.
 		var ms runtime.MemStats
+		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		before := ms.HeapAlloc
@@ -338,6 +342,25 @@ func TestDiscoverStreamCacheHit(t *testing.T) {
 	}
 	if !out.Cached || out.Interrupted || out.Count == 0 {
 		t.Errorf("cached stream report %+v, want a complete cached report", out)
+	}
+}
+
+// TestStreamReportMatchesDiscoverBytes: a report event's data is the body
+// /discover returns, less its final newline, also for a reply whose
+// dependencies print "->", which HTML escaping would print as "-\u003e".
+// Both replies are hits, so neither carries a run's own elapsed time.
+func TestStreamReportMatchesDiscoverBytes(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	upload(t, ts, "hep", csvOf(t, datagen.HepatitisLike(60, 6, 7))).Body.Close()
+	body := `{"workers":1}`
+	replyBytes(t, ts.URL, "hep", body, false)
+	plain := replyBytes(t, ts.URL, "hep", body, false)
+	streamed := replyBytes(t, ts.URL, "hep", body, true)
+	if !bytes.Contains(plain, []byte("->")) {
+		t.Fatalf("the reply prints no \"->\": %s", plain)
+	}
+	if want := bytes.TrimSuffix(plain, []byte("\n")); !bytes.Equal(streamed, want) {
+		t.Errorf("stream report data differs from the /discover body:\n %s\n %s", streamed, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -368,27 +369,35 @@ func statusOf(err error) int {
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	_ = encodeJSON(w, body) // the status line is gone; nothing left to signal
+}
+
+// encodeJSON writes body as one line of JSON and a newline, leaving <, > and
+// & unescaped, so a dependency prints "->" as the CLI prints it.
+func encodeJSON(w io.Writer, body any) error {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(body) // the status line is gone; nothing left to signal
+	return enc.Encode(body)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-// writeSSE writes one Server-Sent Event with a JSON data payload. json.Marshal
-// never emits raw newlines, so the payload always fits one data: line.
+// writeSSE writes one Server-Sent Event with a JSON data payload, encoded as
+// writeJSON encodes a body: a report event's data is the bytes /discover
+// returns, less the final newline. Encoded JSON holds no other newline, so
+// the payload always fits one data: line.
 func writeSSE(w io.Writer, event string, body any) {
 	if err := faultinject.Fire(faultinject.SSEWrite); err != nil {
 		// An injected write failure drops the frame: SSE delivery is
 		// best-effort, and the client's retry/reconnect logic owns recovery.
 		return
 	}
-	data, err := json.Marshal(body)
-	if err != nil {
-		data, _ = json.Marshal(errorBody{Error: err.Error()})
+	var data bytes.Buffer
+	if err := encodeJSON(&data, body); err != nil { // a failed Encode writes nothing
+		_ = encodeJSON(&data, errorBody{Error: err.Error()})
 		event = "error"
 	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, bytes.TrimSuffix(data.Bytes(), []byte("\n")))
 }

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -356,8 +356,8 @@ func (r Request) Canonical() Request {
 			// conditions at all) bypasses the cardinality-bounded enumeration,
 			// so the bound is unread and erased.
 			r.Conditional.MaxConditionCardinality = 0
-			attrs := append([]int(nil), r.Conditional.ConditionAttrs...)
-			sort.Ints(attrs)
+			attrs := slices.Clone(r.Conditional.ConditionAttrs) // keeps an empty list non-nil
+			slices.Sort(attrs)
 			r.Conditional.ConditionAttrs = attrs
 		}
 	}
