@@ -187,8 +187,8 @@ type StatementCheck struct {
 
 // CheckStatement evaluates one parsed dependency expression against the
 // dataset: list statements are checked via the list-based semantics,
-// canonical statements via the canonical semantics plus a violation witness
-// and an approximation error when they fail.
+// canonical statements by one canonical.FindViolation call, whose witness
+// decides whether they hold, plus an approximation error.
 //
 // Per-attribute order modifiers in the expression ("salary DESC NULLS LAST")
 // are honored: the statement is evaluated against a re-encoding of the
@@ -223,21 +223,19 @@ func (d *Dataset) CheckStatement(st Statement) (StatementCheck, error) {
 		}
 		return out, nil
 	case odparse.CanonicalConstancy, odparse.CanonicalOrderCompat:
-		holds, err := canonical.Holds(enc, resolved.Canonical)
+		v, violated, err := canonical.FindViolation(enc, resolved.Canonical)
 		if err != nil {
 			return StatementCheck{}, err
 		}
-		out.Holds = holds
+		out.Holds = !violated
+		if violated {
+			out.Violation = &v
+		}
 		e, err := approx.ErrorOf(enc, resolved.Canonical)
 		if err != nil {
 			return StatementCheck{}, err
 		}
 		out.Error = &e
-		if !holds {
-			if v, found, err := canonical.FindViolation(enc, resolved.Canonical); err == nil && found {
-				out.Violation = &v
-			}
-		}
 		return out, nil
 	default:
 		return StatementCheck{}, fmt.Errorf("fastod: unknown statement kind %v", st.Kind)

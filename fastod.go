@@ -212,11 +212,12 @@ func (d *Dataset) ColumnNames() []string {
 func (d *Dataset) ColumnIndex(name string) int { return d.enc.ColumnIndex(name) }
 
 // Project returns a dataset restricted to the first k attributes, and
-// HeadRows one restricted to the first n tuples. Both are cheap views used by
-// the scalability experiments. A view narrows the raw relation along with
-// its encoding, sharing the parent's dictionaries and row ids, so whatever
-// reads raw values — spec re-encodings, WithSwapViolations — sees the view's
-// rows and columns only.
+// HeadRows one restricted to the first n tuples. Both are cheap views, for
+// running discovery or a check on the leading columns or rows of a table too
+// wide or too long to profile whole. A view narrows the raw relation along
+// with its encoding, sharing the parent's dictionaries and row ids, so
+// whatever reads raw values — spec re-encodings, WithSwapViolations — sees
+// the view's rows and columns only.
 //
 // A view is a distinct relation instance, so it deliberately does NOT
 // inherit the parent's partition cache: a PartitionStore binds to one

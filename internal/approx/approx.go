@@ -37,7 +37,7 @@ type Error struct {
 // ordered by (A, B) and removes the rest (the SwapRemovals kernel, asked for
 // the exact count).
 func ErrorOf(enc *relation.Encoded, od canonical.OD) (Error, error) {
-	if err := canonical.CheckAttrs(enc, od); err != nil {
+	if err := canonical.CheckAttrs(enc.NumCols(), od); err != nil {
 		return Error{}, err
 	}
 	if od.IsTrivial() {

@@ -107,7 +107,7 @@ func (od OD) NamesString(names []string) string {
 func (od OD) Holds(enc *relation.Encoded) (bool, error) {
 	c := od.canonical()
 	if od.Kind == canonical.OrderCompatible && od.Polarity == OppositeDirection {
-		if err := canonical.CheckAttrs(enc, c); err != nil {
+		if err := canonical.CheckAttrs(enc.NumCols(), c); err != nil {
 			return false, err
 		}
 		reflected := *enc
@@ -173,7 +173,8 @@ func DiscoverContext(ctx context.Context, enc *relation.Encoded, cfg lattice.Con
 	found := lattice.RunMinimal(eng, lattice.Checks[struct{}]{
 		Variants: 2, // SameDirection and OppositeDirection
 		Constancy: func(p *partition.Partition, a int, _ *partition.Scratch) (struct{}, bool) {
-			return struct{}{}, p.ConstantInClasses(enc.Column(a))
+			_, split := p.FindSplit(enc.Column(a))
+			return struct{}{}, !split
 		},
 		OrderCompatible: func(p *partition.Partition, a, b, pol int, s *partition.Scratch) (struct{}, bool) {
 			colB := enc.Column(b)

@@ -11,30 +11,14 @@ import (
 //	∀j              set(X): [] ↦ Yj
 //	∀i,j  {X1..Xi-1, Y1..Yj-1}: Xi ~ Yj
 //
-// The returned slice has size at most |X|·|Y| + |Y|; trivial canonical ODs
-// (identity pairs, attributes already in the context) are included so that
-// the mapping is literally the one in the paper — callers that only care
-// about information content can filter with OD.IsTrivial.
+// By Theorem 1, X ↦ Y is X ↦ XY and X ~ Y, so the image is MapFD's
+// (Theorem 3) followed by MapOrderCompatibility's (Theorem 4). The returned
+// slice has size |Y| + |X|·|Y|; trivial canonical ODs (identity pairs,
+// attributes already in the context) are included so that the mapping is
+// literally the one in the paper — callers that only care about information
+// content can filter with OD.IsTrivial.
 func MapListOD(x, y listod.Spec) []OD {
-	var out []OD
-	xSet := specToSet(x)
-	for _, yj := range y {
-		out = append(out, NewConstancy(xSet, yj))
-	}
-	for i, xi := range x {
-		for j, yj := range y {
-			ctx := specToSet(x[:i]).Union(specToSet(y[:j]))
-			if xi == yj {
-				// Identity pair: X: A ~ A is trivially true (Identity axiom).
-				// NewOrderCompatible rejects equal attributes, so build the
-				// trivial OD directly; IsTrivial classifies it via A == B.
-				out = append(out, OD{Context: ctx, Kind: OrderCompatible, A: xi, B: yj})
-				continue
-			}
-			out = append(out, NewOrderCompatible(ctx, xi, yj))
-		}
-	}
-	return out
+	return append(MapFD(x, y), MapOrderCompatibility(x, y)...)
 }
 
 // MapListODNonTrivial is MapListOD with trivial canonical ODs removed and
@@ -63,6 +47,9 @@ func MapOrderCompatibility(x, y listod.Spec) []OD {
 		for j, yj := range y {
 			ctx := specToSet(x[:i]).Union(specToSet(y[:j]))
 			if xi == yj {
+				// Identity pair: X: A ~ A is trivially true (Identity axiom).
+				// NewOrderCompatible rejects equal attributes, so build the
+				// trivial OD directly; IsTrivial classifies it via A == B.
 				out = append(out, OD{Context: ctx, Kind: OrderCompatible, A: xi, B: yj})
 				continue
 			}

@@ -114,7 +114,7 @@ func HoldsRaw(rel *relation.Relation, spec relation.OrderSpec, od OD) (bool, err
 	if err != nil {
 		return false, err
 	}
-	if err := checkAttrsRaw(rel, od); err != nil {
+	if err := CheckAttrs(rel.NumCols(), od); err != nil {
 		return false, err
 	}
 	if od.IsTrivial() {
@@ -131,36 +131,14 @@ func HoldsRaw(rel *relation.Relation, spec relation.OrderSpec, od OD) (bool, err
 	}
 }
 
-func checkAttrsRaw(rel *relation.Relation, od OD) error {
-	n := rel.NumCols()
-	check := func(a int) error {
-		if a < 0 || a >= n {
-			return fmt.Errorf("canonical: attribute %d out of range for relation with %d columns", a, n)
-		}
-		return nil
-	}
-	for _, a := range od.Context.Attrs() {
-		if err := check(a); err != nil {
-			return err
-		}
-	}
-	if err := check(od.A); err != nil {
-		return err
-	}
-	if od.Kind == OrderCompatible {
-		return check(od.B)
-	}
-	return nil
-}
-
 // ReferenceDiscoverRaw is ReferenceDiscover evaluated directly on raw values
 // under an ordering spec: it enumerates every non-trivial canonical OD,
 // checks it pairwise on raw strings with relation.Compare, and returns the
-// complete minimal set under the same minimality rules as ReferenceDiscover.
-// It shares no code with either the encoding or the partition machinery, so
-// equality with spec-encoded discovery is evidence the whole spec-to-rank
-// pipeline is sound. Doubly exponential and quadratic in rows; relations
-// with more than 14 attributes are rejected.
+// complete minimal set through ReferenceDiscover's enumeration and
+// minimality pass. Its checks share no code with either the encoding or the
+// partition machinery, so equality with spec-encoded discovery is evidence
+// the whole spec-to-rank pipeline is sound. Doubly exponential and quadratic
+// in rows; relations with more than 14 attributes are rejected.
 func ReferenceDiscoverRaw(rel *relation.Relation, spec relation.OrderSpec) ([]OD, error) {
 	ri, err := newRawInstance(rel, spec)
 	if err != nil {
@@ -170,69 +148,10 @@ func ReferenceDiscoverRaw(rel *relation.Relation, spec relation.OrderSpec) ([]OD
 	if n > 14 {
 		return nil, fmt.Errorf("canonical: raw reference discovery limited to 14 attributes, got %d", n)
 	}
-	type pairKey struct{ a, b int }
-	holdsConst := make(map[bitset.AttrSet]map[int]bool)
-	holdsOC := make(map[bitset.AttrSet]map[pairKey]bool)
-
-	contexts := allSubsets(n)
-	for _, ctx := range contexts {
+	return minimalODs(n, func(ctx bitset.AttrSet) (func(a int) bool, func(a, b int) bool) {
 		classes := ri.contextClasses(ctx)
-		cm := make(map[int]bool)
-		om := make(map[pairKey]bool)
-		for a := 0; a < n; a++ {
-			if ctx.Contains(a) {
-				continue
-			}
-			cm[a] = ri.constantIn(classes, a)
-			for b := a + 1; b < n; b++ {
-				if ctx.Contains(b) {
-					continue
-				}
-				om[pairKey{a, b}] = ri.swapFreeIn(classes, a, b)
-			}
-		}
-		holdsConst[ctx] = cm
-		holdsOC[ctx] = om
-	}
-
-	var out []OD
-	for _, ctx := range contexts {
-		for a := 0; a < n; a++ {
-			if ctx.Contains(a) || !holdsConst[ctx][a] {
-				continue
-			}
-			minimal := true
-			for _, sub := range ctx.Subsets() {
-				if holdsConst[sub][a] {
-					minimal = false
-					break
-				}
-			}
-			if minimal {
-				out = append(out, NewConstancy(ctx, a))
-			}
-		}
-		for a := 0; a < n; a++ {
-			for b := a + 1; b < n; b++ {
-				if ctx.Contains(a) || ctx.Contains(b) || !holdsOC[ctx][pairKey{a, b}] {
-					continue
-				}
-				if holdsConst[ctx][a] || holdsConst[ctx][b] {
-					continue // Propagate makes it non-minimal
-				}
-				minimal := true
-				for _, sub := range ctx.Subsets() {
-					if holdsOC[sub][pairKey{a, b}] {
-						minimal = false
-						break
-					}
-				}
-				if minimal {
-					out = append(out, NewOrderCompatible(ctx, a, b))
-				}
-			}
-		}
-	}
-	Sort(out)
-	return out, nil
+		constant := func(a int) bool { return ri.constantIn(classes, a) }
+		compatible := func(a, b int) bool { return ri.swapFreeIn(classes, a, b) }
+		return constant, compatible
+	}), nil
 }

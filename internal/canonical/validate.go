@@ -10,25 +10,12 @@ import (
 )
 
 // Holds reports whether the canonical OD is satisfied by the encoded relation
-// instance, by materializing the partition of the context and checking the
-// constancy or no-swap condition within every equivalence class (Definition 6).
+// instance (Definition 6): it is FindViolation's verdict, so the OD holds
+// exactly when no class of its context's partition holds a split or a swap.
 // It is independent of the discovery algorithms and serves as their oracle.
 func Holds(enc *relation.Encoded, od OD) (bool, error) {
-	if err := CheckAttrs(enc, od); err != nil {
-		return false, err
-	}
-	if od.IsTrivial() {
-		return true, nil
-	}
-	ctx := ContextPartition(enc, od.Context, nil)
-	switch od.Kind {
-	case Constancy:
-		return ctx.ConstantInClasses(enc.Column(od.A)), nil
-	case OrderCompatible:
-		return !ctx.HasSwap(enc.Column(od.A), enc.Column(od.B)), nil
-	default:
-		return false, fmt.Errorf("canonical: unknown kind %v", od.Kind)
-	}
+	_, violated, err := FindViolation(enc, od)
+	return err == nil && !violated, err
 }
 
 // MustHold is Holds for ODs known to reference valid attributes; it panics on
@@ -63,9 +50,13 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s violated by %s over rows (%d,%d)", v.OD, kind, v.RowS, v.RowT)
 }
 
-// FindViolation returns a witness pair for a violated canonical OD, if any.
+// FindViolation returns a witness pair for a violated canonical OD, if any:
+// it materializes the partition of the context and looks for a split
+// (constancy OD) or a swap (order-compatibility OD) within its classes. Like
+// Holds, which reads it, it checks the attributes first, so an invalid OD is
+// an error even when it is trivial, and an OD of neither kind is an error.
 func FindViolation(enc *relation.Encoded, od OD) (Violation, bool, error) {
-	if err := CheckAttrs(enc, od); err != nil {
+	if err := CheckAttrs(enc.NumCols(), od); err != nil {
 		return Violation{}, false, err
 	}
 	if od.IsTrivial() {
@@ -78,9 +69,11 @@ func FindViolation(enc *relation.Encoded, od OD) (Violation, bool, error) {
 			return Violation{OD: od, RowS: w.RowS, RowT: w.RowT, IsSwap: false}, true, nil
 		}
 	case OrderCompatible:
-		if w, ok := ctx.FindSwap(enc.Column(od.A), enc.Column(od.B)); ok {
+		if w, ok := ctx.FindSwapWith(enc.Column(od.A), enc.Column(od.B), nil); ok {
 			return Violation{OD: od, RowS: w.RowS, RowT: w.RowT, IsSwap: true}, true, nil
 		}
+	default:
+		return Violation{}, false, fmt.Errorf("canonical: unknown kind %v", od.Kind)
 	}
 	return Violation{}, false, nil
 }
@@ -111,14 +104,14 @@ func ContextPartition(enc *relation.Encoded, ctx bitset.AttrSet, s *partition.Sc
 }
 
 // CheckAttrs reports an error naming the first attribute of the OD — context,
-// then A, then B for order-compatibility ODs — that is out of range for the
-// relation. Holds and FindViolation call it before anything else, so an
-// invalid OD is an error even when it is trivial; bidir's OD.Holds and
-// approx.ErrorOf do the same through it.
-func CheckAttrs(enc *relation.Encoded, od OD) error {
+// then A, then B for order-compatibility ODs — that is out of range for a
+// relation of numCols columns. FindViolation (so Holds) and HoldsRaw call it
+// before anything else, so an invalid OD is an error even when it is
+// trivial; bidir's OD.Holds and approx.ErrorOf do the same through it.
+func CheckAttrs(numCols int, od OD) error {
 	check := func(a int) error {
-		if a < 0 || a >= enc.NumCols() {
-			return fmt.Errorf("canonical: attribute %d out of range for relation with %d columns", a, enc.NumCols())
+		if a < 0 || a >= numCols {
+			return fmt.Errorf("canonical: attribute %d out of range for relation with %d columns", a, numCols)
 		}
 		return nil
 	}
@@ -131,9 +124,7 @@ func CheckAttrs(enc *relation.Encoded, od OD) error {
 		return err
 	}
 	if od.Kind == OrderCompatible {
-		if err := check(od.B); err != nil {
-			return err
-		}
+		return check(od.B)
 	}
 	return nil
 }
@@ -147,39 +138,62 @@ func CheckAttrs(enc *relation.Encoded, od OD) error {
 //   - X: A ~ B is minimal iff it holds, is non-trivial, no proper subset
 //     context has A ~ B holding, and neither X: [] ↦ A nor X: [] ↦ B holds.
 //
-// The enumeration is exponential in the number of attributes and quadratic in
-// the number of rows in the worst case; it is the oracle used to verify that
-// FASTOD is complete and minimal, and is exported through the public API as a
-// slow reference implementation. Relations with more than 20 attributes are
-// rejected to avoid accidental blow-ups.
+// Each context's partition is checked with the witness scans FindViolation
+// uses (FindSplit, FindSwapWith), not with discovery's neighbour-scan swap
+// check. The enumeration is exponential in the number of attributes and
+// quadratic in the number of rows in the worst case; it is the oracle used
+// to verify that FASTOD is complete and minimal, and is exported through the
+// public API as a slow reference implementation. Relations with more than 20
+// attributes are rejected to avoid accidental blow-ups.
 func ReferenceDiscover(enc *relation.Encoded) ([]OD, error) {
 	n := enc.NumCols()
 	if n > 20 {
 		return nil, fmt.Errorf("canonical: reference discovery limited to 20 attributes, got %d", n)
 	}
-	// holdsConst[ctx][a] and holdsOC[ctx][pair] memoize validity per context.
-	type pairKey struct{ a, b int }
-	holdsConst := make(map[bitset.AttrSet]map[int]bool)
-	holdsOC := make(map[bitset.AttrSet]map[pairKey]bool)
-
 	// One scratch serves every context partition and swap check of the
 	// enumeration — the loop is allocation-heavy enough without them.
 	scratch := partition.NewScratch()
+	return minimalODs(n, func(ctx bitset.AttrSet) (func(a int) bool, func(a, b int) bool) {
+		p := ContextPartition(enc, ctx, scratch)
+		constant := func(a int) bool {
+			_, split := p.FindSplit(enc.Column(a))
+			return !split
+		}
+		compatible := func(a, b int) bool {
+			_, swap := p.FindSwapWith(enc.Column(a), enc.Column(b), scratch)
+			return !swap
+		}
+		return constant, compatible
+	}), nil
+}
+
+// minimalODs is the enumeration and minimality pass both reference
+// discoverers share, under the rules ReferenceDiscover lists. For every
+// context over n attributes, subsets first, checks returns that context's
+// constancy check of an attribute and order-compatibility check of a pair;
+// their verdicts for every attribute and pair outside the context fill the
+// validity tables holdsConst[ctx][a] and holdsOC[ctx][pair]. The pass then
+// keeps each OD that holds where no context one attribute smaller has it
+// hold and, for an order-compatibility OD, neither attribute is constant in
+// the context (Propagate).
+func minimalODs(n int, checks func(ctx bitset.AttrSet) (constant func(a int) bool, compatible func(a, b int) bool)) []OD {
+	holdsConst := make(map[bitset.AttrSet]map[int]bool)
+	holdsOC := make(map[bitset.AttrSet]map[bitset.Pair]bool)
 	contexts := allSubsets(n)
 	for _, ctx := range contexts {
-		p := ContextPartition(enc, ctx, scratch)
+		constant, compatible := checks(ctx)
 		cm := make(map[int]bool)
-		om := make(map[pairKey]bool)
+		om := make(map[bitset.Pair]bool)
 		for a := 0; a < n; a++ {
 			if ctx.Contains(a) {
 				continue
 			}
-			cm[a] = p.ConstantInClasses(enc.Column(a))
+			cm[a] = constant(a)
 			for b := a + 1; b < n; b++ {
 				if ctx.Contains(b) {
 					continue
 				}
-				om[pairKey{a, b}] = !p.HasSwapWith(enc.Column(a), enc.Column(b), scratch)
+				om[bitset.Pair{A: a, B: b}] = compatible(a, b)
 			}
 		}
 		holdsConst[ctx] = cm
@@ -205,7 +219,8 @@ func ReferenceDiscover(enc *relation.Encoded) ([]OD, error) {
 		}
 		for a := 0; a < n; a++ {
 			for b := a + 1; b < n; b++ {
-				if ctx.Contains(a) || ctx.Contains(b) || !holdsOC[ctx][pairKey{a, b}] {
+				pair := bitset.Pair{A: a, B: b}
+				if ctx.Contains(a) || ctx.Contains(b) || !holdsOC[ctx][pair] {
 					continue
 				}
 				if holdsConst[ctx][a] || holdsConst[ctx][b] {
@@ -213,7 +228,7 @@ func ReferenceDiscover(enc *relation.Encoded) ([]OD, error) {
 				}
 				minimal := true
 				for _, sub := range ctx.Subsets() {
-					if holdsOC[sub][pairKey{a, b}] {
+					if holdsOC[sub][pair] {
 						minimal = false
 						break
 					}
@@ -225,7 +240,7 @@ func ReferenceDiscover(enc *relation.Encoded) ([]OD, error) {
 		}
 	}
 	Sort(out)
-	return out, nil
+	return out
 }
 
 // allSubsets enumerates every subset of {0..n-1} ordered by size then value,

@@ -75,6 +75,9 @@ func TestHoldsTrivialAndErrors(t *testing.T) {
 	if _, err := Holds(enc, bad); err == nil {
 		t.Error("expected error for unknown kind")
 	}
+	if _, found, err := FindViolation(enc, bad); err == nil || found {
+		t.Errorf("FindViolation on an unknown kind: found %v, err %v; want an error", found, err)
+	}
 }
 
 func TestMustHoldPanicsOnError(t *testing.T) {

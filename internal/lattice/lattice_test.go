@@ -112,7 +112,7 @@ func directPartitions(enc *relation.Encoded) func(x bitset.AttrSet) *partition.P
 	parts[0] = partition.FromConstant(enc.NumRows())
 	for x := 1; x < len(parts); x++ {
 		a := bits.TrailingZeros(uint(x))
-		parts[x] = partition.Product(parts[x&(x-1)], partition.FromColumn(enc.Column(a), enc.Cardinality[a]))
+		parts[x] = parts[x&(x-1)].ProductWith(partition.FromColumn(enc.Column(a), enc.Cardinality[a]), nil)
 	}
 	return func(x bitset.AttrSet) *partition.Partition { return parts[x] }
 }

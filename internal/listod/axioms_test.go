@@ -2,6 +2,7 @@ package listod
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -95,7 +96,7 @@ func TestChainStepEmptyChain(t *testing.T) {
 	if premises != nil {
 		t.Errorf("empty chain should have no premises, got %v", premises)
 	}
-	if !conclusion[0].Left.Equal(Spec{0, 1}) || !conclusion[0].Right.Equal(Spec{1, 0}) {
+	if !slices.Equal(conclusion[0].Left, Spec{0, 1}) || !slices.Equal(conclusion[0].Right, Spec{1, 0}) {
 		t.Errorf("conclusion = %v", conclusion)
 	}
 }

@@ -1,15 +1,18 @@
 // Package listod implements the list-based (lexicographic) order dependency
 // model of Section 2 of the paper: order specifications, the weak total order
 // ⪯X they induce over tuples, order dependencies X ↦ Y, order compatibility
-// X ~ Y, and the two violation witnesses (splits and swaps). It is the
-// ground-truth semantics against which the set-based canonical machinery and
-// the discovery algorithms are validated, and the substrate of the ORDER
-// baseline.
+// X ~ Y, and the two violation witnesses (splits and swaps). FindViolations
+// is the one check of a list OD: one sort by the left side and one scan
+// return the first split and the first swap; Holds and ORDER's candidate
+// checks read it. It is the ground-truth semantics against which the
+// set-based canonical machinery and the discovery algorithms are validated,
+// and the substrate of the ORDER baseline.
 package listod
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/relation"
@@ -42,19 +45,6 @@ func (s Spec) Names(names []string) string {
 	return "[" + strings.Join(parts, ",") + "]"
 }
 
-// Equal reports whether two specs are identical lists.
-func (s Spec) Equal(t Spec) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i := range s {
-		if s[i] != t[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Contains reports whether attribute a occurs anywhere in the spec.
 func (s Spec) Contains(a int) bool {
 	for _, x := range s {
@@ -70,21 +60,6 @@ func (s Spec) Concat(t Spec) Spec {
 	out := make(Spec, 0, len(s)+len(t))
 	out = append(out, s...)
 	out = append(out, t...)
-	return out
-}
-
-// AttrSetOf returns the set of attributes occurring in the spec (duplicates
-// collapsed), as a sorted slice.
-func (s Spec) AttrSetOf() []int {
-	seen := map[int]bool{}
-	for _, a := range s {
-		seen[a] = true
-	}
-	out := make([]int, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Ints(out)
 	return out
 }
 
@@ -126,11 +101,12 @@ func Precedes(enc *relation.Encoded, spec Spec, s, t int) bool {
 
 // Holds reports whether the order dependency X ↦ Y is satisfied by the
 // relation instance (Definition 2): for every pair of tuples, s ⪯X t implies
-// s ⪯Y t. The check sorts tuples once by (X, Y) and scans, so it runs in
-// O(n log n · (|X|+|Y|)) time.
+// s ⪯Y t. By Theorem 1 that is the absence of both a split of X ↦ XY and a
+// swap of X ~ Y, which FindViolations looks for in O(n log n · (|X|+|Y|))
+// time.
 func Holds(enc *relation.Encoded, x, y Spec) bool {
-	_, _, ok := evaluate(enc, x, y)
-	return ok
+	v := FindViolations(enc, x, y)
+	return !v.HasSplit && !v.HasSwap
 }
 
 // HoldsBruteForce checks the same property by enumerating all tuple pairs.
@@ -171,96 +147,60 @@ type Swap struct {
 	RowS, RowT int
 }
 
-// FindSplit returns a split witness for X ↦ XY if one exists: two tuples
-// equal on X but different on Y.
-func FindSplit(enc *relation.Encoded, x, y Spec) (Split, bool) {
-	order, groups := sortAndGroup(enc, x)
-	for _, g := range groups {
-		base := order[g.start]
-		for i := g.start + 1; i < g.end; i++ {
-			if Compare(enc, y, base, order[i]) != 0 {
-				return Split{RowS: base, RowT: order[i]}, true
-			}
-		}
-	}
-	return Split{}, false
+// Violations holds the first split of X ↦ XY and the first swap of X ~ Y
+// that FindViolations meets, each with a flag telling whether one exists.
+type Violations struct {
+	Split    Split
+	HasSplit bool
+	Swap     Swap
+	HasSwap  bool
 }
 
-// FindSwap returns a swap witness for X ~ Y if one exists.
-func FindSwap(enc *relation.Encoded, x, y Spec) (Swap, bool) {
-	order, groups := sortAndGroup(enc, x)
-	// Track the tuple with the lexicographically greatest Y-projection among
-	// all strictly preceding X-groups; any later tuple with a smaller
-	// Y-projection forms a swap with it.
-	haveMax := false
-	maxRow := -1
-	for _, g := range groups {
-		// Check the current group against the running maximum.
-		groupMax := -1
-		for i := g.start; i < g.end; i++ {
-			row := order[i]
-			if haveMax && Compare(enc, y, row, maxRow) < 0 {
-				return Swap{RowS: maxRow, RowT: row}, true
-			}
-			if groupMax < 0 || Compare(enc, y, row, groupMax) > 0 {
-				groupMax = row
-			}
-		}
-		if !haveMax || Compare(enc, y, groupMax, maxRow) > 0 {
-			maxRow = groupMax
-			haveMax = true
-		}
+// FindViolations looks for both witnesses of Theorem 1 at once: it sorts the
+// rows by X, ties in row order, and scans the sorted rows once. Within a
+// group of rows equal on X, a row whose Y-projection differs from the
+// group's first row forms a split with it; a row whose Y-projection is below
+// the greatest one of the groups before it forms a swap with the row holding
+// that maximum. The scan stops once it has both.
+func FindViolations(enc *relation.Encoded, x, y Spec) Violations {
+	var v Violations
+	if enc.NumRows() == 0 {
+		return v
 	}
-	return Swap{}, false
-}
-
-// evaluate sorts by (X,Y) and verifies both the split condition (Y constant
-// within X-groups) and the swap condition (Y non-decreasing across X-groups).
-// It returns the first violating witnesses it encounters.
-func evaluate(enc *relation.Encoded, x, y Spec) (Split, Swap, bool) {
-	order, groups := sortAndGroup(enc, x)
-	prevRow := -1
-	for _, g := range groups {
-		base := order[g.start]
-		for i := g.start + 1; i < g.end; i++ {
-			if Compare(enc, y, base, order[i]) != 0 {
-				return Split{RowS: base, RowT: order[i]}, Swap{}, false
-			}
-		}
-		if prevRow >= 0 && Compare(enc, y, base, prevRow) < 0 {
-			return Split{}, Swap{RowS: prevRow, RowT: base}, false
-		}
-		prevRow = base
+	rows := make([]int, enc.NumRows())
+	for i := range rows {
+		rows[i] = i
 	}
-	return Split{}, Swap{}, true
-}
-
-type group struct{ start, end int }
-
-// sortAndGroup returns row indexes sorted by the spec (stable on row index
-// for determinism) plus the boundaries of the equal-projection groups.
-func sortAndGroup(enc *relation.Encoded, spec Spec) ([]int, []group) {
-	n := enc.NumRows()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		c := Compare(enc, spec, order[i], order[j])
-		if c != 0 {
-			return c < 0
+	slices.SortFunc(rows, func(s, t int) int {
+		if c := Compare(enc, x, s, t); c != 0 {
+			return c
 		}
-		return order[i] < order[j]
+		return cmp.Compare(s, t)
 	})
-	var groups []group
-	start := 0
-	for i := 1; i <= n; i++ {
-		if i == n || Compare(enc, spec, order[i], order[start]) != 0 {
-			groups = append(groups, group{start: start, end: i})
-			start = i
+	// first opens the current X-group and groupTop is its row greatest on Y;
+	// top is the row greatest on Y among the earlier groups (-1 for none).
+	first, groupTop, top := rows[0], rows[0], -1
+	for _, row := range rows[1:] {
+		if Compare(enc, x, first, row) != 0 {
+			if v.HasSplit && v.HasSwap {
+				break
+			}
+			if top < 0 || Compare(enc, y, groupTop, top) > 0 {
+				top = groupTop
+			}
+			first, groupTop = row, row
+		}
+		if !v.HasSplit && Compare(enc, y, first, row) != 0 {
+			v.Split, v.HasSplit = Split{RowS: first, RowT: row}, true
+		}
+		if !v.HasSwap && top >= 0 && Compare(enc, y, row, top) < 0 {
+			v.Swap, v.HasSwap = Swap{RowS: top, RowT: row}, true
+		}
+		if Compare(enc, y, row, groupTop) > 0 {
+			groupTop = row
 		}
 	}
-	return order, groups
+	return v
 }
 
 // Trivial reports whether X ↦ Y holds on every relation instance, which for
@@ -296,7 +236,3 @@ func normalize(s Spec) Spec {
 	}
 	return out
 }
-
-// Normalize exposes the Normalization rewrite (drop repeated attributes,
-// keeping the first occurrence) for use by other packages.
-func Normalize(s Spec) Spec { return normalize(s) }

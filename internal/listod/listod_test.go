@@ -1,7 +1,9 @@
 package listod
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -35,26 +37,12 @@ func TestSpecHelpers(t *testing.T) {
 	if got := outOfRange.Names([]string{"A"}); got != "[#5]" {
 		t.Errorf("Names out of range = %q", got)
 	}
-	if !s.Equal(Spec{2, 0, 2}) || s.Equal(Spec{2, 0}) || s.Equal(Spec{2, 0, 1}) {
-		t.Error("Equal incorrect")
-	}
 	if !s.Contains(0) || s.Contains(7) {
 		t.Error("Contains incorrect")
 	}
 	one := Spec{1}
-	if got := one.Concat(Spec{2, 3}); !got.Equal(Spec{1, 2, 3}) {
+	if got := one.Concat(Spec{2, 3}); !slices.Equal(got, Spec{1, 2, 3}) {
 		t.Errorf("Concat = %v", got)
-	}
-	mixed := Spec{3, 1, 3, 0}
-	attrs := mixed.AttrSetOf()
-	want := []int{0, 1, 3}
-	if len(attrs) != len(want) {
-		t.Fatalf("AttrSetOf = %v", attrs)
-	}
-	for i := range want {
-		if attrs[i] != want[i] {
-			t.Fatalf("AttrSetOf = %v, want %v", attrs, want)
-		}
 	}
 	od := OD{Left: Spec{0}, Right: Spec{1, 2}}
 	if od.String() != "[0] -> [1,2]" {
@@ -110,14 +98,14 @@ func TestTable1ODs(t *testing.T) {
 	if Holds(enc, Spec{posit}, Spec{posit, sal}) {
 		t.Error("[posit] -> [posit,sal] should not hold (splits)")
 	}
-	if _, ok := FindSplit(enc, Spec{posit}, Spec{sal}); !ok {
+	if !FindViolations(enc, Spec{posit}, Spec{sal}).HasSplit {
 		t.Error("expected a split witness for posit vs sal")
 	}
 	// Example 3: swap over [salary] ~ [subgroup].
 	if OrderCompatible(enc, Spec{sal}, Spec{subg}) {
 		t.Error("[sal] ~ [subg] should not hold (swap)")
 	}
-	if _, ok := FindSwap(enc, Spec{sal}, Spec{subg}); !ok {
+	if !FindViolations(enc, Spec{sal}, Spec{subg}).HasSwap {
 		t.Error("expected a swap witness for sal vs subg")
 	}
 	// Example 4: {year}: bin ~ salary, i.e. [yr,bin] ~ [yr,sal].
@@ -146,7 +134,8 @@ func TestFindSplitAndSwapWitnessesAreValid(t *testing.T) {
 	enc, idx := employees(t)
 	posit, sal, subg := idx["posit"], idx["sal"], idx["subg"]
 
-	if w, ok := FindSplit(enc, Spec{posit}, Spec{sal}); ok {
+	if v := FindViolations(enc, Spec{posit}, Spec{sal}); v.HasSplit {
+		w := v.Split
 		if Compare(enc, Spec{posit}, w.RowS, w.RowT) != 0 {
 			t.Error("split witness rows differ on the left side")
 		}
@@ -157,10 +146,11 @@ func TestFindSplitAndSwapWitnessesAreValid(t *testing.T) {
 		t.Error("expected split witness")
 	}
 
-	if w, ok := FindSwap(enc, Spec{sal}, Spec{subg}); ok {
+	if v := FindViolations(enc, Spec{sal}, Spec{subg}); v.HasSwap {
+		w := v.Swap
 		cx := Compare(enc, Spec{sal}, w.RowS, w.RowT)
 		cy := Compare(enc, Spec{subg}, w.RowS, w.RowT)
-		if !(cx < 0 && cy > 0) && !(cx > 0 && cy < 0) {
+		if cx >= 0 || cy <= 0 {
 			t.Errorf("swap witness rows (%d,%d) are not a swap: cx=%d cy=%d", w.RowS, w.RowT, cx, cy)
 		}
 	} else {
@@ -168,15 +158,12 @@ func TestFindSplitAndSwapWitnessesAreValid(t *testing.T) {
 	}
 
 	// No witnesses where the dependency holds.
-	if _, ok := FindSplit(enc, Spec{sal}, Spec{idx["tax"]}); ok {
-		t.Error("unexpected split witness for sal -> tax")
-	}
-	if _, ok := FindSwap(enc, Spec{sal}, Spec{idx["tax"]}); ok {
-		t.Error("unexpected swap witness for sal ~ tax")
+	if v := FindViolations(enc, Spec{sal}, Spec{idx["tax"]}); v.HasSplit || v.HasSwap {
+		t.Errorf("unexpected witness for sal -> tax: %+v", v)
 	}
 }
 
-func TestTrivialAndNormalize(t *testing.T) {
+func TestTrivial(t *testing.T) {
 	cases := []struct {
 		x, y Spec
 		want bool
@@ -194,9 +181,6 @@ func TestTrivialAndNormalize(t *testing.T) {
 		if got := Trivial(tc.x, tc.y); got != tc.want {
 			t.Errorf("Trivial(%v,%v) = %v, want %v", tc.x, tc.y, got, tc.want)
 		}
-	}
-	if got := Normalize(Spec{2, 1, 2, 0, 1}); !got.Equal(Spec{2, 1, 0}) {
-		t.Errorf("Normalize = %v", got)
 	}
 }
 
@@ -293,4 +277,72 @@ func randomSpec(rng *rand.Rand, cols int) Spec {
 		out = append(out, rng.Intn(cols))
 	}
 	return out
+}
+
+// FuzzListViolations holds FindViolations and Holds to pairwise brute
+// force. The input decodes to a relation of at most 24 rows and 5 columns,
+// each column drawing from a domain of 1 to 4 values, and two specs of at
+// most 3 attributes each. A split or swap must be found exactly when some
+// pair of rows forms one, every witness must be a genuine split (equal on X,
+// different on Y) or swap (strictly before on X, strictly after on Y), and
+// Holds must equal HoldsBruteForce.
+func FuzzListViolations(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 1, 0, 3, 2, 2, 2, 0, 1}, uint8(1), []byte{0}, []byte{1})
+	f.Add([]byte{3, 0, 1, 2, 0, 0, 1, 1, 2, 3, 3, 0, 1, 2, 0}, uint8(17), []byte{2, 0}, []byte{1, 2})
+	f.Add([]byte{1, 1, 1, 1, 1, 1}, uint8(0), []byte{}, []byte{0})
+	f.Fuzz(func(t *testing.T, cells []byte, shape uint8, left, right []byte) {
+		cols := 1 + int(shape%5)
+		domain := 1 + int(shape/5)%4
+		rows := min(24, len(cells)/cols)
+		header := make([]string, cols)
+		for c := range header {
+			header[c] = fmt.Sprintf("c%d", c)
+		}
+		data := make([][]string, rows)
+		for r := range data {
+			data[r] = make([]string, cols)
+			for c := range data[r] {
+				data[r][c] = fmt.Sprint(int(cells[r*cols+c]) % domain)
+			}
+		}
+		rel, err := relation.FromRows("fuzz", header, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := relation.Encode(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := func(b []byte) Spec {
+			out := Spec{}
+			for _, a := range b[:min(3, len(b))] {
+				out = append(out, int(a)%cols)
+			}
+			return out
+		}
+		x, y := spec(left), spec(right)
+
+		split, swap := false, false
+		for s := range rows {
+			for u := range rows {
+				cx, cy := Compare(enc, x, s, u), Compare(enc, y, s, u)
+				split = split || (cx == 0 && cy != 0)
+				swap = swap || (cx < 0 && cy > 0)
+			}
+		}
+		v := FindViolations(enc, x, y)
+		if v.HasSplit != split || v.HasSwap != swap {
+			t.Fatalf("X=%v Y=%v over %v: found split %v swap %v, brute force split %v swap %v",
+				x, y, data, v.HasSplit, v.HasSwap, split, swap)
+		}
+		if w := v.Split; v.HasSplit && (Compare(enc, x, w.RowS, w.RowT) != 0 || Compare(enc, y, w.RowS, w.RowT) == 0) {
+			t.Fatalf("X=%v Y=%v over %v: rows %d, %d are no split", x, y, data, w.RowS, w.RowT)
+		}
+		if w := v.Swap; v.HasSwap && (Compare(enc, x, w.RowS, w.RowT) >= 0 || Compare(enc, y, w.RowS, w.RowT) <= 0) {
+			t.Fatalf("X=%v Y=%v over %v: rows %d, %d are no swap", x, y, data, w.RowS, w.RowT)
+		}
+		if got, want := Holds(enc, x, y), HoldsBruteForce(enc, x, y); got != want {
+			t.Fatalf("X=%v Y=%v over %v: Holds = %v, brute force = %v", x, y, data, got, want)
+		}
+	})
 }

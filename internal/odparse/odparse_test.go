@@ -2,6 +2,7 @@ package odparse
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
@@ -135,7 +136,7 @@ func TestResolve(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
-	if !r.Left.Equal(listod.Spec{3}) || !r.Right.Equal(listod.Spec{4}) {
+	if !slices.Equal(r.Left, listod.Spec{3}) || !slices.Equal(r.Right, listod.Spec{4}) {
 		t.Errorf("Resolve list = %+v", r)
 	}
 
@@ -235,7 +236,7 @@ func TestFormatRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Resolve(%q): %v", text, err)
 		}
-		if !r.Left.Equal(od.Left) || !r.Right.Equal(od.Right) {
+		if !slices.Equal(r.Left, od.Left) || !slices.Equal(r.Right, od.Right) {
 			t.Errorf("round trip of %v through %q gave %v -> %v", od, text, r.Left, r.Right)
 		}
 	}

@@ -16,7 +16,6 @@ package order
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/bitset"
@@ -176,10 +175,9 @@ func evaluateNode(enc *relation.Encoded, nd *node, res *Result, seen map[string]
 			valids++
 			continue
 		}
-		_, hasSplit := listod.FindSplit(enc, lhs, rhs)
-		_, hasSwap := listod.FindSwap(enc, lhs, rhs)
+		v := listod.FindViolations(enc, lhs, rhs)
 		switch {
-		case !hasSplit && !hasSwap:
+		case !v.HasSplit && !v.HasSwap:
 			valids++
 			od := listod.OD{Left: lhs, Right: rhs}
 			key := od.String()
@@ -187,7 +185,7 @@ func evaluateNode(enc *relation.Encoded, nd *node, res *Result, seen map[string]
 				seen[key] = true
 				res.ODs = append(res.ODs, od)
 			}
-		case hasSwap:
+		case v.HasSwap:
 			swaps++
 		}
 	}
@@ -215,16 +213,4 @@ func mapToCanonical(ods []listod.OD) []canonical.OD {
 	}
 	canonical.Sort(out)
 	return out
-}
-
-// SortODs orders list-based ODs deterministically (by length then lexical
-// content) for stable output in tools and tests.
-func SortODs(ods []listod.OD) {
-	sort.Slice(ods, func(i, j int) bool {
-		si, sj := ods[i].String(), ods[j].String()
-		if len(si) != len(sj) {
-			return len(si) < len(sj)
-		}
-		return si < sj
-	})
 }

@@ -248,18 +248,6 @@ func TestDiscoverMaxLevel(t *testing.T) {
 	}
 }
 
-func TestSortODs(t *testing.T) {
-	ods := []listod.OD{
-		{Left: listod.Spec{2}, Right: listod.Spec{1, 0}},
-		{Left: listod.Spec{0}, Right: listod.Spec{1}},
-		{Left: listod.Spec{1}, Right: listod.Spec{0}},
-	}
-	SortODs(ods)
-	if ods[0].String() != "[0] -> [1]" || ods[1].String() != "[1] -> [0]" {
-		t.Errorf("SortODs order = %v", ods)
-	}
-}
-
 func itoa(v int) string {
 	if v == 0 {
 		return "0"

@@ -28,6 +28,7 @@ func BenchmarkFromColumn(b *testing.B) {
 }
 
 func BenchmarkProduct(b *testing.B) {
+	// A fresh workspace per call, as a nil scratch gives.
 	colA, cardA := randomColumn(100_000, 100, 1)
 	colB, cardB := randomColumn(100_000, 100, 2)
 	pa := FromColumn(colA, cardA)
@@ -35,7 +36,7 @@ func BenchmarkProduct(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Product(pa, pb)
+		pa.ProductWith(pb, nil)
 	}
 }
 
@@ -91,7 +92,7 @@ func BenchmarkHasSwapSortedScan(b *testing.B) {
 	ctx, colA, colB := swapBenchInput(false)
 	b.ReportAllocs()
 	for b.Loop() {
-		ctx.HasSwap(colA, colB)
+		ctx.HasSwapWith(colA, colB, nil)
 	}
 }
 
@@ -153,13 +154,13 @@ func BenchmarkHasSwapNaive(b *testing.B) {
 	}
 }
 
-func BenchmarkConstantInClasses(b *testing.B) {
+func BenchmarkFindSplit(b *testing.B) {
 	ctxCol, ctxCard := randomColumn(100_000, 100, 1)
 	col, _ := randomColumn(100_000, 5, 2)
 	ctx := FromColumn(ctxCol, ctxCard)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx.ConstantInClasses(col)
+		ctx.FindSplit(col)
 	}
 }

@@ -1,13 +1,22 @@
 // Package partition implements the partition machinery of Section 4.6 of the
 // paper: equivalence-class partitions ΠX over attribute sets, stripped
 // partitions Π*X (singleton classes removed), linear-time partition products,
-// and the swap check used to validate order-compatibility ODs X: A ~ B: a
-// scan of neighbouring rows, then a sorted scan of each class. Discovery
-// derives partitions with RefineWith, the product Π(X)·Π({B}) computed by
-// splitting each class of Π*X by B's ranks; ProductWith is the general
-// two-operand product. All operations work on rank-encoded columns (see
-// package relation), whose ranks are dense, so value comparisons are integer
-// comparisons and per-rank tables are sized by the column's cardinality.
+// and the checks that validate canonical ODs within each class. All
+// operations work on rank-encoded columns (see package relation), whose
+// ranks are dense, so value comparisons are integer comparisons and per-rank
+// tables are sized by the column's cardinality.
+//
+// Each kernel has one entry point; those that need a workspace take a
+// *Scratch, or nil to allocate one:
+//
+//   - RefineWith, the product Π(X)·Π({B}) that discovery derives every
+//     partition with, computed by splitting each class of Π*X by B's ranks;
+//   - ProductWith, the general two-operand product;
+//   - FindSplit, the check of X: [] ↦ A, which returns a split if any;
+//   - HasSwapWith, the check of X: A ~ B: a scan of neighbouring rows, then
+//     a sorted scan of each class;
+//   - FindSwapWith, which returns a swap if any, from the sorted scan alone;
+//   - ConstancyRemovals and SwapRemovals, the g3-style error counts.
 //
 // # Memory model
 //
@@ -195,12 +204,6 @@ func (p *Partition) FootprintBytes() int { return 4 * (len(p.rows) + len(p.offse
 // ΠXA refines ΠX.
 func (p *Partition) Error() int { return p.Size() - p.NumClasses() }
 
-// NumClassesUnstripped returns |ΠX|, the number of equivalence classes
-// including singletons.
-func (p *Partition) NumClassesUnstripped() int {
-	return p.NumRows - p.Size() + p.NumClasses()
-}
-
 // IsSuperkey reports whether X is a superkey: every equivalence class is a
 // singleton, i.e. the stripped partition is empty.
 func (p *Partition) IsSuperkey() bool { return len(p.rows) == 0 }
@@ -220,23 +223,6 @@ func (p *Partition) Clone() *Partition {
 // String summarizes the partition for diagnostics.
 func (p *Partition) String() string {
 	return fmt.Sprintf("Partition{rows=%d classes=%d size=%d}", p.NumRows, p.NumClasses(), p.Size())
-}
-
-// ConstantInClasses reports whether attribute col (rank-encoded) is constant
-// within every equivalence class of the partition, i.e. whether the canonical
-// OD X: [] ↦ A holds where the receiver is Π*X. Singleton classes are
-// trivially constant and are not present in a stripped partition.
-func (p *Partition) ConstantInClasses(col []int32) bool {
-	for ci, n := 0, p.NumClasses(); ci < n; ci++ {
-		cls := p.Class(ci)
-		first := col[cls[0]]
-		for _, row := range cls[1:] {
-			if col[row] != first {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Refines reports whether p refines q: every class of p is contained in some
@@ -278,7 +264,11 @@ type SplitWitness struct {
 }
 
 // FindSplit returns a witness pair for a violation of X: [] ↦ A within the
-// context partition, if one exists.
+// context partition, if one exists: the first class, in class order, in
+// which attribute col (rank-encoded) is not constant, its first row and the
+// first row that differs from it on col. The canonical OD X: [] ↦ A holds,
+// where the receiver is Π*X, exactly when there is none. Singleton classes
+// are trivially constant and are not present in a stripped partition.
 func (p *Partition) FindSplit(col []int32) (SplitWitness, bool) {
 	for ci, n := 0, p.NumClasses(); ci < n; ci++ {
 		cls := p.Class(ci)

@@ -53,9 +53,6 @@ func TestFromColumn(t *testing.T) {
 	if p.Size() != 5 || p.NumClasses() != 2 || p.Error() != 3 {
 		t.Errorf("Size=%d NumClasses=%d Error=%d", p.Size(), p.NumClasses(), p.Error())
 	}
-	if p.NumClassesUnstripped() != 3 {
-		t.Errorf("NumClassesUnstripped = %d, want 3", p.NumClassesUnstripped())
-	}
 	if p.IsSuperkey() {
 		t.Error("IsSuperkey = true, want false")
 	}
@@ -66,9 +63,6 @@ func TestFromColumnKey(t *testing.T) {
 	p := FromColumn(col, card)
 	if !p.IsSuperkey() || p.NumClasses() != 0 {
 		t.Error("all-distinct column should produce an empty stripped partition")
-	}
-	if p.NumClassesUnstripped() != 4 {
-		t.Errorf("NumClassesUnstripped = %d, want 4", p.NumClassesUnstripped())
 	}
 }
 
@@ -133,14 +127,14 @@ func TestProduct(t *testing.T) {
 	posit, pc := buildColumn([]int{1, 2, 3, 1, 2, 3})
 	pYear := FromColumn(year, yc)
 	pPosit := FromColumn(posit, pc)
-	prod := Product(pYear, pPosit)
+	prod := pYear.ProductWith(pPosit, nil)
 	// year+position is a key for this table: all classes become singletons.
 	if !prod.IsSuperkey() {
 		t.Errorf("product = %v, want superkey", classesOf(prod))
 	}
 
 	// position x bin where bin == position: product equals the position partition.
-	prod2 := Product(pPosit, pPosit)
+	prod2 := pPosit.ProductWith(pPosit, nil)
 	if !reflect.DeepEqual(classesOf(prod2), classesOf(pPosit)) {
 		t.Errorf("product with self = %v, want %v", classesOf(prod2), classesOf(pPosit))
 	}
@@ -158,7 +152,7 @@ func TestProductMatchesDirectGrouping(t *testing.T) {
 		}
 		colA, ca := buildColumn(a)
 		colB, cb := buildColumn(b)
-		prod := Product(FromColumn(colA, ca), FromColumn(colB, cb))
+		prod := FromColumn(colA, ca).ProductWith(FromColumn(colB, cb), nil)
 
 		// Direct grouping on the pair (a,b).
 		groups := map[[2]int][]int32{}
@@ -190,22 +184,7 @@ func TestProductPanicsOnMismatchedRows(t *testing.T) {
 			t.Error("expected panic for partitions over different relations")
 		}
 	}()
-	Product(FromConstant(3), FromConstant(4))
-}
-
-func TestConstantInClasses(t *testing.T) {
-	// position partition: {secr rows 0,3}, {mngr 1,4}, {direct 2,5}
-	posit, pc := buildColumn([]int{1, 2, 3, 1, 2, 3})
-	p := FromColumn(posit, pc)
-
-	bin, _ := buildColumn([]int{1, 2, 3, 1, 2, 3})  // constant per position
-	sal, _ := buildColumn([]int{5, 8, 10, 4, 6, 8}) // not constant per position
-	if !p.ConstantInClasses(bin) {
-		t.Error("bin should be constant within position classes (Example 4)")
-	}
-	if p.ConstantInClasses(sal) {
-		t.Error("salary should not be constant within position classes (Example 3 splits)")
-	}
+	FromConstant(3).ProductWith(FromConstant(4), nil)
 }
 
 func TestFindSplit(t *testing.T) {
@@ -235,14 +214,14 @@ func TestHasSwapTable1(t *testing.T) {
 	subg, _ := buildColumn([]int{3, 2, 1, 3, 1, 2})
 
 	ctxYear := FromColumn(year, yc)
-	if ctxYear.HasSwap(bin, sal) {
+	if ctxYear.HasSwapWith(bin, sal, nil) {
 		t.Error("{year}: bin ~ salary should hold (Example 4)")
 	}
 	empty := FromConstant(6)
-	if !empty.HasSwap(sal, subg) {
+	if !empty.HasSwapWith(sal, subg, nil) {
 		t.Error("{}: salary ~ subgroup should be violated (Example 3 swap)")
 	}
-	w, ok := empty.FindSwap(sal, subg)
+	w, ok := empty.FindSwapWith(sal, subg, nil)
 	if !ok {
 		t.Fatal("expected a swap witness")
 	}
@@ -257,11 +236,11 @@ func TestHasSwapTiesDoNotCount(t *testing.T) {
 	a := []int32{0, 0, 0, 0}
 	b := []int32{3, 1, 2, 0}
 	p := FromConstant(4)
-	if p.HasSwap(a, b) {
+	if p.HasSwapWith(a, b, nil) {
 		t.Error("ties in A must not be swaps")
 	}
 	// Equal B values with increasing A are fine too.
-	if p.HasSwap(b, a) {
+	if p.HasSwapWith(b, a, nil) {
 		t.Error("ties in B must not be swaps")
 	}
 }
@@ -292,11 +271,11 @@ func TestHasSwapAgainstBruteForce(t *testing.T) {
 				}
 			}
 		}
-		if got := ctx.HasSwap(colA, colB); got != brute {
-			t.Fatalf("trial %d: HasSwap = %v, brute force = %v\nctx=%v a=%v b=%v",
+		if got := ctx.HasSwapWith(colA, colB, nil); got != brute {
+			t.Fatalf("trial %d: HasSwapWith = %v, brute force = %v\nctx=%v a=%v b=%v",
 				trial, got, brute, ctxVals, aVals, bVals)
 		}
-		if w, ok := ctx.FindSwap(colA, colB); ok {
+		if w, ok := ctx.FindSwapWith(colA, colB, nil); ok {
 			s, tt := w.RowS, w.RowT
 			if ctxVals[s] != ctxVals[tt] {
 				t.Fatalf("trial %d: witness rows in different context classes", trial)
@@ -357,7 +336,7 @@ func TestErrorCriterionMatchesFDSemantics(t *testing.T) {
 		colX, cx := buildColumn(x)
 		colA, ca := buildColumn(a)
 		pX := FromColumn(colX, cx)
-		pXA := Product(pX, FromColumn(colA, ca))
+		pXA := pX.ProductWith(FromColumn(colA, ca), nil)
 
 		direct := true
 		for s := 0; s < n && direct; s++ {
@@ -369,9 +348,9 @@ func TestErrorCriterionMatchesFDSemantics(t *testing.T) {
 			}
 		}
 		viaError := pX.Error() == pXA.Error()
-		viaConstant := pX.ConstantInClasses(colA)
-		if viaError != direct || viaConstant != direct {
-			t.Fatalf("trial %d: error criterion=%v constant=%v direct=%v", trial, viaError, viaConstant, direct)
+		_, split := pX.FindSplit(colA)
+		if viaError != direct || split == direct {
+			t.Fatalf("trial %d: error criterion=%v split=%v direct=%v", trial, viaError, split, direct)
 		}
 	}
 }

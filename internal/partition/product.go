@@ -2,20 +2,6 @@ package partition
 
 import "fmt"
 
-// Product computes the stripped partition of X ∪ Y from the stripped
-// partitions of X and Y in time linear in the partition sizes, using the
-// standard probe-table construction: tuples that share a class in both inputs
-// share a class in the product. It is the general two-operand form of Section
-// 4.6. Discovery needs only its special case Π(X)·Π({B}), which RefineWith
-// computes from one operand; Product and ProductWith remain the reference the
-// tests hold RefineWith to.
-//
-// Product allocates a fresh workspace per call; a loop that computes many
-// products should hold a Scratch and call ProductWith instead.
-func Product(a, b *Partition) *Partition {
-	return a.ProductWith(b, nil)
-}
-
 // Scratch is a reusable workspace for the partition kernels: RefineWith,
 // ProductWith, the scratch-backed swap checks (HasSwapWith, FindSwapWith)
 // and the approximate-error kernels (SwapRemovals, ConstancyRemovals). A
@@ -86,13 +72,19 @@ func (p *Partition) RefineWith(col []int32, cardinality int, s *Scratch) *Partit
 	return s.split(p, col)
 }
 
-// ProductWith computes Product(a, b) using s as scratch space, avoiding the
-// per-call probe-table and grouping allocations. A nil scratch is allowed and
-// makes the call equivalent to Product(a, b). When every class of b lies
-// within one class of a, the result is b itself, as RefineWith returns its
-// receiver; otherwise it is a freshly allocated Partition whose rows and
-// offsets share one exact-size buffer and nothing with the scratch or the
-// operands.
+// ProductWith computes the stripped partition of X ∪ Y from the stripped
+// partitions a = Π*X and b = Π*Y in time linear in the partition sizes,
+// using the standard probe-table construction: tuples that share a class in
+// both inputs share a class in the product. It is the general two-operand
+// form of Section 4.6. Discovery needs only its special case Π(X)·Π({B}),
+// which RefineWith computes from one operand; ProductWith remains the
+// reference the tests hold RefineWith to, and the benchmark's pair-product
+// layer. s is the workspace, which spares a loop of products the per-call
+// probe-table and grouping allocations; nil allocates one. When every class
+// of b lies within one class of a, the result is b itself, as RefineWith
+// returns its receiver; otherwise it is a freshly allocated Partition whose
+// rows and offsets share one exact-size buffer and nothing with the scratch
+// or the operands.
 //
 // The class order of the result is deterministic: classes are emitted
 // right-operand-major — for each class of b in order, its subclasses in order

@@ -9,19 +9,13 @@ type SwapWitness struct {
 	RowS, RowT int
 }
 
-// HasSwap reports whether some equivalence class of the context partition
-// contains a swap between colA and colB, i.e. whether the canonical OD
-// X: A ~ B is violated (the receiver being Π*X). It is the convenience form
-// of HasSwapWith with a private workspace; validation loops should reuse a
-// per-worker Scratch instead.
-func (p *Partition) HasSwap(colA, colB []int32) bool {
-	return p.HasSwapWith(colA, colB, nil)
-}
-
-// HasSwapWith is HasSwap using s as scratch space (nil allocates one). It
-// first walks every class in stored order and returns true at the first two
-// consecutive rows that are strictly inverted on (A, B): such a pair is a
-// swap, and on violated ODs one usually sits next to another. Only when no
+// HasSwapWith reports whether some equivalence class of the context
+// partition contains a swap between colA and colB, i.e. whether the
+// canonical OD X: A ~ B is violated (the receiver being Π*X). s is the
+// workspace: validation loops reuse a per-worker Scratch, and nil allocates
+// one. It first walks every class in stored order and returns true at the
+// first two consecutive rows that are strictly inverted on (A, B): such a
+// pair is a swap, and on violated ODs one usually sits next to another. Only when no
 // class has such a pair are the classes sorted: each is ordered by its
 // (A-rank, B-rank) pairs with a scratch-backed radix sort over the dense
 // ranks — no per-class allocation, no comparison sort — and then scanned
@@ -58,13 +52,11 @@ func (p *Partition) neighbourInversions(colA, colB []int32, limit int) int {
 	return n
 }
 
-// FindSwap returns a witness pair for a swap between colA and colB within the
-// context partition, if one exists.
-func (p *Partition) FindSwap(colA, colB []int32) (SwapWitness, bool) {
-	return p.findSwap(colA, colB, true, nil)
-}
-
-// FindSwapWith is FindSwap using s as scratch space (nil allocates one).
+// FindSwapWith returns a witness pair for a swap between colA and colB
+// within the context partition, if one exists, using s as scratch space (nil
+// allocates one). It skips HasSwapWith's neighbour scan and always sorts
+// each class, so its witness does not depend on which neighbouring pair that
+// scan would meet first.
 func (p *Partition) FindSwapWith(colA, colB []int32, s *Scratch) (SwapWitness, bool) {
 	return p.findSwap(colA, colB, true, s)
 }

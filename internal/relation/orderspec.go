@@ -530,9 +530,15 @@ func (o *keyOrder) ascending(a, b sortKey) int {
 }
 
 // parseDate parses a raw value under the first matching accepted layout and
-// returns its unix time.
+// returns its unix time. Every layout needs at least 10 bytes and opens with
+// a digit (a four-digit year or a two-digit month), so a value without both
+// is rejected before time.Parse, which would allocate an error per layout:
+// date collation on a column of short integers or names parses nothing.
 func parseDate(raw string) (int64, bool) {
 	v := strings.TrimSpace(raw)
+	if len(v) < 10 || v[0] < '0' || v[0] > '9' {
+		return 0, false
+	}
 	for _, layout := range dateLayouts {
 		if ts, err := time.Parse(layout, v); err == nil {
 			return ts.Unix(), true

@@ -3,6 +3,7 @@ package relation
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzEncodeSpec differences the two independent implementations of the
@@ -121,6 +122,33 @@ func FuzzEncodeSpec(f *testing.F) {
 						co, i, j, raw[i], raw[j], ranks[i], ranks[j], rranks[i], rranks[j])
 				}
 			}
+		}
+	})
+}
+
+// FuzzParseDate holds parseDate to the plain loop over dateLayouts it
+// shortcuts: for any raw value both must agree on whether it parses and on
+// its unix time. FuzzEncodeSpec cannot catch a wrong shortcut, because
+// EncodeSpec and Compare both call parseDate.
+func FuzzParseDate(f *testing.F) {
+	for _, seed := range []string{
+		"2017-01-02", " 2017/01/02 ", "01/02/2017", "2017-01-02T15:04:05+02:00",
+		"2017-1-2", "1/2/2017", "+017-01-02", "x017-01-02", "1234567890", "20170102", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		var want int64
+		wantOK := false
+		v := strings.TrimSpace(raw)
+		for _, layout := range dateLayouts {
+			if ts, err := time.Parse(layout, v); err == nil {
+				want, wantOK = ts.Unix(), true
+				break
+			}
+		}
+		if got, ok := parseDate(raw); got != want || ok != wantOK {
+			t.Fatalf("parseDate(%q) = %d, %v; the layout loop gives %d, %v", raw, got, ok, want, wantOK)
 		}
 	})
 }
