@@ -188,7 +188,8 @@ type StatementCheck struct {
 // CheckStatement evaluates one parsed dependency expression against the
 // dataset: list statements are checked via the list-based semantics,
 // canonical statements by one canonical.FindViolation call, whose witness
-// decides whether they hold, plus an approximation error.
+// decides whether they hold; only a failing one has its approximate error
+// measured, since a holding one's is zero.
 //
 // Per-attribute order modifiers in the expression ("salary DESC NULLS LAST")
 // are honored: the statement is evaluated against a re-encoding of the
@@ -207,37 +208,23 @@ func (d *Dataset) CheckStatement(st Statement) (StatementCheck, error) {
 	}
 	out := StatementCheck{Statement: st}
 	switch st.Kind {
-	case odparse.ListOD, odparse.ListOrderCompat:
-		l, err := encSpec(enc, st.Left)
-		if err != nil {
-			return StatementCheck{}, err
-		}
-		r, err := encSpec(enc, st.Right)
-		if err != nil {
-			return StatementCheck{}, err
-		}
-		if st.Kind == odparse.ListOD {
-			out.Holds = listod.Holds(enc, l, r)
-		} else {
-			out.Holds = listod.OrderCompatible(enc, l, r)
-		}
-		return out, nil
-	case odparse.CanonicalConstancy, odparse.CanonicalOrderCompat:
+	case odparse.ListOD:
+		out.Holds = listod.Holds(enc, resolved.Left, resolved.Right)
+	case odparse.ListOrderCompat:
+		out.Holds = listod.OrderCompatible(enc, resolved.Left, resolved.Right)
+	default: // a canonical statement: Resolve rejects every other kind
 		v, violated, err := canonical.FindViolation(enc, resolved.Canonical)
 		if err != nil {
 			return StatementCheck{}, err
 		}
-		out.Holds = !violated
+		out.Holds, out.Error = !violated, &ApproxError{}
 		if violated {
-			out.Violation = &v
+			e, err := approx.ErrorOf(enc, resolved.Canonical)
+			if err != nil {
+				return StatementCheck{}, err
+			}
+			out.Violation, out.Error = &v, &e
 		}
-		e, err := approx.ErrorOf(enc, resolved.Canonical)
-		if err != nil {
-			return StatementCheck{}, err
-		}
-		out.Error = &e
-		return out, nil
-	default:
-		return StatementCheck{}, fmt.Errorf("fastod: unknown statement kind %v", st.Kind)
 	}
+	return out, nil
 }

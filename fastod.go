@@ -325,17 +325,11 @@ func (d *Dataset) MapListOD(left, right []string) ([]OD, error) {
 
 // spec resolves column names to an order specification.
 func (d *Dataset) spec(names []string) (listod.Spec, error) {
-	return encSpec(d.enc, names)
-}
-
-// encSpec resolves column names against an arbitrary encoding — the dataset's
-// default one or a per-OrderSpec re-encoding.
-func encSpec(enc *relation.Encoded, names []string) (listod.Spec, error) {
 	out := make(listod.Spec, 0, len(names))
 	for _, n := range names {
-		idx := enc.ColumnIndex(n)
+		idx := d.enc.ColumnIndex(n)
 		if idx < 0 {
-			return nil, fmt.Errorf("fastod: unknown column %q (have %v)", n, enc.ColumnNames)
+			return nil, fmt.Errorf("fastod: unknown column %q (have %v)", n, d.enc.ColumnNames)
 		}
 		out = append(out, idx)
 	}

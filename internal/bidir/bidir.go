@@ -15,7 +15,6 @@ package bidir
 
 import (
 	"context"
-	"fmt"
 	"slices"
 
 	"repro/internal/bitset"
@@ -78,26 +77,21 @@ func (od OD) canonical() canonical.OD {
 	return canonical.OD{Context: od.Context, Kind: od.Kind, A: od.A, B: od.B}
 }
 
-// String renders the OD with attribute indexes.
-func (od OD) String() string {
-	if od.Kind == canonical.Constancy {
-		return fmt.Sprintf("%s: [] -> %d", od.Context, od.A)
-	}
-	return fmt.Sprintf("%s: %d ~ %d (%s)", od.Context, od.A, od.B, od.Polarity)
+// String renders the OD with attribute indexes, and NamesString with
+// attribute names: canonical.OD's text, followed for an
+// order-compatibility OD by its polarity in parentheses.
+func (od OD) String() string { return od.withPolarity(od.canonical().String()) }
+
+// NamesString renders the OD with attribute names (see String).
+func (od OD) NamesString(names []string) string {
+	return od.withPolarity(od.canonical().NamesString(names))
 }
 
-// NamesString renders the OD with attribute names.
-func (od OD) NamesString(names []string) string {
-	name := func(a int) string {
-		if a >= 0 && a < len(names) {
-			return names[a]
-		}
-		return fmt.Sprintf("#%d", a)
-	}
+func (od OD) withPolarity(text string) string {
 	if od.Kind == canonical.Constancy {
-		return fmt.Sprintf("%s: [] -> %s", od.Context.Names(names), name(od.A))
+		return text
 	}
-	return fmt.Sprintf("%s: %s ~ %s (%s)", od.Context.Names(names), name(od.A), name(od.B), od.Polarity)
+	return text + " (" + od.Polarity.String() + ")"
 }
 
 // Holds checks a bidirectional canonical OD directly against the instance.

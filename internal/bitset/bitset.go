@@ -127,14 +127,18 @@ func (s AttrSet) String() string {
 // sorted by attribute index.
 func (s AttrSet) Names(names []string) string {
 	parts := make([]string, 0, s.Len())
-	s.ForEach(func(a int) {
-		if a < len(names) {
-			parts = append(parts, names[a])
-		} else {
-			parts = append(parts, fmt.Sprintf("#%d", a))
-		}
-	})
+	s.ForEach(func(a int) { parts = append(parts, Name(names, a)) })
 	return "{" + strings.Join(parts, ",") + "}"
+}
+
+// Name returns attribute a's name, names[a], or "#a" when names has none
+// for it: the one attribute-name lookup behind every rendering of a
+// dependency over names.
+func Name(names []string, a int) string {
+	if a >= 0 && a < len(names) {
+		return names[a]
+	}
+	return fmt.Sprintf("#%d", a)
 }
 
 // checkIndex guards the package's one invariant. The panic deliberately does

@@ -116,16 +116,10 @@ func (od OD) String() string {
 
 // NamesString renders the OD using attribute names, e.g. "{yr}: [] -> bin".
 func (od OD) NamesString(names []string) string {
-	name := func(a int) string {
-		if a >= 0 && a < len(names) {
-			return names[a]
-		}
-		return fmt.Sprintf("#%d", a)
-	}
 	if od.Kind == Constancy {
-		return fmt.Sprintf("%s: [] -> %s", od.Context.Names(names), name(od.A))
+		return fmt.Sprintf("%s: [] -> %s", od.Context.Names(names), bitset.Name(names, od.A))
 	}
-	return fmt.Sprintf("%s: %s ~ %s", od.Context.Names(names), name(od.A), name(od.B))
+	return fmt.Sprintf("%s: %s ~ %s", od.Context.Names(names), bitset.Name(names, od.A), bitset.Name(names, od.B))
 }
 
 // Less defines a deterministic total order over canonical ODs, used to sort

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/bitset"
 )
 
 // Budget bounds the resources one discovery run may consume. It is the
@@ -109,9 +111,5 @@ type SliceInfo struct {
 // rank. The CLI's report and progress lines and odserve's JSON all render
 // conditions through it.
 func (s SliceInfo) NamesString(names []string) string {
-	attr := fmt.Sprintf("#%d", s.Attr)
-	if s.Attr >= 0 && s.Attr < len(names) {
-		attr = names[s.Attr]
-	}
-	return fmt.Sprintf("%s=rank(%d)", attr, s.Value)
+	return fmt.Sprintf("%s=rank(%d)", bitset.Name(names, s.Attr), s.Value)
 }

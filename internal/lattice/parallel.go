@@ -69,8 +69,10 @@ func chunkFor(w, n int) int {
 // abandoned: cancellation latency is bounded by one item per worker, never
 // by a chunk or the whole level. A non-nil trap receives any panic a worker
 // raises (the worker's remaining items are abandoned; the trap is expected
-// to latch the stop signal so siblings drain too); with a nil trap panics
-// propagate to the caller.
+// to latch the stop signal so siblings drain too). With a nil trap panics
+// propagate to the caller: a worker's panic is recovered, no worker starts
+// another item, and once every worker has returned the first recovered
+// value is raised again on the caller's goroutine.
 func ParallelFor(w, n, chunk int, stop func() bool, trap func(rec any), fn func(worker, item int)) {
 	if w > n {
 		w = n
@@ -87,6 +89,19 @@ func ParallelFor(w, n, chunk int, stop func() bool, trap func(rec any), fn func(
 				fn(0, i)
 			}
 		})
+		return
+	}
+	if trap == nil {
+		var raised any
+		var failed atomic.Bool
+		ParallelFor(w, n, chunk, func() bool { return failed.Load() || stop != nil && stop() }, func(rec any) {
+			if failed.CompareAndSwap(false, true) {
+				raised = rec
+			}
+		}, fn)
+		if raised != nil {
+			panic(raised)
+		}
 		return
 	}
 	var cursor atomic.Int64

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestResolveWorkers(t *testing.T) {
@@ -53,6 +54,32 @@ func TestParallelForCoversAllItems(t *testing.T) {
 		}
 		// Zero items must not call fn at all.
 		eng.parallelFor(0, func(_, _ int) { t.Fatal("fn called for empty range") })
+	}
+}
+
+// TestParallelForNilTrapRaisesOnCaller: with a nil trap, a worker's panic
+// is raised again on the caller's goroutine, where a deferred recover gets
+// its value, and the pool starts no item after it, so the level's other
+// items are abandoned rather than run by the surviving worker.
+func TestParallelForNilTrapRaisesOnCaller(t *testing.T) {
+	const n = 1000
+	var started atomic.Int64
+	rec := func() (rec any) {
+		defer func() { rec = recover() }()
+		ParallelFor(2, n, 1, nil, nil, func(_, i int) {
+			started.Add(1)
+			if i == 3 {
+				panic("item 3")
+			}
+			time.Sleep(100 * time.Microsecond)
+		})
+		return nil
+	}()
+	if rec != "item 3" {
+		t.Fatalf("the caller recovered %v, want the worker's value %q", rec, "item 3")
+	}
+	if s := started.Load(); s == n {
+		t.Errorf("all %d items started, although item 3 panicked", s)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/bitset"
 	"repro/internal/relation"
 )
 
@@ -36,11 +37,7 @@ func (s Spec) String() string {
 func (s Spec) Names(names []string) string {
 	parts := make([]string, len(s))
 	for i, a := range s {
-		if a >= 0 && a < len(names) {
-			parts[i] = names[a]
-		} else {
-			parts[i] = fmt.Sprintf("#%d", a)
-		}
+		parts[i] = bitset.Name(names, a)
 	}
 	return "[" + strings.Join(parts, ",") + "]"
 }
@@ -124,15 +121,17 @@ func HoldsBruteForce(enc *relation.Encoded, x, y Spec) bool {
 	return true
 }
 
-// OrderEquivalent reports X ↔ Y: X ↦ Y and Y ↦ X.
+// OrderEquivalent reports X ↔ Y: X ↦ Y and Y ↦ X. On XY and YX it is
+// Definition 3 of X ~ Y, the oracle OrderCompatible is tested against.
 func OrderEquivalent(enc *relation.Encoded, x, y Spec) bool {
 	return Holds(enc, x, y) && Holds(enc, y, x)
 }
 
 // OrderCompatible reports X ~ Y, i.e. XY ↔ YX (Definition 3). By Theorem 1
-// this is equivalent to the absence of swaps between X and Y.
+// that is the absence of a swap between X and Y, which FindViolations looks
+// for with one sort by X.
 func OrderCompatible(enc *relation.Encoded, x, y Spec) bool {
-	return OrderEquivalent(enc, x.Concat(y), y.Concat(x))
+	return !FindViolations(enc, x, y).HasSwap
 }
 
 // Split is a pair of tuples witnessing a violation of the FD component of an

@@ -246,9 +246,11 @@ func TestTheorem1(t *testing.T) {
 	}
 }
 
-// Property: order compatibility is symmetric and reflexive.
+// Property: order compatibility is symmetric and reflexive, and the one-sort
+// check agrees with Definition 3, XY ↔ YX, on both outcomes.
 func TestOrderCompatibleSymmetricReflexive(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	incompatible := 0
 	for trial := 0; trial < 60; trial++ {
 		r := datagen.RandomStructuredRelation(2+rng.Intn(16), 3, 3, rng.Int63())
 		enc, err := relation.Encode(r)
@@ -257,7 +259,14 @@ func TestOrderCompatibleSymmetricReflexive(t *testing.T) {
 		}
 		x := randomSpec(rng, 3)
 		y := randomSpec(rng, 3)
-		if OrderCompatible(enc, x, y) != OrderCompatible(enc, y, x) {
+		got := OrderCompatible(enc, x, y)
+		if want := OrderEquivalent(enc, x.Concat(y), y.Concat(x)); got != want {
+			t.Fatalf("X=%v Y=%v: OrderCompatible says %v, Definition 3 (XY <-> YX) says %v", x, y, got, want)
+		}
+		if !got {
+			incompatible++
+		}
+		if got != OrderCompatible(enc, y, x) {
 			t.Fatalf("order compatibility is not symmetric for %v, %v", x, y)
 		}
 		if !OrderCompatible(enc, x, x) {
@@ -267,6 +276,9 @@ func TestOrderCompatibleSymmetricReflexive(t *testing.T) {
 		if !OrderCompatible(enc, Spec{}, x) {
 			t.Fatalf("empty spec should be order compatible with %v", x)
 		}
+	}
+	if incompatible == 0 {
+		t.Fatal("no random pair was incompatible, so Definition 3 was checked on one outcome only")
 	}
 }
 

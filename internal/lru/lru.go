@@ -43,17 +43,23 @@ type entry[K comparable, V any] struct {
 	tier int
 }
 
-// Stats describes a cache's accounting at one point in time.
+// Stats describes a cache's accounting at one point in time. Its tags are
+// the names odserve's /healthz reports the report cache under; every cache
+// in this module charges bytes.
 type Stats struct {
 	// Hits and Misses count Get outcomes.
-	Hits, Misses int
+	Hits   int `json:"hits"`
+	Misses int `json:"misses"`
 	// Puts counts values accepted into the cache; Evictions counts entries
 	// removed to respect the bound.
-	Puts, Evictions int
+	Puts      int `json:"puts"`
+	Evictions int `json:"evictions"`
 	// Entries and Cost describe the current contents. Cost never exceeds
 	// MaxCost except while an injected eviction fault has left the cache
 	// overshooting.
-	Entries, Cost, MaxCost int
+	Entries int `json:"entries"`
+	Cost    int `json:"cost_bytes"`
+	MaxCost int `json:"max_cost_bytes"`
 }
 
 // New builds an empty cache bounded to maxCost units of entry cost.

@@ -2,6 +2,7 @@ package relation_test
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -45,6 +46,41 @@ func TestReadCSVAllocsPerColumn(t *testing.T) {
 		})
 		if allocs > 1000 {
 			t.Errorf("%d chunks: decoding %d rows allocated %v times, want at most 1000", chunks, benchRows, allocs)
+		}
+	}
+}
+
+// TestReadCSVReservesByBytes decodes 8 MiB whose first 1 100 rows are
+// distinct and whose other 2.1 M rows are all "1,2", at one chunk and at
+// two. A chunk that finds a column mostly distinct after probing its first
+// rows reserves that column's table for the distinct count its scanned
+// bytes project, not for the chunk's row bound. A reservation by rows
+// allocates 118.5 MB at GOMAXPROCS 1 and 71.9 MB at 2, 14.1 and 8.6 times
+// the input; one by bytes allocates 55.2 MB and 40.3 MB, of which the
+// input's copy and the row ids take 25.2 MB. A race-detector build
+// allocates one input's size more, hence a bound of 8 times the input.
+func TestReadCSVReservesByBytes(t *testing.T) {
+	var b bytes.Buffer
+	b.WriteString("a,b\n")
+	for i := range 1100 {
+		fmt.Fprintf(&b, "%d,%d\n", 10_000_000+i, 10_000_000+i)
+	}
+	for b.Len() < 8<<20 {
+		b.WriteString("1,2\n")
+	}
+	limit := uint64(8 * b.Len())
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := relation.ReadCSV("skewed", bytes.NewReader(b.Bytes()))
+		runtime.ReadMemStats(&after)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("GOMAXPROCS %d: decoding %d bytes allocated %d bytes, want at most %d (8 times the input)", procs, b.Len(), got, limit)
 		}
 	}
 }

@@ -339,16 +339,18 @@ func (ch *chunk) decode(name string, r *csv.Reader) error {
 const probeRows = 1024
 
 // reserveDistinct sizes the dictionary of every column whose first probeRows
-// rows were mostly distinct for one value per row of the chunk. Doubling a
-// near-unique column's dictionary and table up from empty would allocate
-// about twice their final size and copy every entry several times. Its arena
-// is sized for its bytes so far, scaled from the scanned bytes to the
-// chunk's size with a quarter to spare for values that grow longer, so all
-// arenas together reserve at most 5/4 of the chunk's size.
+// rows were mostly distinct. Doubling a near-unique column's dictionary and
+// table up from empty would allocate about twice their final size and copy
+// every entry several times. Its entry count and its arena are projected
+// from what it holds so far, scaled from the scanned bytes to the chunk's
+// size: the count capped at the chunk's row bound, the arena with a quarter
+// to spare for values that grow longer, so all arenas together reserve at
+// most 5/4 of the chunk's size.
 func (ch *chunk) reserveDistinct(size, scanned int) {
+	scale := func(n int) int { return int(int64(n) * int64(size) / int64(scanned)) }
 	for c := range ch.tabs {
 		if t := &ch.tabs[c]; 2*len(t.ends) > probeRows {
-			t.reserve(ch.cap, int(int64(len(t.buf))*int64(size)/int64(scanned)*5/4))
+			t.reserve(min(ch.cap, scale(len(t.ends))), scale(len(t.buf))*5/4)
 		}
 	}
 }

@@ -75,7 +75,7 @@ func TestEncodeSpecWorkerPanicReachesCaller(t *testing.T) {
 	for i := range cols {
 		cols[i] = NewColumn("c"+strconv.Itoa(i), TypeInt, []string{"1", "2", "3"})
 	}
-	// An id past the dictionary: encodeColumn indexes out of range.
+	// An id past the dictionary: EncodeColumn indexes out of range.
 	cols[5] = Column{Name: "broken", Type: TypeInt, Dict: []string{"1"}, IDs: []int32{0, 0, 3}}
 	rel := New("panics", cols...)
 	var rec any

@@ -284,21 +284,13 @@ func EncodeSpec(r *Relation, spec OrderSpec) (*Encoded, error) {
 		rows:        r.NumRows(),
 	}
 	err := parallel(r.NumCols(), func(ci int) error {
-		col := r.Columns[ci]
 		var co ColumnOrder
 		if spec != nil {
 			co = spec[ci]
 		}
-		if err := co.Validate(); err != nil {
-			return fmt.Errorf("relation: column %q: %w", col.Name, err)
-		}
-		ranks, card, err := encodeColumn(col, co)
-		if err != nil {
-			return fmt.Errorf("relation: column %q: %w", col.Name, err)
-		}
-		enc.Values[ci] = ranks
-		enc.Cardinality[ci] = card
-		return nil
+		var err error
+		enc.Values[ci], enc.Cardinality[ci], err = EncodeColumn(r.Columns[ci], co)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -306,18 +298,25 @@ func EncodeSpec(r *Relation, spec OrderSpec) (*Encoded, error) {
 	return enc, nil
 }
 
-// encodeColumn rank-encodes one column under a column order from its
-// dictionary. One pass over the rows marks the dictionary entries they use;
-// a row prefix (Head, or a HeadRows dataset's raw view) may leave some
-// unused, and those get no key and no rank. Each used value is keyed once,
-// in dictionary order, and the keys themselves are sorted. A key holds no
-// pointer: it carries the value's dictionary id, and a string comparand is
-// read through that id from the dictionary, or from lowered copies under
-// CollateCaseInsensitive, the one collation that makes any. Runs of equal
-// keys share one dense rank; only the merging collations (numeric, date,
-// case-insensitive, rank) produce them. A last pass maps each row's id to
-// its rank. With d distinct values a column costs O(rows + d log d).
-func encodeColumn(col Column, co ColumnOrder) ([]int32, int, error) {
+// EncodeColumn rank-encodes one column under a column order from its
+// dictionary, returning the column's ranks and cardinality: the per-column
+// step of EncodeSpec, for a caller that re-encodes some columns only. An
+// invalid order, or a value that contradicts the column's type under
+// CollateDefault, is an error naming the column. One pass over the rows
+// marks the dictionary entries they use; a row prefix (Head, or a HeadRows
+// dataset's raw view) may leave some unused, and those get no key and no
+// rank. Each used value is keyed once, in dictionary order, and the keys
+// themselves are sorted. A key holds no pointer: it carries the value's
+// dictionary id, and a string comparand is read through that id from the
+// dictionary, or from lowered copies under CollateCaseInsensitive, the one
+// collation that makes any. Runs of equal keys share one dense rank; only
+// the merging collations (numeric, date, case-insensitive, rank) produce
+// them. A last pass maps each row's id to its rank. With d distinct values
+// a column costs O(rows + d log d).
+func EncodeColumn(col Column, co ColumnOrder) ([]int32, int, error) {
+	if err := co.Validate(); err != nil {
+		return nil, 0, fmt.Errorf("relation: column %q: %w", col.Name, err)
+	}
 	rank := make([]int32, len(col.Dict))
 	for _, id := range col.IDs {
 		rank[id] = 1
@@ -330,7 +329,7 @@ func encodeColumn(col Column, co ColumnOrder) ([]int32, int, error) {
 		}
 		k, err := o.key(int32(id))
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("relation: column %q: %w", col.Name, err)
 		}
 		keys = append(keys, k)
 	}

@@ -214,10 +214,12 @@ type Encoded struct {
 	// Cardinality[col] is the number of distinct values in attribute col.
 	Cardinality []int
 	// Base is the default encoding an order-spec re-encoding was made from
-	// (nil for a default encoding), and Equality its equality signature
-	// against Base: empty when every column keeps its base cardinality, and
-	// so its classes, else the merged columns with their collations. Equal
-	// signatures mean equal partitions, so a store bound to Base serves both.
+	// (nil for a default encoding), whose rank arrays it shares for every
+	// column its spec leaves at the default. Equality is its equality
+	// signature against Base: empty when every column keeps its base
+	// cardinality, and so its classes, else the merged columns with their
+	// collations. Equal signatures mean equal partitions, so a store bound to
+	// Base serves both.
 	Base     *Encoded
 	Equality string
 	rows     int

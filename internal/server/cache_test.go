@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -374,10 +376,24 @@ func TestHealthzReportsCacheStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("healthz: %v", err)
 	}
-	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("reading healthz: %v", err)
+	}
 	var health HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+	if err := json.Unmarshal(body, &health); err != nil {
 		t.Fatalf("decoding healthz: %v", err)
+	}
+	var wire struct {
+		ReportCache map[string]int `json:"report_cache"`
+	}
+	if err := json.Unmarshal(body, &wire); err != nil {
+		t.Fatalf("decoding healthz: %v", err)
+	}
+	want := []string{"cost_bytes", "entries", "evictions", "hits", "max_cost_bytes", "misses", "puts", "rejects"}
+	if got := slices.Sorted(maps.Keys(wire.ReportCache)); !slices.Equal(got, want) {
+		t.Errorf("healthz report_cache keys = %v, want %v", got, want)
 	}
 	if health.Status != "ok" {
 		t.Errorf("healthz status = %q, want ok", health.Status)
@@ -386,7 +402,7 @@ func TestHealthzReportsCacheStats(t *testing.T) {
 	if rc.Hits != 1 || rc.Misses != 1 || rc.Entries != 1 {
 		t.Errorf("healthz report_cache = %+v, want 1 hit, 1 miss, 1 entry", rc)
 	}
-	if rc.CostBytes <= 0 || rc.MaxCostBytes != DefaultReportCacheBytes {
+	if rc.Cost <= 0 || rc.MaxCost != DefaultReportCacheBytes {
 		t.Errorf("healthz report_cache accounting = %+v, want positive cost under the default bound", rc)
 	}
 }

@@ -27,14 +27,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // healthResponse assembles the /healthz body from the server's gauges.
 func (s *Server) healthResponse() HealthResponse {
-	resp := healthResponse(s.ReportCacheStats())
-	resp.Runtime = RuntimeInfo{
+	resp := HealthResponse{Status: "ok", ReportCache: s.ReportCacheStats(), Runtime: RuntimeInfo{
 		Goroutines:     runtime.NumGoroutine(),
 		HeapBytes:      s.mem.heapBytes(),
 		HeapLimitBytes: s.maxHeapBytes,
 		InternalErrors: s.internalErrors.Load(),
 		ShedRequests:   s.shedRequests.Load(),
-	}
+	}}
 	if s.overSoftMemory() {
 		resp.Status = "degraded"
 	}

@@ -255,19 +255,6 @@ func progressEvent(ev fastod.ProgressEvent) ProgressEvent {
 	return out
 }
 
-// CacheStatsInfo is CacheStats on the wire (the /healthz body), the
-// report-cache analog of the partition store's StoreStats.
-type CacheStatsInfo struct {
-	Hits         int `json:"hits"`
-	Misses       int `json:"misses"`
-	Puts         int `json:"puts"`
-	Rejects      int `json:"rejects"`
-	Evictions    int `json:"evictions"`
-	Entries      int `json:"entries"`
-	CostBytes    int `json:"cost_bytes"`
-	MaxCostBytes int `json:"max_cost_bytes"`
-}
-
 // RuntimeInfo is the process-health slice of /healthz: live goroutine and
 // heap gauges next to the counters that record how often the server has had
 // to contain a failure (internal_errors) or shed load (shed_requests).
@@ -283,25 +270,9 @@ type RuntimeInfo struct {
 // "degraded" while the heap sits over the soft memory limit (new discover
 // requests are then shed with 503).
 type HealthResponse struct {
-	Status      string         `json:"status"`
-	ReportCache CacheStatsInfo `json:"report_cache"`
-	Runtime     RuntimeInfo    `json:"runtime"`
-}
-
-func healthResponse(st CacheStats) HealthResponse {
-	return HealthResponse{
-		Status: "ok",
-		ReportCache: CacheStatsInfo{
-			Hits:         st.Hits,
-			Misses:       st.Misses,
-			Puts:         st.Puts,
-			Rejects:      st.Rejects,
-			Evictions:    st.Evictions,
-			Entries:      st.Entries,
-			CostBytes:    st.Cost,
-			MaxCostBytes: st.MaxCost,
-		},
-	}
+	Status      string      `json:"status"`
+	ReportCache CacheStats  `json:"report_cache"`
+	Runtime     RuntimeInfo `json:"runtime"`
 }
 
 // errorBody is the uniform JSON error envelope. RequestID is set on

@@ -375,12 +375,13 @@ func replyCost(key string, resp *DiscoverResponse) int {
 	return cost
 }
 
-// CacheStats is the report cache's accounting: the lru core's counters, with
-// Cost in bytes of cached replies, plus Rejects, the replies refused
-// (interrupted, or larger than the whole bound).
+// CacheStats is the report cache's accounting, as /healthz reports it under
+// "report_cache": the lru core's counters, with Cost in bytes of cached
+// replies, plus Rejects, the replies refused (interrupted, or larger than
+// the whole bound).
 type CacheStats struct {
 	lru.Stats
-	Rejects int
+	Rejects int `json:"rejects"`
 }
 
 // ReportCacheStats returns a snapshot of the report cache's accounting (the

@@ -30,11 +30,7 @@ func (fd FD) String() string { return fmt.Sprintf("%s -> %d", fd.LHS, fd.RHS) }
 
 // NamesString renders the FD with attribute names.
 func (fd FD) NamesString(names []string) string {
-	rhs := fmt.Sprintf("#%d", fd.RHS)
-	if fd.RHS >= 0 && fd.RHS < len(names) {
-		rhs = names[fd.RHS]
-	}
-	return fd.LHS.Names(names) + " -> " + rhs
+	return fd.LHS.Names(names) + " -> " + bitset.Name(names, fd.RHS)
 }
 
 // Result is the outcome of a TANE run.

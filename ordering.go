@@ -2,6 +2,7 @@ package fastod
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,11 +15,11 @@ import (
 // AttrOrder entries of Request.OrderSpecs, their canonicalization and
 // validation, the textual spec parser shared with the CLIs, and the
 // dataset's bounded cache of per-spec re-encodings. The flow is one-way:
-// named AttrOrders are canonicalized, fingerprinted, compiled onto the
-// dataset's columns as a relation.OrderSpec, and encoded away — every
-// discovery algorithm runs on the resulting plain ranks. Ranks change, the
-// partitions do not: every run shares the dataset's one partition store,
-// filed by equality signature (see SpecEncoded).
+// named AttrOrders are canonicalized, fingerprinted, resolved to the
+// dataset's columns, and encoded away column by column — every discovery
+// algorithm runs on the resulting plain ranks. Ranks change, the partitions
+// do not: every run shares the dataset's one partition store, filed by
+// equality signature (see SpecEncoded).
 
 // OrderDirection is the per-attribute sort direction of an order spec, and
 // the direction of a DirectedColumn in CheckBidirListOD.
@@ -179,15 +180,18 @@ func orderSpecKey(orders []AttrOrder, before, after string) string {
 // enough for a handful of specs on mid-size relations, small enough that a
 // spec-per-request adversary cannot hold the heap hostage (entries beyond the
 // bound evict LRU; oversized single encodings are served but never retained).
-// It charges rank arrays only (see encodedCost). Partitions are not charged
-// here: every re-encoding reads and fills the dataset's one partition store.
+// A re-encoding is charged the rank arrays it owns, rows × 4 bytes for each
+// column its spec names; its other columns are the default encoding's.
+// Partitions are not charged here: every re-encoding reads and fills the
+// dataset's one partition store.
 const defaultSpecEncodingBytes = 64 << 20
 
 // SpecEncoded returns the dataset re-encoded under the given (non-canonical
 // is fine) order overrides, from the cache when warm: the encoding Run uses
 // for Request.OrderSpecs, and spec-aware single-statement checks
 // (CheckStatement) too. Fully-default overrides return the dataset's own
-// encoding.
+// encoding. Only the columns the overrides name are re-ranked; every other
+// column keeps the default encoding's ranks and cardinality, shared with it.
 func (d *Dataset) SpecEncoded(orders []AttrOrder) (*relation.Encoded, error) {
 	canon := canonicalAttrOrders(orders)
 	if len(canon) == 0 {
@@ -200,31 +204,43 @@ func (d *Dataset) SpecEncoded(orders []AttrOrder) (*relation.Encoded, error) {
 	if enc, ok := d.specs.Get(key); ok {
 		return enc, nil
 	}
-	// Encode outside every lock: re-encoding is O(rows·cols·log) and must not
-	// serialize concurrent runs under different specs.
-	spec, err := d.relationSpec(canon)
-	if err != nil {
-		return nil, err
+	type named struct {
+		col   int
+		order relation.ColumnOrder
 	}
-	enc, err := relation.EncodeSpec(d.rel, spec)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+	cols := make([]named, len(canon))
+	for i, o := range canon {
+		if cols[i].col = d.enc.ColumnIndex(o.Column); cols[i].col < 0 {
+			return nil, fmt.Errorf("%w: OrderSpecs names unknown column %q", ErrInvalidRequest, o.Column)
+		}
+		cols[i].order = o.columnOrder()
 	}
-	// Raw-equal values share a rank under every spec, so a column's classes
-	// change exactly when its cardinality does; only the collation decides
-	// which values merge, never the direction or NULL placement.
+	slices.SortFunc(cols, func(a, b named) int { return a.col - b.col })
+	// Encode outside every lock, so that concurrent runs under different
+	// specs do not serialize. Raw-equal values share a rank under every
+	// spec, so a column's classes change exactly when its cardinality does;
+	// only the collation decides which values merge, never the direction or
+	// NULL placement. The equality signature lists those columns in index
+	// order.
+	enc := *d.enc
+	enc.Values, enc.Cardinality, enc.Base = slices.Clone(enc.Values), slices.Clone(enc.Cardinality), d.enc
 	var eq strings.Builder
-	for i, co := range spec {
-		if enc.Cardinality[i] != d.enc.Cardinality[i] {
-			fmt.Fprintf(&eq, "%d:%d;", i, co.Collation)
+	for _, c := range cols {
+		ranks, card, err := relation.EncodeColumn(d.rel.Columns[c.col], c.order)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+		}
+		enc.Values[c.col], enc.Cardinality[c.col] = ranks, card
+		if card != d.enc.Cardinality[c.col] {
+			fmt.Fprintf(&eq, "%d:%d;", c.col, c.order.Collation)
 		}
 	}
-	enc.Base, enc.Equality = d.enc, eq.String()
+	enc.Equality = eq.String()
 	// A run that lost the encode race takes the resident entry, so every
 	// caller shares one instance. An encoding that alone busts the bound is
 	// served uncached; the caller holds the only reference.
-	enc, _ = d.specs.Add(key, enc, encodedCost(enc), 0)
-	return enc, nil
+	resident, _ := d.specs.Add(key, &enc, len(cols)*enc.NumRows()*4, 0)
+	return resident, nil
 }
 
 // SpecEncodingCacheStats reports the spec re-encoding cache's accounting:
@@ -233,26 +249,6 @@ func (d *Dataset) SpecEncoded(orders []AttrOrder) (*relation.Encoded, error) {
 func (d *Dataset) SpecEncodingCacheStats() (entries int, bytes int64) {
 	st := d.specs.Stats()
 	return st.Entries, int64(st.Cost)
-}
-
-// encodedCost is the byte cost a cached re-encoding is accounted at: the
-// rank arenas dominate, everything else is noise.
-func encodedCost(enc *relation.Encoded) int {
-	return enc.NumCols() * enc.NumRows() * 4
-}
-
-// relationSpec compiles named overrides onto the dataset's columns as a
-// positional relation.OrderSpec.
-func (d *Dataset) relationSpec(orders []AttrOrder) (relation.OrderSpec, error) {
-	spec := make(relation.OrderSpec, d.enc.NumCols())
-	for _, o := range orders {
-		i := d.enc.ColumnIndex(o.Column)
-		if i < 0 {
-			return nil, fmt.Errorf("%w: OrderSpecs names unknown column %q", ErrInvalidRequest, o.Column)
-		}
-		spec[i] = o.columnOrder()
-	}
-	return spec, nil
 }
 
 // ColumnTypes returns the sniffed (or declared) type name of every column in

@@ -2,8 +2,11 @@ package fastod_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	fastod "repro"
@@ -268,5 +271,145 @@ func TestCheckBidirListODMatchesRawOracle(t *testing.T) {
 	hidden := ds.ColumnNames()[5]
 	if _, err := ds.Project(5).CheckBidirListOD(nil, []fastod.DirectedColumn{{Column: hidden}}); err == nil {
 		t.Errorf("column %q outside the Project view: no error", hidden)
+	}
+}
+
+// checkSpecEncoded holds ds.SpecEncoded(orders), which re-ranks only the
+// columns orders name, to relation.EncodeSpec on rel, ds's raw relation,
+// which ranks every column: ranks and cardinalities agree column for column,
+// and the equality signature lists, in index order, each column whose
+// cardinality the spec changes, with its collation. A column the spec
+// leaves at the default shares the default encoding's ranks; a named one
+// owns its own. It returns the number of named columns.
+func checkSpecEncoded(t *testing.T, ds *fastod.Dataset, rel *relation.Relation, orders []fastod.AttrOrder) int {
+	t.Helper()
+	base, err := ds.SpecEncoded(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ds.SpecEncoded(orders)
+	if err != nil {
+		t.Fatalf("SpecEncoded(%+v): %v", orders, err)
+	}
+	spec := make(relation.OrderSpec, rel.NumCols())
+	named := 0
+	for _, o := range orders {
+		co := relation.ColumnOrder{Direction: o.Direction, Nulls: o.Nulls, Collation: o.Collation, Ranks: o.Ranks}
+		if !co.IsDefault() {
+			spec[rel.ColumnIndex(o.Column)] = co
+			named++
+		}
+	}
+	want, err := relation.EncodeSpec(rel, spec)
+	if err != nil {
+		t.Fatalf("EncodeSpec(%v): %v", spec, err)
+	}
+	if got.Name != want.Name || !slices.Equal(got.ColumnNames, want.ColumnNames) || got.NumRows() != want.NumRows() {
+		t.Fatalf("%+v: SpecEncoded is %s %v × %d rows, EncodeSpec %s %v × %d", orders,
+			got.Name, got.ColumnNames, got.NumRows(), want.Name, want.ColumnNames, want.NumRows())
+	}
+	var eq strings.Builder
+	for c := range want.Values {
+		if got.Cardinality[c] != want.Cardinality[c] || !slices.Equal(got.Values[c], want.Values[c]) {
+			t.Errorf("%+v: column %d has cardinality %d and ranks %v, EncodeSpec %d and %v", orders, c,
+				got.Cardinality[c], got.Values[c], want.Cardinality[c], want.Values[c])
+		}
+		if want.Cardinality[c] != base.Cardinality[c] {
+			fmt.Fprintf(&eq, "%d:%d;", c, spec[c].Collation)
+		}
+		shared := len(got.Values[c]) > 0 && &got.Values[c][0] == &base.Values[c][0]
+		if shared != spec[c].IsDefault() {
+			t.Errorf("%+v: column %d (order %v) shares the default ranks: %v", orders, c, spec[c], shared)
+		}
+	}
+	if got.Equality != eq.String() {
+		t.Errorf("%+v: equality signature %q, want %q", orders, got.Equality, eq.String())
+	}
+	if named > 0 && got.Base != base {
+		t.Errorf("%+v: Base is not the default encoding", orders)
+	}
+	return named
+}
+
+// TestSpecEncodedMatchesEncodeSpec runs checkSpecEncoded on a messy dataset,
+// on HeadRows and Project views of it, and on a table whose column names sort
+// against their index order, for one- and multi-column specs under the
+// collations that merge values (numeric, date, case-insensitive, rank) and
+// those that do not. It also checks that the spec cache charges each
+// re-encoding rows × 4 bytes for every column its spec names.
+func TestSpecEncodedMatchesEncodeSpec(t *testing.T) {
+	rel := datagen.MessyRelation(300, 8, 0.2, 21)
+	ds := fastod.SyntheticMessy(300, 8, 0.2, 21)
+	header := []string{"z_float", "y_str", "x_date"}
+	rows := [][]string{
+		{"1", "ab", "2017-01-02"}, {"1.0", "AB", "2017/01/02"}, {"2", "cd", ""},
+		{"", "Cd", "2017-01-03"}, {"2.50", "", "2017/01/03"}, {"2.5", "ab", "2017-01-02"},
+	}
+	reversedRel, err := relation.FromRows("reversed", header, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reversed, err := fastod.FromRows("reversed", header, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := []struct {
+		name string
+		ds   *fastod.Dataset
+		rel  *relation.Relation
+	}{
+		{"dataset", ds, rel},
+		{"HeadRows(40)", ds.HeadRows(40), rel.Head(40)},
+		{"Project(5)", ds.Project(5), &relation.Relation{Name: rel.Name, Columns: rel.Columns[:5]}},
+		{"reversed names", reversed, reversedRel},
+	}
+	specs := [][]fastod.AttrOrder{
+		{
+			{Column: "z_float", Collation: fastod.CollateNumeric},
+			{Column: "y_str", Collation: fastod.CollateCaseInsen, Direction: fastod.OrderDesc},
+			{Column: "x_date", Collation: fastod.CollateDate, Nulls: fastod.NullsLast},
+		},
+		{{Column: "y_str", Collation: fastod.CollateCaseInsen}, {Column: "x_date", Direction: fastod.OrderDesc}},
+		{{Column: "m0_int", Direction: fastod.OrderDesc}},
+		{{Column: "m1_float", Collation: fastod.CollateNumeric}},
+		{{Column: "m4_mixdate", Collation: fastod.CollateDate, Direction: fastod.OrderDesc, Nulls: fastod.NullsLast}},
+		{{Column: "m2_string", Collation: fastod.CollateCaseInsen}},
+		{{Column: "m2_string", Collation: fastod.CollateRank, Ranks: []string{"cd", "ab", "x"}}},
+		{
+			{Column: "m7_float", Collation: fastod.CollateLex},
+			{Column: "m2_string", Collation: fastod.CollateCaseInsen, Direction: fastod.OrderDesc},
+			{Column: "m0_int", Nulls: fastod.NullsLast},
+			{Column: "m3_date"}, // a no-op entry, erased
+		},
+		{
+			{Column: "m4_mixdate", Collation: fastod.CollateDate},
+			{Column: "m1_float", Collation: fastod.CollateNumeric, Nulls: fastod.NullsLast},
+			{Column: "m6_int", Collation: fastod.CollateRank, Ranks: []string{"3", "-1", "0"}},
+		},
+	}
+	merged := 0
+	for _, v := range views {
+		wantBytes := int64(0)
+		for _, orders := range specs {
+			var kept []fastod.AttrOrder
+			for _, o := range orders {
+				if v.rel.ColumnIndex(o.Column) >= 0 {
+					kept = append(kept, o)
+				}
+			}
+			if len(kept) == 0 {
+				continue
+			}
+			wantBytes += int64(checkSpecEncoded(t, v.ds, v.rel, kept) * v.rel.NumRows() * 4)
+			if _, b := v.ds.SpecEncodingCacheStats(); b != wantBytes {
+				t.Errorf("%s after %+v: the spec cache charges %d bytes, want %d", v.name, kept, b, wantBytes)
+			}
+			if enc, _ := v.ds.SpecEncoded(kept); enc.Equality != "" {
+				merged++
+			}
+		}
+	}
+	if merged == 0 {
+		t.Error("no spec merged any values, so no equality signature was checked")
 	}
 }

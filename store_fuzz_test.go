@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	fastod "repro"
+	"repro/internal/relation"
 )
 
 // fuzzPools are the value pools of FuzzSharedStoreSpecs' columns. Each holds
@@ -44,7 +45,8 @@ func fuzzSpec(bits uint32, cols int) []fastod.AttrOrder {
 
 // FuzzSharedStoreSpecs checks the shared partition store's invariant: runs
 // under any order specs, in any order, on one store-enabled dataset report
-// exactly what the same requests report on a dataset without a store. The
+// exactly what the same requests report on a dataset without a store. Each
+// spec's re-encoding must also be relation.EncodeSpec's (checkSpecEncoded). The
 // input decodes to a relation of at most 6 columns × 40 rows over
 // fuzzPools, two specs, one of the five lattice algorithms, a worker count
 // of 1 or 2 and a store bound of the default or 1 KiB. Spec A, the default
@@ -79,6 +81,10 @@ func FuzzSharedStoreSpecs(f *testing.F) {
 		if flags&2 != 0 {
 			bound = 1 << 10
 		}
+		rel, err := relation.FromRows("fuzz", header, data)
+		if err != nil {
+			t.Fatal(err)
+		}
 		shared, fresh := load(), load()
 		shared.EnablePartitionCache(bound)
 		req := []fastod.Request{
@@ -106,6 +112,7 @@ func FuzzSharedStoreSpecs(f *testing.F) {
 				t.Fatalf("%s under %+v, bound %d: the shared store's report differs from a run without one\n got: %s\nwant: %s",
 					req.Algorithm, orders, bound, renderReport(got), renderReport(want))
 			}
+			checkSpecEncoded(t, shared, rel, orders)
 		}
 	})
 }
